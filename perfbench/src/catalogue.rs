@@ -252,7 +252,7 @@ mod tests {
         assert_eq!(
             committed,
             manifest_json(),
-            "regenerate with `--write-manifest`"
+            "regenerate by running the benchmark without `--workload`"
         );
     }
 }

@@ -1,12 +1,14 @@
 //! `exact-reference`: the per-station `ExactSimulator` on batched One-fail
 //! Adaptive and on the known-k oracle's heavy Poisson schedule (rate 20
-//! over a k/20-slot horizon), at k = 10⁴. Every conformance gate compares
-//! the fast engines against this engine and its protocol state machines.
-//! Set-up samples the Poisson schedule, builds both simulators and runs each
-//! once at k = 250.
+//! over a k/20-slot horizon). Every conformance gate compares the fast
+//! engines against this engine and its protocol state machines. Each run
+//! executes both on four instances, on two workers that claim the next
+//! instance from a shared counter. Set-up samples the Poisson schedules and
+//! builds both simulators.
 
 use crate::harness::{
-    closed_loop, end_to_end, layer_metrics, timed, timed_setup, Checks, Config, Iteration, Outcome,
+    closed_loop, end_to_end, fan_out, layer_metrics, timed, timed_setup, Checks, Config, Iteration,
+    Outcome,
 };
 use crate::trace::{median, SpanSet, Tracer};
 use mac_channel::ArrivalModel;
@@ -16,13 +18,11 @@ use mac_sim::dynamic::{ARRIVAL_STREAM, RUN_STREAM};
 use mac_sim::{ExactSimulator, RunOptions, RunResult};
 use rand::SeedableRng;
 
-/// Messages per instance.
-const K: u64 = 10_000;
-/// Messages of the small instance each engine runs once during set-up, so
-/// first-use costs are paid there and `setup_s` is milliseconds of engine
-/// work rather than microseconds of schedule sampling, which on a shared
-/// box drift with cache pressure far more than compute does.
-const WARMUP_K: u64 = 250;
+/// Messages per instance: small enough that a run takes a fraction of a
+/// second, so one process measures dozens of runs.
+const K: u64 = 2_000;
+/// Instances of each engine run per run, each on a seed of its own.
+const INSTANCES: u64 = 4;
 
 const BATCHED: &str = "exact.batched";
 const SCHEDULE: &str = "exact.schedule";
@@ -38,7 +38,9 @@ pub fn run(config: &Config) -> Outcome {
         Tracer::off()
     };
     let off = Tracer::off();
-    let run_seed = derive_seed(config.seed, &[RUN_STREAM]);
+    let seeds: Vec<u64> = (0..INSTANCES)
+        .map(|i| derive_seed(config.seed, &[i]))
+        .collect();
     let poisson = ArrivalModel::Poisson {
         rate: 20.0,
         horizon: K / 20,
@@ -54,52 +56,62 @@ pub fn run(config: &Config) -> Outcome {
             let traced = config.trace && run % 2 == 1;
             let tracer = if traced { &tracer } else { &off };
             let mut checks = Checks::default();
-            let ((batched, oracle, schedule, warm_ok), samples) = timed_setup(|| {
-                let schedule = tracer.span_counted(
-                    "arrivals.sample",
-                    None,
-                    |_| {
-                        let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(
-                            config.seed,
-                            &[ARRIVAL_STREAM],
-                        ));
-                        poisson.sample(&mut rng)
-                    },
-                    |s| s.len() as u64,
-                );
+            let ((batched, oracle, schedules), samples) = timed_setup(|| {
+                let schedules: Vec<_> = seeds
+                    .iter()
+                    .map(|&seed| {
+                        tracer.span_counted(
+                            "arrivals.sample",
+                            None,
+                            |_| {
+                                let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(
+                                    seed,
+                                    &[ARRIVAL_STREAM],
+                                ));
+                                poisson.sample(&mut rng)
+                            },
+                            |s| s.len() as u64,
+                        )
+                    })
+                    .collect();
                 let batched = ExactSimulator::new(
                     ProtocolKind::OneFailAdaptive { delta: 2.72 },
                     RunOptions::default(),
                 );
                 let oracle = ExactSimulator::new(ProtocolKind::KnownKOracle, RunOptions::default());
-                let warm = tracer.span("exact.warmup", None, |_| {
-                    [
-                        batched.run(WARMUP_K, run_seed),
-                        oracle.run(WARMUP_K, run_seed),
-                    ]
-                });
-                let warm_ok = warm.iter().all(|r| r.as_ref().is_ok_and(|r| r.completed));
-                (batched, oracle, schedule, warm_ok)
+                (batched, oracle, schedules)
             });
             setups.push(median(&samples));
-            checks.expect(warm_ok, || "warm-up run failed".to_string());
-            let ((a, b), wall_s) = timed(|| {
-                let a = tracer.span(BATCHED, None, |_| batched.run(K, run_seed));
-                let b = tracer.span(SCHEDULE, None, |_| oracle.run_schedule(&schedule, run_seed));
-                (a, b)
+            // Batched instances first: they are the longer tasks, so the
+            // workers finish close together.
+            let tasks: Vec<usize> = (0..2 * seeds.len()).collect();
+            let (outcomes, wall_s) = timed(|| {
+                fan_out(tasks, |task| {
+                    let (instance, batch) = (task % seeds.len(), task < seeds.len());
+                    let run_seed = derive_seed(seeds[instance], &[RUN_STREAM]);
+                    if batch {
+                        let result = tracer.span(BATCHED, None, |_| batched.run(K, run_seed));
+                        (result.map_err(|e| format!("batched run: {e}")), K)
+                    } else {
+                        let schedule = &schedules[instance];
+                        let result = tracer
+                            .span(SCHEDULE, None, |_| oracle.run_schedule(schedule, run_seed));
+                        let result = result
+                            .map(|run| run.result)
+                            .map_err(|e| format!("schedule run: {e}"));
+                        (result, schedule.len() as u64)
+                    }
+                })
             });
-            let a = checks.ok(a, "batched run");
-            let b = checks.ok(b, "schedule run").map(|run| run.result);
-            let messages = schedule.len() as u64;
-            for (result, want) in [(&a, K), (&b, messages)] {
-                if let Some(r) = result {
+            let mut results = Vec::with_capacity(outcomes.len());
+            for (result, want) in outcomes {
+                if let Some(r) = checks.ok(result, "exact run") {
                     checks.expect(r.completed && r.delivered == want, || {
                         format!("{} delivered {} of {want}", r.protocol, r.delivered)
                     });
+                    results.push(r);
                 }
             }
-            let results: Vec<RunResult> = a.into_iter().chain(b).collect();
-            checks.expect(results.len() == 2, || "an exact run failed".to_string());
             let fingerprint: Vec<(u64, u64)> =
                 results.iter().map(|r| (r.makespan, r.collisions)).collect();
             let expected = first.get_or_insert_with(|| fingerprint.clone());

@@ -4,7 +4,13 @@
 use crate::catalogue::{self, END_TO_END, PER_LAYER};
 use crate::trace::{median, Span, Tracer};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Worker threads of a run (`nproc` of the 2-core box the benchmark is
+/// sized for).
+pub const THREADS: usize = 2;
 
 /// Command-line settings of one workload run.
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +69,11 @@ impl Checks {
         }
     }
 
+    /// Takes over the failures another set of checks recorded.
+    pub fn absorb(&mut self, other: Checks) {
+        self.failures.extend(other.failures);
+    }
+
     /// Prints the failures to stderr; returns whether there were none.
     pub fn report(self, run: u64) -> bool {
         for f in &self.failures {
@@ -107,16 +118,51 @@ pub fn closed_loop(
     (runs, failed)
 }
 
+/// Runs `work` on every item on [`THREADS`] workers, each claiming the next
+/// unclaimed item from a shared counter, and returns the outputs in item
+/// order. Spreading one run over both cores keeps its wall time from
+/// following the speed of whichever core a single thread landed on.
+pub fn fan_out<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = items.get(index) else { break };
+                        let item = slot
+                            .lock()
+                            .expect("an item lock is never poisoned")
+                            .take()
+                            .expect("each item is claimed once");
+                        done.push((index, work(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("workers do not panic"))
+            .collect()
+    });
+    done.sort_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
 /// Builds a workload's inputs with `build` and times it: once, and again
-/// while the builds took under 20 ms in total (at most 25 times), so cheap
-/// set-ups still give a steady median. Returns the last build and every
-/// timing.
+/// while the builds took under 20 ms in total (at most 2000 times), so
+/// microsecond set-ups still give a steady median. Returns the last build
+/// and every timing.
 pub fn timed_setup<T>(mut build: impl FnMut() -> T) -> (T, Vec<f64>) {
     let mut samples = Vec::new();
     loop {
         let (built, seconds) = timed(&mut build);
         samples.push(seconds);
-        if samples.iter().sum::<f64>() >= 0.02 || samples.len() >= 25 {
+        if samples.iter().sum::<f64>() >= 0.02 || samples.len() >= 2000 {
             return (built, samples);
         }
     }
@@ -163,7 +209,9 @@ pub fn end_to_end(
 /// Every per-layer metric at 0, to be overwritten by the layers a workload
 /// reaches: a traced run reports the whole catalogue. `trace.overhead_s`
 /// is filled in here: the median traced run's wall time minus the median
-/// untraced one's.
+/// untraced one's. On `paper-sweep` traced runs go through the benchmark's
+/// replica of the runner's dispatch, so there it also holds the difference
+/// between the replica and `Experiment::run`.
 pub fn layer_metrics(runs: &[Iteration]) -> BTreeMap<&'static str, f64> {
     let mut metrics: BTreeMap<&'static str, f64> =
         PER_LAYER.iter().map(|m| (m.name, 0.0)).collect();
@@ -282,6 +330,12 @@ mod tests {
         let mut all: Vec<(&'static str, f64)> = END_TO_END.iter().map(|m| (m.name, 1.0)).collect();
         all[0].1 = f64::NAN;
         assert!(result_line(&outcome(&all), false).is_err());
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order() {
+        let out = fan_out((0..50u64).collect(), |i| i * i);
+        assert_eq!(out, (0..50u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]

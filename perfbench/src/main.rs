@@ -8,8 +8,6 @@
 //! # Every workload, each in a process of its own (so peak RSS is per
 //! # workload), then BENCHMARK.json rewritten from the catalogue:
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --seed 1
-//! # Only rewrite BENCHMARK.json:
-//! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --write-manifest
 //! ```
 //!
 //! Run it from the repository root. Workloads are closed loops: the next
@@ -71,12 +69,12 @@ fn arrival_metrics(spans: &SpanSet, metrics: &mut BTreeMap<&'static str, f64>) {
     );
 }
 
-const USAGE: &str = "usage: perfbench [--workload <name>] [--seed <n>] [--seconds <n>] [--trace <0|1>] [--write-manifest]";
+const USAGE: &str =
+    "usage: perfbench [--workload <name>] [--seed <n>] [--seconds <n>] [--trace <0|1>]";
 
 struct Args {
     workload: Option<String>,
     config: Config,
-    write_manifest: bool,
 }
 
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -87,13 +85,8 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             seconds: catalogue::RUN_SECONDS,
             trace: false,
         },
-        write_manifest: false,
     };
     while let Some(flag) = args.next() {
-        if flag == "--write-manifest" {
-            parsed.write_manifest = true;
-            continue;
-        }
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let number = || {
             value
@@ -146,10 +139,6 @@ fn run_all(config: &Config) -> Result<(), String> {
         }
         println!("{}: {line}", w.name);
     }
-    write_manifest()
-}
-
-fn write_manifest() -> Result<(), String> {
     std::fs::write("BENCHMARK.json", catalogue::manifest_json())
         .map_err(|e| format!("write BENCHMARK.json: {e}"))?;
     eprintln!("wrote BENCHMARK.json");
@@ -164,15 +153,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.write_manifest {
-        return match write_manifest() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     eprintln!("machine: {}", harness::machine_facts());
     let Some(name) = args.workload else {
         return match run_all(&args.config) {

@@ -10,23 +10,17 @@
 //! replica's makespans must equal the runner's cell by cell.
 
 use crate::harness::{
-    closed_loop, end_to_end, layer_metrics, timed, Checks, Config, Iteration, Outcome,
+    closed_loop, end_to_end, layer_metrics, timed, timed_setup, Checks, Config, Iteration, Outcome,
+    THREADS,
 };
 use crate::trace::{median, tail, SpanId, SpanSet, Tracer};
 use mac_prob::rng::derive_seed;
 use mac_protocols::{analysis, ParameterError, ProtocolFamily, ProtocolKind};
 use mac_sim::{Experiment, ExperimentResults, FairSimulator, RunResult, WindowSimulator};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The largest instance size is 10^MAX_EXP.
 const MAX_EXP: u32 = 6;
-/// Worker threads (`nproc` of the 2-core box the benchmark is sized for).
-const THREADS: usize = 2;
-/// Instance sizes of the warm-up sweep that set-up runs.
-const WARMUP_KS: [u64; 4] = [10, 100, 1_000, 10_000];
-/// Warm-up sweeps timed for `setup_s`.
-const SETUP_REPS: usize = 7;
 
 const FAIR_SPAN: &str = "fair.run";
 const WINDOW_SPAN: &str = "window.run";
@@ -70,47 +64,75 @@ fn tasks(experiment: &Experiment) -> Vec<Task> {
     tasks
 }
 
-/// The runner's dispatch, replicated so each engine call gets a span.
+/// `Experiment::run`'s up-front configuration checks.
+fn validate(experiment: &Experiment) -> Result<(), ParameterError> {
+    for kind in &experiment.protocols {
+        kind.build_node(1)?;
+    }
+    experiment.options.validate_adversary()
+}
+
+/// The runner's dispatch, replicated so each engine call gets a span:
+/// configurations checked up front, workers claiming task indices from a
+/// shared counter into private shards, a failure flag checked before each
+/// claim, shards merged by task index at the end.
 fn dispatch(
     experiment: &Experiment,
     tracer: &Tracer,
     parent: Option<SpanId>,
-) -> Vec<Result<RunResult, ParameterError>> {
+) -> Result<Vec<RunResult>, ParameterError> {
+    validate(experiment)?;
     let tasks = tasks(experiment);
     let next = AtomicUsize::new(0);
-    let results = Mutex::new(Vec::with_capacity(tasks.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(index) else { break };
-                let kind = &experiment.protocols[task.protocol];
-                let k = experiment.ks[task.k];
-                let seed = derive_seed(
-                    experiment.master_seed,
-                    &[task.protocol as u64, task.k as u64, task.replication],
-                );
-                let options = experiment.options.clone();
-                let result = match kind.family() {
-                    ProtocolFamily::Fair => tracer.span(FAIR_SPAN, parent, |_| {
-                        FairSimulator::new(kind.clone(), options).run(k, seed)
-                    }),
-                    ProtocolFamily::Window => tracer.span(WINDOW_SPAN, parent, |_| {
-                        WindowSimulator::new(kind.clone(), options).run(k, seed)
-                    }),
-                };
-                results
-                    .lock()
-                    .expect("result buffer lock is never poisoned")
-                    .push((index, result));
-            });
-        }
+    let failed = AtomicBool::new(false);
+    type Shard = Vec<(usize, RunResult)>;
+    let shards: Vec<Result<Shard, ParameterError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| -> Result<Shard, ParameterError> {
+                    let mut shard = Vec::new();
+                    while !failed.load(Ordering::Acquire) {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(index) else { break };
+                        let kind = &experiment.protocols[task.protocol];
+                        let k = experiment.ks[task.k];
+                        let seed = derive_seed(
+                            experiment.master_seed,
+                            &[task.protocol as u64, task.k as u64, task.replication],
+                        );
+                        let options = experiment.options.clone();
+                        let outcome = match kind.family() {
+                            ProtocolFamily::Fair => tracer.span(FAIR_SPAN, parent, |_| {
+                                FairSimulator::new(kind.clone(), options).run(k, seed)
+                            }),
+                            ProtocolFamily::Window => tracer.span(WINDOW_SPAN, parent, |_| {
+                                WindowSimulator::new(kind.clone(), options).run(k, seed)
+                            }),
+                        };
+                        match outcome {
+                            Ok(result) => shard.push((index, result)),
+                            Err(error) => {
+                                failed.store(true, Ordering::Release);
+                                return Err(error);
+                            }
+                        }
+                    }
+                    Ok(shard)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker threads do not panic"))
+            .collect()
     });
-    let mut results = results
-        .into_inner()
-        .expect("result buffer lock is never poisoned");
-    results.sort_by_key(|(index, _)| *index);
-    results.into_iter().map(|(_, result)| result).collect()
+    let mut results: Vec<Option<RunResult>> = vec![None; tasks.len()];
+    for shard in shards {
+        for (index, result) in shard? {
+            results[index] = Some(result);
+        }
+    }
+    Ok(results.into_iter().flatten().collect())
 }
 
 /// Makespans per cell, in the runner's cell order.
@@ -169,18 +191,13 @@ fn check_cells(results: &ExperimentResults, checks: &mut Checks) {
     }
 }
 
-/// The replica's results regrouped into the runner's cells; `None` if any
-/// task failed.
-fn replica_cells(
-    experiment: &Experiment,
-    results: &[Result<RunResult, ParameterError>],
-) -> Option<Vec<Vec<u64>>> {
-    let per_cell = experiment.replications as usize;
-    let makespans: Option<Vec<u64>> = results
-        .iter()
-        .map(|r| r.as_ref().ok().map(|r| r.makespan))
-        .collect();
-    Some(makespans?.chunks(per_cell).map(<[u64]>::to_vec).collect())
+/// The replica's results regrouped into the runner's cells.
+fn replica_cells(experiment: &Experiment, results: &[RunResult]) -> Vec<Vec<u64>> {
+    let makespans: Vec<u64> = results.iter().map(|r| r.makespan).collect();
+    makespans
+        .chunks(experiment.replications as usize)
+        .map(<[u64]>::to_vec)
+        .collect()
 }
 
 pub fn run(config: &Config) -> Outcome {
@@ -191,47 +208,41 @@ pub fn run(config: &Config) -> Outcome {
         Tracer::off()
     };
 
-    // Set-up: grid construction, configuration checks, worker start-up and
-    // first-touch allocation, paid by a small sweep of the same line-up.
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut setup_ok = true;
-    for rep in 0..SETUP_REPS {
-        let warmup = grid(
-            WARMUP_KS.to_vec(),
-            derive_seed(config.seed, &[rep as u64]),
-            THREADS,
-        );
-        let (result, seconds) = timed(|| warmup.run());
-        setup_ok &= result.is_ok_and(|r| r.cells.iter().all(|c| c.all_completed));
-        setups.push(seconds);
-    }
-
     // Reference pass (untimed): direct engine calls give the busy-slot
     // counts the runner does not report, and the makespans every run must
     // reproduce.
     let experiment = grid(paper_ks(), config.seed, THREADS);
     let reference = dispatch(&experiment, &off, None);
-    let reference_cells = replica_cells(&experiment, &reference);
+    let reference_cells = reference
+        .as_ref()
+        .ok()
+        .map(|results| replica_cells(&experiment, results));
     let (mut fair_busy, mut window_busy) = (0u64, 0u64);
-    for (task, result) in tasks(&experiment).iter().zip(&reference) {
-        if let Ok(result) = result {
-            match experiment.protocols[task.protocol].family() {
-                ProtocolFamily::Fair => fair_busy += busy(result),
-                ProtocolFamily::Window => window_busy += busy(result),
-            }
+    for (task, result) in tasks(&experiment).iter().zip(reference.iter().flatten()) {
+        match experiment.protocols[task.protocol].family() {
+            ProtocolFamily::Fair => fair_busy += busy(result),
+            ProtocolFamily::Window => window_busy += busy(result),
         }
     }
     let deliveries: u64 = experiment.ks.iter().sum::<u64>()
         * experiment.replications
         * experiment.protocols.len() as u64;
 
+    let mut setups = Vec::new();
     let (runs, failed) = closed_loop(
         config.seconds,
         if config.trace { 4 } else { 3 },
         &tracer,
         |run| {
             let mut checks = Checks::default();
-            checks.expect(setup_ok, || "warm-up sweep failed".to_string());
+            // Set-up: the grid built and its configurations checked.
+            let ((experiment, valid), samples) = timed_setup(|| {
+                let experiment = grid(paper_ks(), config.seed, THREADS);
+                let valid = validate(&experiment);
+                (experiment, valid)
+            });
+            setups.push(median(&samples));
+            checks.ok(valid, "configuration check");
             checks.expect(reference_cells.is_some(), || {
                 "reference pass failed".to_string()
             });
@@ -242,7 +253,8 @@ pub fn run(config: &Config) -> Outcome {
                         dispatch(&experiment, &tracer, parent)
                     })
                 });
-                (replica_cells(&experiment, &results), wall_s)
+                let results = checks.ok(results, "replica dispatch");
+                (results.map(|r| replica_cells(&experiment, &r)), wall_s)
             } else {
                 let (results, wall_s) = timed(|| experiment.run());
                 let results = checks.ok(results, "Experiment::run");

@@ -5,7 +5,8 @@
 //! driven by the benchmark itself and always to completion, never parked at
 //! a stall, so the amount of work does not depend on watchdog policy.
 //!
-//! Each run drives sessions of two kinds: the known-k oracle at λ = 2 over
+//! Each run builds all its sessions, then drives them on two workers that
+//! claim the next session from a shared counter. Each run drives sessions of two kinds: the known-k oracle at λ = 2 over
 //! 10k slots (cap-bound, merge-heavy) and Log-fails Adaptive (ξt = ½) at
 //! λ = 0.15 over 100k slots (stable, about ten live classes). At λ = 0.2, the boundary the saturation map
 //! charts for it, Log-fails Adaptive livelocks on some seeds (4 of 30 over
@@ -13,7 +14,8 @@
 //! seeds did.
 
 use crate::harness::{
-    closed_loop, end_to_end, layer_metrics, timed, timed_setup, Checks, Config, Iteration, Outcome,
+    closed_loop, end_to_end, fan_out, layer_metrics, timed, timed_setup, Checks, Config, Iteration,
+    Outcome,
 };
 use crate::trace::{median, tail, SpanSet, Tracer};
 use mac_channel::{ArrivalModel, ArrivalStream};
@@ -221,20 +223,32 @@ pub fn run(config: &Config) -> Outcome {
             let traced = config.trace && run % 2 == 1;
             let tracer = if traced { &tracer } else { &off };
             let mut checks = Checks::default();
-            let mut wall_s = 0.0;
-            let mut setup_s = 0.0;
+            let (built, samples) = timed_setup(|| {
+                sessions
+                    .iter()
+                    .map(|&(point, seed)| build(point, seed, tracer))
+                    .collect::<Vec<_>>()
+            });
+            setups.push(median(&samples));
+            let mut ready = Vec::with_capacity(built.len());
+            for (messages, session) in built {
+                ready.extend(
+                    checks
+                        .ok(session, "Session::dynamic")
+                        .map(|s| (messages, s)),
+                );
+            }
+            let (driven, wall_s) = timed(|| {
+                fan_out(ready, |(messages, session)| {
+                    let mut checks = Checks::default();
+                    (drive(session, messages, tracer, &mut checks), checks)
+                })
+            });
             let mut reached = Vec::with_capacity(sessions.len());
-            for &(point, seed) in &sessions {
-                let ((messages, session), samples) = timed_setup(|| build(point, seed, tracer));
-                setup_s += median(&samples);
-                let Some(session) = checks.ok(session, "Session::dynamic") else {
-                    continue;
-                };
-                let (outcome, seconds) = timed(|| drive(session, messages, tracer, &mut checks));
-                wall_s += seconds;
+            for (outcome, session_checks) in driven {
+                checks.absorb(session_checks);
                 reached.extend(outcome);
             }
-            setups.push(setup_s);
             checks.expect(reached.len() == sessions.len(), || {
                 "a session did not finish".to_string()
             });
