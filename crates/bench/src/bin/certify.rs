@@ -6,7 +6,7 @@
 //! #   --seed S       master seed (default 2011)
 //! #   --out PATH     write the table to PATH instead of stdout
 //! #   --check PATH   regenerate and diff against a committed table;
-//! #                  exit 1 on any mismatch (the CI certify-smoke gate)
+//! #                  exit 1 on any mismatch (a CI release gate)
 //! ```
 //!
 //! Runs both tiers of the adversary strategy search

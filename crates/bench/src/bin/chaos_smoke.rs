@@ -1,5 +1,5 @@
 //! Chaos smoke gate: fixed-seed fault injection against the session
-//! layer, run by the CI `chaos-smoke` job.
+//! layer, run by the CI `release-gates` job.
 //!
 //! ```bash
 //! cargo run -p mac-bench --release --bin chaos_smoke

@@ -1,5 +1,5 @@
 //! Session smoke gate: checkpoint/resume bit-identity and bounded memory at
-//! reduced paper scale, run by the CI `session-smoke` job.
+//! reduced paper scale, run by the CI `release-gates` job.
 //!
 //! ```bash
 //! cargo run -p mac-bench --release --bin session_smoke

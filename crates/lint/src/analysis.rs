@@ -384,6 +384,22 @@ fn find_impl_fns(tokens: &[Token]) -> Vec<ImplFn> {
         // present, else the first path; its name is the ident right before
         // the first `<` of that path (or its last ident).
         let mut j = i + 1;
+        // Skip the impl's own generic parameters, so an inherent generic
+        // impl (`impl<P: Tr> Core<P>`) resolves to `Core`, not to nothing.
+        if tokens.get(j).is_some_and(|t| is_punct(t, "<")) {
+            let mut depth = 0i32;
+            while j < tokens.len() {
+                if is_punct(&tokens[j], "<") {
+                    depth += 1;
+                } else if is_punct(&tokens[j], ">") && !is_punct(&tokens[j - 1], "-") {
+                    depth -= 1;
+                }
+                j += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
         let mut angle = 0i32;
         let mut header: Vec<usize> = Vec::new();
         let mut for_at: Option<usize> = None;
@@ -578,11 +594,12 @@ mod tests {
 
     #[test]
     fn impl_fns_resolve_type_names_and_bodies() {
-        let src = "impl Tr for Foo {\n    fn checkpoint_words(&self) -> u64 {\n        self.alpha + self.beta\n    }\n}\nimpl<P> Tr for Box<P> {\n    fn checkpoint_words(&self) -> u64 { self.x }\n}\n";
+        let src = "impl Tr for Foo {\n    fn checkpoint_words(&self) -> u64 {\n        self.alpha + self.beta\n    }\n}\nimpl<P> Tr for Box<P> {\n    fn checkpoint_words(&self) -> u64 { self.x }\n}\nimpl<P: Tr<u8>, A> Core<P, A> {\n    fn encode(&self) {}\n}\n";
         let a = analyze("x.rs", src);
-        assert_eq!(a.impl_fns.len(), 2);
+        assert_eq!(a.impl_fns.len(), 3);
         assert_eq!(a.impl_fns[0].type_name, "Foo");
         assert_eq!(a.impl_fns[1].type_name, "Box");
+        assert_eq!(a.impl_fns[2].type_name, "Core");
         let refs = self_field_refs(&a.tokens, a.impl_fns[0].body);
         let names: Vec<_> = refs.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "beta"]);

@@ -21,7 +21,7 @@
 //! | `wire-version-hygiene`   | frame-layout fingerprints match the committed ledger at the committed `CHECKPOINT_VERSION` |
 //!
 //! Run locally with `cargo run -p mac-lint`; CI runs the same binary in
-//! the `lint-invariants` job. The scanner is a hand-rolled lexer
+//! the `build-and-test` job. The scanner is a hand-rolled lexer
 //! ([`lexer`]) — no syn, no proc-macro machinery, no dependencies — so it
 //! builds offline and lints the whole workspace in milliseconds.
 

@@ -1,7 +1,8 @@
 //! Rule `wire-version-hygiene`: the serialized layout of every checkpoint
 //! frame — the ordered field list each `checkpoint_words` emits, and the
-//! ordered emission sequence of each session `encode` body — is
-//! fingerprinted into a committed ledger (`crates/lint/wire.ledger`).
+//! ordered emission sequence of each `encode` body in the session file and
+//! the engine-core files whose payloads it embeds — is fingerprinted into a
+//! committed ledger (`crates/lint/wire.ledger`).
 //! Changing a layout without bumping `CHECKPOINT_VERSION` fails the lint:
 //! an old checkpoint would otherwise decode into garbage *silently*,
 //! because the integrity digest only protects against corruption, not
@@ -17,6 +18,15 @@ pub const RULE: &str = "wire-version-hygiene";
 /// The file that owns the frame format and its version constant.
 pub const SESSION_FILE: &str = "crates/sim/src/session.rs";
 
+/// Files whose `encode` bodies are frame layouts: the session file and the
+/// engine cores (fair, window, cohort) whose payloads a session frame embeds.
+pub const ENCODE_FILES: [&str; 4] = [
+    SESSION_FILE,
+    "crates/sim/src/aggregate.rs",
+    "crates/sim/src/window.rs",
+    "crates/sim/src/cohort.rs",
+];
+
 /// One fingerprinted checkpoint frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -29,7 +39,7 @@ pub struct Frame {
 
 /// Extracts the fingerprintable frames of one file: `checkpoint_words`
 /// bodies of types declared in the file (ordered `self.<field>` refs) and,
-/// in the session file, every `encode` body (ordered `.ident` sequence —
+/// in the [`ENCODE_FILES`], every `encode` body (ordered `.ident` sequence —
 /// field reads and `put_*` codec calls in emission order).
 pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
     let mut frames = Vec::new();
@@ -44,7 +54,9 @@ pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
                     .map(|(n, _)| n)
                     .collect()
             }
-            "encode" if analysis.path == SESSION_FILE => dotted_idents(&analysis.tokens, f.body),
+            "encode" if ENCODE_FILES.contains(&analysis.path.as_str()) => {
+                dotted_idents(&analysis.tokens, f.body)
+            }
             _ => continue,
         };
         frames.push(Frame {

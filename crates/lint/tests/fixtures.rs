@@ -228,6 +228,51 @@ fn wire_fixture_layout_change_without_version_bump_fails() {
     );
 }
 
+/// An engine core whose payload a session frame embeds, declared through a
+/// generic inherent impl as the real cores are.
+const CORE_FIXTURE: &str = "\
+pub(crate) struct FairEngineCore<P> {
+    state: P,
+    slot: u64,
+    silent: u64,
+}
+impl<P: FairProtocol> FairEngineCore<P> {
+    pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
+        out.put_u64(self.slot);
+        out.put_u64(self.silent);
+        out.put_words(&self.state.checkpoint_words());
+        true
+    }
+}
+";
+
+#[test]
+fn wire_fixture_engine_core_payloads_are_fingerprinted() {
+    let path = "crates/sim/src/aggregate.rs";
+    let frames = wire::frames_of(&analyze(path, CORE_FIXTURE));
+    let keys: Vec<&str> = frames.iter().map(|f| f.key.as_str()).collect();
+    assert_eq!(
+        keys,
+        ["crates/sim/src/aggregate.rs::FairEngineCore::encode"]
+    );
+    let ledger = wire::render_ledger(&frames, 3);
+    assert!(wire::check_ledger(&frames, Some(3), Some(&ledger), "L").is_empty());
+
+    // Swapping two payload fields under the same version must fail.
+    let swapped = CORE_FIXTURE.replace(
+        "out.put_u64(self.slot);\n        out.put_u64(self.silent);",
+        "out.put_u64(self.silent);\n        out.put_u64(self.slot);",
+    );
+    assert_ne!(swapped, CORE_FIXTURE);
+    let changed = wire::frames_of(&analyze(path, &swapped));
+    let found = wire::check_ledger(&changed, Some(3), Some(&ledger), "L");
+    assert_eq!(rules_of(&found), ["wire-version-hygiene"]);
+    assert!(found[0].message.contains("bump the version"));
+
+    // An `encode` outside the frame files is not a checkpoint layout.
+    assert!(wire::frames_of(&analyze("crates/sim/src/store.rs", CORE_FIXTURE)).is_empty());
+}
+
 #[test]
 fn wire_fixture_missing_ledger_fails() {
     let analysis = analyze(wire::SESSION_FILE, SESSION_FIXTURE);

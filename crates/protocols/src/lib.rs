@@ -35,6 +35,11 @@
 //! per-station simulator uses; this redundancy is deliberate — the fast
 //! simulators are validated against the exact one.
 //!
+//! [`ProtocolKind::visit`] is the one place a configured kind becomes a
+//! concrete state: it hands a [`KindVisitor`] the fair state or the window
+//! schedule, generically, so every engine written as a visitor runs
+//! monomorphic over each protocol.
+//!
 //! The [`analysis`] module exposes the constants and bounds of the paper's
 //! theorems (Theorem 1, Theorem 2, Lemma 1) and the "Analysis" column of
 //! Table 1.
@@ -79,5 +84,6 @@ pub use one_fail::OneFailAdaptive;
 pub use oracle::KnownKOracle;
 pub use randomized_parity::RandomizedParityOneFail;
 pub use traits::{
-    FairNode, FairProtocol, Protocol, ProtocolFamily, ProtocolKind, WindowNode, WindowSchedule,
+    FairNode, FairProtocol, KindVisitor, Protocol, ProtocolFamily, ProtocolKind, WindowNode,
+    WindowSchedule,
 };

@@ -70,12 +70,13 @@ pub trait Protocol: Debug {
     /// and arbitrary protocols may randomise in ways this interface cannot
     /// describe. The default is `None`.
     ///
-    /// The aggregate fair simulator serves exactly the protocol kinds whose
-    /// station adapters report `Some` (the capability is pinned to the
-    /// fair/window family split by the
-    /// `slot_probability_capability_matches_the_families` test); protocols
-    /// reporting `None` run per-station. The dispatch is currently static,
-    /// by protocol kind — see `crates/sim/DESIGN.md` §5.
+    /// The aggregate fair engines serve exactly the kinds that
+    /// [`ProtocolKind::visit`] hands over as a [`FairProtocol`] state, and
+    /// those are the kinds whose [`FairNode`] adapters report `Some` (pinned
+    /// by the `slot_probability_capability_matches_the_families` test);
+    /// window kinds report `None` and run on the window engine or
+    /// per-station. The engines dispatch statically on the visited state's
+    /// type, never on this value — see `crates/sim/DESIGN.md` §5.
     fn slot_probability(&self) -> Option<f64> {
         None
     }
@@ -421,13 +422,32 @@ impl<S: WindowSchedule> Protocol for WindowNode<S> {
     }
 }
 
+/// Receives the concrete protocol state a [`ProtocolKind`] describes, from
+/// [`ProtocolKind::visit`].
+///
+/// The methods are generic over the state type, so an engine written once
+/// as a visitor runs monomorphic over each protocol: the per-slot protocol
+/// calls inline instead of going through a `Box<dyn …>`. States are
+/// `Clone`, and building one draws no randomness, so a visitor may keep the
+/// state as a prototype and clone it per station or per arrival cohort.
+pub trait KindVisitor {
+    /// What the visit produces.
+    type Output;
+
+    /// Called with the shared state of a fair protocol.
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output;
+
+    /// Called with the window schedule of a window protocol.
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output;
+}
+
 /// A serialisable description of a protocol and its parameters.
 ///
 /// `ProtocolKind` is how the experiment runner, the benchmark harness and the
 /// examples refer to protocols in configuration: it can be stored, printed
-/// and turned into a runnable instance with [`ProtocolKind::build_node`] (or,
-/// for the fast simulators, [`ProtocolKind::build_fair`] /
-/// [`ProtocolKind::build_window`]).
+/// and turned into a runnable instance with [`ProtocolKind::visit`] (the
+/// only place a kind becomes a protocol state), [`ProtocolKind::build_node`]
+/// or [`ProtocolKind::build_window`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ProtocolKind {
     /// One-fail Adaptive with parameter `δ` (paper default 2.72).
@@ -553,34 +573,41 @@ impl ProtocolKind {
         }
     }
 
-    /// Builds the shared [`FairProtocol`] state for this kind, if it is a
-    /// fair protocol. `k` is the instance size: it is used only by the
-    /// protocols that require knowledge of the instance (the oracle, and the
-    /// `ε ≈ 1/(k+1)` of Log-fails Adaptive), exactly as in the paper's
-    /// simulations.
+    /// Builds this kind's protocol state and hands it to `visitor` — the
+    /// one place a kind becomes a state, so a new protocol is one arm here.
+    /// `k` is the instance size: it is used only by the protocols that
+    /// require knowledge of the instance (the oracle, and the `ε ≈ 1/(k+1)`
+    /// of Log-fails Adaptive), exactly as in the paper's simulations.
     ///
     /// # Errors
     /// Returns a [`ParameterError`] if the parameters are outside the range
     /// required by the protocol's analysis.
-    pub fn build_fair(&self, k: u64) -> Result<Option<Box<dyn FairProtocol>>, ParameterError> {
-        Ok(Some(match self {
+    pub fn visit<V: KindVisitor>(&self, k: u64, visitor: V) -> Result<V::Output, ParameterError> {
+        Ok(match self {
             ProtocolKind::OneFailAdaptive { delta } => {
-                Box::new(OneFailAdaptive::try_new(*delta)?) as Box<dyn FairProtocol>
+                visitor.fair(OneFailAdaptive::try_new(*delta)?)
             }
             ProtocolKind::LogFailsAdaptive {
                 xi_delta,
                 xi_beta,
                 xi_t,
-            } => {
-                let config = LogFailsConfig::for_instance(*xi_delta, *xi_beta, *xi_t, k);
-                Box::new(LogFailsAdaptive::try_new(config)?) as Box<dyn FairProtocol>
-            }
-            ProtocolKind::KnownKOracle => Box::new(KnownKOracle::new(k)) as Box<dyn FairProtocol>,
+            } => visitor.fair(LogFailsAdaptive::try_new(LogFailsConfig::for_instance(
+                *xi_delta, *xi_beta, *xi_t, k,
+            ))?),
+            ProtocolKind::KnownKOracle => visitor.fair(KnownKOracle::new(k)),
             ProtocolKind::RandomizedParityOneFail { delta } => {
-                Box::new(RandomizedParityOneFail::try_new(*delta)?) as Box<dyn FairProtocol>
+                visitor.fair(RandomizedParityOneFail::try_new(*delta)?)
             }
-            _ => return Ok(None),
-        }))
+            ProtocolKind::ExpBackonBackoff { delta } => {
+                visitor.window(ExpBackonBackoff::try_new(*delta)?)
+            }
+            ProtocolKind::LoglogIteratedBackoff { r } => {
+                visitor.window(LoglogIteratedBackoff::try_new(*r)?)
+            }
+            ProtocolKind::RExponentialBackoff { r } => {
+                visitor.window(RExponentialBackoff::try_new(*r)?)
+            }
+        })
     }
 
     /// Builds the [`WindowSchedule`] for this kind, if it is a window
@@ -590,18 +617,18 @@ impl ProtocolKind {
     /// Returns a [`ParameterError`] if the parameters are outside the range
     /// required by the protocol's analysis.
     pub fn build_window(&self) -> Result<Option<Box<dyn WindowSchedule>>, ParameterError> {
-        Ok(Some(match self {
-            ProtocolKind::ExpBackonBackoff { delta } => {
-                Box::new(ExpBackonBackoff::try_new(*delta)?) as Box<dyn WindowSchedule>
+        struct Schedule;
+        impl KindVisitor for Schedule {
+            type Output = Option<Box<dyn WindowSchedule>>;
+            fn fair<P: FairProtocol + Clone + 'static>(self, _: P) -> Self::Output {
+                None
             }
-            ProtocolKind::LoglogIteratedBackoff { r } => {
-                Box::new(LoglogIteratedBackoff::try_new(*r)?) as Box<dyn WindowSchedule>
+            fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
+                Some(Box::new(schedule))
             }
-            ProtocolKind::RExponentialBackoff { r } => {
-                Box::new(RExponentialBackoff::try_new(*r)?) as Box<dyn WindowSchedule>
-            }
-            _ => return Ok(None),
-        }))
+        }
+        // Only the fair kinds read the instance size.
+        self.visit(0, Schedule)
     }
 
     /// Builds a per-station [`Protocol`] instance for this kind.
@@ -609,32 +636,17 @@ impl ProtocolKind {
     /// # Errors
     /// Returns a [`ParameterError`] if the parameters are invalid.
     pub fn build_node(&self, k: u64) -> Result<Box<dyn Protocol>, ParameterError> {
-        match self {
-            ProtocolKind::OneFailAdaptive { delta } => {
-                Ok(Box::new(FairNode::new(OneFailAdaptive::try_new(*delta)?)))
+        struct Node;
+        impl KindVisitor for Node {
+            type Output = Box<dyn Protocol>;
+            fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+                Box::new(FairNode::new(state))
             }
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => {
-                let config = LogFailsConfig::for_instance(*xi_delta, *xi_beta, *xi_t, k);
-                Ok(Box::new(FairNode::new(LogFailsAdaptive::try_new(config)?)))
-            }
-            ProtocolKind::KnownKOracle => Ok(Box::new(FairNode::new(KnownKOracle::new(k)))),
-            ProtocolKind::RandomizedParityOneFail { delta } => Ok(Box::new(FairNode::new(
-                RandomizedParityOneFail::try_new(*delta)?,
-            ))),
-            ProtocolKind::ExpBackonBackoff { delta } => Ok(Box::new(WindowNode::new(
-                ExpBackonBackoff::try_new(*delta)?,
-            ))),
-            ProtocolKind::LoglogIteratedBackoff { r } => Ok(Box::new(WindowNode::new(
-                LoglogIteratedBackoff::try_new(*r)?,
-            ))),
-            ProtocolKind::RExponentialBackoff { r } => {
-                Ok(Box::new(WindowNode::new(RExponentialBackoff::try_new(*r)?)))
+            fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
+                Box::new(WindowNode::new(schedule))
             }
         }
+        self.visit(k, Node)
     }
 }
 
@@ -717,7 +729,9 @@ mod tests {
         );
         let window = WindowNode::new(ConstantThree);
         assert_eq!(window.slot_probability(), None);
-        for kind in ProtocolKind::paper_lineup() {
+        let mut kinds = ProtocolKind::paper_lineup();
+        kinds.push(ProtocolKind::RandomizedParityOneFail { delta: 2.72 });
+        for kind in kinds {
             let node = kind.build_node(64).unwrap();
             match kind.family() {
                 ProtocolFamily::Fair => assert!(
@@ -871,19 +885,27 @@ mod tests {
 
     #[test]
     fn builders_return_matching_family() {
-        for kind in ProtocolKind::paper_lineup() {
-            let fair = kind.build_fair(100).unwrap();
-            let window = kind.build_window().unwrap();
-            match kind.family() {
-                ProtocolFamily::Fair => {
-                    assert!(fair.is_some());
-                    assert!(window.is_none());
-                }
-                ProtocolFamily::Window => {
-                    assert!(fair.is_none());
-                    assert!(window.is_some());
-                }
+        struct Family;
+        impl KindVisitor for Family {
+            type Output = ProtocolFamily;
+            fn fair<P: FairProtocol + Clone + 'static>(self, _: P) -> ProtocolFamily {
+                ProtocolFamily::Fair
             }
+            fn window<S: WindowSchedule + Clone + 'static>(self, _: S) -> ProtocolFamily {
+                ProtocolFamily::Window
+            }
+        }
+        let mut kinds = ProtocolKind::paper_lineup();
+        kinds.extend([
+            ProtocolKind::KnownKOracle,
+            ProtocolKind::RandomizedParityOneFail { delta: 2.72 },
+            ProtocolKind::RExponentialBackoff { r: 2.0 },
+        ]);
+        for kind in kinds {
+            // `family()` and the visit dispatch must agree on every kind.
+            assert_eq!(kind.visit(100, Family).unwrap(), kind.family());
+            let window = kind.build_window().unwrap();
+            assert_eq!(window.is_some(), kind.family() == ProtocolFamily::Window);
             let node = kind.build_node(100).unwrap();
             assert!(!node.has_delivered());
         }
@@ -892,7 +914,10 @@ mod tests {
     #[test]
     fn invalid_parameters_are_rejected_by_builders() {
         assert!(ProtocolKind::OneFailAdaptive { delta: 1.0 }
-            .build_fair(10)
+            .build_node(10)
+            .is_err());
+        assert!(ProtocolKind::RandomizedParityOneFail { delta: 1.0 }
+            .build_node(10)
             .is_err());
         assert!(ProtocolKind::ExpBackonBackoff { delta: 0.9 }
             .build_window()

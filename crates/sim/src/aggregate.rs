@@ -22,14 +22,14 @@
 //!   all slots (the BT parity) are dead for 98% of the run.
 //!
 //! The engine is generic over the concrete [`FairProtocol`] so the per-slot
-//! protocol calls inline into the loop (no virtual dispatch); `FairSimulator`
-//! instantiates it once per protocol kind.
+//! protocol calls inline into the loop (no virtual dispatch); the
+//! `ProtocolKind::visit` callers instantiate it once per fair state type.
 //!
 //! ## Resumable core
 //!
-//! The loop state lives in [`FairEngineCore`]: the monolithic
-//! [`run_fair_aggregate`] entry point constructs a core and drives it to
-//! completion in one [`FairEngineCore::advance`] call, while the streaming
+//! The loop state lives in [`FairEngineCore`]: the monolithic entry point
+//! (`crate::run_fast`) constructs a core and drives it to completion in one
+//! [`FairEngineCore::advance`] call, while the streaming
 //! session layer (`crate::session`) drives the *same* core in bounded
 //! bursts with checkpoints in between — so a checkpointed run is
 //! bit-identical to an unbroken one by construction, not by a parallel
@@ -56,36 +56,14 @@
 //! own RNG stream.
 
 use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
+use crate::session::{Engine, SessionEngine};
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
 use mac_prob::binomial::SlotKernelCache;
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::{FairProtocol, ParameterError};
+use mac_protocols::FairProtocol;
 use rand::{Rng, SeedableRng};
-
-/// Runs one batched instance of a fair protocol through the aggregate
-/// engine to completion. `state` is the shared common state of all active
-/// stations.
-///
-/// `jam_log`, when provided, records the slot index of every jammed
-/// would-be delivery (the *effective* jams — the only adversary actions
-/// with an observable effect). The log is what the strategy search replays
-/// as a [`mac_adversary::AdversaryModel::ScheduledJam`] certificate; the
-/// logging itself consumes no randomness, so a logged run is bit-identical
-/// to an unlogged one.
-pub(crate) fn run_fair_aggregate<P: FairProtocol>(
-    state: P,
-    label: String,
-    k: u64,
-    seed: u64,
-    options: &RunOptions,
-    jam_log: Option<&mut Vec<u64>>,
-) -> RunResult {
-    let mut core = FairEngineCore::new(state, k, seed, options);
-    core.advance(u64::MAX, jam_log);
-    core.into_result(label)
-}
 
 /// The complete loop state of one aggregate fair run, advanceable in
 /// bounded slot bursts (see the module documentation).
@@ -168,34 +146,15 @@ impl<P: FairProtocol> FairEngineCore<P> {
         self.stats = Some(stats);
     }
 
-    pub(crate) fn is_finished(&self) -> bool {
-        self.remaining == 0 || self.slot >= self.max_slots
-    }
-
-    pub(crate) fn slot(&self) -> u64 {
-        self.slot
-    }
-
-    pub(crate) fn delivered(&self) -> u64 {
-        self.k - self.remaining
-    }
-
-    pub(crate) fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Activated, undelivered messages. Batched runs activate every
-    /// station at slot 0, so the backlog equals `remaining`.
-    pub(crate) fn backlog(&self) -> u64 {
-        self.remaining
-    }
-
-    pub(crate) fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
-        self.stats.as_ref()
-    }
-
     /// Advances up to `budget` slots (fewer if the run finishes first) and
     /// returns the number of slots executed.
+    ///
+    /// `jam_log`, when provided, records the slot index of every jammed
+    /// would-be delivery (the *effective* jams — the only adversary actions
+    /// with an observable effect). The log is what the strategy search
+    /// replays as a [`mac_adversary::AdversaryModel::ScheduledJam`]
+    /// certificate; the logging itself consumes no randomness, so a logged
+    /// run is bit-identical to an unlogged one.
     pub(crate) fn advance(&mut self, budget: u64, mut jam_log: Option<&mut Vec<u64>>) -> u64 {
         let mut executed: u64 = 0;
         while self.remaining > 0 && self.slot < self.max_slots && executed < budget {
@@ -295,29 +254,6 @@ impl<P: FairProtocol> FairEngineCore<P> {
         }
     }
 
-    /// Non-consuming form of [`FairEngineCore::into_result`] for sessions,
-    /// which keep the core alive after reporting.
-    pub(crate) fn result_snapshot(&self, label: &str) -> RunResult {
-        let completed = self.remaining == 0;
-        RunResult {
-            protocol: label.to_string(),
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed {
-                self.makespan
-            } else {
-                self.max_slots
-            },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated: 0,
-            delivery_slots: self.delivery_slots.clone(),
-        }
-    }
-
     /// Serialises the full loop state. Returns `false` (leaving the encoder
     /// untouched beyond the attempt) if the protocol does not support state
     /// extraction.
@@ -354,16 +290,17 @@ impl<P: FairProtocol> FairEngineCore<P> {
         true
     }
 
-    /// Rebuilds a core from [`FairEngineCore::encode`]d words. `build`
-    /// constructs a fresh protocol for the recorded `k` (its incremental
-    /// state is then overwritten verbatim from the checkpoint), and
-    /// `scenario` must be the run's original adversary configuration.
+    /// Rebuilds a core from [`FairEngineCore::encode`]d words whose leading
+    /// `k` the caller has already read. `state` is a fresh protocol built
+    /// for that `k` (its incremental state is then overwritten verbatim from
+    /// the checkpoint), and `scenario` must be the run's original adversary
+    /// configuration.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
-        build: impl FnOnce(u64) -> Result<P, ParameterError>,
+        k: u64,
+        mut state: P,
         scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
-        let k = input.take_u64()?;
         let seed = input.take_u64()?;
         let max_slots = input.take_u64()?;
         let remaining = input.take_u64()?;
@@ -390,8 +327,6 @@ impl<P: FairProtocol> FairEngineCore<P> {
             None
         };
 
-        let mut state =
-            build(k).map_err(|_| WireError::Malformed("protocol reconstruction failed"))?;
         if !state.restore_words(protocol_words) {
             return Err(WireError::Malformed("protocol state words rejected"));
         }
@@ -419,6 +354,60 @@ impl<P: FairProtocol> FairEngineCore<P> {
             delivery_slots,
             stats,
         })
+    }
+}
+
+impl<P: FairProtocol + 'static> SessionEngine for FairEngineCore<P> {
+    fn engine(&self) -> Engine {
+        Engine::Fair
+    }
+    fn advance(&mut self, max_slots: u64) {
+        self.advance(max_slots, None);
+    }
+    fn slot(&self) -> u64 {
+        self.slot
+    }
+    fn delivered(&self) -> u64 {
+        self.k - self.remaining
+    }
+    fn remaining(&self) -> u64 {
+        self.remaining
+    }
+    /// Batched runs activate every station at slot 0, so the backlog
+    /// equals `remaining`.
+    fn backlog(&self) -> u64 {
+        self.remaining
+    }
+    fn is_finished(&self) -> bool {
+        self.remaining == 0 || self.slot >= self.max_slots
+    }
+    fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
+        self.stats.as_ref()
+    }
+    /// Non-consuming form of [`FairEngineCore::into_result`]: sessions keep
+    /// the core alive after reporting.
+    fn result(&mut self, label: &str) -> RunResult {
+        let completed = self.remaining == 0;
+        RunResult {
+            protocol: label.to_string(),
+            k: self.k,
+            seed: self.seed,
+            makespan: if completed {
+                self.makespan
+            } else {
+                self.max_slots
+            },
+            completed,
+            delivered: self.k - self.remaining,
+            collisions: self.collisions,
+            silent_slots: self.silent,
+            jammed_deliveries: self.jammed_deliveries,
+            never_activated: 0,
+            delivery_slots: self.delivery_slots.clone(),
+        }
+    }
+    fn encode_payload(&self, out: &mut Encoder) -> bool {
+        self.encode(out)
     }
 }
 

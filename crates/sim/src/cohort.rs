@@ -58,16 +58,14 @@
 
 use crate::aggregate::{decode_optional_slots, encode_optional_slots};
 use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
+use crate::session::{Engine, SessionEngine, StreamFeed};
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
 use mac_channel::ArrivalSchedule;
 use mac_prob::cohort::CohortKernel;
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::{
-    FairProtocol, KnownKOracle, LogFailsAdaptive, LogFailsConfig, OneFailAdaptive, ParameterError,
-    ProtocolKind, RandomizedParityOneFail,
-};
+use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -152,19 +150,6 @@ impl ArrivalFeed for SliceFeed<'_> {
 
     fn pending_messages(&mut self) -> u64 {
         (self.arrivals.len() - self.next) as u64
-    }
-}
-
-/// A fallible protocol-state constructor: one fresh state per arrival burst.
-/// Closures get a blanket implementation; the session layer provides a
-/// named, checkpoint-reconstructible factory.
-pub(crate) trait BuildState<P> {
-    fn build(&self) -> Result<P, ParameterError>;
-}
-
-impl<P, F: Fn() -> Result<P, ParameterError>> BuildState<P> for F {
-    fn build(&self) -> Result<P, ParameterError> {
-        self()
     }
 }
 
@@ -301,58 +286,25 @@ impl CohortSimulator {
     /// latencies.
     ///
     /// # Errors
-    /// Returns a [`ParameterError`] if the protocol parameters are invalid
-    /// or the kind is not a fair protocol (window protocols commit to one
-    /// slot per window — their slots are not independent Bernoulli trials —
-    /// and run per-station on [`crate::ExactSimulator`] instead).
+    /// Returns a [`ParameterError`] if the protocol parameters or the cohort
+    /// knobs are invalid, or the kind is not a fair protocol (window
+    /// protocols commit to one slot per window — their slots are not
+    /// independent Bernoulli trials — and run per-station on
+    /// [`crate::ExactSimulator`] instead).
     pub fn run_schedule(
         &self,
         schedule: &ArrivalSchedule,
         seed: u64,
     ) -> Result<CohortRun, ParameterError> {
-        let k = schedule.len() as u64;
-        let label = self.kind.label();
-        match &self.kind {
-            ProtocolKind::OneFailAdaptive { delta } => {
-                let delta = *delta;
-                self.run_generic(
-                    move || OneFailAdaptive::try_new(delta),
-                    &label,
-                    schedule,
-                    seed,
-                )
-            }
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => {
-                let config = LogFailsConfig::for_instance(*xi_delta, *xi_beta, *xi_t, k);
-                self.run_generic(
-                    move || LogFailsAdaptive::try_new(config),
-                    &label,
-                    schedule,
-                    seed,
-                )
-            }
-            ProtocolKind::KnownKOracle => {
-                self.run_generic(move || Ok(KnownKOracle::new(k)), &label, schedule, seed)
-            }
-            ProtocolKind::RandomizedParityOneFail { delta } => {
-                let delta = *delta;
-                self.run_generic(
-                    move || RandomizedParityOneFail::try_new(delta),
-                    &label,
-                    schedule,
-                    seed,
-                )
-            }
-            _ => Err(ParameterError::new(
-                "protocol",
-                f64::NAN,
-                "CohortSimulator requires a fair protocol (One-fail Adaptive, Log-fails Adaptive or the oracle)",
-            )),
-        }
+        self.options.validate_adversary()?;
+        self.options.validate_cohort()?;
+        let run = ScheduleRun {
+            label: self.kind.label(),
+            schedule,
+            seed,
+            options: &self.options,
+        };
+        self.kind.visit(schedule.len() as u64, run)?
     }
 
     /// Convenience wrapper: a batched (static k-selection) instance — a
@@ -363,40 +315,50 @@ impl CohortSimulator {
     pub fn run(&self, k: u64, seed: u64) -> Result<CohortRun, ParameterError> {
         self.run_schedule(&ArrivalSchedule::new(vec![0; k as usize]), seed)
     }
+}
 
-    /// The slot-driving loop, monomorphic over the concrete protocol so the
-    /// per-cohort state queries inline. Mirrors `run_fair_aggregate`'s
-    /// adversary contract: jamming is offered busy slots only, in slot
-    /// order, with the slot class; feedback faults reduce to the
-    /// missed-delivery bit for fair protocols.
-    fn run_generic<P: FairProtocol, F: Fn() -> Result<P, ParameterError>>(
-        &self,
-        factory: F,
-        label: &str,
-        schedule: &ArrivalSchedule,
-        seed: u64,
-    ) -> Result<CohortRun, ParameterError> {
-        self.options.validate_adversary()?;
-        self.options.validate_cohort()?;
-        let k = schedule.len() as u64;
+/// [`CohortSimulator::run_schedule`]'s visit: the slot-driving loop,
+/// monomorphic over the concrete protocol so the per-cohort state queries
+/// inline. Mirrors the fair aggregate engine's adversary contract: jamming is
+/// offered busy slots only, in slot order, with the slot class; feedback
+/// faults reduce to the missed-delivery bit for fair protocols.
+struct ScheduleRun<'a> {
+    label: String,
+    schedule: &'a ArrivalSchedule,
+    seed: u64,
+    options: &'a RunOptions,
+}
+
+impl KindVisitor for ScheduleRun<'_> {
+    type Output = Result<CohortRun, ParameterError>;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+        let k = self.schedule.len() as u64;
         // Same cap convention as the exact simulator: the per-message budget
         // is granted on top of the arrival horizon.
         let max_slots = self
             .options
             .max_slots(k)
-            .saturating_add(schedule.last_arrival().unwrap_or(0));
-        let prealloc = k.min(MAX_PREALLOC_ENTRIES) as usize;
+            .saturating_add(self.schedule.last_arrival().unwrap_or(0));
         let mut core = CohortEngineCore::new(
-            SliceFeed::new(schedule.arrival_slots()),
-            factory,
+            SliceFeed::new(self.schedule.arrival_slots()),
+            state,
             k,
-            seed,
+            self.seed,
             max_slots,
-            &self.options,
-            LatencyRecorder::exact(prealloc),
+            self.options,
+            LatencyRecorder::exact(k.min(MAX_PREALLOC_ENTRIES) as usize),
         );
-        core.advance(u64::MAX)?;
-        Ok(core.into_run(label))
+        core.advance(u64::MAX);
+        Ok(core.into_run(&self.label))
+    }
+
+    fn window<S: WindowSchedule + Clone + 'static>(self, _: S) -> Self::Output {
+        Err(ParameterError::new(
+            "protocol",
+            f64::NAN,
+            "CohortSimulator requires a fair protocol kind; window kinds run per-station on ExactSimulator",
+        ))
     }
 }
 
@@ -405,9 +367,11 @@ impl CohortSimulator {
 /// no randomness, so resuming mid-gap is bit-safe); processed slots advance
 /// one at a time, so the executed count never overshoots.
 #[derive(Debug)]
-pub(crate) struct CohortEngineCore<P, A, F> {
+pub(crate) struct CohortEngineCore<P, A> {
     feed: A,
-    factory: F,
+    /// The state every fresh arrival cohort starts from (building a state
+    /// draws no randomness, so a clone is a fresh build).
+    prototype: P,
     k: u64,
     seed: u64,
     max_slots: u64,
@@ -433,14 +397,14 @@ pub(crate) struct CohortEngineCore<P, A, F> {
     delivery_slots: Option<Vec<u64>>,
 }
 
-impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F> {
+impl<P: FairProtocol + Clone, A: ArrivalFeed> CohortEngineCore<P, A> {
     /// Builds the initial loop state — bit-identical to the state the
     /// monolithic runner entered its loop with. The cohort knobs (merge
     /// tolerance, live-class cap) are read from `options`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         feed: A,
-        factory: F,
+        prototype: P,
         k: u64,
         seed: u64,
         max_slots: u64,
@@ -462,7 +426,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
             .then(|| Vec::with_capacity(prealloc));
         Self {
             feed,
-            factory,
+            prototype,
             k,
             seed,
             max_slots,
@@ -493,42 +457,9 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
         self.remaining == 0 || self.slot >= self.max_slots
     }
 
-    pub(crate) fn feed(&self) -> &A {
-        &self.feed
-    }
-
-    pub(crate) fn slot(&self) -> u64 {
-        self.slot
-    }
-
-    pub(crate) fn delivered(&self) -> u64 {
-        self.k - self.remaining
-    }
-
-    pub(crate) fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Activated, undelivered messages (the sum over active cohorts) —
-    /// unlike `remaining`, this excludes messages that have not arrived
-    /// yet, so an idle channel fast-forwarding to its next burst reports a
-    /// zero backlog (the livelock watchdog's progress signal).
-    pub(crate) fn backlog(&self) -> u64 {
-        self.cohorts.iter().map(|cohort| cohort.m).sum()
-    }
-
-    pub(crate) fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
-        self.recorder.streaming.as_ref()
-    }
-
     /// Advances until at least `budget` slots have elapsed or the run
     /// finishes; returns the number of slots executed.
-    ///
-    /// # Errors
-    /// Propagates a [`ParameterError`] from the state factory (never fires
-    /// after the first burst activated successfully — factories are
-    /// deterministic).
-    pub(crate) fn advance(&mut self, budget: u64) -> Result<u64, ParameterError> {
+    pub(crate) fn advance(&mut self, budget: u64) -> u64 {
         let start = self.slot;
         let cap = start.saturating_add(budget);
         while self.remaining > 0 && self.slot < self.max_slots && self.slot < cap {
@@ -537,7 +468,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
             // after the fast-forward below).
             if self.feed.peek_slot().is_some_and(|due| due <= self.slot) {
                 let count = self.feed.take_due(self.slot);
-                let state = self.factory.build()?;
+                let state = self.prototype.clone();
                 self.kernel.push(count, state.transmission_probability());
                 self.cohorts.push(Cohort {
                     state,
@@ -664,7 +595,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
                 }
             }
         }
-        Ok(self.slot - start)
+        self.slot - start
     }
 
     /// The run's aggregate result plus latency detail (capped-run convention
@@ -694,7 +625,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
     }
 
     /// Non-consuming form of [`CohortEngineCore::into_run`] for sessions.
-    pub(crate) fn run_snapshot(&mut self, label: &str) -> CohortRun {
+    fn run_snapshot(&mut self, label: &str) -> CohortRun {
         let completed = self.remaining == 0;
         let never_activated = self.feed.pending_messages();
         let result = RunResult {
@@ -718,7 +649,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
         }
     }
 
-    /// Serialises the full loop state except the feed and the factory,
+    /// Serialises the full loop state except the feed and the prototype,
     /// which the session layer reconstructs and restores separately
     /// (`false` if the protocol does not support state extraction).
     pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
@@ -766,13 +697,13 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
     }
 
     /// Rebuilds a core from [`CohortEngineCore::encode`]d words. `feed` must
-    /// already be restored to its checkpointed position, `factory` must be
-    /// the run's original state factory, and `scenario` the run's original
-    /// adversary configuration.
+    /// already be restored to its checkpointed position, `prototype` must be
+    /// built from the run's original kind and message count, and `scenario`
+    /// must be the run's original adversary configuration.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
         feed: A,
-        factory: F,
+        prototype: P,
         scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
         let k = input.take_u64()?;
@@ -802,9 +733,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
                 let count = input.take_u64()?;
                 groups.push((arrival, count));
             }
-            let mut state = factory
-                .build()
-                .map_err(|_| WireError::Malformed("protocol parameters rejected on restore"))?;
+            let mut state = prototype.clone();
             if !state.restore_words(&words) {
                 return Err(WireError::Malformed("protocol state words rejected"));
             }
@@ -828,7 +757,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
         let adversarial = adversary.is_active();
         Ok(Self {
             feed,
-            factory,
+            prototype,
             k,
             seed,
             max_slots,
@@ -853,6 +782,50 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
             recorder,
             delivery_slots,
         })
+    }
+}
+
+impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P, StreamFeed> {
+    fn engine(&self) -> Engine {
+        Engine::Cohort
+    }
+    fn advance(&mut self, max_slots: u64) {
+        self.advance(max_slots);
+    }
+    fn slot(&self) -> u64 {
+        self.slot
+    }
+    fn delivered(&self) -> u64 {
+        self.k - self.remaining
+    }
+    fn remaining(&self) -> u64 {
+        self.remaining
+    }
+    /// The sum over active cohorts: unlike `remaining`, this excludes
+    /// messages that have not arrived yet, so an idle channel
+    /// fast-forwarding to its next burst reports a zero backlog.
+    fn backlog(&self) -> u64 {
+        self.cohorts.iter().map(|cohort| cohort.m).sum()
+    }
+    fn is_finished(&self) -> bool {
+        self.is_finished()
+    }
+    fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
+        self.recorder.streaming.as_ref()
+    }
+    fn result(&mut self, label: &str) -> RunResult {
+        self.run_snapshot(label).result
+    }
+    fn cohort_run(&mut self, label: &str) -> Option<CohortRun> {
+        Some(self.run_snapshot(label))
+    }
+    /// The message count leads (the decoder rebuilds the prototype state
+    /// from it before the core decodes), then the arrival feed, then the
+    /// core.
+    fn encode_payload(&self, out: &mut Encoder) -> bool {
+        out.put_u64(self.k);
+        self.feed.encode(out);
+        self.encode(out)
     }
 }
 
@@ -1089,7 +1062,7 @@ mod tests {
             .saturating_add(schedule.last_arrival().unwrap_or(0));
         let mut core = CohortEngineCore::new(
             SliceFeed::new(schedule.arrival_slots()),
-            move || OneFailAdaptive::try_new(2.72),
+            mac_protocols::OneFailAdaptive::with_default_delta(),
             k,
             9,
             max_slots,
@@ -1097,7 +1070,7 @@ mod tests {
             LatencyRecorder::exact(k as usize),
         );
         while !core.is_finished() {
-            core.advance(37).unwrap();
+            core.advance(37);
         }
         assert_eq!(core.into_run("One-fail Adaptive"), single);
     }

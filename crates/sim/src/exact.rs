@@ -20,9 +20,8 @@ use mac_channel::trace::Trace;
 use mac_channel::{ArrivalSchedule, Channel, ChannelModel, NodeId};
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_protocols::{
-    ExpBackonBackoff, FairNode, KnownKOracle, LogFailsAdaptive, LogFailsConfig,
-    LoglogIteratedBackoff, OneFailAdaptive, ParameterError, Protocol, ProtocolKind,
-    RExponentialBackoff, RandomizedParityOneFail, WindowNode,
+    FairNode, FairProtocol, KindVisitor, ParameterError, Protocol, ProtocolKind, WindowNode,
+    WindowSchedule,
 };
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -180,7 +179,7 @@ impl ExactSimulator {
     /// Runs an instance with an arbitrary arrival schedule and returns
     /// per-message detail.
     ///
-    /// The protocol kind is dispatched **once** to a monomorphic
+    /// The protocol kind is visited **once** into a monomorphic
     /// instantiation of the station-driving loop, so the per-station
     /// `decide`/`observe` calls inline instead of going through virtual
     /// dispatch `O(active stations)` times per slot.
@@ -201,81 +200,14 @@ impl ExactSimulator {
         seed: u64,
         jam_log: Option<&mut Vec<u64>>,
     ) -> Result<DetailedRun, ParameterError> {
-        let k = schedule.len() as u64;
-        let label = self.kind.label();
-        match &self.kind {
-            ProtocolKind::OneFailAdaptive { delta } => {
-                let delta = *delta;
-                self.run_generic(
-                    move || Ok(FairNode::new(OneFailAdaptive::try_new(delta)?)),
-                    &label,
-                    schedule,
-                    seed,
-                    jam_log,
-                )
-            }
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => {
-                let config = LogFailsConfig::for_instance(*xi_delta, *xi_beta, *xi_t, k);
-                self.run_generic(
-                    move || Ok(FairNode::new(LogFailsAdaptive::try_new(config)?)),
-                    &label,
-                    schedule,
-                    seed,
-                    jam_log,
-                )
-            }
-            ProtocolKind::KnownKOracle => self.run_generic(
-                move || Ok(FairNode::new(KnownKOracle::new(k))),
-                &label,
-                schedule,
-                seed,
-                jam_log,
-            ),
-            ProtocolKind::ExpBackonBackoff { delta } => {
-                let delta = *delta;
-                self.run_generic(
-                    move || Ok(WindowNode::new(ExpBackonBackoff::try_new(delta)?)),
-                    &label,
-                    schedule,
-                    seed,
-                    jam_log,
-                )
-            }
-            ProtocolKind::LoglogIteratedBackoff { r } => {
-                let r = *r;
-                self.run_generic(
-                    move || Ok(WindowNode::new(LoglogIteratedBackoff::try_new(r)?)),
-                    &label,
-                    schedule,
-                    seed,
-                    jam_log,
-                )
-            }
-            ProtocolKind::RExponentialBackoff { r } => {
-                let r = *r;
-                self.run_generic(
-                    move || Ok(WindowNode::new(RExponentialBackoff::try_new(r)?)),
-                    &label,
-                    schedule,
-                    seed,
-                    jam_log,
-                )
-            }
-            ProtocolKind::RandomizedParityOneFail { delta } => {
-                let delta = *delta;
-                self.run_generic(
-                    move || Ok(FairNode::new(RandomizedParityOneFail::try_new(delta)?)),
-                    &label,
-                    schedule,
-                    seed,
-                    jam_log,
-                )
-            }
-        }
+        let run = StationRun {
+            sim: self,
+            label: self.kind.label(),
+            schedule,
+            seed,
+            jam_log,
+        };
+        self.kind.visit(schedule.len() as u64, run)?
     }
 
     /// Runs an instance in which every station executes a protocol produced
@@ -472,6 +404,33 @@ impl ExactSimulator {
             messages,
             trace: channel.trace().cloned(),
         })
+    }
+}
+
+/// [`ExactSimulator::run_schedule`]'s visit: every station is a clone of
+/// the visited prototype state (building one draws no randomness), wrapped
+/// in its family's per-station adapter.
+struct StationRun<'a> {
+    sim: &'a ExactSimulator,
+    label: String,
+    schedule: &'a ArrivalSchedule,
+    seed: u64,
+    jam_log: Option<&'a mut Vec<u64>>,
+}
+
+impl KindVisitor for StationRun<'_> {
+    type Output = Result<DetailedRun, ParameterError>;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+        let factory = || Ok(FairNode::new(state.clone()));
+        self.sim
+            .run_generic(factory, &self.label, self.schedule, self.seed, self.jam_log)
+    }
+
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
+        let factory = || Ok(WindowNode::new(schedule.clone()));
+        self.sim
+            .run_generic(factory, &self.label, self.schedule, self.seed, self.jam_log)
     }
 }
 

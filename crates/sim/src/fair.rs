@@ -25,13 +25,11 @@
 //! `mac-prob`'s unit tests check the thresholds against the explicit
 //! binomial.
 
-use crate::aggregate::run_fair_aggregate;
 use crate::result::{RunOptions, RunResult};
-use mac_protocols::{
-    KnownKOracle, LogFailsAdaptive, LogFailsConfig, OneFailAdaptive, ParameterError, ProtocolKind,
-};
+use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind};
 
-/// Fast simulator for fair protocols (One-fail Adaptive, Log-fails Adaptive,
+/// Fast simulator for every fair protocol kind ([`ProtocolFamily::Fair`]:
+/// One-fail Adaptive and its randomised-parity variant, Log-fails Adaptive,
 /// the known-k oracle) on a batched instance.
 ///
 /// # Example
@@ -61,7 +59,7 @@ impl FairSimulator {
 
     /// Runs one batched instance with `k` messages.
     ///
-    /// The protocol kind is dispatched to a monomorphic instantiation of the
+    /// The protocol kind is visited into a monomorphic instantiation of the
     /// aggregate engine, so the per-slot protocol calls inline into the hot
     /// loop.
     ///
@@ -100,46 +98,14 @@ impl FairSimulator {
         seed: u64,
         jam_log: Option<&mut Vec<u64>>,
     ) -> Result<RunResult, ParameterError> {
-        self.options.validate_adversary()?;
-        let label = self.kind.label();
-        match &self.kind {
-            ProtocolKind::OneFailAdaptive { delta } => Ok(run_fair_aggregate(
-                OneFailAdaptive::try_new(*delta)?,
-                label,
-                k,
-                seed,
-                &self.options,
-                jam_log,
-            )),
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => {
-                let config = LogFailsConfig::for_instance(*xi_delta, *xi_beta, *xi_t, k);
-                Ok(run_fair_aggregate(
-                    LogFailsAdaptive::try_new(config)?,
-                    label,
-                    k,
-                    seed,
-                    &self.options,
-                    jam_log,
-                ))
-            }
-            ProtocolKind::KnownKOracle => Ok(run_fair_aggregate(
-                KnownKOracle::new(k),
-                label,
-                k,
-                seed,
-                &self.options,
-                jam_log,
-            )),
-            _ => Err(ParameterError::new(
+        if self.kind.family() != ProtocolFamily::Fair {
+            return Err(ParameterError::new(
                 "protocol",
                 f64::NAN,
-                "FairSimulator requires a fair protocol (One-fail Adaptive, Log-fails Adaptive or the oracle)",
-            )),
+                "FairSimulator requires a fair protocol kind; window kinds run on WindowSimulator",
+            ));
         }
+        crate::run_fast(&self.kind, k, seed, &self.options, jam_log)
     }
 }
 
@@ -174,9 +140,16 @@ mod tests {
 
     #[test]
     fn one_fail_adaptive_delivers_all_messages() {
-        for &k in &[10u64, 100, 1000] {
-            let r = run(ProtocolKind::OneFailAdaptive { delta: 2.72 }, k, k);
-            assert!(r.completed, "k={k}");
+        let kinds = [
+            ProtocolKind::OneFailAdaptive { delta: 2.72 },
+            ProtocolKind::RandomizedParityOneFail { delta: 2.72 },
+        ];
+        for (kind, k) in kinds
+            .iter()
+            .flat_map(|kind| [10u64, 100, 1000].map(|k| (kind, k)))
+        {
+            let r = run(kind.clone(), k, k);
+            assert!(r.completed, "{} k={k}", kind.label());
             assert_eq!(r.delivered, k);
             assert!(r.makespan >= k, "at least one slot per message");
             assert_eq!(

@@ -6,14 +6,18 @@
 //! batch of `k` messages has been fully delivered, averaged over replicated
 //! runs.
 //!
-//! Three simulators are provided, trading generality for speed:
+//! Four simulators are provided, trading generality for speed. Each engine
+//! is written once, generic over the protocol state: `ProtocolKind::visit`
+//! (in `mac-protocols`) is the only code that turns a configured kind into a
+//! state, so every fair kind runs on every fair engine and every window kind
+//! on the window engine.
 //!
 //! | Simulator | Applies to | Cost | Used for |
 //! |-----------|-----------|------|----------|
-//! | [`exact::ExactSimulator`] | any [`mac_protocols::Protocol`], any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals |
-//! | [`fair::FairSimulator`] | fair protocols (One-fail/Log-fails Adaptive, oracle), batched arrivals | O(1) per slot (one binomial classification draw, cached thresholds) | the paper's sweep up to k = 10⁷ |
-//! | [`cohort::CohortSimulator`] | fair protocols, **any arrival schedule** | O(active cohorts) per slot, one draw | dynamic-arrival (Poisson/bursts) experiments at paper scale |
-//! | [`window::WindowSimulator`] | window protocols (Exp Back-on/Back-off, Loglog-iterated, r-exponential), batched arrivals | O(min(m, w)) per window, O(1) when collisions are certain | the paper's sweep up to k = 10⁷ |
+//! | [`exact::ExactSimulator`] | every kind, and any [`mac_protocols::Protocol`]; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals |
+//! | [`fair::FairSimulator`] | every fair kind ([`mac_protocols::ProtocolFamily::Fair`]), batched arrivals | O(1) per slot (one binomial classification draw, cached thresholds) | the paper's sweep up to k = 10⁷ |
+//! | [`cohort::CohortSimulator`] | every fair kind, **any arrival schedule** | O(active cohorts) per slot, one draw | dynamic-arrival (Poisson/bursts) experiments at paper scale |
+//! | [`window::WindowSimulator`] | every window kind ([`mac_protocols::ProtocolFamily::Window`]), batched arrivals | O(min(m, w)) per window, O(1) when collisions are certain | the paper's sweep up to k = 10⁷ |
 //!
 //! The fair and window simulators are *exact in distribution*: they sample
 //! the same random process as the per-station simulator, just without
@@ -101,7 +105,7 @@ pub use window::WindowSimulator;
 pub use mac_adversary as adversary;
 pub use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
 
-use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind};
+use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
 
 /// Simulates one batched (static k-selection) run of `kind` with `k` messages
 /// using the fastest applicable simulator, with default [`RunOptions`].
@@ -134,8 +138,51 @@ pub fn simulate_with_options(
     seed: u64,
     options: &RunOptions,
 ) -> Result<RunResult, ParameterError> {
-    match kind.family() {
-        ProtocolFamily::Fair => FairSimulator::new(kind.clone(), options.clone()).run(k, seed),
-        ProtocolFamily::Window => WindowSimulator::new(kind.clone(), options.clone()).run(k, seed),
+    run_fast(kind, k, seed, options, None)
+}
+
+/// Runs one batched instance of `kind` on its fast engine — the aggregate
+/// engine for a fair state, the window engine for a window schedule — and,
+/// with `jam_log`, records the adversary's effective jams (see
+/// [`FairSimulator::run_logging_jams`]).
+pub(crate) fn run_fast(
+    kind: &ProtocolKind,
+    k: u64,
+    seed: u64,
+    options: &RunOptions,
+    jam_log: Option<&mut Vec<u64>>,
+) -> Result<RunResult, ParameterError> {
+    options.validate_adversary()?;
+    let run = FastRun {
+        label: kind.label(),
+        k,
+        seed,
+        options,
+        jam_log,
+    };
+    kind.visit(k, run)
+}
+
+struct FastRun<'a> {
+    label: String,
+    k: u64,
+    seed: u64,
+    options: &'a RunOptions,
+    jam_log: Option<&'a mut Vec<u64>>,
+}
+
+impl KindVisitor for FastRun<'_> {
+    type Output = RunResult;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> RunResult {
+        let mut core = aggregate::FairEngineCore::new(state, self.k, self.seed, self.options);
+        core.advance(u64::MAX, self.jam_log);
+        core.into_result(self.label)
+    }
+
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> RunResult {
+        let mut core = window::WindowEngineCore::new(schedule, self.k, self.seed, self.options);
+        core.advance(u64::MAX, self.jam_log);
+        core.into_result(self.label)
     }
 }

@@ -9,7 +9,7 @@
 //!   case with the clean-channel makespan of the same `(kind, k, seed)` run.
 //! * [`worst_case_search`] — tier (b): runs the deterministic beam search
 //!   with the fast aggregate engines as the evaluator (the fair or window
-//!   simulator, picked by protocol family), then replays the incumbent with
+//!   engine, picked by the kind's visit), then replays the incumbent with
 //!   jam logging so the certificate carries the *effective* jam slots — an
 //!   explicit [`mac_adversary::AdversaryModel::ScheduledJam`] that
 //!   reproduces the searched makespan bit-identically on the same engine.
@@ -19,14 +19,14 @@
 //! renders the committed certificate table from these; the integration
 //! tests replay them.
 
-use crate::result::{RunOptions, RunResult};
+use crate::result::RunOptions;
 use crate::stepper::ExactStepper;
-use crate::{ExactSimulator, FairSimulator, WindowSimulator};
+use crate::{run_fast, ExactSimulator};
 use mac_adversary::{
     budgeted_search, exhaustive_worst_case, AdversaryModel, AdversaryScenario, Certificate,
     CertificateTier, SearchStats,
 };
-use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind};
+use mac_protocols::{ParameterError, ProtocolKind};
 
 /// Search-cost counters of a tier-(b) run (mirrors the tier-(a)
 /// [`SearchStats`] role: reported alongside the certificate so the cost is
@@ -37,36 +37,6 @@ pub struct BudgetedSearchCost {
     pub evaluations: u64,
     /// Beam rounds actually run before convergence or the round cap.
     pub rounds: usize,
-}
-
-/// Runs one `(kind, k, seed)` instance on the family's fast engine.
-fn run_fast(
-    kind: &ProtocolKind,
-    options: &RunOptions,
-    k: u64,
-    seed: u64,
-) -> Result<RunResult, ParameterError> {
-    match kind.family() {
-        ProtocolFamily::Fair => FairSimulator::new(kind.clone(), options.clone()).run(k, seed),
-        ProtocolFamily::Window => WindowSimulator::new(kind.clone(), options.clone()).run(k, seed),
-    }
-}
-
-/// Same instance, with the adversary's effective jam slots logged.
-fn run_fast_logging(
-    kind: &ProtocolKind,
-    options: &RunOptions,
-    k: u64,
-    seed: u64,
-) -> Result<(RunResult, Vec<u64>), ParameterError> {
-    match kind.family() {
-        ProtocolFamily::Fair => {
-            FairSimulator::new(kind.clone(), options.clone()).run_logging_jams(k, seed)
-        }
-        ProtocolFamily::Window => {
-            WindowSimulator::new(kind.clone(), options.clone()).run_logging_jams(k, seed)
-        }
-    }
 }
 
 /// Overlays a candidate jam model on otherwise-clean run options.
@@ -148,15 +118,17 @@ pub fn worst_case_search(
     }
     // Validates parameters once (the evaluator closure cannot return
     // errors) and anchors the worst/clean ratio.
-    let clean = run_fast(kind, options, k, seed)?;
+    let clean = run_fast(kind, k, seed, options, None)?;
     let horizon = options.max_slots(k);
     let outcome = budgeted_search(budget, horizon, beam_width, max_rounds, |model| {
-        run_fast(kind, &armed(options, model), k, seed).map_or(0, |r| r.makespan)
+        run_fast(kind, k, seed, &armed(options, model), None).map_or(0, |r| r.makespan)
     });
 
     // Replay the incumbent with jam logging: the certificate carries the
     // effective jams, not the candidate's full (partly inert) pattern.
-    let (worst, jam_slots) = run_fast_logging(kind, &armed(options, &outcome.best.model), k, seed)?;
+    let mut jam_slots = Vec::new();
+    let best = armed(options, &outcome.best.model);
+    let worst = run_fast(kind, k, seed, &best, Some(&mut jam_slots))?;
     debug_assert_eq!(
         worst.makespan, outcome.best.makespan,
         "the logging replay must reproduce the searched makespan"
@@ -224,7 +196,7 @@ mod tests {
             assert!(cost.evaluations > 0);
             // The certificate replays: scheduled effective jams reproduce
             // the searched makespan exactly on the same engine.
-            let replay = run_fast(&kind, &armed(&options, &cert.schedule()), 300, 5).unwrap();
+            let replay = run_fast(&kind, 300, 5, &armed(&options, &cert.schedule()), None).unwrap();
             assert_eq!(replay.makespan, cert.makespan, "{}", cert.protocol);
             assert_eq!(replay.jammed_deliveries, cert.jam_slots.len() as u64);
         }

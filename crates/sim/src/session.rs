@@ -45,7 +45,7 @@
 //! &[SHARD_STREAM])`.
 
 use crate::aggregate::FairEngineCore;
-use crate::cohort::{ArrivalFeed, BuildState, CohortEngineCore, CohortRun, LatencyRecorder};
+use crate::cohort::{ArrivalFeed, CohortEngineCore, CohortRun, LatencyRecorder};
 use crate::dynamic::{DynamicReport, ARRIVAL_STREAM, RUN_STREAM};
 use crate::result::{RunOptions, RunResult};
 use crate::window::WindowEngineCore;
@@ -54,10 +54,7 @@ use mac_channel::{ArrivalModel, ArrivalStream, ShardStrategy, ShardedArrivalStre
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{self, Decoder, Encoder, WireError};
-use mac_protocols::{
-    KnownKOracle, LogFailsAdaptive, LogFailsConfig, OneFailAdaptive, ParameterError,
-    ProtocolFamily, ProtocolKind, RandomizedParityOneFail,
-};
+use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
 use std::fmt;
 use std::str::FromStr;
 
@@ -83,7 +80,9 @@ const SHARDED_MAGIC: u64 = 0x4D41_4353_4841_5244; // "MACSHARD"
 /// trailing digest) and watchdog / shard-health state. v3: cohort knobs
 /// (merge tolerance, live-class cap) in the options and the engine core,
 /// the randomised-parity protocol tag, and the shard-assignment strategy in
-/// sharded arrival streams.
+/// sharded arrival streams. Engine tag 8 (batched randomised parity) came
+/// later within v3 and changes no existing layout: an older v3 reader
+/// rejects it as an unknown engine tag instead of misdecoding it.
 const CHECKPOINT_VERSION: u64 = 3;
 
 /// Words of frame overhead around a checkpoint payload: magic, version,
@@ -593,68 +592,6 @@ impl Watchdog {
     }
 }
 
-/// Protocol-state factory for cohort sessions: rebuilds a fresh fair
-/// protocol state per arrival burst from the session's [`ProtocolKind`] and
-/// message count — the checkpoint-reconstructible counterpart of the
-/// closures `CohortSimulator` uses.
-#[derive(Debug, Clone)]
-pub(crate) struct KindFactory {
-    kind: ProtocolKind,
-    k: u64,
-}
-
-impl BuildState<OneFailAdaptive> for KindFactory {
-    fn build(&self) -> Result<OneFailAdaptive, ParameterError> {
-        match &self.kind {
-            ProtocolKind::OneFailAdaptive { delta } => OneFailAdaptive::try_new(*delta),
-            _ => Err(factory_mismatch()),
-        }
-    }
-}
-
-impl BuildState<LogFailsAdaptive> for KindFactory {
-    fn build(&self) -> Result<LogFailsAdaptive, ParameterError> {
-        match &self.kind {
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => LogFailsAdaptive::try_new(LogFailsConfig::for_instance(
-                *xi_delta, *xi_beta, *xi_t, self.k,
-            )),
-            _ => Err(factory_mismatch()),
-        }
-    }
-}
-
-impl BuildState<KnownKOracle> for KindFactory {
-    fn build(&self) -> Result<KnownKOracle, ParameterError> {
-        match &self.kind {
-            ProtocolKind::KnownKOracle => Ok(KnownKOracle::new(self.k)),
-            _ => Err(factory_mismatch()),
-        }
-    }
-}
-
-impl BuildState<RandomizedParityOneFail> for KindFactory {
-    fn build(&self) -> Result<RandomizedParityOneFail, ParameterError> {
-        match &self.kind {
-            ProtocolKind::RandomizedParityOneFail { delta } => {
-                RandomizedParityOneFail::try_new(*delta)
-            }
-            _ => Err(factory_mismatch()),
-        }
-    }
-}
-
-fn factory_mismatch() -> ParameterError {
-    ParameterError::new(
-        "protocol",
-        f64::NAN,
-        "session factory kind does not match the requested protocol state",
-    )
-}
-
 /// Lazy arrival source of a dynamic session: a plain or sharded
 /// [`ArrivalStream`] adapted to the cohort engine's [`ArrivalFeed`]
 /// contract, with one burst of lookahead (checkpointed alongside the
@@ -707,7 +644,7 @@ impl StreamFeed {
         }
     }
 
-    fn encode(&self, out: &mut Encoder) {
+    pub(crate) fn encode(&self, out: &mut Encoder) {
         match &self.source {
             StreamSource::Plain(s) => {
                 out.put_u32(0);
@@ -781,37 +718,171 @@ impl ArrivalFeed for StreamFeed {
     }
 }
 
-type CohortCore<P> = CohortEngineCore<P, StreamFeed, KindFactory>;
-
-/// The session's engine, monomorphised per protocol state so the hot loops
-/// stay identical to the monolithic runners'. Boxed: the cores carry their
-/// full loop state inline.
-#[derive(Debug)]
-enum EngineState {
-    FairOneFail(Box<FairEngineCore<OneFailAdaptive>>),
-    FairLogFails(Box<FairEngineCore<LogFailsAdaptive>>),
-    FairOracle(Box<FairEngineCore<KnownKOracle>>),
-    Window(Box<WindowEngineCore>),
-    CohortOneFail(Box<CohortCore<OneFailAdaptive>>),
-    CohortLogFails(Box<CohortCore<LogFailsAdaptive>>),
-    CohortOracle(Box<CohortCore<KnownKOracle>>),
-    CohortRandomizedParity(Box<CohortCore<RandomizedParityOneFail>>),
+/// The three engines a session can run; with the protocol kind, the engine
+/// keys the checkpoint's engine tag ([`engine_tag`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Engine {
+    Fair,
+    Window,
+    Cohort,
 }
 
-/// Dispatches a read-only method over every engine variant.
-macro_rules! on_engine {
-    ($engine:expr, $core:ident => $body:expr) => {
-        match $engine {
-            EngineState::FairOneFail($core) => $body,
-            EngineState::FairLogFails($core) => $body,
-            EngineState::FairOracle($core) => $body,
-            EngineState::Window($core) => $body,
-            EngineState::CohortOneFail($core) => $body,
-            EngineState::CohortLogFails($core) => $body,
-            EngineState::CohortOracle($core) => $body,
-            EngineState::CohortRandomizedParity($core) => $body,
+/// The checkpoint engine tag of an `(engine, kind)` pair: the fair and
+/// cohort engines carry one tag per fair protocol, the window engine one
+/// tag for every schedule. The values are wire format — a checkpoint must
+/// map back to the engine that wrote it — so they never change and a new
+/// pair takes the next free value. A new fair kind does not compile here
+/// until it has a tag per engine.
+fn engine_tag(engine: Engine, kind: &ProtocolKind) -> Option<u32> {
+    use ProtocolKind as K;
+    match (engine, kind) {
+        (Engine::Fair, K::OneFailAdaptive { .. }) => Some(0),
+        (Engine::Fair, K::LogFailsAdaptive { .. }) => Some(1),
+        (Engine::Fair, K::KnownKOracle) => Some(2),
+        (Engine::Window, _) => Some(3),
+        (Engine::Cohort, K::OneFailAdaptive { .. }) => Some(4),
+        (Engine::Cohort, K::LogFailsAdaptive { .. }) => Some(5),
+        (Engine::Cohort, K::KnownKOracle) => Some(6),
+        (Engine::Cohort, K::RandomizedParityOneFail { .. }) => Some(7),
+        (Engine::Fair, K::RandomizedParityOneFail { .. }) => Some(8),
+        (
+            Engine::Fair | Engine::Cohort,
+            K::ExpBackonBackoff { .. }
+            | K::LoglogIteratedBackoff { .. }
+            | K::RExponentialBackoff { .. },
+        ) => None,
+    }
+}
+
+/// The engine behind a [`Session`]: one of the three generic cores, boxed
+/// so a session pays one virtual call per advance chunk while each core's
+/// slot loop stays monomorphic over its protocol state.
+pub(crate) trait SessionEngine: fmt::Debug + Send {
+    fn engine(&self) -> Engine;
+    /// Runs at least `max_slots` slots (see [`Session::advance`]).
+    fn advance(&mut self, max_slots: u64);
+    fn slot(&self) -> u64;
+    fn delivered(&self) -> u64;
+    fn remaining(&self) -> u64;
+    /// Activated, undelivered messages — the watchdog's progress signal.
+    fn backlog(&self) -> u64;
+    fn is_finished(&self) -> bool;
+    fn streaming_stats(&self) -> Option<&StreamingLatencyStats>;
+    /// The aggregate result so far (capped-run convention while running).
+    fn result(&mut self, label: &str) -> RunResult;
+    /// The full run detail, which only the cohort engine keeps.
+    fn cohort_run(&mut self, _label: &str) -> Option<CohortRun> {
+        None
+    }
+    /// Writes the payload that follows the engine tag (`false` if the
+    /// protocol exposes no checkpointable state).
+    fn encode_payload(&self, out: &mut Encoder) -> bool;
+}
+
+/// [`Session::batched`]'s visit: the fair aggregate engine for a fair
+/// state, the window engine for a schedule.
+struct BatchedEngine<'a> {
+    k: u64,
+    seed: u64,
+    options: &'a RunOptions,
+    stats: StreamingLatencyStats,
+}
+
+impl KindVisitor for BatchedEngine<'_> {
+    type Output = Box<dyn SessionEngine>;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+        let mut core = FairEngineCore::new(state, self.k, self.seed, self.options);
+        core.set_streaming_stats(self.stats);
+        Box::new(core)
+    }
+
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
+        let mut core = WindowEngineCore::new(schedule, self.k, self.seed, self.options);
+        core.set_streaming_stats(self.stats);
+        Box::new(core)
+    }
+}
+
+/// The dynamic sessions' visit: the cohort engine for a fair state; `None`
+/// for a window schedule, whose dynamic runs are per-station on the exact
+/// engine, which is not resumable.
+struct DynamicEngine<'a> {
+    feed: StreamFeed,
+    k: u64,
+    run_seed: u64,
+    max_slots: u64,
+    options: &'a RunOptions,
+    recorder: LatencyRecorder,
+}
+
+impl KindVisitor for DynamicEngine<'_> {
+    type Output = Option<Box<dyn SessionEngine>>;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+        Some(Box::new(CohortEngineCore::new(
+            self.feed,
+            state,
+            self.k,
+            self.run_seed,
+            self.max_slots,
+            self.options,
+            self.recorder,
+        )))
+    }
+
+    fn window<S: WindowSchedule + Clone + 'static>(self, _: S) -> Self::Output {
+        None
+    }
+}
+
+/// [`Session::resume`]'s visit: decodes the tagged engine's payload around
+/// the freshly visited state, whose incremental words the payload then
+/// overwrites verbatim.
+struct DecodeEngine<'a, 'b> {
+    engine: Engine,
+    k: u64,
+    input: &'a mut Decoder<'b>,
+    scenario: &'a AdversaryScenario,
+}
+
+impl KindVisitor for DecodeEngine<'_, '_> {
+    type Output = Result<Box<dyn SessionEngine>, WireError>;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+        Ok(match self.engine {
+            Engine::Fair => Box::new(FairEngineCore::decode(
+                self.input,
+                self.k,
+                state,
+                self.scenario,
+            )?),
+            Engine::Cohort => {
+                let feed = StreamFeed::decode(self.input)?;
+                Box::new(CohortEngineCore::decode(
+                    self.input,
+                    feed,
+                    state,
+                    self.scenario,
+                )?)
+            }
+            Engine::Window => {
+                return Err(WireError::Malformed(
+                    "window engine tag with a fair protocol kind",
+                ))
+            }
+        })
+    }
+
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
+        if self.engine != Engine::Window {
+            return Err(WireError::Malformed(
+                "fair engine tag with a window protocol kind",
+            ));
         }
-    };
+        let core = WindowEngineCore::decode(self.input, self.k, schedule, self.scenario)?;
+        Ok(Box::new(core))
+    }
 }
 
 /// A resumable simulation run: one of the fast engines driven in bounded
@@ -839,7 +910,7 @@ pub struct Session {
     label: String,
     kind: ProtocolKind,
     options: RunOptions,
-    engine: EngineState,
+    engine: Box<dyn SessionEngine>,
     watchdog: Option<Watchdog>,
     /// Deterministic fault injection (never checkpointed): the session
     /// panics when its slot clock reaches this value. See
@@ -863,53 +934,28 @@ impl Session {
         options: &RunOptions,
     ) -> Result<Self, SessionError> {
         options.validate_adversary()?;
-        let stats = StreamingLatencyStats::new(derive_seed(seed, &[SKETCH_STREAM]));
-        let engine = match kind {
-            ProtocolKind::OneFailAdaptive { delta } => {
-                let mut core =
-                    FairEngineCore::new(OneFailAdaptive::try_new(*delta)?, k, seed, options);
-                core.set_streaming_stats(stats);
-                EngineState::FairOneFail(Box::new(core))
-            }
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => {
-                let config = LogFailsConfig::for_instance(*xi_delta, *xi_beta, *xi_t, k);
-                let mut core =
-                    FairEngineCore::new(LogFailsAdaptive::try_new(config)?, k, seed, options);
-                core.set_streaming_stats(stats);
-                EngineState::FairLogFails(Box::new(core))
-            }
-            ProtocolKind::KnownKOracle => {
-                let mut core = FairEngineCore::new(KnownKOracle::new(k), k, seed, options);
-                core.set_streaming_stats(stats);
-                EngineState::FairOracle(Box::new(core))
-            }
-            _ => {
-                // build_window is None exactly for fair kinds; a fair kind
-                // reaching this arm means it was added to ProtocolKind but
-                // not to the fair-engine dispatch above — surface that as a
-                // typed error instead of panicking in a library.
-                let Some(schedule) = kind.build_window()? else {
-                    return Err(SessionError::Unsupported(
-                        "fair protocol kind missing from the session engine dispatch",
-                    ));
-                };
-                let mut core = WindowEngineCore::new(schedule, k, seed, options);
-                core.set_streaming_stats(stats);
-                EngineState::Window(Box::new(core))
-            }
+        let engine = BatchedEngine {
+            k,
+            seed,
+            options,
+            stats: StreamingLatencyStats::new(derive_seed(seed, &[SKETCH_STREAM])),
         };
-        Ok(Self {
+        Ok(Self::with_engine(kind, options, kind.visit(k, engine)?))
+    }
+
+    fn with_engine(
+        kind: &ProtocolKind,
+        options: &RunOptions,
+        engine: Box<dyn SessionEngine>,
+    ) -> Self {
+        Self {
             label: kind.label(),
             kind: kind.clone(),
             options: options.clone(),
             engine,
             watchdog: None,
             kill_at_slot: None,
-        })
+        }
     }
 
     /// Creates a resumable dynamic-arrival session on the cohort engine,
@@ -932,11 +978,6 @@ impl Session {
         seed: u64,
         options: &RunOptions,
     ) -> Result<Self, SessionError> {
-        if kind.family() != ProtocolFamily::Fair {
-            return Err(SessionError::Unsupported(
-                "dynamic sessions serve fair protocols on the cohort engine; window protocols run per-station on the exact engine",
-            ));
-        }
         options.validate_adversary()?;
         let arrival_seed = derive_seed(seed, &[ARRIVAL_STREAM]);
         let run_seed = derive_seed(seed, &[RUN_STREAM]);
@@ -968,39 +1009,22 @@ impl Session {
         let max_slots = options
             .max_slots(k)
             .saturating_add(last_arrival.unwrap_or(0));
-        let factory = KindFactory {
-            kind: kind.clone(),
-            k,
-        };
         let recorder = LatencyRecorder::streaming(StreamingLatencyStats::new(derive_seed(
             run_seed,
             &[SKETCH_STREAM],
         )));
-        let engine = match kind {
-            ProtocolKind::OneFailAdaptive { .. } => EngineState::CohortOneFail(Box::new(
-                CohortEngineCore::new(feed, factory, k, run_seed, max_slots, options, recorder),
-            )),
-            ProtocolKind::LogFailsAdaptive { .. } => EngineState::CohortLogFails(Box::new(
-                CohortEngineCore::new(feed, factory, k, run_seed, max_slots, options, recorder),
-            )),
-            ProtocolKind::KnownKOracle => EngineState::CohortOracle(Box::new(
-                CohortEngineCore::new(feed, factory, k, run_seed, max_slots, options, recorder),
-            )),
-            ProtocolKind::RandomizedParityOneFail { .. } => {
-                EngineState::CohortRandomizedParity(Box::new(CohortEngineCore::new(
-                    feed, factory, k, run_seed, max_slots, options, recorder,
-                )))
-            }
-            _ => unreachable!("family checked by the caller"),
+        let engine = DynamicEngine {
+            feed,
+            k,
+            run_seed,
+            max_slots,
+            options,
+            recorder,
         };
-        Ok(Self {
-            label: kind.label(),
-            kind: kind.clone(),
-            options: options.clone(),
-            engine,
-            watchdog: None,
-            kill_at_slot: None,
-        })
+        let engine = kind.visit(k, engine)?.ok_or(SessionError::Unsupported(
+            "dynamic sessions serve fair protocols on the cohort engine; window protocols run per-station on the exact engine",
+        ))?;
+        Ok(Self::with_engine(kind, options, engine))
     }
 
     /// Arms the livelock watchdog (or disarms it with `None`): a stall is
@@ -1014,7 +1038,7 @@ impl Session {
     pub fn set_watchdog(&mut self, config: Option<StallConfig>) {
         self.watchdog = config.map(|c| {
             let mut wd = Watchdog::new(StallConfig::new(c.window, c.policy));
-            wd.last_progress_slot = self.slot_clock();
+            wd.last_progress_slot = self.slot();
             wd.last_delivered = self.delivered();
             wd
         });
@@ -1054,47 +1078,45 @@ impl Session {
     ///
     /// # Errors
     /// Returns [`SessionError::Stalled`] when the watchdog fires under
-    /// [`StallPolicy::Abort`], and [`SessionError::Parameter`] only if a
-    /// cohort state factory rejects its parameters (never after
-    /// construction succeeded).
+    /// [`StallPolicy::Abort`].
     pub fn advance(&mut self, max_slots: u64) -> Result<SessionStatus, SessionError> {
         if self.watchdog.is_none() && self.kill_at_slot.is_none() {
             // Fast path: hand the engine the whole budget in one call.
-            self.advance_engine(max_slots)?;
+            self.engine.advance(max_slots);
             return Ok(self.status());
         }
-        let start = self.slot_clock();
+        let start = self.slot();
         loop {
             if self.is_finished() {
                 break;
             }
-            let spent = self.slot_clock() - start;
+            let spent = self.slot() - start;
             if spent >= max_slots {
                 break;
             }
             let mut chunk = max_slots - spent;
             if let Some(wd) = &self.watchdog {
                 let next_check = wd.last_progress_slot.saturating_add(wd.config.window);
-                chunk = chunk.min(next_check.saturating_sub(self.slot_clock()).max(1));
+                chunk = chunk.min(next_check.saturating_sub(self.slot()).max(1));
             }
             if let Some(kill) = self.kill_at_slot {
                 assert!(
-                    self.slot_clock() < kill,
+                    self.slot() < kill,
                     "injected fault: shard killed at slot {} (armed for slot {kill})",
-                    self.slot_clock()
+                    self.slot()
                 );
-                chunk = chunk.min(kill.saturating_sub(self.slot_clock()).max(1));
+                chunk = chunk.min(kill.saturating_sub(self.slot()).max(1));
             }
-            self.advance_engine(chunk)?;
+            self.engine.advance(chunk);
             if let Some(kill) = self.kill_at_slot {
                 assert!(
-                    self.slot_clock() < kill,
+                    self.slot() < kill,
                     "injected fault: shard killed at slot {} (armed for slot {kill})",
-                    self.slot_clock()
+                    self.slot()
                 );
             }
             let (slot, delivered, backlog, finished) = (
-                self.slot_clock(),
+                self.slot(),
                 self.delivered(),
                 self.backlog(),
                 self.is_finished(),
@@ -1133,49 +1155,12 @@ impl Session {
         Ok(self.status())
     }
 
-    /// Dispatches one bounded advance to the engine core.
-    fn advance_engine(&mut self, max_slots: u64) -> Result<(), SessionError> {
-        match &mut self.engine {
-            EngineState::FairOneFail(core) => {
-                core.advance(max_slots, None);
-            }
-            EngineState::FairLogFails(core) => {
-                core.advance(max_slots, None);
-            }
-            EngineState::FairOracle(core) => {
-                core.advance(max_slots, None);
-            }
-            EngineState::Window(core) => {
-                core.advance(max_slots, None);
-            }
-            EngineState::CohortOneFail(core) => {
-                core.advance(max_slots)?;
-            }
-            EngineState::CohortLogFails(core) => {
-                core.advance(max_slots)?;
-            }
-            EngineState::CohortOracle(core) => {
-                core.advance(max_slots)?;
-            }
-            EngineState::CohortRandomizedParity(core) => {
-                core.advance(max_slots)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Internal name for the slot clock (the public [`Session::slot`]),
-    /// used where `self.slot()` would shadow locals.
-    fn slot_clock(&self) -> u64 {
-        on_engine!(&self.engine, core => core.slot())
-    }
-
     /// Activated-but-undelivered messages currently contending for the
     /// channel — the backlog the livelock watchdog monitors. For batched
     /// sessions this equals [`Session::remaining`]; for dynamic sessions
     /// it excludes messages that have not arrived yet.
     pub fn backlog(&self) -> u64 {
-        on_engine!(&self.engine, core => core.backlog())
+        self.engine.backlog()
     }
 
     /// Runs the session to completion (or its slot cap) in one call.
@@ -1198,22 +1183,22 @@ impl Session {
 
     /// True once the run completed or hit its slot cap.
     pub fn is_finished(&self) -> bool {
-        on_engine!(&self.engine, core => core.is_finished())
+        self.engine.is_finished()
     }
 
     /// The current slot clock.
     pub fn slot(&self) -> u64 {
-        on_engine!(&self.engine, core => core.slot())
+        self.engine.slot()
     }
 
     /// Messages delivered so far.
     pub fn delivered(&self) -> u64 {
-        on_engine!(&self.engine, core => core.delivered())
+        self.engine.delivered()
     }
 
     /// Activated-but-undelivered messages.
     pub fn remaining(&self) -> u64 {
-        on_engine!(&self.engine, core => core.remaining())
+        self.engine.remaining()
     }
 
     /// The protocol configuration label.
@@ -1231,35 +1216,18 @@ impl Session {
     /// the delivery slot (equal to the latency for slot-0 arrivals);
     /// dynamic sessions push delivery − arrival.
     pub fn live_stats(&self) -> Option<&StreamingLatencyStats> {
-        on_engine!(&self.engine, core => core.streaming_stats())
+        self.engine.streaming_stats()
     }
 
     /// Snapshot of the aggregate result at the current slot (capped-run
     /// convention while unfinished).
     pub fn result(&mut self) -> RunResult {
-        let label = self.label.clone();
-        match &mut self.engine {
-            EngineState::FairOneFail(core) => core.result_snapshot(&label),
-            EngineState::FairLogFails(core) => core.result_snapshot(&label),
-            EngineState::FairOracle(core) => core.result_snapshot(&label),
-            EngineState::Window(core) => core.result_snapshot(&label),
-            EngineState::CohortOneFail(core) => core.run_snapshot(&label).result,
-            EngineState::CohortLogFails(core) => core.run_snapshot(&label).result,
-            EngineState::CohortOracle(core) => core.run_snapshot(&label).result,
-            EngineState::CohortRandomizedParity(core) => core.run_snapshot(&label).result,
-        }
+        self.engine.result(&self.label)
     }
 
     /// Snapshot of the full cohort run detail (dynamic sessions only).
     pub fn cohort_run(&mut self) -> Option<CohortRun> {
-        let label = self.label.clone();
-        match &mut self.engine {
-            EngineState::CohortOneFail(core) => Some(core.run_snapshot(&label)),
-            EngineState::CohortLogFails(core) => Some(core.run_snapshot(&label)),
-            EngineState::CohortOracle(core) => Some(core.run_snapshot(&label)),
-            EngineState::CohortRandomizedParity(core) => Some(core.run_snapshot(&label)),
-            _ => None,
-        }
+        self.engine.cohort_run(&self.label)
     }
 
     /// Latency/throughput report from the streaming statistics: exact
@@ -1295,45 +1263,13 @@ impl Session {
             }
             None => out.put_bool(false),
         }
-        let ok = match &self.engine {
-            EngineState::FairOneFail(core) => {
-                out.put_u32(0);
-                core.encode(&mut out)
-            }
-            EngineState::FairLogFails(core) => {
-                out.put_u32(1);
-                core.encode(&mut out)
-            }
-            EngineState::FairOracle(core) => {
-                out.put_u32(2);
-                core.encode(&mut out)
-            }
-            EngineState::Window(core) => {
-                out.put_u32(3);
-                core.encode(&mut out)
-            }
-            EngineState::CohortOneFail(core) => {
-                out.put_u32(4);
-                encode_cohort_prefix(core, &mut out);
-                core.encode(&mut out)
-            }
-            EngineState::CohortLogFails(core) => {
-                out.put_u32(5);
-                encode_cohort_prefix(core, &mut out);
-                core.encode(&mut out)
-            }
-            EngineState::CohortOracle(core) => {
-                out.put_u32(6);
-                encode_cohort_prefix(core, &mut out);
-                core.encode(&mut out)
-            }
-            EngineState::CohortRandomizedParity(core) => {
-                out.put_u32(7);
-                encode_cohort_prefix(core, &mut out);
-                core.encode(&mut out)
-            }
+        let Some(tag) = engine_tag(self.engine.engine(), &self.kind) else {
+            return Err(SessionError::Unsupported(
+                "engine has no checkpoint tag for this protocol kind",
+            ));
         };
-        if !ok {
+        out.put_u32(tag);
+        if !self.engine.encode_payload(&mut out) {
             return Err(SessionError::Unsupported(
                 "protocol does not expose checkpointable state",
             ));
@@ -1362,79 +1298,25 @@ impl Session {
         } else {
             None
         };
-        let scenario = options.adversary.clone();
-        let engine = match input.take_u32()? {
-            0 => {
-                let kind = kind.clone();
-                EngineState::FairOneFail(Box::new(FairEngineCore::decode(
-                    &mut input,
-                    move |_| match kind {
-                        ProtocolKind::OneFailAdaptive { delta } => OneFailAdaptive::try_new(delta),
-                        _ => Err(factory_mismatch()),
-                    },
-                    &scenario,
-                )?))
-            }
-            1 => {
-                let kind = kind.clone();
-                EngineState::FairLogFails(Box::new(FairEngineCore::decode(
-                    &mut input,
-                    move |k| match kind {
-                        ProtocolKind::LogFailsAdaptive {
-                            xi_delta,
-                            xi_beta,
-                            xi_t,
-                        } => LogFailsAdaptive::try_new(LogFailsConfig::for_instance(
-                            xi_delta, xi_beta, xi_t, k,
-                        )),
-                        _ => Err(factory_mismatch()),
-                    },
-                    &scenario,
-                )?))
-            }
-            2 => EngineState::FairOracle(Box::new(FairEngineCore::decode(
-                &mut input,
-                |k| Ok(KnownKOracle::new(k)),
-                &scenario,
-            )?)),
-            3 => {
-                let schedule =
-                    kind.build_window()?
-                        .ok_or(SessionError::Wire(WireError::Malformed(
-                            "window engine tag with a fair protocol kind",
-                        )))?;
-                EngineState::Window(Box::new(WindowEngineCore::decode(
-                    &mut input, schedule, &scenario,
-                )?))
-            }
-            tag @ (4..=7) => {
-                let k = input.take_u64()?;
-                let feed = StreamFeed::decode(&mut input)?;
-                let factory = KindFactory {
-                    kind: kind.clone(),
-                    k,
-                };
-                match tag {
-                    4 => EngineState::CohortOneFail(Box::new(CohortEngineCore::decode(
-                        &mut input, feed, factory, &scenario,
-                    )?)),
-                    5 => EngineState::CohortLogFails(Box::new(CohortEngineCore::decode(
-                        &mut input, feed, factory, &scenario,
-                    )?)),
-                    6 => EngineState::CohortOracle(Box::new(CohortEngineCore::decode(
-                        &mut input, feed, factory, &scenario,
-                    )?)),
-                    _ => EngineState::CohortRandomizedParity(Box::new(CohortEngineCore::decode(
-                        &mut input, feed, factory, &scenario,
-                    )?)),
-                }
-            }
-            _ => {
-                return Err(SessionError::Wire(WireError::Malformed(
-                    "unknown engine tag",
-                )))
-            }
-        };
+        let tag = input.take_u32()?;
+        let engine = [Engine::Fair, Engine::Window, Engine::Cohort]
+            .into_iter()
+            .find(|&engine| engine_tag(engine, &kind) == Some(tag))
+            .ok_or(WireError::Malformed(
+                "engine tag does not match the protocol kind",
+            ))?;
+        // Every engine payload leads with the message count the state is
+        // built for, so the decoder reads it and then visits.
+        let k = input.take_u64()?;
+        let engine = kind.visit(
+            k,
+            DecodeEngine {
+                engine,
+                k,
+                input: &mut input,
+                scenario: &options.adversary,
+            },
+        )??;
         input.finish()?;
         Ok(Self {
             label,
@@ -1445,17 +1327,6 @@ impl Session {
             kill_at_slot: None,
         })
     }
-}
-
-/// The session-level prefix of a cohort engine payload: the message count
-/// (needed to rebuild the state factory before the core decodes) and the
-/// arrival feed.
-fn encode_cohort_prefix<P: mac_protocols::FairProtocol>(core: &CohortCore<P>, out: &mut Encoder)
-where
-    KindFactory: BuildState<P>,
-{
-    out.put_u64(core.delivered() + core.remaining());
-    core.feed().encode(out);
 }
 
 fn encode_kind(kind: &ProtocolKind, out: &mut Encoder) {
@@ -1703,11 +1574,6 @@ impl ShardedSession {
     ) -> Result<Self, SessionError> {
         if shards == 0 {
             return Err(SessionError::Unsupported("shard count must be positive"));
-        }
-        if kind.family() != ProtocolFamily::Fair {
-            return Err(SessionError::Unsupported(
-                "sharded sessions serve fair protocols on the cohort engine",
-            ));
         }
         if !strategy.is_valid() {
             return Err(SessionError::Unsupported(
@@ -2147,12 +2013,74 @@ mod tests {
         ProtocolKind::OneFailAdaptive { delta: 2.72 }
     }
 
+    fn rp_ofa() -> ProtocolKind {
+        ProtocolKind::RandomizedParityOneFail { delta: 2.72 }
+    }
+
+    fn fair_kinds() -> [ProtocolKind; 4] {
+        [
+            ofa(),
+            ProtocolKind::LogFailsAdaptive {
+                xi_delta: 0.1,
+                xi_beta: 0.1,
+                xi_t: 0.5,
+            },
+            ProtocolKind::KnownKOracle,
+            rp_ofa(),
+        ]
+    }
+
     #[test]
     fn batched_fair_session_matches_monolithic_run() {
-        let kind = ofa();
-        let mut session = Session::batched(&kind, 400, 5, &RunOptions::default()).unwrap();
-        let result = session.run_to_completion().unwrap();
-        assert_eq!(result, simulate(&kind, 400, 5).unwrap());
+        for kind in fair_kinds() {
+            let mut session = Session::batched(&kind, 400, 5, &RunOptions::default()).unwrap();
+            let result = session.run_to_completion().unwrap();
+            assert_eq!(result, simulate(&kind, 400, 5).unwrap(), "{}", kind.label());
+        }
+    }
+
+    #[test]
+    fn engine_tags_are_pinned() {
+        // Frozen wire values: a checkpoint resumes only if the reading build
+        // maps its tag back to the engine the writing build used.
+        let lfa = ProtocolKind::LogFailsAdaptive {
+            xi_delta: 0.1,
+            xi_beta: 0.1,
+            xi_t: 0.5,
+        };
+        let ebb = ProtocolKind::ExpBackonBackoff { delta: 0.366 };
+        let oracle = ProtocolKind::KnownKOracle;
+        let table = [
+            (Engine::Fair, &ofa(), Some(0)),
+            (Engine::Fair, &lfa, Some(1)),
+            (Engine::Fair, &oracle, Some(2)),
+            (Engine::Window, &ebb, Some(3)),
+            (Engine::Cohort, &ofa(), Some(4)),
+            (Engine::Cohort, &lfa, Some(5)),
+            (Engine::Cohort, &oracle, Some(6)),
+            (Engine::Cohort, &rp_ofa(), Some(7)),
+            (Engine::Fair, &rp_ofa(), Some(8)),
+            (Engine::Fair, &ebb, None),
+            (Engine::Cohort, &ebb, None),
+        ];
+        for (engine, kind, tag) in table {
+            assert_eq!(engine_tag(engine, kind), tag, "{engine:?} {}", kind.label());
+        }
+    }
+
+    #[test]
+    fn dynamic_sessions_reject_bad_parameters_at_construction() {
+        let bad = ProtocolKind::OneFailAdaptive { delta: 1.0 };
+        let model = ArrivalModel::batched(10);
+        let options = RunOptions::default();
+        assert!(matches!(
+            Session::dynamic(&bad, &model, 1, &options),
+            Err(SessionError::Parameter(_))
+        ));
+        assert!(matches!(
+            ShardedSession::new(&bad, &model, 1, &options, 2),
+            Err(SessionError::Parameter(_))
+        ));
     }
 
     #[test]
@@ -2165,17 +2093,18 @@ mod tests {
 
     #[test]
     fn bounded_advances_and_checkpoints_preserve_bit_identity() {
-        let kind = ofa();
-        let mut session = Session::batched(&kind, 600, 17, &RunOptions::default()).unwrap();
-        let mut rounds = 0;
-        while session.advance(100).unwrap() == SessionStatus::Paused {
-            let checkpoint = session.checkpoint().unwrap();
-            session = Session::resume(&checkpoint).unwrap();
-            rounds += 1;
-            assert!(rounds < 10_000, "session failed to make progress");
+        for kind in fair_kinds() {
+            let mut session = Session::batched(&kind, 600, 17, &RunOptions::default()).unwrap();
+            let mut rounds = 0;
+            while session.advance(100).unwrap() == SessionStatus::Paused {
+                let checkpoint = session.checkpoint().unwrap();
+                session = Session::resume(&checkpoint).unwrap();
+                rounds += 1;
+                assert!(rounds < 10_000, "session failed to make progress");
+            }
+            assert!(rounds > 1, "the budget must actually split the run");
+            assert_eq!(session.result(), simulate(&kind, 600, 17).unwrap());
         }
-        assert!(rounds > 1, "the budget must actually split the run");
-        assert_eq!(session.result(), simulate(&kind, 600, 17).unwrap());
     }
 
     #[test]
@@ -2252,25 +2181,26 @@ mod tests {
 
     #[test]
     fn sharded_checkpoint_resume_is_bit_identical() {
-        let kind = ofa();
         let model = ArrivalModel::Bursts {
             bursts: vec![(0, 30), (200, 30), (5_000, 10)],
         };
         let options = RunOptions::default();
-        let mut unbroken = ShardedSession::new(&kind, &model, 3, &options, 2).unwrap();
-        unbroken.run_to_completion().unwrap();
+        for kind in [ofa(), rp_ofa()] {
+            let mut unbroken = ShardedSession::new(&kind, &model, 3, &options, 2).unwrap();
+            unbroken.run_to_completion().unwrap();
 
-        let mut paused = ShardedSession::new(&kind, &model, 3, &options, 2).unwrap();
-        paused.advance(500).unwrap();
-        let checkpoint = paused.checkpoint().unwrap();
-        let mut resumed = ShardedSession::resume(&checkpoint).unwrap();
-        resumed.run_to_completion().unwrap();
+            let mut paused = ShardedSession::new(&kind, &model, 3, &options, 2).unwrap();
+            paused.advance(500).unwrap();
+            let checkpoint = paused.checkpoint().unwrap();
+            let mut resumed = ShardedSession::resume(&checkpoint).unwrap();
+            resumed.run_to_completion().unwrap();
 
-        assert_eq!(resumed.merged_result(), unbroken.merged_result());
-        let a = resumed.merged_stats();
-        let b = unbroken.merged_stats();
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.5), b.quantile(0.5));
+            assert_eq!(resumed.merged_result(), unbroken.merged_result());
+            let a = resumed.merged_stats();
+            let b = unbroken.merged_stats();
+            assert_eq!(a.count(), b.count());
+            assert_eq!(a.quantile(0.5), b.quantile(0.5));
+        }
     }
 
     #[test]

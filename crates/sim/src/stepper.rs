@@ -36,9 +36,8 @@ use mac_adversary::{AdversaryGame, AdversaryScenario};
 use mac_channel::{ChannelModel, SlotOutcome};
 use mac_prob::rng::Xoshiro256pp;
 use mac_protocols::{
-    ExpBackonBackoff, FairNode, KnownKOracle, LogFailsAdaptive, LogFailsConfig,
-    LoglogIteratedBackoff, OneFailAdaptive, ParameterError, Protocol, ProtocolKind,
-    RExponentialBackoff, RandomizedParityOneFail, WindowNode,
+    FairNode, FairProtocol, KindVisitor, ParameterError, Protocol, ProtocolKind, WindowNode,
+    WindowSchedule,
 };
 use rand::SeedableRng;
 use std::fmt;
@@ -199,7 +198,7 @@ impl<Pr: Protocol + Clone + 'static> AdversaryGame for Core<Pr> {
 /// A resumable, snapshot-able handle on one exact batched run, for the
 /// adversary strategy search.
 ///
-/// Construction dispatches the protocol kind once to a monomorphic game
+/// Construction visits the protocol kind once into a monomorphic game
 /// core (as [`crate::ExactSimulator`] does), so stepping does not pay
 /// virtual dispatch per station. The stepper itself *is* an
 /// [`AdversaryGame`]; feed it to
@@ -258,61 +257,33 @@ impl ExactStepper {
                 "ExactStepper tracks transmissions in a 64-bit mask; exhaustive search is for small k",
             ));
         }
-        let inner: Box<dyn AdversaryGame> = match kind {
-            ProtocolKind::OneFailAdaptive { delta } => Box::new(Core::new(
-                FairNode::new(OneFailAdaptive::try_new(*delta)?),
-                k,
-                seed,
-                options,
-            )),
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => {
-                let config = LogFailsConfig::for_instance(*xi_delta, *xi_beta, *xi_t, k);
-                Box::new(Core::new(
-                    FairNode::new(LogFailsAdaptive::try_new(config)?),
-                    k,
-                    seed,
-                    options,
-                ))
-            }
-            ProtocolKind::KnownKOracle => Box::new(Core::new(
-                FairNode::new(KnownKOracle::new(k)),
-                k,
-                seed,
-                options,
-            )),
-            ProtocolKind::ExpBackonBackoff { delta } => Box::new(Core::new(
-                WindowNode::new(ExpBackonBackoff::try_new(*delta)?),
-                k,
-                seed,
-                options,
-            )),
-            ProtocolKind::LoglogIteratedBackoff { r } => Box::new(Core::new(
-                WindowNode::new(LoglogIteratedBackoff::try_new(*r)?),
-                k,
-                seed,
-                options,
-            )),
-            ProtocolKind::RExponentialBackoff { r } => Box::new(Core::new(
-                WindowNode::new(RExponentialBackoff::try_new(*r)?),
-                k,
-                seed,
-                options,
-            )),
-            ProtocolKind::RandomizedParityOneFail { delta } => Box::new(Core::new(
-                FairNode::new(RandomizedParityOneFail::try_new(*delta)?),
-                k,
-                seed,
-                options,
-            )),
-        };
+        let inner = kind.visit(k, GameCore { k, seed, options })?;
         Ok(Self {
             inner,
             kind: kind.clone(),
         })
+    }
+}
+
+/// [`ExactStepper::new`]'s visit: the game core over the visited state's
+/// per-station adapter.
+struct GameCore<'a> {
+    k: u64,
+    seed: u64,
+    options: &'a RunOptions,
+}
+
+impl KindVisitor for GameCore<'_> {
+    type Output = Box<dyn AdversaryGame>;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+        let station = FairNode::new(state);
+        Box::new(Core::new(station, self.k, self.seed, self.options))
+    }
+
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
+        let station = WindowNode::new(schedule);
+        Box::new(Core::new(station, self.k, self.seed, self.options))
     }
 }
 
@@ -359,7 +330,9 @@ mod tests {
 
     #[test]
     fn unjammed_playout_matches_the_exact_simulator_bit_for_bit() {
-        for kind in ProtocolKind::paper_lineup() {
+        let mut kinds = ProtocolKind::paper_lineup();
+        kinds.push(ProtocolKind::RandomizedParityOneFail { delta: 2.72 });
+        for kind in kinds {
             for seed in [1u64, 7, 42] {
                 let options = RunOptions::default();
                 let reference = ExactSimulator::new(kind.clone(), options.clone())

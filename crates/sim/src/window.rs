@@ -45,12 +45,13 @@
 
 use crate::aggregate::{decode_optional_slots, encode_optional_slots};
 use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
+use crate::session::{Engine, SessionEngine};
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
 use mac_prob::balls::{walk_window, walk_window_counts, WalkScratch};
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::{ParameterError, ProtocolKind, WindowSchedule};
+use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind, WindowSchedule};
 use rand::SeedableRng;
 
 /// Fast simulator for window protocols (Exp Back-on/Back-off, Loglog-iterated
@@ -118,36 +119,15 @@ impl WindowSimulator {
         seed: u64,
         jam_log: Option<&mut Vec<u64>>,
     ) -> Result<RunResult, ParameterError> {
-        self.options.validate_adversary()?;
-        let schedule = self.kind.build_window()?.ok_or_else(|| {
-            ParameterError::new(
+        if self.kind.family() != ProtocolFamily::Window {
+            return Err(ParameterError::new(
                 "protocol",
                 f64::NAN,
-                "WindowSimulator requires a window protocol (Exp Back-on/Back-off, Loglog-iterated or exponential back-off)",
-            )
-        })?;
-        Ok(run_window(
-            schedule,
-            self.kind.label(),
-            k,
-            seed,
-            &self.options,
-            jam_log,
-        ))
+                "WindowSimulator requires a window protocol kind; fair kinds run on FairSimulator",
+            ));
+        }
+        crate::run_fast(&self.kind, k, seed, &self.options, jam_log)
     }
-}
-
-pub(crate) fn run_window(
-    schedule: Box<dyn WindowSchedule>,
-    label: String,
-    k: u64,
-    seed: u64,
-    options: &RunOptions,
-    jam_log: Option<&mut Vec<u64>>,
-) -> RunResult {
-    let mut core = WindowEngineCore::new(schedule, k, seed, options);
-    core.advance(u64::MAX, jam_log);
-    core.into_result(label)
 }
 
 /// The complete loop state of one window-protocol run, advanceable in
@@ -155,8 +135,8 @@ pub(crate) fn run_window(
 /// window in flight when it runs out is always finished, so the executed
 /// count can overshoot by up to one window length.
 #[derive(Debug)]
-pub(crate) struct WindowEngineCore {
-    schedule: Box<dyn WindowSchedule>,
+pub(crate) struct WindowEngineCore<S> {
+    schedule: S,
     k: u64,
     seed: u64,
     max_slots: u64,
@@ -174,15 +154,10 @@ pub(crate) struct WindowEngineCore {
     stats: Option<StreamingLatencyStats>,
 }
 
-impl WindowEngineCore {
+impl<S: WindowSchedule> WindowEngineCore<S> {
     /// Builds the initial loop state — bit-identical to the state the
     /// monolithic runner entered its loop with.
-    pub(crate) fn new(
-        schedule: Box<dyn WindowSchedule>,
-        k: u64,
-        seed: u64,
-        options: &RunOptions,
-    ) -> Self {
+    pub(crate) fn new(schedule: S, k: u64, seed: u64, options: &RunOptions) -> Self {
         let max_slots = options.max_slots(k);
         // The adversary draws from its own derived stream and the detailed
         // occupancy path consumes the protocol RNG identically to the
@@ -234,32 +209,6 @@ impl WindowEngineCore {
     /// one, so the trajectory is unchanged.
     pub(crate) fn set_streaming_stats(&mut self, stats: StreamingLatencyStats) {
         self.stats = Some(stats);
-    }
-
-    pub(crate) fn is_finished(&self) -> bool {
-        self.remaining == 0 || self.elapsed >= self.max_slots
-    }
-
-    pub(crate) fn slot(&self) -> u64 {
-        self.elapsed
-    }
-
-    pub(crate) fn delivered(&self) -> u64 {
-        self.k - self.remaining
-    }
-
-    pub(crate) fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Activated, undelivered messages. Batched runs activate every
-    /// station at slot 0, so the backlog equals `remaining`.
-    pub(crate) fn backlog(&self) -> u64 {
-        self.remaining
-    }
-
-    pub(crate) fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
-        self.stats.as_ref()
     }
 
     /// Advances whole windows until at least `budget` slots have elapsed
@@ -396,34 +345,6 @@ impl WindowEngineCore {
         }
     }
 
-    /// Non-consuming form of [`WindowEngineCore::into_result`] for sessions.
-    pub(crate) fn result_snapshot(&self, label: &str) -> RunResult {
-        let completed = self.remaining == 0;
-        let delivery_slots = self.delivery_slots.as_ref().map(|slots| {
-            let mut slots = slots.clone();
-            slots.sort_unstable();
-            slots.truncate((self.k - self.remaining) as usize);
-            slots
-        });
-        RunResult {
-            protocol: label.to_string(),
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed {
-                self.makespan
-            } else {
-                self.max_slots
-            },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated: 0,
-            delivery_slots,
-        }
-    }
-
     /// Serialises the full loop state (`false` if the schedule does not
     /// support state extraction).
     pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
@@ -457,16 +378,17 @@ impl WindowEngineCore {
         true
     }
 
-    /// Rebuilds a core from [`WindowEngineCore::encode`]d words. `schedule`
-    /// is a freshly constructed schedule of the run's kind (its incremental
-    /// state is overwritten verbatim), and `scenario` must be the run's
-    /// original adversary configuration.
+    /// Rebuilds a core from [`WindowEngineCore::encode`]d words whose
+    /// leading `k` the caller has already read. `schedule` is a freshly
+    /// constructed schedule of the run's kind (its incremental state is
+    /// overwritten verbatim), and `scenario` must be the run's original
+    /// adversary configuration.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
-        mut schedule: Box<dyn WindowSchedule>,
+        k: u64,
+        mut schedule: S,
         scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
-        let k = input.take_u64()?;
         let seed = input.take_u64()?;
         let max_slots = input.take_u64()?;
         let remaining = input.take_u64()?;
@@ -516,6 +438,65 @@ impl WindowEngineCore {
             delivery_slots,
             stats,
         })
+    }
+}
+
+impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
+    fn engine(&self) -> Engine {
+        Engine::Window
+    }
+    fn advance(&mut self, max_slots: u64) {
+        self.advance(max_slots, None);
+    }
+    fn slot(&self) -> u64 {
+        self.elapsed
+    }
+    fn delivered(&self) -> u64 {
+        self.k - self.remaining
+    }
+    fn remaining(&self) -> u64 {
+        self.remaining
+    }
+    /// Batched runs activate every station at slot 0, so the backlog
+    /// equals `remaining`.
+    fn backlog(&self) -> u64 {
+        self.remaining
+    }
+    fn is_finished(&self) -> bool {
+        self.remaining == 0 || self.elapsed >= self.max_slots
+    }
+    fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
+        self.stats.as_ref()
+    }
+    /// Non-consuming form of [`WindowEngineCore::into_result`].
+    fn result(&mut self, label: &str) -> RunResult {
+        let completed = self.remaining == 0;
+        let delivery_slots = self.delivery_slots.as_ref().map(|slots| {
+            let mut slots = slots.clone();
+            slots.sort_unstable();
+            slots.truncate((self.k - self.remaining) as usize);
+            slots
+        });
+        RunResult {
+            protocol: label.to_string(),
+            k: self.k,
+            seed: self.seed,
+            makespan: if completed {
+                self.makespan
+            } else {
+                self.max_slots
+            },
+            completed,
+            delivered: self.k - self.remaining,
+            collisions: self.collisions,
+            silent_slots: self.silent,
+            jammed_deliveries: self.jammed_deliveries,
+            never_activated: 0,
+            delivery_slots,
+        }
+    }
+    fn encode_payload(&self, out: &mut Encoder) -> bool {
+        self.encode(out)
     }
 }
 
@@ -645,7 +626,7 @@ mod tests {
         let kind = ProtocolKind::ExpBackonBackoff { delta: 0.366 };
         let options = RunOptions::default();
         let single = run(kind.clone(), 800, 21);
-        let schedule = kind.build_window().unwrap().unwrap();
+        let schedule = mac_protocols::ExpBackonBackoff::try_new(0.366).unwrap();
         let mut core = WindowEngineCore::new(schedule, 800, 21, &options);
         while !core.is_finished() {
             core.advance(64, None);

@@ -29,14 +29,15 @@ fn any_paper_protocol() -> impl Strategy<Value = ProtocolKind> {
 }
 
 fn any_fair_protocol() -> impl Strategy<Value = ProtocolKind> {
-    (0usize..3).prop_map(|i| match i {
+    (0usize..4).prop_map(|i| match i {
         0 => ProtocolKind::OneFailAdaptive { delta: 2.72 },
         1 => ProtocolKind::LogFailsAdaptive {
             xi_delta: 1.0,
             xi_beta: 1.0,
             xi_t: 0.5,
         },
-        _ => ProtocolKind::KnownKOracle,
+        2 => ProtocolKind::KnownKOracle,
+        _ => ProtocolKind::RandomizedParityOneFail { delta: 2.72 },
     })
 }
 

@@ -32,6 +32,7 @@ fn fair_kinds() -> Vec<ProtocolKind> {
             xi_t: 0.1,
         },
         ProtocolKind::KnownKOracle,
+        ProtocolKind::RandomizedParityOneFail { delta: 2.72 },
     ]
 }
 

@@ -185,7 +185,10 @@ fn experiment_runner_is_reproducible_and_thread_count_independent() {
 #[test]
 fn exact_engine_and_fast_engine_agree_in_the_runner() {
     let mut experiment = Experiment {
-        protocols: vec![ProtocolKind::ExpBackonBackoff { delta: 0.366 }],
+        protocols: vec![
+            ProtocolKind::ExpBackonBackoff { delta: 0.366 },
+            ProtocolKind::RandomizedParityOneFail { delta: 2.72 },
+        ],
         ks: vec![24],
         replications: 30,
         master_seed: 31,
@@ -197,16 +200,18 @@ fn exact_engine_and_fast_engine_agree_in_the_runner() {
     experiment.engine = EngineChoice::Exact;
     experiment.master_seed = 32;
     let exact = experiment.run().unwrap();
-    let f = &fast.cells[0];
-    let e = &exact.cells[0];
-    let tolerance =
-        (4.0 * (f.makespan.std_dev + e.makespan.std_dev) / (f.replications as f64).sqrt()).max(8.0);
-    assert!(
-        (f.makespan.mean - e.makespan.mean).abs() < tolerance,
-        "fast {} vs exact {} (tolerance {tolerance:.1})",
-        f.makespan.mean,
-        e.makespan.mean
-    );
+    for (f, e) in fast.cells.iter().zip(&exact.cells) {
+        let tolerance = (4.0 * (f.makespan.std_dev + e.makespan.std_dev)
+            / (f.replications as f64).sqrt())
+        .max(8.0);
+        assert!(
+            (f.makespan.mean - e.makespan.mean).abs() < tolerance,
+            "{}: fast {} vs exact {} (tolerance {tolerance:.1})",
+            f.protocol,
+            f.makespan.mean,
+            e.makespan.mean
+        );
+    }
 }
 
 #[test]
