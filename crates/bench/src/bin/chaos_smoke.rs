@@ -11,7 +11,7 @@
 //! Four assertions, all hard failures:
 //!
 //! 1. **Crash + corruption recovery is bit-identical.** A batched run is
-//!    driven through a durable [`CheckpointStore`] and hit with a
+//!    driven through a durable [`mac_sim::CheckpointStore`] and hit with a
 //!    mid-run crash, a crash with the newest stored generation
 //!    bit-flipped, and a crash with the newest generation truncated. The
 //!    recovered `RunResult` and latency sketch must equal the unbroken

@@ -59,31 +59,92 @@ impl ArrivalModel {
         }
     }
 
-    /// Samples a concrete [`ArrivalSchedule`] from the model.
+    /// True iff the model can be sampled: a Poisson rate must be finite and
+    /// non-negative (the other models have no parameter to get wrong).
+    pub fn is_valid(&self) -> bool {
+        match self {
+            ArrivalModel::Poisson { rate, .. } => rate.is_finite() && *rate >= 0.0,
+            ArrivalModel::Batched { .. } | ArrivalModel::Bursts { .. } => true,
+        }
+    }
+
+    /// Samples a concrete [`ArrivalSchedule`] from the model: the per-message
+    /// expansion of the bursts an [`crate::ArrivalStream`] over the same
+    /// model and generator emits (both draw from one burst generator).
     ///
     /// Deterministic models ([`ArrivalModel::Batched`],
     /// [`ArrivalModel::Bursts`]) ignore the generator.
+    ///
+    /// # Panics
+    /// Panics on an invalid model (see [`ArrivalModel::is_valid`]); the
+    /// simulators' entry points reject one with a typed error first.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ArrivalSchedule {
+        assert!(self.is_valid(), "rate must be finite and non-negative");
+        let model = self.normalised();
+        let mut cursor = 0;
+        let mut slots = Vec::new();
+        while let Some((slot, count)) = model.next_burst(&mut cursor, rng) {
+            slots.extend(std::iter::repeat_n(slot, count as usize));
+        }
+        ArrivalSchedule::new(slots)
+    }
+
+    /// The model with its bursts sorted by slot, empty bursts dropped and
+    /// bursts at one slot merged, so [`ArrivalModel::next_burst`] emits
+    /// strictly increasing slots. Other models are returned unchanged.
+    pub(crate) fn normalised(&self) -> ArrivalModel {
         match self {
-            ArrivalModel::Batched { k } => ArrivalSchedule::new(vec![0; *k as usize]),
-            ArrivalModel::Poisson { rate, horizon } => {
-                assert!(
-                    rate.is_finite() && *rate >= 0.0,
-                    "rate must be non-negative"
-                );
-                let mut slots = Vec::new();
-                for slot in 0..*horizon {
-                    let count = sample_poisson(*rate, rng);
-                    slots.extend(std::iter::repeat_n(slot, count as usize));
+            ArrivalModel::Bursts { bursts } => {
+                let mut sorted: Vec<(u64, u64)> =
+                    bursts.iter().copied().filter(|&(_, c)| c > 0).collect();
+                sorted.sort_unstable_by_key(|&(slot, _)| slot);
+                let mut merged: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
+                for (slot, count) in sorted {
+                    match merged.last_mut() {
+                        Some((last_slot, last_count)) if *last_slot == slot => *last_count += count,
+                        _ => merged.push((slot, count)),
+                    }
                 }
-                ArrivalSchedule::new(slots)
+                ArrivalModel::Bursts { bursts: merged }
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// The burst generator behind both [`ArrivalModel::sample`] and
+    /// [`crate::ArrivalStream`]: the next `(slot, count)` burst with
+    /// `count > 0` of a [normalised](ArrivalModel::normalised) model, with
+    /// `cursor` (starting at 0) the generator's position — the next Poisson
+    /// slot to draw, or the next burst index. Poisson draws one
+    /// [`sample_poisson`] per slot of `0..horizon`, in slot order.
+    pub(crate) fn next_burst<R: Rng + ?Sized>(
+        &self,
+        cursor: &mut u64,
+        rng: &mut R,
+    ) -> Option<(u64, u64)> {
+        match self {
+            ArrivalModel::Batched { k } => {
+                let first = *cursor == 0 && *k > 0;
+                *cursor = 1;
+                first.then_some((0, *k))
+            }
+            ArrivalModel::Poisson { rate, horizon } => {
+                while *cursor < *horizon {
+                    let slot = *cursor;
+                    let count = sample_poisson(*rate, rng);
+                    *cursor += 1;
+                    if count > 0 {
+                        return Some((slot, count));
+                    }
+                }
+                None
             }
             ArrivalModel::Bursts { bursts } => {
-                let mut slots = Vec::new();
-                for &(slot, count) in bursts {
-                    slots.extend(std::iter::repeat_n(slot, count as usize));
+                let burst = bursts.get(*cursor as usize).copied();
+                if burst.is_some() {
+                    *cursor += 1;
                 }
-                ArrivalSchedule::new(slots)
+                burst
             }
         }
     }
@@ -191,6 +252,23 @@ mod tests {
         // Arrival slots are sorted.
         let slots = sched.arrival_slots();
         assert!(slots.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn only_finite_non_negative_poisson_rates_are_valid() {
+        for rate in [f64::NAN, -0.5, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                !ArrivalModel::Poisson { rate, horizon: 10 }.is_valid(),
+                "{rate}"
+            );
+        }
+        for rate in [0.0, 0.3, 25.0] {
+            assert!(
+                ArrivalModel::Poisson { rate, horizon: 10 }.is_valid(),
+                "{rate}"
+            );
+        }
+        assert!(ArrivalModel::batched(3).is_valid());
     }
 
     #[test]

@@ -175,24 +175,22 @@ impl Channel {
         } else {
             None
         };
-        self.resolve_counted(count, single)
+        self.resolve_slot_by_count(count, single, None)
     }
 
     /// Resolves a slot for which only the *number* of transmitters is known
-    /// (used by the fast simulators, which never materialise station
-    /// identities). When the count is exactly 1, the caller supplies the
-    /// identity of the transmitter via `single`.
+    /// (the exact simulator collects decisions without listing the
+    /// transmitters). When the count is exactly 1, the caller supplies the
+    /// identity of the transmitter via `single`, and `jam`, when given,
+    /// decides whether that single-transmitter slot is jammed in place of
+    /// the channel's adversary — how the strategy search plays the jammer.
+    /// With `None` (and on every other slot) the adversary decides.
     pub fn resolve_slot_by_count(
         &mut self,
-        transmitters: u64,
+        count: u64,
         single: Option<NodeId>,
+        jam: Option<bool>,
     ) -> SlotResolution {
-        self.resolve_counted(transmitters, single)
-    }
-
-    /// Shared slot-resolution core: applies the adversary, updates counters
-    /// and the trace, and advances the slot clock.
-    fn resolve_counted(&mut self, count: u64, single: Option<NodeId>) -> SlotResolution {
         let slot = self.next_slot;
         self.next_slot += 1;
         let (mut outcome, mut delivered) = match count {
@@ -209,7 +207,11 @@ impl Channel {
             } else {
                 SlotClass::Contended
             };
-            if self.adversary.jams_slot(slot, class) {
+            let jams = match jam {
+                Some(jam) if count == 1 => jam,
+                _ => self.adversary.jams_slot(slot, class),
+            };
+            if jams {
                 jammed = true;
                 if outcome == SlotOutcome::Delivery {
                     self.stats.jammed_deliveries += 1;
@@ -308,10 +310,10 @@ mod tests {
         let mut a = Channel::new(ChannelModel::default());
         let mut b = Channel::new(ChannelModel::default());
         let ra = a.resolve_slot(&[NodeId(3)]);
-        let rb = b.resolve_slot_by_count(1, Some(NodeId(3)));
+        let rb = b.resolve_slot_by_count(1, Some(NodeId(3)), None);
         assert_eq!(ra, rb);
         let ra = a.resolve_slot(&[NodeId(3), NodeId(4), NodeId(5)]);
-        let rb = b.resolve_slot_by_count(3, None);
+        let rb = b.resolve_slot_by_count(3, None, None);
         assert_eq!(ra.outcome, rb.outcome);
         assert_eq!(a.stats(), b.stats());
     }
@@ -384,6 +386,21 @@ mod tests {
         assert_eq!(r.outcome, SlotOutcome::Silence);
         assert!(!r.jammed);
         assert_eq!(ch.stats().silent_slots, 1);
+    }
+
+    #[test]
+    fn jam_override_decides_single_transmitter_slots_only() {
+        let mut ch = Channel::new(ChannelModel::default());
+        let r = ch.resolve_slot_by_count(1, Some(NodeId(2)), Some(true));
+        assert!(r.jammed);
+        assert_eq!(r.outcome, SlotOutcome::Collision);
+        assert_eq!(ch.stats().jammed_deliveries, 1);
+        let r = ch.resolve_slot_by_count(1, Some(NodeId(2)), Some(false));
+        assert_eq!(r.delivered, Some(NodeId(2)));
+        // Contended slots are the adversary's (none here) whatever the
+        // override says.
+        let r = ch.resolve_slot_by_count(2, None, Some(true));
+        assert!(!r.jammed);
     }
 
     #[test]

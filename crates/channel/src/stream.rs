@@ -9,14 +9,15 @@
 //! ## Stream identity
 //!
 //! For every model, the burst sequence emitted by an [`ArrivalStream`] is
-//! exactly the per-slot grouping of the [`ArrivalSchedule`] that
-//! [`ArrivalModel::sample`] produces from the same RNG seed:
+//! exactly the per-slot grouping of the [`crate::ArrivalSchedule`] that
+//! [`ArrivalModel::sample`] produces from the same RNG seed — by
+//! construction, since both draw from one burst generator:
 //!
 //! * [`ArrivalModel::Batched`] — a single burst `(0, k)`;
 //! * [`ArrivalModel::Bursts`] — the schedule's bursts, sorted by slot with
 //!   duplicate slots merged (which is what sorting the expanded per-message
 //!   slots does);
-//! * [`ArrivalModel::Poisson`] — one [`sample_poisson`] draw per slot in
+//! * [`ArrivalModel::Poisson`] — one [`mac_prob::sampling::sample_poisson`] draw per slot in
 //!   `0..horizon`, in slot order, from the stream's own generator. Seeding
 //!   the stream with the same derived seed the dynamic driver feeds to
 //!   `sample` reproduces the schedule draw for draw.
@@ -32,7 +33,6 @@
 
 use crate::arrivals::ArrivalModel;
 use mac_prob::rng::{SplitMix64, Xoshiro256pp};
-use mac_prob::sampling::sample_poisson;
 use mac_prob::wire::{Decoder, Encoder, WireError};
 use rand::SeedableRng;
 
@@ -69,7 +69,7 @@ impl ArrivalStream {
     /// schedule.
     pub fn new(model: &ArrivalModel, seed: u64) -> Self {
         Self {
-            model: normalise(model),
+            model: model.normalised(),
             // lint:allow(rng-stream-discipline): the dynamic driver passes
             // derive_seed(run_seed, &[ARRIVAL_STREAM]) so the stream replays
             // ArrivalModel::sample bit-for-bit; a second derivation here
@@ -92,15 +92,21 @@ impl ArrivalStream {
     }
 
     /// The next burst without consuming it.
+    ///
+    /// # Panics
+    /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
     pub fn peek(&mut self) -> Option<(u64, u64)> {
         if self.pending.is_none() {
-            self.pending = self.produce();
+            self.pending = self.model.next_burst(&mut self.cursor, &mut self.rng);
         }
         self.pending
     }
 
     /// The next `(slot, count)` burst with `count > 0`, in strictly
     /// increasing slot order; `None` once the stream is exhausted.
+    ///
+    /// # Panics
+    /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
     pub fn next_burst(&mut self) -> Option<(u64, u64)> {
         let burst = self.peek();
         if let Some((_, count)) = burst {
@@ -108,38 +114,6 @@ impl ArrivalStream {
             self.emitted += count;
         }
         burst
-    }
-
-    fn produce(&mut self) -> Option<(u64, u64)> {
-        match &self.model {
-            ArrivalModel::Batched { k } => {
-                if self.cursor == 0 && *k > 0 {
-                    self.cursor = 1;
-                    Some((0, *k))
-                } else {
-                    self.cursor = 1;
-                    None
-                }
-            }
-            ArrivalModel::Poisson { rate, horizon } => {
-                while self.cursor < *horizon {
-                    let slot = self.cursor;
-                    let count = sample_poisson(*rate, &mut self.rng);
-                    self.cursor += 1;
-                    if count > 0 {
-                        return Some((slot, count));
-                    }
-                }
-                None
-            }
-            ArrivalModel::Bursts { bursts } => {
-                let burst = bursts.get(self.cursor as usize).copied();
-                if burst.is_some() {
-                    self.cursor += 1;
-                }
-                burst
-            }
-        }
     }
 
     /// Runs a fresh stream over `model` to exhaustion in `O(1)` memory and
@@ -209,28 +183,6 @@ impl ArrivalStream {
     }
 }
 
-/// Sorts and merges a `Bursts` model so that streaming emits slots in
-/// increasing order with one burst per slot — the per-slot grouping of the
-/// sorted [`crate::ArrivalSchedule`]. Other models are returned unchanged.
-fn normalise(model: &ArrivalModel) -> ArrivalModel {
-    match model {
-        ArrivalModel::Bursts { bursts } => {
-            let mut sorted: Vec<(u64, u64)> =
-                bursts.iter().copied().filter(|&(_, c)| c > 0).collect();
-            sorted.sort_unstable_by_key(|&(slot, _)| slot);
-            let mut merged: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
-            for (slot, count) in sorted {
-                match merged.last_mut() {
-                    Some((last_slot, last_count)) if *last_slot == slot => *last_count += count,
-                    _ => merged.push((slot, count)),
-                }
-            }
-            ArrivalModel::Bursts { bursts: merged }
-        }
-        other => other.clone(),
-    }
-}
-
 /// Wire codec for an [`ArrivalModel`] (the vendored `serde` derives are
 /// no-ops, so checkpoints carry models through this hand-rolled format).
 pub fn encode_model(model: &ArrivalModel, out: &mut Encoder) {
@@ -258,26 +210,33 @@ pub fn encode_model(model: &ArrivalModel, out: &mut Encoder) {
 /// Inverse of [`encode_model`].
 ///
 /// # Errors
-/// Returns an error on an unknown discriminant or truncated input.
+/// Returns an error on an unknown discriminant, truncated input, or a
+/// model that cannot be sampled (see [`ArrivalModel::is_valid`]).
 pub fn decode_model(input: &mut Decoder<'_>) -> Result<ArrivalModel, WireError> {
-    match input.take_u32()? {
-        0 => Ok(ArrivalModel::Batched {
+    let model = match input.take_u32()? {
+        0 => ArrivalModel::Batched {
             k: input.take_u64()?,
-        }),
-        1 => Ok(ArrivalModel::Poisson {
+        },
+        1 => ArrivalModel::Poisson {
             rate: input.take_f64()?,
             horizon: input.take_u64()?,
-        }),
+        },
         2 => {
             let n = input.take_usize()?;
             let mut bursts = Vec::with_capacity(n.min(1 << 20));
             for _ in 0..n {
                 bursts.push((input.take_u64()?, input.take_u64()?));
             }
-            Ok(ArrivalModel::Bursts { bursts })
+            ArrivalModel::Bursts { bursts }
         }
-        _ => Err(WireError::Malformed("unknown arrival-model discriminant")),
+        _ => return Err(WireError::Malformed("unknown arrival-model discriminant")),
+    };
+    if !model.is_valid() {
+        return Err(WireError::Malformed(
+            "arrival rate must be finite and non-negative",
+        ));
     }
+    Ok(model)
 }
 
 /// Message→shard assignment policy of a [`ShardedArrivalStream`]. Whatever
@@ -609,6 +568,19 @@ mod tests {
             let mut dec = Decoder::new(&words);
             assert_eq!(&decode_model(&mut dec).unwrap(), model);
             dec.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn model_decoder_rejects_unsampleable_rates() {
+        for rate in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut enc = Encoder::new();
+            encode_model(&ArrivalModel::Poisson { rate, horizon: 5 }, &mut enc);
+            let words = enc.finish();
+            assert!(matches!(
+                decode_model(&mut Decoder::new(&words)),
+                Err(WireError::Malformed(_))
+            ));
         }
     }
 

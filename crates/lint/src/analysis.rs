@@ -27,10 +27,12 @@ pub struct StructDef {
     pub fields: Vec<(String, u32)>,
 }
 
-/// A method found inside an `impl` block.
+/// A function with a body: a method found inside an `impl` block, or a
+/// free function.
 #[derive(Debug, Clone)]
 pub struct ImplFn {
-    /// Last path segment of the implemented type (`Box<dyn T>` → `Box`).
+    /// Last path segment of the implemented type (`Box<dyn T>` → `Box`);
+    /// empty for a free function.
     pub type_name: String,
     pub fn_name: String,
     pub line: u32,
@@ -48,6 +50,8 @@ pub struct FileAnalysis {
     pub meta_diagnostics: Vec<Diagnostic>,
     pub structs: Vec<StructDef>,
     pub impl_fns: Vec<ImplFn>,
+    /// Functions outside `impl` and `trait` blocks (`type_name` empty).
+    pub free_fns: Vec<ImplFn>,
     /// Sorted, disjoint (start, end) inclusive line ranges that are
     /// test-only code (`#[cfg(test)]` / `#[test]` items).
     test_ranges: Vec<(u32, u32)>,
@@ -77,6 +81,7 @@ pub fn analyze(path: &str, source: &str) -> FileAnalysis {
     let (allows, meta_diagnostics) = collect_allows(path, &lexed.comments, &tokens);
     let structs = find_structs(&tokens);
     let impl_fns = find_impl_fns(&tokens);
+    let free_fns = find_free_fns(&tokens);
     FileAnalysis {
         path: path.to_string(),
         tokens,
@@ -84,6 +89,7 @@ pub fn analyze(path: &str, source: &str) -> FileAnalysis {
         meta_diagnostics,
         structs,
         impl_fns,
+        free_fns,
         test_ranges,
     }
 }
@@ -472,6 +478,50 @@ fn find_impl_fns(tokens: &[Token]) -> Vec<ImplFn> {
     out
 }
 
+/// Index of the first `{` or `;` at or after `from` — the token that opens
+/// an item's body or ends its declaration (the token count if neither).
+fn item_opener(tokens: &[Token], from: usize) -> usize {
+    (from..tokens.len())
+        .find(|&j| is_punct(&tokens[j], "{") || is_punct(&tokens[j], ";"))
+        .unwrap_or(tokens.len())
+}
+
+/// Extracts free functions — `fn` items outside `impl` and `trait` blocks,
+/// at the top level or in inline modules — with their bodies.
+fn find_free_fns(tokens: &[Token]) -> Vec<ImplFn> {
+    let mut out = Vec::new();
+    let mut i = 0usize;
+    while i < tokens.len() {
+        let t = &tokens[i];
+        let named_fn = is_ident(t, "fn")
+            && tokens
+                .get(i + 1)
+                .is_some_and(|n| n.kind == TokenKind::Ident);
+        if !named_fn && !is_ident(t, "impl") && !is_ident(t, "trait") {
+            i += 1;
+            continue;
+        }
+        let open = item_opener(tokens, i + 1);
+        if open >= tokens.len() || !is_punct(&tokens[open], "{") {
+            i = open + 1;
+            continue;
+        }
+        let close = matching_brace(tokens, open);
+        if named_fn {
+            out.push(ImplFn {
+                type_name: String::new(),
+                fn_name: tokens[i + 1].text.clone(),
+                line: tokens[i + 1].line,
+                body: (open + 1, close),
+            });
+        }
+        // Either way the block is done: an impl's or trait's methods are
+        // not free functions, and a function's nested items are its own.
+        i = close + 1;
+    }
+    out
+}
+
 /// The type name of an impl-header path span: the ident right before the
 /// first `<`, else the last ident (`Box<dyn T>` → `Box`, `a::B` → `B`).
 fn type_name_of(tokens: &[Token], span: &[usize]) -> String {
@@ -603,6 +653,16 @@ mod tests {
         let refs = self_field_refs(&a.tokens, a.impl_fns[0].body);
         let names: Vec<_> = refs.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "beta"]);
+    }
+
+    #[test]
+    fn free_fns_skip_impl_and_trait_blocks() {
+        let src = "fn encode_kind(k: u8) {\n    out.put_u32(k);\n}\nimpl Foo {\n    fn encode(&self) {}\n}\ntrait Tr {\n    fn encode(&self) {}\n}\nmod inner {\n    pub fn encode_model(m: u8) {}\n}\ntype F = fn(u64);\n";
+        let a = analyze("x.rs", src);
+        let names: Vec<_> = a.free_fns.iter().map(|f| f.fn_name.as_str()).collect();
+        assert_eq!(names, ["encode_kind", "encode_model"]);
+        assert!(a.free_fns.iter().all(|f| f.type_name.is_empty()));
+        assert_eq!(dotted_idents(&a.tokens, a.free_fns[0].body), ["put_u32"]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Rule `wire-version-hygiene`: the serialized layout of every checkpoint
 //! frame — the ordered field list each `checkpoint_words` emits, and the
-//! ordered emission sequence of each `encode` body in the session file and
-//! the engine-core files whose payloads it embeds — is fingerprinted into a
-//! committed ledger (`crates/lint/wire.ledger`).
+//! ordered emission sequence of every codec a frame embeds (each `encode`
+//! or `encode_*` function, method or free, in the [`ENCODE_FILES`]) — is
+//! fingerprinted into a committed ledger (`crates/lint/wire.ledger`).
 //! Changing a layout without bumping `CHECKPOINT_VERSION` fails the lint:
 //! an old checkpoint would otherwise decode into garbage *silently*,
 //! because the integrity digest only protects against corruption, not
@@ -18,19 +18,32 @@ pub const RULE: &str = "wire-version-hygiene";
 /// The file that owns the frame format and its version constant.
 pub const SESSION_FILE: &str = "crates/sim/src/session.rs";
 
-/// Files whose `encode` bodies are frame layouts: the session file and the
-/// engine cores (fair, window, cohort) whose payloads a session frame embeds.
-pub const ENCODE_FILES: [&str; 4] = [
+/// Files whose codec bodies are frame layouts: the session file (options,
+/// protocol kind, watchdog, arrival feed), the engine cores (fair, window,
+/// cohort) whose payloads a session frame embeds, the arrival streams and
+/// shard strategy a dynamic payload carries, and the kernel caches and
+/// latency sketches the cores carry verbatim.
+pub const ENCODE_FILES: [&str; 8] = [
     SESSION_FILE,
     "crates/sim/src/aggregate.rs",
     "crates/sim/src/window.rs",
     "crates/sim/src/cohort.rs",
+    "crates/channel/src/stream.rs",
+    "crates/prob/src/binomial.rs",
+    "crates/prob/src/cohort.rs",
+    "crates/prob/src/sketch.rs",
 ];
+
+/// True for the name of a codec writer: `encode` or `encode_*`.
+fn is_codec(fn_name: &str) -> bool {
+    fn_name == "encode" || fn_name.starts_with("encode_")
+}
 
 /// One fingerprinted checkpoint frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Stable ledger key: `<path>::<Type>::<fn>`.
+    /// Stable ledger key: `<path>::<Type>::<fn>`, or `<path>::<fn>` for a
+    /// free function.
     pub key: String,
     pub fingerprint: u64,
     pub path: String,
@@ -39,11 +52,15 @@ pub struct Frame {
 
 /// Extracts the fingerprintable frames of one file: `checkpoint_words`
 /// bodies of types declared in the file (ordered `self.<field>` refs) and,
-/// in the [`ENCODE_FILES`], every `encode` body (ordered `.ident` sequence —
-/// field reads and `put_*` codec calls in emission order).
+/// in the [`ENCODE_FILES`], every codec body (ordered `.ident` sequence —
+/// field reads and `put_*` codec calls in emission order). Test code is
+/// never a frame.
 pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
     let mut frames = Vec::new();
-    for f in &analysis.impl_fns {
+    for f in analysis.impl_fns.iter().chain(&analysis.free_fns) {
+        if analysis.is_test_line(f.line) {
+            continue;
+        }
         let material: Vec<String> = match f.fn_name.as_str() {
             "checkpoint_words" => {
                 if !analysis.structs.iter().any(|s| s.name == f.type_name) {
@@ -54,13 +71,18 @@ pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
                     .map(|(n, _)| n)
                     .collect()
             }
-            "encode" if ENCODE_FILES.contains(&analysis.path.as_str()) => {
+            name if is_codec(name) && ENCODE_FILES.contains(&analysis.path.as_str()) => {
                 dotted_idents(&analysis.tokens, f.body)
             }
             _ => continue,
         };
+        let key = if f.type_name.is_empty() {
+            format!("{}::{}", analysis.path, f.fn_name)
+        } else {
+            format!("{}::{}::{}", analysis.path, f.type_name, f.fn_name)
+        };
         frames.push(Frame {
-            key: format!("{}::{}::{}", analysis.path, f.type_name, f.fn_name),
+            key,
             fingerprint: fnv1a(&material),
             path: analysis.path.clone(),
             line: f.line,

@@ -273,6 +273,64 @@ fn wire_fixture_engine_core_payloads_are_fingerprinted() {
     assert!(wire::frames_of(&analyze("crates/sim/src/store.rs", CORE_FIXTURE)).is_empty());
 }
 
+/// The codecs a frame embeds outside the engine cores are fingerprinted
+/// too — free functions in the session file and the arrival streams'
+/// methods. Swapping the first two words of the *real* `encode_options`, or
+/// moving the *real* `ArrivalStream::encode`'s cursor word after `emitted`,
+/// must fail against the committed ledger under the same version.
+#[test]
+fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
+    let root = workspace_root();
+    let ledger = fs::read_to_string(root.join(mac_lint::LEDGER_PATH)).expect("committed ledger");
+    let session = fs::read_to_string(root.join(wire::SESSION_FILE)).expect("session source");
+    let version = wire::checkpoint_version(&analyze(wire::SESSION_FILE, &session));
+    let cases = [
+        (
+            wire::SESSION_FILE,
+            "crates/sim/src/session.rs::encode_options",
+            vec![(
+                "    out.put_u64(options.slot_cap_per_message);\n    out.put_u64(options.min_slot_cap);",
+                "    out.put_u64(options.min_slot_cap);\n    out.put_u64(options.slot_cap_per_message);",
+            )],
+        ),
+        (
+            "crates/channel/src/stream.rs",
+            "crates/channel/src/stream.rs::ArrivalStream::encode",
+            vec![
+                ("        out.put_u64(self.cursor);\n", ""),
+                (
+                    "        out.put_u64(self.emitted);\n",
+                    "        out.put_u64(self.emitted);\n        out.put_u64(self.cursor);\n",
+                ),
+            ],
+        ),
+    ];
+    for (rel, key, edits) in cases {
+        let source = fs::read_to_string(root.join(rel)).expect("frame source");
+        // The ledger entries of this file alone, so the rest of the tree's
+        // frames do not read as stale entries.
+        let own: String = ledger
+            .lines()
+            .filter(|line| line.starts_with(&format!("{rel}::")))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let frames = wire::frames_of(&analyze(rel, &source));
+        assert!(frames.iter().any(|f| f.key == key), "{key} is not a frame");
+        assert!(wire::check_ledger(&frames, version, Some(&own), "L").is_empty());
+
+        let mut mutated = source.clone();
+        for (from, to) in edits {
+            assert_eq!(mutated.matches(from).count(), 1, "{rel}: {from:?}");
+            mutated = mutated.replacen(from, to, 1);
+        }
+        let changed = wire::frames_of(&analyze(rel, &mutated));
+        let found = wire::check_ledger(&changed, version, Some(&own), "L");
+        assert_eq!(rules_of(&found), ["wire-version-hygiene"], "{key}");
+        assert!(found[0].message.contains(key), "{}", found[0].message);
+        assert!(found[0].message.contains("bump the version"));
+    }
+}
+
 #[test]
 fn wire_fixture_missing_ledger_fails() {
     let analysis = analyze(wire::SESSION_FILE, SESSION_FIXTURE);

@@ -533,7 +533,7 @@ pub struct SlotOccupancy {
 /// Reusable buffers for [`walk_window`]: the ascending singleton-bin list
 /// of the most recent walk, plus an [`OccupancyScratch`] for the sparse
 /// per-ball tail regime. (The walk's slot kernel — thresholds and the
-/// mode-anchored collision pmf, see [`WalkKernel`] — is per-window state
+/// mode-anchored collision pmf, see [`ModeKernel`] — is per-window state
 /// and lives on the stack.)
 #[derive(Debug, Clone, Default)]
 pub struct WalkScratch {
@@ -656,7 +656,7 @@ const ALL_COLLIDE_LOG_BOUND: f64 = -100.0;
 ///
 /// * **Certain collision** — when the union bound
 ///   `w·(1-1/w)^{m-1}·(1 + (m-1)/w)` on the probability of *any* bin holding
-///   ≤ 1 ball is below `e^{-100}` ([`ALL_COLLIDE_LOG_BOUND`]), the window is
+///   ≤ 1 ball is below `e^{-100}` (`ALL_COLLIDE_LOG_BOUND`), the window is
 ///   resolved as `w` colliding bins without consuming any randomness. This
 ///   is the only place the aggregate path deviates from the exact
 ///   distribution, by a total variation distance `< e^{-100} ≈ 10^{-44}`
@@ -666,7 +666,7 @@ const ALL_COLLIDE_LOG_BOUND: f64 = -100.0;
 ///   sample the transmitter count (CDF continuation for small `m·p`,
 ///   rejection from [`sample_binomial_fast`] otherwise) to keep the
 ///   conditional chain exact.
-/// * **Sparse tail** — once `w_left` exceeds [`dense_limit`]`(m_left)` the
+/// * **Sparse tail** — once `w_left` exceeds `dense_limit(m_left)` the
 ///   few remaining balls are thrown per-ball into the remaining bins (the
 ///   conditional distribution of the remaining balls is exactly uniform on
 ///   the remaining bins).

@@ -200,7 +200,7 @@ const HOT_OFFSET_MAX: f64 = 9.765_625e-4;
 /// `L = m·ln(1-p)`) and follows small moves of `m` and `p` with Taylor
 /// updates of `ln(1-p)` and of the exponent offset `L − L_base`; it re-anchors
 /// exactly whenever the move is too large, the offset outgrows the
-/// polynomial, or [`REBASE_PERIOD`] incremental steps have accumulated.
+/// polynomial, or `REBASE_PERIOD` incremental steps have accumulated.
 /// Tiny probabilities with tiny moves (the fair protocols' steady state)
 /// take a short-polynomial hot path tuned for the simulator's inner loop;
 /// larger ones take a general cold path. Relative error against
@@ -573,8 +573,8 @@ fn ln_factorial_table() -> &'static [f64; 256] {
 /// `ln p` / `ln(1−p)` moves through `ln1p` kernels), and the kernel
 /// re-anchors **exactly** — a cancellation-free O(1) evaluation — whenever
 /// the accumulated third-order drift could move the pmf by more than
-/// [`MODE_PMF_TOL`] relative, the relative probability move exceeds
-/// [`MODE_RP_MAX`], or [`REBASE_PERIOD`] steps have passed. See
+/// `MODE_PMF_TOL` relative, the relative probability move exceeds
+/// `MODE_RP_MAX`, or `REBASE_PERIOD` steps have passed. See
 /// `crates/sim/DESIGN.md` §7 for the recurrence and the error budget.
 #[derive(Debug, Clone, Copy)]
 pub struct ModeKernel {

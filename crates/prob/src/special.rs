@@ -93,7 +93,7 @@ pub fn chernoff_upper_tail(mu: f64, phi: f64) -> f64 {
 }
 
 /// The Poisson-approximation correction factor `e·√m` of
-/// Mitzenmacher–Upfal (Probability and Computing, Cor. 5.9, cited as [21] in
+/// Mitzenmacher–Upfal (Probability and Computing, Cor. 5.9, cited as \[21\] in
 /// the paper): any event with probability `p` under the independent-Poisson
 /// approximation of a balls-in-bins experiment with `m` balls has probability
 /// at most `p · e·√m` in the exact experiment.

@@ -11,8 +11,8 @@
 //! |----------|--------|--------------------|-------------------|
 //! | **One-fail Adaptive** (Algorithm 1) | [`one_fail`] | none | `2(δ+1)k + O(log² k)` |
 //! | **Exp Back-on/Back-off** (Algorithm 2) | [`exp_backon_backoff`] | none | `4(1+1/δ)k` |
-//! | Log-fails Adaptive (reconstruction of [7]) | [`log_fails`] | `ε ≤ 1/(n+1)` | `(e+1+ξ)k + O(log²(1/ε))` |
-//! | Loglog-iterated Back-off (reconstruction of [2]) | [`loglog_backoff`] | none | `Θ(k·loglog k / logloglog k)` |
+//! | Log-fails Adaptive (reconstruction of \[7\]) | [`log_fails`] | `ε ≤ 1/(n+1)` | `(e+1+ξ)k + O(log²(1/ε))` |
+//! | Loglog-iterated Back-off (reconstruction of \[2\]) | [`loglog_backoff`] | none | `Θ(k·loglog k / logloglog k)` |
 //! | r-exponential back-off | [`loglog_backoff`] | none | `Θ(k·log_{log r} log k)` |
 //! | Known-k oracle (fair-protocol optimum) | [`oracle`] | exact k | `≈ e·k` in expectation |
 //!

@@ -1,7 +1,7 @@
-//! Log-fails Adaptive — the predecessor protocol of [7], reconstructed.
+//! Log-fails Adaptive — the predecessor protocol of \[7\], reconstructed.
 //!
 //! Log-fails Adaptive (Fernández Anta & Mosteiro, *Discrete Mathematics,
-//! Algorithms and Applications* 2(4), 2010 — reference [7] of the paper) is
+//! Algorithms and Applications* 2(4), 2010 — reference \[7\] of the paper) is
 //! the baseline the paper improves upon: it solves static k-selection in
 //! `(e+1+ξ)k + O(log²(1/ε))` slots with probability at least `1 − 2ε`, but it
 //! **requires knowledge of `ε ≤ 1/(n+1)`** — i.e. of an upper bound on the
@@ -9,7 +9,7 @@
 //!
 //! ## Reconstruction notice
 //!
-//! The full pseudocode of [7] is not contained in the reproduced paper, so
+//! The full pseudocode of \[7\] is not contained in the reproduced paper, so
 //! this module implements a *documented reconstruction* based on every
 //! property the paper states about the protocol (§1, §3 and §5):
 //!
@@ -19,7 +19,7 @@
 //!   `round(1/ξt)` steps;
 //! * the BT transmission probability is **fixed** (unlike One-fail Adaptive,
 //!   where it adapts to `σ`); it is fixed to `1/(1 + log₂(1/ε))`, the value
-//!   the `ε`-tuned analysis of [7] targets for the `O(log(1/ε))` messages the
+//!   the `ε`-tuned analysis of \[7\] targets for the `O(log(1/ε))` messages the
 //!   BT algorithm is responsible for;
 //! * the AT transmission probability is `1/κ̃` with a density estimator `κ̃`
 //!   that is updated **only "after some steps without communication"**
@@ -37,7 +37,7 @@
 //! the fastest protocol for very large `k`, as in the paper). It does **not**
 //! reproduce the very large overhead the original exhibits for moderate `k`
 //! (ratios in the hundreds for `k ∈ [10², 10⁴]`), which depends on internals
-//! of [7] that cannot be recovered from the reproduced paper; EXPERIMENTS.md
+//! of \[7\] that cannot be recovered from the reproduced paper; EXPERIMENTS.md
 //! tracks this as a known deviation.
 
 use crate::error::ParameterError;

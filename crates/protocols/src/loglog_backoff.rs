@@ -1,5 +1,5 @@
 //! Monotone window back-off baselines: Loglog-iterated Back-off and
-//! r-exponential back-off (Bender et al., SPAA 2005 — reference [2]).
+//! r-exponential back-off (Bender et al., SPAA 2005 — reference \[2\]).
 //!
 //! These are the *monotone* contention-window strategies the paper compares
 //! against (§1, §5): the window never shrinks, which makes them simple and
@@ -7,7 +7,7 @@
 //!
 //! * **r-exponential back-off** — windows `r, r², r³, …`; makespan
 //!   `Θ(k·log_{log r} log k)` for a batch of `k` messages;
-//! * **Loglog-iterated Back-off** — the best monotone strategy of [2]:
+//! * **Loglog-iterated Back-off** — the best monotone strategy of \[2\]:
 //!   makespan `Θ(k·log log k / log log log k)` w.h.p. The reconstruction used
 //!   here keeps each window size `w = r^i` for `Θ(log log w)` consecutive
 //!   windows before growing it by the factor `r` — i.e. the growth of the
@@ -17,7 +17,7 @@
 //!
 //! ## Reconstruction notice
 //!
-//! The exact pseudocode of loglog-iterated back-off is in [2], which is not
+//! The exact pseudocode of loglog-iterated back-off is in \[2\], which is not
 //! part of the reproduced paper; the schedule here is reconstructed from the
 //! protocol's name, its makespan class and the paper's simulation parameter
 //! `r = 2`. The repeat count uses `2·⌈log₂ log₂ w⌉`; the factor 2 is the

@@ -50,7 +50,8 @@ const fn thue_morse_word() -> u64 {
     word
 }
 
-/// See [`thue_morse_word`].
+/// The 64-step AT/BT parity word: bit `n` is the Thue–Morse bit
+/// `t_n = popcount(n) mod 2` (see `thue_morse_word`).
 pub const PARITY_WORD: u64 = thue_morse_word();
 
 /// Deliveries between exact re-anchorings of the cached `log₂(σ + 1)`

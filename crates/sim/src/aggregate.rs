@@ -230,30 +230,6 @@ impl<P: FairProtocol> FairEngineCore<P> {
         executed
     }
 
-    /// The run's aggregate result. Valid at any point; before the run
-    /// finishes it reports the capped-run convention (`completed = false`,
-    /// `makespan = max_slots`) on the slots executed so far.
-    pub(crate) fn into_result(self, label: String) -> RunResult {
-        let completed = self.remaining == 0;
-        RunResult {
-            protocol: label,
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed {
-                self.makespan
-            } else {
-                self.max_slots
-            },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated: 0,
-            delivery_slots: self.delivery_slots,
-        }
-    }
-
     /// Serialises the full loop state. Returns `false` (leaving the encoder
     /// untouched beyond the attempt) if the protocol does not support state
     /// extraction.
@@ -384,9 +360,10 @@ impl<P: FairProtocol + 'static> SessionEngine for FairEngineCore<P> {
     fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
         self.stats.as_ref()
     }
-    /// Non-consuming form of [`FairEngineCore::into_result`]: sessions keep
-    /// the core alive after reporting.
-    fn result(&mut self, label: &str) -> RunResult {
+    /// The run's aggregate result. Valid at any point; before the run
+    /// finishes it reports the capped-run convention (`completed = false`,
+    /// `makespan = max_slots`) on the slots executed so far.
+    fn result(&self, label: &str) -> RunResult {
         let completed = self.remaining == 0;
         RunResult {
             protocol: label.to_string(),

@@ -34,21 +34,23 @@
 //! (the track probabilities are injective in the state given the phase), so
 //! the default engine introduces **no approximation** — such merges fire in
 //! practice because estimator floors and delivery-free stretches genuinely
-//! collapse states. A positive tolerance
-//! ([`CohortSimulator::with_merge_tolerance`]) trades a documented, bounded
-//! probability perturbation at merge time for a smaller cohort count; see
-//! `DESIGN.md` §6 for the contract.
+//! collapse states. A positive tolerance ([`RunOptions::merge_tolerance`])
+//! trades a documented, bounded probability perturbation at merge time for
+//! a smaller cohort count; see `DESIGN.md` §6 for the contract.
 //!
 //! ## Resumable core
 //!
-//! The loop state lives in [`CohortEngineCore`]: arrivals are consumed from
-//! an [`ArrivalFeed`] (a sorted slice for the monolithic runner, a lazy
-//! [`mac_channel::ArrivalStream`] adapter in the session layer), latencies
-//! go to a [`LatencyRecorder`] (an exact vector, a bounded-memory
-//! [`StreamingLatencyStats`], or both), and `advance(budget)` runs the same
-//! loop body the monolithic runner uses — so a checkpointed run is
-//! bit-identical to an unbroken one by construction. A checkpoint captures
-//! every cohort's protocol state words, the kernel caches, the RNG and the
+//! The loop state lives in one core, `CohortEngineCore`, and every run is
+//! a dynamic session over it: arrivals come from the session's lazy
+//! [`mac_channel::ArrivalStream`] feed, latencies go to an exact vector
+//! ([`CohortSimulator`], `simulate_dynamic`) or a bounded-memory
+//! [`StreamingLatencyStats`] sketch ([`crate::Session::dynamic`]),
+//! `advance(budget)` is the only loop body and `SessionEngine::result` the
+//! only result builder — so a checkpointed run is bit-identical to an
+//! unbroken one by construction. [`CohortSimulator`]
+//! feeds its schedule as per-slot bursts (an [`ArrivalModel::Bursts`]
+//! stream) and drives the session to its end. A checkpoint captures every
+//! cohort's protocol state words, the kernel caches, the RNG and the
 //! adversary's dynamic state verbatim.
 //!
 //! Window protocols are *not* servable here (their per-slot decisions are
@@ -58,14 +60,14 @@
 
 use crate::aggregate::{decode_optional_slots, encode_optional_slots};
 use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
-use crate::session::{Engine, SessionEngine, StreamFeed};
+use crate::session::{Engine, Session, SessionEngine, StreamFeed, StreamSource};
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
-use mac_channel::ArrivalSchedule;
+use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
 use mac_prob::cohort::CohortKernel;
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
+use mac_protocols::{FairProtocol, ParameterError, ProtocolKind};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -107,55 +109,8 @@ struct Cohort<P> {
     groups: Vec<(u64, u64)>,
 }
 
-/// A source of arrivals consumed in slot order. The engine's contract:
-/// [`ArrivalFeed::take_due`] is called with non-decreasing slots and removes
-/// everything at or before the given slot; [`ArrivalFeed::peek_slot`] is the
-/// slot of the next pending arrival (it may advance lazy generators but must
-/// not consume the arrival).
-pub(crate) trait ArrivalFeed {
-    /// Removes and counts every pending arrival at or before `slot`.
-    fn take_due(&mut self, slot: u64) -> u64;
-    /// The slot of the next pending arrival, if any.
-    fn peek_slot(&mut self) -> Option<u64>;
-    /// Messages not yet handed to the engine (for `never_activated`).
-    fn pending_messages(&mut self) -> u64;
-}
-
-/// [`ArrivalFeed`] over a sorted arrival-slot slice (the monolithic path).
-#[derive(Debug)]
-pub(crate) struct SliceFeed<'a> {
-    arrivals: &'a [u64],
-    next: usize,
-}
-
-impl<'a> SliceFeed<'a> {
-    pub(crate) fn new(arrivals: &'a [u64]) -> Self {
-        Self { arrivals, next: 0 }
-    }
-}
-
-impl ArrivalFeed for SliceFeed<'_> {
-    fn take_due(&mut self, slot: u64) -> u64 {
-        let mut count = 0u64;
-        while self.next < self.arrivals.len() && self.arrivals[self.next] <= slot {
-            count += 1;
-            self.next += 1;
-        }
-        count
-    }
-
-    fn peek_slot(&mut self) -> Option<u64> {
-        self.arrivals.get(self.next).copied()
-    }
-
-    fn pending_messages(&mut self) -> u64 {
-        (self.arrivals.len() - self.next) as u64
-    }
-}
-
 /// Where per-delivery latencies go: an exact in-order vector (the
-/// monolithic path), a bounded-memory quantile sketch (session runs), or
-/// both (conformance tests).
+/// monolithic runs) or a bounded-memory quantile sketch (sessions).
 #[derive(Debug)]
 pub(crate) struct LatencyRecorder {
     exact: Option<Vec<u64>>,
@@ -163,10 +118,11 @@ pub(crate) struct LatencyRecorder {
 }
 
 impl LatencyRecorder {
-    /// Records every latency exactly, in delivery order.
-    pub(crate) fn exact(capacity: usize) -> Self {
+    /// Records every latency of a `k`-message run exactly, in delivery
+    /// order.
+    pub(crate) fn exact(k: u64) -> Self {
         Self {
-            exact: Some(Vec::with_capacity(capacity)),
+            exact: Some(Vec::with_capacity(k.min(MAX_PREALLOC_ENTRIES) as usize)),
             streaming: None,
         }
     }
@@ -248,40 +204,6 @@ impl CohortSimulator {
         Self { kind, options }
     }
 
-    /// Sets the relative tolerance under which two same-phase cohorts'
-    /// probability tracks are considered converged and their cohorts merged.
-    /// A positive tolerance perturbs each merged cohort's transmission
-    /// probability by at most that relative amount at merge time (an
-    /// *approximation*, traded for a smaller cohort count — see `DESIGN.md`
-    /// §6; the certified drift budget lives in §12's ledger).
-    ///
-    /// # Errors
-    /// Returns a [`ParameterError`] if `tolerance` is NaN, infinite or
-    /// negative.
-    pub fn with_merge_tolerance(mut self, tolerance: f64) -> Result<Self, ParameterError> {
-        if !tolerance.is_finite() || tolerance < 0.0 {
-            return Err(ParameterError::new(
-                "merge_tolerance",
-                tolerance,
-                "cohort merge tolerance must be finite and non-negative",
-            ));
-        }
-        self.options.merge_tolerance = tolerance;
-        Ok(self)
-    }
-
-    /// Enables the bounded-class mode: caps the number of live cohort
-    /// classes at `cap` (`0` disables the cap). When an arrival burst would
-    /// exceed the cap, the engine force-merges the nearest same-phase
-    /// classes at the smallest tolerance that restores it. Classes in
-    /// distinct schedule phases are never merged, so the effective floor is
-    /// the number of distinct live phases (2 for One-fail Adaptive, 1 for
-    /// the oracle). See `DESIGN.md` §12.
-    pub fn with_max_live_cohorts(mut self, cap: u64) -> Self {
-        self.options.max_live_cohorts = cap;
-        self
-    }
-
     /// Runs the schedule and returns the aggregate result plus per-delivery
     /// latencies.
     ///
@@ -296,15 +218,20 @@ impl CohortSimulator {
         schedule: &ArrivalSchedule,
         seed: u64,
     ) -> Result<CohortRun, ParameterError> {
-        self.options.validate_adversary()?;
-        self.options.validate_cohort()?;
-        let run = ScheduleRun {
-            label: self.kind.label(),
-            schedule,
-            seed,
-            options: &self.options,
-        };
-        self.kind.visit(schedule.len() as u64, run)?
+        // One single-message burst per arrival: the stream merges bursts at
+        // one slot, so it emits the schedule's per-slot grouping (and, being
+        // deterministic, ignores its generator seed).
+        let bursts = schedule.arrival_slots().iter().map(|&s| (s, 1)).collect();
+        let source = StreamSource::Plain(ArrivalStream::new(&ArrivalModel::Bursts { bursts }, 0));
+        Session::dynamic_on(&self.kind, source, seed, &self.options, true)?
+            .and_then(Session::into_cohort_run)
+            .ok_or_else(|| {
+                ParameterError::new(
+                    "protocol",
+                    f64::NAN,
+                    "CohortSimulator requires a fair protocol kind; window kinds run per-station on ExactSimulator",
+                )
+            })
     }
 
     /// Convenience wrapper: a batched (static k-selection) instance — a
@@ -317,58 +244,19 @@ impl CohortSimulator {
     }
 }
 
-/// [`CohortSimulator::run_schedule`]'s visit: the slot-driving loop,
-/// monomorphic over the concrete protocol so the per-cohort state queries
-/// inline. Mirrors the fair aggregate engine's adversary contract: jamming is
-/// offered busy slots only, in slot order, with the slot class; feedback
-/// faults reduce to the missed-delivery bit for fair protocols.
-struct ScheduleRun<'a> {
-    label: String,
-    schedule: &'a ArrivalSchedule,
-    seed: u64,
-    options: &'a RunOptions,
-}
-
-impl KindVisitor for ScheduleRun<'_> {
-    type Output = Result<CohortRun, ParameterError>;
-
-    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        let k = self.schedule.len() as u64;
-        // Same cap convention as the exact simulator: the per-message budget
-        // is granted on top of the arrival horizon.
-        let max_slots = self
-            .options
-            .max_slots(k)
-            .saturating_add(self.schedule.last_arrival().unwrap_or(0));
-        let mut core = CohortEngineCore::new(
-            SliceFeed::new(self.schedule.arrival_slots()),
-            state,
-            k,
-            self.seed,
-            max_slots,
-            self.options,
-            LatencyRecorder::exact(k.min(MAX_PREALLOC_ENTRIES) as usize),
-        );
-        core.advance(u64::MAX);
-        Ok(core.into_run(&self.label))
-    }
-
-    fn window<S: WindowSchedule + Clone + 'static>(self, _: S) -> Self::Output {
-        Err(ParameterError::new(
-            "protocol",
-            f64::NAN,
-            "CohortSimulator requires a fair protocol kind; window kinds run per-station on ExactSimulator",
-        ))
-    }
-}
-
 /// The complete loop state of one cohort-engine run, advanceable in bounded
 /// slot bursts. Silent fast-forwards are clamped to the budget (they consume
 /// no randomness, so resuming mid-gap is bit-safe); processed slots advance
 /// one at a time, so the executed count never overshoots.
+///
+/// The slot-driving loop is monomorphic over the concrete protocol so the
+/// per-cohort state queries inline. It mirrors the fair aggregate engine's
+/// adversary contract: jamming is offered busy slots only, in slot order,
+/// with the slot class; feedback faults reduce to the missed-delivery bit
+/// for fair protocols.
 #[derive(Debug)]
-pub(crate) struct CohortEngineCore<P, A> {
-    feed: A,
+pub(crate) struct CohortEngineCore<P> {
+    feed: StreamFeed,
     /// The state every fresh arrival cohort starts from (building a state
     /// draws no randomness, so a clone is a fresh build).
     prototype: P,
@@ -397,20 +285,19 @@ pub(crate) struct CohortEngineCore<P, A> {
     delivery_slots: Option<Vec<u64>>,
 }
 
-impl<P: FairProtocol + Clone, A: ArrivalFeed> CohortEngineCore<P, A> {
-    /// Builds the initial loop state — bit-identical to the state the
-    /// monolithic runner entered its loop with. The cohort knobs (merge
-    /// tolerance, live-class cap) are read from `options`.
-    #[allow(clippy::too_many_arguments)]
+impl<P: FairProtocol + Clone> CohortEngineCore<P> {
+    /// Builds the initial loop state over a fresh `feed` whose last arrival
+    /// is at `last_arrival`. The cohort knobs (merge tolerance, live-class
+    /// cap) are read from `options`.
     pub(crate) fn new(
-        feed: A,
+        feed: StreamFeed,
+        last_arrival: Option<u64>,
         prototype: P,
-        k: u64,
         seed: u64,
-        max_slots: u64,
         options: &RunOptions,
         recorder: LatencyRecorder,
     ) -> Self {
+        let k = feed.pending_messages();
         // lint:allow(rng-stream-discipline): the protocol stream IS the raw
         // run seed — the contract every committed BENCH_*.json and
         // certificate replays against; only auxiliary streams (adversary,
@@ -429,7 +316,11 @@ impl<P: FairProtocol + Clone, A: ArrivalFeed> CohortEngineCore<P, A> {
             prototype,
             k,
             seed,
-            max_slots,
+            // As in the exact simulator, the per-message budget is granted
+            // on top of the arrival horizon.
+            max_slots: options
+                .max_slots(k)
+                .saturating_add(last_arrival.unwrap_or(0)),
             merge_tolerance: options.merge_tolerance,
             max_live_cohorts: options.max_live_cohorts,
             cohorts: Vec::new(),
@@ -598,57 +489,6 @@ impl<P: FairProtocol + Clone, A: ArrivalFeed> CohortEngineCore<P, A> {
         self.slot - start
     }
 
-    /// The run's aggregate result plus latency detail (capped-run convention
-    /// before completion).
-    pub(crate) fn into_run(mut self, label: &str) -> CohortRun {
-        let completed = self.remaining == 0;
-        let never_activated = self.feed.pending_messages();
-        let result = RunResult {
-            protocol: label.to_string(),
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed { self.makespan } else { self.slot },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated,
-            delivery_slots: self.delivery_slots,
-        };
-        CohortRun {
-            result,
-            latencies: self.recorder.exact.take().unwrap_or_default(),
-            merges: self.merges,
-            peak_cohorts: self.peak_cohorts,
-        }
-    }
-
-    /// Non-consuming form of [`CohortEngineCore::into_run`] for sessions.
-    fn run_snapshot(&mut self, label: &str) -> CohortRun {
-        let completed = self.remaining == 0;
-        let never_activated = self.feed.pending_messages();
-        let result = RunResult {
-            protocol: label.to_string(),
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed { self.makespan } else { self.slot },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated,
-            delivery_slots: self.delivery_slots.clone(),
-        };
-        CohortRun {
-            result,
-            latencies: self.recorder.exact.clone().unwrap_or_default(),
-            merges: self.merges,
-            peak_cohorts: self.peak_cohorts,
-        }
-    }
-
     /// Serialises the full loop state except the feed and the prototype,
     /// which the session layer reconstructs and restores separately
     /// (`false` if the protocol does not support state extraction).
@@ -702,7 +542,7 @@ impl<P: FairProtocol + Clone, A: ArrivalFeed> CohortEngineCore<P, A> {
     /// must be the run's original adversary configuration.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
-        feed: A,
+        feed: StreamFeed,
         prototype: P,
         scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
@@ -785,7 +625,7 @@ impl<P: FairProtocol + Clone, A: ArrivalFeed> CohortEngineCore<P, A> {
     }
 }
 
-impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P, StreamFeed> {
+impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     fn engine(&self) -> Engine {
         Engine::Cohort
     }
@@ -813,11 +653,31 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P, St
     fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
         self.recorder.streaming.as_ref()
     }
-    fn result(&mut self, label: &str) -> RunResult {
-        self.run_snapshot(label).result
+    /// The run's aggregate result (capped-run convention before
+    /// completion).
+    fn result(&self, label: &str) -> RunResult {
+        let completed = self.remaining == 0;
+        RunResult {
+            protocol: label.to_string(),
+            k: self.k,
+            seed: self.seed,
+            makespan: if completed { self.makespan } else { self.slot },
+            completed,
+            delivered: self.k - self.remaining,
+            collisions: self.collisions,
+            silent_slots: self.silent,
+            jammed_deliveries: self.jammed_deliveries,
+            never_activated: self.feed.pending_messages(),
+            delivery_slots: self.delivery_slots.clone(),
+        }
     }
-    fn cohort_run(&mut self, label: &str) -> Option<CohortRun> {
-        Some(self.run_snapshot(label))
+    fn cohort_run(&self, label: &str) -> Option<CohortRun> {
+        Some(CohortRun {
+            result: self.result(label),
+            latencies: self.recorder.exact.clone().unwrap_or_default(),
+            merges: self.merges,
+            peak_cohorts: self.peak_cohorts,
+        })
     }
     /// The message count leads (the decoder rebuilds the prototype state
     /// from it before the core decodes), then the arrival feed, then the
@@ -1053,26 +913,15 @@ mod tests {
             bursts: vec![(0, 40), (100, 40), (50_000, 1)],
         };
         let schedule = model.sample(&mut Xoshiro256pp::seed_from_u64(3));
-        let sim = cohort(ofa());
-        let single = sim.run_schedule(&schedule, 9).unwrap();
-        let options = RunOptions::default();
-        let k = schedule.len() as u64;
-        let max_slots = options
-            .max_slots(k)
-            .saturating_add(schedule.last_arrival().unwrap_or(0));
-        let mut core = CohortEngineCore::new(
-            SliceFeed::new(schedule.arrival_slots()),
-            mac_protocols::OneFailAdaptive::with_default_delta(),
-            k,
-            9,
-            max_slots,
-            &options,
-            LatencyRecorder::exact(k as usize),
-        );
-        while !core.is_finished() {
-            core.advance(37);
+        let single = cohort(ofa()).run_schedule(&schedule, 9).unwrap();
+        let source = StreamSource::Plain(ArrivalStream::new(&model, 0));
+        let mut session = Session::dynamic_on(&ofa(), source, 9, &RunOptions::default(), true)
+            .unwrap()
+            .expect("a fair kind runs on the cohort engine");
+        while !session.is_finished() {
+            session.advance(37).unwrap();
         }
-        assert_eq!(core.into_run("One-fail Adaptive"), single);
+        assert_eq!(session.cohort_run(), Some(single));
     }
 
     #[test]
@@ -1194,9 +1043,11 @@ mod tests {
         let mut merged_any = false;
         for seed in 0..20 {
             let a = cohort(kind.clone()).run_schedule(&schedule, seed).unwrap();
-            let b = cohort(kind.clone())
-                .with_merge_tolerance(0.05)
-                .unwrap()
+            let loose = RunOptions {
+                merge_tolerance: 0.05,
+                ..RunOptions::default()
+            };
+            let b = CohortSimulator::new(kind.clone(), loose)
                 .run_schedule(&schedule, 1_000 + seed)
                 .unwrap();
             assert!(a.result.completed && b.result.completed);
@@ -1223,20 +1074,19 @@ mod tests {
 
     #[test]
     fn invalid_merge_tolerances_are_typed_errors() {
+        let with_tolerance = |merge_tolerance| {
+            let options = RunOptions {
+                merge_tolerance,
+                ..RunOptions::default()
+            };
+            CohortSimulator::new(ofa(), options).run(4, 0)
+        };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
-            let err = cohort(ofa()).with_merge_tolerance(bad).unwrap_err();
+            let err = with_tolerance(bad).unwrap_err();
             assert_eq!(err.parameter(), "merge_tolerance", "{bad}");
         }
-        // The run entry points validate options-borne tolerances too, so a
-        // hand-built RunOptions cannot smuggle a NaN past the builder.
-        let options = RunOptions {
-            merge_tolerance: f64::NAN,
-            ..RunOptions::default()
-        };
-        let err = CohortSimulator::new(ofa(), options).run(4, 0).unwrap_err();
-        assert_eq!(err.parameter(), "merge_tolerance");
         // And the happy path still works.
-        assert!(cohort(ofa()).with_merge_tolerance(0.01).is_ok());
+        assert!(with_tolerance(0.01).is_ok());
     }
 
     #[test]
@@ -1259,8 +1109,11 @@ mod tests {
         let unbounded = CohortSimulator::new(ProtocolKind::KnownKOracle, options.clone())
             .run_schedule(&schedule, 7)
             .unwrap();
-        let bounded = CohortSimulator::new(ProtocolKind::KnownKOracle, options)
-            .with_max_live_cohorts(cap)
+        let capped = RunOptions {
+            max_live_cohorts: cap,
+            ..options
+        };
+        let bounded = CohortSimulator::new(ProtocolKind::KnownKOracle, capped)
             .run_schedule(&schedule, 7)
             .unwrap();
         assert!(

@@ -8,21 +8,23 @@
 //! [`mac_channel::ArrivalModel`] and reports latency and throughput metrics
 //! instead of just the makespan.
 //!
-//! Fair protocols are served by the **cohort aggregate engine**
-//! ([`crate::CohortSimulator`]): O(active cohorts) per slot instead of the
-//! exact simulator's O(active stations), which is what makes Poisson/burst
-//! experiments at `k = 10⁵` and beyond affordable. Window protocols (whose
-//! per-slot decisions are not independent Bernoulli trials) fall back to
-//! the exact per-station engine.
+//! Fair protocols are served by the **cohort aggregate engine**: a dynamic
+//! [`crate::Session`] run to its end with every latency recorded,
+//! O(active cohorts) per slot instead of the exact simulator's O(active
+//! stations), which is what makes Poisson/burst experiments at `k = 10⁵`
+//! and beyond affordable. Window protocols (whose per-slot decisions are
+//! not independent Bernoulli trials) fall back to the exact per-station
+//! engine.
 
-use crate::cohort::{CohortRun, CohortSimulator};
+use crate::cohort::CohortRun;
 use crate::exact::{DetailedRun, ExactSimulator};
 use crate::result::{RunOptions, RunResult};
+use crate::session::Session;
 use mac_channel::ArrivalModel;
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::stats::percentile_sorted_u64;
-use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind};
+use mac_protocols::{ParameterError, ProtocolKind};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -36,6 +38,19 @@ pub const ARRIVAL_STREAM: u64 = 0xA11;
 /// Derivation-path constant for the protocol-run RNG stream (independent of
 /// the arrival stream by construction).
 pub const RUN_STREAM: u64 = 0x51A;
+
+/// Rejects an arrival model the samplers cannot draw from: a Poisson rate
+/// that is NaN, negative or infinite.
+pub(crate) fn validate_model(model: &ArrivalModel) -> Result<(), ParameterError> {
+    match model {
+        ArrivalModel::Poisson { rate, .. } if !model.is_valid() => Err(ParameterError::new(
+            "rate",
+            *rate,
+            "Poisson arrival rate must be finite and non-negative",
+        )),
+        _ => Ok(()),
+    }
+}
 
 /// Latency and throughput summary of a dynamic-arrival run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,7 +109,7 @@ impl DynamicReport {
     /// sketch's deterministic rank-error bound
     /// ([`StreamingLatencyStats::rank_error_bound`]).
     pub fn from_streaming(result: &RunResult, stats: &StreamingLatencyStats) -> Self {
-        let (mean_latency, p50_latency, p95_latency, max_latency) = if stats.count() == 0 {
+        let latency = if stats.count() == 0 {
             (0.0, 0.0, 0.0, 0)
         } else {
             (
@@ -104,24 +119,7 @@ impl DynamicReport {
                 stats.max(),
             )
         };
-        Self {
-            protocol: result.protocol.clone(),
-            messages: result.k,
-            delivered: result.delivered,
-            makespan: result.makespan,
-            mean_latency,
-            p50_latency,
-            p95_latency,
-            max_latency,
-            throughput: if result.makespan == 0 {
-                0.0
-            } else {
-                result.delivered as f64 / result.makespan as f64
-            },
-            jammed_deliveries: result.jammed_deliveries,
-            never_activated: result.never_activated,
-            stall_detected_at: None,
-        }
+        Self::with_latency(result, latency)
     }
 
     /// Builds the report from an aggregate result and the (unsorted)
@@ -137,7 +135,7 @@ impl DynamicReport {
         // split_last carries the non-emptiness proof in the types: the Some
         // arm has the maximum in hand, and the percentile lookups (None only
         // on an empty slice) fall back to it instead of panicking.
-        let (mean_latency, p50_latency, p95_latency, max_latency) = match latencies.split_last() {
+        let latency = match latencies.split_last() {
             None => (0.0, 0.0, 0.0, 0),
             Some((&max, _)) => {
                 let total: u128 = latencies.iter().map(|&l| u128::from(l)).sum();
@@ -149,6 +147,13 @@ impl DynamicReport {
                 )
             }
         };
+        Self::with_latency(result, latency)
+    }
+
+    /// The report of `result` with its `(mean, p50, p95, max)` delivery
+    /// latency statistics.
+    fn with_latency(result: &RunResult, latency: (f64, f64, f64, u64)) -> Self {
+        let (mean_latency, p50_latency, p95_latency, max_latency) = latency;
         Self {
             protocol: result.protocol.clone(),
             messages: result.k,
@@ -177,34 +182,32 @@ impl DynamicReport {
 /// protocols evaluated with the same `seed` see the *same* arrival pattern —
 /// which is what a comparison experiment wants.
 ///
-/// Fair protocols run on the cohort aggregate engine; window protocols run
-/// per-station on the exact engine. Both paths produce the same report
-/// fields, and the cohort path is law-identical to the exact one (enforced
-/// by `tests/aggregate_equivalence.rs`).
+/// Fair protocols run on the cohort aggregate engine — the
+/// [`Session::dynamic`] session driven to its end, with exact latencies;
+/// window protocols run per-station on the exact engine over the sampled
+/// schedule. Both paths produce the same report fields, and the cohort path
+/// is law-identical to the exact one (enforced by
+/// `tests/aggregate_equivalence.rs`).
 ///
 /// # Errors
-/// Returns a [`ParameterError`] if the protocol parameters are invalid.
+/// Returns a [`ParameterError`] if the protocol, adversary or arrival-model
+/// parameters are invalid.
 pub fn simulate_dynamic(
     kind: &ProtocolKind,
     model: &ArrivalModel,
     seed: u64,
     options: &RunOptions,
 ) -> Result<DynamicReport, ParameterError> {
+    if let Some(run) = Session::dynamic_recording(kind, model, seed, options, true)?
+        .and_then(Session::into_cohort_run)
+    {
+        return Ok(DynamicReport::from_cohort_run(run));
+    }
     let mut arrival_rng = Xoshiro256pp::seed_from_u64(derive_seed(seed, &[ARRIVAL_STREAM]));
     let schedule = model.sample(&mut arrival_rng);
-    let run_seed = derive_seed(seed, &[RUN_STREAM]);
-    match kind.family() {
-        ProtocolFamily::Fair => {
-            let sim = CohortSimulator::new(kind.clone(), options.clone());
-            let run = sim.run_schedule(&schedule, run_seed)?;
-            Ok(DynamicReport::from_cohort_run(run))
-        }
-        ProtocolFamily::Window => {
-            let sim = ExactSimulator::new(kind.clone(), options.clone());
-            let run = sim.run_schedule(&schedule, run_seed)?;
-            Ok(DynamicReport::from_run(&run))
-        }
-    }
+    let run = ExactSimulator::new(kind.clone(), options.clone())
+        .run_schedule(&schedule, derive_seed(seed, &[RUN_STREAM]))?;
+    Ok(DynamicReport::from_run(&run))
 }
 
 #[cfg(test)]
@@ -375,6 +378,20 @@ mod tests {
         let report = DynamicReport::from_parts(&result, vec![1, 3, 9, 27]);
         assert_eq!(report.p50_latency, 6.0);
         assert_eq!(report.max_latency, 27);
+    }
+
+    #[test]
+    fn invalid_poisson_rates_are_typed_errors() {
+        for rate in [f64::NAN, -0.25, f64::INFINITY] {
+            let model = ArrivalModel::Poisson { rate, horizon: 50 };
+            for kind in [
+                ProtocolKind::OneFailAdaptive { delta: 2.72 },
+                ProtocolKind::ExpBackonBackoff { delta: 0.366 },
+            ] {
+                let err = simulate_dynamic(&kind, &model, 1, &RunOptions::default()).unwrap_err();
+                assert_eq!(err.parameter(), "rate", "{rate} {}", kind.label());
+            }
+        }
     }
 
     #[test]

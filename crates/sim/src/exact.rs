@@ -13,11 +13,19 @@
 //! * produces per-station detail (arrival and delivery slot of every
 //!   message), which the dynamic-arrival experiments need for latency
 //!   metrics.
+//!
+//! The loop is written once, in `StationCore`, with each slot split in two
+//! phases: *decide* activates the arrivals due, collects every active
+//! station's decision and counts the transmitters; *resolve* runs the
+//! channel, fans the observations out and retires the delivered station.
+//! [`ExactSimulator`] drives both phases back to back to the end of the
+//! run; [`crate::ExactStepper`] is the same core paused between them at
+//! every single-transmitter slot, where the strategy search chooses the jam.
 
 use crate::result::{RunOptions, RunResult};
-use mac_adversary::ADVERSARY_STREAM;
+use mac_adversary::{AdversaryGame, ADVERSARY_STREAM};
 use mac_channel::trace::Trace;
-use mac_channel::{ArrivalSchedule, Channel, ChannelModel, NodeId};
+use mac_channel::{ArrivalSchedule, Channel, ChannelModel, NodeId, SlotResolution};
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_protocols::{
     FairNode, FairProtocol, KindVisitor, ParameterError, Protocol, ProtocolKind, WindowNode,
@@ -25,6 +33,7 @@ use mac_protocols::{
 };
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::iter::Repeat;
 
 /// Per-message detail of an exact run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -180,7 +189,7 @@ impl ExactSimulator {
     /// per-message detail.
     ///
     /// The protocol kind is visited **once** into a monomorphic
-    /// instantiation of the station-driving loop, so the per-station
+    /// instantiation of the station loop, so the per-station
     /// `decide`/`observe` calls inline instead of going through virtual
     /// dispatch `O(active stations)` times per slot.
     ///
@@ -200,6 +209,7 @@ impl ExactSimulator {
         seed: u64,
         jam_log: Option<&mut Vec<u64>>,
     ) -> Result<DetailedRun, ParameterError> {
+        self.options.validate_adversary()?;
         let run = StationRun {
             sim: self,
             label: self.kind.label(),
@@ -207,12 +217,11 @@ impl ExactSimulator {
             seed,
             jam_log,
         };
-        self.kind.visit(schedule.len() as u64, run)?
+        self.kind.visit(schedule.len() as u64, run)
     }
 
     /// Runs an instance in which every station executes a protocol produced
-    /// by `factory` (one fresh instance per station, created at its arrival
-    /// slot).
+    /// by `factory` (one fresh instance per message).
     ///
     /// This entry point exists for protocols that are not describable by a
     /// [`ProtocolKind`] — e.g. the collision-detection baseline
@@ -228,182 +237,340 @@ impl ExactSimulator {
         schedule: &ArrivalSchedule,
         seed: u64,
     ) -> Result<DetailedRun, ParameterError> {
+        self.options.validate_adversary()?;
+        // Every station is built up front: building one draws no
+        // randomness, so building it before its arrival slot changes
+        // nothing, and a failing factory surfaces before the run starts.
         // `Box<dyn Protocol>` implements `Protocol` by forwarding, so the
-        // generic driver covers the dynamic case too (with virtual dispatch,
-        // as before — custom factories are not on the benchmarked path).
-        self.run_generic(factory, label, schedule, seed, None)
+        // generic loop covers the dynamic case too (with virtual dispatch —
+        // custom factories are not on the benchmarked path).
+        let stations = (0..schedule.len())
+            .map(|_| factory())
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut core = StationCore::new(self, stations.into_iter(), schedule, seed);
+        core.run_to_end(None);
+        Ok(core.into_detailed(label))
     }
+}
 
-    /// The station-driving loop, generic over the concrete protocol type so
-    /// that `decide`/`observe` inline. Active stations are stored
-    /// contiguously (index + state); a delivered station is retired with an
-    /// O(1) `swap_remove`. The resulting iteration order differs from
-    /// arrival order after the first delivery, which is distributionally
-    /// irrelevant: the decisions consume i.i.d. uniforms, so permuting the
-    /// order in which stations draw permutes nothing observable.
-    fn run_generic<Pr: Protocol, F: Fn() -> Result<Pr, ParameterError>>(
-        &self,
-        factory: F,
-        label: &str,
+/// The station loop of one exact run, one slot at a time in two phases:
+/// [`StationCore::decide_slot`] then [`StationCore::resolve_slot`].
+///
+/// Generic over the concrete station type so that `decide`/`observe`
+/// inline. Active stations are stored contiguously (message index + state);
+/// a delivered station is retired with an O(1) `swap_remove`. The resulting
+/// iteration order differs from arrival order after the first delivery,
+/// which is distributionally irrelevant: the decisions consume i.i.d.
+/// uniforms, so permuting the order in which stations draw permutes nothing
+/// observable.
+#[derive(Clone)]
+pub(crate) struct StationCore<Pr, I> {
+    /// Fresh stations, one per message, taken in arrival order.
+    stations: I,
+    active: Vec<(u32, Pr)>,
+    /// The decided slot's transmission flags by active position, written by
+    /// index and never cleared: at k stations per slot, per-push
+    /// bookkeeping here is measurable.
+    transmitted: Vec<bool>,
+    /// The decided slot's transmitter count.
+    transmitters: u64,
+    /// Active position of the decided slot's sole transmitter, or
+    /// `usize::MAX` unless exactly one station transmitted and the slot is
+    /// still unresolved.
+    sole_position: usize,
+    /// Per-message detail; message `i` is station `i`, activated at its
+    /// arrival slot.
+    messages: Vec<MessageOutcome>,
+    activated: usize,
+    rng: Xoshiro256pp,
+    channel: Channel,
+    model: ChannelModel,
+    seed: u64,
+    max_slots: u64,
+    remaining: u64,
+    makespan: u64,
+    delivery_slots: Option<Vec<u64>>,
+}
+
+impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
+    /// The loop state at slot 0 of a run of `sim` over `schedule`, before
+    /// any station is activated.
+    pub(crate) fn new(
+        sim: &ExactSimulator,
+        stations: I,
         schedule: &ArrivalSchedule,
         seed: u64,
-        mut jam_log: Option<&mut Vec<u64>>,
-    ) -> Result<DetailedRun, ParameterError> {
-        self.options.validate_adversary()?;
-        let k = schedule.len() as u64;
-        // lint:allow(rng-stream-discipline): the protocol stream IS the raw
-        // run seed — the contract every committed BENCH_*.json and
-        // certificate replays against; only the adversary stream below is
-        // derived off it.
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    ) -> Self {
+        let k = schedule.len();
         // The adversary lives inside the channel and draws from its own
         // derived stream; with a clean scenario the channel — and the
         // protocol RNG consumption — is bit-identical to the pre-adversary
         // simulator.
-        let mut channel = Channel::new(self.model).with_adversary(
-            self.options
+        let mut channel = Channel::new(sim.model).with_adversary(
+            sim.options
                 .adversary
                 .state(derive_seed(seed, &[ADVERSARY_STREAM])),
         );
-        if let Some(capacity) = self.trace_capacity {
+        if let Some(capacity) = sim.trace_capacity {
             channel = channel.with_trace(capacity);
         }
-        let max_slots = self
-            .options
-            .max_slots(k)
-            .saturating_add(schedule.last_arrival().unwrap_or(0));
+        Self {
+            stations,
+            active: Vec::new(),
+            transmitted: Vec::new(),
+            transmitters: 0,
+            sole_position: usize::MAX,
+            messages: schedule
+                .arrival_slots()
+                .iter()
+                .enumerate()
+                .map(|(i, &arrival)| MessageOutcome {
+                    node: NodeId(i as u64),
+                    arrival_slot: arrival,
+                    delivered_slot: None,
+                    transmissions: 0,
+                })
+                .collect(),
+            activated: 0,
+            // lint:allow(rng-stream-discipline): the protocol stream IS the raw
+            // run seed — the contract every committed BENCH_*.json and
+            // certificate replays against; only the adversary stream above
+            // is derived off it.
+            rng: Xoshiro256pp::seed_from_u64(seed),
+            channel,
+            model: sim.model,
+            seed,
+            // The per-message budget is granted on top of the arrival
+            // horizon.
+            max_slots: sim
+                .options
+                .max_slots(k as u64)
+                .saturating_add(schedule.last_arrival().unwrap_or(0)),
+            remaining: k as u64,
+            makespan: 0,
+            delivery_slots: sim.options.record_deliveries.then(|| Vec::with_capacity(k)),
+        }
+    }
 
-        // Station i holds message i; it is created (activated) at its
-        // arrival slot and lives in the contiguous active list until its
-        // message is delivered.
-        let mut messages: Vec<MessageOutcome> = schedule
-            .arrival_slots()
-            .iter()
-            .enumerate()
-            .map(|(i, &arrival)| MessageOutcome {
-                node: NodeId(i as u64),
-                arrival_slot: arrival,
-                delivered_slot: None,
-                transmissions: 0,
-            })
-            .collect();
+    /// True once every message is delivered or the slot cap is reached.
+    fn is_finished(&self) -> bool {
+        self.remaining == 0 || self.channel.current_slot() >= self.max_slots
+    }
 
-        let mut next_arrival_index = 0usize;
-        let mut active: Vec<(u32, Pr)> = Vec::new();
-        let mut remaining = k;
-        let mut makespan = 0u64;
-        let mut delivery_slots = self
-            .options
-            .record_deliveries
-            .then(|| Vec::with_capacity(schedule.len()));
+    /// Whether every message has been delivered.
+    fn completed(&self) -> bool {
+        self.remaining == 0
+    }
 
-        // Per-slot decision flags, allocated once and written by index (no
-        // per-slot clearing): at k stations per slot, per-push bookkeeping
-        // here is measurable.
-        let mut transmitted_flags: Vec<bool> = Vec::new();
+    /// The run's makespan: the slot after the last delivery once complete,
+    /// else the slots elapsed so far (the cap, once finished).
+    fn makespan(&self) -> u64 {
+        if self.completed() {
+            self.makespan
+        } else {
+            self.channel.current_slot()
+        }
+    }
 
-        while remaining > 0 && channel.current_slot() < max_slots {
-            let slot = channel.current_slot();
-            // Activate stations whose message arrives now.
-            while next_arrival_index < schedule.len()
-                && schedule.arrival_slots()[next_arrival_index] <= slot
-            {
-                active.push((next_arrival_index as u32, factory()?));
-                next_arrival_index += 1;
+    /// Activates the stations whose message arrives at or before the
+    /// current slot.
+    pub(crate) fn activate_arrivals(&mut self) {
+        let slot = self.channel.current_slot();
+        while let Some(message) = self.messages.get(self.activated) {
+            if message.arrival_slot > slot {
+                break;
             }
-            if transmitted_flags.len() < active.len() {
-                transmitted_flags.resize(active.len(), false);
-            }
-
-            // Collect decisions: count the transmitters and remember the
-            // identity of a sole transmitter (all the channel needs).
-            let mut transmitter_count = 0u64;
-            let mut sole_transmitter = None;
-            let mut sole_position = usize::MAX;
-            for (pos, (idx, protocol)) in active.iter_mut().enumerate() {
-                let transmit = protocol.decide(&mut rng);
-                transmitted_flags[pos] = transmit;
-                if transmit {
-                    transmitter_count += 1;
-                    sole_transmitter = Some(NodeId(u64::from(*idx)));
-                    sole_position = pos;
-                    messages[*idx as usize].transmissions += 1;
-                }
-            }
-            if transmitter_count != 1 {
-                sole_transmitter = None;
-                sole_position = usize::MAX;
-            }
-
-            let resolution = channel.resolve_slot_by_count(transmitter_count, sole_transmitter);
-            // An effective jam: exactly one transmitter, so without the jam
-            // this slot would have been a delivery.
-            if resolution.jammed && transmitter_count == 1 {
-                if let Some(log) = jam_log.as_deref_mut() {
-                    log.push(slot);
-                }
-            }
-
-            // Distribute observations and retire the delivered station. The
-            // acknowledged transmitter sees the true outcome (ACKs are
-            // reliable); everyone else sees the possibly fault-degraded
-            // `perceived` outcome.
-            let delivered_position = if resolution.delivered.is_some() {
-                sole_position
-            } else {
-                usize::MAX
+            let Some(station) = self.stations.next() else {
+                break;
             };
-            for (pos, (_, protocol)) in active.iter_mut().enumerate() {
-                let delivered_own = pos == delivered_position;
-                let outcome_seen = if delivered_own {
-                    resolution.outcome
-                } else {
-                    resolution.perceived
-                };
-                let observation =
-                    self.model
-                        .observe(outcome_seen, transmitted_flags[pos], delivered_own);
-                protocol.observe(observation);
-            }
-            if delivered_position != usize::MAX {
-                let idx = active[delivered_position].0 as usize;
-                messages[idx].delivered_slot = Some(slot);
-                remaining -= 1;
-                makespan = slot + 1;
-                if let Some(slots) = delivery_slots.as_mut() {
-                    slots.push(slot);
-                }
-                active.swap_remove(delivered_position);
+            self.active.push((self.activated as u32, station));
+            self.activated += 1;
+        }
+    }
+
+    /// Phase one of a slot: activates the arrivals due, collects every
+    /// active station's decision, and returns the number of transmitters.
+    ///
+    /// Both phases are force-inlined, so each caller's slot loop compiles
+    /// into one function with its per-station loops (measured faster than
+    /// two calls per slot).
+    #[inline(always)]
+    fn decide_slot(&mut self) -> u64 {
+        self.activate_arrivals();
+        if self.transmitted.len() < self.active.len() {
+            self.transmitted.resize(self.active.len(), false);
+        }
+        // The loop draws from a local copy of the generator, stored back
+        // after it: every `decide` borrows the generator, and a borrow of a
+        // field of `self` would make the compiler reload the vectors around
+        // each call.
+        let mut rng = self.rng.clone();
+        let mut transmitters = 0u64;
+        let mut sole_position = usize::MAX;
+        for (pos, (idx, station)) in self.active.iter_mut().enumerate() {
+            let transmit = station.decide(&mut rng);
+            self.transmitted[pos] = transmit;
+            if transmit {
+                transmitters += 1;
+                sole_position = pos;
+                self.messages[*idx as usize].transmissions += 1;
             }
         }
+        self.rng = rng;
+        self.transmitters = transmitters;
+        self.sole_position = if transmitters == 1 {
+            sole_position
+        } else {
+            usize::MAX
+        };
+        transmitters
+    }
 
-        let completed = remaining == 0;
-        let stats = channel.stats();
+    /// Phase two: resolves the decided slot on the channel, hands every
+    /// active station its observation and retires the delivered one.
+    /// `jam`, when given, decides whether a single-transmitter slot is
+    /// jammed in place of the channel's adversary.
+    #[inline(always)]
+    fn resolve_slot(&mut self, jam: Option<bool>) -> SlotResolution {
+        let sole = self
+            .active
+            .get(self.sole_position)
+            .map(|&(idx, _)| NodeId(u64::from(idx)));
+        let resolution = self
+            .channel
+            .resolve_slot_by_count(self.transmitters, sole, jam);
+        // The acknowledged transmitter sees the true outcome (ACKs are
+        // reliable); everyone else sees the possibly fault-degraded
+        // `perceived` outcome.
+        let delivered_position = if resolution.delivered.is_some() {
+            self.sole_position
+        } else {
+            usize::MAX
+        };
+        let (model, transmitted) = (self.model, &self.transmitted);
+        for (pos, (_, station)) in self.active.iter_mut().enumerate() {
+            let delivered_own = pos == delivered_position;
+            let outcome_seen = if delivered_own {
+                resolution.outcome
+            } else {
+                resolution.perceived
+            };
+            station.observe(model.observe(outcome_seen, transmitted[pos], delivered_own));
+        }
+        if delivered_position != usize::MAX {
+            let idx = self.active[delivered_position].0 as usize;
+            self.messages[idx].delivered_slot = Some(resolution.slot);
+            self.remaining -= 1;
+            self.makespan = resolution.slot + 1;
+            if let Some(slots) = self.delivery_slots.as_mut() {
+                slots.push(resolution.slot);
+            }
+            self.active.swap_remove(delivered_position);
+        }
+        self.sole_position = usize::MAX;
+        resolution
+    }
+
+    /// Drives both phases to the end of the run. `jam_log`, when provided,
+    /// records the slot of every effective jam — a single-transmitter slot
+    /// the adversary turned from a delivery into a collision.
+    fn run_to_end(&mut self, mut jam_log: Option<&mut Vec<u64>>) {
+        while !self.is_finished() {
+            self.decide_slot();
+            let resolution = self.resolve_slot(None);
+            if resolution.jammed && resolution.transmitters == 1 {
+                if let Some(log) = jam_log.as_deref_mut() {
+                    log.push(resolution.slot);
+                }
+            }
+        }
+    }
+
+    /// The run's result and per-message detail (capped-run convention
+    /// before completion).
+    fn into_detailed(self, label: &str) -> DetailedRun {
+        let k = self.messages.len() as u64;
+        let stats = self.channel.stats();
         let result = RunResult {
             protocol: label.to_string(),
             k,
-            seed,
-            makespan: if completed {
-                makespan
-            } else {
-                channel.current_slot()
-            },
-            completed,
-            delivered: k - remaining,
+            seed: self.seed,
+            makespan: self.makespan(),
+            completed: self.completed(),
+            delivered: k - self.remaining,
             collisions: stats.collisions,
             silent_slots: stats.silent_slots,
             jammed_deliveries: stats.jammed_deliveries,
             // Messages whose arrival slot lies at or beyond the cap never
             // had their station created: report them instead of letting a
             // capped dynamic run read as a protocol failure.
-            never_activated: (schedule.len() - next_arrival_index) as u64,
-            delivery_slots,
+            never_activated: (self.messages.len() - self.activated) as u64,
+            delivery_slots: self.delivery_slots,
         };
-        Ok(DetailedRun {
+        DetailedRun {
             result,
-            messages,
-            trace: channel.trace().cloned(),
-        })
+            trace: self.channel.trace().cloned(),
+            messages: self.messages,
+        }
+    }
+}
+
+/// [`crate::ExactStepper`]'s game: the station loop paused between the two
+/// phases of every single-transmitter slot, where the strategy search
+/// decides the jam in place of an adversary.
+impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr, Repeat<Pr>> {
+    fn advance_to_single(&mut self) -> Option<u64> {
+        while !self.is_finished() {
+            let slot = self.channel.current_slot();
+            if self.decide_slot() == 1 {
+                // A would-be delivery: hand the jam/don't-jam decision to
+                // the search.
+                return Some(slot);
+            }
+            // Silent and contended slots hold no non-dominated adversary
+            // decision; resolve them internally.
+            self.resolve_slot(None);
+        }
+        None
+    }
+
+    fn resolve_single(&mut self, jam: bool) {
+        assert!(
+            self.sole_position != usize::MAX,
+            "no single-transmitter slot is pending"
+        );
+        self.resolve_slot(Some(jam));
+    }
+
+    fn makespan(&self) -> u64 {
+        StationCore::makespan(self)
+    }
+
+    fn completed(&self) -> bool {
+        StationCore::completed(self)
+    }
+
+    /// An exact fingerprint of the run's future: the slot clock, the
+    /// undelivered count, the pending sole transmitter, the raw RNG state
+    /// and every active station's [`Protocol::state_signature`] in active
+    /// order — or `None` if a station has no exact signature.
+    fn state_key(&self) -> Option<Vec<u64>> {
+        let mut key = vec![
+            self.channel.current_slot(),
+            self.remaining,
+            self.sole_position as u64,
+        ];
+        key.extend(self.rng.state_words());
+        for (_, station) in &self.active {
+            let signature = station.state_signature()?;
+            key.push(signature.len() as u64);
+            key.extend(signature);
+        }
+        Some(key)
+    }
+
+    fn clone_game(&self) -> Box<dyn AdversaryGame> {
+        Box::new(self.clone())
     }
 }
 
@@ -418,19 +585,24 @@ struct StationRun<'a> {
     jam_log: Option<&'a mut Vec<u64>>,
 }
 
-impl KindVisitor for StationRun<'_> {
-    type Output = Result<DetailedRun, ParameterError>;
+impl StationRun<'_> {
+    fn run<Pr: Protocol + Clone>(self, station: Pr) -> DetailedRun {
+        let stations = std::iter::repeat(station);
+        let mut core = StationCore::new(self.sim, stations, self.schedule, self.seed);
+        core.run_to_end(self.jam_log);
+        core.into_detailed(&self.label)
+    }
+}
 
-    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        let factory = || Ok(FairNode::new(state.clone()));
-        self.sim
-            .run_generic(factory, &self.label, self.schedule, self.seed, self.jam_log)
+impl KindVisitor for StationRun<'_> {
+    type Output = DetailedRun;
+
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> DetailedRun {
+        self.run(FairNode::new(state))
     }
 
-    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
-        let factory = || Ok(WindowNode::new(schedule.clone()));
-        self.sim
-            .run_generic(factory, &self.label, self.schedule, self.seed, self.jam_log)
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> DetailedRun {
+        self.run(WindowNode::new(schedule))
     }
 }
 

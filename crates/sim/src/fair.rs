@@ -13,7 +13,7 @@
 //! slot is a delivery iff `T = 1` (the delivered station being a uniformly
 //! random active one), silent iff `T = 0`, and a collision otherwise. The
 //! simulator resolves each slot from a single binomial classification draw
-//! through the aggregate engine ([`crate::aggregate`]): O(1) work per slot
+//! through the aggregate engine (`crate::aggregate`): O(1) work per slot
 //! regardless of `m`, with cached incrementally-maintained thresholds so
 //! that a typical slot costs a handful of arithmetic operations and certain
 //! collisions cost no randomness at all. This is what makes the paper's

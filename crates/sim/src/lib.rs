@@ -7,16 +7,17 @@
 //! runs.
 //!
 //! Four simulators are provided, trading generality for speed. Each engine
-//! is written once, generic over the protocol state: `ProtocolKind::visit`
-//! (in `mac-protocols`) is the only code that turns a configured kind into a
-//! state, so every fair kind runs on every fair engine and every window kind
-//! on the window engine.
+//! is written once — one loop, generic over the protocol state, and one
+//! result builder — and every other entry point runs that same loop:
+//! `ProtocolKind::visit` (in `mac-protocols`) is the only code that turns a
+//! configured kind into a state, so every fair kind runs on every fair
+//! engine and every window kind on the window engine.
 //!
 //! | Simulator | Applies to | Cost | Used for |
 //! |-----------|-----------|------|----------|
-//! | [`exact::ExactSimulator`] | every kind, and any [`mac_protocols::Protocol`]; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals |
+//! | [`exact::ExactSimulator`] | every kind, and any [`mac_protocols::Protocol`]; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals; paused at single-transmitter slots, the [`ExactStepper`] of the strategy search |
 //! | [`fair::FairSimulator`] | every fair kind ([`mac_protocols::ProtocolFamily::Fair`]), batched arrivals | O(1) per slot (one binomial classification draw, cached thresholds) | the paper's sweep up to k = 10⁷ |
-//! | [`cohort::CohortSimulator`] | every fair kind, **any arrival schedule** | O(active cohorts) per slot, one draw | dynamic-arrival (Poisson/bursts) experiments at paper scale |
+//! | [`cohort::CohortSimulator`] | every fair kind, **any arrival schedule** | O(active cohorts) per slot, one draw | dynamic-arrival (Poisson/bursts) experiments at paper scale; a dynamic [`Session`] driven to its end, as is [`dynamic::simulate_dynamic`]'s fair path |
 //! | [`window::WindowSimulator`] | every window kind ([`mac_protocols::ProtocolFamily::Window`]), batched arrivals | O(min(m, w)) per window, O(1) when collisions are certain | the paper's sweep up to k = 10⁷ |
 //!
 //! The fair and window simulators are *exact in distribution*: they sample
@@ -34,9 +35,10 @@
 //! * [`session`] — streaming sessions: the same engines driven in bounded
 //!   slot bursts with live bounded-memory latency statistics, bit-exact
 //!   checkpoint/resume, and a sharded multi-channel driver;
-//! * [`stepper`] / [`search`] — the adversary strategy search: a resumable
-//!   step/snapshot driver over the exact engine ([`ExactStepper`]) feeding
-//!   `mac-adversary`'s exhaustive game-tree tier, and the fast-engine
+//! * [`stepper`] / [`search`] — the adversary strategy search: the exact
+//!   engine's own loop, paused and snapshotted at every single-transmitter
+//!   slot ([`ExactStepper`]), feeding `mac-adversary`'s exhaustive
+//!   game-tree tier, and the fast-engine
 //!   bindings for its budgeted beam tier, both emitting replayable
 //!   worst-case jamming certificates.
 //!
@@ -96,7 +98,7 @@ pub use session::{
     Checkpoint, CheckpointKind, IntegrityError, Session, SessionError, SessionStatus, ShardHealth,
     ShardSupervision, ShardedSession, StallConfig, StallPolicy, StallReport,
 };
-pub use stepper::{ExactStepper, MAX_STEPPER_STATIONS};
+pub use stepper::ExactStepper;
 pub use store::{CheckpointStore, LoadOutcome, SkippedGeneration, StoreError};
 pub use window::WindowSimulator;
 
@@ -106,6 +108,7 @@ pub use mac_adversary as adversary;
 pub use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
 
 use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
+use session::SessionEngine;
 
 /// Simulates one batched (static k-selection) run of `kind` with `k` messages
 /// using the fastest applicable simulator, with default [`RunOptions`].
@@ -177,12 +180,12 @@ impl KindVisitor for FastRun<'_> {
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> RunResult {
         let mut core = aggregate::FairEngineCore::new(state, self.k, self.seed, self.options);
         core.advance(u64::MAX, self.jam_log);
-        core.into_result(self.label)
+        core.result(&self.label)
     }
 
     fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> RunResult {
         let mut core = window::WindowEngineCore::new(schedule, self.k, self.seed, self.options);
         core.advance(u64::MAX, self.jam_log);
-        core.into_result(self.label)
+        core.result(&self.label)
     }
 }

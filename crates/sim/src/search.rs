@@ -58,8 +58,8 @@ fn armed(options: &RunOptions, model: &AdversaryModel) -> RunOptions {
 /// per-`options` too: a capped run certifies "worst within the cap").
 ///
 /// # Errors
-/// Returns a [`ParameterError`] for invalid protocol parameters, `k` above
-/// the stepper's 64-station cap, or a non-clean adversary in `options`.
+/// Returns a [`ParameterError`] for invalid protocol parameters or a
+/// non-clean adversary in `options`.
 pub fn worst_case_exhaustive(
     kind: &ProtocolKind,
     k: u64,

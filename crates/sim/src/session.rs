@@ -45,8 +45,8 @@
 //! &[SHARD_STREAM])`.
 
 use crate::aggregate::FairEngineCore;
-use crate::cohort::{ArrivalFeed, CohortEngineCore, CohortRun, LatencyRecorder};
-use crate::dynamic::{DynamicReport, ARRIVAL_STREAM, RUN_STREAM};
+use crate::cohort::{CohortEngineCore, CohortRun, LatencyRecorder};
+use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM, RUN_STREAM};
 use crate::result::{RunOptions, RunResult};
 use crate::window::WindowEngineCore;
 use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault};
@@ -67,6 +67,9 @@ pub const SHARD_STREAM: u64 = 0x5AAD;
 /// (independent of every simulation stream, so attaching live statistics
 /// never perturbs a run).
 const SKETCH_STREAM: u64 = 0x5CE7;
+
+/// Why a dynamic session rejects a window kind.
+const WINDOW_DYNAMIC: &str = "dynamic sessions serve fair protocols on the cohort engine; window protocols run per-station on the exact engine";
 
 /// First word of every serialised session checkpoint.
 const CHECKPOINT_MAGIC: u64 = 0x4D41_4353_4553_5331; // "MACSESS1"
@@ -592,10 +595,10 @@ impl Watchdog {
     }
 }
 
-/// Lazy arrival source of a dynamic session: a plain or sharded
-/// [`ArrivalStream`] adapted to the cohort engine's [`ArrivalFeed`]
-/// contract, with one burst of lookahead (checkpointed alongside the
-/// stream cursor).
+/// Lazy arrival source of a dynamic session — the cohort engine's only
+/// feed: a plain or sharded [`ArrivalStream`] with one burst of lookahead
+/// (checkpointed alongside the stream cursor). Arrivals are consumed in
+/// slot order: [`StreamFeed::take_due`] is called with non-decreasing slots.
 #[derive(Debug)]
 pub(crate) struct StreamFeed {
     source: StreamSource,
@@ -604,8 +607,9 @@ pub(crate) struct StreamFeed {
     pending: Option<(u64, u64)>,
 }
 
-#[derive(Debug)]
-enum StreamSource {
+/// The stream behind a [`StreamFeed`].
+#[derive(Debug, Clone)]
+pub(crate) enum StreamSource {
     Plain(ArrivalStream),
     Sharded(ShardedArrivalStream),
 }
@@ -620,28 +624,60 @@ impl StreamSource {
 }
 
 impl StreamFeed {
-    fn plain(stream: ArrivalStream, total: u64) -> Self {
-        Self {
-            source: StreamSource::Plain(stream),
+    /// A feed over a fresh `source`, after the counting pre-pass the cohort
+    /// engine needs up front — protocol parameters and the slot cap depend
+    /// on the message count, which a lazy stream cannot know. The pre-pass
+    /// runs a copy of the source to exhaustion without materialising the
+    /// arrivals; returns the feed and the slot of the last arrival.
+    fn new(source: StreamSource) -> (Self, Option<u64>) {
+        let mut counter = source.clone();
+        let mut total = 0u64;
+        let mut last_arrival = None;
+        while let Some((slot, count)) = counter.next_burst() {
+            total += count;
+            last_arrival = Some(slot);
+        }
+        let feed = Self {
+            source,
             total,
             activated: 0,
             pending: None,
-        }
-    }
-
-    fn sharded(stream: ShardedArrivalStream, total: u64) -> Self {
-        Self {
-            source: StreamSource::Sharded(stream),
-            total,
-            activated: 0,
-            pending: None,
-        }
+        };
+        (feed, last_arrival)
     }
 
     fn fill(&mut self) {
         if self.pending.is_none() {
             self.pending = self.source.next_burst();
         }
+    }
+
+    /// Removes and counts every pending arrival at or before `slot`.
+    pub(crate) fn take_due(&mut self, slot: u64) -> u64 {
+        let mut count = 0u64;
+        loop {
+            self.fill();
+            match self.pending {
+                Some((burst_slot, burst_count)) if burst_slot <= slot => {
+                    count += burst_count;
+                    self.activated += burst_count;
+                    self.pending = None;
+                }
+                _ => break,
+            }
+        }
+        count
+    }
+
+    /// The slot of the next pending arrival, if any.
+    pub(crate) fn peek_slot(&mut self) -> Option<u64> {
+        self.fill();
+        self.pending.map(|(slot, _)| slot)
+    }
+
+    /// Messages not yet handed to the engine (for `never_activated`).
+    pub(crate) fn pending_messages(&self) -> u64 {
+        self.total - self.activated
     }
 
     pub(crate) fn encode(&self, out: &mut Encoder) {
@@ -688,33 +724,6 @@ impl StreamFeed {
             activated,
             pending,
         })
-    }
-}
-
-impl ArrivalFeed for StreamFeed {
-    fn take_due(&mut self, slot: u64) -> u64 {
-        let mut count = 0u64;
-        loop {
-            self.fill();
-            match self.pending {
-                Some((burst_slot, burst_count)) if burst_slot <= slot => {
-                    count += burst_count;
-                    self.activated += burst_count;
-                    self.pending = None;
-                }
-                _ => break,
-            }
-        }
-        count
-    }
-
-    fn peek_slot(&mut self) -> Option<u64> {
-        self.fill();
-        self.pending.map(|(slot, _)| slot)
-    }
-
-    fn pending_messages(&mut self) -> u64 {
-        self.total - self.activated
     }
 }
 
@@ -769,9 +778,9 @@ pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn is_finished(&self) -> bool;
     fn streaming_stats(&self) -> Option<&StreamingLatencyStats>;
     /// The aggregate result so far (capped-run convention while running).
-    fn result(&mut self, label: &str) -> RunResult;
+    fn result(&self, label: &str) -> RunResult;
     /// The full run detail, which only the cohort engine keeps.
-    fn cohort_run(&mut self, _label: &str) -> Option<CohortRun> {
+    fn cohort_run(&self, _label: &str) -> Option<CohortRun> {
         None
     }
     /// Writes the payload that follows the engine tag (`false` if the
@@ -809,9 +818,8 @@ impl KindVisitor for BatchedEngine<'_> {
 /// engine, which is not resumable.
 struct DynamicEngine<'a> {
     feed: StreamFeed,
-    k: u64,
+    last_arrival: Option<u64>,
     run_seed: u64,
-    max_slots: u64,
     options: &'a RunOptions,
     recorder: LatencyRecorder,
 }
@@ -822,10 +830,9 @@ impl KindVisitor for DynamicEngine<'_> {
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
         Some(Box::new(CohortEngineCore::new(
             self.feed,
+            self.last_arrival,
             state,
-            self.k,
             self.run_seed,
-            self.max_slots,
             self.options,
             self.recorder,
         )))
@@ -963,68 +970,88 @@ impl Session {
     /// and recording latencies into a bounded-memory sketch.
     ///
     /// Seed derivation matches [`crate::dynamic::simulate_dynamic`]
-    /// (arrival stream on [`ARRIVAL_STREAM`], run on [`RUN_STREAM`]), so
-    /// the session sees the same arrivals, drives the same RNG streams, and
-    /// its aggregate [`RunResult`] is bit-identical to the monolithic
-    /// cohort run.
+    /// (arrival stream on [`ARRIVAL_STREAM`], run on [`RUN_STREAM`]), which
+    /// runs this same session to its end with exact latencies, so the
+    /// session's aggregate [`RunResult`] is bit-identical to the monolithic
+    /// run's.
     ///
     /// # Errors
     /// Returns [`SessionError::Unsupported`] for window protocols (their
     /// dynamic runs are per-station on the exact engine, which is not
-    /// resumable) and [`SessionError::Parameter`] for invalid parameters.
+    /// resumable) and [`SessionError::Parameter`] for invalid protocol,
+    /// adversary or arrival-model parameters.
     pub fn dynamic(
         kind: &ProtocolKind,
         model: &ArrivalModel,
         seed: u64,
         options: &RunOptions,
     ) -> Result<Self, SessionError> {
-        options.validate_adversary()?;
-        let arrival_seed = derive_seed(seed, &[ARRIVAL_STREAM]);
+        Self::dynamic_recording(kind, model, seed, options, false)?
+            .ok_or(SessionError::Unsupported(WINDOW_DYNAMIC))
+    }
+
+    /// [`Session::dynamic`] with every latency recorded exactly instead of
+    /// sketched when `exact_latencies` is set (`simulate_dynamic`); `None`
+    /// for a window kind.
+    pub(crate) fn dynamic_recording(
+        kind: &ProtocolKind,
+        model: &ArrivalModel,
+        seed: u64,
+        options: &RunOptions,
+        exact_latencies: bool,
+    ) -> Result<Option<Self>, ParameterError> {
+        validate_model(model)?;
+        let stream = ArrivalStream::new(model, derive_seed(seed, &[ARRIVAL_STREAM]));
         let run_seed = derive_seed(seed, &[RUN_STREAM]);
-        let summary = ArrivalStream::summarise(model, arrival_seed);
-        let feed = StreamFeed::plain(ArrivalStream::new(model, arrival_seed), summary.messages);
-        Self::dynamic_on_feed(
+        Self::dynamic_on(
             kind,
-            feed,
-            summary.messages,
-            summary.last_arrival,
+            StreamSource::Plain(stream),
             run_seed,
             options,
+            exact_latencies,
         )
     }
 
-    /// Shared dynamic-session constructor over an arbitrary feed (plain for
-    /// [`Session::dynamic`], sharded for [`ShardedSession`]).
-    fn dynamic_on_feed(
+    /// The constructor every dynamic run shares ([`Session::dynamic`],
+    /// [`ShardedSession`], `simulate_dynamic`, [`crate::CohortSimulator`]):
+    /// the cohort engine over a fresh arrival `source`, after its counting
+    /// pre-pass, seeded with `run_seed`; `None` for a window kind.
+    pub(crate) fn dynamic_on(
         kind: &ProtocolKind,
-        feed: StreamFeed,
-        k: u64,
-        last_arrival: Option<u64>,
+        source: StreamSource,
         run_seed: u64,
         options: &RunOptions,
-    ) -> Result<Self, SessionError> {
+        exact_latencies: bool,
+    ) -> Result<Option<Self>, ParameterError> {
+        options.validate_adversary()?;
         options.validate_cohort()?;
-        // Same cap convention as the monolithic cohort runner: the
-        // per-message budget is granted on top of the arrival horizon.
-        let max_slots = options
-            .max_slots(k)
-            .saturating_add(last_arrival.unwrap_or(0));
-        let recorder = LatencyRecorder::streaming(StreamingLatencyStats::new(derive_seed(
-            run_seed,
-            &[SKETCH_STREAM],
-        )));
+        let (feed, last_arrival) = StreamFeed::new(source);
+        let k = feed.total;
+        let recorder = if exact_latencies {
+            LatencyRecorder::exact(k)
+        } else {
+            LatencyRecorder::streaming(StreamingLatencyStats::new(derive_seed(
+                run_seed,
+                &[SKETCH_STREAM],
+            )))
+        };
         let engine = DynamicEngine {
             feed,
-            k,
+            last_arrival,
             run_seed,
-            max_slots,
             options,
             recorder,
         };
-        let engine = kind.visit(k, engine)?.ok_or(SessionError::Unsupported(
-            "dynamic sessions serve fair protocols on the cohort engine; window protocols run per-station on the exact engine",
-        ))?;
-        Ok(Self::with_engine(kind, options, engine))
+        let engine = kind.visit(k, engine)?;
+        Ok(engine.map(|engine| Self::with_engine(kind, options, engine)))
+    }
+
+    /// Drives the run to its end (ignoring any watchdog) and returns its
+    /// full detail — the monolithic cohort run; `None` for a batched
+    /// session.
+    pub(crate) fn into_cohort_run(mut self) -> Option<CohortRun> {
+        self.engine.advance(u64::MAX);
+        self.engine.cohort_run(&self.label)
     }
 
     /// Arms the livelock watchdog (or disarms it with `None`): a stall is
@@ -1580,26 +1607,11 @@ impl ShardedSession {
                 "shard strategy parameters out of range",
             ));
         }
-        options.validate_adversary()?;
+        validate_model(model)?;
         let arrival_seed = derive_seed(seed, &[ARRIVAL_STREAM]);
         let salt = derive_seed(seed, &[SHARD_STREAM]);
         let mut sessions = Vec::with_capacity(shards as usize);
         for shard in 0..shards {
-            // Counting pre-pass: the cohort engine's state factories (and
-            // the slot cap) need the shard's message count up front.
-            let mut counter = ShardedArrivalStream::with_strategy(
-                ArrivalStream::new(model, arrival_seed),
-                salt,
-                shard,
-                shards,
-                strategy,
-            );
-            let mut k = 0u64;
-            let mut last_arrival = None;
-            while let Some((slot, count)) = counter.next_burst() {
-                k += count;
-                last_arrival = Some(slot);
-            }
             let stream = ShardedArrivalStream::with_strategy(
                 ArrivalStream::new(model, arrival_seed),
                 salt,
@@ -1608,14 +1620,15 @@ impl ShardedSession {
                 strategy,
             );
             let run_seed = derive_seed(seed, &[SHARD_STREAM, u64::from(shard)]);
-            sessions.push(Session::dynamic_on_feed(
+            let session = Session::dynamic_on(
                 kind,
-                StreamFeed::sharded(stream, k),
-                k,
-                last_arrival,
+                StreamSource::Sharded(stream),
                 run_seed,
                 options,
-            )?);
+                false,
+            )?
+            .ok_or(SessionError::Unsupported(WINDOW_DYNAMIC))?;
+            sessions.push(session);
         }
         let count = sessions.len();
         Ok(Self {
@@ -2081,6 +2094,28 @@ mod tests {
             ShardedSession::new(&bad, &model, 1, &options, 2),
             Err(SessionError::Parameter(_))
         ));
+    }
+
+    #[test]
+    fn invalid_arrival_rates_are_typed_errors() {
+        let options = RunOptions::default();
+        for rate in [f64::NAN, -1.0, f64::INFINITY] {
+            let model = ArrivalModel::Poisson { rate, horizon: 100 };
+            assert!(
+                matches!(
+                    Session::dynamic(&ofa(), &model, 1, &options),
+                    Err(SessionError::Parameter(ref e)) if e.parameter() == "rate"
+                ),
+                "{rate}"
+            );
+            assert!(
+                matches!(
+                    ShardedSession::new(&ofa(), &model, 1, &options, 2),
+                    Err(SessionError::Parameter(ref e)) if e.parameter() == "rate"
+                ),
+                "{rate}"
+            );
+        }
     }
 
     #[test]

@@ -1,207 +1,55 @@
-//! Resumable step/snapshot driver over the exact per-station simulator.
+//! The exact simulator paused at every single-transmitter slot, for the
+//! adversary strategy search.
 //!
-//! The adversary strategy search ([`mac_adversary::search`]) explores a game
-//! tree whose decision points are the single-transmitter slots of a run. To
-//! do that soundly it needs to *pause* the exact simulation at each such
-//! slot, snapshot the complete state (stations **and** RNG), and explore
-//! both the jam and the no-jam branch. [`ExactStepper`] provides exactly
-//! that interface by implementing [`mac_adversary::AdversaryGame`] over a
-//! re-expression of [`crate::ExactSimulator`]'s station-driving loop.
+//! The strategy search ([`mac_adversary::search`]) explores a game tree
+//! whose decision points are the single-transmitter slots of a run. To do
+//! that soundly it needs to *pause* the exact simulation at each such slot,
+//! snapshot the complete state (stations **and** RNG), and explore both the
+//! jam and the no-jam branch. [`ExactStepper`] provides exactly that by
+//! implementing [`mac_adversary::AdversaryGame`] over the exact simulator's
+//! own station loop (`StationCore` in `exact.rs`): `advance_to_single` runs
+//! whole slots until a *decide* phase finds one transmitter, and
+//! `resolve_single` runs that slot's *resolve* phase with the search's jam
+//! decision passed to the channel in place of an adversary.
 //!
-//! ## Equivalence contract
+//! ## Equivalence
 //!
-//! A stepper playout with every single resolved unjammed consumes the
-//! protocol RNG identically to `ExactSimulator::run` on the same
-//! `(kind, k, seed)` — same per-station `decide` draws in the same active-vec
-//! order, same observation fan-out, same `swap_remove` retirement — so its
-//! makespan equals the exact simulator's bit-for-bit. A playout that jams a
-//! set `S` of singles equals `ExactSimulator::run` with a
+//! A playout with every single resolved unjammed therefore *is*
+//! `ExactSimulator::run` on the same `(kind, k, seed)` — one loop, one RNG
+//! stream — and a playout that jams a set `S` of singles is
+//! `ExactSimulator::run` with a
 //! [`mac_adversary::AdversaryModel::ScheduledJam`] over `S` (deterministic
-//! jammers draw nothing from either stream). Both identities are unit-tested
-//! below; the first is what makes a tier-(a) certificate a statement about
-//! the *real* simulator, not a model of it.
+//! jammers draw nothing from either stream). Both are unit-tested below; the
+//! first is what makes a tier-(a) certificate a statement about the *real*
+//! simulator, not a model of it. Any `k` works; the exhaustive search's own
+//! `C(k+B, B)` tree is what keeps instances small.
 //!
 //! ## State keys
 //!
 //! The snapshot fingerprint ([`mac_adversary::AdversaryGame::state_key`])
-//! concatenates the driver scalars, the raw 256-bit RNG state and every
+//! concatenates the loop scalars, the raw 256-bit RNG state and every
 //! active station's [`mac_protocols::Protocol::state_signature`]. The fair
 //! line-up provides exact signatures (delivery count, schedule phase, both
 //! probability tracks bit-for-bit), so the exhaustive search deduplicates;
 //! window protocols return no signature and the search falls back to pure
 //! tree exploration rather than risk unsound merging.
 
+use crate::exact::{ExactSimulator, StationCore};
 use crate::result::RunOptions;
 use mac_adversary::{AdversaryGame, AdversaryScenario};
-use mac_channel::{ChannelModel, SlotOutcome};
-use mac_prob::rng::Xoshiro256pp;
+use mac_channel::ArrivalSchedule;
 use mac_protocols::{
     FairNode, FairProtocol, KindVisitor, ParameterError, Protocol, ProtocolKind, WindowNode,
     WindowSchedule,
 };
-use rand::SeedableRng;
 use std::fmt;
-
-/// Stations are tracked in a `u64` transmission bitmask, so the exhaustive
-/// tier is capped at 64 stations — far above the `C(k+B, B)` sizes the game
-/// tree itself permits.
-pub const MAX_STEPPER_STATIONS: u64 = 64;
-
-/// The monomorphic game core: the exact simulator's batched station loop,
-/// refactored into `advance_to_single` / `resolve_single` phases.
-#[derive(Clone)]
-struct Core<Pr: Protocol + Clone> {
-    model: ChannelModel,
-    rng: Xoshiro256pp,
-    active: Vec<Pr>,
-    /// Transmission decisions of the pending slot, one bit per active index.
-    transmitted: u64,
-    /// Active index of the pending slot's sole transmitter.
-    sole_position: usize,
-    /// True between `advance_to_single` returning `Some` and the matching
-    /// `resolve_single`.
-    pending: bool,
-    slot: u64,
-    max_slots: u64,
-    remaining: u64,
-    makespan: u64,
-}
-
-impl<Pr: Protocol + Clone> Core<Pr> {
-    fn new(prototype: Pr, k: u64, seed: u64, options: &RunOptions) -> Self {
-        // One fresh station per message, exactly as the exact simulator's
-        // factory produces them (construction draws no randomness, so a
-        // clone of an identically-built prototype is the same thing).
-        Self {
-            model: ChannelModel::without_collision_detection(),
-            // lint:allow(rng-stream-discipline): the protocol stream IS the
-            // raw run seed, matching the exact simulator draw-for-draw —
-            // the stepper's whole conformance claim; deriving here would
-            // break stream identity with every committed artifact.
-            rng: Xoshiro256pp::seed_from_u64(seed),
-            active: (0..k).map(|_| prototype.clone()).collect(),
-            transmitted: 0,
-            sole_position: usize::MAX,
-            pending: false,
-            slot: 0,
-            max_slots: options.max_slots(k),
-            remaining: k,
-            makespan: 0,
-        }
-    }
-
-    /// Fans the slot outcome out to every active station, mirroring the
-    /// exact simulator: the delivered station (if any) sees the true
-    /// outcome, everyone else the same outcome on this clean channel.
-    fn observe_all(&mut self, outcome: SlotOutcome, delivered_position: usize) {
-        let model = self.model;
-        let mask = self.transmitted;
-        for (pos, station) in self.active.iter_mut().enumerate() {
-            let transmitted = mask & (1 << pos) != 0;
-            let observation = model.observe(outcome, transmitted, pos == delivered_position);
-            station.observe(observation);
-        }
-    }
-}
-
-impl<Pr: Protocol + Clone + 'static> AdversaryGame for Core<Pr> {
-    fn advance_to_single(&mut self) -> Option<u64> {
-        debug_assert!(!self.pending, "previous single was never resolved");
-        while self.remaining > 0 && self.slot < self.max_slots {
-            // Decision loop: one Bernoulli draw per active station, in
-            // active-vec order — the exact simulator's RNG consumption.
-            let mut count = 0u64;
-            let mut mask = 0u64;
-            let mut sole = usize::MAX;
-            for (pos, station) in self.active.iter_mut().enumerate() {
-                if station.decide(&mut self.rng) {
-                    count += 1;
-                    mask |= 1 << pos;
-                    sole = pos;
-                }
-            }
-            self.transmitted = mask;
-            if count == 1 {
-                // A would-be delivery: hand the jam/don't-jam decision to
-                // the search.
-                self.sole_position = sole;
-                self.pending = true;
-                return Some(self.slot);
-            }
-            // Silent and contended slots hold no non-dominated adversary
-            // decision; resolve them internally.
-            let outcome = if count == 0 {
-                SlotOutcome::Silence
-            } else {
-                SlotOutcome::Collision
-            };
-            self.observe_all(outcome, usize::MAX);
-            self.slot += 1;
-        }
-        None
-    }
-
-    fn resolve_single(&mut self, jam: bool) {
-        assert!(self.pending, "no single-transmitter slot is pending");
-        self.pending = false;
-        if jam {
-            // The jam destroys the delivery: every station (including the
-            // transmitter, whose ACK never arrives) observes a collision.
-            self.observe_all(SlotOutcome::Collision, usize::MAX);
-        } else {
-            let sole = self.sole_position;
-            self.observe_all(SlotOutcome::Delivery, sole);
-            self.active.swap_remove(sole);
-            self.remaining -= 1;
-            self.makespan = self.slot + 1;
-        }
-        self.sole_position = usize::MAX;
-        self.slot += 1;
-    }
-
-    fn makespan(&self) -> u64 {
-        if self.remaining == 0 {
-            self.makespan
-        } else {
-            self.slot
-        }
-    }
-
-    fn completed(&self) -> bool {
-        self.remaining == 0
-    }
-
-    fn state_key(&self) -> Option<Vec<u64>> {
-        let mut key = vec![
-            self.slot,
-            self.remaining,
-            self.transmitted,
-            self.sole_position as u64,
-            u64::from(self.pending),
-        ];
-        key.extend(self.rng.state_words());
-        for station in &self.active {
-            // All-or-nothing: a single station without an exact signature
-            // disables deduplication rather than risk an unsound merge.
-            let signature = station.state_signature()?;
-            key.push(signature.len() as u64);
-            key.extend(signature);
-        }
-        Some(key)
-    }
-
-    fn clone_game(&self) -> Box<dyn AdversaryGame> {
-        Box::new(self.clone())
-    }
-}
 
 /// A resumable, snapshot-able handle on one exact batched run, for the
 /// adversary strategy search.
 ///
-/// Construction visits the protocol kind once into a monomorphic game
-/// core (as [`crate::ExactSimulator`] does), so stepping does not pay
-/// virtual dispatch per station. The stepper itself *is* an
-/// [`AdversaryGame`]; feed it to
+/// Construction visits the protocol kind once into the exact simulator's
+/// monomorphic station loop, so stepping does not pay virtual dispatch per
+/// station. The stepper itself *is* an [`AdversaryGame`]; feed it to
 /// [`mac_adversary::exhaustive_worst_case`] to certify a worst case.
 ///
 /// # Example
@@ -234,9 +82,9 @@ impl ExactStepper {
     ///
     /// # Errors
     /// Returns a [`ParameterError`] if the protocol parameters are invalid,
-    /// if `k` exceeds [`MAX_STEPPER_STATIONS`], or if `options` configures
-    /// an adversary — the search *is* the adversary here, and layering a
-    /// scripted one underneath would corrupt the game's jam accounting.
+    /// or if `options` configures an adversary — the search *is* the
+    /// adversary here, and layering a scripted one underneath would corrupt
+    /// the game's jam accounting.
     pub fn new(
         kind: &ProtocolKind,
         k: u64,
@@ -250,40 +98,46 @@ impl ExactStepper {
                 "ExactStepper requires a clean scenario: the strategy search supplies the adversary",
             ));
         }
-        if k > MAX_STEPPER_STATIONS {
-            return Err(ParameterError::new(
-                "k",
-                k as f64,
-                "ExactStepper tracks transmissions in a 64-bit mask; exhaustive search is for small k",
-            ));
-        }
-        let inner = kind.visit(k, GameCore { k, seed, options })?;
+        let game = GameCore {
+            sim: &ExactSimulator::new(kind.clone(), options.clone()),
+            schedule: ArrivalSchedule::new(vec![0; k as usize]),
+            seed,
+        };
         Ok(Self {
-            inner,
+            inner: kind.visit(k, game)?,
             kind: kind.clone(),
         })
     }
 }
 
-/// [`ExactStepper::new`]'s visit: the game core over the visited state's
-/// per-station adapter.
+/// [`ExactStepper::new`]'s visit: the exact simulator's station core over
+/// clones of the visited state's per-station adapter.
 struct GameCore<'a> {
-    k: u64,
+    sim: &'a ExactSimulator,
+    schedule: ArrivalSchedule,
     seed: u64,
-    options: &'a RunOptions,
+}
+
+impl GameCore<'_> {
+    fn core<Pr: Protocol + Clone + 'static>(self, station: Pr) -> Box<dyn AdversaryGame> {
+        let stations = std::iter::repeat(station);
+        let mut core = StationCore::new(self.sim, stations, &self.schedule, self.seed);
+        // Every message arrives at slot 0: activate the stations now, so a
+        // fresh game's state key already covers them.
+        core.activate_arrivals();
+        Box::new(core)
+    }
 }
 
 impl KindVisitor for GameCore<'_> {
     type Output = Box<dyn AdversaryGame>;
 
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        let station = FairNode::new(state);
-        Box::new(Core::new(station, self.k, self.seed, self.options))
+        self.core(FairNode::new(state))
     }
 
     fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
-        let station = WindowNode::new(schedule);
-        Box::new(Core::new(station, self.k, self.seed, self.options))
+        self.core(WindowNode::new(schedule))
     }
 }
 
@@ -333,16 +187,23 @@ mod tests {
         let mut kinds = ProtocolKind::paper_lineup();
         kinds.push(ProtocolKind::RandomizedParityOneFail { delta: 2.72 });
         for kind in kinds {
-            for seed in [1u64, 7, 42] {
+            // k = 100 exceeds the 64 bits of a machine word: the stepper
+            // keeps no transmission bitmask.
+            for (k, seed) in [(12u64, 1u64), (12, 7), (12, 42), (100, 5)] {
                 let options = RunOptions::default();
                 let reference = ExactSimulator::new(kind.clone(), options.clone())
-                    .run(12, seed)
+                    .run(k, seed)
                     .unwrap();
-                let game = ExactStepper::new(&kind, 12, seed, &options).unwrap();
+                let game = ExactStepper::new(&kind, k, seed, &options).unwrap();
                 let (makespan, completed, jammed) = playout(game, |_| false);
-                assert!(completed, "{} seed {seed}", kind.label());
+                assert!(completed, "{} k {k} seed {seed}", kind.label());
                 assert!(jammed.is_empty());
-                assert_eq!(makespan, reference.makespan, "{} seed {seed}", kind.label());
+                assert_eq!(
+                    makespan,
+                    reference.makespan,
+                    "{} k {k} seed {seed}",
+                    kind.label()
+                );
             }
         }
     }
@@ -432,9 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_oversized_instances_and_configured_adversaries() {
-        let options = RunOptions::default();
-        assert!(ExactStepper::new(&ProtocolKind::KnownKOracle, 65, 1, &options).is_err());
+    fn rejects_configured_adversaries() {
         let armed = RunOptions {
             adversary: AdversaryScenario::jamming(AdversaryModel::PeriodicJam {
                 period: 2,

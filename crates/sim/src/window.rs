@@ -13,25 +13,24 @@
 //! the makespan is the position of the last singleton actually needed,
 //! exactly as a per-station simulation would report it.
 //!
-//! Per-window dispatch, by load:
+//! Every window runs through the aggregate slot walk
+//! ([`mac_prob::balls::walk_window`]), whose internal dispatch — the
+//! certain-collision shortcut, the conditional-binomial block resolver for
+//! low loads, the per-slot mode-anchored loop for high loads, the sparse
+//! per-ball tail — depends only on the window's load `(m, w)` (see
+//! `DESIGN.md` §7). Both entry points reuse one per-run
+//! [`WalkScratch`], so steady-state windows
+//! perform **zero heap allocations**:
 //!
-//! * **`m > 4w`** (the overloaded early back-on phases, which used to
-//!   dominate large runs at O(m) per window): the conditional-binomial
-//!   slot walk ([`mac_prob::balls::walk_window`]) — O(w) draws, and O(1)
-//!   with no randomness at all once every bin is certain to collide. The
-//!   walk hands back the ascending singleton positions, so jamming and
-//!   delivery recording ride the same path.
-//! * otherwise: the counts-only per-ball path
-//!   ([`mac_prob::balls::occupancy_counts`]) with a per-run
-//!   [`OccupancyScratch`](mac_prob::balls::OccupancyScratch), so
-//!   steady-state windows perform **zero heap allocations**; the detailed
-//!   path ([`mac_prob::balls::throw_balls_into`]) — RNG-stream-identical
-//!   and backed by the same reused buffers — is used when per-delivery
-//!   slots are recorded or an adversary is active (jamming needs the
-//!   singleton positions: a jammed singleton is a forced zero-delivery slot
-//!   whose station stays in the game).
+//! * [`mac_prob::balls::walk_window_counts`] returns counts only — the
+//!   path of a clean run that records nothing per delivery;
+//! * [`mac_prob::balls::walk_window`] additionally hands back the ascending
+//!   singleton positions, RNG-stream-identical to the counts-only walk. It
+//!   runs when an adversary is active (a jammed singleton is a forced
+//!   zero-delivery slot whose station stays in the game), when per-delivery
+//!   slots are recorded, or when a session streams latency statistics.
 //!
-//! The loop state lives in [`WindowEngineCore`], which the monolithic
+//! The loop state lives in one core, `WindowEngineCore`, which the monolithic
 //! runner drives to completion in one call and the streaming session layer
 //! (`crate::session`) drives window by window with checkpoints in between —
 //! one loop body, so checkpointed runs are bit-identical to unbroken ones
@@ -319,32 +318,6 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
         self.elapsed - start
     }
 
-    /// The run's aggregate result (capped-run convention before completion).
-    pub(crate) fn into_result(mut self, label: String) -> RunResult {
-        let completed = self.remaining == 0;
-        if let Some(slots) = self.delivery_slots.as_mut() {
-            slots.sort_unstable();
-            slots.truncate((self.k - self.remaining) as usize);
-        }
-        RunResult {
-            protocol: label,
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed {
-                self.makespan
-            } else {
-                self.max_slots
-            },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated: 0,
-            delivery_slots: self.delivery_slots,
-        }
-    }
-
     /// Serialises the full loop state (`false` if the schedule does not
     /// support state extraction).
     pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
@@ -468,8 +441,9 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
     fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
         self.stats.as_ref()
     }
-    /// Non-consuming form of [`WindowEngineCore::into_result`].
-    fn result(&mut self, label: &str) -> RunResult {
+    /// The run's aggregate result (capped-run convention before
+    /// completion), with the delivery slots in slot order.
+    fn result(&self, label: &str) -> RunResult {
         let completed = self.remaining == 0;
         let delivery_slots = self.delivery_slots.as_ref().map(|slots| {
             let mut slots = slots.clone();
@@ -631,6 +605,6 @@ mod tests {
         while !core.is_finished() {
             core.advance(64, None);
         }
-        assert_eq!(core.into_result(kind.label()), single);
+        assert_eq!(core.result(&kind.label()), single);
     }
 }

@@ -175,9 +175,11 @@ fn documented_tolerances_stay_within_their_ks_budgets() {
         exact_mk.push(exact.result.makespan as f64);
     }
     for &(tolerance, budget) in DRIFT_LEDGER {
-        let simulator = CohortSimulator::new(kind.clone(), RunOptions::default())
-            .with_merge_tolerance(tolerance)
-            .unwrap();
+        let options = RunOptions {
+            merge_tolerance: tolerance,
+            ..RunOptions::default()
+        };
+        let simulator = CohortSimulator::new(kind.clone(), options);
         let mut cohort_mk = Vec::new();
         for rep in 0..reps {
             let mut arrival_rng = Xoshiro256pp::seed_from_u64(7_000 + rep);
