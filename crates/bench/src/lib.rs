@@ -64,13 +64,6 @@ pub fn paper_ks(max_exponent: u32) -> Vec<u64> {
     (1..=max_exponent).map(|e| 10u64.pow(e)).collect()
 }
 
-/// The paper's five-protocol line-up plus the known-k oracle reference.
-pub fn lineup_with_oracle() -> Vec<ProtocolKind> {
-    let mut protocols = ProtocolKind::paper_lineup();
-    protocols.push(ProtocolKind::KnownKOracle);
-    protocols
-}
-
 /// Builds the paper sweep (Figure 1 / Table 1) for the given maximum
 /// instance-size exponent, replication count and master seed.
 pub fn paper_experiment(max_exponent: u32, replications: u64, master_seed: u64) -> Experiment {
@@ -175,11 +168,6 @@ mod tests {
         assert_eq!(paper_ks(3), vec![10, 100, 1000]);
         assert_eq!(paper_ks(7).len(), 7);
         assert_eq!(*paper_ks(7).last().unwrap(), 10_000_000);
-    }
-
-    #[test]
-    fn lineup_with_oracle_has_six_protocols() {
-        assert_eq!(lineup_with_oracle().len(), 6);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod trace;
 pub use arrivals::{ArrivalModel, ArrivalSchedule};
 pub use channel::{Channel, ChannelStats, SlotResolution};
 pub use feedback::{AckMode, ChannelModel, Observation};
-pub use node::{Message, NodeId, NodeState};
+pub use node::NodeId;
 pub use stream::{ArrivalStream, ShardStrategy, ShardedArrivalStream, StreamSummary};
 
 /// Re-export of the adversarial channel models (`mac-adversary`) so that a

@@ -1,4 +1,4 @@
-//! Station (node) identities, messages and lifecycle state.
+//! Station (node) identities.
 //!
 //! The paper's model (§2): each station may hold at most one message at a
 //! time; a station holding a message is *active*, a station without one is
@@ -28,84 +28,6 @@ impl From<u64> for NodeId {
     }
 }
 
-/// A message held by a station.
-///
-/// The payload is opaque to the channel and the protocols; it is carried so
-/// that example applications can transport real data end-to-end.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Message {
-    /// Station the message belongs to.
-    pub source: NodeId,
-    /// Slot at which the message arrived at the station (0 for batched
-    /// arrivals).
-    pub arrival_slot: u64,
-    /// Application payload.
-    pub payload: Vec<u8>,
-}
-
-impl Message {
-    /// Creates a message with an empty payload (sufficient for makespan
-    /// experiments, which never inspect payloads).
-    pub fn empty(source: NodeId, arrival_slot: u64) -> Self {
-        Self {
-            source,
-            arrival_slot,
-            payload: Vec::new(),
-        }
-    }
-
-    /// Creates a message carrying `payload`.
-    pub fn with_payload(source: NodeId, arrival_slot: u64, payload: Vec<u8>) -> Self {
-        Self {
-            source,
-            arrival_slot,
-            payload,
-        }
-    }
-}
-
-/// Lifecycle state of a station.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum NodeState {
-    /// The station holds no message (initial state, and the state after its
-    /// message has been delivered).
-    #[default]
-    Idle,
-    /// The station holds a message it still has to deliver.
-    Active,
-    /// The station has delivered its message (terminal state in the static
-    /// problem; in the dynamic problem a new arrival moves it back to
-    /// `Active`).
-    Delivered,
-}
-
-impl NodeState {
-    /// Returns `true` if the station currently contends for the channel.
-    pub fn is_active(self) -> bool {
-        matches!(self, NodeState::Active)
-    }
-
-    /// Applies a message arrival. Panics if the station is already active
-    /// (the model allows at most one held message).
-    pub fn on_arrival(&mut self) {
-        assert!(
-            !self.is_active(),
-            "a station cannot receive a second message while still holding one"
-        );
-        *self = NodeState::Active;
-    }
-
-    /// Applies the delivery (acknowledgement) of the station's own message.
-    /// Panics if the station was not active.
-    pub fn on_delivered(&mut self) {
-        assert!(
-            self.is_active(),
-            "only an active station can have its message delivered"
-        );
-        *self = NodeState::Delivered;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,43 +37,5 @@ mod tests {
         let id: NodeId = 7u64.into();
         assert_eq!(id, NodeId(7));
         assert_eq!(format!("{id}"), "node#7");
-    }
-
-    #[test]
-    fn message_constructors() {
-        let m = Message::empty(NodeId(1), 5);
-        assert!(m.payload.is_empty());
-        assert_eq!(m.arrival_slot, 5);
-        let m = Message::with_payload(NodeId(2), 0, vec![1, 2, 3]);
-        assert_eq!(m.payload, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn node_state_lifecycle() {
-        let mut s = NodeState::default();
-        assert_eq!(s, NodeState::Idle);
-        assert!(!s.is_active());
-        s.on_arrival();
-        assert!(s.is_active());
-        s.on_delivered();
-        assert_eq!(s, NodeState::Delivered);
-        assert!(!s.is_active());
-        // A delivered station can receive a new message (dynamic problem).
-        s.on_arrival();
-        assert!(s.is_active());
-    }
-
-    #[test]
-    #[should_panic(expected = "second message")]
-    fn double_arrival_panics() {
-        let mut s = NodeState::Active;
-        s.on_arrival();
-    }
-
-    #[test]
-    #[should_panic(expected = "only an active station")]
-    fn delivery_of_idle_station_panics() {
-        let mut s = NodeState::Idle;
-        s.on_delivered();
     }
 }

@@ -556,6 +556,22 @@ pub fn self_field_refs(tokens: &[Token], range: (usize, usize)) -> Vec<(String, 
     refs
 }
 
+/// Ordered idents written as a dereferenced call argument, `f(*name)`,
+/// inside a token range — the parameters an `encode` body writes out of a
+/// matched enum variant, which its dotted idents never name.
+pub fn deref_args(tokens: &[Token], range: (usize, usize)) -> Vec<String> {
+    tokens[range.0..range.1]
+        .windows(4)
+        .filter(|w| {
+            is_punct(&w[0], "(")
+                && is_punct(&w[1], "*")
+                && w[2].kind == TokenKind::Ident
+                && is_punct(&w[3], ")")
+        })
+        .map(|w| w[2].text.clone())
+        .collect()
+}
+
 /// Ordered idents appearing right after a `.` inside a token range —
 /// the wire-layout fingerprint material of an `encode` body (field
 /// references and `put_*` codec calls, in emission order).

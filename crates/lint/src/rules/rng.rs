@@ -11,9 +11,8 @@ use crate::Diagnostic;
 
 pub const RULE: &str = "rng-stream-discipline";
 
-/// The module that *implements* the discipline (`derive_seed`,
-/// `SeedSequence`, the generators themselves) is exempt: it is the
-/// mechanism, not a client.
+/// The module that *implements* the discipline (`derive_seed` and the
+/// generators themselves) is exempt: it is the mechanism, not a client.
 const EXEMPT: &str = "crates/prob/src/rng.rs";
 
 pub fn check(analysis: &FileAnalysis) -> Vec<Diagnostic> {

@@ -8,8 +8,16 @@
 //! because the integrity digest only protects against corruption, not
 //! against a reader with a different field map. Regenerate the ledger
 //! with `cargo run -p mac-lint -- --update-ledger` after a version bump.
+//!
+//! A codec that writes the parameters of a matched enum variant
+//! (`out.put_f64(*delta)`) also gets a `<key>#params` entry fingerprinting
+//! those names in write order: its emission sequence reads every such write
+//! as the same `put_f64`, so a swap of two same-typed parameters would
+//! otherwise pass. The companion entry adds that coverage without changing
+//! the fingerprint of any layout entry, whose change must keep meaning a
+//! layout change.
 
-use crate::analysis::{dotted_idents, self_field_refs, FileAnalysis};
+use crate::analysis::{deref_args, dotted_idents, self_field_refs, FileAnalysis};
 use crate::Diagnostic;
 use std::collections::BTreeMap;
 
@@ -19,12 +27,14 @@ pub const RULE: &str = "wire-version-hygiene";
 pub const SESSION_FILE: &str = "crates/sim/src/session.rs";
 
 /// Files whose codec bodies are frame layouts: the session file (options,
-/// protocol kind, watchdog, arrival feed), the engine cores (fair, window,
-/// cohort) whose payloads a session frame embeds, the arrival streams and
-/// shard strategy a dynamic payload carries, and the kernel caches and
-/// latency sketches the cores carry verbatim.
-pub const ENCODE_FILES: [&str; 8] = [
+/// watchdog, arrival feed), the kind table (the protocol kind a session
+/// frame records), the engine cores (fair, window, cohort) whose payloads a
+/// session frame embeds, the arrival streams and shard strategy a dynamic
+/// payload carries, and the kernel caches and latency sketches the cores
+/// carry verbatim.
+pub const ENCODE_FILES: [&str; 9] = [
     SESSION_FILE,
+    "crates/protocols/src/kind.rs",
     "crates/sim/src/aggregate.rs",
     "crates/sim/src/window.rs",
     "crates/sim/src/cohort.rs",
@@ -61,19 +71,18 @@ pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
         if analysis.is_test_line(f.line) {
             continue;
         }
-        let material: Vec<String> = match f.fn_name.as_str() {
+        let (material, params): (Vec<String>, Vec<String>) = match f.fn_name.as_str() {
             "checkpoint_words" => {
                 if !analysis.structs.iter().any(|s| s.name == f.type_name) {
                     continue; // delegation wrappers (Box<dyn …>) have no layout
                 }
-                self_field_refs(&analysis.tokens, f.body)
-                    .into_iter()
-                    .map(|(n, _)| n)
-                    .collect()
+                let fields = self_field_refs(&analysis.tokens, f.body);
+                (fields.into_iter().map(|(n, _)| n).collect(), Vec::new())
             }
-            name if is_codec(name) && ENCODE_FILES.contains(&analysis.path.as_str()) => {
-                dotted_idents(&analysis.tokens, f.body)
-            }
+            name if is_codec(name) && ENCODE_FILES.contains(&analysis.path.as_str()) => (
+                dotted_idents(&analysis.tokens, f.body),
+                deref_args(&analysis.tokens, f.body),
+            ),
             _ => continue,
         };
         let key = if f.type_name.is_empty() {
@@ -81,6 +90,14 @@ pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
         } else {
             format!("{}::{}::{}", analysis.path, f.type_name, f.fn_name)
         };
+        if !params.is_empty() {
+            frames.push(Frame {
+                key: format!("{key}#params"),
+                fingerprint: fnv1a(&params),
+                path: analysis.path.clone(),
+                line: f.line,
+            });
+        }
         frames.push(Frame {
             key,
             fingerprint: fnv1a(&material),

@@ -89,7 +89,7 @@ fn checkpoint_fixture_restore_reference_counts_as_coverage() {
 }
 
 /// The acceptance demonstration: seed a field-added-but-not-serialized
-/// mutation into the *real* OneFailAdaptive source and watch the rule
+/// mutation into the *real* One-fail Adaptive state and watch the rule
 /// catch it at the new field's declaration line.
 #[test]
 fn checkpoint_rule_catches_seeded_mutation_of_real_source() {
@@ -99,11 +99,8 @@ fn checkpoint_rule_catches_seeded_mutation_of_real_source() {
         diags(rel, &source).is_empty(),
         "the unmutated source must be clean"
     );
-    let marker = "pub struct OneFailAdaptive {";
-    let mutated = source.replace(
-        marker,
-        "pub struct OneFailAdaptive {\n    ghost_counter: u64,",
-    );
+    let marker = "pub struct OneFail<R> {";
+    let mutated = source.replace(marker, "pub struct OneFail<R> {\n    ghost_counter: u64,");
     assert_ne!(source, mutated, "mutation marker not found in {rel}");
     let found = diags(rel, &mutated);
     assert_eq!(rules_of(&found), ["checkpoint-coverage"]);
@@ -274,10 +271,12 @@ fn wire_fixture_engine_core_payloads_are_fingerprinted() {
 }
 
 /// The codecs a frame embeds outside the engine cores are fingerprinted
-/// too — free functions in the session file and the arrival streams'
-/// methods. Swapping the first two words of the *real* `encode_options`, or
-/// moving the *real* `ArrivalStream::encode`'s cursor word after `emitted`,
-/// must fail against the committed ledger under the same version.
+/// too — free functions in the session file, the arrival streams' methods
+/// and the kind table's encoder. Swapping the first two words of the *real*
+/// `encode_options`, moving the *real* `ArrivalStream::encode`'s cursor word
+/// after `emitted`, or swapping two same-typed parameter writes of the
+/// *real* `ProtocolKind::encode` (Log-fails Adaptive's `ξβ` and `ξt`) must
+/// fail against the committed ledger under the same version.
 #[test]
 fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
     let root = workspace_root();
@@ -303,6 +302,14 @@ fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
                     "        out.put_u64(self.emitted);\n        out.put_u64(self.cursor);\n",
                 ),
             ],
+        ),
+        (
+            "crates/protocols/src/kind.rs",
+            "crates/protocols/src/kind.rs::ProtocolKind::encode",
+            vec![(
+                "                out.put_f64(*xi_beta);\n                out.put_f64(*xi_t);\n",
+                "                out.put_f64(*xi_t);\n                out.put_f64(*xi_beta);\n",
+            )],
         ),
     ];
     for (rel, key, edits) in cases {

@@ -1367,7 +1367,7 @@ mod tests {
             let t1 = SlotThresholds::exact(n, p).t1;
             let mass = 1.0 - t1;
             let grid = 200_001u64;
-            // Histogram keyed by sampled value; only ever indexed, and the
+            // Counts keyed by sampled value; only ever indexed, and the
             // final comparison sorts keys — order never matters.
             #[allow(clippy::disallowed_types)]
             let mut counts = std::collections::HashMap::new();

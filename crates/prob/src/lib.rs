@@ -28,9 +28,9 @@
 //!   streaming simulation sessions;
 //! * [`wire`] — the hand-rolled word-oriented checkpoint codec those sessions
 //!   serialise their engine state with;
-//! * [`special`] — log-factorials, log-binomial coefficients and
-//!   Chernoff–Hoeffding tail helpers used by the analytical-bound module of
-//!   `mac-protocols`.
+//! * [`special`] — log-factorials, log-binomial coefficients, the exact
+//!   binomial pmf, `ln Γ`, and the chi-square and Kolmogorov–Smirnov tails
+//!   the samplers and the conformance harness are built on.
 //!
 //! # Example
 //!
@@ -60,7 +60,6 @@
 pub mod balls;
 pub mod binomial;
 pub mod cohort;
-pub mod histogram;
 pub mod outcome;
 pub mod rng;
 pub mod sampling;
@@ -81,7 +80,7 @@ pub use cohort::CohortKernel;
 pub use outcome::{
     sample_slot_outcome, slot_outcome_probabilities, SlotOutcome, SlotOutcomeProbabilities,
 };
-pub use rng::{derive_seed, SeedSequence, SplitMix64, Xoshiro256pp};
+pub use rng::{derive_seed, SplitMix64, Xoshiro256pp};
 pub use sampling::{sample_bernoulli, sample_binomial, sample_geometric, sample_poisson};
 pub use sketch::{QuantileSketch, StreamingLatencyStats};
 pub use stats::{ConfidenceInterval, StreamingStats, Summary};

@@ -8,8 +8,8 @@
 //!   (exactly the construction recommended by Vigna for seeding xoshiro);
 //! * [`Xoshiro256pp`] — xoshiro256++ 1.0, the workhorse generator used by the
 //!   simulators (fast, 256-bit state, passes BigCrush);
-//! * [`derive_seed`] / [`SeedSequence`] — a deterministic way to derive
-//!   per-run, per-node seeds from a master seed and a path of indices.
+//! * [`derive_seed`] — a deterministic way to derive per-run, per-node
+//!   seeds from a master seed and a path of indices.
 //!
 //! Both generators implement [`rand::RngCore`] and [`rand::SeedableRng`], so
 //! they can be used with the `rand` combinators used elsewhere in the
@@ -288,57 +288,6 @@ pub fn derive_seed(master: u64, path: &[u64]) -> u64 {
     acc
 }
 
-/// A convenience builder for hierarchical seed derivation.
-///
-/// `SeedSequence` remembers a master seed and a path prefix; children extend
-/// the path. This is how the experiment runner hands independent seeds to
-/// replications, and replications hand independent seeds to nodes.
-///
-/// # Example
-/// ```
-/// use mac_prob::rng::SeedSequence;
-/// let root = SeedSequence::new(99);
-/// let rep3 = root.child(3);
-/// let node7 = rep3.child(7);
-/// assert_ne!(rep3.seed(), node7.seed());
-/// assert_eq!(node7.seed(), SeedSequence::new(99).child(3).child(7).seed());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedSequence {
-    master: u64,
-    path: Vec<u64>,
-}
-
-impl SeedSequence {
-    /// Creates the root sequence for a master seed.
-    pub fn new(master: u64) -> Self {
-        Self {
-            master,
-            path: Vec::new(),
-        }
-    }
-
-    /// Returns the child sequence obtained by appending `index` to the path.
-    pub fn child(&self, index: u64) -> Self {
-        let mut path = self.path.clone();
-        path.push(index);
-        Self {
-            master: self.master,
-            path,
-        }
-    }
-
-    /// Returns the derived seed for this node of the tree.
-    pub fn seed(&self) -> u64 {
-        derive_seed(self.master, &self.path)
-    }
-
-    /// Returns a [`Xoshiro256pp`] generator seeded for this node of the tree.
-    pub fn rng(&self) -> Xoshiro256pp {
-        Xoshiro256pp::new(self.seed())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,14 +374,6 @@ mod tests {
         assert_ne!(s1, s3);
         assert_ne!(s1, s4);
         assert_eq!(s1, derive_seed(1, &[0, 1]));
-    }
-
-    #[test]
-    fn seed_sequence_matches_derive_seed() {
-        let seq = SeedSequence::new(77).child(3).child(9);
-        assert_eq!(seq.seed(), derive_seed(77, &[3, 9]));
-        let mut rng = seq.rng();
-        let _ = rng.next_u64();
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Special functions and tail bounds used by the analytical-bound module.
+//! Special functions behind the samplers and the statistical tests.
 //!
-//! The paper's analysis (Theorem 1, Theorem 2, Lemma 1 and the appendix
-//! lemmata) is phrased in terms of a small set of quantities: logarithms of
-//! factorials and binomial coefficients, Chernoff–Hoeffding tails for sums of
-//! independent indicator variables, and the Poisson-approximation correction
-//! factor `e·√m` of Mitzenmacher–Upfal. This module implements those
-//! quantities once so that `mac-protocols::analysis` and the tests can share
-//! them.
+//! Logarithms of factorials and binomial coefficients and the exact
+//! binomial pmf (the mode anchor of the binomial sampler in
+//! [`crate::binomial`], and the reference law of the property tests),
+//! `ln Γ`, and the two p-value tails of the conformance harness in
+//! [`crate::stats`]: the regularized lower incomplete gamma function
+//! (chi-square) and the Kolmogorov survival function (Kolmogorov–Smirnov).
 
 /// Natural logarithm of `n!`, computed exactly by summation for `n ≤ 256` and
 /// by Stirling's series (with the `1/(12n)` and `1/(360n^3)` corrections) for
@@ -70,37 +69,6 @@ pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     ln_p.exp()
 }
 
-/// Chernoff–Hoeffding upper bound on the lower tail of a sum of independent
-/// `[0,1]` variables with mean `mu`:
-/// `P[X ≤ (1-φ)·mu] ≤ exp(-φ²·mu/2)` for `0 < φ < 1`.
-///
-/// This is the form used in Lemma 5 of the paper's appendix.
-///
-/// # Panics
-/// Panics unless `0 < phi < 1` and `mu ≥ 0`.
-pub fn chernoff_lower_tail(mu: f64, phi: f64) -> f64 {
-    assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
-    assert!(mu >= 0.0, "mu must be non-negative");
-    (-phi * phi * mu / 2.0).exp()
-}
-
-/// Chernoff upper bound on the upper tail:
-/// `P[X ≥ (1+φ)·mu] ≤ exp(-φ²·mu/3)` for `0 < φ ≤ 1`.
-pub fn chernoff_upper_tail(mu: f64, phi: f64) -> f64 {
-    assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0,1], got {phi}");
-    assert!(mu >= 0.0, "mu must be non-negative");
-    (-phi * phi * mu / 3.0).exp()
-}
-
-/// The Poisson-approximation correction factor `e·√m` of
-/// Mitzenmacher–Upfal (Probability and Computing, Cor. 5.9, cited as \[21\] in
-/// the paper): any event with probability `p` under the independent-Poisson
-/// approximation of a balls-in-bins experiment with `m` balls has probability
-/// at most `p · e·√m` in the exact experiment.
-pub fn poisson_approximation_factor(m: u64) -> f64 {
-    std::f64::consts::E * (m as f64).sqrt()
-}
-
 /// Base-2 logarithm as used by the paper (the paper's `log` is `log₂`).
 ///
 /// # Panics
@@ -108,17 +76,6 @@ pub fn poisson_approximation_factor(m: u64) -> f64 {
 pub fn log2(x: f64) -> f64 {
     assert!(x > 0.0, "log2 of non-positive value {x}");
     x.log2()
-}
-
-/// `log_{1/(1-δ)}(x)`, the number of multiplicative reductions by `(1-δ)`
-/// needed to go from `x` down to 1; appears in Theorem 2's probability bound.
-///
-/// # Panics
-/// Panics unless `0 < delta < 1` and `x ≥ 1`.
-pub fn log_shrink(x: f64, delta: f64) -> f64 {
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    assert!(x >= 1.0, "x must be at least 1");
-    x.ln() / (1.0 / (1.0 - delta)).ln()
 }
 
 /// Natural logarithm of the gamma function `ln Γ(x)` for `x > 0`, via the
@@ -287,32 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn chernoff_bounds_are_valid_probabilities_and_monotone() {
-        let b1 = chernoff_lower_tail(100.0, 0.5);
-        let b2 = chernoff_lower_tail(200.0, 0.5);
-        assert!(b1 > 0.0 && b1 < 1.0);
-        assert!(b2 < b1, "larger mean gives a stronger bound");
-        let u1 = chernoff_upper_tail(100.0, 0.5);
-        assert!(u1 > 0.0 && u1 < 1.0);
-    }
-
-    #[test]
-    fn chernoff_bound_dominates_exact_binomial_tail() {
-        // P[Bin(n, 1/2) <= (1-phi) n/2] <= exp(-phi^2 n/4)
-        let n = 200u64;
-        let p = 0.5;
-        let phi = 0.4;
-        let mu = n as f64 * p;
-        let cutoff = ((1.0 - phi) * mu).floor() as u64;
-        let exact: f64 = (0..=cutoff).map(|k| binomial_pmf(n, k, p)).sum();
-        assert!(exact <= chernoff_lower_tail(mu, phi) + 1e-12);
-    }
-
-    #[test]
     fn log_helpers() {
         assert_eq!(log2(8.0), 3.0);
-        assert!((log_shrink(8.0, 0.5) - 3.0).abs() < 1e-12);
-        assert!(poisson_approximation_factor(4) > 2.0 * std::f64::consts::E - 1e-12);
     }
 
     #[test]

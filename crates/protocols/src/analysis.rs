@@ -1,9 +1,9 @@
 //! Closed-form quantities from the paper's analysis.
 //!
 //! This module collects, in one place, every analytical expression the paper
-//! states so that the evaluation harness can print the "Analysis" column of
-//! Table 1 and the tests can check measured behaviour against the proven
-//! bounds:
+//! states so that the kind table can quote the "Analysis" column of Table 1
+//! ([`ProtocolKind::analysis_label`](crate::ProtocolKind::analysis_label))
+//! and the tests can check measured behaviour against the proven bounds:
 //!
 //! * Theorem 1 (One-fail Adaptive): makespan `2(δ+1)k + O(log² k)` with
 //!   probability ≥ `1 − 2/(1+k)`, for `e < δ ≤ Σ_{j=1..5}(5/6)^j`;
@@ -225,31 +225,6 @@ pub fn exp_backoff_ratio_shape(r: f64, k: u64) -> Option<f64> {
     Some((k as f64).ln().ln() / base.ln().max(1e-9))
 }
 
-/// The five "Analysis" column entries of Table 1, in the paper's row order
-/// (LFA ξt=1/2, LFA ξt=1/10, OFA, EBB, LLIB). The LLIB entry is the
-/// Θ-expression evaluated at `k`, the others are constants.
-pub fn table1_analysis_column(k: u64) -> Vec<(String, Option<f64>)> {
-    vec![
-        (
-            "Log-fails Adaptive xi_t=1/2".to_string(),
-            Some(lfa_analysis_factor(0.1, 0.1, 0.5)),
-        ),
-        (
-            "Log-fails Adaptive xi_t=1/10".to_string(),
-            Some(lfa_analysis_factor(0.1, 0.1, 0.1)),
-        ),
-        (
-            "One-fail Adaptive".to_string(),
-            Some(ofa_linear_factor(2.72).expect("paper delta is valid")),
-        ),
-        (
-            "Exp Back-on/Back-off".to_string(),
-            Some(ebb_linear_factor(0.366).expect("paper delta is valid")),
-        ),
-        ("Loglog-iterated Back-off".to_string(), llib_ratio_shape(k)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,16 +336,5 @@ mod tests {
         assert!(s > 0.0);
         assert!(exp_backoff_ratio_shape(2.0, 2).is_none());
         assert!(exp_backoff_ratio_shape(0.5, 100).is_none());
-    }
-
-    #[test]
-    fn table1_analysis_column_matches_paper_values() {
-        let col = table1_analysis_column(1_000_000);
-        assert_eq!(col.len(), 5);
-        assert_eq!(format!("{:.1}", col[0].1.unwrap()), "7.8");
-        assert_eq!(format!("{:.1}", col[1].1.unwrap()), "4.4");
-        assert_eq!(format!("{:.1}", col[2].1.unwrap()), "7.4");
-        assert_eq!(format!("{:.1}", col[3].1.unwrap()), "14.9");
-        assert!(col[4].1.is_some());
     }
 }

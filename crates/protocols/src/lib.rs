@@ -15,6 +15,7 @@
 //! | Loglog-iterated Back-off (reconstruction of \[2\]) | [`loglog_backoff`] | none | `Θ(k·loglog k / logloglog k)` |
 //! | r-exponential back-off | [`loglog_backoff`] | none | `Θ(k·log_{log r} log k)` |
 //! | Known-k oracle (fair-protocol optimum) | [`oracle`] | exact k | `≈ e·k` in expectation |
+//! | Randomised-parity One-fail (extension) | [`randomized_parity`] | none | Theorem 1's envelope, empirically |
 //!
 //! Two *protocol families* cover all of the above, and each family has its
 //! own trait so that the simulators in `mac-sim` can exploit its structure:
@@ -35,14 +36,18 @@
 //! per-station simulator uses; this redundancy is deliberate — the fast
 //! simulators are validated against the exact one.
 //!
-//! [`ProtocolKind::visit`] is the one place a configured kind becomes a
+//! The [`kind`] module is the kind table: [`ProtocolKind`] and every fact
+//! that varies per kind — label, family, wire tag and parameters, engine
+//! checkpoint tags, Table 1's "Analysis" entry — and
+//! [`ProtocolKind::visit`], the one place a configured kind becomes a
 //! concrete state: it hands a [`KindVisitor`] the fair state or the window
 //! schedule, generically, so every engine written as a visitor runs
-//! monomorphic over each protocol.
+//! monomorphic over each protocol. A new protocol is its state module, its
+//! line in this file, and its arms in the kind table.
 //!
 //! The [`analysis`] module exposes the constants and bounds of the paper's
-//! theorems (Theorem 1, Theorem 2, Lemma 1) and the "Analysis" column of
-//! Table 1.
+//! theorems (Theorem 1, Theorem 2, Lemma 1) that Table 1's "Analysis"
+//! column quotes.
 //!
 //! # Quick example
 //!
@@ -68,6 +73,7 @@ pub mod analysis;
 pub mod cd_adaptive;
 pub mod error;
 pub mod exp_backon_backoff;
+pub mod kind;
 pub mod log_fails;
 pub mod loglog_backoff;
 pub mod one_fail;
@@ -78,12 +84,10 @@ pub mod traits;
 pub use cd_adaptive::CdAdaptive;
 pub use error::ParameterError;
 pub use exp_backon_backoff::ExpBackonBackoff;
+pub use kind::{KindVisitor, ProtocolFamily, ProtocolKind};
 pub use log_fails::{LogFailsAdaptive, LogFailsConfig};
 pub use loglog_backoff::{LoglogIteratedBackoff, RExponentialBackoff};
 pub use one_fail::OneFailAdaptive;
 pub use oracle::KnownKOracle;
 pub use randomized_parity::RandomizedParityOneFail;
-pub use traits::{
-    FairNode, FairProtocol, KindVisitor, Protocol, ProtocolFamily, ProtocolKind, WindowNode,
-    WindowSchedule,
-};
+pub use traits::{FairNode, FairProtocol, Protocol, WindowNode, WindowSchedule};

@@ -285,7 +285,20 @@ impl FairProtocol for LogFailsAdaptive {
         let [kappa, failures, step] = words else {
             return false;
         };
-        self.kappa_estimate = f64::from_bits(*kappa);
+        let kappa = f64::from_bits(*kappa);
+        // Every run starts at step 1 with κ̃ at its floor, only ever counts
+        // steps up, keeps κ̃ finite and at least the floor, and resets the
+        // failure run before it reaches the fail window. Words outside that
+        // range come from no run, and would put the AT probability outside
+        // [0, 1] or underflow the step arithmetic.
+        let reachable = *step >= 1
+            && kappa.is_finite()
+            && kappa >= Self::floor_for(&self.config)
+            && *failures < self.fail_window;
+        if !reachable {
+            return false;
+        }
+        self.kappa_estimate = kappa;
         self.consecutive_failures = *failures;
         self.step = *step;
         true
@@ -453,5 +466,35 @@ mod tests {
             lfa.advance(i % 11 == 0);
         }
         assert_eq!(lfa.steps_elapsed(), 50_000);
+    }
+
+    #[test]
+    fn restore_rejects_states_no_run_reaches() {
+        // k = 2⁴⁰ − 1 gives a fail window of 4, so a failure run can be
+        // pending at checkpoint time.
+        let mut lfa = paper_state(0.5, (1u64 << 40) - 1);
+        for i in 0..101 {
+            lfa.advance(i % 7 == 0);
+        }
+        let words = lfa.checkpoint_words().unwrap();
+        let fresh = || paper_state(0.5, (1u64 << 40) - 1);
+        assert!(fresh().restore_words(&words));
+        // Words: [κ̃, consecutive failures, step].
+        let floor = 1.0 + std::f64::consts::E + 0.1 + 0.1;
+        let unreachable = [
+            (2, 0),
+            (0, f64::NAN.to_bits()),
+            (0, f64::INFINITY.to_bits()),
+            (0, (floor - 0.5).to_bits()),
+            (1, lfa.fail_window()),
+            (1, u64::MAX),
+        ];
+        for (index, word) in unreachable {
+            let mut bad = words.clone();
+            bad[index] = word;
+            let mut state = fresh();
+            assert!(!state.restore_words(&bad), "word {index} = {word:#x}");
+            assert_eq!(state, fresh());
+        }
     }
 }

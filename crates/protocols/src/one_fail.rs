@@ -28,10 +28,19 @@
 //! ([`crate::log_fails`]) is that the density estimator is updated *every*
 //! step and the BT probability adapts to `σ`, which removes the need to know
 //! `ε` (and hence `n`).
+//!
+//! The state is generic over a [`BtStepRule`], the one thing that decides
+//! *which* steps are BT-steps: [`OneFailAdaptive`] is Algorithm 1's strict
+//! alternation ([`Alternating`]), and the randomised-parity variant
+//! ([`crate::randomized_parity`]) is the same state on the Thue–Morse word.
+//! Both share every update rule, the checkpoint layout and the restore
+//! checks below.
 
 use crate::error::ParameterError;
 use crate::traits::FairProtocol;
 use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+use std::marker::PhantomData;
 
 /// Largest admissible `δ`: `Σ_{j=1..5} (5/6)^j = 23255/7776 ≈ 2.9906`.
 pub const DELTA_MAX: f64 = 23255.0 / 7776.0;
@@ -39,20 +48,51 @@ pub const DELTA_MAX: f64 = 23255.0 / 7776.0;
 /// The `δ` used in the paper's simulations (§5).
 pub const PAPER_DELTA: f64 = 2.72;
 
-/// Shared state of the One-fail Adaptive protocol (Algorithm 1).
-///
-/// # Example
-/// ```
-/// use mac_protocols::{FairProtocol, OneFailAdaptive};
-/// let mut ofa = OneFailAdaptive::with_default_delta();
-/// // Step 1 (AT): transmit with probability 1/κ̃ = 1/(δ+1).
-/// assert!((ofa.transmission_probability() - 1.0 / 3.72).abs() < 1e-12);
-/// ofa.advance(false);
-/// // Step 2 (BT): σ = 0, so the probability is 1/(1 + log2(1)) = 1.
-/// assert_eq!(ofa.transmission_probability(), 1.0);
-/// ```
+/// Which communication steps of a [`OneFail`] state are BT-steps, as a
+/// zero-sized type the protocol kind fixes. Everything else — the two
+/// transmission rules, their updates and the checkpoint layout — is shared.
+pub trait BtStepRule: Debug + Clone + PartialEq + Send + 'static {
+    /// The protocol name the state reports ([`FairProtocol::name`]).
+    const NAME: &'static str;
+
+    /// The [`ParameterError`] message for a `δ` outside Theorem 1's range.
+    const DELTA_ERROR: &'static str;
+
+    /// True if communication step `step` (numbered from 1) is a BT-step.
+    fn is_bt(step: u64) -> bool;
+
+    /// The schedule position of step `step` ([`FairProtocol::schedule_phase`]):
+    /// it must pin which rule every later step applies.
+    fn phase(step: u64) -> u64;
+}
+
+/// Algorithm 1's rule: the even steps are BT-steps, the odd ones AT-steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Alternating;
+
+impl BtStepRule for Alternating {
+    const NAME: &'static str = "one-fail-adaptive";
+    const DELTA_ERROR: &'static str =
+        "One-fail Adaptive requires e < delta <= sum_{j=1..5}(5/6)^j ~= 2.9906";
+
+    fn is_bt(step: u64) -> bool {
+        step.is_multiple_of(2)
+    }
+
+    fn phase(step: u64) -> u64 {
+        // The AT/BT parity: it fully determines which update rule the next
+        // slot applies. Together with the two track probabilities (1/κ̃ and
+        // the BT probability, i.e. κ̃ and σ) the parity pins the entire
+        // state, so phase- and track-equal cohorts merge exactly.
+        step % 2
+    }
+}
+
+/// Shared state of One-fail Adaptive (Algorithm 1) under the BT-step rule
+/// `R`; see [`OneFailAdaptive`] and
+/// [`RandomizedParityOneFail`](crate::RandomizedParityOneFail).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OneFailAdaptive {
+pub struct OneFail<R> {
     // lint:allow(checkpoint-coverage): construction parameter — restore
     // rebuilds it from the ProtocolKind that recreates the instance, so
     // the checkpoint carries only the mutable estimator state.
@@ -72,17 +112,34 @@ pub struct OneFailAdaptive {
     /// Cached `1/(1 + log2_sigma)` — the BT-step probability, refreshed on
     /// every delivery so the per-slot query is a field read, not a division.
     bt_probability: f64,
+    // lint:allow(checkpoint-coverage): zero-sized BT-step rule, fixed by the
+    // type the ProtocolKind builds; it holds no state.
+    rule: PhantomData<R>,
 }
+
+/// Shared state of the One-fail Adaptive protocol (Algorithm 1).
+///
+/// # Example
+/// ```
+/// use mac_protocols::{FairProtocol, OneFailAdaptive};
+/// let mut ofa = OneFailAdaptive::with_default_delta();
+/// // Step 1 (AT): transmit with probability 1/κ̃ = 1/(δ+1).
+/// assert!((ofa.transmission_probability() - 1.0 / 3.72).abs() < 1e-12);
+/// ofa.advance(false);
+/// // Step 2 (BT): σ = 0, so the probability is 1/(1 + log2(1)) = 1.
+/// assert_eq!(ofa.transmission_probability(), 1.0);
+/// ```
+pub type OneFailAdaptive = OneFail<Alternating>;
 
 /// Deliveries between exact re-anchorings of the cached `log₂(σ + 1)`.
 const LOG2_REBASE_PERIOD: u64 = 4096;
 
-impl OneFailAdaptive {
+impl<R: BtStepRule> OneFail<R> {
     /// Creates the protocol state with the given `δ`.
     ///
     /// # Panics
     /// Panics if `δ` is outside `(e, Σ_{j=1..5}(5/6)^j]`. Use
-    /// [`OneFailAdaptive::try_new`] for fallible construction.
+    /// [`OneFail::try_new`] for fallible construction.
     pub fn new(delta: f64) -> Self {
         Self::try_new(delta).expect("invalid One-fail Adaptive parameter")
     }
@@ -94,11 +151,7 @@ impl OneFailAdaptive {
     /// (Theorem 1's admissible range).
     pub fn try_new(delta: f64) -> Result<Self, ParameterError> {
         if !delta.is_finite() || delta <= std::f64::consts::E || delta > DELTA_MAX {
-            return Err(ParameterError::new(
-                "delta",
-                delta,
-                "One-fail Adaptive requires e < delta <= sum_{j=1..5}(5/6)^j ~= 2.9906",
-            ));
+            return Err(ParameterError::new("delta", delta, R::DELTA_ERROR));
         }
         Ok(Self {
             delta,
@@ -107,6 +160,7 @@ impl OneFailAdaptive {
             step: 1,
             log2_sigma: 0.0,
             bt_probability: 1.0,
+            rule: PhantomData,
         })
     }
 
@@ -131,9 +185,9 @@ impl OneFailAdaptive {
         self.received
     }
 
-    /// True if the *next* step is a BT-step (paper: steps ≡ 0 mod 2).
+    /// True if the *next* step is a BT-step under the rule `R`.
     pub fn next_step_is_bt(&self) -> bool {
-        self.step.is_multiple_of(2)
+        R::is_bt(self.step)
     }
 
     fn floor(&self) -> f64 {
@@ -141,9 +195,9 @@ impl OneFailAdaptive {
     }
 }
 
-impl FairProtocol for OneFailAdaptive {
+impl<R: BtStepRule> FairProtocol for OneFail<R> {
     fn name(&self) -> &'static str {
-        "one-fail-adaptive"
+        R::NAME
     }
 
     fn transmission_probability(&self) -> f64 {
@@ -189,16 +243,12 @@ impl FairProtocol for OneFailAdaptive {
     }
 
     fn schedule_phase(&self) -> u64 {
-        // The AT/BT parity: it fully determines which update rule the next
-        // slot applies. Together with the two track probabilities (1/κ̃ and
-        // the BT probability, i.e. κ̃ and σ) the parity pins the entire
-        // state, so phase- and track-equal cohorts merge exactly.
-        self.step % 2
+        R::phase(self.step)
     }
 
     fn probability_tracks(&self) -> (f64, f64) {
-        // Both cached tracks, not just the one the current parity uses: at a
-        // fixed parity, (1/κ̃, BT probability) is injective in (κ̃, σ), so
+        // Both cached tracks, not just the one the current step uses: at a
+        // fixed phase, (1/κ̃, BT probability) is injective in (κ̃, σ), so
         // bit equality of phase + tracks is an exact state fingerprint.
         (1.0 / self.kappa_estimate, self.bt_probability)
     }
@@ -221,11 +271,29 @@ impl FairProtocol for OneFailAdaptive {
         let [kappa, received, step, log2_sigma, bt] = words else {
             return false;
         };
-        self.kappa_estimate = f64::from_bits(*kappa);
+        let kappa = f64::from_bits(*kappa);
+        let log2_sigma = f64::from_bits(*log2_sigma);
+        let bt = f64::from_bits(*bt);
+        // Every run starts at step 1 with κ̃ = δ+1 and only ever counts
+        // steps up, keeps κ̃ finite and at least δ+1, log₂(σ+1) finite and
+        // non-negative, and the BT probability in (0, 1]. Words outside
+        // that range come from no run, and would put a probability outside
+        // [0, 1] or underflow the step arithmetic.
+        let reachable = *step >= 1
+            && kappa.is_finite()
+            && kappa >= self.floor()
+            && log2_sigma.is_finite()
+            && log2_sigma >= 0.0
+            && bt > 0.0
+            && bt <= 1.0;
+        if !reachable {
+            return false;
+        }
+        self.kappa_estimate = kappa;
         self.received = *received;
         self.step = *step;
-        self.log2_sigma = f64::from_bits(*log2_sigma);
-        self.bt_probability = f64::from_bits(*bt);
+        self.log2_sigma = log2_sigma;
+        self.bt_probability = bt;
         true
     }
 }
@@ -386,6 +454,37 @@ mod tests {
             assert!((0.0..=1.0).contains(&p), "step {i}: p = {p}");
             // Mix of deliveries and silence.
             ofa.advance(i % 7 == 0);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_states_no_run_reaches() {
+        let mut ofa = OneFailAdaptive::with_default_delta();
+        for i in 0..100 {
+            ofa.advance(i % 3 == 0);
+        }
+        let words = ofa.checkpoint_words().unwrap();
+        assert!(OneFailAdaptive::with_default_delta().restore_words(&words));
+        // Words: [κ̃, σ, step, log₂(σ+1), BT probability].
+        let bits = f64::to_bits;
+        let unreachable = [
+            (2, 0),
+            (0, bits(f64::NAN)),
+            (0, bits(f64::INFINITY)),
+            (0, bits(0.5)),
+            (0, bits(PAPER_DELTA)),
+            (3, bits(f64::NAN)),
+            (3, bits(-1.0)),
+            (4, bits(1.5)),
+            (4, bits(0.0)),
+            (4, bits(f64::NAN)),
+        ];
+        for (index, word) in unreachable {
+            let mut bad = words.clone();
+            bad[index] = word;
+            let mut fresh = OneFailAdaptive::with_default_delta();
+            assert!(!fresh.restore_words(&bad), "word {index} = {word:#x}");
+            assert_eq!(fresh, OneFailAdaptive::with_default_delta());
         }
     }
 }

@@ -24,17 +24,19 @@
 //!   through: the two-cohort deadlock cannot lock in;
 //! * **public and deterministic** — every station derives it from its own
 //!   step counter, so stations activated together remain in lockstep and
-//!   the protocol stays a [`FairProtocol`] servable by the cohort engine.
+//!   the protocol stays a [`FairProtocol`](crate::FairProtocol) servable by
+//!   the cohort engine.
 //!
 //! Because the pattern is periodic with period 64, the schedule position is
 //! `(s − 1) mod 64`: together with the two probability tracks it pins the
 //! entire state, so the cohort engine's exact-merge contract holds with a
 //! 64-valued phase instead of One-fail Adaptive's 2-valued parity.
+//!
+//! The variant is One-fail Adaptive's own state ([`OneFail`]) with the
+//! [`ThueMorse`] BT-step rule in place of strict alternation: the two kinds
+//! share every update rule and the checkpoint layout.
 
-use crate::error::ParameterError;
-use crate::one_fail::{DELTA_MAX, PAPER_DELTA};
-use crate::traits::FairProtocol;
-use serde::{Deserialize, Serialize};
+use crate::one_fail::{BtStepRule, OneFail};
 
 /// The 64-step AT/BT parity word: bit `n` is the Thue–Morse bit
 /// `t_n = popcount(n) mod 2`. Balanced (32 ones) and cube-free, with both
@@ -54,9 +56,29 @@ const fn thue_morse_word() -> u64 {
 /// `t_n = popcount(n) mod 2` (see `thue_morse_word`).
 pub const PARITY_WORD: u64 = thue_morse_word();
 
-/// Deliveries between exact re-anchorings of the cached `log₂(σ + 1)`
-/// (same policy as stock One-fail Adaptive).
-const LOG2_REBASE_PERIOD: u64 = 4096;
+/// The randomised-parity rule: step `s` is a BT-step when bit
+/// `(s − 1) mod 64` of [`PARITY_WORD`] is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThueMorse;
+
+impl BtStepRule for ThueMorse {
+    const NAME: &'static str = "randomized-parity-one-fail";
+    const DELTA_ERROR: &'static str =
+        "randomised-parity One-fail requires e < delta <= sum_{j=1..5}(5/6)^j ~= 2.9906";
+
+    fn is_bt(step: u64) -> bool {
+        (PARITY_WORD >> ((step - 1) % 64)) & 1 == 1
+    }
+
+    fn phase(step: u64) -> u64 {
+        // Position within the 64-step parity word: the word is periodic, so
+        // this pins which of the two rules every future slot applies.
+        // Together with the tracks (1/κ̃ and the BT probability — injective
+        // in (κ̃, σ)) it pins the entire state, so phase- and track-equal
+        // cohorts merge exactly.
+        (step - 1) % 64
+    }
+}
 
 /// Shared state of the randomised-parity One-fail Adaptive variant.
 ///
@@ -71,165 +93,13 @@ const LOG2_REBASE_PERIOD: u64 = 4096;
 /// // Steps 2 and 3 are BT-steps (t₁ = t₂ = 1): σ = 0, so p = 1.
 /// assert_eq!(rp.transmission_probability(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RandomizedParityOneFail {
-    // lint:allow(checkpoint-coverage): construction parameter — restore
-    // rebuilds it from the ProtocolKind that recreates the instance, so
-    // the checkpoint carries only the mutable estimator state.
-    delta: f64,
-    /// Density estimator κ̃ (same update rule as Algorithm 1).
-    kappa_estimate: f64,
-    /// Messages-received counter σ.
-    received: u64,
-    /// Next communication step, numbered from 1 as in the paper.
-    step: u64,
-    /// Cached `log₂(σ + 1)`, Taylor-maintained as in stock One-fail
-    /// Adaptive.
-    log2_sigma: f64,
-    /// Cached `1/(1 + log2_sigma)` — the BT-step probability.
-    bt_probability: f64,
-}
-
-impl RandomizedParityOneFail {
-    /// Creates the protocol state with the given `δ`.
-    ///
-    /// # Errors
-    /// Returns an error if `δ` is outside `(e, Σ_{j=1..5}(5/6)^j]` — the
-    /// variant keeps Algorithm 1's admissible range.
-    pub fn try_new(delta: f64) -> Result<Self, ParameterError> {
-        if !delta.is_finite() || delta <= std::f64::consts::E || delta > DELTA_MAX {
-            return Err(ParameterError::new(
-                "delta",
-                delta,
-                "randomised-parity One-fail requires e < delta <= sum_{j=1..5}(5/6)^j ~= 2.9906",
-            ));
-        }
-        Ok(Self {
-            delta,
-            kappa_estimate: delta + 1.0,
-            received: 0,
-            step: 1,
-            log2_sigma: 0.0,
-            bt_probability: 1.0,
-        })
-    }
-
-    /// Creates the protocol with the paper's simulation value `δ = 2.72`.
-    pub fn with_default_delta() -> Self {
-        Self::try_new(PAPER_DELTA).expect("paper delta is admissible")
-    }
-
-    /// The configured `δ`.
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
-    /// Current value of the density estimator `κ̃`.
-    pub fn kappa_estimate(&self) -> f64 {
-        self.kappa_estimate
-    }
-
-    /// Number of messages received so far, the paper's `σ`.
-    pub fn received(&self) -> u64 {
-        self.received
-    }
-
-    /// True if the *next* step is a BT-step: the Thue–Morse bit of the
-    /// step's position in the 64-step parity word.
-    pub fn next_step_is_bt(&self) -> bool {
-        (PARITY_WORD >> ((self.step - 1) % 64)) & 1 == 1
-    }
-
-    fn floor(&self) -> f64 {
-        self.delta + 1.0
-    }
-}
-
-impl FairProtocol for RandomizedParityOneFail {
-    fn name(&self) -> &'static str {
-        "randomized-parity-one-fail"
-    }
-
-    fn transmission_probability(&self) -> f64 {
-        if self.next_step_is_bt() {
-            self.bt_probability
-        } else {
-            1.0 / self.kappa_estimate
-        }
-    }
-
-    fn advance(&mut self, delivered: bool) {
-        let is_bt = self.next_step_is_bt();
-        if !is_bt {
-            // Algorithm 1, line 11: the estimator grows at every AT-step.
-            self.kappa_estimate += 1.0;
-        }
-        if delivered {
-            self.received += 1;
-            if self.received < LOG2_REBASE_PERIOD
-                || self.received.is_multiple_of(LOG2_REBASE_PERIOD)
-            {
-                self.log2_sigma = ((self.received + 1) as f64).log2();
-            } else {
-                // Same cubic-Taylor increment as stock One-fail Adaptive:
-                // exact to ~1e-17 relative for σ + 1 ≥ 4096.
-                let x = 1.0 / self.received as f64;
-                let ln1p = x * (1.0 - x * (0.5 - x * (1.0 / 3.0)));
-                self.log2_sigma += ln1p * std::f64::consts::LOG2_E;
-            }
-            self.bt_probability = 1.0 / (1.0 + self.log2_sigma);
-            let decrement = if is_bt { self.delta } else { self.delta + 1.0 };
-            self.kappa_estimate = (self.kappa_estimate - decrement).max(self.floor());
-        }
-        self.step += 1;
-    }
-
-    fn steps_elapsed(&self) -> u64 {
-        self.step - 1
-    }
-
-    fn schedule_phase(&self) -> u64 {
-        // Position within the 64-step parity word: the word is periodic, so
-        // this pins which of the two rules every future slot applies.
-        // Together with the tracks (1/κ̃ and the BT probability — injective
-        // in (κ̃, σ)) it pins the entire state, so phase- and track-equal
-        // cohorts merge exactly.
-        (self.step - 1) % 64
-    }
-
-    fn probability_tracks(&self) -> (f64, f64) {
-        (1.0 / self.kappa_estimate, self.bt_probability)
-    }
-
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        // Taylor-maintained caches captured verbatim, as in stock One-fail
-        // Adaptive: recomputation at restore time would drift differently
-        // from the unbroken run.
-        Some(vec![
-            self.kappa_estimate.to_bits(),
-            self.received,
-            self.step,
-            self.log2_sigma.to_bits(),
-            self.bt_probability.to_bits(),
-        ])
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> bool {
-        let [kappa, received, step, log2_sigma, bt] = words else {
-            return false;
-        };
-        self.kappa_estimate = f64::from_bits(*kappa);
-        self.received = *received;
-        self.step = *step;
-        self.log2_sigma = f64::from_bits(*log2_sigma);
-        self.bt_probability = f64::from_bits(*bt);
-        true
-    }
-}
+pub type RandomizedParityOneFail = OneFail<ThueMorse>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::one_fail::DELTA_MAX;
+    use crate::FairProtocol;
 
     #[test]
     fn parity_word_is_thue_morse_and_balanced() {
@@ -282,7 +152,7 @@ mod tests {
         // A BT-step delivery: σ grows, κ̃ decreases by δ (floored).
         rp.advance(true);
         assert_eq!(rp.received(), 1);
-        assert!((rp.bt_probability - 0.5).abs() < 1e-12);
+        assert!((rp.probability_tracks().1 - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -320,6 +190,25 @@ mod tests {
             );
             rp.advance(false);
             restored.advance(false);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_states_no_run_reaches() {
+        // Step 0 would underflow the parity-word position (step − 1); a
+        // NaN estimator would make the next AT probability NaN.
+        let mut rp = RandomizedParityOneFail::with_default_delta();
+        for i in 0..100 {
+            rp.advance(i % 5 == 0);
+        }
+        let words = rp.checkpoint_words().unwrap();
+        assert!(RandomizedParityOneFail::with_default_delta().restore_words(&words));
+        for (index, word) in [(2, 0), (0, f64::NAN.to_bits())] {
+            let mut bad = words.clone();
+            bad[index] = word;
+            let mut fresh = RandomizedParityOneFail::with_default_delta();
+            assert!(!fresh.restore_words(&bad), "word {index} = {word:#x}");
+            assert_eq!(fresh.schedule_phase(), 0);
         }
     }
 }

@@ -16,20 +16,11 @@
 //!   schedule in a [`WindowNode`] yields a [`Protocol`]; the window fast
 //!   simulator instead runs one balls-in-bins experiment per window.
 //!
-//! [`ProtocolKind`] is a serialisable description (name + parameters) of any
-//! protocol in this crate, used by the experiment runner and the benchmark
-//! harness to construct protocol instances from configuration.
+//! Which protocol a configuration names, and which of these shapes it
+//! takes, is the kind table's business ([`crate::kind`]).
 
-use crate::error::ParameterError;
-use crate::exp_backon_backoff::ExpBackonBackoff;
-use crate::log_fails::{LogFailsAdaptive, LogFailsConfig};
-use crate::loglog_backoff::{LoglogIteratedBackoff, RExponentialBackoff};
-use crate::one_fail::OneFailAdaptive;
-use crate::oracle::KnownKOracle;
-use crate::randomized_parity::RandomizedParityOneFail;
 use mac_channel::Observation;
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 /// A per-station contention-resolution protocol.
@@ -71,7 +62,8 @@ pub trait Protocol: Debug {
     /// describe. The default is `None`.
     ///
     /// The aggregate fair engines serve exactly the kinds that
-    /// [`ProtocolKind::visit`] hands over as a [`FairProtocol`] state, and
+    /// [`ProtocolKind::visit`](crate::ProtocolKind::visit) hands over as a
+    /// [`FairProtocol`] state, and
     /// those are the kinds whose [`FairNode`] adapters report `Some` (pinned
     /// by the `slot_probability_capability_matches_the_families` test);
     /// window kinds report `None` and run on the window engine or
@@ -203,7 +195,8 @@ pub trait FairProtocol: Debug + Send {
     /// Incrementally maintained fields (Taylor-tracked estimators, rebase
     /// countdowns) must therefore be captured verbatim, never recomputed.
     /// Constructor parameters are *not* part of the words; the session layer
-    /// records the [`ProtocolKind`] separately and rebuilds from it.
+    /// records the [`ProtocolKind`](crate::ProtocolKind) separately and
+    /// rebuilds from it.
     ///
     /// The default is `None` (not checkpointable); every protocol in the
     /// paper line-up overrides it.
@@ -218,33 +211,6 @@ pub trait FairProtocol: Debug + Send {
     fn restore_words(&mut self, words: &[u64]) -> bool {
         let _ = words;
         false
-    }
-}
-
-impl FairProtocol for Box<dyn FairProtocol> {
-    fn name(&self) -> &'static str {
-        self.as_ref().name()
-    }
-    fn transmission_probability(&self) -> f64 {
-        self.as_ref().transmission_probability()
-    }
-    fn advance(&mut self, delivered: bool) {
-        self.as_mut().advance(delivered)
-    }
-    fn steps_elapsed(&self) -> u64 {
-        self.as_ref().steps_elapsed()
-    }
-    fn schedule_phase(&self) -> u64 {
-        self.as_ref().schedule_phase()
-    }
-    fn probability_tracks(&self) -> (f64, f64) {
-        self.as_ref().probability_tracks()
-    }
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        self.as_ref().checkpoint_words()
-    }
-    fn restore_words(&mut self, words: &[u64]) -> bool {
-        self.as_mut().restore_words(words)
     }
 }
 
@@ -422,237 +388,10 @@ impl<S: WindowSchedule> Protocol for WindowNode<S> {
     }
 }
 
-/// Receives the concrete protocol state a [`ProtocolKind`] describes, from
-/// [`ProtocolKind::visit`].
-///
-/// The methods are generic over the state type, so an engine written once
-/// as a visitor runs monomorphic over each protocol: the per-slot protocol
-/// calls inline instead of going through a `Box<dyn …>`. States are
-/// `Clone`, and building one draws no randomness, so a visitor may keep the
-/// state as a prototype and clone it per station or per arrival cohort.
-pub trait KindVisitor {
-    /// What the visit produces.
-    type Output;
-
-    /// Called with the shared state of a fair protocol.
-    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output;
-
-    /// Called with the window schedule of a window protocol.
-    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output;
-}
-
-/// A serialisable description of a protocol and its parameters.
-///
-/// `ProtocolKind` is how the experiment runner, the benchmark harness and the
-/// examples refer to protocols in configuration: it can be stored, printed
-/// and turned into a runnable instance with [`ProtocolKind::visit`] (the
-/// only place a kind becomes a protocol state), [`ProtocolKind::build_node`]
-/// or [`ProtocolKind::build_window`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ProtocolKind {
-    /// One-fail Adaptive with parameter `δ` (paper default 2.72).
-    OneFailAdaptive {
-        /// The δ constant, `e < δ ≤ Σ_{j=1..5}(5/6)^j`.
-        delta: f64,
-    },
-    /// Exp Back-on/Back-off with parameter `δ` (paper default 0.366).
-    ExpBackonBackoff {
-        /// The δ constant, `0 < δ < 1/e`.
-        delta: f64,
-    },
-    /// Log-fails Adaptive (reconstruction) with parameters `ξδ`, `ξβ`, `ξt`.
-    /// The required `ε` is derived from the instance size as `1/(k+1)`.
-    LogFailsAdaptive {
-        /// Estimator decrement slack (paper simulation value 0.1).
-        xi_delta: f64,
-        /// Failure-window length factor (paper simulation value 0.1).
-        xi_beta: f64,
-        /// Fraction of slots that are BT-steps (paper uses 1/2 and 1/10).
-        xi_t: f64,
-    },
-    /// Loglog-iterated Back-off with window growth factor `r` (paper uses 2).
-    LoglogIteratedBackoff {
-        /// Window growth factor, `r > 1`.
-        r: f64,
-    },
-    /// Plain r-exponential back-off.
-    RExponentialBackoff {
-        /// Window growth factor, `r > 1`.
-        r: f64,
-    },
-    /// The known-k oracle (fair-protocol optimum, requires exact `k`).
-    KnownKOracle,
-    /// Randomised-parity One-fail Adaptive: Algorithm 1's rules on a
-    /// balanced Thue–Morse AT/BT schedule instead of strict alternation,
-    /// which breaks the two-cohort parity deadlock of dynamic arrivals
-    /// (see `crates/sim/DESIGN.md` §6) while keeping the Theorem 1
-    /// envelope. Not part of the paper's line-up — an extension protocol.
-    RandomizedParityOneFail {
-        /// The δ constant, `e < δ ≤ Σ_{j=1..5}(5/6)^j` (as for Algorithm 1).
-        delta: f64,
-    },
-}
-
-/// The structural family a protocol belongs to, which determines which fast
-/// simulator applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ProtocolFamily {
-    /// Every active station transmits with the same probability each slot.
-    Fair,
-    /// Stations pick one uniform slot per window of a deterministic schedule.
-    Window,
-}
-
-impl ProtocolKind {
-    /// The paper's five evaluated configurations (Figure 1 / Table 1), in the
-    /// order of the paper's table rows: LFA(ξt=1/2), LFA(ξt=1/10), OFA, EBB,
-    /// LLIB.
-    pub fn paper_lineup() -> Vec<ProtocolKind> {
-        vec![
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta: 0.1,
-                xi_beta: 0.1,
-                xi_t: 0.5,
-            },
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta: 0.1,
-                xi_beta: 0.1,
-                xi_t: 0.1,
-            },
-            ProtocolKind::OneFailAdaptive { delta: 2.72 },
-            ProtocolKind::ExpBackonBackoff { delta: 0.366 },
-            ProtocolKind::LoglogIteratedBackoff { r: 2.0 },
-        ]
-    }
-
-    /// The line-up used by the robustness (adversarial-channel) sweeps: one
-    /// fair adaptive protocol, both back-off families, and the known-k
-    /// oracle as the fair-protocol reference point. Log-fails Adaptive is
-    /// deliberately excluded: its failure-counting estimator is calibrated
-    /// for the ideal channel and a jammed run says nothing about the paper's
-    /// claims.
-    pub fn robust_lineup() -> Vec<ProtocolKind> {
-        vec![
-            ProtocolKind::OneFailAdaptive { delta: 2.72 },
-            ProtocolKind::ExpBackonBackoff { delta: 0.366 },
-            ProtocolKind::LoglogIteratedBackoff { r: 2.0 },
-            ProtocolKind::KnownKOracle,
-        ]
-    }
-
-    /// A short label including the distinguishing parameter, suitable for
-    /// table headers and CSV columns.
-    pub fn label(&self) -> String {
-        match self {
-            ProtocolKind::OneFailAdaptive { .. } => "One-fail Adaptive".to_string(),
-            ProtocolKind::ExpBackonBackoff { .. } => "Exp Back-on/Back-off".to_string(),
-            ProtocolKind::LogFailsAdaptive { xi_t, .. } => {
-                format!("Log-fails Adaptive (xi_t=1/{:.0})", 1.0 / xi_t)
-            }
-            ProtocolKind::LoglogIteratedBackoff { .. } => "Loglog-iterated Back-off".to_string(),
-            ProtocolKind::RExponentialBackoff { r } => {
-                format!("{r}-exponential Back-off")
-            }
-            ProtocolKind::KnownKOracle => "Known-k oracle".to_string(),
-            ProtocolKind::RandomizedParityOneFail { .. } => {
-                "Randomised-parity One-fail".to_string()
-            }
-        }
-    }
-
-    /// The family (fair or window) of the protocol.
-    pub fn family(&self) -> ProtocolFamily {
-        match self {
-            ProtocolKind::OneFailAdaptive { .. }
-            | ProtocolKind::LogFailsAdaptive { .. }
-            | ProtocolKind::KnownKOracle
-            | ProtocolKind::RandomizedParityOneFail { .. } => ProtocolFamily::Fair,
-            ProtocolKind::ExpBackonBackoff { .. }
-            | ProtocolKind::LoglogIteratedBackoff { .. }
-            | ProtocolKind::RExponentialBackoff { .. } => ProtocolFamily::Window,
-        }
-    }
-
-    /// Builds this kind's protocol state and hands it to `visitor` — the
-    /// one place a kind becomes a state, so a new protocol is one arm here.
-    /// `k` is the instance size: it is used only by the protocols that
-    /// require knowledge of the instance (the oracle, and the `ε ≈ 1/(k+1)`
-    /// of Log-fails Adaptive), exactly as in the paper's simulations.
-    ///
-    /// # Errors
-    /// Returns a [`ParameterError`] if the parameters are outside the range
-    /// required by the protocol's analysis.
-    pub fn visit<V: KindVisitor>(&self, k: u64, visitor: V) -> Result<V::Output, ParameterError> {
-        Ok(match self {
-            ProtocolKind::OneFailAdaptive { delta } => {
-                visitor.fair(OneFailAdaptive::try_new(*delta)?)
-            }
-            ProtocolKind::LogFailsAdaptive {
-                xi_delta,
-                xi_beta,
-                xi_t,
-            } => visitor.fair(LogFailsAdaptive::try_new(LogFailsConfig::for_instance(
-                *xi_delta, *xi_beta, *xi_t, k,
-            ))?),
-            ProtocolKind::KnownKOracle => visitor.fair(KnownKOracle::new(k)),
-            ProtocolKind::RandomizedParityOneFail { delta } => {
-                visitor.fair(RandomizedParityOneFail::try_new(*delta)?)
-            }
-            ProtocolKind::ExpBackonBackoff { delta } => {
-                visitor.window(ExpBackonBackoff::try_new(*delta)?)
-            }
-            ProtocolKind::LoglogIteratedBackoff { r } => {
-                visitor.window(LoglogIteratedBackoff::try_new(*r)?)
-            }
-            ProtocolKind::RExponentialBackoff { r } => {
-                visitor.window(RExponentialBackoff::try_new(*r)?)
-            }
-        })
-    }
-
-    /// Builds the [`WindowSchedule`] for this kind, if it is a window
-    /// protocol.
-    ///
-    /// # Errors
-    /// Returns a [`ParameterError`] if the parameters are outside the range
-    /// required by the protocol's analysis.
-    pub fn build_window(&self) -> Result<Option<Box<dyn WindowSchedule>>, ParameterError> {
-        struct Schedule;
-        impl KindVisitor for Schedule {
-            type Output = Option<Box<dyn WindowSchedule>>;
-            fn fair<P: FairProtocol + Clone + 'static>(self, _: P) -> Self::Output {
-                None
-            }
-            fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
-                Some(Box::new(schedule))
-            }
-        }
-        // Only the fair kinds read the instance size.
-        self.visit(0, Schedule)
-    }
-
-    /// Builds a per-station [`Protocol`] instance for this kind.
-    ///
-    /// # Errors
-    /// Returns a [`ParameterError`] if the parameters are invalid.
-    pub fn build_node(&self, k: u64) -> Result<Box<dyn Protocol>, ParameterError> {
-        struct Node;
-        impl KindVisitor for Node {
-            type Output = Box<dyn Protocol>;
-            fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-                Box::new(FairNode::new(state))
-            }
-            fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
-                Box::new(WindowNode::new(schedule))
-            }
-        }
-        self.visit(k, Node)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KindVisitor, LogFailsAdaptive, OneFailAdaptive, ProtocolFamily, ProtocolKind};
     use mac_prob::rng::Xoshiro256pp;
     use rand::SeedableRng;
 
@@ -781,10 +520,6 @@ mod tests {
             heard.schedule_phase(),
             "a pending failure run is part of the schedule position"
         );
-
-        // The boxed adapter forwards the accessor.
-        let boxed: Box<dyn FairProtocol> = Box::new(OneFailAdaptive::with_default_delta());
-        assert_eq!(boxed.schedule_phase(), first);
     }
 
     #[test]
@@ -904,8 +639,6 @@ mod tests {
         for kind in kinds {
             // `family()` and the visit dispatch must agree on every kind.
             assert_eq!(kind.visit(100, Family).unwrap(), kind.family());
-            let window = kind.build_window().unwrap();
-            assert_eq!(window.is_some(), kind.family() == ProtocolFamily::Window);
             let node = kind.build_node(100).unwrap();
             assert!(!node.has_delivered());
         }
@@ -920,7 +653,7 @@ mod tests {
             .build_node(10)
             .is_err());
         assert!(ProtocolKind::ExpBackonBackoff { delta: 0.9 }
-            .build_window()
+            .build_node(10)
             .is_err());
         assert!(ProtocolKind::LoglogIteratedBackoff { r: 0.5 }
             .build_node(10)

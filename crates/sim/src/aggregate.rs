@@ -56,12 +56,13 @@
 //! own RNG stream.
 
 use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
-use crate::session::{Engine, SessionEngine};
+use crate::session::SessionEngine;
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
 use mac_prob::binomial::SlotKernelCache;
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
+use mac_protocols::kind::Engine;
 use mac_protocols::FairProtocol;
 use rand::{Rng, SeedableRng};
 

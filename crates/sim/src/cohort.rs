@@ -60,13 +60,14 @@
 
 use crate::aggregate::{decode_optional_slots, encode_optional_slots};
 use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
-use crate::session::{Engine, Session, SessionEngine, StreamFeed, StreamSource};
+use crate::session::{Session, SessionEngine, StreamFeed, StreamSource};
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
 use mac_prob::cohort::CohortKernel;
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
+use mac_protocols::kind::Engine;
 use mac_protocols::{FairProtocol, ParameterError, ProtocolKind};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

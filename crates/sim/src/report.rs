@@ -13,7 +13,6 @@
 //!   paper's.
 
 use crate::runner::ExperimentResults;
-use mac_protocols::analysis;
 use mac_protocols::ProtocolKind;
 use std::fmt::Write as _;
 
@@ -91,43 +90,11 @@ pub fn table1_markdown(results: &ExperimentResults) -> String {
             }
         }
         let analysis_entry = kind
-            .map(|kind| analysis_label(&kind))
+            .map(|kind| kind.analysis_label())
             .unwrap_or_else(|| "–".to_string());
         writeln!(out, " {analysis_entry} |").expect("writing to a String cannot fail");
     }
     out
-}
-
-/// The "Analysis" column entry of Table 1 for a protocol configuration.
-pub fn analysis_label(kind: &ProtocolKind) -> String {
-    match kind {
-        ProtocolKind::OneFailAdaptive { delta } => format!(
-            "{:.1}",
-            analysis::ofa_linear_factor(*delta).expect("validated earlier")
-        ),
-        ProtocolKind::ExpBackonBackoff { delta } => format!(
-            "{:.1}",
-            analysis::ebb_linear_factor(*delta).expect("validated earlier")
-        ),
-        ProtocolKind::LogFailsAdaptive {
-            xi_delta,
-            xi_beta,
-            xi_t,
-        } => format!(
-            "{:.1}",
-            analysis::lfa_analysis_factor(*xi_delta, *xi_beta, *xi_t)
-        ),
-        ProtocolKind::LoglogIteratedBackoff { .. } => "Θ(loglog k / logloglog k)".to_string(),
-        ProtocolKind::RExponentialBackoff { .. } => "Θ(log_{log r} log k)".to_string(),
-        ProtocolKind::KnownKOracle => format!("{:.2}", analysis::fair_protocol_optimal_ratio()),
-        // Same per-step rules and admissible δ range as One-fail Adaptive —
-        // only the AT/BT interleaving changes — so Theorem 1's linear
-        // factor carries over.
-        ProtocolKind::RandomizedParityOneFail { delta } => format!(
-            "{:.1}",
-            analysis::ofa_linear_factor(*delta).expect("validated earlier")
-        ),
-    }
 }
 
 fn escape_csv(field: &str) -> String {
@@ -200,16 +167,14 @@ mod tests {
 
     #[test]
     fn analysis_labels_match_paper_constants() {
+        let label = |kind: ProtocolKind| kind.analysis_label();
+        assert_eq!(label(ProtocolKind::OneFailAdaptive { delta: 2.72 }), "7.4");
         assert_eq!(
-            analysis_label(&ProtocolKind::OneFailAdaptive { delta: 2.72 }),
-            "7.4"
-        );
-        assert_eq!(
-            analysis_label(&ProtocolKind::ExpBackonBackoff { delta: 0.366 }),
+            label(ProtocolKind::ExpBackonBackoff { delta: 0.366 }),
             "14.9"
         );
         assert_eq!(
-            analysis_label(&ProtocolKind::LogFailsAdaptive {
+            label(ProtocolKind::LogFailsAdaptive {
                 xi_delta: 0.1,
                 xi_beta: 0.1,
                 xi_t: 0.5
@@ -217,14 +182,14 @@ mod tests {
             "7.8"
         );
         assert_eq!(
-            analysis_label(&ProtocolKind::LogFailsAdaptive {
+            label(ProtocolKind::LogFailsAdaptive {
                 xi_delta: 0.1,
                 xi_beta: 0.1,
                 xi_t: 0.1
             }),
             "4.4"
         );
-        assert_eq!(analysis_label(&ProtocolKind::KnownKOracle), "2.72");
+        assert_eq!(label(ProtocolKind::KnownKOracle), "2.72");
     }
 
     #[test]

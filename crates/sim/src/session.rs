@@ -54,6 +54,7 @@ use mac_channel::{ArrivalModel, ArrivalStream, ShardStrategy, ShardedArrivalStre
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{self, Decoder, Encoder, WireError};
+use mac_protocols::kind::Engine;
 use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
 use std::fmt;
 use std::str::FromStr;
@@ -727,42 +728,6 @@ impl StreamFeed {
     }
 }
 
-/// The three engines a session can run; with the protocol kind, the engine
-/// keys the checkpoint's engine tag ([`engine_tag`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Engine {
-    Fair,
-    Window,
-    Cohort,
-}
-
-/// The checkpoint engine tag of an `(engine, kind)` pair: the fair and
-/// cohort engines carry one tag per fair protocol, the window engine one
-/// tag for every schedule. The values are wire format — a checkpoint must
-/// map back to the engine that wrote it — so they never change and a new
-/// pair takes the next free value. A new fair kind does not compile here
-/// until it has a tag per engine.
-fn engine_tag(engine: Engine, kind: &ProtocolKind) -> Option<u32> {
-    use ProtocolKind as K;
-    match (engine, kind) {
-        (Engine::Fair, K::OneFailAdaptive { .. }) => Some(0),
-        (Engine::Fair, K::LogFailsAdaptive { .. }) => Some(1),
-        (Engine::Fair, K::KnownKOracle) => Some(2),
-        (Engine::Window, _) => Some(3),
-        (Engine::Cohort, K::OneFailAdaptive { .. }) => Some(4),
-        (Engine::Cohort, K::LogFailsAdaptive { .. }) => Some(5),
-        (Engine::Cohort, K::KnownKOracle) => Some(6),
-        (Engine::Cohort, K::RandomizedParityOneFail { .. }) => Some(7),
-        (Engine::Fair, K::RandomizedParityOneFail { .. }) => Some(8),
-        (
-            Engine::Fair | Engine::Cohort,
-            K::ExpBackonBackoff { .. }
-            | K::LoglogIteratedBackoff { .. }
-            | K::RExponentialBackoff { .. },
-        ) => None,
-    }
-}
-
 /// The engine behind a [`Session`]: one of the three generic cores, boxed
 /// so a session pays one virtual call per advance chunk while each core's
 /// slot loop stays monomorphic over its protocol state.
@@ -1281,7 +1246,7 @@ impl Session {
     pub fn checkpoint(&self) -> Result<Checkpoint, SessionError> {
         let mut out = open_frame(CheckpointKind::Session);
         out.put_str(&self.label);
-        encode_kind(&self.kind, &mut out);
+        self.kind.encode(&mut out);
         encode_options(&self.options, &mut out);
         match &self.watchdog {
             Some(wd) => {
@@ -1290,7 +1255,7 @@ impl Session {
             }
             None => out.put_bool(false),
         }
-        let Some(tag) = engine_tag(self.engine.engine(), &self.kind) else {
+        let Some(tag) = self.kind.engine_tag(self.engine.engine()) else {
             return Err(SessionError::Unsupported(
                 "engine has no checkpoint tag for this protocol kind",
             ));
@@ -1318,7 +1283,7 @@ impl Session {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Session)?;
         let mut input = Decoder::new(payload);
         let label = input.take_str()?;
-        let kind = decode_kind(&mut input)?;
+        let kind = ProtocolKind::decode(&mut input)?;
         let options = decode_options(&mut input)?;
         let watchdog = if input.take_bool()? {
             Some(Watchdog::decode(&mut input)?)
@@ -1328,7 +1293,7 @@ impl Session {
         let tag = input.take_u32()?;
         let engine = [Engine::Fair, Engine::Window, Engine::Cohort]
             .into_iter()
-            .find(|&engine| engine_tag(engine, &kind) == Some(tag))
+            .find(|&engine| kind.engine_tag(engine) == Some(tag))
             .ok_or(WireError::Malformed(
                 "engine tag does not match the protocol kind",
             ))?;
@@ -1354,69 +1319,6 @@ impl Session {
             kill_at_slot: None,
         })
     }
-}
-
-fn encode_kind(kind: &ProtocolKind, out: &mut Encoder) {
-    match kind {
-        ProtocolKind::OneFailAdaptive { delta } => {
-            out.put_u32(0);
-            out.put_f64(*delta);
-        }
-        ProtocolKind::ExpBackonBackoff { delta } => {
-            out.put_u32(1);
-            out.put_f64(*delta);
-        }
-        ProtocolKind::LogFailsAdaptive {
-            xi_delta,
-            xi_beta,
-            xi_t,
-        } => {
-            out.put_u32(2);
-            out.put_f64(*xi_delta);
-            out.put_f64(*xi_beta);
-            out.put_f64(*xi_t);
-        }
-        ProtocolKind::LoglogIteratedBackoff { r } => {
-            out.put_u32(3);
-            out.put_f64(*r);
-        }
-        ProtocolKind::RExponentialBackoff { r } => {
-            out.put_u32(4);
-            out.put_f64(*r);
-        }
-        ProtocolKind::KnownKOracle => out.put_u32(5),
-        ProtocolKind::RandomizedParityOneFail { delta } => {
-            out.put_u32(6);
-            out.put_f64(*delta);
-        }
-    }
-}
-
-fn decode_kind(input: &mut Decoder<'_>) -> Result<ProtocolKind, WireError> {
-    Ok(match input.take_u32()? {
-        0 => ProtocolKind::OneFailAdaptive {
-            delta: input.take_f64()?,
-        },
-        1 => ProtocolKind::ExpBackonBackoff {
-            delta: input.take_f64()?,
-        },
-        2 => ProtocolKind::LogFailsAdaptive {
-            xi_delta: input.take_f64()?,
-            xi_beta: input.take_f64()?,
-            xi_t: input.take_f64()?,
-        },
-        3 => ProtocolKind::LoglogIteratedBackoff {
-            r: input.take_f64()?,
-        },
-        4 => ProtocolKind::RExponentialBackoff {
-            r: input.take_f64()?,
-        },
-        5 => ProtocolKind::KnownKOracle,
-        6 => ProtocolKind::RandomizedParityOneFail {
-            delta: input.take_f64()?,
-        },
-        _ => return Err(WireError::Malformed("unknown protocol kind tag")),
-    })
 }
 
 /// Run options travel in the checkpoint so a resume needs nothing but the
@@ -2049,35 +1951,6 @@ mod tests {
             let mut session = Session::batched(&kind, 400, 5, &RunOptions::default()).unwrap();
             let result = session.run_to_completion().unwrap();
             assert_eq!(result, simulate(&kind, 400, 5).unwrap(), "{}", kind.label());
-        }
-    }
-
-    #[test]
-    fn engine_tags_are_pinned() {
-        // Frozen wire values: a checkpoint resumes only if the reading build
-        // maps its tag back to the engine the writing build used.
-        let lfa = ProtocolKind::LogFailsAdaptive {
-            xi_delta: 0.1,
-            xi_beta: 0.1,
-            xi_t: 0.5,
-        };
-        let ebb = ProtocolKind::ExpBackonBackoff { delta: 0.366 };
-        let oracle = ProtocolKind::KnownKOracle;
-        let table = [
-            (Engine::Fair, &ofa(), Some(0)),
-            (Engine::Fair, &lfa, Some(1)),
-            (Engine::Fair, &oracle, Some(2)),
-            (Engine::Window, &ebb, Some(3)),
-            (Engine::Cohort, &ofa(), Some(4)),
-            (Engine::Cohort, &lfa, Some(5)),
-            (Engine::Cohort, &oracle, Some(6)),
-            (Engine::Cohort, &rp_ofa(), Some(7)),
-            (Engine::Fair, &rp_ofa(), Some(8)),
-            (Engine::Fair, &ebb, None),
-            (Engine::Cohort, &ebb, None),
-        ];
-        for (engine, kind, tag) in table {
-            assert_eq!(engine_tag(engine, kind), tag, "{engine:?} {}", kind.label());
         }
     }
 

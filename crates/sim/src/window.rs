@@ -44,12 +44,13 @@
 
 use crate::aggregate::{decode_optional_slots, encode_optional_slots};
 use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
-use crate::session::{Engine, SessionEngine};
+use crate::session::SessionEngine;
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
 use mac_prob::balls::{walk_window, walk_window_counts, WalkScratch};
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
+use mac_protocols::kind::Engine;
 use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind, WindowSchedule};
 use rand::SeedableRng;
 

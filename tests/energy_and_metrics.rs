@@ -4,7 +4,6 @@
 
 use contention_resolution::channel::ArrivalSchedule;
 use contention_resolution::prelude::*;
-use contention_resolution::prob::histogram::Histogram;
 
 fn detailed_run(
     kind: ProtocolKind,
@@ -70,27 +69,6 @@ fn window_protocols_spend_less_energy_than_persistent_fair_probing() {
         ebb.max_transmissions() < ebb.result.makespan,
         "energy is measured in windows, not slots"
     );
-}
-
-#[test]
-fn latency_histogram_summarises_a_batched_run() {
-    let run = detailed_run(ProtocolKind::ExpBackonBackoff { delta: 0.366 }, 128, 11);
-    let histogram: Histogram = run.latencies().into_iter().collect();
-    assert_eq!(histogram.count(), 128);
-    assert_eq!(histogram.max().unwrap() + 1, run.result.makespan);
-    // The histogram's quantile upper bound must dominate the exact p95.
-    let mut latencies: Vec<f64> = run.latencies().iter().map(|&l| l as f64).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let exact_p95 = latencies[(0.95 * latencies.len() as f64) as usize];
-    let bound = histogram.quantile_upper_bound(0.95).unwrap() as f64;
-    assert!(
-        bound >= exact_p95,
-        "histogram bound {bound} must dominate the exact p95 {exact_p95}"
-    );
-    // The ASCII rendering has one bar per non-empty bucket and mentions the
-    // largest bucket's count.
-    let art = histogram.ascii(30);
-    assert_eq!(art.lines().count(), histogram.buckets().len());
 }
 
 #[test]
