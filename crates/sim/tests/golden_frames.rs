@@ -1,6 +1,8 @@
-//! Golden checkpoint frames: one checkpoint per engine tag (0–8) plus one
-//! two-shard fleet frame, each built from fixed seeds and a fixed advance
-//! budget, pinned by word count and trailing digest.
+//! Golden checkpoint frames: one checkpoint per engine tag (0–8), a
+//! dynamic session whose watchdog has recorded a stall, and two two-shard
+//! fleet frames (one plain, one supervised with a shard killed and
+//! retried), each built from fixed seeds and a fixed advance budget, pinned
+//! by word count and trailing digest.
 //!
 //! The digest chains every word of the frame, so a pinned pair fails on any
 //! change to a frame's layout *or* to the run state it captures: a refactor
@@ -11,7 +13,9 @@
 use mac_adversary::{AdversaryModel, AdversaryScenario};
 use mac_channel::ArrivalModel;
 use mac_protocols::ProtocolKind;
-use mac_sim::{Checkpoint, RunOptions, Session, ShardedSession, StallConfig, StallPolicy};
+use mac_sim::{
+    Checkpoint, RunOptions, Session, ShardSupervision, ShardedSession, StallConfig, StallPolicy,
+};
 
 fn ofa() -> ProtocolKind {
     ProtocolKind::OneFailAdaptive { delta: 2.72 }
@@ -54,6 +58,40 @@ fn dynamic(
     session.set_watchdog(Some(StallConfig::new(5_000, StallPolicy::Report)));
     session.advance(budget).unwrap();
     session.checkpoint().unwrap()
+}
+
+/// The §6 two-cohort deadlock under a 200-slot Report watchdog, advanced
+/// past the stall: the frame carries a recorded `StallReport`.
+fn stalled() -> Checkpoint {
+    let deadlock = ArrivalModel::Bursts {
+        bursts: vec![(0, 40), (1, 40)],
+    };
+    let mut session = Session::dynamic(&ofa(), &deadlock, 1, &RunOptions::default()).unwrap();
+    session.set_watchdog(Some(StallConfig::new(200, StallPolicy::Report)));
+    session.advance(1_000).unwrap();
+    let stall = session.stall().cloned().expect("the deadlock is flagged");
+    assert_eq!(stall.detected_at_slot, 200);
+    let checkpoint = session.checkpoint().unwrap();
+    let resumed = Session::resume(&checkpoint).unwrap();
+    assert_eq!(resumed.stall(), Some(&stall), "the stall survives a resume");
+    checkpoint
+}
+
+/// A supervised two-shard fleet whose shard 1 is killed at slot 300 and
+/// retried from its last good checkpoint: the frame carries the shard's
+/// health ledger (one failure, the injected panic message).
+fn supervised_fleet(model: &ArrivalModel) -> Checkpoint {
+    let mut fleet = ShardedSession::new(&ofa(), model, 32, &RunOptions::default(), 2).unwrap();
+    fleet.set_supervision(Some(ShardSupervision::new(1)));
+    fleet.arm_shard_kill(1, Some(300));
+    fleet.advance(700).unwrap();
+    let health = &fleet.health()[1];
+    assert_eq!(health.failures, 1);
+    assert!(health
+        .last_panic
+        .as_deref()
+        .is_some_and(|panic| panic.contains("injected fault")));
+    fleet.checkpoint().unwrap()
 }
 
 fn frames() -> Vec<(&'static str, Checkpoint)> {
@@ -118,11 +156,16 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
             batched(&rp_ofa(), 350, 19, &clean, 800),
         ),
         ("sharded: 2-shard OFA fleet", fleet.checkpoint().unwrap()),
+        ("cohort OFA, watchdog stall recorded", stalled()),
+        (
+            "sharded: supervised fleet, shard 1 killed and retried",
+            supervised_fleet(&poisson),
+        ),
     ]
 }
 
 /// `(frame, word count, trailing digest)`.
-const PINNED: [(&str, usize, u64); 10] = [
+const PINNED: [(&str, usize, u64); 12] = [
     ("tag 0: fair OFA", 144, 0x0b58_28cb_dc43_49a2),
     ("tag 1: fair LFA, jammed", 138, 0xe7ab_de46_6e3f_e97b),
     (
@@ -137,6 +180,16 @@ const PINNED: [(&str, usize, u64); 10] = [
     ("tag 7: cohort RP-OFA", 193, 0x1120_5c1e_0151_1cd9),
     ("tag 8: fair RP-OFA", 156, 0xe7c4_9c5d_7c7c_af11),
     ("sharded: 2-shard OFA fleet", 240, 0xcb7e_4aa4_f60e_c0bf),
+    (
+        "cohort OFA, watchdog stall recorded",
+        144,
+        0x2598_37d4_f402_23f1,
+    ),
+    (
+        "sharded: supervised fleet, shard 1 killed and retried",
+        256,
+        0x5404_1c22_5636_8b58,
+    ),
 ];
 
 #[test]
