@@ -140,11 +140,12 @@ impl<P: FairProtocol> FairEngineCore<P> {
         }
     }
 
-    /// Attaches a streaming latency accumulator: every delivery pushes its
+    /// Attaches a streaming latency accumulator, or none (the runs of
+    /// `crate::simulate` carry none): every delivery pushes its
     /// slot index (= latency, since batched arrivals happen at slot 0).
     /// Consumes no protocol randomness, so the trajectory is unchanged.
-    pub(crate) fn set_streaming_stats(&mut self, stats: StreamingLatencyStats) {
-        self.stats = Some(stats);
+    pub(crate) fn set_streaming_stats(&mut self, stats: Option<StreamingLatencyStats>) {
+        self.stats = stats;
     }
 
     /// Advances up to `budget` slots (fewer if the run finishes first) and
@@ -338,8 +339,8 @@ impl<P: FairProtocol + 'static> SessionEngine for FairEngineCore<P> {
     fn engine(&self) -> Engine {
         Engine::Fair
     }
-    fn advance(&mut self, max_slots: u64) {
-        self.advance(max_slots, None);
+    fn advance(&mut self, max_slots: u64, jam_log: Option<&mut Vec<u64>>) {
+        self.advance(max_slots, jam_log);
     }
     fn slot(&self) -> u64 {
         self.slot

@@ -630,7 +630,7 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     fn engine(&self) -> Engine {
         Engine::Cohort
     }
-    fn advance(&mut self, max_slots: u64) {
+    fn advance(&mut self, max_slots: u64, _jam_log: Option<&mut Vec<u64>>) {
         self.advance(max_slots);
     }
     fn slot(&self) -> u64 {

@@ -18,9 +18,11 @@
 //! phases: *decide* activates the arrivals due, collects every active
 //! station's decision and counts the transmitters; *resolve* runs the
 //! channel, fans the observations out and retires the delivered station.
-//! [`ExactSimulator`] drives both phases back to back to the end of the
-//! run; [`crate::ExactStepper`] is the same core paused between them at
-//! every single-transmitter slot, where the strategy search chooses the jam.
+//! One visitor builds that core from a kind; [`ExactSimulator::run_schedule`]
+//! drives both phases back to back to the end of the run, and
+//! [`ExactSimulator::stepper`] hands out the same core paused between them
+//! at every single-transmitter slot, where the strategy search chooses the
+//! jam.
 
 use crate::result::{RunOptions, RunResult};
 use mac_adversary::{AdversaryGame, ADVERSARY_STREAM};
@@ -118,7 +120,7 @@ impl DetailedRun {
 #[derive(Debug, Clone)]
 pub struct ExactSimulator {
     kind: ProtocolKind,
-    options: RunOptions,
+    pub(crate) options: RunOptions,
     model: ChannelModel,
     trace_capacity: Option<usize>,
 }
@@ -210,12 +212,22 @@ impl ExactSimulator {
         jam_log: Option<&mut Vec<u64>>,
     ) -> Result<DetailedRun, ParameterError> {
         self.options.validate_adversary()?;
+        let mut core = self.station_loop(schedule, seed)?;
+        core.run_to_end(jam_log);
+        Ok(core.into_detailed(&self.kind.label()))
+    }
+
+    /// The station loop of this simulator's kind over `schedule` at slot 0:
+    /// the only place a kind becomes a [`StationCore`].
+    pub(crate) fn station_loop(
+        &self,
+        schedule: &ArrivalSchedule,
+        seed: u64,
+    ) -> Result<Box<dyn StationLoop>, ParameterError> {
         let run = StationRun {
             sim: self,
-            label: self.kind.label(),
             schedule,
             seed,
-            jam_log,
         };
         self.kind.visit(schedule.len() as u64, run)
     }
@@ -264,7 +276,7 @@ impl ExactSimulator {
 /// uniforms, so permuting the order in which stations draw permutes nothing
 /// observable.
 #[derive(Clone)]
-pub(crate) struct StationCore<Pr, I> {
+struct StationCore<Pr, I> {
     /// Fresh stations, one per message, taken in arrival order.
     stations: I,
     active: Vec<(u32, Pr)>,
@@ -295,12 +307,7 @@ pub(crate) struct StationCore<Pr, I> {
 impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
     /// The loop state at slot 0 of a run of `sim` over `schedule`, before
     /// any station is activated.
-    pub(crate) fn new(
-        sim: &ExactSimulator,
-        stations: I,
-        schedule: &ArrivalSchedule,
-        seed: u64,
-    ) -> Self {
+    fn new(sim: &ExactSimulator, stations: I, schedule: &ArrivalSchedule, seed: u64) -> Self {
         let k = schedule.len();
         // The adversary lives inside the channel and draws from its own
         // derived stream; with a clean scenario the channel — and the
@@ -374,7 +381,7 @@ impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
 
     /// Activates the stations whose message arrives at or before the
     /// current slot.
-    pub(crate) fn activate_arrivals(&mut self) {
+    fn activate_arrivals(&mut self) {
         let slot = self.channel.current_slot();
         while let Some(message) = self.messages.get(self.activated) {
             if message.arrival_slot > slot {
@@ -515,8 +522,8 @@ impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
     }
 }
 
-/// [`crate::ExactStepper`]'s game: the station loop paused between the two
-/// phases of every single-transmitter slot, where the strategy search
+/// [`ExactSimulator::stepper`]'s game: the station loop paused between the
+/// two phases of every single-transmitter slot, where the strategy search
 /// decides the jam in place of an adversary.
 impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr, Repeat<Pr>> {
     fn advance_to_single(&mut self) -> Option<u64> {
@@ -574,35 +581,57 @@ impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr, Repeat<Pr
     }
 }
 
-/// [`ExactSimulator::run_schedule`]'s visit: every station is a clone of
+/// A [`StationCore`] with its station type erased: what the station visit
+/// builds. Each method is one virtual call per run; the slot loop behind it
+/// stays monomorphic over the station type.
+pub(crate) trait StationLoop: AdversaryGame {
+    /// Activates the stations whose message arrives at or before the
+    /// current slot.
+    fn activate_arrivals(&mut self);
+    /// Drives the run to its end (see `StationCore::run_to_end`).
+    fn run_to_end(&mut self, jam_log: Option<&mut Vec<u64>>);
+    /// The run's result and per-message detail.
+    fn into_detailed(self: Box<Self>, label: &str) -> DetailedRun;
+}
+
+impl<Pr: Protocol + Clone + 'static> StationLoop for StationCore<Pr, Repeat<Pr>> {
+    fn activate_arrivals(&mut self) {
+        StationCore::activate_arrivals(self);
+    }
+    fn run_to_end(&mut self, jam_log: Option<&mut Vec<u64>>) {
+        StationCore::run_to_end(self, jam_log);
+    }
+    fn into_detailed(self: Box<Self>, label: &str) -> DetailedRun {
+        StationCore::into_detailed(*self, label)
+    }
+}
+
+/// [`ExactSimulator::station_loop`]'s visit: every station is a clone of
 /// the visited prototype state (building one draws no randomness), wrapped
 /// in its family's per-station adapter.
 struct StationRun<'a> {
     sim: &'a ExactSimulator,
-    label: String,
     schedule: &'a ArrivalSchedule,
     seed: u64,
-    jam_log: Option<&'a mut Vec<u64>>,
 }
 
 impl StationRun<'_> {
-    fn run<Pr: Protocol + Clone>(self, station: Pr) -> DetailedRun {
+    fn core<Pr: Protocol + Clone + 'static>(self, station: Pr) -> Box<dyn StationLoop> {
         let stations = std::iter::repeat(station);
-        let mut core = StationCore::new(self.sim, stations, self.schedule, self.seed);
-        core.run_to_end(self.jam_log);
-        core.into_detailed(&self.label)
+        let core = StationCore::new(self.sim, stations, self.schedule, self.seed);
+        Box::new(core)
     }
 }
 
 impl KindVisitor for StationRun<'_> {
-    type Output = DetailedRun;
+    type Output = Box<dyn StationLoop>;
 
-    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> DetailedRun {
-        self.run(FairNode::new(state))
+    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
+        self.core(FairNode::new(state))
     }
 
-    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> DetailedRun {
-        self.run(WindowNode::new(schedule))
+    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
+        self.core(WindowNode::new(schedule))
     }
 }
 

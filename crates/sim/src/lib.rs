@@ -15,7 +15,7 @@
 //!
 //! | Simulator | Applies to | Cost | Used for |
 //! |-----------|-----------|------|----------|
-//! | [`exact::ExactSimulator`] | every kind, and any [`mac_protocols::Protocol`]; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals; paused at single-transmitter slots, the [`ExactStepper`] of the strategy search |
+//! | [`exact::ExactSimulator`] | every kind, and any [`mac_protocols::Protocol`]; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals; paused at single-transmitter slots ([`ExactSimulator::stepper`]), the game of the strategy search |
 //! | [`fair::FairSimulator`] | every fair kind ([`mac_protocols::ProtocolFamily::Fair`]), batched arrivals | O(1) per slot (one binomial classification draw, cached thresholds) | the paper's sweep up to k = 10⁷ |
 //! | [`cohort::CohortSimulator`] | every fair kind, **any arrival schedule** | O(active cohorts) per slot, one draw | dynamic-arrival (Poisson/bursts) experiments at paper scale; a dynamic [`Session`] driven to its end, as is [`dynamic::simulate_dynamic`]'s fair path |
 //! | [`window::WindowSimulator`] | every window kind ([`mac_protocols::ProtocolFamily::Window`]), batched arrivals | O(min(m, w)) per window, O(1) when collisions are certain | the paper's sweep up to k = 10⁷ |
@@ -37,7 +37,7 @@
 //!   checkpoint/resume, and a sharded multi-channel driver;
 //! * [`stepper`] / [`search`] — the adversary strategy search: the exact
 //!   engine's own loop, paused and snapshotted at every single-transmitter
-//!   slot ([`ExactStepper`]), feeding `mac-adversary`'s exhaustive
+//!   slot ([`ExactSimulator::stepper`]), feeding `mac-adversary`'s exhaustive
 //!   game-tree tier, and the fast-engine
 //!   bindings for its budgeted beam tier, both emitting replayable
 //!   worst-case jamming certificates.
@@ -98,7 +98,6 @@ pub use session::{
     Checkpoint, CheckpointKind, IntegrityError, Session, SessionError, SessionStatus, ShardHealth,
     ShardSupervision, ShardedSession, StallConfig, StallPolicy, StallReport,
 };
-pub use stepper::ExactStepper;
 pub use store::{CheckpointStore, LoadOutcome, SkippedGeneration, StoreError};
 pub use window::WindowSimulator;
 
@@ -107,8 +106,7 @@ pub use window::WindowSimulator;
 pub use mac_adversary as adversary;
 pub use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
 
-use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
-use session::SessionEngine;
+use mac_protocols::{ParameterError, ProtocolKind};
 
 /// Simulates one batched (static k-selection) run of `kind` with `k` messages
 /// using the fastest applicable simulator, with default [`RunOptions`].
@@ -145,8 +143,9 @@ pub fn simulate_with_options(
 }
 
 /// Runs one batched instance of `kind` on its fast engine — the aggregate
-/// engine for a fair state, the window engine for a window schedule — and,
-/// with `jam_log`, records the adversary's effective jams (see
+/// engine for a fair state, the window engine for a window schedule, built
+/// by the batched session's visit without a latency sketch — and, with
+/// `jam_log`, records the adversary's effective jams (see
 /// [`FairSimulator::run_logging_jams`]).
 pub(crate) fn run_fast(
     kind: &ProtocolKind,
@@ -156,36 +155,13 @@ pub(crate) fn run_fast(
     jam_log: Option<&mut Vec<u64>>,
 ) -> Result<RunResult, ParameterError> {
     options.validate_adversary()?;
-    let run = FastRun {
-        label: kind.label(),
+    let batched = session::BatchedEngine {
         k,
         seed,
         options,
-        jam_log,
+        stats: None,
     };
-    kind.visit(k, run)
-}
-
-struct FastRun<'a> {
-    label: String,
-    k: u64,
-    seed: u64,
-    options: &'a RunOptions,
-    jam_log: Option<&'a mut Vec<u64>>,
-}
-
-impl KindVisitor for FastRun<'_> {
-    type Output = RunResult;
-
-    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> RunResult {
-        let mut core = aggregate::FairEngineCore::new(state, self.k, self.seed, self.options);
-        core.advance(u64::MAX, self.jam_log);
-        core.result(&self.label)
-    }
-
-    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> RunResult {
-        let mut core = window::WindowEngineCore::new(schedule, self.k, self.seed, self.options);
-        core.advance(u64::MAX, self.jam_log);
-        core.result(&self.label)
-    }
+    let mut engine = kind.visit(k, batched)?;
+    engine.advance(u64::MAX, jam_log);
+    Ok(engine.result(&kind.label()))
 }

@@ -5,7 +5,7 @@
 //! that turn it into a working tool:
 //!
 //! * [`worst_case_exhaustive`] — tier (a): drives the complete game-tree
-//!   search over an [`crate::ExactStepper`] and pairs the certified worst
+//!   search over [`ExactSimulator::stepper`] and pairs the certified worst
 //!   case with the clean-channel makespan of the same `(kind, k, seed)` run.
 //! * [`worst_case_search`] — tier (b): runs the deterministic beam search
 //!   with the fast aggregate engines as the evaluator (the fair or window
@@ -20,7 +20,6 @@
 //! tests replay them.
 
 use crate::result::RunOptions;
-use crate::stepper::ExactStepper;
 use crate::{run_fast, ExactSimulator};
 use mac_adversary::{
     budgeted_search, exhaustive_worst_case, AdversaryModel, AdversaryScenario, Certificate,
@@ -67,9 +66,9 @@ pub fn worst_case_exhaustive(
     seed: u64,
     options: &RunOptions,
 ) -> Result<(Certificate, SearchStats), ParameterError> {
-    let game = ExactStepper::new(kind, k, seed, options)?;
-    let outcome = exhaustive_worst_case(&game, budget);
-    let clean = ExactSimulator::new(kind.clone(), options.clone()).run(k, seed)?;
+    let sim = ExactSimulator::new(kind.clone(), options.clone());
+    let outcome = exhaustive_worst_case(&*sim.stepper(k, seed)?, budget);
+    let clean = sim.run(k, seed)?;
     debug_assert!(outcome.makespan >= clean.makespan, "jamming cannot help");
     Ok((
         Certificate {

@@ -50,7 +50,7 @@ use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM, RUN_STREAM};
 use crate::result::{RunOptions, RunResult};
 use crate::window::WindowEngineCore;
 use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault};
-use mac_channel::{ArrivalModel, ArrivalStream, ShardStrategy, ShardedArrivalStream};
+use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream};
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{self, Decoder, Encoder, WireError};
@@ -733,8 +733,11 @@ impl StreamFeed {
 /// slot loop stays monomorphic over its protocol state.
 pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn engine(&self) -> Engine;
-    /// Runs at least `max_slots` slots (see [`Session::advance`]).
-    fn advance(&mut self, max_slots: u64);
+    /// Runs at least `max_slots` slots (see [`Session::advance`]). With
+    /// `jam_log`, the batched cores record the slot of every effective jam
+    /// (see [`crate::FairSimulator::run_logging_jams`]); the cohort core,
+    /// whose runs no certificate replays, records none.
+    fn advance(&mut self, max_slots: u64, jam_log: Option<&mut Vec<u64>>);
     fn slot(&self) -> u64;
     fn delivered(&self) -> u64;
     fn remaining(&self) -> u64;
@@ -753,13 +756,14 @@ pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn encode_payload(&self, out: &mut Encoder) -> bool;
 }
 
-/// [`Session::batched`]'s visit: the fair aggregate engine for a fair
-/// state, the window engine for a schedule.
-struct BatchedEngine<'a> {
-    k: u64,
-    seed: u64,
-    options: &'a RunOptions,
-    stats: StreamingLatencyStats,
+/// The batched visit of [`Session::batched`] and [`crate::simulate`]: the
+/// fair aggregate engine for a fair state, the window engine for a
+/// schedule, with the latency sketch `stats` attached when given.
+pub(crate) struct BatchedEngine<'a> {
+    pub(crate) k: u64,
+    pub(crate) seed: u64,
+    pub(crate) options: &'a RunOptions,
+    pub(crate) stats: Option<StreamingLatencyStats>,
 }
 
 impl KindVisitor for BatchedEngine<'_> {
@@ -910,7 +914,10 @@ impl Session {
             k,
             seed,
             options,
-            stats: StreamingLatencyStats::new(derive_seed(seed, &[SKETCH_STREAM])),
+            stats: Some(StreamingLatencyStats::new(derive_seed(
+                seed,
+                &[SKETCH_STREAM],
+            ))),
         };
         Ok(Self::with_engine(kind, options, kind.visit(k, engine)?))
     }
@@ -1015,7 +1022,7 @@ impl Session {
     /// full detail — the monolithic cohort run; `None` for a batched
     /// session.
     pub(crate) fn into_cohort_run(mut self) -> Option<CohortRun> {
-        self.engine.advance(u64::MAX);
+        self.engine.advance(u64::MAX, None);
         self.engine.cohort_run(&self.label)
     }
 
@@ -1074,7 +1081,7 @@ impl Session {
     pub fn advance(&mut self, max_slots: u64) -> Result<SessionStatus, SessionError> {
         if self.watchdog.is_none() && self.kill_at_slot.is_none() {
             // Fast path: hand the engine the whole budget in one call.
-            self.engine.advance(max_slots);
+            self.engine.advance(max_slots, None);
             return Ok(self.status());
         }
         let start = self.slot();
@@ -1099,7 +1106,7 @@ impl Session {
                 );
                 chunk = chunk.min(kill.saturating_sub(self.slot()).max(1));
             }
-            self.engine.advance(chunk);
+            self.engine.advance(chunk, None);
             if let Some(kill) = self.kill_at_slot {
                 assert!(
                     self.slot() < kill,
@@ -1196,11 +1203,6 @@ impl Session {
     /// The protocol configuration label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The protocol kind this session runs.
-    pub fn kind(&self) -> &ProtocolKind {
-        &self.kind
     }
 
     /// Live streaming latency statistics (exact mean/max/count plus
@@ -1467,7 +1469,8 @@ impl ShardedSession {
     ///
     /// Every shard re-derives the same master arrival stream
     /// (`derive_seed(seed, &[ARRIVAL_STREAM])`) and keeps the messages
-    /// whose global index hashes to it, so the union over shards is
+    /// whose global index hashes to it under the uniform
+    /// [`mac_channel::ShardStrategy`], so the union over shards is
     /// exactly the single-channel arrival sequence. Shard `i`'s protocol
     /// run is seeded `derive_seed(seed, &[SHARD_STREAM, i])`.
     ///
@@ -1482,45 +1485,16 @@ impl ShardedSession {
         options: &RunOptions,
         shards: u32,
     ) -> Result<Self, SessionError> {
-        Self::with_strategy(kind, model, seed, options, shards, ShardStrategy::Uniform)
-    }
-
-    /// [`ShardedSession::new`] with an explicit message→shard assignment
-    /// strategy. Skewed strategies ([`ShardStrategy::HotShard`]) model a
-    /// hot channel: the union over shards is still exactly the
-    /// single-channel arrival sequence — only the per-shard load changes.
-    ///
-    /// # Errors
-    /// As for [`ShardedSession::new`], plus [`SessionError::Unsupported`]
-    /// for out-of-range strategy parameters.
-    pub fn with_strategy(
-        kind: &ProtocolKind,
-        model: &ArrivalModel,
-        seed: u64,
-        options: &RunOptions,
-        shards: u32,
-        strategy: ShardStrategy,
-    ) -> Result<Self, SessionError> {
         if shards == 0 {
             return Err(SessionError::Unsupported("shard count must be positive"));
-        }
-        if !strategy.is_valid() {
-            return Err(SessionError::Unsupported(
-                "shard strategy parameters out of range",
-            ));
         }
         validate_model(model)?;
         let arrival_seed = derive_seed(seed, &[ARRIVAL_STREAM]);
         let salt = derive_seed(seed, &[SHARD_STREAM]);
         let mut sessions = Vec::with_capacity(shards as usize);
         for shard in 0..shards {
-            let stream = ShardedArrivalStream::with_strategy(
-                ArrivalStream::new(model, arrival_seed),
-                salt,
-                shard,
-                shards,
-                strategy,
-            );
+            let master = ArrivalStream::new(model, arrival_seed);
+            let stream = ShardedArrivalStream::new(master, salt, shard, shards);
             let run_seed = derive_seed(seed, &[SHARD_STREAM, u64::from(shard)]);
             let session = Session::dynamic_on(
                 kind,
@@ -1586,15 +1560,6 @@ impl ShardedSession {
         for shard in &mut self.shards {
             shard.set_watchdog(config);
         }
-    }
-
-    /// Diagnostics of detected stalls, as `(shard, report)` pairs.
-    pub fn stalls(&self) -> Vec<(u32, StallReport)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.stall().map(|r| (i as u32, r.clone())))
-            .collect()
     }
 
     /// **Fault injection** (deterministic chaos testing): arms a kill on

@@ -5,12 +5,13 @@
 //! whose decision points are the single-transmitter slots of a run. To do
 //! that soundly it needs to *pause* the exact simulation at each such slot,
 //! snapshot the complete state (stations **and** RNG), and explore both the
-//! jam and the no-jam branch. [`ExactStepper`] provides exactly that by
-//! implementing [`mac_adversary::AdversaryGame`] over the exact simulator's
-//! own station loop (`StationCore` in `exact.rs`): `advance_to_single` runs
-//! whole slots until a *decide* phase finds one transmitter, and
-//! `resolve_single` runs that slot's *resolve* phase with the search's jam
-//! decision passed to the channel in place of an adversary.
+//! jam and the no-jam branch. [`ExactSimulator::stepper`] provides exactly
+//! that: an [`mac_adversary::AdversaryGame`] over the exact simulator's own
+//! station loop (`StationCore` in `exact.rs`, built by the same visit as
+//! every exact run): `advance_to_single` runs whole slots until a *decide*
+//! phase finds one transmitter, and `resolve_single` runs that slot's
+//! *resolve* phase with the search's jam decision passed to the channel in
+//! place of an adversary. The game runs on the simulator's channel model.
 //!
 //! ## Equivalence
 //!
@@ -34,143 +35,67 @@
 //! window protocols return no signature and the search falls back to pure
 //! tree exploration rather than risk unsound merging.
 
-use crate::exact::{ExactSimulator, StationCore};
-use crate::result::RunOptions;
+use crate::exact::ExactSimulator;
 use mac_adversary::{AdversaryGame, AdversaryScenario};
 use mac_channel::ArrivalSchedule;
-use mac_protocols::{
-    FairNode, FairProtocol, KindVisitor, ParameterError, Protocol, ProtocolKind, WindowNode,
-    WindowSchedule,
-};
-use std::fmt;
+use mac_protocols::ParameterError;
 
-/// A resumable, snapshot-able handle on one exact batched run, for the
-/// adversary strategy search.
-///
-/// Construction visits the protocol kind once into the exact simulator's
-/// monomorphic station loop, so stepping does not pay virtual dispatch per
-/// station. The stepper itself *is* an [`AdversaryGame`]; feed it to
-/// [`mac_adversary::exhaustive_worst_case`] to certify a worst case.
-///
-/// # Example
-/// ```
-/// use mac_adversary::{exhaustive_worst_case, AdversaryGame};
-/// use mac_protocols::ProtocolKind;
-/// use mac_sim::{ExactStepper, RunOptions};
-///
-/// let kind = ProtocolKind::KnownKOracle;
-/// let game = ExactStepper::new(&kind, 4, 7, &RunOptions::default()).unwrap();
-/// let worst = exhaustive_worst_case(&game, 2);
-/// assert!(worst.jam_slots.len() <= 2);
-/// ```
-pub struct ExactStepper {
-    inner: Box<dyn AdversaryGame>,
-    kind: ProtocolKind,
-}
-
-impl fmt::Debug for ExactStepper {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExactStepper")
-            .field("kind", &self.kind)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ExactStepper {
-    /// Creates a stepper over a batched `(kind, k, seed)` instance on the
-    /// paper's channel model.
+impl ExactSimulator {
+    /// A resumable, snapshot-able handle on this simulator's batched
+    /// `(k, seed)` run, for the adversary strategy search: the station loop
+    /// of [`ExactSimulator::run`], paused at every single-transmitter slot.
+    ///
+    /// The kind is visited once into the monomorphic station loop, so
+    /// stepping does not pay virtual dispatch per station. Feed the game to
+    /// [`mac_adversary::exhaustive_worst_case`] to certify a worst case.
     ///
     /// # Errors
     /// Returns a [`ParameterError`] if the protocol parameters are invalid,
-    /// or if `options` configures an adversary — the search *is* the
-    /// adversary here, and layering a scripted one underneath would corrupt
-    /// the game's jam accounting.
-    pub fn new(
-        kind: &ProtocolKind,
-        k: u64,
-        seed: u64,
-        options: &RunOptions,
-    ) -> Result<Self, ParameterError> {
-        if options.adversary != AdversaryScenario::default() {
+    /// or if the simulator's options configure an adversary — the search
+    /// *is* the adversary here, and layering a scripted one underneath
+    /// would corrupt the game's jam accounting.
+    ///
+    /// # Example
+    /// ```
+    /// use mac_adversary::exhaustive_worst_case;
+    /// use mac_protocols::ProtocolKind;
+    /// use mac_sim::{ExactSimulator, RunOptions};
+    ///
+    /// let sim = ExactSimulator::new(ProtocolKind::KnownKOracle, RunOptions::default());
+    /// let game = sim.stepper(4, 7).unwrap();
+    /// let worst = exhaustive_worst_case(&*game, 2);
+    /// assert!(worst.jam_slots.len() <= 2);
+    /// ```
+    pub fn stepper(&self, k: u64, seed: u64) -> Result<Box<dyn AdversaryGame>, ParameterError> {
+        if self.options.adversary != AdversaryScenario::default() {
             return Err(ParameterError::new(
                 "adversary",
                 f64::NAN,
-                "ExactStepper requires a clean scenario: the strategy search supplies the adversary",
+                "the stepper requires a clean scenario: the strategy search supplies the adversary",
             ));
         }
-        let game = GameCore {
-            sim: &ExactSimulator::new(kind.clone(), options.clone()),
-            schedule: ArrivalSchedule::new(vec![0; k as usize]),
-            seed,
-        };
-        Ok(Self {
-            inner: kind.visit(k, game)?,
-            kind: kind.clone(),
-        })
-    }
-}
-
-/// [`ExactStepper::new`]'s visit: the exact simulator's station core over
-/// clones of the visited state's per-station adapter.
-struct GameCore<'a> {
-    sim: &'a ExactSimulator,
-    schedule: ArrivalSchedule,
-    seed: u64,
-}
-
-impl GameCore<'_> {
-    fn core<Pr: Protocol + Clone + 'static>(self, station: Pr) -> Box<dyn AdversaryGame> {
-        let stations = std::iter::repeat(station);
-        let mut core = StationCore::new(self.sim, stations, &self.schedule, self.seed);
+        let schedule = ArrivalSchedule::new(vec![0; k as usize]);
+        let mut game = self.station_loop(&schedule, seed)?;
         // Every message arrives at slot 0: activate the stations now, so a
         // fresh game's state key already covers them.
-        core.activate_arrivals();
-        Box::new(core)
-    }
-}
-
-impl KindVisitor for GameCore<'_> {
-    type Output = Box<dyn AdversaryGame>;
-
-    fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        self.core(FairNode::new(state))
-    }
-
-    fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
-        self.core(WindowNode::new(schedule))
-    }
-}
-
-impl AdversaryGame for ExactStepper {
-    fn advance_to_single(&mut self) -> Option<u64> {
-        self.inner.advance_to_single()
-    }
-    fn resolve_single(&mut self, jam: bool) {
-        self.inner.resolve_single(jam)
-    }
-    fn makespan(&self) -> u64 {
-        self.inner.makespan()
-    }
-    fn completed(&self) -> bool {
-        self.inner.completed()
-    }
-    fn state_key(&self) -> Option<Vec<u64>> {
-        self.inner.state_key()
-    }
-    fn clone_game(&self) -> Box<dyn AdversaryGame> {
-        self.inner.clone_game()
+        game.activate_arrivals();
+        Ok(game)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExactSimulator;
+    use crate::RunOptions;
     use mac_adversary::{exhaustive_worst_case, AdversaryModel};
+    use mac_protocols::ProtocolKind;
 
     /// Plays a stepper to the end, jamming the singles whose slot the
     /// predicate accepts, and returns (makespan, completed, jammed slots).
-    fn playout(mut game: ExactStepper, mut jam: impl FnMut(u64) -> bool) -> (u64, bool, Vec<u64>) {
+    fn playout(
+        mut game: Box<dyn AdversaryGame>,
+        mut jam: impl FnMut(u64) -> bool,
+    ) -> (u64, bool, Vec<u64>) {
         let mut jammed = Vec::new();
         while let Some(slot) = game.advance_to_single() {
             let j = jam(slot);
@@ -194,7 +119,9 @@ mod tests {
                 let reference = ExactSimulator::new(kind.clone(), options.clone())
                     .run(k, seed)
                     .unwrap();
-                let game = ExactStepper::new(&kind, k, seed, &options).unwrap();
+                let game = ExactSimulator::new(kind.clone(), options.clone())
+                    .stepper(k, seed)
+                    .unwrap();
                 let (makespan, completed, jammed) = playout(game, |_| false);
                 assert!(completed, "{} k {k} seed {seed}", kind.label());
                 assert!(jammed.is_empty());
@@ -215,7 +142,9 @@ mod tests {
             ProtocolKind::ExpBackonBackoff { delta: 0.366 },
         ] {
             let options = RunOptions::default();
-            let game = ExactStepper::new(&kind, 8, 3, &options).unwrap();
+            let game = ExactSimulator::new(kind.clone(), options.clone())
+                .stepper(8, 3)
+                .unwrap();
             let mut left = 4u64;
             let (makespan, completed, jammed) = playout(game, |_| {
                 let j = left > 0;
@@ -245,25 +174,24 @@ mod tests {
     #[test]
     fn fair_kinds_expose_state_keys_and_window_kinds_do_not() {
         let options = RunOptions::default();
-        let fair = ExactStepper::new(&ProtocolKind::KnownKOracle, 4, 1, &options).unwrap();
+        let fair = ExactSimulator::new(ProtocolKind::KnownKOracle, options.clone())
+            .stepper(4, 1)
+            .unwrap();
         assert!(fair.state_key().is_some());
-        let window = ExactStepper::new(
-            &ProtocolKind::ExpBackonBackoff { delta: 0.366 },
-            4,
-            1,
-            &options,
-        )
-        .unwrap();
+        let window = ExactSimulator::new(ProtocolKind::ExpBackonBackoff { delta: 0.366 }, options)
+            .stepper(4, 1)
+            .unwrap();
         assert!(window.state_key().is_none());
     }
 
     #[test]
     fn state_key_distinguishes_seeds_and_reflects_progress() {
         let options = RunOptions::default();
-        let a = ExactStepper::new(&ProtocolKind::KnownKOracle, 4, 1, &options).unwrap();
-        let b = ExactStepper::new(&ProtocolKind::KnownKOracle, 4, 2, &options).unwrap();
+        let sim = ExactSimulator::new(ProtocolKind::KnownKOracle, options);
+        let a = sim.stepper(4, 1).unwrap();
+        let b = sim.stepper(4, 2).unwrap();
         assert_ne!(a.state_key(), b.state_key(), "seeds must differ in the key");
-        let mut c = ExactStepper::new(&ProtocolKind::KnownKOracle, 4, 1, &options).unwrap();
+        let mut c = sim.stepper(4, 1).unwrap();
         let before = c.state_key();
         c.advance_to_single();
         assert_ne!(c.state_key(), before, "progress must change the key");
@@ -275,8 +203,10 @@ mod tests {
         let clean = ExactSimulator::new(ProtocolKind::KnownKOracle, options.clone())
             .run(4, 2)
             .unwrap();
-        let game = ExactStepper::new(&ProtocolKind::KnownKOracle, 4, 2, &options).unwrap();
-        let worst = exhaustive_worst_case(&game, 3);
+        let game = ExactSimulator::new(ProtocolKind::KnownKOracle, options)
+            .stepper(4, 2)
+            .unwrap();
+        let worst = exhaustive_worst_case(&*game, 3);
         assert!(
             worst.makespan > clean.makespan,
             "a budget-3 jammer must be able to hurt a k=4 run ({} vs {})",
@@ -287,7 +217,7 @@ mod tests {
         assert!(worst.stats.deduplicated, "fair keys enable the memo table");
 
         // Zero budget certifies the clean run itself.
-        let zero = exhaustive_worst_case(&game, 0);
+        let zero = exhaustive_worst_case(&*game, 0);
         assert_eq!(zero.makespan, clean.makespan);
         assert!(zero.jam_slots.is_empty());
     }
@@ -302,6 +232,8 @@ mod tests {
             }),
             ..RunOptions::default()
         };
-        assert!(ExactStepper::new(&ProtocolKind::KnownKOracle, 4, 1, &armed).is_err());
+        assert!(ExactSimulator::new(ProtocolKind::KnownKOracle, armed)
+            .stepper(4, 1)
+            .is_err());
     }
 }

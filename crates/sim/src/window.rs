@@ -203,12 +203,13 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
         }
     }
 
-    /// Attaches a streaming latency accumulator: every delivery pushes its
+    /// Attaches a streaming latency accumulator, or none (the runs of
+    /// `crate::simulate` carry none): every delivery pushes its
     /// slot index (= latency for batched arrivals). Routes windows through
     /// the detailed walk, which is RNG-stream-identical to the counts-only
     /// one, so the trajectory is unchanged.
-    pub(crate) fn set_streaming_stats(&mut self, stats: StreamingLatencyStats) {
-        self.stats = Some(stats);
+    pub(crate) fn set_streaming_stats(&mut self, stats: Option<StreamingLatencyStats>) {
+        self.stats = stats;
     }
 
     /// Advances whole windows until at least `budget` slots have elapsed
@@ -419,8 +420,8 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
     fn engine(&self) -> Engine {
         Engine::Window
     }
-    fn advance(&mut self, max_slots: u64) {
-        self.advance(max_slots, None);
+    fn advance(&mut self, max_slots: u64, jam_log: Option<&mut Vec<u64>>) {
+        self.advance(max_slots, jam_log);
     }
     fn slot(&self) -> u64 {
         self.elapsed
