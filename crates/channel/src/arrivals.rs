@@ -179,21 +179,9 @@ impl ArrivalSchedule {
         &self.arrival_slots
     }
 
-    /// Number of messages arriving exactly at `slot`.
-    pub fn arrivals_at(&self, slot: u64) -> u64 {
-        let lo = self.arrival_slots.partition_point(|&s| s < slot);
-        let hi = self.arrival_slots.partition_point(|&s| s <= slot);
-        (hi - lo) as u64
-    }
-
     /// The last slot at which any message arrives (`None` if empty).
     pub fn last_arrival(&self) -> Option<u64> {
         self.arrival_slots.last().copied()
-    }
-
-    /// True if every message arrives at slot 0 (the static setting).
-    pub fn is_batched(&self) -> bool {
-        self.arrival_slots.iter().all(|&s| s == 0)
     }
 }
 
@@ -208,9 +196,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(0);
         let sched = ArrivalModel::batched(5).sample(&mut rng);
         assert_eq!(sched.len(), 5);
-        assert!(sched.is_batched());
-        assert_eq!(sched.arrivals_at(0), 5);
-        assert_eq!(sched.arrivals_at(1), 0);
+        assert_eq!(sched.arrival_slots(), &[0; 5]);
         assert_eq!(sched.last_arrival(), Some(0));
         assert_eq!(ArrivalModel::batched(5).expected_messages(), 5.0);
     }
@@ -231,9 +217,6 @@ mod tests {
         };
         let sched = model.sample(&mut rng);
         assert_eq!(sched.len(), 6);
-        assert_eq!(sched.arrivals_at(2), 1);
-        assert_eq!(sched.arrivals_at(10), 5);
-        assert!(!sched.is_batched());
         assert_eq!(sched.arrival_slots(), &[2, 10, 10, 10, 10, 10]);
         assert_eq!(model.expected_messages(), 6.0);
     }
@@ -269,16 +252,6 @@ mod tests {
             );
         }
         assert!(ArrivalModel::batched(3).is_valid());
-    }
-
-    #[test]
-    fn arrivals_at_counts_boundaries_correctly() {
-        let sched = ArrivalSchedule::new(vec![3, 1, 3, 3, 7]);
-        assert_eq!(sched.arrivals_at(0), 0);
-        assert_eq!(sched.arrivals_at(1), 1);
-        assert_eq!(sched.arrivals_at(3), 3);
-        assert_eq!(sched.arrivals_at(7), 1);
-        assert_eq!(sched.arrivals_at(8), 0);
     }
 
     #[test]

@@ -52,15 +52,6 @@ impl ChannelStats {
             self.deliveries as f64 / self.slots as f64
         }
     }
-
-    /// Fraction of transmissions that resulted in a delivery (`0` if none).
-    pub fn transmission_efficiency(&self) -> f64 {
-        if self.transmissions == 0 {
-            0.0
-        } else {
-            self.deliveries as f64 / self.transmissions as f64
-        }
-    }
 }
 
 /// The result of resolving one slot.
@@ -246,18 +237,6 @@ impl Channel {
             perceived,
         }
     }
-
-    /// Advances the slot counter by `n` silent slots at once.
-    ///
-    /// The window-based fast simulator uses this to skip the empty remainder
-    /// of a window in O(1) while keeping the counters consistent.
-    pub fn skip_silent_slots(&mut self, n: u64) {
-        self.next_slot += n;
-        self.stats.slots += n;
-        self.stats.silent_slots += n;
-        // Silent slots are not traced individually: a trace consumer can
-        // reconstruct them from the gaps in slot indices.
-    }
 }
 
 #[cfg(test)]
@@ -319,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_silent_slots_updates_counters() {
-        let mut ch = Channel::new(ChannelModel::default());
-        ch.skip_silent_slots(10);
-        assert_eq!(ch.current_slot(), 10);
-        assert_eq!(ch.stats().silent_slots, 10);
-        let r = ch.resolve_slot(&[NodeId(0)]);
-        assert_eq!(r.slot, 10);
-    }
-
-    #[test]
     fn utilisation_and_efficiency() {
         let mut ch = Channel::new(ChannelModel::default());
         ch.resolve_slot(&[NodeId(0)]);
@@ -338,9 +307,7 @@ mod tests {
         let s = ch.stats();
         assert_eq!(s.slots, 4);
         assert!((s.utilisation() - 0.5).abs() < 1e-12);
-        assert!((s.transmission_efficiency() - 0.5).abs() < 1e-12);
         assert_eq!(ChannelStats::default().utilisation(), 0.0);
-        assert_eq!(ChannelStats::default().transmission_efficiency(), 0.0);
     }
 
     #[test]

@@ -384,13 +384,6 @@ impl ShardedArrivalStream {
         }
     }
 
-    /// The shard a message with the given global index belongs to under the
-    /// uniform strategy (kept as the historical entry point; strategies go
-    /// through [`ShardStrategy::shard_of`]).
-    pub fn shard_of(salt: u64, index: u64, shards: u32) -> u32 {
-        ShardStrategy::Uniform.shard_of(salt, index, shards)
-    }
-
     /// The assignment strategy this view classifies with.
     pub fn strategy(&self) -> ShardStrategy {
         self.strategy
@@ -641,9 +634,9 @@ mod tests {
     #[test]
     fn shard_of_is_stable_and_in_range() {
         for index in 0..1_000u64 {
-            let shard = ShardedArrivalStream::shard_of(99, index, 8);
+            let shard = ShardStrategy::Uniform.shard_of(99, index, 8);
             assert!(shard < 8);
-            assert_eq!(shard, ShardedArrivalStream::shard_of(99, index, 8));
+            assert_eq!(shard, ShardStrategy::Uniform.shard_of(99, index, 8));
         }
     }
 

@@ -164,21 +164,6 @@ impl SlotThresholds {
     }
 }
 
-/// Resolves one homogeneous slot (`m` stations at probability `p`) from a
-/// single binomial classification draw.
-///
-/// Distribution-identical to [`crate::outcome::sample_slot_outcome`]; this
-/// entry point exists as the self-describing aggregate form (`T = 0` empty,
-/// `T = 1` delivery, `T ≥ 2` collision) and as the uncached reference for
-/// [`SlotKernel`].
-pub fn sample_slot_class<R: Rng + ?Sized>(m: u64, p: f64, rng: &mut R) -> SlotOutcome {
-    let thresholds = SlotThresholds::exact(m, p);
-    if thresholds.is_dead() {
-        return SlotOutcome::Collision;
-    }
-    thresholds.classify(rng.gen::<f64>())
-}
-
 /// Largest `p` admitted by the short-polynomial hot path of
 /// [`SlotKernel::update`] (`2^-14`): below it, dropped series terms are at
 /// relative `p³ < 2.3e-13`.
@@ -1178,27 +1163,6 @@ mod tests {
         kernel.update(1.0, 0.25);
         assert_eq!(kernel.classify(0.5), SlotOutcome::Silence);
         assert_eq!(kernel.classify(0.8), SlotOutcome::Delivery);
-    }
-
-    #[test]
-    fn sample_slot_class_agrees_with_reference_sampler_statistically() {
-        let mut rng = Xoshiro256pp::seed_from_u64(99);
-        let m = 50u64;
-        let p = 0.03;
-        let pr = slot_outcome_probabilities(m, p);
-        let n = 100_000;
-        let mut counts = [0u64; 3];
-        for _ in 0..n {
-            match sample_slot_class(m, p, &mut rng) {
-                SlotOutcome::Silence => counts[0] += 1,
-                SlotOutcome::Delivery => counts[1] += 1,
-                SlotOutcome::Collision => counts[2] += 1,
-            }
-        }
-        let tol = 4.0 * (0.25f64 / n as f64).sqrt();
-        assert!((counts[0] as f64 / n as f64 - pr.silence).abs() < tol);
-        assert!((counts[1] as f64 / n as f64 - pr.delivery).abs() < tol);
-        assert!((counts[2] as f64 / n as f64 - pr.collision).abs() < tol);
     }
 
     #[test]

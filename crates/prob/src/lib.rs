@@ -72,10 +72,7 @@ pub use balls::{
     occupancy_counts, throw_balls, throw_balls_into, walk_window, BinsOccupancy, OccupancyCounts,
     OccupancyScratch, SlotOccupancy, WalkScratch,
 };
-pub use binomial::{
-    sample_binomial_fast, sample_slot_class, ModeKernel, SlotKernel, SlotKernelCache,
-    SlotThresholds,
-};
+pub use binomial::{sample_binomial_fast, ModeKernel, SlotKernel, SlotKernelCache, SlotThresholds};
 pub use cohort::CohortKernel;
 pub use outcome::{
     sample_slot_outcome, slot_outcome_probabilities, SlotOutcome, SlotOutcomeProbabilities,
