@@ -38,17 +38,11 @@ use mac_sim::{
 };
 use std::time::Instant;
 
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = parse_flag(&args, "--seed").unwrap_or(2011);
-    let k = parse_flag(&args, "--k").unwrap_or(20_000);
+    let [seed, k] = mac_bench::parse_u64_flags(
+        std::env::args().skip(1),
+        [("--seed", 2011), ("--k", 20_000)],
+    );
     let kind = ProtocolKind::OneFailAdaptive { delta: 2.72 };
     let options = RunOptions::default();
     // Bench harness wall-clock timing: reported, never fed back into results.

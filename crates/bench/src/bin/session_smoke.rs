@@ -28,13 +28,6 @@ use mac_protocols::ProtocolKind;
 use mac_sim::{Checkpoint, RunOptions, Session, SessionStatus};
 use std::time::Instant;
 
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 /// Peak resident set size in KiB from `/proc/self/status`, if available
 /// (Linux only; the gate is skipped elsewhere).
 fn vm_hwm_kib() -> Option<u64> {
@@ -44,10 +37,10 @@ fn vm_hwm_kib() -> Option<u64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let slots = parse_flag(&args, "--slots").unwrap_or(10_000_000);
-    let seed = parse_flag(&args, "--seed").unwrap_or(2011);
-    let rss_mb = parse_flag(&args, "--rss-mb").unwrap_or(512);
+    let [slots, seed, rss_mb] = mac_bench::parse_u64_flags(
+        std::env::args().skip(1),
+        [("--slots", 10_000_000), ("--seed", 2011), ("--rss-mb", 512)],
+    );
 
     // Sustained traffic sized to the horizon: a burst of 100 messages every
     // 2000 slots. One-fail Adaptive clears each batch in ≈ 2(δ+1)·100 ≈ 750

@@ -55,8 +55,7 @@
 pub mod certify;
 pub mod saturation;
 
-use mac_protocols::ProtocolKind;
-use mac_sim::{EngineChoice, Experiment, RunOptions};
+use mac_sim::Experiment;
 
 /// The instance sizes of the paper's evaluation: powers of ten from 10 up to
 /// `10^max_exponent` (the paper uses `max_exponent = 7`).
@@ -64,18 +63,32 @@ pub fn paper_ks(max_exponent: u32) -> Vec<u64> {
     (1..=max_exponent).map(|e| 10u64.pow(e)).collect()
 }
 
-/// Builds the paper sweep (Figure 1 / Table 1) for the given maximum
-/// instance-size exponent, replication count and master seed.
-pub fn paper_experiment(max_exponent: u32, replications: u64, master_seed: u64) -> Experiment {
-    Experiment {
-        protocols: ProtocolKind::paper_lineup(),
-        ks: paper_ks(max_exponent),
-        replications,
-        master_seed,
-        options: RunOptions::default(),
-        engine: EngineChoice::Fast,
-        threads: 0,
+/// Parses the `--flag <u64>` arguments of a gate binary (program name
+/// excluded) against its known `(flag, default)` pairs and returns one value
+/// per flag, in the order given; absent flags keep their default.
+///
+/// # Panics
+/// With a usage message on an unknown argument, or on a flag whose value
+/// is missing or not a `u64` — the harness binaries' documented behaviour.
+pub fn parse_u64_flags<const N: usize>(
+    args: impl IntoIterator<Item = String>,
+    flags: [(&str, u64); N],
+) -> [u64; N] {
+    let usage = flags.map(|(flag, default)| format!("[{flag} N (default {default})]"));
+    let usage = usage.join(" ");
+    let mut values = flags.map(|(_, default)| default);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let Some(i) = flags.iter().position(|&(flag, _)| flag == arg) else {
+            panic!("unknown argument `{arg}`; usage: {usage}");
+        };
+        let value = args.next();
+        values[i] = value
+            .as_deref()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{arg} requires an integer argument, got {value:?}"));
     }
+    values
 }
 
 /// Minimal command-line options shared by the harness binaries.
@@ -153,9 +166,13 @@ impl HarnessOptions {
         options
     }
 
-    /// The experiment this option set describes.
+    /// The experiment this option set describes: the paper's sweep with
+    /// this option set's sizes, replications and seed.
     pub fn experiment(&self) -> Experiment {
-        paper_experiment(self.max_exp, self.reps, self.seed)
+        Experiment {
+            replications: self.reps,
+            ..Experiment::paper(paper_ks(self.max_exp), self.seed)
+        }
     }
 }
 
@@ -202,5 +219,29 @@ mod tests {
     #[should_panic(expected = "unknown argument")]
     fn parse_rejects_unknown_flags() {
         HarnessOptions::parse(["--bogus".to_string()]);
+    }
+
+    fn gate_flags(args: &[&str]) -> [u64; 2] {
+        let args = args.iter().map(|s| s.to_string());
+        parse_u64_flags(args, [("--seed", 2011), ("--k", 20_000)])
+    }
+
+    #[test]
+    fn gate_flags_parse_values_and_keep_defaults() {
+        assert_eq!(gate_flags(&[]), [2011, 20_000]);
+        assert_eq!(gate_flags(&["--k", "50"]), [2011, 50]);
+        assert_eq!(gate_flags(&["--k", "50", "--seed", "7"]), [7, 50]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument `--slots`")]
+    fn gate_flags_reject_unknown_flags() {
+        gate_flags(&["--slots", "10"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--k requires an integer argument")]
+    fn gate_flags_reject_unparseable_values() {
+        gate_flags(&["--k", "abc"]);
     }
 }
