@@ -44,25 +44,30 @@
 //! station-to-shard hash is salted with `derive_seed(seed,
 //! &[SHARD_STREAM])`.
 
+mod frame;
+mod sharded;
+mod watchdog;
+
+pub use frame::{Checkpoint, CheckpointKind, IntegrityError};
+pub use sharded::{ShardHealth, ShardSupervision, ShardedSession, SHARD_STREAM};
+pub use watchdog::{StallConfig, StallPolicy, StallReport};
+
 use crate::aggregate::FairEngineCore;
 use crate::cohort::{CohortEngineCore, CohortRun, LatencyRecorder};
 use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM, RUN_STREAM};
 use crate::result::{RunOptions, RunResult};
 use crate::window::WindowEngineCore;
+use frame::{open_frame, seal_frame, verify_frame};
 use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault};
 use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream};
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
-use mac_prob::wire::{self, Decoder, Encoder, WireError};
+use mac_prob::wire::{Decoder, Encoder, WireError};
 use mac_protocols::kind::Engine;
 use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
 use std::fmt;
 use std::str::FromStr;
-
-/// Seed-derivation path tag for the sharded driver: shard `i` of a
-/// [`ShardedSession`] runs on `derive_seed(seed, &[SHARD_STREAM, i])`, and
-/// the station-to-shard hash salt is `derive_seed(seed, &[SHARD_STREAM])`.
-pub const SHARD_STREAM: u64 = 0x5AAD;
+use watchdog::Watchdog;
 
 /// Seed-derivation path tag for the latency sketch's compaction coin
 /// (independent of every simulation stream, so attaching live statistics
@@ -71,27 +76,6 @@ const SKETCH_STREAM: u64 = 0x5CE7;
 
 /// Why a dynamic session rejects a window kind.
 const WINDOW_DYNAMIC: &str = "dynamic sessions serve fair protocols on the cohort engine; window protocols run per-station on the exact engine";
-
-/// First word of every serialised session checkpoint.
-const CHECKPOINT_MAGIC: u64 = 0x4D41_4353_4553_5331; // "MACSESS1"
-
-/// First word of every serialised sharded-driver checkpoint.
-const SHARDED_MAGIC: u64 = 0x4D41_4353_4841_5244; // "MACSHARD"
-
-/// Checkpoint format version (bumped on any layout change).
-///
-/// v1: PR 7 layout, no integrity frame. v2: integrity frame (length word +
-/// trailing digest) and watchdog / shard-health state. v3: cohort knobs
-/// (merge tolerance, live-class cap) in the options and the engine core,
-/// the randomised-parity protocol tag, and the shard-assignment strategy in
-/// sharded arrival streams. Engine tag 8 (batched randomised parity) came
-/// later within v3 and changes no existing layout: an older v3 reader
-/// rejects it as an unknown engine tag instead of misdecoding it.
-const CHECKPOINT_VERSION: u64 = 3;
-
-/// Words of frame overhead around a checkpoint payload: magic, version,
-/// total length, and the trailing digest.
-const FRAME_WORDS: usize = 4;
 
 /// Outcome of one [`Session::advance`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,131 +91,6 @@ pub enum SessionStatus {
     /// and checkpointable, and diagnostics are in [`Session::stall`].
     Stalled,
 }
-
-/// Which driver wrote a checkpoint: a single [`Session`] or the
-/// [`ShardedSession`] fleet driver. The two use distinct magic words so a
-/// frame fed to the wrong `resume` fails with a typed
-/// [`IntegrityError::KindMismatch`] instead of decoding garbage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// A [`Session::checkpoint`] frame.
-    Session,
-    /// A [`ShardedSession::checkpoint`] frame.
-    Sharded,
-}
-
-impl fmt::Display for CheckpointKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointKind::Session => write!(f, "session"),
-            CheckpointKind::Sharded => write!(f, "sharded session"),
-        }
-    }
-}
-
-/// Integrity failure detected while validating a checkpoint frame —
-/// always **before** any engine state is reconstructed, so a bad buffer
-/// can never leave a half-built session behind.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IntegrityError {
-    /// The buffer is shorter than its header claims (or too short to hold
-    /// a header at all, in which case `expected_words` is `None`).
-    Truncated {
-        /// Total length recorded in the frame header, when readable.
-        expected_words: Option<u64>,
-        /// Words actually present.
-        found_words: u64,
-    },
-    /// The buffer is longer than its header claims.
-    TrailingData {
-        /// Total length recorded in the frame header.
-        expected_words: u64,
-        /// Words actually present.
-        found_words: u64,
-    },
-    /// The first word is neither the session nor the sharded magic — this
-    /// is not a checkpoint at all.
-    BadMagic {
-        /// The word found where a magic was expected.
-        found: u64,
-    },
-    /// A checkpoint of the wrong kind (session vs sharded) was fed to a
-    /// `resume`.
-    KindMismatch {
-        /// The kind the frame's magic declares.
-        found: CheckpointKind,
-        /// The kind the caller required.
-        expected: CheckpointKind,
-    },
-    /// The checkpoint was written by a different format version — carries
-    /// both numbers so mixed-version fleets get an actionable error.
-    VersionMismatch {
-        /// The kind the frame's magic declares.
-        kind: CheckpointKind,
-        /// Version recorded in the frame.
-        found: u64,
-        /// Version this build reads and writes.
-        expected: u64,
-    },
-    /// The stored digest does not match the recomputed one: at least one
-    /// word of the frame was corrupted in storage or transit.
-    Corrupt {
-        /// Digest stored in the frame's final word.
-        stored_digest: u64,
-        /// Digest recomputed over the frame contents.
-        computed_digest: u64,
-    },
-}
-
-impl fmt::Display for IntegrityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IntegrityError::Truncated {
-                expected_words,
-                found_words,
-            } => match expected_words {
-                Some(expected) => write!(
-                    f,
-                    "checkpoint truncated: header declares {expected} words, found {found_words}"
-                ),
-                None => write!(
-                    f,
-                    "checkpoint truncated: {found_words} words is too short for a frame header"
-                ),
-            },
-            IntegrityError::TrailingData {
-                expected_words,
-                found_words,
-            } => write!(
-                f,
-                "checkpoint has trailing data: header declares {expected_words} words, found {found_words}"
-            ),
-            IntegrityError::BadMagic { found } => {
-                write!(f, "not a checkpoint (bad magic word {found:#018x})")
-            }
-            IntegrityError::KindMismatch { found, expected } => {
-                write!(f, "checkpoint kind mismatch: found a {found} checkpoint, expected a {expected} checkpoint")
-            }
-            IntegrityError::VersionMismatch {
-                kind,
-                found,
-                expected,
-            } => write!(
-                f,
-                "{kind} checkpoint version mismatch: found v{found}, this build reads v{expected}"
-            ),
-            IntegrityError::Corrupt {
-                stored_digest,
-                computed_digest,
-            } => write!(
-                f,
-                "checkpoint corrupt: stored digest {stored_digest:#018x} != computed {computed_digest:#018x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for IntegrityError {}
 
 /// Errors surfaced by the session layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,308 +150,6 @@ impl From<WireError> for SessionError {
 impl From<ParameterError> for SessionError {
     fn from(e: ParameterError) -> Self {
         SessionError::Parameter(e)
-    }
-}
-
-/// A serialised session state: a self-describing `u64` word buffer (magic,
-/// version, protocol and adversary configuration, full engine state) that
-/// [`Session::resume`] turns back into a running session.
-///
-/// Checkpoints are plain data — they can cross processes or hosts of the
-/// same build. [`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`] give a
-/// little-endian byte serialisation for storage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    words: Vec<u64>,
-}
-
-impl Checkpoint {
-    /// The raw checkpoint words.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Checkpoint size in bytes (8 per word).
-    pub fn size_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Little-endian byte serialisation.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        wire::words_to_bytes(&self.words)
-    }
-
-    /// Parses a checkpoint from [`Checkpoint::to_bytes`] output.
-    ///
-    /// # Errors
-    /// Returns a [`SessionError::Wire`] if the byte length is not a
-    /// multiple of 8.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SessionError> {
-        Ok(Self {
-            words: wire::bytes_to_words(bytes)?,
-        })
-    }
-
-    /// Validates the integrity frame — magic, version, declared length and
-    /// trailing digest — without reconstructing any state, and reports
-    /// which driver wrote the checkpoint.
-    ///
-    /// This is exactly the validation `resume` performs first; a durable
-    /// store uses it to decide whether a stored generation is still good.
-    ///
-    /// # Errors
-    /// A typed [`IntegrityError`] distinguishing truncation, trailing
-    /// data, corruption, and version mismatch.
-    pub fn verify(&self) -> Result<CheckpointKind, IntegrityError> {
-        let kind = peek_kind(&self.words)?;
-        verify_frame(&self.words, kind)?;
-        Ok(kind)
-    }
-}
-
-/// Reads the kind of a frame from its magic word.
-fn peek_kind(words: &[u64]) -> Result<CheckpointKind, IntegrityError> {
-    match words.first() {
-        None => Err(IntegrityError::Truncated {
-            expected_words: None,
-            found_words: 0,
-        }),
-        Some(&CHECKPOINT_MAGIC) => Ok(CheckpointKind::Session),
-        Some(&SHARDED_MAGIC) => Ok(CheckpointKind::Sharded),
-        Some(&other) => Err(IntegrityError::BadMagic { found: other }),
-    }
-}
-
-/// Validates a checkpoint frame of the `expected` kind and returns its
-/// payload slice (the words between the header and the digest).
-///
-/// Validation order matters for error quality: magic (kind) first, then
-/// version, then the declared length, then the digest — so a
-/// version-mismatched frame reports the versions instead of "corrupt",
-/// and a truncated frame reports the missing words. Every check runs
-/// before a single payload word is decoded.
-fn verify_frame(words: &[u64], expected: CheckpointKind) -> Result<&[u64], IntegrityError> {
-    // The two slice patterns carry the FRAME_WORDS length proof: peeling
-    // the trailing digest and then the three header words only succeeds on
-    // a frame of at least four words, and `payload` is exactly the words
-    // between the header and the digest.
-    let [body @ .., stored] = words else {
-        return Err(IntegrityError::Truncated {
-            expected_words: None,
-            found_words: 0,
-        });
-    };
-    let [_magic, version, declared, payload @ ..] = body else {
-        return Err(IntegrityError::Truncated {
-            expected_words: None,
-            found_words: words.len() as u64,
-        });
-    };
-    let found = peek_kind(words)?;
-    if found != expected {
-        return Err(IntegrityError::KindMismatch { found, expected });
-    }
-    if *version != CHECKPOINT_VERSION {
-        return Err(IntegrityError::VersionMismatch {
-            kind: found,
-            found: *version,
-            expected: CHECKPOINT_VERSION,
-        });
-    }
-    let present = words.len() as u64;
-    if present < *declared {
-        return Err(IntegrityError::Truncated {
-            expected_words: Some(*declared),
-            found_words: present,
-        });
-    }
-    if present > *declared {
-        return Err(IntegrityError::TrailingData {
-            expected_words: *declared,
-            found_words: present,
-        });
-    }
-    let computed = wire::digest_words(body);
-    if *stored != computed {
-        return Err(IntegrityError::Corrupt {
-            stored_digest: *stored,
-            computed_digest: computed,
-        });
-    }
-    Ok(payload)
-}
-
-/// Starts a checkpoint frame: magic, version, and a length placeholder
-/// that [`seal_frame`] patches.
-fn open_frame(kind: CheckpointKind) -> Encoder {
-    let mut out = Encoder::new();
-    out.put_u64(match kind {
-        CheckpointKind::Session => CHECKPOINT_MAGIC,
-        CheckpointKind::Sharded => SHARDED_MAGIC,
-    });
-    out.put_u64(CHECKPOINT_VERSION);
-    out.put_u64(0); // total length, patched by seal_frame
-    out
-}
-
-/// Closes a frame opened by [`open_frame`]: patches the total length and
-/// appends the digest over everything before it.
-fn seal_frame(out: Encoder) -> Checkpoint {
-    let mut words = out.finish();
-    debug_assert!(
-        words.len() >= FRAME_WORDS - 1,
-        "sealing an encoder that did not come from open_frame"
-    );
-    let with_digest = (words.len() + 1) as u64;
-    if let Some(total_len) = words.get_mut(2) {
-        *total_len = with_digest;
-    }
-    let digest = wire::digest_words(&words);
-    words.push(digest);
-    Checkpoint { words }
-}
-
-/// What the livelock watchdog does when it detects a zero-delivery stall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallPolicy {
-    /// Record the stall (first occurrence) in [`Session::stall`] and keep
-    /// running — the run proceeds to completion or its slot cap, but the
-    /// stall is surfaced in the status and the dynamic report.
-    Report,
-    /// Stop advancing and return [`SessionError::Stalled`] with the
-    /// diagnostics. The session stays intact, so the caller can still
-    /// checkpoint it or read partial results.
-    Abort,
-    /// Return [`SessionStatus::Stalled`] from `advance`, handing control
-    /// back so the caller can checkpoint and park the run. A later
-    /// `advance` continues (and re-triggers after another full window
-    /// without a delivery).
-    Pause,
-}
-
-/// Configuration of the livelock watchdog: flag a stall when `window`
-/// consecutive slots pass with **backlogged** (activated, undelivered)
-/// messages and **zero** deliveries.
-///
-/// An idle channel — no activated messages, e.g. a dynamic session
-/// fast-forwarding to its next arrival burst — is never a stall; the
-/// window only runs while a backlog exists. Because the watchdog samples
-/// at window boundaries, detection is guaranteed within **two** windows
-/// of the last delivery (or of the idle→backlogged transition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallConfig {
-    /// Zero-delivery window in slots (clamped to ≥ 1).
-    pub window: u64,
-    /// What to do on detection.
-    pub policy: StallPolicy,
-}
-
-impl StallConfig {
-    /// A watchdog flagging after `window` backlogged slots without a
-    /// delivery, under `policy`.
-    pub fn new(window: u64, policy: StallPolicy) -> Self {
-        Self {
-            window: window.max(1),
-            policy,
-        }
-    }
-}
-
-/// Diagnostics of a detected zero-delivery stall.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StallReport {
-    /// Slot at which the watchdog flagged the stall.
-    pub detected_at_slot: u64,
-    /// Last slot at which progress (a delivery, or an idle channel) was
-    /// observed.
-    pub last_progress_slot: u64,
-    /// The configured zero-delivery window.
-    pub window: u64,
-    /// Messages delivered before the stall.
-    pub delivered: u64,
-    /// Activated, undelivered messages at detection time.
-    pub backlog: u64,
-}
-
-impl fmt::Display for StallReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "zero-delivery stall at slot {} ({} backlogged messages, no delivery since slot {}, window {})",
-            self.detected_at_slot, self.backlog, self.last_progress_slot, self.window
-        )
-    }
-}
-
-/// Runtime state of the livelock watchdog (checkpointed, so a resumed
-/// session keeps both its configuration and its progress clock).
-#[derive(Debug, Clone)]
-struct Watchdog {
-    config: StallConfig,
-    last_progress_slot: u64,
-    last_delivered: u64,
-    stall: Option<StallReport>,
-}
-
-impl Watchdog {
-    fn new(config: StallConfig) -> Self {
-        Self {
-            config,
-            last_progress_slot: 0,
-            last_delivered: 0,
-            stall: None,
-        }
-    }
-
-    fn encode(&self, out: &mut Encoder) {
-        out.put_u64(self.config.window);
-        out.put_u32(match self.config.policy {
-            StallPolicy::Report => 0,
-            StallPolicy::Abort => 1,
-            StallPolicy::Pause => 2,
-        });
-        out.put_u64(self.last_progress_slot);
-        out.put_u64(self.last_delivered);
-        match &self.stall {
-            Some(s) => {
-                out.put_bool(true);
-                out.put_u64(s.detected_at_slot);
-                out.put_u64(s.last_progress_slot);
-                out.put_u64(s.window);
-                out.put_u64(s.delivered);
-                out.put_u64(s.backlog);
-            }
-            None => out.put_bool(false),
-        }
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let window = input.take_u64()?;
-        let policy = match input.take_u32()? {
-            0 => StallPolicy::Report,
-            1 => StallPolicy::Abort,
-            2 => StallPolicy::Pause,
-            _ => return Err(WireError::Malformed("unknown stall policy tag")),
-        };
-        let last_progress_slot = input.take_u64()?;
-        let last_delivered = input.take_u64()?;
-        let stall = if input.take_bool()? {
-            Some(StallReport {
-                detected_at_slot: input.take_u64()?,
-                last_progress_slot: input.take_u64()?,
-                window: input.take_u64()?,
-                delivered: input.take_u64()?,
-                backlog: input.take_u64()?,
-            })
-        } else {
-            None
-        };
-        Ok(Self {
-            config: StallConfig { window, policy },
-            last_progress_slot,
-            last_delivered,
-            stall,
-        })
     }
 }
 
@@ -1363,524 +920,6 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
         merge_tolerance,
         max_live_cohorts,
     })
-}
-
-/// Supervision policy of a [`ShardedSession`]: how many times a failed
-/// shard is retried from its last good checkpoint before it is
-/// quarantined.
-///
-/// Retries back off deterministically: after its `n`-th failure a shard
-/// sits out `2^(n-1)` supervision rounds (capped) before it is retried —
-/// a schedule on the driver's round clock, not wall time, so supervised
-/// recovery stays bit-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSupervision {
-    /// Failures tolerated per shard before quarantine: the shard is
-    /// retried from its last good checkpoint up to this many times, then
-    /// frozen (the driver finishes the surviving shards and reports a
-    /// partial result naming the quarantined shard).
-    pub max_retries: u32,
-}
-
-impl ShardSupervision {
-    /// A supervision policy quarantining a shard after `max_retries`
-    /// failed retries.
-    pub fn new(max_retries: u32) -> Self {
-        Self { max_retries }
-    }
-}
-
-impl Default for ShardSupervision {
-    fn default() -> Self {
-        Self { max_retries: 3 }
-    }
-}
-
-/// Per-shard health ledger of a supervised [`ShardedSession`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardHealth {
-    /// Cumulative thread failures (panics) of this shard.
-    pub failures: u32,
-    /// Supervision rounds this shard still sits out before its next retry
-    /// (the deterministic backoff clock).
-    pub cooldown: u64,
-    /// True once the shard exhausted its retries and was frozen at its
-    /// last good checkpoint; a quarantined shard never runs again and the
-    /// merged result is partial (`completed = false`).
-    pub quarantined: bool,
-    /// The most recent panic message, when one was captured.
-    pub last_panic: Option<String>,
-}
-
-/// Extracts a human-readable message from a captured panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// N independent channels driven in parallel: stations are hashed across
-/// shards by global arrival index (salted per experiment), each shard runs
-/// its own dynamic [`Session`] on a derived RNG stream, and the per-shard
-/// latency sketches merge losslessly into fleet-level statistics.
-///
-/// This models the multi-channel extension the paper's conclusions point
-/// at: throughput scales with the channel count while each channel runs
-/// the unmodified single-channel protocol.
-///
-/// The driver is fault-tolerant: shard thread panics are captured and
-/// surface as typed [`SessionError::ShardFailed`] errors, or — with
-/// [`ShardedSession::set_supervision`] armed — trigger retry from the
-/// shard's last good checkpoint with deterministic backoff and, after
-/// `max_retries` failures, quarantine (the surviving shards finish and
-/// the merged result is partial). See DESIGN.md §10.
-///
-/// # Example
-/// ```
-/// use mac_channel::ArrivalModel;
-/// use mac_protocols::ProtocolKind;
-/// use mac_sim::{RunOptions, ShardedSession};
-///
-/// let kind = ProtocolKind::OneFailAdaptive { delta: 2.72 };
-/// let model = ArrivalModel::Poisson { rate: 0.05, horizon: 2_000 };
-/// let mut driver = ShardedSession::new(&kind, &model, 11, &RunOptions::default(), 4).unwrap();
-/// driver.run_to_completion().unwrap();
-/// let report = driver.merged_report();
-/// assert_eq!(report.delivered, report.messages);
-/// ```
-#[derive(Debug)]
-pub struct ShardedSession {
-    label: String,
-    shards: Vec<Session>,
-    supervision: Option<ShardSupervision>,
-    health: Vec<ShardHealth>,
-    /// Last checkpoint each shard successfully reached (refreshed before
-    /// every supervised round; runtime-only, rebuilt after resume).
-    last_good: Vec<Option<Checkpoint>>,
-}
-
-impl ShardedSession {
-    /// Splits `model`'s arrivals across `shards` channels and builds one
-    /// dynamic session per shard.
-    ///
-    /// Every shard re-derives the same master arrival stream
-    /// (`derive_seed(seed, &[ARRIVAL_STREAM])`) and keeps the messages
-    /// whose global index hashes to it under the uniform
-    /// [`mac_channel::ShardStrategy`], so the union over shards is
-    /// exactly the single-channel arrival sequence. Shard `i`'s protocol
-    /// run is seeded `derive_seed(seed, &[SHARD_STREAM, i])`.
-    ///
-    /// # Errors
-    /// Returns [`SessionError::Unsupported`] for a zero shard count or a
-    /// window protocol, and [`SessionError::Parameter`] for invalid
-    /// parameters.
-    pub fn new(
-        kind: &ProtocolKind,
-        model: &ArrivalModel,
-        seed: u64,
-        options: &RunOptions,
-        shards: u32,
-    ) -> Result<Self, SessionError> {
-        if shards == 0 {
-            return Err(SessionError::Unsupported("shard count must be positive"));
-        }
-        validate_model(model)?;
-        let arrival_seed = derive_seed(seed, &[ARRIVAL_STREAM]);
-        let salt = derive_seed(seed, &[SHARD_STREAM]);
-        let mut sessions = Vec::with_capacity(shards as usize);
-        for shard in 0..shards {
-            let master = ArrivalStream::new(model, arrival_seed);
-            let stream = ShardedArrivalStream::new(master, salt, shard, shards);
-            let run_seed = derive_seed(seed, &[SHARD_STREAM, u64::from(shard)]);
-            let session = Session::dynamic_on(
-                kind,
-                StreamSource::Sharded(stream),
-                run_seed,
-                options,
-                false,
-            )?
-            .ok_or(SessionError::Unsupported(WINDOW_DYNAMIC))?;
-            sessions.push(session);
-        }
-        let count = sessions.len();
-        Ok(Self {
-            label: kind.label(),
-            shards: sessions,
-            supervision: None,
-            health: vec![ShardHealth::default(); count],
-            last_good: vec![None; count],
-        })
-    }
-
-    /// The per-shard sessions (shard `i` at index `i`).
-    pub fn shards(&self) -> &[Session] {
-        &self.shards
-    }
-
-    /// Arms supervision (or disarms it with `None`): shard thread panics
-    /// are captured and the shard is retried from its last good
-    /// checkpoint with deterministic exponential backoff; after
-    /// [`ShardSupervision::max_retries`] failures the shard is
-    /// quarantined and the driver degrades to a partial result.
-    ///
-    /// Unsupervised (the default), a shard panic surfaces as a typed
-    /// [`SessionError::ShardFailed`] instead of crashing the driver.
-    pub fn set_supervision(&mut self, supervision: Option<ShardSupervision>) {
-        self.supervision = supervision;
-    }
-
-    /// The armed supervision policy, if any.
-    pub fn supervision(&self) -> Option<ShardSupervision> {
-        self.supervision
-    }
-
-    /// The per-shard health ledger (shard `i` at index `i`).
-    pub fn health(&self) -> &[ShardHealth] {
-        &self.health
-    }
-
-    /// Indices of quarantined shards (empty unless supervision gave up on
-    /// a shard).
-    pub fn quarantined_shards(&self) -> Vec<u32> {
-        self.health
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.quarantined)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
-
-    /// Arms the livelock watchdog on every shard (see
-    /// [`Session::set_watchdog`]).
-    pub fn set_watchdog(&mut self, config: Option<StallConfig>) {
-        for shard in &mut self.shards {
-            shard.set_watchdog(config);
-        }
-    }
-
-    /// **Fault injection** (deterministic chaos testing): arms a kill on
-    /// one shard's session — see [`Session::arm_fault_kill`]. The
-    /// supervised driver uses this to rehearse panic capture, retry and
-    /// quarantine.
-    pub fn arm_shard_kill(&mut self, shard: u32, slot: Option<u64>) {
-        if let Some(session) = self.shards.get_mut(shard as usize) {
-            session.arm_fault_kill(slot);
-        }
-    }
-
-    /// Advances every runnable shard by (at least) `max_slots` slots, in
-    /// parallel on scoped threads (the same std-only pattern as the
-    /// experiment runner: no work queue, one thread per runnable shard).
-    /// Quarantined shards never run.
-    ///
-    /// Shard thread panics are captured, never propagated. Unsupervised,
-    /// the first panic aborts the call with a typed
-    /// [`SessionError::ShardFailed`] (the other shards keep the progress
-    /// they made). Supervised ([`ShardedSession::set_supervision`]), the
-    /// failed shard is rolled back to its last good checkpoint and
-    /// retried after a deterministic backoff of `2^(n-1)` supervision
-    /// rounds; after `max_retries` failures it is quarantined — frozen at
-    /// its last good state — and the call keeps driving the surviving
-    /// shards, so a single bad shard degrades the fleet to a partial
-    /// result instead of sinking it.
-    ///
-    /// # Errors
-    /// Propagates the first shard engine error, and shard panics as
-    /// [`SessionError::ShardFailed`] when unsupervised.
-    pub fn advance(&mut self, max_slots: u64) -> Result<SessionStatus, SessionError> {
-        let n = self.shards.len();
-        // Shards that already served their budget for *this* call (or
-        // need no more driving).
-        let mut done = vec![false; n];
-        loop {
-            let mut any_cooling = false;
-            let eligible: Vec<bool> = done
-                .iter()
-                .zip(&self.health)
-                .zip(&self.shards)
-                .map(|((&served, health), shard)| {
-                    if served || health.quarantined || shard.is_finished() {
-                        return false;
-                    }
-                    if health.cooldown > 0 {
-                        any_cooling = true;
-                        return false;
-                    }
-                    true
-                })
-                .collect();
-            if !eligible.contains(&true) {
-                if !any_cooling {
-                    break;
-                }
-                // Every runnable shard is benched: tick the backoff clock
-                // (deterministic — rounds, not wall time) and re-check.
-                for health in &mut self.health {
-                    health.cooldown = health.cooldown.saturating_sub(1);
-                }
-                continue;
-            }
-            if self.supervision.is_some() {
-                // Refresh last-good snapshots so a retry rolls back only
-                // the failed round, not the whole call.
-                for ((&runnable, snapshot), shard) in eligible
-                    .iter()
-                    .zip(&mut self.last_good)
-                    .zip(&mut self.shards)
-                {
-                    if runnable {
-                        *snapshot = Some(shard.checkpoint()?);
-                    }
-                }
-            }
-            let outcomes = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&eligible)
-                    .enumerate()
-                    .filter(|(_, (_, &runnable))| runnable)
-                    .map(|(i, (shard, _))| (i, scope.spawn(move || shard.advance(max_slots))))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(i, handle)| (i, handle.join()))
-                    .collect::<Vec<_>>()
-            });
-            for (i, joined) in outcomes {
-                match joined {
-                    Ok(result) => {
-                        // The shard ran its budget (or stalled/paused per
-                        // its own policy); typed errors propagate.
-                        result?;
-                        if let Some(served) = done.get_mut(i) {
-                            *served = true;
-                        }
-                    }
-                    Err(payload) => {
-                        let panic = panic_message(payload);
-                        let Some(supervision) = self.supervision else {
-                            return Err(SessionError::ShardFailed {
-                                shard: i as u32,
-                                panic,
-                            });
-                        };
-                        // `i` enumerates the shard vector and every
-                        // per-shard vector is built with one entry per
-                        // shard, with the pre-round snapshot taken for
-                        // every runnable shard — so none of these lookups
-                        // can miss. If that invariant ever breaks, fail
-                        // typed instead of panicking.
-                        let (Some(health), Some(last_good), Some(shard), Some(served)) = (
-                            self.health.get_mut(i),
-                            self.last_good.get(i).and_then(Option::as_ref),
-                            self.shards.get_mut(i),
-                            done.get_mut(i),
-                        ) else {
-                            return Err(SessionError::ShardFailed {
-                                shard: i as u32,
-                                panic,
-                            });
-                        };
-                        health.failures += 1;
-                        health.last_panic = Some(panic);
-                        *shard = Session::resume(last_good)?;
-                        if health.failures > supervision.max_retries {
-                            health.quarantined = true;
-                            *served = true;
-                        } else {
-                            health.cooldown = 1u64 << (health.failures - 1).min(16);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(self.status())
-    }
-
-    /// Runs every shard to completion (or its cap). Under supervision a
-    /// quarantined shard does not block completion — the surviving shards
-    /// finish and the merged result is partial.
-    ///
-    /// # Errors
-    /// Propagates the first shard error, if any.
-    pub fn run_to_completion(&mut self) -> Result<SessionStatus, SessionError> {
-        self.advance(u64::MAX)
-    }
-
-    /// [`SessionStatus::Finished`] once every shard finished (quarantined
-    /// shards count as terminally finished — frozen at their last good
-    /// state).
-    pub fn status(&self) -> SessionStatus {
-        if self.is_finished() {
-            SessionStatus::Finished
-        } else {
-            SessionStatus::Paused
-        }
-    }
-
-    /// True once every shard finished or was quarantined.
-    pub fn is_finished(&self) -> bool {
-        self.shards
-            .iter()
-            .zip(&self.health)
-            .all(|(shard, health)| shard.is_finished() || health.quarantined)
-    }
-
-    /// Messages delivered across all shards.
-    pub fn delivered(&self) -> u64 {
-        self.shards.iter().map(Session::delivered).sum()
-    }
-
-    /// Fleet-level latency statistics: the lossless merge of every shard's
-    /// streaming sketch (mean/max/count stay exact; the merged quantile
-    /// rank-error ledger is the sum of the shards').
-    pub fn merged_stats(&self) -> StreamingLatencyStats {
-        let mut merged = StreamingLatencyStats::new(0);
-        for shard in &self.shards {
-            if let Some(stats) = shard.live_stats() {
-                merged.merge(stats);
-            }
-        }
-        merged
-    }
-
-    /// Fleet-level aggregate result: message/delivery/collision counters
-    /// summed over shards, the makespan the maximum over shards (the fleet
-    /// finishes when its slowest channel does), `completed` iff every
-    /// shard completed.
-    pub fn merged_result(&mut self) -> RunResult {
-        let label = self.label.clone();
-        let mut merged = RunResult {
-            protocol: label,
-            k: 0,
-            seed: 0,
-            makespan: 0,
-            completed: true,
-            delivered: 0,
-            collisions: 0,
-            silent_slots: 0,
-            jammed_deliveries: 0,
-            never_activated: 0,
-            delivery_slots: None,
-        };
-        for shard in &mut self.shards {
-            let result = shard.result();
-            merged.k += result.k;
-            merged.makespan = merged.makespan.max(result.makespan);
-            merged.completed &= result.completed;
-            merged.delivered += result.delivered;
-            merged.collisions += result.collisions;
-            merged.silent_slots += result.silent_slots;
-            merged.jammed_deliveries += result.jammed_deliveries;
-            merged.never_activated += result.never_activated;
-        }
-        merged
-    }
-
-    /// Fleet-level latency/throughput report from the merged statistics.
-    /// `throughput` is deliveries per fleet-makespan slot — per-channel
-    /// throughput times the effective channel parallelism.
-    pub fn merged_report(&mut self) -> DynamicReport {
-        let result = self.merged_result();
-        let stats = self.merged_stats();
-        let mut report = DynamicReport::from_streaming(&result, &stats);
-        report.stall_detected_at = self
-            .shards
-            .iter()
-            .filter_map(|s| s.stall().map(|r| r.detected_at_slot))
-            .min();
-        report
-    }
-
-    /// Serialises every shard's full state — plus the supervision policy
-    /// and per-shard health ledger — into one integrity-framed checkpoint
-    /// (each embedded shard checkpoint carries its own frame too).
-    ///
-    /// # Errors
-    /// Same conditions as [`Session::checkpoint`].
-    pub fn checkpoint(&self) -> Result<Checkpoint, SessionError> {
-        let mut out = open_frame(CheckpointKind::Sharded);
-        out.put_str(&self.label);
-        match &self.supervision {
-            Some(s) => {
-                out.put_bool(true);
-                out.put_u32(s.max_retries);
-            }
-            None => out.put_bool(false),
-        }
-        out.put_usize(self.shards.len());
-        for (shard, health) in self.shards.iter().zip(&self.health) {
-            out.put_words(&shard.checkpoint()?.words);
-            out.put_u32(health.failures);
-            out.put_u64(health.cooldown);
-            out.put_bool(health.quarantined);
-            match &health.last_panic {
-                Some(panic) => {
-                    out.put_bool(true);
-                    out.put_str(panic);
-                }
-                None => out.put_bool(false),
-            }
-        }
-        Ok(seal_frame(out))
-    }
-
-    /// Rebuilds a sharded driver from a [`ShardedSession::checkpoint`].
-    /// The frame's integrity is verified before any shard state is
-    /// reconstructed.
-    ///
-    /// # Errors
-    /// Returns a typed [`SessionError::Integrity`] on a truncated,
-    /// corrupted, version- or kind-mismatched frame, and a
-    /// [`SessionError::Wire`] if the verified payload still fails to
-    /// decode.
-    pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
-        let payload = verify_frame(&checkpoint.words, CheckpointKind::Sharded)?;
-        let mut input = Decoder::new(payload);
-        let label = input.take_str()?;
-        let supervision = if input.take_bool()? {
-            Some(ShardSupervision {
-                max_retries: input.take_u32()?,
-            })
-        } else {
-            None
-        };
-        let count = input.take_usize()?;
-        let mut shards = Vec::with_capacity(count.min(1 << 16));
-        let mut health = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let words = input.take_words()?.to_vec();
-            shards.push(Session::resume(&Checkpoint { words })?);
-            let failures = input.take_u32()?;
-            let cooldown = input.take_u64()?;
-            let quarantined = input.take_bool()?;
-            let last_panic = if input.take_bool()? {
-                Some(input.take_str()?)
-            } else {
-                None
-            };
-            health.push(ShardHealth {
-                failures,
-                cooldown,
-                quarantined,
-                last_panic,
-            });
-        }
-        input.finish()?;
-        let last_good = vec![None; shards.len()];
-        Ok(Self {
-            label,
-            shards,
-            supervision,
-            health,
-            last_good,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,538 @@
+//! The sharded multi-channel driver: supervision, per-shard health and
+//! [`ShardedSession`].
+
+use super::frame::{open_frame, seal_frame, verify_frame};
+use super::{
+    Checkpoint, CheckpointKind, Session, SessionError, SessionStatus, StallConfig, StreamSource,
+    WINDOW_DYNAMIC,
+};
+use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM};
+use crate::result::{RunOptions, RunResult};
+use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream};
+use mac_prob::rng::derive_seed;
+use mac_prob::sketch::StreamingLatencyStats;
+use mac_prob::wire::Decoder;
+use mac_protocols::ProtocolKind;
+
+/// Seed-derivation path tag for the sharded driver: shard `i` of a
+/// [`ShardedSession`] runs on `derive_seed(seed, &[SHARD_STREAM, i])`, and
+/// the station-to-shard hash salt is `derive_seed(seed, &[SHARD_STREAM])`.
+pub const SHARD_STREAM: u64 = 0x5AAD;
+
+/// Supervision policy of a [`ShardedSession`]: how many times a failed
+/// shard is retried from its last good checkpoint before it is
+/// quarantined.
+///
+/// Retries back off deterministically: after its `n`-th failure a shard
+/// sits out `2^(n-1)` supervision rounds (capped) before it is retried —
+/// a schedule on the driver's round clock, not wall time, so supervised
+/// recovery stays bit-reproducible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSupervision {
+    /// Failures tolerated per shard before quarantine: the shard is
+    /// retried from its last good checkpoint up to this many times, then
+    /// frozen (the driver finishes the surviving shards and reports a
+    /// partial result naming the quarantined shard).
+    pub max_retries: u32,
+}
+
+impl ShardSupervision {
+    /// A supervision policy quarantining a shard after `max_retries`
+    /// failed retries.
+    pub fn new(max_retries: u32) -> Self {
+        Self { max_retries }
+    }
+}
+
+impl Default for ShardSupervision {
+    fn default() -> Self {
+        Self { max_retries: 3 }
+    }
+}
+
+/// Per-shard health ledger of a supervised [`ShardedSession`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardHealth {
+    /// Cumulative thread failures (panics) of this shard.
+    pub failures: u32,
+    /// Supervision rounds this shard still sits out before its next retry
+    /// (the deterministic backoff clock).
+    pub cooldown: u64,
+    /// True once the shard exhausted its retries and was frozen at its
+    /// last good checkpoint; a quarantined shard never runs again and the
+    /// merged result is partial (`completed = false`).
+    pub quarantined: bool,
+    /// The most recent panic message, when one was captured.
+    pub last_panic: Option<String>,
+}
+
+/// Extracts a human-readable message from a captured panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// N independent channels driven in parallel: stations are hashed across
+/// shards by global arrival index (salted per experiment), each shard runs
+/// its own dynamic [`Session`] on a derived RNG stream, and the per-shard
+/// latency sketches merge losslessly into fleet-level statistics.
+///
+/// This models the multi-channel extension the paper's conclusions point
+/// at: throughput scales with the channel count while each channel runs
+/// the unmodified single-channel protocol.
+///
+/// The driver is fault-tolerant: shard thread panics are captured and
+/// surface as typed [`SessionError::ShardFailed`] errors, or — with
+/// [`ShardedSession::set_supervision`] armed — trigger retry from the
+/// shard's last good checkpoint with deterministic backoff and, after
+/// `max_retries` failures, quarantine (the surviving shards finish and
+/// the merged result is partial). See DESIGN.md §10.
+///
+/// # Example
+/// ```
+/// use mac_channel::ArrivalModel;
+/// use mac_protocols::ProtocolKind;
+/// use mac_sim::{RunOptions, ShardedSession};
+///
+/// let kind = ProtocolKind::OneFailAdaptive { delta: 2.72 };
+/// let model = ArrivalModel::Poisson { rate: 0.05, horizon: 2_000 };
+/// let mut driver = ShardedSession::new(&kind, &model, 11, &RunOptions::default(), 4).unwrap();
+/// driver.run_to_completion().unwrap();
+/// let report = driver.merged_report();
+/// assert_eq!(report.delivered, report.messages);
+/// ```
+#[derive(Debug)]
+pub struct ShardedSession {
+    label: String,
+    shards: Vec<Session>,
+    supervision: Option<ShardSupervision>,
+    health: Vec<ShardHealth>,
+    /// Last checkpoint each shard successfully reached (refreshed before
+    /// every supervised round; runtime-only, rebuilt after resume).
+    last_good: Vec<Option<Checkpoint>>,
+}
+
+impl ShardedSession {
+    /// Splits `model`'s arrivals across `shards` channels and builds one
+    /// dynamic session per shard.
+    ///
+    /// Every shard re-derives the same master arrival stream
+    /// (`derive_seed(seed, &[ARRIVAL_STREAM])`) and keeps the messages
+    /// whose global index hashes to it under the uniform
+    /// [`mac_channel::ShardStrategy`], so the union over shards is
+    /// exactly the single-channel arrival sequence. Shard `i`'s protocol
+    /// run is seeded `derive_seed(seed, &[SHARD_STREAM, i])`.
+    ///
+    /// # Errors
+    /// Returns [`SessionError::Unsupported`] for a zero shard count or a
+    /// window protocol, and [`SessionError::Parameter`] for invalid
+    /// parameters.
+    pub fn new(
+        kind: &ProtocolKind,
+        model: &ArrivalModel,
+        seed: u64,
+        options: &RunOptions,
+        shards: u32,
+    ) -> Result<Self, SessionError> {
+        if shards == 0 {
+            return Err(SessionError::Unsupported("shard count must be positive"));
+        }
+        validate_model(model)?;
+        let arrival_seed = derive_seed(seed, &[ARRIVAL_STREAM]);
+        let salt = derive_seed(seed, &[SHARD_STREAM]);
+        let mut sessions = Vec::with_capacity(shards as usize);
+        for shard in 0..shards {
+            let master = ArrivalStream::new(model, arrival_seed);
+            let stream = ShardedArrivalStream::new(master, salt, shard, shards);
+            let run_seed = derive_seed(seed, &[SHARD_STREAM, u64::from(shard)]);
+            let session = Session::dynamic_on(
+                kind,
+                StreamSource::Sharded(stream),
+                run_seed,
+                options,
+                false,
+            )?
+            .ok_or(SessionError::Unsupported(WINDOW_DYNAMIC))?;
+            sessions.push(session);
+        }
+        let count = sessions.len();
+        Ok(Self {
+            label: kind.label(),
+            shards: sessions,
+            supervision: None,
+            health: vec![ShardHealth::default(); count],
+            last_good: vec![None; count],
+        })
+    }
+
+    /// The per-shard sessions (shard `i` at index `i`).
+    pub fn shards(&self) -> &[Session] {
+        &self.shards
+    }
+
+    /// Arms supervision (or disarms it with `None`): shard thread panics
+    /// are captured and the shard is retried from its last good
+    /// checkpoint with deterministic exponential backoff; after
+    /// [`ShardSupervision::max_retries`] failures the shard is
+    /// quarantined and the driver degrades to a partial result.
+    ///
+    /// Unsupervised (the default), a shard panic surfaces as a typed
+    /// [`SessionError::ShardFailed`] instead of crashing the driver.
+    pub fn set_supervision(&mut self, supervision: Option<ShardSupervision>) {
+        self.supervision = supervision;
+    }
+
+    /// The armed supervision policy, if any.
+    pub fn supervision(&self) -> Option<ShardSupervision> {
+        self.supervision
+    }
+
+    /// The per-shard health ledger (shard `i` at index `i`).
+    pub fn health(&self) -> &[ShardHealth] {
+        &self.health
+    }
+
+    /// Indices of quarantined shards (empty unless supervision gave up on
+    /// a shard).
+    pub fn quarantined_shards(&self) -> Vec<u32> {
+        self.health
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.quarantined)
+            .map(|(i, _)| i as u32)
+            .collect()
+    }
+
+    /// Arms the livelock watchdog on every shard (see
+    /// [`Session::set_watchdog`]).
+    pub fn set_watchdog(&mut self, config: Option<StallConfig>) {
+        for shard in &mut self.shards {
+            shard.set_watchdog(config);
+        }
+    }
+
+    /// **Fault injection** (deterministic chaos testing): arms a kill on
+    /// one shard's session — see [`Session::arm_fault_kill`]. The
+    /// supervised driver uses this to rehearse panic capture, retry and
+    /// quarantine.
+    pub fn arm_shard_kill(&mut self, shard: u32, slot: Option<u64>) {
+        if let Some(session) = self.shards.get_mut(shard as usize) {
+            session.arm_fault_kill(slot);
+        }
+    }
+
+    /// Advances every runnable shard by (at least) `max_slots` slots, in
+    /// parallel on scoped threads (the same std-only pattern as the
+    /// experiment runner: no work queue, one thread per runnable shard).
+    /// Quarantined shards never run.
+    ///
+    /// Shard thread panics are captured, never propagated. Unsupervised,
+    /// the first panic aborts the call with a typed
+    /// [`SessionError::ShardFailed`] (the other shards keep the progress
+    /// they made). Supervised ([`ShardedSession::set_supervision`]), the
+    /// failed shard is rolled back to its last good checkpoint and
+    /// retried after a deterministic backoff of `2^(n-1)` supervision
+    /// rounds; after `max_retries` failures it is quarantined — frozen at
+    /// its last good state — and the call keeps driving the surviving
+    /// shards, so a single bad shard degrades the fleet to a partial
+    /// result instead of sinking it.
+    ///
+    /// # Errors
+    /// Propagates the first shard engine error, and shard panics as
+    /// [`SessionError::ShardFailed`] when unsupervised.
+    pub fn advance(&mut self, max_slots: u64) -> Result<SessionStatus, SessionError> {
+        let n = self.shards.len();
+        // Shards that already served their budget for *this* call (or
+        // need no more driving).
+        let mut done = vec![false; n];
+        loop {
+            let mut any_cooling = false;
+            let eligible: Vec<bool> = done
+                .iter()
+                .zip(&self.health)
+                .zip(&self.shards)
+                .map(|((&served, health), shard)| {
+                    if served || health.quarantined || shard.is_finished() {
+                        return false;
+                    }
+                    if health.cooldown > 0 {
+                        any_cooling = true;
+                        return false;
+                    }
+                    true
+                })
+                .collect();
+            if !eligible.contains(&true) {
+                if !any_cooling {
+                    break;
+                }
+                // Every runnable shard is benched: tick the backoff clock
+                // (deterministic — rounds, not wall time) and re-check.
+                for health in &mut self.health {
+                    health.cooldown = health.cooldown.saturating_sub(1);
+                }
+                continue;
+            }
+            if self.supervision.is_some() {
+                // Refresh last-good snapshots so a retry rolls back only
+                // the failed round, not the whole call.
+                for ((&runnable, snapshot), shard) in eligible
+                    .iter()
+                    .zip(&mut self.last_good)
+                    .zip(&mut self.shards)
+                {
+                    if runnable {
+                        *snapshot = Some(shard.checkpoint()?);
+                    }
+                }
+            }
+            let outcomes = std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .iter_mut()
+                    .zip(&eligible)
+                    .enumerate()
+                    .filter(|(_, (_, &runnable))| runnable)
+                    .map(|(i, (shard, _))| (i, scope.spawn(move || shard.advance(max_slots))))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|(i, handle)| (i, handle.join()))
+                    .collect::<Vec<_>>()
+            });
+            for (i, joined) in outcomes {
+                match joined {
+                    Ok(result) => {
+                        // The shard ran its budget (or stalled/paused per
+                        // its own policy); typed errors propagate.
+                        result?;
+                        if let Some(served) = done.get_mut(i) {
+                            *served = true;
+                        }
+                    }
+                    Err(payload) => {
+                        let panic = panic_message(payload);
+                        let Some(supervision) = self.supervision else {
+                            return Err(SessionError::ShardFailed {
+                                shard: i as u32,
+                                panic,
+                            });
+                        };
+                        // `i` enumerates the shard vector and every
+                        // per-shard vector is built with one entry per
+                        // shard, with the pre-round snapshot taken for
+                        // every runnable shard — so none of these lookups
+                        // can miss. If that invariant ever breaks, fail
+                        // typed instead of panicking.
+                        let (Some(health), Some(last_good), Some(shard), Some(served)) = (
+                            self.health.get_mut(i),
+                            self.last_good.get(i).and_then(Option::as_ref),
+                            self.shards.get_mut(i),
+                            done.get_mut(i),
+                        ) else {
+                            return Err(SessionError::ShardFailed {
+                                shard: i as u32,
+                                panic,
+                            });
+                        };
+                        health.failures += 1;
+                        health.last_panic = Some(panic);
+                        *shard = Session::resume(last_good)?;
+                        if health.failures > supervision.max_retries {
+                            health.quarantined = true;
+                            *served = true;
+                        } else {
+                            health.cooldown = 1u64 << (health.failures - 1).min(16);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(self.status())
+    }
+
+    /// Runs every shard to completion (or its cap). Under supervision a
+    /// quarantined shard does not block completion — the surviving shards
+    /// finish and the merged result is partial.
+    ///
+    /// # Errors
+    /// Propagates the first shard error, if any.
+    pub fn run_to_completion(&mut self) -> Result<SessionStatus, SessionError> {
+        self.advance(u64::MAX)
+    }
+
+    /// [`SessionStatus::Finished`] once every shard finished (quarantined
+    /// shards count as terminally finished — frozen at their last good
+    /// state).
+    pub fn status(&self) -> SessionStatus {
+        if self.is_finished() {
+            SessionStatus::Finished
+        } else {
+            SessionStatus::Paused
+        }
+    }
+
+    /// True once every shard finished or was quarantined.
+    pub fn is_finished(&self) -> bool {
+        self.shards
+            .iter()
+            .zip(&self.health)
+            .all(|(shard, health)| shard.is_finished() || health.quarantined)
+    }
+
+    /// Messages delivered across all shards.
+    pub fn delivered(&self) -> u64 {
+        self.shards.iter().map(Session::delivered).sum()
+    }
+
+    /// Fleet-level latency statistics: the lossless merge of every shard's
+    /// streaming sketch (mean/max/count stay exact; the merged quantile
+    /// rank-error ledger is the sum of the shards').
+    pub fn merged_stats(&self) -> StreamingLatencyStats {
+        let mut merged = StreamingLatencyStats::new(0);
+        for shard in &self.shards {
+            if let Some(stats) = shard.live_stats() {
+                merged.merge(stats);
+            }
+        }
+        merged
+    }
+
+    /// Fleet-level aggregate result: message/delivery/collision counters
+    /// summed over shards, the makespan the maximum over shards (the fleet
+    /// finishes when its slowest channel does), `completed` iff every
+    /// shard completed.
+    pub fn merged_result(&mut self) -> RunResult {
+        let label = self.label.clone();
+        let mut merged = RunResult {
+            protocol: label,
+            k: 0,
+            seed: 0,
+            makespan: 0,
+            completed: true,
+            delivered: 0,
+            collisions: 0,
+            silent_slots: 0,
+            jammed_deliveries: 0,
+            never_activated: 0,
+            delivery_slots: None,
+        };
+        for shard in &mut self.shards {
+            let result = shard.result();
+            merged.k += result.k;
+            merged.makespan = merged.makespan.max(result.makespan);
+            merged.completed &= result.completed;
+            merged.delivered += result.delivered;
+            merged.collisions += result.collisions;
+            merged.silent_slots += result.silent_slots;
+            merged.jammed_deliveries += result.jammed_deliveries;
+            merged.never_activated += result.never_activated;
+        }
+        merged
+    }
+
+    /// Fleet-level latency/throughput report from the merged statistics.
+    /// `throughput` is deliveries per fleet-makespan slot — per-channel
+    /// throughput times the effective channel parallelism.
+    pub fn merged_report(&mut self) -> DynamicReport {
+        let result = self.merged_result();
+        let stats = self.merged_stats();
+        let mut report = DynamicReport::from_streaming(&result, &stats);
+        report.stall_detected_at = self
+            .shards
+            .iter()
+            .filter_map(|s| s.stall().map(|r| r.detected_at_slot))
+            .min();
+        report
+    }
+
+    /// Serialises every shard's full state — plus the supervision policy
+    /// and per-shard health ledger — into one integrity-framed checkpoint
+    /// (each embedded shard checkpoint carries its own frame too).
+    ///
+    /// # Errors
+    /// Same conditions as [`Session::checkpoint`].
+    pub fn checkpoint(&self) -> Result<Checkpoint, SessionError> {
+        let mut out = open_frame(CheckpointKind::Sharded);
+        out.put_str(&self.label);
+        match &self.supervision {
+            Some(s) => {
+                out.put_bool(true);
+                out.put_u32(s.max_retries);
+            }
+            None => out.put_bool(false),
+        }
+        out.put_usize(self.shards.len());
+        for (shard, health) in self.shards.iter().zip(&self.health) {
+            out.put_words(&shard.checkpoint()?.words);
+            out.put_u32(health.failures);
+            out.put_u64(health.cooldown);
+            out.put_bool(health.quarantined);
+            match &health.last_panic {
+                Some(panic) => {
+                    out.put_bool(true);
+                    out.put_str(panic);
+                }
+                None => out.put_bool(false),
+            }
+        }
+        Ok(seal_frame(out))
+    }
+
+    /// Rebuilds a sharded driver from a [`ShardedSession::checkpoint`].
+    /// The frame's integrity is verified before any shard state is
+    /// reconstructed.
+    ///
+    /// # Errors
+    /// Returns a typed [`SessionError::Integrity`] on a truncated,
+    /// corrupted, version- or kind-mismatched frame, and a
+    /// [`SessionError::Wire`] if the verified payload still fails to
+    /// decode.
+    pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
+        let payload = verify_frame(&checkpoint.words, CheckpointKind::Sharded)?;
+        let mut input = Decoder::new(payload);
+        let label = input.take_str()?;
+        let supervision = if input.take_bool()? {
+            Some(ShardSupervision {
+                max_retries: input.take_u32()?,
+            })
+        } else {
+            None
+        };
+        let count = input.take_usize()?;
+        let mut shards = Vec::with_capacity(count.min(1 << 16));
+        let mut health = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            let words = input.take_words()?.to_vec();
+            shards.push(Session::resume(&Checkpoint { words })?);
+            let failures = input.take_u32()?;
+            let cooldown = input.take_u64()?;
+            let quarantined = input.take_bool()?;
+            let last_panic = if input.take_bool()? {
+                Some(input.take_str()?)
+            } else {
+                None
+            };
+            health.push(ShardHealth {
+                failures,
+                cooldown,
+                quarantined,
+                last_panic,
+            });
+        }
+        input.finish()?;
+        let last_good = vec![None; shards.len()];
+        Ok(Self {
+            label,
+            shards,
+            supervision,
+            health,
+            last_good,
+        })
+    }
+}
