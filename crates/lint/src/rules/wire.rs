@@ -24,16 +24,19 @@ use std::collections::BTreeMap;
 pub const RULE: &str = "wire-version-hygiene";
 
 /// The file that owns the frame format and its version constant.
-pub const SESSION_FILE: &str = "crates/sim/src/session.rs";
+pub const SESSION_FILE: &str = "crates/sim/src/session/frame.rs";
 
-/// Files whose codec bodies are frame layouts: the session file (options,
-/// watchdog, arrival feed), the kind table (the protocol kind a session
-/// frame records), the engine cores (fair, window, cohort) whose payloads a
-/// session frame embeds, the arrival streams and shard strategy a dynamic
-/// payload carries, and the kernel caches and latency sketches the cores
-/// carry verbatim.
-pub const ENCODE_FILES: [&str; 9] = [
+/// Files whose codec bodies are frame layouts: the session modules (the
+/// frame, the options and arrival feed, the watchdog, the sharded driver),
+/// the kind table (the protocol kind a session frame records), the engine
+/// cores (fair, window, cohort) whose payloads a session frame embeds, the
+/// arrival streams and shard strategy a dynamic payload carries, and the
+/// kernel caches and latency sketches the cores carry verbatim.
+pub const ENCODE_FILES: [&str; 12] = [
     SESSION_FILE,
+    "crates/sim/src/session.rs",
+    "crates/sim/src/session/watchdog.rs",
+    "crates/sim/src/session/sharded.rs",
     "crates/protocols/src/kind.rs",
     "crates/sim/src/aggregate.rs",
     "crates/sim/src/window.rs",
@@ -108,7 +111,8 @@ pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
     frames
 }
 
-/// Reads the `CHECKPOINT_VERSION` constant out of the session file.
+/// Reads the `CHECKPOINT_VERSION` constant out of the frame file
+/// ([`SESSION_FILE`]).
 pub fn checkpoint_version(analysis: &FileAnalysis) -> Option<u64> {
     let tokens = &analysis.tokens;
     for (i, t) in tokens.iter().enumerate() {

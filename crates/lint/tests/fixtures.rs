@@ -164,6 +164,29 @@ fn panic_fixture_out_of_scope_files_are_ignored() {
     assert!(diags("crates/sim/src/exact.rs", bad).is_empty());
 }
 
+/// Every session module is in scope, including one a later split adds
+/// under the session directory: an `.unwrap()` seeded into the real source
+/// of each (clean before the seed) is flagged at the seeded line.
+#[test]
+fn panic_rule_covers_every_session_module() {
+    let root = workspace_root();
+    let seed = "pub fn seeded(v: Option<u64>) -> u64 {\n    v.unwrap()\n}\n";
+    for rel in [
+        "crates/sim/src/session.rs",
+        "crates/sim/src/session/frame.rs",
+        "crates/sim/src/session/watchdog.rs",
+        "crates/sim/src/session/sharded.rs",
+    ] {
+        let source = fs::read_to_string(root.join(rel)).expect("session source");
+        assert!(diags(rel, &source).is_empty(), "{rel} lints clean");
+        let found = diags(rel, &format!("{seed}{source}"));
+        assert_eq!(rules_of(&found), ["panic-hygiene"], "{rel}");
+        assert_eq!(found[0].line, 2, "{rel}");
+    }
+    let later = diags("crates/sim/src/session/later_split.rs", seed);
+    assert_eq!(rules_of(&later), ["panic-hygiene"]);
+}
+
 // --- wire-version-hygiene ----------------------------------------------------
 
 const SESSION_FIXTURE: &str = "\
@@ -271,7 +294,7 @@ fn wire_fixture_engine_core_payloads_are_fingerprinted() {
 }
 
 /// The codecs a frame embeds outside the engine cores are fingerprinted
-/// too — free functions in the session file, the arrival streams' methods
+/// too — free functions in the session module, the arrival streams' methods
 /// and the kind table's encoder. Swapping the first two words of the *real*
 /// `encode_options`, moving the *real* `ArrivalStream::encode`'s cursor word
 /// after `emitted`, or swapping two same-typed parameter writes of the
@@ -285,7 +308,7 @@ fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
     let version = wire::checkpoint_version(&analyze(wire::SESSION_FILE, &session));
     let cases = [
         (
-            wire::SESSION_FILE,
+            "crates/sim/src/session.rs",
             "crates/sim/src/session.rs::encode_options",
             vec![(
                 "    out.put_u64(options.slot_cap_per_message);\n    out.put_u64(options.min_slot_cap);",
