@@ -82,11 +82,10 @@ pub fn parse_u64_flags<const N: usize>(
         let Some(i) = flags.iter().position(|&(flag, _)| flag == arg) else {
             panic!("unknown argument `{arg}`; usage: {usage}");
         };
-        let value = args.next();
-        values[i] = value
-            .as_deref()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("{arg} requires an integer argument, got {value:?}"));
+        let value = args.next().unwrap_or_default();
+        values[i] = value.parse().unwrap_or_else(|_| {
+            panic!("{arg} requires an integer argument, got `{value}`; usage: {usage}")
+        });
     }
     values
 }
