@@ -34,7 +34,9 @@
 //!   extension discussed in the paper's conclusions;
 //! * [`session`] — streaming sessions: the same engines driven in bounded
 //!   slot bursts with live bounded-memory latency statistics, bit-exact
-//!   checkpoint/resume, and a sharded multi-channel driver;
+//!   checkpoint/resume, and a sharded multi-channel driver (one module
+//!   each for the session, the checkpoint frame, the livelock watchdog and
+//!   the sharded driver, all re-exported here);
 //! * [`stepper`] / [`search`] — the adversary strategy search: the exact
 //!   engine's own loop, paused and snapshotted at every single-transmitter
 //!   slot ([`ExactSimulator::stepper`]), feeding `mac-adversary`'s exhaustive

@@ -36,6 +36,14 @@
 //!   scoped threads, and the per-shard sketches merge losslessly
 //!   ([`ShardedSession::merged_report`]).
 //!
+//! The layer is one module per decision: this file holds [`SessionError`],
+//! the arrival feed, the engine trait and its visitors, [`Session`] and the
+//! options codec; `session/frame.rs` the checkpoint frame ([`Checkpoint`],
+//! [`IntegrityError`]); `session/watchdog.rs` the livelock watchdog
+//! ([`StallConfig`], [`StallReport`]); and `session/sharded.rs` supervision,
+//! shard health and [`ShardedSession`]. Every public name is re-exported
+//! here.
+//!
 //! Seed derivation is compatible with `simulate_dynamic`: the arrival
 //! stream uses `derive_seed(seed, &[ARRIVAL_STREAM])` and the (unsharded)
 //! protocol run `derive_seed(seed, &[RUN_STREAM])`, so a one-shard dynamic
