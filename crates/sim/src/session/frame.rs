@@ -15,13 +15,14 @@ const SHARDED_MAGIC: u64 = 0x4D41_4353_4841_5244; // "MACSHARD"
 
 /// Checkpoint format version (bumped on any layout change).
 ///
-/// v1: PR 7 layout, no integrity frame. v2: integrity frame (length word +
-/// trailing digest) and watchdog / shard-health state. v3: cohort knobs
-/// (merge tolerance, live-class cap) in the options and the engine core,
-/// the randomised-parity protocol tag, and the shard-assignment strategy in
-/// sharded arrival streams. Engine tag 8 (batched randomised parity) came
-/// later within v3 and changes no existing layout: an older v3 reader
-/// rejects it as an unknown engine tag instead of misdecoding it.
+/// v1: the first session layout, no integrity frame. v2: integrity frame
+/// (length word + trailing digest) and watchdog / shard-health state. v3:
+/// cohort knobs (merge tolerance, live-class cap) in the options and the
+/// engine core, the randomised-parity protocol tag, and the
+/// shard-assignment strategy in sharded arrival streams. Engine tag 8
+/// (batched randomised parity) came later within v3 and changes no
+/// existing layout: an older v3 reader rejects it as an unknown engine tag
+/// instead of misdecoding it.
 const CHECKPOINT_VERSION: u64 = 3;
 
 /// Words of frame overhead around a checkpoint payload: magic, version,
