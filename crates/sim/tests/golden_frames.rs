@@ -1,8 +1,9 @@
 //! Golden checkpoint frames: one checkpoint per engine tag (0–8), a
-//! dynamic session whose watchdog has recorded a stall, and two two-shard
+//! dynamic session whose watchdog has recorded a stall, two two-shard
 //! fleet frames (one plain, one supervised with a shard killed and
-//! retried), each built from fixed seeds and a fixed advance budget, pinned
-//! by word count and trailing digest.
+//! retried) and two saturated bounded-class sessions whose class cap binds
+//! on nearly every slot, each built from fixed seeds and a fixed advance
+//! budget, pinned by word count and trailing digest.
 //!
 //! The digest chains every word of the frame, so a pinned pair fails on any
 //! change to a frame's layout *or* to the run state it captures: a refactor
@@ -75,6 +76,24 @@ fn stalled() -> Checkpoint {
     let resumed = Session::resume(&checkpoint).unwrap();
     assert_eq!(resumed.stall(), Some(&stall), "the stall survives a resume");
     checkpoint
+}
+
+/// A bounded-class session on rate-2 Poisson arrivals, which outrun every
+/// fair protocol, advanced 2,500 slots: the live-class cap binds on nearly
+/// every arrival slot, so the frame pins the outcome of class-cap
+/// enforcement round after round, ties between bit-equal classes included.
+fn saturated(kind: &ProtocolKind, max_live_cohorts: u64) -> Checkpoint {
+    let model = ArrivalModel::Poisson {
+        rate: 2.0,
+        horizon: 2_000,
+    };
+    let options = RunOptions {
+        max_live_cohorts,
+        ..RunOptions::default()
+    };
+    let mut session = Session::dynamic(kind, &model, 21, &options).unwrap();
+    session.advance(2_500).unwrap();
+    session.checkpoint().unwrap()
 }
 
 /// A supervised two-shard fleet whose shard 1 is killed at slot 300 and
@@ -161,11 +180,16 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
             "sharded: supervised fleet, shard 1 killed and retried",
             supervised_fleet(&poisson),
         ),
+        (
+            "cohort oracle, saturated at cap 16",
+            saturated(&ProtocolKind::KnownKOracle, 16),
+        ),
+        ("cohort RP-OFA, saturated at cap 8", saturated(&rp_ofa(), 8)),
     ]
 }
 
 /// `(frame, word count, trailing digest)`.
-const PINNED: [(&str, usize, u64); 12] = [
+const PINNED: [(&str, usize, u64); 14] = [
     ("tag 0: fair OFA", 144, 0x0b58_28cb_dc43_49a2),
     ("tag 1: fair LFA, jammed", 138, 0xe7ab_de46_6e3f_e97b),
     (
@@ -189,6 +213,16 @@ const PINNED: [(&str, usize, u64); 12] = [
         "sharded: supervised fleet, shard 1 killed and retried",
         256,
         0x5404_1c22_5636_8b58,
+    ),
+    (
+        "cohort oracle, saturated at cap 16",
+        4479,
+        0xf450_0891_4398_0815,
+    ),
+    (
+        "cohort RP-OFA, saturated at cap 8",
+        5270,
+        0xa6ad_dde6_45cf_fa47,
     ),
 ];
 
