@@ -136,16 +136,6 @@ impl CohortKernel {
         self.caches[i].track_probabilities()
     }
 
-    /// The merge distance between cohorts `i` and `j`: the larger of the
-    /// [`relative_gap`]s of their corresponding cached probability tracks.
-    /// Equivalently, the smallest merge tolerance under which the two
-    /// cohorts would be considered converged (given equal schedule phase).
-    pub fn track_divergence(&self, i: usize, j: usize) -> f64 {
-        let (ai, bi) = self.track_probabilities(i);
-        let (aj, bj) = self.track_probabilities(j);
-        relative_gap(ai, aj).max(relative_gap(bi, bj))
-    }
-
     /// Classifies the current slot: updates every cohort's kernel to its
     /// `(m_i, p_i)` and returns the aggregate thresholds `t0 = P(T = 0)`,
     /// `t1 = P(T ≤ 1)`. One uniform draw `u` against the result resolves the
@@ -475,15 +465,6 @@ mod tests {
         let gap = relative_gap(a, b);
         assert!((a - b).abs() <= gap * a.max(b) + 1e-15);
         assert!((a - b).abs() > (gap - 1e-9) * a.max(b));
-    }
-
-    #[test]
-    fn track_divergence_takes_the_worse_of_both_tracks() {
-        let (kernel, _) = classify_fresh(&[(10, 0.1), (10, 0.11), (10, 0.1)]);
-        assert_eq!(kernel.track_divergence(0, 2), 0.0);
-        let d = kernel.track_divergence(0, 1);
-        assert!(d > 0.0 && d <= 1.0);
-        assert_eq!(kernel.track_divergence(0, 1), kernel.track_divergence(1, 0));
     }
 
     #[test]

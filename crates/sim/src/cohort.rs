@@ -38,6 +38,13 @@
 //! trades a documented, bounded probability perturbation at merge time for
 //! a smaller cohort count; see `DESIGN.md` §6 for the contract.
 //!
+//! In bounded-class mode ([`RunOptions::max_live_cohorts`]) an arrival
+//! that pushes the live count over the cap forces merges of the nearest
+//! same-phase classes (`DESIGN.md` §12.1). The periodic scan and the cap
+//! enforcement share one merge scratch in the core: each scan, and each
+//! enforcement round, keys and sorts the live classes once and allocates
+//! no working memory.
+//!
 //! ## Resumable core
 //!
 //! The loop state lives in one core, `CohortEngineCore`, and every run is
@@ -63,7 +70,7 @@ use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
 use crate::session::{Session, SessionEngine, StreamFeed, StreamSource};
 use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
-use mac_prob::cohort::CohortKernel;
+use mac_prob::cohort::{relative_gap, CohortKernel};
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
@@ -270,6 +277,7 @@ pub(crate) struct CohortEngineCore<P> {
     kernel: CohortKernel,
     ms: Vec<f64>,
     ps: Vec<f64>,
+    merge_scratch: MergeScratch,
     remaining: u64,
     slot: u64,
     makespan: u64,
@@ -328,6 +336,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             kernel: CohortKernel::new(),
             ms: Vec::new(),
             ps: Vec::new(),
+            merge_scratch: MergeScratch::default(),
             remaining: k,
             slot: 0,
             makespan: 0,
@@ -373,7 +382,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                 // is recorded *after* enforcement — it reports the live
                 // class count the engine actually paid for per slot.
                 if self.max_live_cohorts > 0 && self.cohorts.len() as u64 > self.max_live_cohorts {
-                    self.merges += enforce_class_cap(
+                    self.merges += self.merge_scratch.enforce_class_cap(
                         &mut self.cohorts,
                         &mut self.kernel,
                         self.max_live_cohorts as usize,
@@ -479,7 +488,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             if self.slots_to_merge_scan == 0 {
                 self.slots_to_merge_scan = MERGE_SCAN_PERIOD;
                 if self.cohorts.len() > 1 {
-                    self.merges += merge_converged_cohorts(
+                    self.merges += self.merge_scratch.merge_converged(
                         &mut self.cohorts,
                         &mut self.kernel,
                         self.merge_tolerance,
@@ -608,6 +617,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             kernel,
             ms: Vec::new(),
             ps: Vec::new(),
+            merge_scratch: MergeScratch::default(),
             remaining,
             slot,
             makespan,
@@ -697,144 +707,193 @@ fn tracks_close(a: f64, b: f64, tolerance: f64) -> bool {
     (a - b).abs() <= tolerance * a.max(b)
 }
 
-/// Sort key (`schedule phase`, both cached track probabilities) and the
-/// index permutation that orders cohorts by it: same-phase cohorts with
-/// close tracks become adjacent, which both merge routines rely on.
-fn sorted_cohort_order<P: FairProtocol>(
-    cohorts: &[Cohort<P>],
-    kernel: &CohortKernel,
-) -> (Vec<(u64, f64, f64)>, Vec<usize>) {
-    let n = cohorts.len();
-    let keys: Vec<(u64, f64, f64)> = (0..n)
-        .map(|i| {
-            let (a, b) = kernel.track_probabilities(i);
-            (cohorts[i].state.schedule_phase(), a, b)
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by(|&x, &y| {
-        keys[x]
-            .0
-            .cmp(&keys[y].0)
-            .then(keys[x].1.total_cmp(&keys[y].1))
-            .then(keys[x].2.total_cmp(&keys[y].2))
-    });
-    (keys, order)
+/// The merge routines' reusable buffers: sort keys, index order, adjacent
+/// gaps and victim flags. Scratch only — rebuilt by every merge scan and
+/// enforcement round, empty on construction and on decode, never
+/// checkpointed — so once the buffers have grown to the live class count,
+/// merging allocates no working memory.
+#[derive(Debug, Default)]
+struct MergeScratch {
+    /// `(schedule phase, track a, track b)` of cohort `i`, at index `i`.
+    keys: Vec<(u64, f64, f64)>,
+    /// Cohort indices sorted by key: same-phase cohorts with close tracks
+    /// are adjacent.
+    order: Vec<usize>,
+    /// Track divergence of every adjacent same-phase pair in `order`.
+    gaps: Vec<f64>,
+    /// Cohorts emptied into their representative by the last walk.
+    victim: Vec<bool>,
 }
 
-/// One merge scan: cohorts are sorted by `(schedule phase, track
-/// probabilities)` so that every *equality class* — same phase, both cached
-/// probability tracks within `tolerance` of the class representative —
-/// forms a contiguous run, and each run collapses into its first member in
-/// a single scan. O(C log C) per scan, amortised to a fraction of the
-/// per-slot classification cost by [`MERGE_SCAN_PERIOD`]. Returns the
-/// number of merges performed.
-///
-/// Approximate merges (`tolerance > 0`) use *weighted state adoption*: the
-/// surviving class keeps whichever of the two states carries the larger
-/// active membership, so the perturbation applies to the minority of the
-/// merged stations. At `tolerance = 0` the states are pinned bit-equal by
-/// the tracks, so the adoption rule is skipped and the default engine stays
-/// bit-identical to its committed artifacts.
-fn merge_converged_cohorts<P: FairProtocol>(
-    cohorts: &mut Vec<Cohort<P>>,
-    kernel: &mut CohortKernel,
-    tolerance: f64,
-) -> u64 {
-    let n = cohorts.len();
-    let (keys, order) = sorted_cohort_order(cohorts, kernel);
+impl MergeScratch {
+    /// Keys every cohort by (`schedule phase`, both cached track
+    /// probabilities) and sorts the indices `0..n` by key.
+    ///
+    /// The sort stays `sort_unstable_by` over cohort-index order with this
+    /// comparator: when two classes have bit-equal keys, the placement it
+    /// gives them decides which one survives a merge (its state, kernel
+    /// cache, arrival-group order and vector slot), and the committed
+    /// saturation map and golden frames pin that choice. A stable sort, an
+    /// index tie-break or an incrementally kept order would each move it.
+    fn sort<P: FairProtocol>(&mut self, cohorts: &[Cohort<P>], kernel: &CohortKernel) {
+        self.keys.clear();
+        self.keys
+            .extend(cohorts.iter().enumerate().map(|(i, cohort)| {
+                let (a, b) = kernel.track_probabilities(i);
+                (cohort.state.schedule_phase(), a, b)
+            }));
+        self.order.clear();
+        self.order.extend(0..cohorts.len());
+        let keys = &self.keys;
+        self.order.sort_unstable_by(|&x, &y| {
+            keys[x]
+                .0
+                .cmp(&keys[y].0)
+                .then(keys[x].1.total_cmp(&keys[y].1))
+                .then(keys[x].2.total_cmp(&keys[y].2))
+        });
+    }
 
-    // Walk the sorted order: the first cohort of each run is the class
-    // representative; followers within `tolerance` on both tracks (and in
-    // the same phase) transfer their members and arrival sub-groups to it.
-    let mut victim = vec![false; n];
-    let mut merges = 0u64;
-    let mut representative = order[0];
-    for &i in order.iter().skip(1) {
-        let (rp, ra, rb) = keys[representative];
-        let (ip, ia, ib) = keys[i];
-        if rp == ip && tracks_close(ra, ia, tolerance) && tracks_close(rb, ib, tolerance) {
-            let (left, right) = if representative < i {
-                let (l, r) = cohorts.split_at_mut(i);
-                (&mut l[representative], &mut r[0])
-            } else {
-                let (l, r) = cohorts.split_at_mut(representative);
-                (&mut r[0], &mut l[i])
-            };
-            if tolerance > 0.0 && right.m > left.m {
-                std::mem::swap(&mut left.state, &mut right.state);
-            }
-            left.m += right.m;
-            left.groups.append(&mut right.groups);
-            victim[i] = true;
-            merges += 1;
-        } else {
-            representative = i;
-        }
+    /// One merge scan: cohorts are sorted by `(schedule phase, track
+    /// probabilities)` so that every *equality class* — same phase, both
+    /// cached probability tracks within `tolerance` of the class
+    /// representative — forms a contiguous run, and each run collapses into
+    /// its first member in a single walk. O(C log C) per scan, amortised to
+    /// a fraction of the per-slot classification cost by
+    /// [`MERGE_SCAN_PERIOD`]. Returns the number of merges performed.
+    fn merge_converged<P: FairProtocol>(
+        &mut self,
+        cohorts: &mut Vec<Cohort<P>>,
+        kernel: &mut CohortKernel,
+        tolerance: f64,
+    ) -> u64 {
+        self.sort(cohorts, kernel);
+        self.merge_sorted(cohorts, kernel, tolerance)
     }
-    if merges == 0 {
-        return 0;
-    }
-    // Remove emptied victims back to front: an element swapped into a freed
-    // slot always comes from a higher index, which has already been decided
-    // (and victims there are already gone), so the flags stay aligned.
-    for i in (0..n).rev() {
-        if victim[i] {
-            cohorts.swap_remove(i);
-            kernel.swap_remove(i);
-        }
-    }
-    merges
-}
 
-/// Bounded-class enforcement: force-merges the *nearest* same-phase classes
-/// until at most `cap` remain. Each round sorts the live classes by
-/// `(phase, tracks)`, measures the relative track divergence of every
-/// adjacent same-phase pair, and re-runs the merge scan at the smallest
-/// threshold that admits enough pairs to restore the cap — so the engine
-/// always spends its forced approximation on the classes that are already
-/// closest in law. Classes in distinct phases are never merged (their
-/// future schedules differ), so the reachable floor is the number of
-/// distinct live phases; if every class sits in its own phase the cap is
-/// left violated rather than corrupting the schedule. Returns the number of
-/// merges performed.
-fn enforce_class_cap<P: FairProtocol>(
-    cohorts: &mut Vec<Cohort<P>>,
-    kernel: &mut CohortKernel,
-    cap: usize,
-) -> u64 {
-    let mut merges = 0u64;
-    while cohorts.len() > cap {
+    /// The merge walk over the order of the last [`MergeScratch::sort`],
+    /// which must describe `cohorts` as they are now.
+    ///
+    /// Approximate merges (`tolerance > 0`) use *weighted state adoption*:
+    /// the surviving class keeps whichever of the two states carries the
+    /// larger active membership, so the perturbation applies to the
+    /// minority of the merged stations. At `tolerance = 0` the states are
+    /// pinned bit-equal by the tracks, so the adoption rule is skipped and
+    /// the default engine stays bit-identical to its committed artifacts.
+    fn merge_sorted<P: FairProtocol>(
+        &mut self,
+        cohorts: &mut Vec<Cohort<P>>,
+        kernel: &mut CohortKernel,
+        tolerance: f64,
+    ) -> u64 {
         let n = cohorts.len();
-        let (keys, order) = sorted_cohort_order(cohorts, kernel);
-        let mut gaps: Vec<f64> = order
-            .windows(2)
-            .filter(|pair| keys[pair[0]].0 == keys[pair[1]].0)
-            .map(|pair| kernel.track_divergence(pair[0], pair[1]))
-            .collect();
-        if gaps.is_empty() {
-            // Every live class is alone in its phase: nothing is mergeable.
-            break;
+        let keys = &self.keys;
+        self.victim.clear();
+        self.victim.resize(n, false);
+        // Walk the sorted order: the first cohort of each run is the class
+        // representative; followers within `tolerance` on both tracks (and
+        // in the same phase) transfer their members and arrival sub-groups
+        // to it.
+        let mut merges = 0u64;
+        let mut representative = self.order[0];
+        for &i in self.order.iter().skip(1) {
+            let (rp, ra, rb) = keys[representative];
+            let (ip, ia, ib) = keys[i];
+            if rp == ip && tracks_close(ra, ia, tolerance) && tracks_close(rb, ib, tolerance) {
+                let (left, right) = if representative < i {
+                    let (l, r) = cohorts.split_at_mut(i);
+                    (&mut l[representative], &mut r[0])
+                } else {
+                    let (l, r) = cohorts.split_at_mut(representative);
+                    (&mut r[0], &mut l[i])
+                };
+                if tolerance > 0.0 && right.m > left.m {
+                    std::mem::swap(&mut left.state, &mut right.state);
+                }
+                left.m += right.m;
+                left.groups.append(&mut right.groups);
+                self.victim[i] = true;
+                merges += 1;
+            } else {
+                representative = i;
+            }
         }
-        // The (n - cap)-th smallest adjacent divergence admits at least
-        // that many adjacent pairs; until the scan's first merge every
-        // failing follower becomes the next representative, so the first
-        // admitted adjacent pair always merges — each round strictly
-        // shrinks the class count.
-        gaps.sort_unstable_by(f64::total_cmp);
-        let need = (n - cap).min(gaps.len());
-        // One-ulp headroom: `relative_gap` is a quotient and `tracks_close`
-        // re-multiplies, so without the nudge the threshold pair can fail
-        // its own admission test and leave the cap violated by one. Zero
-        // gaps (bit-equal tracks) stay exactly zero.
-        let threshold = gaps[need - 1] * (1.0 + 4.0 * f64::EPSILON);
-        let merged = merge_converged_cohorts(cohorts, kernel, threshold);
-        if merged == 0 {
-            break;
+        if merges == 0 {
+            return 0;
         }
-        merges += merged;
+        // Remove emptied victims back to front: an element swapped into a
+        // freed slot always comes from a higher index, which has already
+        // been decided (and victims there are already gone), so the flags
+        // stay aligned.
+        for i in (0..n).rev() {
+            if self.victim[i] {
+                cohorts.swap_remove(i);
+                kernel.swap_remove(i);
+            }
+        }
+        merges
     }
-    merges
+
+    /// Bounded-class enforcement: force-merges the *nearest* same-phase
+    /// classes until at most `cap` remain. Each round sorts the live
+    /// classes once by `(phase, tracks)`, measures the track divergence of
+    /// every adjacent same-phase pair, selects the smallest threshold that
+    /// admits enough pairs to restore the cap, and runs the merge walk at
+    /// that threshold on the same order — so the engine always spends its
+    /// forced approximation on the classes that are already closest in
+    /// law. Classes in distinct phases are never merged (their future
+    /// schedules differ), so the reachable floor is the number of distinct
+    /// live phases; if every class sits in its own phase the cap is left
+    /// violated rather than corrupting the schedule. Returns the number of
+    /// merges performed.
+    fn enforce_class_cap<P: FairProtocol>(
+        &mut self,
+        cohorts: &mut Vec<Cohort<P>>,
+        kernel: &mut CohortKernel,
+        cap: usize,
+    ) -> u64 {
+        let mut merges = 0u64;
+        while cohorts.len() > cap {
+            let n = cohorts.len();
+            self.sort(cohorts, kernel);
+            // The divergence of a pair is the larger relative gap of its
+            // two tracks: the smallest tolerance under which the pair
+            // merges.
+            let keys = &self.keys;
+            self.gaps.clear();
+            self.gaps.extend(self.order.windows(2).filter_map(|pair| {
+                let (xp, xa, xb) = keys[pair[0]];
+                let (yp, ya, yb) = keys[pair[1]];
+                (xp == yp).then(|| relative_gap(xa, ya).max(relative_gap(xb, yb)))
+            }));
+            if self.gaps.is_empty() {
+                // Every live class is alone in its phase: nothing is
+                // mergeable.
+                break;
+            }
+            // The (n - cap)-th smallest adjacent divergence admits at least
+            // that many adjacent pairs; until the walk's first merge every
+            // failing follower becomes the next representative, so the
+            // first admitted adjacent pair always merges — each round
+            // strictly shrinks the class count. Selection finds it without
+            // sorting the gaps; `total_cmp` equality is bit equality, so it
+            // is the same value a full sort would place there.
+            let need = (n - cap).min(self.gaps.len());
+            let (_, &mut nth, _) = self.gaps.select_nth_unstable_by(need - 1, f64::total_cmp);
+            // One-ulp headroom: `relative_gap` is a quotient and
+            // `tracks_close` re-multiplies, so without the nudge the
+            // threshold pair can fail its own admission test and leave the
+            // cap violated by one. Zero gaps (bit-equal tracks) stay
+            // exactly zero.
+            let threshold = nth * (1.0 + 4.0 * f64::EPSILON);
+            let merged = self.merge_sorted(cohorts, kernel, threshold);
+            if merged == 0 {
+                break;
+            }
+            merges += merged;
+        }
+        merges
+    }
 }
 
 #[cfg(test)]
