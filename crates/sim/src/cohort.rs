@@ -583,6 +583,21 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                 let count = input.take_u64()?;
                 groups.push((arrival, count));
             }
+            // A live cohort has members, and every arrival sub-group holds
+            // some of them: the delivery path picks a member's sub-group by
+            // walking these counts.
+            let members = groups.iter().try_fold(0u64, |sum, &(_, count)| {
+                if count == 0 {
+                    None
+                } else {
+                    sum.checked_add(count)
+                }
+            });
+            if m == 0 || members != Some(m) {
+                return Err(WireError::Malformed(
+                    "cohort arrival groups do not partition its members",
+                ));
+            }
             let mut state = prototype.clone();
             if !state.restore_words(&words) {
                 return Err(WireError::Malformed("protocol state words rejected"));
@@ -590,6 +605,23 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             cohorts.push(Cohort { state, m, groups });
         }
         let kernel = CohortKernel::decode(input)?;
+        if kernel.len() != cohorts.len() {
+            return Err(WireError::Malformed(
+                "kernel cache count differs from the cohort count",
+            ));
+        }
+        // Every undelivered message is either in a live cohort or still in
+        // the feed; the empty-channel fast-forward relies on it.
+        let undelivered = cohorts
+            .iter()
+            .try_fold(feed.pending_messages(), |sum, cohort| {
+                sum.checked_add(cohort.m)
+            });
+        if undelivered != Some(remaining) || remaining > k {
+            return Err(WireError::Malformed(
+                "remaining count differs from the live and pending messages",
+            ));
+        }
         let mut rng_words = [0u64; 4];
         for w in &mut rng_words {
             *w = input.take_u64()?;

@@ -284,6 +284,20 @@ impl StreamFeed {
         } else {
             None
         };
+        // The messages still to come must be exactly the ones the stream
+        // will emit, or the cohort core's accounting breaks. Recounting
+        // costs what the construction pre-pass costs for the rest of the
+        // stream.
+        let mut rest = source.clone();
+        let mut upcoming = pending.map_or(0, |(_, count)| count);
+        while let Some((_, count)) = rest.next_burst() {
+            upcoming = upcoming.saturating_add(count);
+        }
+        if total.checked_sub(activated) != Some(upcoming) {
+            return Err(WireError::Malformed(
+                "arrival feed count differs from what its stream will emit",
+            ));
+        }
         Ok(Self {
             source,
             total,
@@ -914,7 +928,7 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
     let miss_delivery = input.take_f64()?;
     let merge_tolerance = input.take_f64()?;
     let max_live_cohorts = input.take_u64()?;
-    Ok(RunOptions {
+    let options = RunOptions {
         slot_cap_per_message,
         min_slot_cap,
         record_deliveries,
@@ -927,7 +941,11 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
         },
         merge_tolerance,
         max_live_cohorts,
-    })
+    };
+    options
+        .validate_adversary()
+        .map_err(|_| WireError::Malformed("invalid adversary configuration"))?;
+    Ok(options)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::result::{RunOptions, RunResult};
 use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream};
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
-use mac_prob::wire::Decoder;
+use mac_prob::wire::{Decoder, WireError};
 use mac_protocols::ProtocolKind;
 
 /// Seed-derivation path tag for the sharded driver: shard `i` of a
@@ -65,6 +65,10 @@ pub struct ShardHealth {
     /// The most recent panic message, when one was captured.
     pub last_panic: Option<String>,
 }
+
+/// A shard's backoff doubles with each failure up to `2^MAX_BACKOFF_DOUBLINGS`
+/// supervision rounds, so no real run holds a longer cooldown.
+const MAX_BACKOFF_DOUBLINGS: u32 = 16;
 
 /// Extracts a human-readable message from a captured panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -251,7 +255,8 @@ impl ShardedSession {
         // need no more driving).
         let mut done = vec![false; n];
         loop {
-            let mut any_cooling = false;
+            // The shortest cooldown among the benched shards.
+            let mut next_retry: Option<u64> = None;
             let eligible: Vec<bool> = done
                 .iter()
                 .zip(&self.health)
@@ -261,20 +266,22 @@ impl ShardedSession {
                         return false;
                     }
                     if health.cooldown > 0 {
-                        any_cooling = true;
+                        next_retry = Some(next_retry.unwrap_or(u64::MAX).min(health.cooldown));
                         return false;
                     }
                     true
                 })
                 .collect();
             if !eligible.contains(&true) {
-                if !any_cooling {
+                let Some(rounds) = next_retry else {
                     break;
-                }
-                // Every runnable shard is benched: tick the backoff clock
-                // (deterministic — rounds, not wall time) and re-check.
+                };
+                // Every runnable shard is benched: run the backoff clock
+                // (deterministic — rounds, not wall time) forward to the
+                // round in which the first of them is retried, the state
+                // that ticking it one round at a time reaches.
                 for health in &mut self.health {
-                    health.cooldown = health.cooldown.saturating_sub(1);
+                    health.cooldown = health.cooldown.saturating_sub(rounds);
                 }
                 continue;
             }
@@ -347,7 +354,8 @@ impl ShardedSession {
                             health.quarantined = true;
                             *served = true;
                         } else {
-                            health.cooldown = 1u64 << (health.failures - 1).min(16);
+                            health.cooldown =
+                                1u64 << (health.failures - 1).min(MAX_BACKOFF_DOUBLINGS);
                         }
                     }
                 }
@@ -512,6 +520,11 @@ impl ShardedSession {
             shards.push(Session::resume(&Checkpoint { words })?);
             let failures = input.take_u32()?;
             let cooldown = input.take_u64()?;
+            if cooldown > 1 << MAX_BACKOFF_DOUBLINGS {
+                return Err(
+                    WireError::Malformed("shard cooldown exceeds the longest backoff").into(),
+                );
+            }
             let quarantined = input.take_bool()?;
             let last_panic = if input.take_bool()? {
                 Some(input.take_str()?)

@@ -7,7 +7,9 @@
 //!   truncation of a valid checkpoint (session and sharded framings)
 //!   must fail `resume` with a *typed* error before any state is
 //!   reconstructed; a corrupted generation in a durable store must fall
-//!   back to the previous good one.
+//!   back to the previous good one. A frame re-sealed over a ±1 change to
+//!   any payload word passes the digest, so it must fail typed or resume
+//!   into a run that advances without a panic or a hang.
 //! * **Process faults** — mid-run crashes (live state dropped, recovery
 //!   through the store) and shard-thread kills (panic capture, retry,
 //!   quarantine) must either recover **bit-identically** to the unbroken
@@ -90,6 +92,72 @@ fn every_truncation_is_rejected_with_a_typed_error() {
             assert_typed_rejection(&bytes[..len], sharded, &format!("truncated to {len} bytes"));
         }
     }
+}
+
+/// Every frame that changes one payload word of `checkpoint` by ±1 and
+/// re-seals the digest, so that each one passes the integrity check and
+/// reaches the payload decoder.
+fn resealed_mutations(checkpoint: &Checkpoint) -> Vec<(String, Checkpoint)> {
+    let words = checkpoint.words();
+    let digest = words.len() - 1;
+    // Words 0–2 are the frame header: magic, version and length.
+    (3..digest)
+        .flat_map(|i| [(i, 1u64, "+1"), (i, u64::MAX, "-1")])
+        .map(|(i, delta, label)| {
+            let mut mutated = words.to_vec();
+            mutated[i] = mutated[i].wrapping_add(delta);
+            mutated[digest] = mac_prob::wire::digest_words(&mutated[..digest]);
+            let bytes = mac_prob::wire::words_to_bytes(&mutated);
+            let frame = Checkpoint::from_bytes(&bytes).expect("whole words");
+            (format!("word {i} {label}"), frame)
+        })
+        .collect()
+}
+
+/// Resumes `frame` under the driver that wrote it and advances 5,000 slots.
+fn resume_and_advance(frame: &Checkpoint, sharded: bool) -> Result<(), SessionError> {
+    if sharded {
+        ShardedSession::resume(frame)?.advance(5_000)?;
+    } else {
+        Session::resume(frame)?.advance(5_000)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn digest_valid_mutations_fail_typed_or_run_without_panicking() {
+    // The digest catches storage faults, not a frame sealed over a state
+    // no run reaches. Such a frame must fail `resume` with a typed error,
+    // or resume into a run that advances without a panic or a hang.
+    let model = ArrivalModel::Poisson {
+        rate: 0.5,
+        horizon: 400,
+    };
+    let capped = RunOptions {
+        max_live_cohorts: 4,
+        ..RunOptions::default()
+    };
+    let mut session = Session::dynamic(&ProtocolKind::KnownKOracle, &model, 5, &capped).unwrap();
+    session.advance(300).unwrap();
+    let (mut rejected, mut ran, mut failures) = (0, 0, Vec::new());
+    for (frame, sharded) in [
+        (session.checkpoint().unwrap(), false),
+        (sharded_checkpoint(), true),
+    ] {
+        for (what, mutated) in resealed_mutations(&frame) {
+            match std::panic::catch_unwind(|| resume_and_advance(&mutated, sharded)) {
+                Ok(Ok(())) => ran += 1,
+                // A fleet captures shard panics and reports them typed.
+                Ok(Err(SessionError::ShardFailed { panic, .. })) => {
+                    failures.push(format!("{what}: shard panicked: {panic}"));
+                }
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => failures.push(format!("{what}: panicked")),
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+    assert!(rejected > 0 && ran > 0, "rejected {rejected}, ran {ran}");
 }
 
 #[test]
