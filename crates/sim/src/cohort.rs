@@ -1229,6 +1229,48 @@ mod tests {
     }
 
     #[test]
+    fn class_cap_stops_at_the_phase_floor() {
+        // DESIGN.md §12.1: classes in distinct phases never merge, so
+        // enforcement leaves the cap violated at the number of live phases.
+        // Stock One-fail Adaptive's odd-offset bursts sit on opposite AT/BT
+        // parities (and deadlock, §6): at cap 1 no same-phase pair exists.
+        let schedule = ArrivalSchedule::new(
+            std::iter::repeat_n(0u64, 40)
+                .chain(std::iter::repeat_n(1u64, 40))
+                .collect(),
+        );
+        let options = RunOptions {
+            slot_cap_per_message: 0,
+            min_slot_cap: 5_000,
+            max_live_cohorts: 1,
+            ..RunOptions::default()
+        };
+        let run = CohortSimulator::new(ofa(), options)
+            .run_schedule(&schedule, 2)
+            .unwrap();
+        assert_eq!(run.peak_cohorts, 2);
+        assert_eq!(run.merges, 0);
+        assert_eq!(run.result.delivered, 0);
+
+        // Randomised parity's phase is the position in its 64-step parity
+        // word, so under saturation the floor is 64 live classes, far
+        // above a cap of 8.
+        let model = ArrivalModel::Poisson {
+            rate: 2.0,
+            horizon: 2_000,
+        };
+        let options = RunOptions {
+            max_live_cohorts: 8,
+            ..RunOptions::default()
+        };
+        let kind = ProtocolKind::RandomizedParityOneFail { delta: 2.72 };
+        let mut session = Session::dynamic(&kind, &model, 21, &options).unwrap();
+        session.advance(2_500).unwrap();
+        let peak = session.cohort_run().unwrap().peak_cohorts;
+        assert!(peak > 8 && peak <= 64, "peak {peak} classes");
+    }
+
+    #[test]
     fn randomized_parity_breaks_the_two_cohort_deadlock() {
         // DESIGN.md §6: two One-fail Adaptive cohorts on opposite AT/BT
         // parities jam every slot forever (the fresh cohort's σ = 0 BT rule
