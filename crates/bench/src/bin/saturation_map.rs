@@ -7,8 +7,9 @@
 //! # the next free BENCH_NN.json plus PHASE.md; ~10⁶ cumulative arrivals
 //! # at the saturated corner):
 //! cargo run -p mac-bench --release --bin saturation_map
-//! # CI gate: re-run the reduced smoke grid and compare *exactly* against
-//! # the committed snapshot (runs are deterministic per seed):
+//! # CI gate: re-run the full map and the reduced smoke grid and compare
+//! # every row *exactly* against the committed snapshot (runs are
+//! # deterministic per seed; writes nothing):
 //! cargo run -p mac-bench --release --bin saturation_map -- --check BENCH_06.json
 //! ```
 
@@ -29,27 +30,6 @@ fn main() {
         }
     }
 
-    if let Some(path) = check_path {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read committed snapshot {path}: {e}"));
-        let rows = parse_committed(&committed);
-        let config = reduced_grid();
-        eprintln!(
-            "saturation smoke: λ = {:?} over a {}-slot horizon vs {path}",
-            config.lambdas, config.horizon
-        );
-        let points = run_grid(&config);
-        let mismatches = check_against(&points, &rows);
-        if mismatches.is_empty() {
-            eprintln!("all {} smoke points match the committed rows", points.len());
-            return;
-        }
-        for m in &mismatches {
-            eprintln!("MISMATCH: {m}");
-        }
-        std::process::exit(1);
-    }
-
     let config = full_grid();
     eprintln!(
         "saturation map: λ = {:?} over a {}-slot horizon (cap {}, window {})",
@@ -66,6 +46,23 @@ fn main() {
     // The reduced smoke rows ride along in the same snapshot so the CI
     // gate has exact expectations to compare against.
     points.extend(run_grid(&reduced_grid()));
+
+    if let Some(path) = check_path {
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read committed snapshot {path}: {e}"));
+        let mismatches = check_against(&points, &parse_committed(&committed));
+        if mismatches.is_empty() {
+            eprintln!(
+                "all {} points match the committed rows of {path}",
+                points.len()
+            );
+            return;
+        }
+        for m in &mismatches {
+            eprintln!("MISMATCH: {m}");
+        }
+        std::process::exit(1);
+    }
 
     let json = render_json(&points, &config);
     let path = (1..=99)

@@ -23,9 +23,10 @@
 //! The committed artefact (`BENCH_06.json`, schema
 //! `mac-bench/saturation-map/v1`) carries the full-horizon map **plus** a
 //! reduced smoke grid; runs are deterministic per seed, so the
-//! `saturation_map --check` CI gate re-runs the reduced grid and compares
-//! *exactly* (message counts, makespans, stall flags — no timing
-//! tolerances). `PHASE.md` is the rendered per-protocol phase table.
+//! `saturation_map --check` CI gate re-runs both grids and compares every
+//! row *exactly* (message counts, makespans, stall flags, peak classes —
+//! no timing tolerances). `PHASE.md` is the rendered per-protocol phase
+//! table.
 
 use mac_channel::ArrivalModel;
 use mac_protocols::ProtocolKind;
@@ -323,6 +324,15 @@ pub struct CommittedRow {
     pub peak_classes: u64,
 }
 
+impl CommittedRow {
+    /// True if this row charts `point`'s protocol, rate and horizon.
+    fn charts(&self, point: &SaturationPoint) -> bool {
+        self.protocol == point.protocol
+            && self.horizon == point.horizon
+            && (self.lambda - point.lambda).abs() < 1e-12
+    }
+}
+
 /// Parses the `results` rows of a committed saturation snapshot.
 pub fn parse_committed(json: &str) -> Vec<CommittedRow> {
     json.lines()
@@ -342,17 +352,14 @@ pub fn parse_committed(json: &str) -> Vec<CommittedRow> {
 }
 
 /// Compares freshly-measured points against committed rows. Runs are
-/// deterministic per seed, so the comparison is exact; returns the
-/// mismatch descriptions (empty = gate passes).
+/// deterministic per seed, so the comparison is exact, and a committed row
+/// that no point measured is a mismatch too; returns the mismatch
+/// descriptions (empty = gate passes).
 pub fn check_against(points: &[SaturationPoint], committed: &[CommittedRow]) -> Vec<String> {
     let mut mismatches = Vec::new();
     let mut compared = 0usize;
     for p in points {
-        let Some(row) = committed.iter().find(|r| {
-            r.protocol == p.protocol
-                && r.horizon == p.horizon
-                && (r.lambda - p.lambda).abs() < 1e-12
-        }) else {
+        let Some(row) = committed.iter().find(|r| r.charts(p)) else {
             mismatches.push(format!(
                 "{} λ={} horizon={}: no committed row",
                 p.protocol, p.lambda, p.horizon
@@ -377,6 +384,15 @@ pub fn check_against(points: &[SaturationPoint], committed: &[CommittedRow]) -> 
     }
     if compared == 0 {
         mismatches.push("no comparable rows in the committed snapshot".to_string());
+    }
+    for row in committed
+        .iter()
+        .filter(|r| !points.iter().any(|p| r.charts(p)))
+    {
+        mismatches.push(format!(
+            "{} λ={} horizon={}: committed row was not measured",
+            row.protocol, row.lambda, row.horizon
+        ));
     }
     mismatches
 }
@@ -501,6 +517,8 @@ mod tests {
         let committed = parse_committed(&json);
         assert_eq!(committed.len(), points.len());
         assert!(check_against(&points, &committed).is_empty());
+        // A committed row that no point measured must be flagged.
+        assert!(!check_against(&points[..1], &committed).is_empty());
         // A drifted makespan must be flagged.
         let mut drifted = committed;
         drifted[0].makespan += 1;
