@@ -114,7 +114,8 @@ fn resealed_mutations(checkpoint: &Checkpoint) -> Vec<(String, Checkpoint)> {
         .collect()
 }
 
-/// Resumes `frame` under the driver that wrote it and advances 5,000 slots.
+/// Resumes `frame` as a session, or as a fleet if `sharded`, and advances
+/// it 5,000 slots.
 fn resume_and_advance(frame: &Checkpoint, sharded: bool) -> Result<(), SessionError> {
     if sharded {
         ShardedSession::resume(frame)?.advance(5_000)?;
