@@ -2,7 +2,7 @@
 
 use mac_prob::balls::{
     expected_singleton_fraction, occupancy_counts, throw_balls, throw_balls_into, walk_window,
-    BinsOccupancy, OccupancyScratch, WalkScratch,
+    walk_window_counts, BinsOccupancy, OccupancyScratch, WalkScratch,
 };
 use mac_prob::binomial::{sample_binomial_fast, ModeKernel, SlotKernel, SlotThresholds};
 use mac_prob::outcome::{sample_slot_outcome, slot_outcome_probabilities, SlotOutcome};
@@ -242,6 +242,47 @@ fn walk_window_slot_classes_match_per_ball_across_dispatch_bands() {
             assert!(
                 (a as f64 - b as f64).abs() < tol,
                 "{label}: class {class} walk {a} vs per-ball {b} (tol {tol:.0})"
+            );
+        }
+    }
+}
+
+#[test]
+fn detailed_and_counts_only_walks_are_stream_identical() {
+    // `walk_window` and `walk_window_counts` differ only in whether the
+    // singleton list is kept: per seed they must return the same tallies
+    // and leave the generator in the same state, in every resolver regime
+    // (edges, dense and sparse blocks, the sparse tail, blocks running into
+    // the tail, the per-slot loops and the certain-collision shortcut). The
+    // counts-only side reuses one scratch across every case, so a counter
+    // window left dirty by an earlier window shows up as a mismatch.
+    let cases: &[(u64, u64)] = &[
+        (0, 7),
+        (1, 5),
+        (2, 2),
+        (7, 1),
+        (48, 16),
+        (100, 5_000),
+        (12, 100_000),
+        (2_000, 16_000),
+        (8_192, 8_192),
+        (40_960, 8_192),
+        (16_384, 512),
+        (131_072, 2_048),
+        (300_000, 5_000),
+        (1_000_000, 4),
+    ];
+    let mut reused = WalkScratch::new();
+    for &(m, w) in cases {
+        for seed in 0..20u64 {
+            let mut rng_detailed = Xoshiro256pp::seed_from_u64(derive_seed(seed, &[m, w]));
+            let mut rng_counts = rng_detailed.clone();
+            let detailed = walk_window(m, w, &mut rng_detailed, &mut WalkScratch::new());
+            let counts = walk_window_counts(m, w, &mut rng_counts, &mut reused);
+            assert_eq!(detailed, counts, "m={m} w={w} seed={seed}");
+            assert_eq!(
+                rng_detailed, rng_counts,
+                "m={m} w={w} seed={seed}: diverged generators"
             );
         }
     }
