@@ -1045,13 +1045,17 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
 /// `w` bins: `(1 - 1/w)^(m-1)`.
 ///
 /// This is the quantity Lemma 1 of the paper bounds from below by `δ` (for
-/// `w ≥ m` large enough); exposing it here lets tests and the analysis module
-/// share one definition.
+/// `w ≥ m` large enough); the walk's exact-law tests check their singleton
+/// pmf against it.
 pub fn expected_singleton_fraction(m: u64, w: u64) -> f64 {
     if m == 0 {
         return 0.0;
     }
     assert!(w > 0, "zero bins");
+    if m == 1 {
+        // A lone ball is always alone; the power form is `0^0` at w = 1.
+        return 1.0;
+    }
     let q = -1.0 / w as f64;
     ((m as f64 - 1.0) * q.ln_1p()).exp()
 }
@@ -1140,7 +1144,9 @@ mod tests {
     fn expected_singleton_fraction_edges() {
         assert_eq!(expected_singleton_fraction(0, 10), 0.0);
         assert_eq!(expected_singleton_fraction(1, 10), 1.0);
-        assert!(expected_singleton_fraction(2, 2) - 0.5 < 1e-12);
+        assert_eq!(expected_singleton_fraction(1, 1), 1.0);
+        assert_eq!(expected_singleton_fraction(2, 1), 0.0);
+        assert!((expected_singleton_fraction(2, 2) - 0.5).abs() < 1e-12);
     }
 
     #[test]
