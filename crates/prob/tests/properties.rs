@@ -95,36 +95,213 @@ fn slot_kernel_classification_passes_chi_square_gof() {
     );
 }
 
+// ---- The window walk against the exact occupancy law ----
+//
+// `m` balls fall uniformly into `w` bins (Lemma 1's experiment). The oracles
+// below are plain `f64` arithmetic written out in this file, so the laws the
+// walk is held to share no code with the samplers that produce it.
+
+/// `P(k of r balls land in the next bin)` for `k = 0..=r`, with `left` bins
+/// to go: `Binomial(r, 1/left)` by the ratio recurrence.
+fn next_bin_pmf(r: usize, left: u64) -> Vec<f64> {
+    if left == 1 {
+        let mut pmf = vec![0.0; r + 1];
+        pmf[r] = 1.0;
+        return pmf;
+    }
+    let p = 1.0 / left as f64;
+    let mut term = (r as f64 * (-p).ln_1p()).exp();
+    let mut pmf = Vec::with_capacity(r + 1);
+    for k in 0..=r {
+        pmf.push(term);
+        term *= (r - k) as f64 / (k + 1) as f64 * p / (1.0 - p);
+    }
+    pmf
+}
+
+/// Exact pmf of the number of singleton bins, by dynamic programming over
+/// the bins: with `r` balls in play and `left` bins to go, the next bin
+/// receives `Binomial(r, 1/left)` of them.
+fn singleton_count_pmf(m: u64, w: u64) -> Vec<f64> {
+    let (m, w_cells) = (m as usize, w as usize + 1);
+    // by_left[r][s]: probability that r balls are in play after s singletons.
+    let mut by_left = vec![vec![0.0f64; w_cells]; m + 1];
+    by_left[m][0] = 1.0;
+    for left in (1..=w).rev() {
+        let mut next = vec![vec![0.0f64; w_cells]; m + 1];
+        for (r, row) in by_left.iter().enumerate() {
+            let pmf = next_bin_pmf(r, left);
+            for (s, &mass) in row.iter().enumerate().filter(|(_, &q)| q > 0.0) {
+                for (k, &q) in pmf.iter().enumerate() {
+                    next[r - k][s + usize::from(k == 1)] += mass * q;
+                }
+            }
+        }
+        by_left = next;
+    }
+    by_left.swap_remove(0)
+}
+
+/// Exact `(mean, variance)` of the singleton, empty and colliding totals of
+/// one window, from the one-bin marginal `X_i ~ Binomial(m, 1/w)` and the
+/// two-bin marginal (cells `1/w`, `1/w`, `1 − 2/w`) of the multinomial
+/// occupancy.
+fn class_moments(m: u64, w: u64) -> [(f64, f64); 3] {
+    let (m, w) = (m as f64, w as f64);
+    let ln_q1 = (-1.0 / w).ln_1p();
+    let ln_q2 = (-2.0 / w).ln_1p();
+    let p0 = (m * ln_q1).exp();
+    let p1 = m / w * ((m - 1.0) * ln_q1).exp();
+    let p00 = (m * ln_q2).exp();
+    let p10 = m / w * ((m - 1.0) * ln_q2).exp();
+    let p11 = m * (m - 1.0) / (w * w) * ((m - 2.0) * ln_q2).exp();
+    let pairs = w * (w - 1.0);
+    let (singles, empty) = (w * p1, w * p0);
+    let var_singles = singles + pairs * p11 - singles * singles;
+    let var_empty = empty + pairs * p00 - empty * empty;
+    let cov = pairs * p10 - singles * empty;
+    [
+        (singles, var_singles),
+        (empty, var_empty),
+        (w - singles - empty, var_singles + var_empty + 2.0 * cov),
+    ]
+}
+
+/// First position of each tenth of a `w`-bin window, then `w`: bin `t`
+/// lies in tenth `10·t/w`.
+fn tenth_bounds(w: u64) -> [u64; 11] {
+    std::array::from_fn(|b| (b as u64 * w).div_ceil(10))
+}
+
 #[test]
-fn walk_window_singleton_distribution_passes_chi_square_against_per_ball() {
-    // The aggregate window walk and the per-ball reference must produce the
-    // same singleton-count distribution; compare both against the empirical
-    // law of the other via pooled chi-square categories.
-    let (m, w) = (48u64, 16u64);
-    let reps = 30_000u64;
-    let mut rng = Xoshiro256pp::seed_from_u64(31);
+fn singleton_count_pmf_is_a_law_with_lemma_one_mean() {
+    // The DP oracle itself: a probability law whose mean is Lemma 1's
+    // closed form m·(1 − 1/w)^(m−1).
+    for &(m, w) in &[
+        (1u64, 1u64),
+        (3, 1),
+        (48, 16),
+        (12, 12),
+        (64, 16),
+        (40, 120),
+    ] {
+        let pmf = singleton_count_pmf(m, w);
+        assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12, "m={m} w={w}");
+        let mean: f64 = pmf.iter().enumerate().map(|(s, &q)| s as f64 * q).sum();
+        let lemma = m as f64 * expected_singleton_fraction(m, w);
+        assert!(
+            (mean - lemma).abs() < 1e-9,
+            "m={m} w={w}: {mean} vs {lemma}"
+        );
+    }
+}
+
+#[test]
+fn walk_singleton_count_passes_chi_square_against_the_exact_pmf() {
+    let cases: &[(u64, u64)] = &[(48, 16), (12, 12), (64, 16), (40, 120)];
+    let gate = conformance::Conformance::with_comparisons(0.001, cases.len() as u32);
     let mut scratch = WalkScratch::new();
-    let mut walk_counts = vec![0u64; (w + 2) as usize];
-    for _ in 0..reps {
-        let occ = walk_window(m, w, &mut rng, &mut scratch);
-        walk_counts[occ.singletons as usize] += 1;
+    for &(m, w) in cases {
+        let pmf = singleton_count_pmf(m, w);
+        let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(31, &[m, w]));
+        let result = conformance::sample_vs_pmf_chi_square(&pmf, 30_000, || {
+            walk_window(m, w, &mut rng, &mut scratch).singletons
+        });
+        gate.assert_consistent(&result, &format!("singleton count m={m} w={w}"));
     }
-    let mut ball_counts = vec![0u64; (w + 2) as usize];
-    for _ in 0..reps {
-        let occ = throw_balls(m, w, &mut rng);
-        ball_counts[occ.singletons() as usize] += 1;
+}
+
+#[test]
+fn walk_class_totals_match_the_exact_moments() {
+    // Singleton, empty and colliding totals over 400 windows against their
+    // exact means and variances: the sparse tail (the first two cases),
+    // blocks running into the sparse tail, one whole-window block, two
+    // blocks at λ = 1 and two at λ = 5.
+    let cases: &[(u64, u64)] = &[
+        (100, 5_000),
+        (1_024, 16_384),
+        (2_000, 16_000),
+        (3_000, 1_000),
+        (8_192, 8_192),
+        (40_960, 8_192),
+    ];
+    let windows = 400u64;
+    let mut scratch = WalkScratch::new();
+    for &(m, w) in cases {
+        let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(47, &[m, w]));
+        let mut totals = [0u64; 3];
+        for _ in 0..windows {
+            let occ = walk_window_counts(m, w, &mut rng, &mut scratch);
+            totals[0] += occ.singletons;
+            totals[1] += occ.empty_bins;
+            totals[2] += occ.colliding_bins;
+        }
+        let n = windows as f64;
+        for (class, (&total, &(mean, var))) in totals.iter().zip(&class_moments(m, w)).enumerate() {
+            let z = (total as f64 - n * mean) / (n * var).sqrt();
+            assert!(
+                z.abs() < 5.0,
+                "m={m} w={w}: class {class} total {total} vs exact mean {:.1} (z = {z:.2})",
+                n * mean
+            );
+        }
     }
-    // The "expected" side is itself an empirical sample of the same size,
-    // which doubles the variance of the statistic; 0.0001 still catches any
-    // real divergence while tolerating that.
-    let result = conformance::pooled_empirical_chi_square(&walk_counts, &ball_counts, 20.0);
-    assert!(
-        result.p_value > 1e-4 || result.statistic < 2.0 * result.parameter + 20.0,
-        "walk vs per-ball singleton law: chi2 = {:.1} (dof {}), p = {:.2e}",
-        result.statistic,
-        result.parameter,
-        result.p_value
-    );
+}
+
+#[test]
+fn walk_last_occupied_bin_matches_the_exact_law() {
+    // P(last occupied bin < x) = (x/w)^m, binned in tenths of the window:
+    // one whole-window block, then the sparse tail twice.
+    let cases: &[(u64, u64)] = &[(5, 40), (30, 2_000), (3, 100_000)];
+    let gate = conformance::Conformance::with_comparisons(0.001, cases.len() as u32);
+    let mut scratch = WalkScratch::new();
+    for &(m, w) in cases {
+        let bounds = tenth_bounds(w);
+        let below = |x: u64| (x as f64 / w as f64).powi(m as i32);
+        let pmf: Vec<f64> = bounds
+            .windows(2)
+            .map(|b| below(b[1]) - below(b[0]))
+            .collect();
+        let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(53, &[m, w]));
+        let result = conformance::sample_vs_pmf_chi_square(&pmf, 20_000, || {
+            let occ = walk_window_counts(m, w, &mut rng, &mut scratch);
+            occ.max_occupied_bin.expect("balls were thrown") * 10 / w
+        });
+        gate.assert_consistent(&result, &format!("last occupied bin m={m} w={w}"));
+    }
+}
+
+#[test]
+fn walk_singleton_positions_fall_evenly_across_the_window() {
+    // Every bin is equally likely to hold a singleton, so the detailed
+    // walk's singleton list must fill the tenths of the window in
+    // proportion to their widths. A block or tail offset that is off
+    // shifts mass between tenths.
+    let cases: &[(u64, u64)] = &[
+        (100, 5_000),
+        (2_000, 16_000),
+        (8_192, 8_192),
+        (40_960, 8_192),
+    ];
+    let gate = conformance::Conformance::with_comparisons(0.001, cases.len() as u32);
+    let mut scratch = WalkScratch::new();
+    for &(m, w) in cases {
+        let bounds = tenth_bounds(w);
+        let widths: Vec<f64> = bounds
+            .windows(2)
+            .map(|b| (b[1] - b[0]) as f64 / w as f64)
+            .collect();
+        let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(59, &[m, w]));
+        let mut observed = [0u64; 10];
+        for _ in 0..200 {
+            walk_window(m, w, &mut rng, &mut scratch);
+            for &bin in scratch.singleton_bins() {
+                observed[(bin * 10 / w) as usize] += 1;
+            }
+        }
+        let result = chi_square_test(&observed, &widths);
+        gate.assert_consistent(&result, &format!("singleton positions m={m} w={w}"));
+    }
 }
 
 /// Exact conditional pmf of `T | T ≥ 2` for `T ~ Binomial(n, p)`, indexed by
@@ -199,51 +376,6 @@ fn mode_sampler_passes_chi_square_across_drift_and_reanchor_boundaries() {
             kernel.sample_cond_ge2(mass * rng.gen::<f64>())
         });
         gate.assert_consistent(&result, &format!("drift step {checkpoint} (n={n} w={w})"));
-    }
-}
-
-#[test]
-fn walk_window_slot_classes_match_per_ball_across_dispatch_bands() {
-    // The walk's internal dispatch (block decomposition, per-slot loops,
-    // sparse tail) must leave the per-window slot-class law untouched:
-    // compare singleton/empty/colliding totals against the per-ball
-    // reference across one (m, w) point per band.
-    let cases: &[(u64, u64, &str)] = &[
-        (1_024, 16_384, "sparse-ish blocks"),
-        (8_192, 8_192, "single-block window"),
-        (40_960, 8_192, "multi-block lambda=5"),
-        (16_384, 512, "tail loop lambda=32"),
-        (131_072, 2_048, "tail loop dead band"),
-        (300_000, 5_000, "per-slot walk lambda=60"),
-    ];
-    for &(m, w, label) in cases {
-        let reps = 300;
-        let mut rng = Xoshiro256pp::seed_from_u64(m ^ w);
-        let mut scratch = WalkScratch::new();
-        let mut walk_totals = [0u64; 3];
-        for _ in 0..reps {
-            let occ = walk_window(m, w, &mut rng, &mut scratch);
-            walk_totals[0] += occ.singletons;
-            walk_totals[1] += occ.empty_bins;
-            walk_totals[2] += occ.colliding_bins;
-        }
-        let mut ball_totals = [0u64; 3];
-        for _ in 0..reps {
-            let occ = throw_balls(m, w, &mut rng);
-            ball_totals[0] += occ.singletons();
-            ball_totals[1] += occ.empty_bins;
-            ball_totals[2] += occ.colliding_bins;
-        }
-        for (class, (&a, &b)) in walk_totals.iter().zip(&ball_totals).enumerate() {
-            // Per-class totals over `reps` windows concentrate tightly;
-            // 6σ of a binomial-scale spread plus a small absolute floor.
-            let scale = (a + b) as f64 / 2.0;
-            let tol = 6.0 * (scale.max(1.0)).sqrt() + 0.01 * scale + 25.0;
-            assert!(
-                (a as f64 - b as f64).abs() < tol,
-                "{label}: class {class} walk {a} vs per-ball {b} (tol {tol:.0})"
-            );
-        }
     }
 }
 
