@@ -1,11 +1,10 @@
 //! Criterion benchmark: throughput of the simulation primitives themselves —
-//! slot-outcome sampling, balls-in-bins windows, and per-slot cost of the
-//! exact simulator — independent of any particular protocol.
+//! slot-outcome sampling, whole window-simulator runs and binomial sampling —
+//! independent of any particular protocol.
 //!
 //! Run with `cargo bench -p mac-bench --bench sim_throughput`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mac_prob::balls::{occupancy_counts, throw_balls, OccupancyScratch};
 use mac_prob::outcome::sample_slot_outcome;
 use mac_prob::rng::Xoshiro256pp;
 use mac_prob::sampling::sample_binomial;
@@ -24,59 +23,6 @@ fn bench_slot_outcome(c: &mut Criterion) {
             let mut rng = Xoshiro256pp::seed_from_u64(1);
             let p = 1.0 / m as f64;
             bencher.iter(|| black_box(sample_slot_outcome(black_box(m), black_box(p), &mut rng)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_balls_in_bins(c: &mut Criterion) {
-    let mut group = c.benchmark_group("balls_in_bins_window");
-    group.sample_size(30);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for &m in &[100u64, 10_000, 1_000_000] {
-        group.throughput(Throughput::Elements(m));
-        group.bench_with_input(BenchmarkId::new("balls", m), &m, |bencher, &m| {
-            let mut rng = Xoshiro256pp::seed_from_u64(2);
-            bencher
-                .iter(|| black_box(throw_balls(black_box(m), black_box(m), &mut rng).singletons()));
-        });
-    }
-    group.finish();
-}
-
-/// The occupancy experiment at the heart of every window-simulator step,
-/// through both engines: the naive path materialising a full
-/// [`mac_prob::balls::BinsOccupancy`] (assignments + singleton list) per
-/// window, and the counts-only path reusing an [`OccupancyScratch`]. The
-/// counts-only path is the baseline the window simulator runs on; this
-/// comparison is the perf-regression tripwire for it (expected ≥ 2× at
-/// m = 10⁶).
-fn bench_occupancy_paths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("occupancy_paths");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for &m in &[10_000u64, 1_000_000] {
-        group.throughput(Throughput::Elements(m));
-        group.bench_with_input(
-            BenchmarkId::new("full_bins_occupancy", m),
-            &m,
-            |bencher, &m| {
-                let mut rng = Xoshiro256pp::seed_from_u64(4);
-                bencher.iter(|| {
-                    black_box(throw_balls(black_box(m), black_box(m), &mut rng).singletons())
-                });
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("counts_only", m), &m, |bencher, &m| {
-            let mut rng = Xoshiro256pp::seed_from_u64(4);
-            let mut scratch = OccupancyScratch::new();
-            bencher.iter(|| {
-                black_box(
-                    occupancy_counts(black_box(m), black_box(m), &mut rng, &mut scratch).singletons,
-                )
-            });
         });
     }
     group.finish();
@@ -124,8 +70,6 @@ fn bench_binomial_sampler(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_slot_outcome,
-    bench_balls_in_bins,
-    bench_occupancy_paths,
     bench_window_simulator_run,
     bench_binomial_sampler
 );

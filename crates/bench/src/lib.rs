@@ -15,10 +15,9 @@
 //!   sweep for the monotone back-off baselines (extension experiment).
 //!
 //! Criterion micro-benchmarks (`cargo bench -p mac-bench`) measure the wall
-//! time of the simulators themselves (`sim_throughput`, including the
-//! naive-vs-counts-only occupancy comparison) and of a full simulated run per
-//! protocol (`protocol_makespan`), which is what bounds how far the paper
-//! sweep can be pushed.
+//! time of the simulators themselves (`sim_throughput`) and of a full
+//! simulated run per protocol (`protocol_makespan`), which is what bounds how
+//! far the paper sweep can be pushed.
 //!
 //! # Perf tracking: the `BENCH_*.json` workflow
 //!
@@ -42,9 +41,8 @@
 //! previous snapshot's on the same machine class; the numbers are
 //! best-of-`--reps` wall-clock measurements, so small jitter is expected but
 //! halvings are real. The `perf_snapshot` binary accepts the shared
-//! [`HarnessOptions`] flags (`--seed`, `--max-exp`, `--reps`), and the
-//! `occupancy_profile` binary breaks the occupancy engine's cost into phases
-//! when a regression needs attributing.
+//! [`HarnessOptions`] flags (`--seed`, `--max-exp`, `--reps`); the
+//! end-to-end benchmark in `perfbench/` attributes a regression to a layer.
 //!
 //! The library part of the crate contains the small amount of shared plumbing
 //! (command-line parsing, default grids) used by the binaries.

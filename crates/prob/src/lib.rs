@@ -18,8 +18,9 @@
 //! * [`cohort`] — sum-of-binomials slot classification over station cohorts
 //!   (the heterogeneous-phase generalisation of the aggregate slot kernel
 //!   that the dynamic-arrival cohort engine runs on);
-//! * [`balls`] — balls-in-bins occupancy experiments (the random process behind
-//!   contention-window protocols) and their summary statistics;
+//! * [`balls`] — the balls-in-bins window walk (the random process behind
+//!   contention-window protocols): conditional binomial blocks and slots,
+//!   one per-ball resolver, and the slot-class tallies they produce;
 //! * [`stats`] — streaming (Welford) and batch summary statistics, percentiles
 //!   and normal-approximation confidence intervals used by the experiment
 //!   runner;
@@ -68,10 +69,7 @@ pub mod special;
 pub mod stats;
 pub mod wire;
 
-pub use balls::{
-    occupancy_counts, throw_balls, throw_balls_into, walk_window, BinsOccupancy, OccupancyCounts,
-    OccupancyScratch, SlotOccupancy, WalkScratch,
-};
+pub use balls::{walk_window, walk_window_counts, SlotOccupancy, WalkScratch};
 pub use binomial::{sample_binomial_fast, ModeKernel, SlotKernel, SlotKernelCache, SlotThresholds};
 pub use cohort::CohortKernel;
 pub use outcome::{

@@ -464,9 +464,9 @@ pub mod conformance {
     //! two-sample comparisons (mean, median, Kolmogorov–Smirnov) between an
     //! engine under test and the per-station reference. This module is the
     //! shared machinery those suites use — the support binning with tail
-    //! pooling, the pooled two-empirical-sample chi-square, and the
-    //! paired-sample agreement assertion — so that a sampler rewrite is
-    //! pinned by one reusable gate instead of ad-hoc copies.
+    //! pooling and the paired-sample agreement assertion — so that a
+    //! sampler rewrite is pinned by one reusable gate instead of ad-hoc
+    //! copies.
     //!
     //! ## Significance levels and multiplicity
     //!
@@ -606,54 +606,6 @@ pub mod conformance {
         hist.chi_square()
     }
 
-    /// Pooled chi-square of two *empirical* count vectors over the same
-    /// support (e.g. two samplers' histograms of the same size): cells are
-    /// pooled left to right until the reference side reaches
-    /// `min_expected`, and the observed side is tested against the
-    /// reference's empirical frequencies.
-    ///
-    /// The reference is itself a sample of the same size, which roughly
-    /// doubles the variance of the statistic, so gate this at an `α` one
-    /// or two orders stricter than a true GOF — or compare the statistic
-    /// against `2·dof` for a scale-free check.
-    pub fn pooled_empirical_chi_square(
-        observed: &[u64],
-        reference: &[u64],
-        min_expected: f64,
-    ) -> TestResult {
-        assert_eq!(observed.len(), reference.len(), "support mismatch");
-        let total: u64 = reference.iter().sum();
-        assert!(total > 0, "empty reference sample");
-        let mut pooled_obs = Vec::new();
-        let mut pooled_exp = Vec::new();
-        let mut acc_obs = 0u64;
-        let mut acc_exp = 0.0f64;
-        for (&o, &r) in observed.iter().zip(reference) {
-            acc_obs += o;
-            acc_exp += r as f64 / total as f64;
-            if acc_exp * total as f64 >= min_expected {
-                pooled_obs.push(acc_obs);
-                pooled_exp.push(acc_exp);
-                acc_obs = 0;
-                acc_exp = 0.0;
-            }
-        }
-        // Fold the trailing remainder into the last flushed pool: pushing
-        // it as its own cell could pair a zero expected probability with a
-        // nonzero observed count (an observed extreme beyond the
-        // reference's support) and spuriously hard-reject two same-law
-        // samples.
-        let tail_exp = (1.0 - pooled_exp.iter().sum::<f64>()).max(0.0);
-        if let (Some(last_obs), Some(last_exp)) = (pooled_obs.last_mut(), pooled_exp.last_mut()) {
-            *last_obs += acc_obs;
-            *last_exp += tail_exp;
-        } else {
-            pooled_obs.push(acc_obs);
-            pooled_exp.push(tail_exp);
-        }
-        chi_square_test(&pooled_obs, &pooled_exp)
-    }
-
     /// Paired-sample law-agreement gate: means within `sigmas` standard
     /// errors (with an absolute floor for tiny scales), medians within the
     /// same tolerance, and the two-sample Kolmogorov–Smirnov test not
@@ -730,27 +682,6 @@ pub mod conformance {
                 (0..20).map(|_| u64::from(rng.gen::<f64>() < 0.4)).sum()
             });
             assert!(bad.p_value < 1e-12, "{bad:?}");
-        }
-
-        #[test]
-        fn pooled_empirical_chi_square_accepts_same_law() {
-            use crate::rng::Xoshiro256pp;
-            use rand::{Rng, SeedableRng};
-            let mut rng = Xoshiro256pp::seed_from_u64(5);
-            let mut a = vec![0u64; 30];
-            let mut b = vec![0u64; 30];
-            for _ in 0..20_000 {
-                let draw = |rng: &mut Xoshiro256pp| -> usize {
-                    (0..29).take_while(|_| rng.gen::<f64>() < 0.7).count()
-                };
-                a[draw(&mut rng)] += 1;
-                b[draw(&mut rng)] += 1;
-            }
-            let r = pooled_empirical_chi_square(&a, &b, 20.0);
-            assert!(
-                r.p_value > 1e-4 || r.statistic < 2.0 * r.parameter + 20.0,
-                "{r:?}"
-            );
         }
 
         #[test]

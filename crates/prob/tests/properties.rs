@@ -1,9 +1,6 @@
 //! Property-based tests for the probability toolkit.
 
-use mac_prob::balls::{
-    expected_singleton_fraction, occupancy_counts, throw_balls, throw_balls_into, walk_window,
-    walk_window_counts, BinsOccupancy, OccupancyScratch, WalkScratch,
-};
+use mac_prob::balls::{expected_singleton_fraction, walk_window, walk_window_counts, WalkScratch};
 use mac_prob::binomial::{sample_binomial_fast, ModeKernel, SlotKernel, SlotThresholds};
 use mac_prob::outcome::{sample_slot_outcome, slot_outcome_probabilities, SlotOutcome};
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
@@ -630,91 +627,6 @@ proptest! {
         let x = sample_poisson(lambda, &mut rng);
         // 200 + 20 sigma is astronomically unlikely to be exceeded.
         prop_assert!((x as f64) < lambda + 20.0 * lambda.sqrt() + 50.0);
-    }
-
-    #[test]
-    fn balls_in_bins_categories_partition(m in 0u64..=400, w in 1u64..=4000, seed in any::<u64>()) {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let occ = throw_balls(m, w, &mut rng);
-        prop_assert_eq!(occ.balls(), m);
-        prop_assert_eq!(occ.singletons() + occ.empty_bins + occ.colliding_bins, w);
-        prop_assert_eq!(occ.singleton_balls().len() as u64, occ.singletons());
-        // Every ball in a singleton bin must map back to a singleton bin.
-        for ball in occ.singleton_balls() {
-            prop_assert!(occ.singleton_bins.contains(&occ.assignments[ball]));
-        }
-        if m > 0 {
-            prop_assert!(occ.max_load >= 1);
-            prop_assert!(occ.max_load <= m);
-        }
-    }
-
-    #[test]
-    fn occupancy_from_assignments_is_deterministic(assignments in prop::collection::vec(0u64..50, 0..200)) {
-        let a = BinsOccupancy::from_assignments(50, assignments.clone());
-        let b = BinsOccupancy::from_assignments(50, assignments);
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn counts_only_path_agrees_with_full_occupancy(
-        m in 0u64..=2_000,
-        // Spans both density regimes around the dense limit max(8m, 1024),
-        // including w ≫ m (the sparse sorted scan) and w = 1.
-        w in 1u64..=200_000,
-        seed in any::<u64>(),
-    ) {
-        let mut rng_full = Xoshiro256pp::seed_from_u64(seed);
-        let mut rng_fast = Xoshiro256pp::seed_from_u64(seed);
-        let mut scratch = OccupancyScratch::new();
-        let full = throw_balls(m, w, &mut rng_full);
-        let fast = occupancy_counts(m, w, &mut rng_fast, &mut scratch);
-        // Same RNG stream → identical tallies in every category.
-        prop_assert_eq!(fast.balls, full.balls());
-        prop_assert_eq!(fast.bins, full.bins);
-        prop_assert_eq!(fast.singletons, full.singletons());
-        prop_assert_eq!(fast.empty_bins, full.empty_bins);
-        prop_assert_eq!(fast.colliding_bins, full.colliding_bins);
-        prop_assert_eq!(fast.max_load, full.max_load);
-        prop_assert_eq!(fast.max_occupied_bin, full.assignments.iter().copied().max());
-        // Both paths must consume the generator identically, or simulators
-        // switching between them would diverge per seed.
-        prop_assert_eq!(rng_full, rng_fast);
-    }
-
-    #[test]
-    fn detailed_scratch_path_agrees_with_full_occupancy(
-        m in 0u64..=500,
-        w in 1u64..=100_000,
-        seed in any::<u64>(),
-    ) {
-        let mut rng_full = Xoshiro256pp::seed_from_u64(seed);
-        let mut rng_fast = Xoshiro256pp::seed_from_u64(seed);
-        let mut scratch = OccupancyScratch::new();
-        let full = throw_balls(m, w, &mut rng_full);
-        let fast = throw_balls_into(m, w, &mut rng_fast, &mut scratch);
-        prop_assert_eq!(fast.singletons, full.singletons());
-        prop_assert_eq!(scratch.singleton_bins(), &full.singleton_bins[..]);
-        prop_assert_eq!(rng_full, rng_fast);
-    }
-
-    #[test]
-    fn scratch_reuse_does_not_leak_state_between_throws(
-        throws in prop::collection::vec(0u64..=300, 1..8),
-        w in 1u64..=50_000,
-        seed in any::<u64>(),
-    ) {
-        // Reusing one scratch across a sequence of throws must give exactly
-        // the same tallies as using a fresh scratch for each throw: the dense
-        // counter window has to come back all-zero every time.
-        let mut reused = OccupancyScratch::new();
-        let mut rng_reused = Xoshiro256pp::seed_from_u64(seed);
-        let mut rng_fresh = Xoshiro256pp::seed_from_u64(seed);
-        for &m in &throws {
-            let with_reuse = occupancy_counts(m, w, &mut rng_reused, &mut reused);
-            let with_fresh = occupancy_counts(m, w, &mut rng_fresh, &mut OccupancyScratch::new());
-            prop_assert_eq!(with_reuse, with_fresh);
-        }
     }
 
     #[test]

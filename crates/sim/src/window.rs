@@ -15,20 +15,21 @@
 //!
 //! Every window runs through the aggregate slot walk
 //! ([`mac_prob::balls::walk_window`]), whose internal dispatch — the
-//! certain-collision shortcut, the conditional-binomial block resolver for
-//! low loads, the per-slot mode-anchored loop for high loads, the sparse
-//! per-ball tail — depends only on the window's load `(m, w)` (see
-//! `DESIGN.md` §7). Both entry points reuse one per-run
-//! [`WalkScratch`], so steady-state windows
-//! perform **zero heap allocations**:
+//! certain-collision shortcut, conditional-binomial blocks for low loads,
+//! the per-slot mode-anchored loop for high loads, and one per-ball
+//! resolver finishing the blocks and the sparse tail — depends only on the
+//! window's load `(m, w)` (see `DESIGN.md` §7). Both entry points reuse one
+//! per-run [`WalkScratch`], so steady-state windows perform **zero heap
+//! allocations**:
 //!
 //! * [`mac_prob::balls::walk_window_counts`] returns counts only — the
 //!   path of a clean run that records nothing per delivery;
 //! * [`mac_prob::balls::walk_window`] additionally hands back the ascending
-//!   singleton positions, RNG-stream-identical to the counts-only walk. It
-//!   runs when an adversary is active (a jammed singleton is a forced
-//!   zero-delivery slot whose station stays in the game), when per-delivery
-//!   slots are recorded, or when a session streams latency statistics.
+//!   singleton positions, RNG-stream-identical to the counts-only walk
+//!   (`mac-prob`'s property tests pin this per seed). It runs when an
+//!   adversary is active (a jammed singleton is a forced zero-delivery slot
+//!   whose station stays in the game), when per-delivery slots are
+//!   recorded, or when a session streams latency statistics.
 //!
 //! The loop state lives in one core, `WindowEngineCore`, which the monolithic
 //! runner drives to completion in one call and the streaming session layer
@@ -160,9 +161,10 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
     pub(crate) fn new(schedule: S, k: u64, seed: u64, options: &RunOptions) -> Self {
         let max_slots = options.max_slots(k);
         // The adversary draws from its own derived stream and the detailed
-        // occupancy path consumes the protocol RNG identically to the
-        // counts-only one, so a clean scenario leaves the run bit-identical
-        // to the pre-adversary simulator.
+        // walk consumes the protocol RNG identically to the counts-only one
+        // (`detailed_and_counts_only_walks_are_stream_identical` in
+        // `mac-prob`), so a clean scenario leaves the run bit-identical to
+        // the pre-adversary simulator.
         let adversary = options
             .adversary
             .state(derive_seed(seed, &[ADVERSARY_STREAM]));
@@ -188,8 +190,9 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
             adversary,
             adversarial,
             // All per-window state lives in buffers reused across windows
-            // (the walk scratch grows its singleton list and block-resolver
-            // buffers to their high-water marks); the buffers are pure
+            // (the walk scratch grows its singleton list and its per-ball
+            // resolver's counter window and draw list to their high-water
+            // marks); the buffers are pure
             // scratch, so a resumed run rebuilding them empty stays
             // bit-identical.
             walk_scratch: WalkScratch::new(),
@@ -224,15 +227,14 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
             // decomposition for low loads, the per-slot mode-anchored loop
             // for high loads, the sparse per-ball tail — was re-derived
             // from measured crossover points at k = 10⁷ (see `DESIGN.md`
-            // §7): with the block resolver running the dense per-ball
-            // machinery against L1-resident counter windows, the walk now
-            // matches or beats the flat per-ball path at every (m, w). The
-            // dispatch depends only on (m, w), never on the adversary, so a
-            // configured-but-inert adversary stays bit-identical to a
-            // clean run; the detailed walk (ascending singleton list) is
-            // RNG-stream-identical to the counts-only walk, so
-            // recording/jamming does not perturb a seeded trajectory
-            // either.
+            // §7): with blocks resolved per ball against L1-resident
+            // counter windows, the walk matches or beats a flat per-ball
+            // throw at every (m, w). The dispatch depends only on (m, w),
+            // never on the adversary, so a configured-but-inert adversary
+            // stays bit-identical to a clean run; the detailed walk
+            // (ascending singleton list) is RNG-stream-identical to the
+            // counts-only walk, so recording/jamming does not perturb a
+            // seeded trajectory either.
             let detailed =
                 self.adversarial || self.delivery_slots.is_some() || self.stats.is_some();
             let (delivered_in_window, last_delivered, empty_bins, colliding_bins, max_occupied) =
