@@ -58,7 +58,7 @@ pub use arrivals::{ArrivalModel, ArrivalSchedule};
 pub use channel::{Channel, ChannelStats, SlotResolution};
 pub use feedback::{AckMode, ChannelModel, Observation};
 pub use node::NodeId;
-pub use stream::{ArrivalStream, ShardStrategy, ShardedArrivalStream, StreamSummary};
+pub use stream::{ArrivalStream, ShardedArrivalStream, StreamSummary};
 
 /// Re-export of the adversarial channel models (`mac-adversary`) so that a
 /// channel and its adversary can be configured from one import path.

@@ -239,86 +239,23 @@ pub fn decode_model(input: &mut Decoder<'_>) -> Result<ArrivalModel, WireError> 
     Ok(model)
 }
 
-/// Message→shard assignment policy of a [`ShardedArrivalStream`]. Whatever
-/// the policy, the assignment is a pure function of `(salt, global index,
-/// shard count)`, so the `n` per-shard views always partition the master
-/// sequence exactly — the policy only shapes the *load* distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Uniform salted hash: every shard receives ≈ `1/n` of the messages
-    /// (the default).
-    Uniform,
-    /// Skewed assignment modelling a hot channel: shard 0 receives
-    /// `hot_permille / 1000` of the messages and the remainder spreads
-    /// uniformly over the other shards. With a single shard everything is
-    /// shard 0 regardless.
-    HotShard {
-        /// Per-mille of the master stream routed to shard 0 (0..=1000).
-        hot_permille: u16,
-    },
+/// The shard a message with the given global index belongs to: a uniform
+/// salted hash, so every shard receives ≈ `1/n` of the messages. The map is
+/// a pure function of `(salt, global index, shard count)`, so the `n`
+/// per-shard views partition the master sequence exactly.
+fn shard_of(salt: u64, index: u64, shards: u32) -> u32 {
+    // lint:allow(rng-stream-discipline): stateless hash mixer, not a
+    // random stream — one SplitMix64 step scrambles (salt, index) into a
+    // shard id and the generator is discarded; there is no stream to
+    // derive.
+    let mixed = SplitMix64::new(salt ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next();
+    (mixed % u64::from(shards)) as u32
 }
 
-impl ShardStrategy {
-    /// The shard a message with the given global index belongs to.
-    pub fn shard_of(self, salt: u64, index: u64, shards: u32) -> u32 {
-        // lint:allow(rng-stream-discipline): stateless hash mixer, not a
-        // random stream — one SplitMix64 step scrambles (salt, index) into a
-        // shard id and the generator is discarded; there is no stream to
-        // derive.
-        let mixed = SplitMix64::new(salt ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next();
-        match self {
-            ShardStrategy::Uniform => (mixed % u64::from(shards)) as u32,
-            ShardStrategy::HotShard { hot_permille } => {
-                if shards == 1 || mixed % 1000 < u64::from(hot_permille) {
-                    0
-                } else {
-                    // The high mixer bits pick among the cold shards, so the
-                    // hot/cold coin and the cold choice stay independent.
-                    1 + ((mixed / 1000) % u64::from(shards - 1)) as u32
-                }
-            }
-        }
-    }
-
-    /// True iff the strategy's parameters are in range.
-    pub fn is_valid(self) -> bool {
-        match self {
-            ShardStrategy::Uniform => true,
-            ShardStrategy::HotShard { hot_permille } => hot_permille <= 1000,
-        }
-    }
-
-    /// Serialises the strategy.
-    pub fn encode(self, out: &mut Encoder) {
-        match self {
-            ShardStrategy::Uniform => out.put_u32(0),
-            ShardStrategy::HotShard { hot_permille } => {
-                out.put_u32(1);
-                out.put_u32(u32::from(hot_permille));
-            }
-        }
-    }
-
-    /// Inverse of [`ShardStrategy::encode`].
-    ///
-    /// # Errors
-    /// Returns an error on an unknown tag or out-of-range parameters.
-    pub fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(match input.take_u32()? {
-            0 => ShardStrategy::Uniform,
-            1 => {
-                let hot_permille = u16::try_from(input.take_u32()?)
-                    .map_err(|_| WireError::Malformed("hot-shard permille out of range"))?;
-                let strategy = ShardStrategy::HotShard { hot_permille };
-                if !strategy.is_valid() {
-                    return Err(WireError::Malformed("hot-shard permille out of range"));
-                }
-                strategy
-            }
-            _ => return Err(WireError::Malformed("unknown shard strategy tag")),
-        })
-    }
-}
+/// The word a [`ShardedArrivalStream`] checkpoint carries where its layout
+/// names the message→shard map. Uniform hashing is the only map, so this is
+/// the only word a decoder accepts.
+const UNIFORM_SHARDING: u32 = 0;
 
 /// One shard's view of a master [`ArrivalStream`]: keeps only the messages
 /// whose global index hashes to this shard, so the `n` shards of a sharded
@@ -328,9 +265,7 @@ impl ShardStrategy {
 /// keeps shards independent — no cross-thread coordination — at the cost of
 /// re-drawing the shared Poisson samples per shard. Sharding is by message,
 /// not by burst: a burst of `c` messages at slot `s` contributes its own
-/// subset of indices to each shard. The message→shard map is pluggable
-/// ([`ShardStrategy`]); skewed strategies model hot channels while keeping
-/// the exact-partition property.
+/// subset of indices to each shard.
 #[derive(Debug, Clone)]
 pub struct ShardedArrivalStream {
     master: ArrivalStream,
@@ -339,54 +274,26 @@ pub struct ShardedArrivalStream {
     salt: u64,
     shard: u32,
     shards: u32,
-    strategy: ShardStrategy,
     /// Global index of the next master message to classify.
     next_index: u64,
 }
 
 impl ShardedArrivalStream {
     /// Creates the view of shard `shard` (of `shards`) over a master
-    /// stream, under the uniform assignment strategy.
+    /// stream.
     ///
     /// # Panics
     /// Panics unless `shard < shards` and `shards > 0`.
     pub fn new(master: ArrivalStream, salt: u64, shard: u32, shards: u32) -> Self {
-        Self::with_strategy(master, salt, shard, shards, ShardStrategy::Uniform)
-    }
-
-    /// Creates the view of shard `shard` (of `shards`) under an explicit
-    /// [`ShardStrategy`]. Every shard of a run must use the same strategy,
-    /// or the views stop partitioning the master sequence.
-    ///
-    /// # Panics
-    /// Panics unless `shard < shards`, `shards > 0` and the strategy's
-    /// parameters are in range.
-    pub fn with_strategy(
-        master: ArrivalStream,
-        salt: u64,
-        shard: u32,
-        shards: u32,
-        strategy: ShardStrategy,
-    ) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(shard < shards, "shard index out of range");
-        assert!(
-            strategy.is_valid(),
-            "shard strategy parameters out of range"
-        );
         Self {
             master,
             salt,
             shard,
             shards,
-            strategy,
             next_index: 0,
         }
-    }
-
-    /// The assignment strategy this view classifies with.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
     }
 
     /// Next `(slot, count)` burst containing only this shard's messages
@@ -397,7 +304,7 @@ impl ShardedArrivalStream {
             let first = self.next_index;
             self.next_index += count;
             let mine = (first..self.next_index)
-                .filter(|&i| self.strategy.shard_of(self.salt, i, self.shards) == self.shard)
+                .filter(|&i| shard_of(self.salt, i, self.shards) == self.shard)
                 .count() as u64;
             if mine > 0 {
                 return Some((slot, mine));
@@ -411,7 +318,7 @@ impl ShardedArrivalStream {
         out.put_u64(self.salt);
         out.put_u32(self.shard);
         out.put_u32(self.shards);
-        self.strategy.encode(out);
+        out.put_u32(UNIFORM_SHARDING);
         out.put_u64(self.next_index);
     }
 
@@ -424,7 +331,9 @@ impl ShardedArrivalStream {
         let salt = input.take_u64()?;
         let shard = input.take_u32()?;
         let shards = input.take_u32()?;
-        let strategy = ShardStrategy::decode(input)?;
+        if input.take_u32()? != UNIFORM_SHARDING {
+            return Err(WireError::Malformed("unknown shard strategy tag"));
+        }
         let next_index = input.take_u64()?;
         if shards == 0 || shard >= shards {
             return Err(WireError::Malformed("invalid shard configuration"));
@@ -434,7 +343,6 @@ impl ShardedArrivalStream {
             salt,
             shard,
             shards,
-            strategy,
             next_index,
         })
     }
@@ -634,87 +542,40 @@ mod tests {
     #[test]
     fn shard_of_is_stable_and_in_range() {
         for index in 0..1_000u64 {
-            let shard = ShardStrategy::Uniform.shard_of(99, index, 8);
+            let shard = shard_of(99, index, 8);
             assert!(shard < 8);
-            assert_eq!(shard, ShardStrategy::Uniform.shard_of(99, index, 8));
+            assert_eq!(shard, shard_of(99, index, 8));
         }
     }
 
     #[test]
-    fn skewed_shards_still_partition_the_master_stream() {
-        // The exact-partition property must be strategy-independent: the
-        // union over all shard views equals the single-channel arrival
-        // sequence burst for burst, even under a heavily skewed map.
-        let model = ArrivalModel::Poisson {
-            rate: 0.7,
-            horizon: 1_000,
-        };
-        let seed = 5;
-        let salt = 0xABCD;
-        let shards = 4u32;
-        let strategy = ShardStrategy::HotShard { hot_permille: 700 };
-        let mut master = ArrivalStream::new(&model, seed);
-        let master_bursts = drain(&mut master);
-        let total: u64 = master_bursts.iter().map(|&(_, c)| c).sum();
-
-        let mut shard_totals = std::collections::BTreeMap::new();
-        let mut per_shard = vec![0u64; shards as usize];
-        for shard in 0..shards {
-            let view = ArrivalStream::new(&model, seed);
-            let mut sharded =
-                ShardedArrivalStream::with_strategy(view, salt, shard, shards, strategy);
-            while let Some((slot, count)) = sharded.next_burst() {
-                *shard_totals.entry(slot).or_insert(0u64) += count;
-                per_shard[shard as usize] += count;
-            }
-        }
-        let merged: Vec<(u64, u64)> = shard_totals.into_iter().collect();
-        assert_eq!(merged, master_bursts);
-        // The skew must actually bite: shard 0 carries ≈ 70% of the load.
-        assert!(
-            per_shard[0] * 2 > total,
-            "hot shard holds {} of {total} messages — not hot",
-            per_shard[0]
-        );
-    }
-
-    #[test]
-    fn hot_shard_assignment_is_stable_and_in_range() {
-        let strategy = ShardStrategy::HotShard { hot_permille: 250 };
-        let mut hot = 0u64;
-        for index in 0..4_000u64 {
-            let shard = strategy.shard_of(7, index, 8);
-            assert!(shard < 8);
-            assert_eq!(shard, strategy.shard_of(7, index, 8));
-            if shard == 0 {
-                hot += 1;
-            }
-        }
-        // ≈ 1000 of 4000 expected on shard 0; 6σ ≈ 165.
-        assert!((800..=1200).contains(&hot), "hot count {hot}");
-        // Single-shard degenerate case: everything is shard 0.
-        assert_eq!(strategy.shard_of(7, 1234, 1), 0);
-    }
-
-    #[test]
-    fn shard_strategy_codec_round_trips_and_rejects_bad_permille() {
-        for strategy in [
-            ShardStrategy::Uniform,
-            ShardStrategy::HotShard { hot_permille: 0 },
-            ShardStrategy::HotShard { hot_permille: 1000 },
-        ] {
+    fn sharded_codec_writes_the_uniform_tag_and_rejects_others() {
+        // The layout's strategy word is always UNIFORM_SHARDING; any other
+        // word is a checkpoint from a map this build does not have.
+        let model = ArrivalModel::batched(5);
+        let frame = |tag: u32| {
             let mut enc = Encoder::new();
-            strategy.encode(&mut enc);
-            let words = enc.finish();
-            let mut dec = Decoder::new(&words);
-            assert_eq!(ShardStrategy::decode(&mut dec).unwrap(), strategy);
-            dec.finish().unwrap();
-        }
+            ArrivalStream::new(&model, 1).encode(&mut enc);
+            enc.put_u64(0x5417);
+            enc.put_u32(1);
+            enc.put_u32(3);
+            enc.put_u32(tag);
+            enc.put_u64(0);
+            enc.finish()
+        };
         let mut enc = Encoder::new();
-        enc.put_u32(1);
-        enc.put_u32(1001);
+        ShardedArrivalStream::new(ArrivalStream::new(&model, 1), 0x5417, 1, 3).encode(&mut enc);
         let words = enc.finish();
+        assert_eq!(words, frame(UNIFORM_SHARDING));
         let mut dec = Decoder::new(&words);
-        assert!(ShardStrategy::decode(&mut dec).is_err());
+        ShardedArrivalStream::decode(&mut dec).unwrap();
+        dec.finish().unwrap();
+        for tag in [1, 2, u32::MAX] {
+            let words = frame(tag);
+            assert!(matches!(
+                ShardedArrivalStream::decode(&mut Decoder::new(&words)),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 }

@@ -30,7 +30,7 @@ pub const SESSION_FILE: &str = "crates/sim/src/session/frame.rs";
 /// frame, the options and arrival feed, the watchdog, the sharded driver),
 /// the kind table (the protocol kind a session frame records), the engine
 /// cores (fair, window, cohort) whose payloads a session frame embeds, the
-/// arrival streams and shard strategy a dynamic payload carries, and the
+/// arrival streams and shard views a dynamic payload carries, and the
 /// kernel caches and latency sketches the cores carry verbatim.
 pub const ENCODE_FILES: [&str; 12] = [
     SESSION_FILE,

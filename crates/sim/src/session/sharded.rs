@@ -127,8 +127,8 @@ impl ShardedSession {
     ///
     /// Every shard re-derives the same master arrival stream
     /// (`derive_seed(seed, &[ARRIVAL_STREAM])`) and keeps the messages
-    /// whose global index hashes to it under the uniform
-    /// [`mac_channel::ShardStrategy`], so the union over shards is
+    /// whose global index hashes to it (a uniform salted hash, see
+    /// [`mac_channel::ShardedArrivalStream`]), so the union over shards is
     /// exactly the single-channel arrival sequence. Shard `i`'s protocol
     /// run is seeded `derive_seed(seed, &[SHARD_STREAM, i])`.
     ///

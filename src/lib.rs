@@ -52,9 +52,7 @@ pub use mac_sim as sim;
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
     pub use crate::adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
-    pub use crate::channel::{
-        ArrivalModel, ArrivalSchedule, Channel, ChannelModel, Observation, ShardStrategy,
-    };
+    pub use crate::channel::{ArrivalModel, ArrivalSchedule, Channel, ChannelModel, Observation};
     pub use crate::protocols::{
         analysis, ExpBackonBackoff, FairProtocol, KnownKOracle, LogFailsAdaptive, LogFailsConfig,
         LoglogIteratedBackoff, OneFailAdaptive, Protocol, ProtocolKind, RExponentialBackoff,
