@@ -16,8 +16,7 @@
 //! not independent Bernoulli trials) fall back to the exact per-station
 //! engine.
 
-use crate::cohort::CohortRun;
-use crate::exact::{DetailedRun, ExactSimulator};
+use crate::exact::ExactSimulator;
 use crate::result::{RunOptions, RunResult};
 use crate::session::Session;
 use mac_channel::ArrivalModel;
@@ -92,18 +91,6 @@ pub struct DynamicReport {
 }
 
 impl DynamicReport {
-    /// Builds the report from a detailed exact-simulator run.
-    pub fn from_run(run: &DetailedRun) -> Self {
-        Self::from_parts(&run.result, run.latencies())
-    }
-
-    /// Builds the report from a cohort-engine run, taking ownership so the
-    /// latency vector moves into the percentile computation instead of
-    /// being cloned (it can hold one entry per delivered message).
-    pub fn from_cohort_run(run: CohortRun) -> Self {
-        Self::from_parts(&run.result, run.latencies)
-    }
-
     /// Builds the report from a bounded-memory streaming accumulator
     /// (session runs): mean/max/count are exact, the percentiles carry the
     /// sketch's deterministic rank-error bound
@@ -201,13 +188,14 @@ pub fn simulate_dynamic(
     if let Some(run) = Session::dynamic_recording(kind, model, seed, options, true)?
         .and_then(Session::into_cohort_run)
     {
-        return Ok(DynamicReport::from_cohort_run(run));
+        // The latencies (one per delivered message) move, not clone.
+        return Ok(DynamicReport::from_parts(&run.result, run.latencies));
     }
     let mut arrival_rng = Xoshiro256pp::seed_from_u64(derive_seed(seed, &[ARRIVAL_STREAM]));
     let schedule = model.sample(&mut arrival_rng);
     let run = ExactSimulator::new(kind.clone(), options.clone())
         .run_schedule(&schedule, derive_seed(seed, &[RUN_STREAM]))?;
-    Ok(DynamicReport::from_run(&run))
+    Ok(DynamicReport::from_parts(&run.result, run.latencies()))
 }
 
 #[cfg(test)]
