@@ -11,8 +11,7 @@ use mac_prob::rng::Xoshiro256pp;
 use mac_protocols::analysis;
 use mac_protocols::{
     ExpBackonBackoff, FairNode, FairProtocol, KnownKOracle, LogFailsAdaptive, LogFailsConfig,
-    LoglogIteratedBackoff, OneFailAdaptive, Protocol, ProtocolKind, RExponentialBackoff,
-    WindowSchedule,
+    LoglogIteratedBackoff, OneFailAdaptive, Protocol, RExponentialBackoff, WindowSchedule,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -165,19 +164,6 @@ proptest! {
     }
 
     #[test]
-    fn protocol_kind_round_trips_through_serde(kind_index in 0usize..5, k in 1u64..=100_000) {
-        let kind = ProtocolKind::paper_lineup()[kind_index].clone();
-        let json = serde_json_like(&kind);
-        // ProtocolKind must build consistently regardless of how it was
-        // obtained; here we simply check that building twice gives protocols
-        // with the same name.
-        let a = kind.build_node(k).unwrap();
-        let b = kind.build_node(k).unwrap();
-        prop_assert_eq!(a.name(), b.name());
-        prop_assert!(!json.is_empty());
-    }
-
-    #[test]
     fn analysis_factors_dominate_fair_optimum(
         ofa_d in ofa_delta(),
         ebb_d in ebb_delta(),
@@ -202,11 +188,4 @@ proptest! {
                 >= analysis::ebb_makespan_bound(ebb_d, k).unwrap()
         );
     }
-}
-
-/// Minimal serde smoke helper (the full serde round-trip is exercised in the
-/// integration tests of the root crate; here we only need *some* stable
-/// serialised form).
-fn serde_json_like(kind: &ProtocolKind) -> String {
-    format!("{kind:?}")
 }
