@@ -123,13 +123,13 @@ const WALK_FAST_W_MIN: u64 = 4096;
 /// resolves low-λ stretches of huge windows in blocks of this many bins —
 /// one `Binomial(m_left, b/w_left)` draw decides how many balls land in the
 /// block (the conditional chain at block granularity, exact in law), and
-/// the block is then resolved by the dense per-ball machinery against a
-/// counter window that fits in L1, instead of one cache-missing increment
-/// per ball into a `w`-sized array.
+/// the per-ball resolver then throws them against a counter window that
+/// fits in L1, instead of one cache-missing increment per ball into a
+/// `w`-sized array.
 const WALK_BLOCK_BINS: u64 = 4096;
 
 /// λ at which the walk switches from block decomposition to the per-slot
-/// mode-anchored loop (measured crossover: the per-ball block resolver's
+/// mode-anchored loop (measured crossover: the per-ball resolver's
 /// cost grows linearly in λ, the per-slot loop's is flat once collisions
 /// dominate), with hysteresis so in-window λ drift cannot ping-pong the
 /// regimes.
@@ -555,7 +555,7 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
         }
     }
 
-    // Balls ran out early: every remaining bin is empty.
+    // Bins past the last resolved one are empty (the balls ran out early).
     empty += w - i;
 
     debug_assert_eq!(m_left, 0, "every ball lands in some bin");
@@ -688,6 +688,23 @@ mod tests {
         assert_eq!(expected_singleton_fraction(1, 1), 1.0);
         assert_eq!(expected_singleton_fraction(2, 1), 0.0);
         assert!((expected_singleton_fraction(2, 2) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn singleton_fraction_matches_lemma_one_expectation() {
+        // With w = m, the expected fraction of singleton balls tends to 1/e.
+        // (m = w = 10⁴ runs as two blocks.)
+        let m = 10_000u64;
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        let mut scratch = WalkScratch::new();
+        let reps = 50;
+        let total_singletons: u64 = (0..reps)
+            .map(|_| walk_window_counts(m, m, &mut rng, &mut scratch).singletons)
+            .sum();
+        let frac = total_singletons as f64 / (m * reps) as f64;
+        let expected = expected_singleton_fraction(m, m);
+        assert!((expected - (-1.0f64).exp()).abs() < 1e-3);
+        assert!((frac - expected).abs() < 0.01, "{frac} vs {expected}");
     }
 
     #[test]
