@@ -188,7 +188,6 @@ pub fn simulate_dynamic(
     if let Some(run) = Session::dynamic_recording(kind, model, seed, options, true)?
         .and_then(Session::into_cohort_run)
     {
-        // The latencies (one per delivered message) move, not clone.
         return Ok(DynamicReport::from_parts(&run.result, run.latencies));
     }
     let mut arrival_rng = Xoshiro256pp::seed_from_u64(derive_seed(seed, &[ARRIVAL_STREAM]));
