@@ -121,7 +121,8 @@ fn next_bin_pmf(r: usize, left: u64) -> Vec<f64> {
 /// receives `Binomial(r, 1/left)` of them.
 fn singleton_count_pmf(m: u64, w: u64) -> Vec<f64> {
     let (m, w_cells) = (m as usize, w as usize + 1);
-    // by_left[r][s]: probability that r balls are in play after s singletons.
+    // by_left[r][s]: probability that, after the bins resolved so far, r
+    // balls are still in play and s of those bins were singletons.
     let mut by_left = vec![vec![0.0f64; w_cells]; m + 1];
     by_left[m][0] = 1.0;
     for left in (1..=w).rev() {
