@@ -1,9 +1,11 @@
 //! Golden checkpoint frames: one checkpoint per engine tag (0–8), a
 //! dynamic session whose watchdog has recorded a stall, two two-shard
 //! fleet frames (one plain, one supervised with a shard killed and
-//! retried) and two saturated bounded-class sessions whose class cap binds
-//! on nearly every slot, each built from fixed seeds and a fixed advance
-//! budget, pinned by word count and trailing digest.
+//! retried), two saturated bounded-class sessions whose class cap binds
+//! on nearly every slot, two window runs that carry per-run lists (one
+//! recording its delivery slots, one jammed) and a cohort run recording
+//! its delivery slots — 17 frames, each built from fixed seeds and a fixed
+//! advance budget, pinned by word count and trailing digest.
 //!
 //! The digest chains every word of the frame, so a pinned pair fails on any
 //! change to a frame's layout *or* to the run state it captures: a refactor
@@ -185,11 +187,35 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
             saturated(&ProtocolKind::KnownKOracle, 16),
         ),
         ("cohort RP-OFA, saturated at cap 8", saturated(&rp_ofa(), 8)),
+        (
+            "window EBB, recording deliveries",
+            batched(
+                &ProtocolKind::ExpBackonBackoff { delta: 0.366 },
+                300,
+                22,
+                &recording,
+                600,
+            ),
+        ),
+        (
+            "window LLIB, jammed",
+            batched(
+                &ProtocolKind::LoglogIteratedBackoff { r: 2.0 },
+                300,
+                23,
+                &jammed,
+                900,
+            ),
+        ),
+        (
+            "cohort OFA, recording deliveries",
+            dynamic(&ofa(), &bursts, 24, &recording, 500),
+        ),
     ]
 }
 
 /// `(frame, word count, trailing digest)`.
-const PINNED: [(&str, usize, u64); 14] = [
+const PINNED: [(&str, usize, u64); 17] = [
     ("tag 0: fair OFA", 144, 0x0b58_28cb_dc43_49a2),
     ("tag 1: fair LFA, jammed", 138, 0xe7ab_de46_6e3f_e97b),
     (
@@ -223,6 +249,17 @@ const PINNED: [(&str, usize, u64); 14] = [
         "cohort RP-OFA, saturated at cap 8",
         5270,
         0xa6ad_dde6_45cf_fa47,
+    ),
+    (
+        "window EBB, recording deliveries",
+        136,
+        0xd142_c25d_1c62_14c9,
+    ),
+    ("window LLIB, jammed", 124, 0xf4ee_2cca_8b70_f560),
+    (
+        "cohort OFA, recording deliveries",
+        256,
+        0x454a_fa16_8891_9c5f,
     ),
 ];
 
