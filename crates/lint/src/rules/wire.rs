@@ -29,10 +29,12 @@ pub const SESSION_FILE: &str = "crates/sim/src/session/frame.rs";
 /// Files whose codec bodies are frame layouts: the session modules (the
 /// frame, the options and arrival feed, the watchdog, the sharded driver),
 /// the kind table (the protocol kind a session frame records), the engine
-/// cores (fair, window, cohort) whose payloads a session frame embeds, the
-/// arrival streams and shard views a dynamic payload carries, and the
-/// kernel caches and latency sketches the cores carry verbatim.
-pub const ENCODE_FILES: [&str; 12] = [
+/// cores (fair, window, cohort) whose payloads a session frame embeds and
+/// the run state whose codec pieces (identity, tally, streams, latency
+/// record) every core payload calls, the arrival streams and shard views a
+/// dynamic payload carries, and the kernel caches and latency sketches the
+/// cores carry verbatim.
+pub const ENCODE_FILES: [&str; 13] = [
     SESSION_FILE,
     "crates/sim/src/session.rs",
     "crates/sim/src/session/watchdog.rs",
@@ -41,6 +43,7 @@ pub const ENCODE_FILES: [&str; 12] = [
     "crates/sim/src/aggregate.rs",
     "crates/sim/src/window.rs",
     "crates/sim/src/cohort.rs",
+    "crates/sim/src/run_state.rs",
     "crates/channel/src/stream.rs",
     "crates/prob/src/binomial.rs",
     "crates/prob/src/cohort.rs",

@@ -294,12 +294,14 @@ fn wire_fixture_engine_core_payloads_are_fingerprinted() {
 }
 
 /// The codecs a frame embeds outside the engine cores are fingerprinted
-/// too — free functions in the session module, the arrival streams' methods
-/// and the kind table's encoder. Swapping the first two words of the *real*
-/// `encode_options`, moving the *real* `ArrivalStream::encode`'s cursor word
-/// after `emitted`, or swapping two same-typed parameter writes of the
-/// *real* `ProtocolKind::encode` (Log-fails Adaptive's `ξβ` and `ξt`) must
-/// fail against the committed ledger under the same version.
+/// too — free functions in the session module, the arrival streams' methods,
+/// the kind table's encoder and the run state's codec pieces. Swapping the
+/// first two words of the *real* `encode_options`, moving the *real*
+/// `ArrivalStream::encode`'s cursor word after `emitted`, swapping two
+/// same-typed parameter writes of the *real* `ProtocolKind::encode`
+/// (Log-fails Adaptive's `ξβ` and `ξt`), or swapping the `collisions` and
+/// `silent` writes of the *real* `RunState::encode_tally` must fail against
+/// the committed ledger under the same version.
 #[test]
 fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
     let root = workspace_root();
@@ -332,6 +334,14 @@ fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
             vec![(
                 "                out.put_f64(*xi_beta);\n                out.put_f64(*xi_t);\n",
                 "                out.put_f64(*xi_t);\n                out.put_f64(*xi_beta);\n",
+            )],
+        ),
+        (
+            "crates/sim/src/run_state.rs",
+            "crates/sim/src/run_state.rs::RunState::encode_tally",
+            vec![(
+                "        out.put_u64(self.collisions);\n        out.put_u64(self.silent);\n",
+                "        out.put_u64(self.silent);\n        out.put_u64(self.collisions);\n",
             )],
         ),
     ];

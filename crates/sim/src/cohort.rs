@@ -51,10 +51,14 @@
 //! a dynamic session over it: arrivals come from the session's lazy
 //! [`mac_channel::ArrivalStream`] feed, latencies go to an exact vector
 //! ([`CohortSimulator`], `simulate_dynamic`) or a bounded-memory
-//! [`StreamingLatencyStats`] sketch ([`crate::Session::dynamic`]),
-//! `advance(budget)` is the only loop body and `SessionEngine::result` the
-//! only result builder — so a checkpointed run is bit-identical to an
-//! unbroken one by construction. [`CohortSimulator`]
+//! [`StreamingLatencyStats`](mac_prob::sketch::StreamingLatencyStats)
+//! sketch ([`crate::Session::dynamic`]), and `advance(budget)` is the only
+//! loop body — so a checkpointed run is bit-identical to an unbroken one by
+//! construction. The core keeps the cohorts, their kernel and the merge
+//! machinery beside the run accounting every fast core shares (counts,
+//! clock, RNG, adversary, latency record, and the one `RunResult` builder);
+//! it keeps its delivery slots apart from the latency record, because a
+//! dynamic run's latencies are not its delivery slots. [`CohortSimulator`]
 //! feeds its schedule as per-slot bursts (an [`ArrivalModel::Bursts`]
 //! stream) and drives the session to its end. A checkpoint captures every
 //! cohort's protocol state words, the kernel caches, the RNG and the
@@ -65,18 +69,18 @@
 //! `None`): [`CohortSimulator`] rejects them and `simulate_dynamic` routes
 //! them to the exact per-station engine instead.
 
-use crate::aggregate::{decode_optional_slots, encode_optional_slots};
-use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
+use crate::result::{RunOptions, RunResult};
+use crate::run_state::{
+    decode_optional_slots, encode_optional_slots, preallocated, LatencyRecorder, RunState,
+};
 use crate::session::{Session, SessionEngine, StreamFeed, StreamSource};
-use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
+use mac_adversary::{AdversaryScenario, SlotClass};
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
 use mac_prob::cohort::{relative_gap, CohortKernel};
-use mac_prob::rng::{derive_seed, Xoshiro256pp};
-use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
 use mac_protocols::kind::Engine;
 use mac_protocols::{FairProtocol, ParameterError, ProtocolKind};
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Slots between merge scans. Scanning is O(active cohorts); once every few
@@ -115,63 +119,6 @@ struct Cohort<P> {
     /// after a merge. Members are exchangeable, so a delivery picks a
     /// sub-group with probability proportional to its count.
     groups: Vec<(u64, u64)>,
-}
-
-/// Where per-delivery latencies go: an exact in-order vector (the
-/// monolithic runs) or a bounded-memory quantile sketch (sessions).
-#[derive(Debug)]
-pub(crate) struct LatencyRecorder {
-    exact: Option<Vec<u64>>,
-    streaming: Option<StreamingLatencyStats>,
-}
-
-impl LatencyRecorder {
-    /// Records every latency of a `k`-message run exactly, in delivery
-    /// order.
-    pub(crate) fn exact(k: u64) -> Self {
-        Self {
-            exact: Some(Vec::with_capacity(k.min(MAX_PREALLOC_ENTRIES) as usize)),
-            streaming: None,
-        }
-    }
-
-    /// Records latencies into a mergeable streaming sketch only.
-    pub(crate) fn streaming(stats: StreamingLatencyStats) -> Self {
-        Self {
-            exact: None,
-            streaming: Some(stats),
-        }
-    }
-
-    fn push(&mut self, latency: u64) {
-        if let Some(exact) = self.exact.as_mut() {
-            exact.push(latency);
-        }
-        if let Some(streaming) = self.streaming.as_mut() {
-            streaming.push(latency);
-        }
-    }
-
-    fn encode(&self, out: &mut Encoder) {
-        encode_optional_slots(self.exact.as_deref(), out);
-        match &self.streaming {
-            Some(stats) => {
-                out.put_bool(true);
-                stats.encode(out);
-            }
-            None => out.put_bool(false),
-        }
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let exact = decode_optional_slots(input)?;
-        let streaming = if input.take_bool()? {
-            Some(StreamingLatencyStats::decode(input)?)
-        } else {
-            None
-        };
-        Ok(Self { exact, streaming })
-    }
 }
 
 /// Fast simulator for fair protocols under **arbitrary arrival schedules**.
@@ -264,13 +211,12 @@ impl CohortSimulator {
 /// for fair protocols.
 #[derive(Debug)]
 pub(crate) struct CohortEngineCore<P> {
+    /// The run accounting; its latency record holds delivery − arrival.
+    run: RunState,
     feed: StreamFeed,
     /// The state every fresh arrival cohort starts from (building a state
     /// draws no randomness, so a clone is a fresh build).
     prototype: P,
-    k: u64,
-    seed: u64,
-    max_slots: u64,
     merge_tolerance: f64,
     max_live_cohorts: u64,
     cohorts: Vec<Cohort<P>>,
@@ -278,58 +224,41 @@ pub(crate) struct CohortEngineCore<P> {
     ms: Vec<f64>,
     ps: Vec<f64>,
     merge_scratch: MergeScratch,
-    remaining: u64,
-    slot: u64,
-    makespan: u64,
-    collisions: u64,
-    silent: u64,
-    jammed_deliveries: u64,
     merges: u64,
     peak_cohorts: usize,
     slots_to_merge_scan: u64,
-    adversary: AdversaryState,
     adversarial: bool,
-    rng: Xoshiro256pp,
-    recorder: LatencyRecorder,
+    /// The slot of every delivery, when recorded ([`RunOptions`]'s
+    /// `record_deliveries`): unlike a batched run's, these are not the
+    /// latencies.
     delivery_slots: Option<Vec<u64>>,
 }
 
 impl<P: FairProtocol + Clone> CohortEngineCore<P> {
     /// Builds the initial loop state over a fresh `feed` whose last arrival
-    /// is at `last_arrival`. The cohort knobs (merge tolerance, live-class
-    /// cap) are read from `options`.
+    /// is at `last_arrival`, recording latencies into `latencies`. The
+    /// cohort knobs (merge tolerance, live-class cap) are read from
+    /// `options`.
     pub(crate) fn new(
         feed: StreamFeed,
         last_arrival: Option<u64>,
         prototype: P,
         seed: u64,
         options: &RunOptions,
-        recorder: LatencyRecorder,
+        latencies: LatencyRecorder,
     ) -> Self {
         let k = feed.pending_messages();
-        // lint:allow(rng-stream-discipline): the protocol stream IS the raw
-        // run seed — the contract every committed BENCH_*.json and
-        // certificate replays against; only auxiliary streams (adversary,
-        // arrivals, sketch) are derived off it.
-        let rng = Xoshiro256pp::seed_from_u64(seed);
-        let adversary = options
-            .adversary
-            .state(derive_seed(seed, &[ADVERSARY_STREAM]));
-        let adversarial = adversary.is_active();
-        let prealloc = k.min(MAX_PREALLOC_ENTRIES) as usize;
-        let delivery_slots = options
-            .record_deliveries
-            .then(|| Vec::with_capacity(prealloc));
+        // As in the exact simulator, the per-message budget is granted on
+        // top of the arrival horizon.
+        let max_slots = options
+            .max_slots(k)
+            .saturating_add(last_arrival.unwrap_or(0));
+        let run = RunState::new(k, seed, max_slots, &options.adversary, latencies);
+        let adversarial = run.adversary.is_active();
         Self {
+            run,
             feed,
             prototype,
-            k,
-            seed,
-            // As in the exact simulator, the per-message budget is granted
-            // on top of the arrival horizon.
-            max_slots: options
-                .max_slots(k)
-                .saturating_add(last_arrival.unwrap_or(0)),
             merge_tolerance: options.merge_tolerance,
             max_live_cohorts: options.max_live_cohorts,
             cohorts: Vec::new(),
@@ -337,166 +266,12 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             ms: Vec::new(),
             ps: Vec::new(),
             merge_scratch: MergeScratch::default(),
-            remaining: k,
-            slot: 0,
-            makespan: 0,
-            collisions: 0,
-            silent: 0,
-            jammed_deliveries: 0,
             merges: 0,
             peak_cohorts: 0,
             slots_to_merge_scan: MERGE_SCAN_PERIOD,
-            adversary,
             adversarial,
-            rng,
-            recorder,
-            delivery_slots,
+            delivery_slots: options.record_deliveries.then(|| preallocated(k)),
         }
-    }
-
-    pub(crate) fn is_finished(&self) -> bool {
-        self.remaining == 0 || self.slot >= self.max_slots
-    }
-
-    /// Advances until at least `budget` slots have elapsed or the run
-    /// finishes; returns the number of slots executed.
-    pub(crate) fn advance(&mut self, budget: u64) -> u64 {
-        let start = self.slot;
-        let cap = start.saturating_add(budget);
-        while self.remaining > 0 && self.slot < self.max_slots && self.slot < cap {
-            // Activate the arrival burst of this slot as one fresh cohort
-            // (arrivals are sorted, so all due arrivals share the slot
-            // after the fast-forward below).
-            if self.feed.peek_slot().is_some_and(|due| due <= self.slot) {
-                let count = self.feed.take_due(self.slot);
-                let state = self.prototype.clone();
-                self.kernel.push(count, state.transmission_probability());
-                self.cohorts.push(Cohort {
-                    state,
-                    m: count,
-                    groups: vec![(self.slot, count)],
-                });
-                // Bounded-class mode: pushes are the only operation that
-                // grows the live class count, so enforcing the cap here
-                // maintains the invariant everywhere else. `peak_cohorts`
-                // is recorded *after* enforcement — it reports the live
-                // class count the engine actually paid for per slot.
-                if self.max_live_cohorts > 0 && self.cohorts.len() as u64 > self.max_live_cohorts {
-                    self.merges += self.merge_scratch.enforce_class_cap(
-                        &mut self.cohorts,
-                        &mut self.kernel,
-                        self.max_live_cohorts as usize,
-                    );
-                }
-                self.peak_cohorts = self.peak_cohorts.max(self.cohorts.len());
-            }
-
-            // Fast-forward an empty channel to the next arrival: the slots
-            // in between are silent by definition, and the adversary is only
-            // ever consulted about busy slots. Clamping to the budget is
-            // bit-safe — no randomness is consumed, and the next advance
-            // resumes the fast-forward from the clamp point.
-            if self.cohorts.is_empty() {
-                let due = self
-                    .feed
-                    .peek_slot()
-                    .expect("remaining > 0 with no active cohorts implies pending arrivals");
-                let next = due.min(self.max_slots).min(cap);
-                self.silent += next - self.slot;
-                self.slot = next;
-                continue;
-            }
-
-            self.ms.clear();
-            self.ps.clear();
-            for cohort in &self.cohorts {
-                self.ms.push(cohort.m as f64);
-                self.ps.push(cohort.state.transmission_probability());
-            }
-            let thresholds = self.kernel.classify(&self.ms, &self.ps);
-
-            let mut delivered_feedback = false;
-            if thresholds.is_dead() {
-                // Certain collision at f64 resolution: no draw is consumed.
-                self.collisions += 1;
-                if self.adversarial {
-                    self.adversary.jams_slot(self.slot, SlotClass::Contended);
-                }
-            } else {
-                let u = self.rng.gen::<f64>();
-                if u < thresholds.t0 {
-                    self.silent += 1;
-                } else if u < thresholds.t1 {
-                    if self.adversarial && self.adversary.jams_slot(self.slot, SlotClass::Single) {
-                        // The jam destroys the delivery: the transmitter
-                        // stays active and the slot reads as a collision.
-                        self.collisions += 1;
-                        self.jammed_deliveries += 1;
-                    } else {
-                        // Which cohort delivered, and — through the leftover
-                        // uniform fraction — which arrival sub-group within
-                        // it (members are exchangeable).
-                        let (ci, fraction) = self.kernel.delivering_cohort(u - thresholds.t0);
-                        let cohort = &mut self.cohorts[ci];
-                        let mut index = ((fraction * cohort.m as f64) as u64).min(cohort.m - 1);
-                        let group = cohort
-                            .groups
-                            .iter_mut()
-                            .find(|(_, count)| {
-                                if index < *count {
-                                    true
-                                } else {
-                                    index -= *count;
-                                    false
-                                }
-                            })
-                            .expect("group counts sum to the cohort size");
-                        self.recorder.push(self.slot - group.0);
-                        group.1 -= 1;
-                        if group.1 == 0 && cohort.groups.len() > 1 {
-                            cohort.groups.retain(|&(_, count)| count > 0);
-                        }
-                        cohort.m -= 1;
-                        self.remaining -= 1;
-                        self.makespan = self.slot + 1;
-                        if let Some(slots) = self.delivery_slots.as_mut() {
-                            slots.push(self.slot);
-                        }
-                        // Acknowledgements are reliable; only the broadcast
-                        // feedback to the remaining stations can be lost.
-                        delivered_feedback = !self.adversarial || !self.adversary.misses_delivery();
-                        if cohort.m == 0 {
-                            self.cohorts.swap_remove(ci);
-                            self.kernel.swap_remove(ci);
-                        }
-                    }
-                } else {
-                    self.collisions += 1;
-                    if self.adversarial {
-                        self.adversary.jams_slot(self.slot, SlotClass::Contended);
-                    }
-                }
-            }
-
-            // Every active station observes the same public feedback.
-            for cohort in &mut self.cohorts {
-                cohort.state.advance(delivered_feedback);
-            }
-            self.slot += 1;
-
-            self.slots_to_merge_scan -= 1;
-            if self.slots_to_merge_scan == 0 {
-                self.slots_to_merge_scan = MERGE_SCAN_PERIOD;
-                if self.cohorts.len() > 1 {
-                    self.merges += self.merge_scratch.merge_converged(
-                        &mut self.cohorts,
-                        &mut self.kernel,
-                        self.merge_tolerance,
-                    );
-                }
-            }
-        }
-        self.slot - start
     }
 
     /// Serialises the full loop state except the feed and the prototype,
@@ -510,17 +285,11 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             };
             cohort_words.push(words);
         }
-        out.put_u64(self.k);
-        out.put_u64(self.seed);
-        out.put_u64(self.max_slots);
+        self.run.encode_identity(out);
         out.put_f64(self.merge_tolerance);
         out.put_u64(self.max_live_cohorts);
-        out.put_u64(self.remaining);
-        out.put_u64(self.slot);
-        out.put_u64(self.makespan);
-        out.put_u64(self.collisions);
-        out.put_u64(self.silent);
-        out.put_u64(self.jammed_deliveries);
+        out.put_u64(self.run.remaining);
+        self.run.encode_tally(out);
         out.put_u64(self.merges);
         out.put_u64(self.peak_cohorts as u64);
         out.put_u64(self.slots_to_merge_scan);
@@ -535,14 +304,9 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             }
         }
         self.kernel.encode(out);
-        for w in self.rng.state_words() {
-            out.put_u64(w);
-        }
-        for w in self.adversary.state_words() {
-            out.put_u64(w);
-        }
+        self.run.encode_streams(out);
         encode_optional_slots(self.delivery_slots.as_deref(), out);
-        self.recorder.encode(out);
+        self.run.latencies.encode(out);
         true
     }
 
@@ -557,16 +321,11 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
         scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
         let k = input.take_u64()?;
-        let seed = input.take_u64()?;
-        let max_slots = input.take_u64()?;
+        let mut run = RunState::decode_identity(input, k, scenario)?;
         let merge_tolerance = input.take_f64()?;
         let max_live_cohorts = input.take_u64()?;
-        let remaining = input.take_u64()?;
-        let slot = input.take_u64()?;
-        let makespan = input.take_u64()?;
-        let collisions = input.take_u64()?;
-        let silent = input.take_u64()?;
-        let jammed_deliveries = input.take_u64()?;
+        run.remaining = input.take_u64()?;
+        run.decode_tally(input)?;
         let merges = input.take_u64()?;
         let peak_cohorts = usize::try_from(input.take_u64()?)
             .map_err(|_| WireError::Malformed("peak cohort count exceeds usize"))?;
@@ -617,32 +376,19 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             .try_fold(feed.pending_messages(), |sum, cohort| {
                 sum.checked_add(cohort.m)
             });
-        if undelivered != Some(remaining) || remaining > k {
+        if undelivered != Some(run.remaining) || run.remaining > k {
             return Err(WireError::Malformed(
                 "remaining count differs from the live and pending messages",
             ));
         }
-        let mut rng_words = [0u64; 4];
-        for w in &mut rng_words {
-            *w = input.take_u64()?;
-        }
-        let mut adversary_words = [0u64; 6];
-        for w in &mut adversary_words {
-            *w = input.take_u64()?;
-        }
+        run.decode_streams(input)?;
         let delivery_slots = decode_optional_slots(input)?;
-        let recorder = LatencyRecorder::decode(input)?;
-        let mut adversary = scenario.state(0);
-        if !adversary.restore_state_words(&adversary_words) {
-            return Err(WireError::Malformed("adversary state words rejected"));
-        }
-        let adversarial = adversary.is_active();
+        run.latencies = LatencyRecorder::decode(input)?;
+        let adversarial = run.adversary.is_active();
         Ok(Self {
+            run,
             feed,
             prototype,
-            k,
-            seed,
-            max_slots,
             merge_tolerance,
             max_live_cohorts,
             cohorts,
@@ -650,19 +396,10 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             ms: Vec::new(),
             ps: Vec::new(),
             merge_scratch: MergeScratch::default(),
-            remaining,
-            slot,
-            makespan,
-            collisions,
-            silent,
-            jammed_deliveries,
             merges,
             peak_cohorts,
             slots_to_merge_scan,
-            adversary,
             adversarial,
-            rng: Xoshiro256pp::from_state_words(rng_words),
-            recorder,
             delivery_slots,
         })
     }
@@ -672,17 +409,145 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     fn engine(&self) -> Engine {
         Engine::Cohort
     }
-    fn advance(&mut self, max_slots: u64, _jam_log: Option<&mut Vec<u64>>) {
-        self.advance(max_slots);
+    fn run_state(&self) -> &RunState {
+        &self.run
     }
-    fn slot(&self) -> u64 {
-        self.slot
-    }
-    fn delivered(&self) -> u64 {
-        self.k - self.remaining
-    }
-    fn remaining(&self) -> u64 {
-        self.remaining
+    /// Advances until at least `budget` slots have elapsed or the run
+    /// finishes.
+    fn advance(&mut self, budget: u64, _jam_log: Option<&mut Vec<u64>>) {
+        let run = &mut self.run;
+        let cap = run.slot.saturating_add(budget);
+        while run.remaining > 0 && run.slot < run.max_slots && run.slot < cap {
+            // Activate the arrival burst of this slot as one fresh cohort
+            // (arrivals are sorted, so all due arrivals share the slot
+            // after the fast-forward below).
+            if self.feed.peek_slot().is_some_and(|due| due <= run.slot) {
+                let count = self.feed.take_due(run.slot);
+                let state = self.prototype.clone();
+                self.kernel.push(count, state.transmission_probability());
+                self.cohorts.push(Cohort {
+                    state,
+                    m: count,
+                    groups: vec![(run.slot, count)],
+                });
+                // Bounded-class mode: pushes are the only operation that
+                // grows the live class count, so enforcing the cap here
+                // maintains the invariant everywhere else. `peak_cohorts`
+                // is recorded *after* enforcement — it reports the live
+                // class count the engine actually paid for per slot.
+                if self.max_live_cohorts > 0 && self.cohorts.len() as u64 > self.max_live_cohorts {
+                    self.merges += self.merge_scratch.enforce_class_cap(
+                        &mut self.cohorts,
+                        &mut self.kernel,
+                        self.max_live_cohorts as usize,
+                    );
+                }
+                self.peak_cohorts = self.peak_cohorts.max(self.cohorts.len());
+            }
+
+            // Fast-forward an empty channel to the next arrival: the slots
+            // in between are silent by definition, and the adversary is only
+            // ever consulted about busy slots. Clamping to the budget is
+            // bit-safe — no randomness is consumed, and the next advance
+            // resumes the fast-forward from the clamp point.
+            if self.cohorts.is_empty() {
+                let due = self
+                    .feed
+                    .peek_slot()
+                    .expect("remaining > 0 with no active cohorts implies pending arrivals");
+                let next = due.min(run.max_slots).min(cap);
+                run.silent += next - run.slot;
+                run.slot = next;
+                continue;
+            }
+
+            self.ms.clear();
+            self.ps.clear();
+            for cohort in &self.cohorts {
+                self.ms.push(cohort.m as f64);
+                self.ps.push(cohort.state.transmission_probability());
+            }
+            let thresholds = self.kernel.classify(&self.ms, &self.ps);
+
+            let mut delivered_feedback = false;
+            if thresholds.is_dead() {
+                // Certain collision at f64 resolution: no draw is consumed.
+                run.collisions += 1;
+                if self.adversarial {
+                    run.adversary.jams_slot(run.slot, SlotClass::Contended);
+                }
+            } else {
+                let u = run.rng.gen::<f64>();
+                if u < thresholds.t0 {
+                    run.silent += 1;
+                } else if u < thresholds.t1 {
+                    if self.adversarial && run.adversary.jams_slot(run.slot, SlotClass::Single) {
+                        // The jam destroys the delivery: the transmitter
+                        // stays active and the slot reads as a collision.
+                        run.collisions += 1;
+                        run.jammed_deliveries += 1;
+                    } else {
+                        // Which cohort delivered, and — through the leftover
+                        // uniform fraction — which arrival sub-group within
+                        // it (members are exchangeable).
+                        let (ci, fraction) = self.kernel.delivering_cohort(u - thresholds.t0);
+                        let cohort = &mut self.cohorts[ci];
+                        let mut index = ((fraction * cohort.m as f64) as u64).min(cohort.m - 1);
+                        let group = cohort
+                            .groups
+                            .iter_mut()
+                            .find(|(_, count)| {
+                                if index < *count {
+                                    true
+                                } else {
+                                    index -= *count;
+                                    false
+                                }
+                            })
+                            .expect("group counts sum to the cohort size");
+                        run.deliver(run.slot - group.0);
+                        group.1 -= 1;
+                        if group.1 == 0 && cohort.groups.len() > 1 {
+                            cohort.groups.retain(|&(_, count)| count > 0);
+                        }
+                        cohort.m -= 1;
+                        if let Some(slots) = self.delivery_slots.as_mut() {
+                            slots.push(run.slot);
+                        }
+                        // Acknowledgements are reliable; only the broadcast
+                        // feedback to the remaining stations can be lost.
+                        delivered_feedback = !self.adversarial || !run.adversary.misses_delivery();
+                        if cohort.m == 0 {
+                            self.cohorts.swap_remove(ci);
+                            self.kernel.swap_remove(ci);
+                        }
+                    }
+                } else {
+                    run.collisions += 1;
+                    if self.adversarial {
+                        run.adversary.jams_slot(run.slot, SlotClass::Contended);
+                    }
+                }
+            }
+
+            // Every active station observes the same public feedback.
+            for cohort in &mut self.cohorts {
+                cohort.state.advance(delivered_feedback);
+            }
+            run.slot += 1;
+
+            self.slots_to_merge_scan -= 1;
+            if self.slots_to_merge_scan == 0 {
+                self.slots_to_merge_scan = MERGE_SCAN_PERIOD;
+                if self.cohorts.len() > 1 {
+                    self.merges += self.merge_scratch.merge_converged(
+                        &mut self.cohorts,
+                        &mut self.kernel,
+                        self.merge_tolerance,
+                    );
+                }
+            }
+        }
     }
     /// The sum over active cohorts: unlike `remaining`, this excludes
     /// messages that have not arrived yet, so an idle channel
@@ -690,34 +555,18 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     fn backlog(&self) -> u64 {
         self.cohorts.iter().map(|cohort| cohort.m).sum()
     }
-    fn is_finished(&self) -> bool {
-        self.is_finished()
-    }
-    fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
-        self.recorder.streaming.as_ref()
-    }
     /// The run's aggregate result (capped-run convention before
-    /// completion).
+    /// completion: the makespan reads the current slot).
     fn result(&self, label: &str) -> RunResult {
-        let completed = self.remaining == 0;
-        RunResult {
-            protocol: label.to_string(),
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed { self.makespan } else { self.slot },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated: self.feed.pending_messages(),
-            delivery_slots: self.delivery_slots.clone(),
-        }
+        let never_activated = self.feed.pending_messages();
+        let recorded = self.delivery_slots.as_deref();
+        self.run
+            .result(label, self.run.slot, never_activated, recorded)
     }
     fn cohort_run(&self, label: &str) -> Option<CohortRun> {
         Some(CohortRun {
             result: self.result(label),
-            latencies: self.recorder.exact.clone().unwrap_or_default(),
+            latencies: self.run.latencies.exact.clone().unwrap_or_default(),
             merges: self.merges,
             peak_cohorts: self.peak_cohorts,
         })
@@ -726,7 +575,7 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     /// from it before the core decodes), then the arrival feed, then the
     /// core.
     fn encode_payload(&self, out: &mut Encoder) -> bool {
-        out.put_u64(self.k);
+        out.put_u64(self.run.k);
         self.feed.encode(out);
         self.encode(out)
     }
@@ -931,9 +780,10 @@ impl MergeScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mac_adversary::{AdversaryModel, AdversaryScenario};
-    use mac_channel::ArrivalModel;
+    use mac_adversary::AdversaryModel;
+    use mac_prob::rng::Xoshiro256pp;
     use mac_prob::stats::StreamingStats;
+    use rand::SeedableRng;
 
     fn cohort(kind: ProtocolKind) -> CohortSimulator {
         CohortSimulator::new(kind, RunOptions::default())

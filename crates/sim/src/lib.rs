@@ -80,6 +80,7 @@ pub mod fair;
 pub mod faults;
 pub mod report;
 pub mod result;
+pub(crate) mod run_state;
 pub mod runner;
 pub mod search;
 pub mod session;

@@ -4,12 +4,6 @@ use mac_adversary::AdversaryScenario;
 use mac_protocols::ParameterError;
 use serde::{Deserialize, Serialize};
 
-/// Cap on up-front buffer reservations sized from `k` (16M entries ≈ 128 MB
-/// of `u64`s): beyond this the simulators let buffers grow on demand instead
-/// of trusting an absurd `k` with a giant allocation. Shared by every
-/// simulator so their memory behaviour stays consistent.
-pub(crate) const MAX_PREALLOC_ENTRIES: u64 = 1 << 24;
-
 /// Options controlling a single simulated run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunOptions {

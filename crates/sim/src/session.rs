@@ -61,9 +61,10 @@ pub use sharded::{ShardHealth, ShardSupervision, ShardedSession, SHARD_STREAM};
 pub use watchdog::{StallConfig, StallPolicy, StallReport};
 
 use crate::aggregate::FairEngineCore;
-use crate::cohort::{CohortEngineCore, CohortRun, LatencyRecorder};
+use crate::cohort::{CohortEngineCore, CohortRun};
 use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM, RUN_STREAM};
 use crate::result::{RunOptions, RunResult};
+use crate::run_state::{LatencyRecorder, RunState};
 use crate::window::WindowEngineCore;
 use frame::{open_frame, seal_frame, verify_frame};
 use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault};
@@ -309,21 +310,34 @@ impl StreamFeed {
 
 /// The engine behind a [`Session`]: one of the three generic cores, boxed
 /// so a session pays one virtual call per advance chunk while each core's
-/// slot loop stays monomorphic over its protocol state.
+/// slot loop stays monomorphic over its protocol state. Every core keeps
+/// its run accounting in one [`RunState`], which the clock and count
+/// queries read.
 pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn engine(&self) -> Engine;
+    fn run_state(&self) -> &RunState;
     /// Runs at least `max_slots` slots (see [`Session::advance`]). With
     /// `jam_log`, the batched cores record the slot of every effective jam
     /// (see [`crate::FairSimulator::run_logging_jams`]); the cohort core,
     /// whose runs no certificate replays, records none.
     fn advance(&mut self, max_slots: u64, jam_log: Option<&mut Vec<u64>>);
-    fn slot(&self) -> u64;
-    fn delivered(&self) -> u64;
-    fn remaining(&self) -> u64;
+    fn slot(&self) -> u64 {
+        self.run_state().slot
+    }
+    fn delivered(&self) -> u64 {
+        self.run_state().delivered()
+    }
+    fn remaining(&self) -> u64 {
+        self.run_state().remaining
+    }
     /// Activated, undelivered messages — the watchdog's progress signal.
     fn backlog(&self) -> u64;
-    fn is_finished(&self) -> bool;
-    fn streaming_stats(&self) -> Option<&StreamingLatencyStats>;
+    fn is_finished(&self) -> bool {
+        self.run_state().is_finished()
+    }
+    fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
+        self.run_state().latencies.streaming.as_ref()
+    }
     /// The aggregate result so far (capped-run convention while running).
     fn result(&self, label: &str) -> RunResult;
     /// The full run detail, which only the cohort engine keeps.
@@ -349,14 +363,12 @@ impl KindVisitor for BatchedEngine<'_> {
     type Output = Box<dyn SessionEngine>;
 
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        let mut core = FairEngineCore::new(state, self.k, self.seed, self.options);
-        core.set_streaming_stats(self.stats);
+        let core = FairEngineCore::new(state, self.k, self.seed, self.options, self.stats);
         Box::new(core)
     }
 
     fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
-        let mut core = WindowEngineCore::new(schedule, self.k, self.seed, self.options);
-        core.set_streaming_stats(self.stats);
+        let core = WindowEngineCore::new(schedule, self.k, self.seed, self.options, self.stats);
         Box::new(core)
     }
 }
@@ -578,14 +590,9 @@ impl Session {
         options.validate_cohort()?;
         let (feed, last_arrival) = StreamFeed::new(source);
         let k = feed.total;
-        let recorder = if exact_latencies {
-            LatencyRecorder::exact(k)
-        } else {
-            LatencyRecorder::streaming(StreamingLatencyStats::new(derive_seed(
-                run_seed,
-                &[SKETCH_STREAM],
-            )))
-        };
+        let sketch = (!exact_latencies)
+            .then(|| StreamingLatencyStats::new(derive_seed(run_seed, &[SKETCH_STREAM])));
+        let recorder = LatencyRecorder::new(k, exact_latencies, sketch);
         let engine = DynamicEngine {
             feed,
             last_arrival,

@@ -31,29 +31,30 @@
 //!   whose station stays in the game), when per-delivery slots are
 //!   recorded, or when a session streams latency statistics.
 //!
-//! The loop state lives in one core, `WindowEngineCore`, which the monolithic
-//! runner drives to completion in one call and the streaming session layer
-//! (`crate::session`) drives window by window with checkpoints in between —
-//! one loop body, so checkpointed runs are bit-identical to unbroken ones
-//! by construction. A session checkpoint captures the schedule's state
-//! words, the RNG and the adversary's dynamic state verbatim; the walk
-//! scratch is pure buffers and is rebuilt empty on resume.
+//! The loop state lives in one core, `WindowEngineCore`: the schedule and
+//! the walk scratch, beside the run accounting every fast core shares
+//! (counts, clock, RNG, adversary, latency record). The monolithic runner
+//! drives it to completion in one call and the streaming session layer
+//! (`crate::session`) drives it window by window with checkpoints in
+//! between — one loop body, so checkpointed runs are bit-identical to
+//! unbroken ones by construction. A session checkpoint captures the
+//! schedule's state words, the RNG and the adversary's dynamic state
+//! verbatim; the walk scratch is pure buffers and is rebuilt empty on
+//! resume.
 //!
 //! See `crates/sim/DESIGN.md` for the scratch-buffer contract, the
 //! exactness-in-distribution argument (§2, §5 for what the walk changes),
 //! and the adversary integration contract (§4).
 
-use crate::aggregate::{decode_optional_slots, encode_optional_slots};
-use crate::result::{RunOptions, RunResult, MAX_PREALLOC_ENTRIES};
+use crate::result::{RunOptions, RunResult};
+use crate::run_state::{LatencyRecorder, RunState};
 use crate::session::SessionEngine;
-use mac_adversary::{AdversaryScenario, AdversaryState, SlotClass, ADVERSARY_STREAM};
+use mac_adversary::{AdversaryScenario, SlotClass};
 use mac_prob::balls::{walk_window, walk_window_counts, WalkScratch};
-use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
 use mac_protocols::kind::Engine;
 use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind, WindowSchedule};
-use rand::SeedableRng;
 
 /// Fast simulator for window protocols (Exp Back-on/Back-off, Loglog-iterated
 /// Back-off, r-exponential back-off) on a batched instance.
@@ -137,89 +138,99 @@ impl WindowSimulator {
 /// count can overshoot by up to one window length.
 #[derive(Debug)]
 pub(crate) struct WindowEngineCore<S> {
+    run: RunState,
     schedule: S,
-    k: u64,
-    seed: u64,
-    max_slots: u64,
-    remaining: u64,
-    elapsed: u64,
-    makespan: u64,
-    collisions: u64,
-    silent: u64,
-    jammed_deliveries: u64,
-    adversary: AdversaryState,
     adversarial: bool,
     walk_scratch: WalkScratch,
-    rng: Xoshiro256pp,
-    delivery_slots: Option<Vec<u64>>,
-    stats: Option<StreamingLatencyStats>,
 }
 
 impl<S: WindowSchedule> WindowEngineCore<S> {
     /// Builds the initial loop state — bit-identical to the state the
-    /// monolithic runner entered its loop with.
-    pub(crate) fn new(schedule: S, k: u64, seed: u64, options: &RunOptions) -> Self {
-        let max_slots = options.max_slots(k);
-        // The adversary draws from its own derived stream and the detailed
-        // walk consumes the protocol RNG identically to the counts-only one
-        // (`detailed_and_counts_only_walks_are_stream_identical` in
-        // `mac-prob`), so a clean scenario leaves the run bit-identical to
-        // the pre-adversary simulator.
-        let adversary = options
-            .adversary
-            .state(derive_seed(seed, &[ADVERSARY_STREAM]));
-        // Only *jamming* can touch a window protocol: stations react to
-        // nothing but their own (reliable) acknowledgement, so feedback
-        // faults are a strict no-op here and must not push the run off the
-        // counts-only fast path.
-        let adversarial = !options.adversary.jamming.is_none();
-        let delivery_slots = options
-            .record_deliveries
-            .then(|| Vec::with_capacity(k.min(MAX_PREALLOC_ENTRIES) as usize));
+    /// monolithic runner entered its loop with. `stats`, when given,
+    /// receives every delivery's slot index (= latency for batched
+    /// arrivals).
+    pub(crate) fn new(
+        schedule: S,
+        k: u64,
+        seed: u64,
+        options: &RunOptions,
+        stats: Option<StreamingLatencyStats>,
+    ) -> Self {
+        let latencies = LatencyRecorder::new(k, options.record_deliveries, stats);
         Self {
+            run: RunState::new(k, seed, options.max_slots(k), &options.adversary, latencies),
             schedule,
-            k,
-            seed,
-            max_slots,
-            remaining: k,
-            elapsed: 0,
-            makespan: 0,
-            collisions: 0,
-            silent: 0,
-            jammed_deliveries: 0,
-            adversary,
-            adversarial,
+            // Only *jamming* can touch a window protocol: stations react to
+            // nothing but their own (reliable) acknowledgement, so feedback
+            // faults are a strict no-op here and must not push the run off
+            // the counts-only fast path.
+            adversarial: !options.adversary.jamming.is_none(),
             // All per-window state lives in buffers reused across windows
             // (the walk scratch grows its singleton list and its per-ball
             // resolver's counter window and draw list to their high-water
-            // marks); the buffers are pure
-            // scratch, so a resumed run rebuilding them empty stays
-            // bit-identical.
+            // marks); the buffers are pure scratch, so a resumed run
+            // rebuilding them empty stays bit-identical.
             walk_scratch: WalkScratch::new(),
-            // lint:allow(rng-stream-discipline): the protocol stream IS the
-            // raw run seed — the contract every committed BENCH_*.json and
-            // certificate replays against; rerouting through derive_seed
-            // would invalidate all of them.
-            rng: Xoshiro256pp::seed_from_u64(seed),
-            delivery_slots,
-            stats: None,
         }
     }
 
-    /// Attaches a streaming latency accumulator, or none (the runs of
-    /// `crate::simulate` carry none): every delivery pushes its
-    /// slot index (= latency for batched arrivals). Routes windows through
-    /// the detailed walk, which is RNG-stream-identical to the counts-only
-    /// one, so the trajectory is unchanged.
-    pub(crate) fn set_streaming_stats(&mut self, stats: Option<StreamingLatencyStats>) {
-        self.stats = stats;
+    /// Serialises the full loop state (`false` if the schedule does not
+    /// support state extraction).
+    pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
+        let Some(schedule_words) = self.schedule.checkpoint_words() else {
+            return false;
+        };
+        self.run.encode_identity(out);
+        out.put_u64(self.run.remaining);
+        self.run.encode_tally(out);
+        out.put_words(&schedule_words);
+        self.run.encode_streams(out);
+        self.run.latencies.encode(out);
+        true
     }
 
+    /// Rebuilds a core from [`WindowEngineCore::encode`]d words whose
+    /// leading `k` the caller has already read. `schedule` is a freshly
+    /// constructed schedule of the run's kind (its incremental state is
+    /// overwritten verbatim), and `scenario` must be the run's original
+    /// adversary configuration.
+    pub(crate) fn decode(
+        input: &mut Decoder<'_>,
+        k: u64,
+        mut schedule: S,
+        scenario: &AdversaryScenario,
+    ) -> Result<Self, WireError> {
+        let mut run = RunState::decode_identity(input, k, scenario)?;
+        run.remaining = input.take_u64()?;
+        run.decode_tally(input)?;
+        let schedule_words = input.take_words()?;
+        run.decode_streams(input)?;
+        run.latencies = LatencyRecorder::decode(input)?;
+        if !schedule.restore_words(schedule_words) {
+            return Err(WireError::Malformed("schedule state words rejected"));
+        }
+        Ok(Self {
+            run,
+            schedule,
+            adversarial: !scenario.jamming.is_none(),
+            walk_scratch: WalkScratch::new(),
+        })
+    }
+}
+
+impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
+    fn engine(&self) -> Engine {
+        Engine::Window
+    }
+    fn run_state(&self) -> &RunState {
+        &self.run
+    }
     /// Advances whole windows until at least `budget` slots have elapsed
-    /// (or the run finishes) and returns the number of slots executed.
-    pub(crate) fn advance(&mut self, budget: u64, mut jam_log: Option<&mut Vec<u64>>) -> u64 {
-        let start = self.elapsed;
-        while self.remaining > 0 && self.elapsed < self.max_slots && self.elapsed - start < budget {
+    /// (or the run finishes).
+    fn advance(&mut self, budget: u64, mut jam_log: Option<&mut Vec<u64>>) {
+        let run = &mut self.run;
+        let start = run.slot;
+        while run.remaining > 0 && run.slot < run.max_slots && run.slot - start < budget {
             let w = self.schedule.next_window();
             // Every window runs through the aggregate slot walk
             // (`mac_prob::balls::walk_window`), whose internal dispatch —
@@ -235,45 +246,40 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
             // (ascending singleton list) is RNG-stream-identical to the
             // counts-only walk, so recording/jamming does not perturb a
             // seeded trajectory either.
-            let detailed =
-                self.adversarial || self.delivery_slots.is_some() || self.stats.is_some();
+            let detailed = self.adversarial
+                || run.latencies.exact.is_some()
+                || run.latencies.streaming.is_some();
             let (delivered_in_window, last_delivered, empty_bins, colliding_bins, max_occupied) =
                 if detailed {
                     let occupancy =
-                        walk_window(self.remaining, w, &mut self.rng, &mut self.walk_scratch);
+                        walk_window(run.remaining, w, &mut run.rng, &mut self.walk_scratch);
                     let mut delivered: u64 = 0;
                     let mut last: Option<u64> = None;
                     let mut jammed_singletons: u64 = 0;
                     // Singleton bins are ascending, satisfying the
-                    // adversary's slot-order contract.
+                    // adversary's slot-order contract — and keeping the
+                    // recorded delivery slots in slot order.
                     for &bin in self.walk_scratch.singleton_bins() {
                         if self.adversarial
-                            && self
-                                .adversary
-                                .jams_slot(self.elapsed + bin, SlotClass::Single)
+                            && run.adversary.jams_slot(run.slot + bin, SlotClass::Single)
                         {
                             jammed_singletons += 1;
                             if let Some(log) = jam_log.as_deref_mut() {
-                                log.push(self.elapsed + bin);
+                                log.push(run.slot + bin);
                             }
                         } else {
                             delivered += 1;
                             last = Some(bin);
-                            if let Some(slots) = self.delivery_slots.as_mut() {
-                                slots.push(self.elapsed + bin);
-                            }
-                            if let Some(stats) = self.stats.as_mut() {
-                                stats.push(self.elapsed + bin);
-                            }
+                            run.latencies.push(run.slot + bin);
                         }
                     }
                     if self.adversarial {
                         // Already-contended slots: only a reactive jammer's
                         // budget can change, never the outcome.
-                        self.adversary.jam_contended_bulk(occupancy.colliding_bins);
+                        run.adversary.jam_contended_bulk(occupancy.colliding_bins);
                     }
-                    self.collisions += jammed_singletons;
-                    self.jammed_deliveries += jammed_singletons;
+                    run.collisions += jammed_singletons;
+                    run.jammed_deliveries += jammed_singletons;
                     (
                         delivered,
                         last,
@@ -282,12 +288,8 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
                         occupancy.max_occupied_bin,
                     )
                 } else {
-                    let occupancy = walk_window_counts(
-                        self.remaining,
-                        w,
-                        &mut self.rng,
-                        &mut self.walk_scratch,
-                    );
+                    let occupancy =
+                        walk_window_counts(run.remaining, w, &mut run.rng, &mut self.walk_scratch);
                     (
                         occupancy.singletons,
                         occupancy.max_occupied_bin,
@@ -296,12 +298,12 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
                         occupancy.max_occupied_bin,
                     )
                 };
-            self.collisions += colliding_bins;
+            run.collisions += colliding_bins;
             // Empty bins of a *fully used* window count as silent slots; for
             // the final window only the prefix up to the last needed
             // delivery counts.
-            self.remaining -= delivered_in_window;
-            if self.remaining == 0 {
+            run.remaining -= delivered_in_window;
+            if run.remaining == 0 {
                 // Every ball of this window landed alone and unjammed (a
                 // collision or a jammed singleton would leave its station
                 // active), so the last delivery happens at the largest
@@ -310,168 +312,27 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
                     last_delivered.expect("remaining hit zero, so this window delivered something");
                 debug_assert_eq!(colliding_bins, 0);
                 debug_assert_eq!(max_occupied, Some(last));
-                self.makespan = self.elapsed + last + 1;
-                self.silent += (last + 1) - delivered_in_window;
-                self.elapsed = self.makespan;
+                run.makespan = run.slot + last + 1;
+                run.silent += (last + 1) - delivered_in_window;
+                run.slot = run.makespan;
             } else {
-                self.silent += empty_bins;
-                self.elapsed += w;
-                self.makespan = self.elapsed.min(self.max_slots);
+                run.silent += empty_bins;
+                run.slot += w;
+                run.makespan = run.slot.min(run.max_slots);
             }
         }
-        self.elapsed - start
-    }
-
-    /// Serialises the full loop state (`false` if the schedule does not
-    /// support state extraction).
-    pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
-        let Some(schedule_words) = self.schedule.checkpoint_words() else {
-            return false;
-        };
-        out.put_u64(self.k);
-        out.put_u64(self.seed);
-        out.put_u64(self.max_slots);
-        out.put_u64(self.remaining);
-        out.put_u64(self.elapsed);
-        out.put_u64(self.makespan);
-        out.put_u64(self.collisions);
-        out.put_u64(self.silent);
-        out.put_u64(self.jammed_deliveries);
-        out.put_words(&schedule_words);
-        for w in self.rng.state_words() {
-            out.put_u64(w);
-        }
-        for w in self.adversary.state_words() {
-            out.put_u64(w);
-        }
-        encode_optional_slots(self.delivery_slots.as_deref(), out);
-        match &self.stats {
-            Some(stats) => {
-                out.put_bool(true);
-                stats.encode(out);
-            }
-            None => out.put_bool(false),
-        }
-        true
-    }
-
-    /// Rebuilds a core from [`WindowEngineCore::encode`]d words whose
-    /// leading `k` the caller has already read. `schedule` is a freshly
-    /// constructed schedule of the run's kind (its incremental state is
-    /// overwritten verbatim), and `scenario` must be the run's original
-    /// adversary configuration.
-    pub(crate) fn decode(
-        input: &mut Decoder<'_>,
-        k: u64,
-        mut schedule: S,
-        scenario: &AdversaryScenario,
-    ) -> Result<Self, WireError> {
-        let seed = input.take_u64()?;
-        let max_slots = input.take_u64()?;
-        let remaining = input.take_u64()?;
-        let elapsed = input.take_u64()?;
-        let makespan = input.take_u64()?;
-        let collisions = input.take_u64()?;
-        let silent = input.take_u64()?;
-        let jammed_deliveries = input.take_u64()?;
-        let schedule_words = input.take_words()?;
-        let mut rng_words = [0u64; 4];
-        for w in &mut rng_words {
-            *w = input.take_u64()?;
-        }
-        let mut adversary_words = [0u64; 6];
-        for w in &mut adversary_words {
-            *w = input.take_u64()?;
-        }
-        let delivery_slots = decode_optional_slots(input)?;
-        let stats = if input.take_bool()? {
-            Some(StreamingLatencyStats::decode(input)?)
-        } else {
-            None
-        };
-        if !schedule.restore_words(schedule_words) {
-            return Err(WireError::Malformed("schedule state words rejected"));
-        }
-        let mut adversary = scenario.state(0);
-        if !adversary.restore_state_words(&adversary_words) {
-            return Err(WireError::Malformed("adversary state words rejected"));
-        }
-        let adversarial = !scenario.jamming.is_none();
-        Ok(Self {
-            schedule,
-            k,
-            seed,
-            max_slots,
-            remaining,
-            elapsed,
-            makespan,
-            collisions,
-            silent,
-            jammed_deliveries,
-            adversary,
-            adversarial,
-            walk_scratch: WalkScratch::new(),
-            rng: Xoshiro256pp::from_state_words(rng_words),
-            delivery_slots,
-            stats,
-        })
-    }
-}
-
-impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
-    fn engine(&self) -> Engine {
-        Engine::Window
-    }
-    fn advance(&mut self, max_slots: u64, jam_log: Option<&mut Vec<u64>>) {
-        self.advance(max_slots, jam_log);
-    }
-    fn slot(&self) -> u64 {
-        self.elapsed
-    }
-    fn delivered(&self) -> u64 {
-        self.k - self.remaining
-    }
-    fn remaining(&self) -> u64 {
-        self.remaining
     }
     /// Batched runs activate every station at slot 0, so the backlog
     /// equals `remaining`.
     fn backlog(&self) -> u64 {
-        self.remaining
-    }
-    fn is_finished(&self) -> bool {
-        self.remaining == 0 || self.elapsed >= self.max_slots
-    }
-    fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
-        self.stats.as_ref()
+        self.run.remaining
     }
     /// The run's aggregate result (capped-run convention before
-    /// completion), with the delivery slots in slot order.
+    /// completion), with the delivery slots in slot order: windows are
+    /// walked in order and each one's singleton bins ascend.
     fn result(&self, label: &str) -> RunResult {
-        let completed = self.remaining == 0;
-        let delivery_slots = self.delivery_slots.as_ref().map(|slots| {
-            let mut slots = slots.clone();
-            slots.sort_unstable();
-            slots.truncate((self.k - self.remaining) as usize);
-            slots
-        });
-        RunResult {
-            protocol: label.to_string(),
-            k: self.k,
-            seed: self.seed,
-            makespan: if completed {
-                self.makespan
-            } else {
-                self.max_slots
-            },
-            completed,
-            delivered: self.k - self.remaining,
-            collisions: self.collisions,
-            silent_slots: self.silent,
-            jammed_deliveries: self.jammed_deliveries,
-            never_activated: 0,
-            delivery_slots,
-        }
+        let recorded = self.run.latencies.exact.as_deref();
+        self.run.result(label, self.run.max_slots, 0, recorded)
     }
     fn encode_payload(&self, out: &mut Encoder) -> bool {
         self.encode(out)
@@ -605,7 +466,7 @@ mod tests {
         let options = RunOptions::default();
         let single = run(kind.clone(), 800, 21);
         let schedule = mac_protocols::ExpBackonBackoff::try_new(0.366).unwrap();
-        let mut core = WindowEngineCore::new(schedule, 800, 21, &options);
+        let mut core = WindowEngineCore::new(schedule, 800, 21, &options, None);
         while !core.is_finished() {
             core.advance(64, None);
         }
