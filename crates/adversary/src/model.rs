@@ -312,8 +312,8 @@ impl FromStr for AdversaryModel {
 pub struct FeedbackFault {
     /// Probability that a silent slot is reported as a collision and vice
     /// versa. Models receivers without dependable collision detection: the
-    /// paper's protocols ignore the distinction and are immune, while
-    /// collision-detection baselines (e.g. `CdAdaptive`) are not.
+    /// paper's protocols ignore the distinction and are immune, while a
+    /// protocol that reacts to collision detection would not be.
     pub confuse_collision_empty: f64,
     /// Probability that a delivered message is received garbled by everyone
     /// except its (acknowledged) sender, i.e. the delivery is reported to

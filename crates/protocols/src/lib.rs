@@ -70,7 +70,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod cd_adaptive;
 pub mod error;
 pub mod exp_backon_backoff;
 pub mod kind;
@@ -81,7 +80,6 @@ pub mod oracle;
 pub mod randomized_parity;
 pub mod traits;
 
-pub use cd_adaptive::CdAdaptive;
 pub use error::ParameterError;
 pub use exp_backon_backoff::ExpBackonBackoff;
 pub use kind::{KindVisitor, ProtocolFamily, ProtocolKind};

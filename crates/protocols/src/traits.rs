@@ -92,27 +92,6 @@ pub trait Protocol: Debug {
     }
 }
 
-impl Protocol for Box<dyn Protocol> {
-    fn name(&self) -> &'static str {
-        self.as_ref().name()
-    }
-    fn decide(&mut self, rng: &mut dyn RngCore) -> bool {
-        self.as_mut().decide(rng)
-    }
-    fn observe(&mut self, observation: Observation) {
-        self.as_mut().observe(observation)
-    }
-    fn has_delivered(&self) -> bool {
-        self.as_ref().has_delivered()
-    }
-    fn slot_probability(&self) -> Option<f64> {
-        self.as_ref().slot_probability()
-    }
-    fn state_signature(&self) -> Option<Vec<u64>> {
-        self.as_ref().state_signature()
-    }
-}
-
 /// A *fair* protocol: all active stations transmit with the same probability,
 /// derived from public information only.
 ///
@@ -520,17 +499,6 @@ mod tests {
             heard.schedule_phase(),
             "a pending failure run is part of the schedule position"
         );
-    }
-
-    #[test]
-    fn boxed_protocol_forwards_the_full_interface() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
-        let mut node: Box<dyn Protocol> = Box::new(FairNode::new(TwoThenSilent::default()));
-        assert_eq!(Protocol::name(&node), "two-then-silent");
-        assert_eq!(Protocol::slot_probability(&node), Some(1.0));
-        assert!(Protocol::decide(&mut node, &mut rng));
-        Protocol::observe(&mut node, Observation::DeliveredOwn);
-        assert!(Protocol::has_delivered(&node));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! observation. It is O(active stations) per slot — far too slow for the
 //! paper's `k = 10⁷` sweep, but it
 //!
-//! * works for **any** protocol (fair, window or otherwise) and any arrival
-//!   schedule (batched, Poisson, adversarial bursts), so it is the reference
+//! * runs **every** protocol kind, fair and window, on any arrival schedule
+//!   (batched, Poisson, adversarial bursts), so it is the reference
 //!   implementation the fast simulators are validated against;
 //! * produces per-station detail (arrival and delivery slot of every
 //!   message), which the dynamic-arrival experiments need for latency
@@ -35,7 +35,6 @@ use mac_protocols::{
 };
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::iter::Repeat;
 
 /// Per-message detail of an exact run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -231,38 +230,6 @@ impl ExactSimulator {
         };
         self.kind.visit(schedule.len() as u64, run)
     }
-
-    /// Runs an instance in which every station executes a protocol produced
-    /// by `factory` (one fresh instance per message).
-    ///
-    /// This entry point exists for protocols that are not describable by a
-    /// [`ProtocolKind`] — e.g. the collision-detection baseline
-    /// [`mac_protocols::CdAdaptive`] — and for experiments that mix custom
-    /// per-station behaviour with the standard channel model.
-    ///
-    /// # Errors
-    /// Returns a [`ParameterError`] if `factory` reports one.
-    pub fn run_schedule_with(
-        &self,
-        factory: &dyn Fn() -> Result<Box<dyn Protocol>, ParameterError>,
-        label: &str,
-        schedule: &ArrivalSchedule,
-        seed: u64,
-    ) -> Result<DetailedRun, ParameterError> {
-        self.options.validate_adversary()?;
-        // Every station is built up front: building one draws no
-        // randomness, so building it before its arrival slot changes
-        // nothing, and a failing factory surfaces before the run starts.
-        // `Box<dyn Protocol>` implements `Protocol` by forwarding, so the
-        // generic loop covers the dynamic case too (with virtual dispatch —
-        // custom factories are not on the benchmarked path).
-        let stations = (0..schedule.len())
-            .map(|_| factory())
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut core = StationCore::new(self, stations.into_iter(), schedule, seed);
-        core.run_to_end(None);
-        Ok(core.into_detailed(label))
-    }
 }
 
 /// The station loop of one exact run, one slot at a time in two phases:
@@ -276,9 +243,10 @@ impl ExactSimulator {
 /// uniforms, so permuting the order in which stations draw permutes nothing
 /// observable.
 #[derive(Clone)]
-struct StationCore<Pr, I> {
-    /// Fresh stations, one per message, taken in arrival order.
-    stations: I,
+struct StationCore<Pr> {
+    /// The state every station starts from, cloned on activation (building
+    /// a station draws no randomness, so a clone is a fresh build).
+    prototype: Pr,
     active: Vec<(u32, Pr)>,
     /// The decided slot's transmission flags by active position, written by
     /// index and never cleared: at k stations per slot, per-push
@@ -304,10 +272,10 @@ struct StationCore<Pr, I> {
     delivery_slots: Option<Vec<u64>>,
 }
 
-impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
+impl<Pr: Protocol + Clone> StationCore<Pr> {
     /// The loop state at slot 0 of a run of `sim` over `schedule`, before
     /// any station is activated.
-    fn new(sim: &ExactSimulator, stations: I, schedule: &ArrivalSchedule, seed: u64) -> Self {
+    fn new(sim: &ExactSimulator, prototype: Pr, schedule: &ArrivalSchedule, seed: u64) -> Self {
         let k = schedule.len();
         // The adversary lives inside the channel and draws from its own
         // derived stream; with a clean scenario the channel — and the
@@ -322,7 +290,7 @@ impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
             channel = channel.with_trace(capacity);
         }
         Self {
-            stations,
+            prototype,
             active: Vec::new(),
             transmitted: Vec::new(),
             transmitters: 0,
@@ -387,10 +355,8 @@ impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
             if message.arrival_slot > slot {
                 break;
             }
-            let Some(station) = self.stations.next() else {
-                break;
-            };
-            self.active.push((self.activated as u32, station));
+            self.active
+                .push((self.activated as u32, self.prototype.clone()));
             self.activated += 1;
         }
     }
@@ -525,7 +491,7 @@ impl<Pr: Protocol, I: Iterator<Item = Pr>> StationCore<Pr, I> {
 /// [`ExactSimulator::stepper`]'s game: the station loop paused between the
 /// two phases of every single-transmitter slot, where the strategy search
 /// decides the jam in place of an adversary.
-impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr, Repeat<Pr>> {
+impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr> {
     fn advance_to_single(&mut self) -> Option<u64> {
         while !self.is_finished() {
             let slot = self.channel.current_slot();
@@ -594,7 +560,7 @@ pub(crate) trait StationLoop: AdversaryGame {
     fn into_detailed(self: Box<Self>, label: &str) -> DetailedRun;
 }
 
-impl<Pr: Protocol + Clone + 'static> StationLoop for StationCore<Pr, Repeat<Pr>> {
+impl<Pr: Protocol + Clone + 'static> StationLoop for StationCore<Pr> {
     fn activate_arrivals(&mut self) {
         StationCore::activate_arrivals(self);
     }
@@ -617,9 +583,12 @@ struct StationRun<'a> {
 
 impl StationRun<'_> {
     fn core<Pr: Protocol + Clone + 'static>(self, station: Pr) -> Box<dyn StationLoop> {
-        let stations = std::iter::repeat(station);
-        let core = StationCore::new(self.sim, stations, self.schedule, self.seed);
-        Box::new(core)
+        Box::new(StationCore::new(
+            self.sim,
+            station,
+            self.schedule,
+            self.seed,
+        ))
     }
 }
 
@@ -853,56 +822,5 @@ mod tests {
         let a = sim.run(50, 123).unwrap();
         let b = sim.run(50, 123).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn custom_factory_runs_the_cd_adaptive_baseline_on_a_cd_channel() {
-        use mac_protocols::CdAdaptive;
-        // With collision detection the ternary-feedback baseline resolves
-        // contention efficiently…
-        let sim = ExactSimulator::new(ProtocolKind::KnownKOracle, RunOptions::default())
-            .with_model(ChannelModel::with_collision_detection());
-        let schedule = ArrivalSchedule::new(vec![0; 100]);
-        let run = sim
-            .run_schedule_with(
-                &|| Ok(Box::new(CdAdaptive::with_default_growth()) as Box<_>),
-                "cd-adaptive",
-                &schedule,
-                3,
-            )
-            .unwrap();
-        assert!(run.result.completed);
-        assert_eq!(run.result.protocol, "cd-adaptive");
-        assert!(
-            run.result.ratio() < 8.0,
-            "collision detection should give a small ratio, got {:.2}",
-            run.result.ratio()
-        );
-
-        // …whereas on the paper's channel (no collision detection) the same
-        // protocol receives no usable feedback, never adapts, and cannot
-        // finish within a generous cap: exactly the gap the paper's
-        // protocols close.
-        let blind = ExactSimulator::new(
-            ProtocolKind::KnownKOracle,
-            RunOptions {
-                slot_cap_per_message: 50,
-                min_slot_cap: 5_000,
-                ..RunOptions::default()
-            },
-        );
-        let stuck = blind
-            .run_schedule_with(
-                &|| Ok(Box::new(CdAdaptive::with_default_growth()) as Box<_>),
-                "cd-adaptive-blind",
-                &schedule,
-                3,
-            )
-            .unwrap();
-        assert!(
-            !stuck.result.completed,
-            "without collision detection the baseline must stall (delivered {})",
-            stuck.result.delivered
-        );
     }
 }

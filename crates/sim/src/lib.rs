@@ -15,7 +15,7 @@
 //!
 //! | Simulator | Applies to | Cost | Used for |
 //! |-----------|-----------|------|----------|
-//! | [`exact::ExactSimulator`] | every kind, and any [`mac_protocols::Protocol`]; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals; paused at single-transmitter slots ([`ExactSimulator::stepper`]), the game of the strategy search |
+//! | [`exact::ExactSimulator`] | every kind; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals; paused at single-transmitter slots ([`ExactSimulator::stepper`]), the game of the strategy search |
 //! | [`fair::FairSimulator`] | every fair kind ([`mac_protocols::ProtocolFamily::Fair`]), batched arrivals | O(1) per slot (one binomial classification draw, cached thresholds) | the paper's sweep up to k = 10⁷ |
 //! | [`cohort::CohortSimulator`] | every fair kind, **any arrival schedule** | O(active cohorts) per slot, one draw | dynamic-arrival (Poisson/bursts) experiments at paper scale; a dynamic [`Session`] driven to its end, as is [`dynamic::simulate_dynamic`]'s fair path |
 //! | [`window::WindowSimulator`] | every window kind ([`mac_protocols::ProtocolFamily::Window`]), batched arrivals | O(min(m, w)) per window, O(1) when collisions are certain | the paper's sweep up to k = 10⁷ |
