@@ -13,7 +13,7 @@
 use mac_bench::HarnessOptions;
 use mac_protocols::ProtocolKind;
 use mac_sim::report::to_csv;
-use mac_sim::{EngineChoice, Experiment, RunOptions};
+use mac_sim::{Experiment, RunOptions};
 
 fn main() {
     let options = HarnessOptions::parse(std::env::args().skip(1));
@@ -34,7 +34,6 @@ fn main() {
         replications: options.reps.min(5),
         master_seed: options.seed,
         options: RunOptions::default(),
-        engine: EngineChoice::Fast,
         threads: 0,
     };
     let results = experiment.run().expect("all sweep parameters are valid");

@@ -95,7 +95,7 @@ pub use faults::{
     run_batched_chaos, ChaosError, ChaosReport, CorruptionKind, CrashPoint, FaultPlan, ShardKill,
 };
 pub use result::{RunOptions, RunResult};
-pub use runner::{EngineChoice, Experiment, ExperimentCell, ExperimentResults};
+pub use runner::{Experiment, ExperimentCell, ExperimentResults};
 pub use search::{worst_case_exhaustive, worst_case_search, BudgetedSearchCost};
 pub use session::{
     Checkpoint, CheckpointKind, IntegrityError, Session, SessionError, SessionStatus, ShardHealth,

@@ -109,7 +109,7 @@ fn escape_csv(field: &str) -> String {
 mod tests {
     use super::*;
     use crate::result::RunOptions;
-    use crate::runner::{EngineChoice, Experiment};
+    use crate::runner::Experiment;
 
     fn tiny_results() -> ExperimentResults {
         Experiment {
@@ -121,7 +121,6 @@ mod tests {
             replications: 3,
             master_seed: 7,
             options: RunOptions::default(),
-            engine: EngineChoice::Fast,
             threads: 1,
         }
         .run()

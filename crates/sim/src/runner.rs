@@ -9,28 +9,17 @@
 //! Table 1.
 
 use crate::result::{RunOptions, RunResult};
-use crate::{simulate_with_options, ExactSimulator};
+use crate::simulate_with_options;
 use mac_prob::rng::derive_seed;
 use mac_prob::stats::{StreamingStats, Summary};
 use mac_protocols::{ParameterError, ProtocolKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Which simulation engine the runner uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EngineChoice {
-    /// Use the fast simulator appropriate for the protocol family (the fair
-    /// simulator for fair protocols, the window simulator for window
-    /// protocols). This is exact in distribution and is what the paper-scale
-    /// sweeps use.
-    #[default]
-    Fast,
-    /// Use the exact per-station simulator for every run (slow; intended for
-    /// validation sweeps at small `k`).
-    Exact,
-}
-
-/// Description of a sweep: protocols × instance sizes × replications.
+/// Description of a sweep: protocols × instance sizes × replications,
+/// each run on the fast simulator of its protocol family (the fair
+/// simulator for fair protocols, the window simulator for window
+/// protocols), which is exact in distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Experiment {
     /// Protocol configurations to evaluate.
@@ -43,8 +32,6 @@ pub struct Experiment {
     pub master_seed: u64,
     /// Per-run options (slot caps, recording).
     pub options: RunOptions,
-    /// Simulation engine.
-    pub engine: EngineChoice,
     /// Number of worker threads (0 = one per available CPU).
     pub threads: usize,
 }
@@ -59,7 +46,6 @@ impl Experiment {
             replications: 10,
             master_seed,
             options: RunOptions::default(),
-            engine: EngineChoice::Fast,
             threads: 0,
         }
     }
@@ -139,16 +125,7 @@ impl Experiment {
                                     task.replication,
                                 ],
                             );
-                            let outcome = match self.engine {
-                                EngineChoice::Fast => {
-                                    simulate_with_options(kind, k, seed, &self.options)
-                                }
-                                EngineChoice::Exact => {
-                                    ExactSimulator::new(kind.clone(), self.options.clone())
-                                        .run(k, seed)
-                                }
-                            };
-                            match outcome {
+                            match simulate_with_options(kind, k, seed, &self.options) {
                                 Ok(result) => shard.push((index, result)),
                                 Err(error) => {
                                     failed.store(true, Ordering::Release);
@@ -308,7 +285,6 @@ mod tests {
             replications: 4,
             master_seed: 2024,
             options: RunOptions::default(),
-            engine: EngineChoice::Fast,
             threads: 2,
         }
     }
@@ -351,17 +327,6 @@ mod tests {
         let mut many = small_experiment();
         many.threads = 8;
         assert_eq!(one.run().unwrap(), many.run().unwrap());
-    }
-
-    #[test]
-    fn exact_engine_agrees_on_tiny_instances() {
-        let mut experiment = small_experiment();
-        experiment.engine = EngineChoice::Exact;
-        experiment.ks = vec![8];
-        let results = experiment.run().unwrap();
-        for cell in &results.cells {
-            assert!(cell.all_completed);
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ fn main() {
         replications,
         master_seed: 7,
         options: RunOptions::default(),
-        engine: EngineChoice::Fast,
         threads: 0,
     };
 

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use crate::sim::report::{figure1_series, table1_markdown, to_csv};
     pub use crate::sim::{
         simulate, simulate_with_options, Checkpoint, CheckpointStore, CohortRun, CohortSimulator,
-        EngineChoice, ExactSimulator, Experiment, FairSimulator, FaultPlan, IntegrityError,
-        RunOptions, RunResult, Session, SessionError, SessionStatus, ShardSupervision,
-        ShardedSession, StallConfig, StallPolicy, WindowSimulator,
+        ExactSimulator, Experiment, FairSimulator, FaultPlan, IntegrityError, RunOptions,
+        RunResult, Session, SessionError, SessionStatus, ShardSupervision, ShardedSession,
+        StallConfig, StallPolicy, WindowSimulator,
     };
 }

@@ -3,6 +3,7 @@
 //! experiment runner across crates.
 
 use contention_resolution::prelude::*;
+use contention_resolution::prob::rng::derive_seed;
 use contention_resolution::prob::stats::StreamingStats;
 
 /// Mean and standard error of the makespan over `reps` replications.
@@ -101,9 +102,11 @@ fn window_fast_path_matches_exact_across_dispatch_bands() {
     //
     // (The per-slot fused loop's entry band — λ ≥ 48 with w ≥ 4096 —
     // needs m ≥ 200k stations, beyond what a per-station reference can
-    // check affordably; its collision-count law is pinned directly against
-    // the per-ball reference across every band in
-    // `crates/prob/tests/properties.rs`, where λ and w are set explicitly.)
+    // check affordably; `DESIGN.md` §7.3 lists what pins the walk there
+    // instead: the exact-law tests in `crates/prob/tests/properties.rs`,
+    // where λ and w are set explicitly, the mode sampler's chi-square
+    // against its exact conditional pmf, and the walks' per-seed stream
+    // identity.)
     for kind in [
         ProtocolKind::ExpBackonBackoff { delta: 0.366 },
         ProtocolKind::LoglogIteratedBackoff { r: 2.0 },
@@ -173,7 +176,6 @@ fn experiment_runner_is_reproducible_and_thread_count_independent() {
         replications: 3,
         master_seed: 777,
         options: RunOptions::default(),
-        engine: EngineChoice::Fast,
         threads: 1,
     };
     let single = base.run().unwrap();
@@ -184,7 +186,7 @@ fn experiment_runner_is_reproducible_and_thread_count_independent() {
 
 #[test]
 fn exact_engine_and_fast_engine_agree_in_the_runner() {
-    let mut experiment = Experiment {
+    let experiment = Experiment {
         protocols: vec![
             ProtocolKind::ExpBackonBackoff { delta: 0.366 },
             ProtocolKind::RandomizedParityOneFail { delta: 2.72 },
@@ -193,23 +195,27 @@ fn exact_engine_and_fast_engine_agree_in_the_runner() {
         replications: 30,
         master_seed: 31,
         options: RunOptions::default(),
-        engine: EngineChoice::Fast,
         threads: 0,
     };
     let fast = experiment.run().unwrap();
-    experiment.engine = EngineChoice::Exact;
-    experiment.master_seed = 32;
-    let exact = experiment.run().unwrap();
-    for (f, e) in fast.cells.iter().zip(&exact.cells) {
-        let tolerance = (4.0 * (f.makespan.std_dev + e.makespan.std_dev)
-            / (f.replications as f64).sqrt())
-        .max(8.0);
+    for (pi, f) in fast.cells.iter().enumerate() {
+        // The exact engine on the seeds the runner derives for the same
+        // cell under master seed 32.
+        let exact = ExactSimulator::new(f.kind.clone(), RunOptions::default());
+        let e: StreamingStats = (0..experiment.replications)
+            .map(|rep| {
+                let seed = derive_seed(32, &[pi as u64, 0, rep]);
+                exact.run(f.k, seed).unwrap().makespan as f64
+            })
+            .collect();
+        let tolerance =
+            (4.0 * (f.makespan.std_dev + e.std_dev()) / (f.replications as f64).sqrt()).max(8.0);
         assert!(
-            (f.makespan.mean - e.makespan.mean).abs() < tolerance,
+            (f.makespan.mean - e.mean()).abs() < tolerance,
             "{}: fast {} vs exact {} (tolerance {tolerance:.1})",
             f.protocol,
             f.makespan.mean,
-            e.makespan.mean
+            e.mean()
         );
     }
 }
@@ -222,7 +228,6 @@ fn reports_render_consistently_from_a_real_sweep() {
         replications: 2,
         master_seed: 5,
         options: RunOptions::default(),
-        engine: EngineChoice::Fast,
         threads: 0,
     }
     .run()
