@@ -558,10 +558,8 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     /// The run's aggregate result (capped-run convention before
     /// completion: the makespan reads the current slot).
     fn result(&self, label: &str) -> RunResult {
-        let never_activated = self.feed.pending_messages();
-        let recorded = self.delivery_slots.as_deref();
-        self.run
-            .result(label, self.run.slot, never_activated, recorded)
+        let (pending, slots) = (self.feed.pending_messages(), self.delivery_slots.as_deref());
+        self.run.result(label, self.run.slot, pending, slots)
     }
     fn cohort_run(&self, label: &str) -> Option<CohortRun> {
         Some(CohortRun {

@@ -583,12 +583,8 @@ struct StationRun<'a> {
 
 impl StationRun<'_> {
     fn core<Pr: Protocol + Clone + 'static>(self, station: Pr) -> Box<dyn StationLoop> {
-        Box::new(StationCore::new(
-            self.sim,
-            station,
-            self.schedule,
-            self.seed,
-        ))
+        let core = StationCore::new(self.sim, station, self.schedule, self.seed);
+        Box::new(core)
     }
 }
 

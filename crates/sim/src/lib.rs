@@ -7,8 +7,9 @@
 //! runs.
 //!
 //! Four simulators are provided, trading generality for speed. Each engine
-//! is written once — one loop, generic over the protocol state, and one
-//! result builder — and every other entry point runs that same loop:
+//! is written once — one loop, generic over the protocol state — and every
+//! other entry point runs that same loop; the three fast engines keep
+//! their run accounting in one shared run state with one result builder.
 //! `ProtocolKind::visit` (in `mac-protocols`) is the only code that turns a
 //! configured kind into a state, so every fair kind runs on every fair
 //! engine and every window kind on the window engine.
