@@ -17,30 +17,33 @@
 //!   e.g. 802.11-style), at which point it becomes *idle* — exactly the
 //!   assumption of the paper (§2).
 //!
-//! The crate is deliberately independent of any particular protocol: given
-//! the set of transmitters in a slot it resolves the slot outcome
-//! ([`Channel`]), translates it into what each station can observe
-//! ([`Observation`], [`ChannelModel`]), keeps global counters
-//! ([`ChannelStats`]) and optionally a bounded trace ([`trace::Trace`]).
-//! Which stations are *active* in the first place is governed by an arrival
-//! model ([`arrivals`]): the paper's static (batched) arrivals, plus Poisson
-//! and adversarial bursty arrivals for the dynamic extension discussed in the
-//! paper's conclusions. The channel can additionally carry an adversary
-//! ([`Channel::with_adversary`], re-exported from `mac-adversary`): jamming
-//! models that destroy deliveries and feedback faults that degrade what the
-//! stations are told about each slot.
+//! The crate is deliberately independent of any particular protocol: it
+//! translates a slot's outcome into what each station can observe
+//! ([`Observation`], [`ChannelModel`]) and records a bounded per-slot trace
+//! ([`trace::Trace`]); the simulators in `mac-sim` resolve the slots and
+//! keep the counters. Which stations are
+//! *active* in the first place is governed by an arrival model
+//! ([`arrivals`]): the paper's static (batched) arrivals, plus Poisson and
+//! adversarial bursty arrivals for the dynamic extension discussed in the
+//! paper's conclusions. The adversarial channel models of `mac-adversary`
+//! are re-exported here ([`adversary`]): jamming models that destroy
+//! deliveries and feedback faults that degrade what the stations are told
+//! about each slot.
 //!
 //! ```
-//! use mac_channel::{Channel, ChannelModel, NodeId, SlotOutcome};
+//! use mac_channel::{ChannelModel, Observation, SlotOutcome};
 //!
-//! let mut channel = Channel::new(ChannelModel::without_collision_detection());
-//! // Slot 0: stations 1 and 3 transmit -> collision.
-//! let r = channel.resolve_slot(&[NodeId(1), NodeId(3)]);
-//! assert_eq!(r.outcome, SlotOutcome::Collision);
-//! // Slot 1: only station 2 transmits -> delivery.
-//! let r = channel.resolve_slot(&[NodeId(2)]);
-//! assert_eq!(r.delivered, Some(NodeId(2)));
-//! assert_eq!(channel.stats().deliveries, 1);
+//! let model = ChannelModel::without_collision_detection();
+//! // Without collision detection a listener cannot tell a collision from
+//! // an empty slot: both read as noise.
+//! assert_eq!(model.observe(SlotOutcome::Collision, true, false), Observation::Noise);
+//! assert_eq!(model.observe(SlotOutcome::Silence, false, false), Observation::Noise);
+//! // A delivery reaches every listener, and its sender is acknowledged.
+//! assert_eq!(
+//!     model.observe(SlotOutcome::Delivery, false, false),
+//!     Observation::ReceivedMessage
+//! );
+//! assert_eq!(model.observe(SlotOutcome::Delivery, true, true), Observation::DeliveredOwn);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,14 +51,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod arrivals;
-pub mod channel;
 pub mod feedback;
 pub mod node;
 pub mod stream;
 pub mod trace;
 
 pub use arrivals::{ArrivalModel, ArrivalSchedule};
-pub use channel::{Channel, ChannelStats, SlotResolution};
 pub use feedback::{AckMode, ChannelModel, Observation};
 pub use node::NodeId;
 pub use stream::{ArrivalStream, ShardedArrivalStream, StreamSummary};

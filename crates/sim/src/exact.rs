@@ -3,7 +3,7 @@
 //! The exact simulator materialises every station as its own
 //! [`mac_protocols::Protocol`] instance and drives the slotted channel one
 //! slot at a time: collect every active station's transmission decision,
-//! resolve the slot through [`mac_channel::Channel`], hand each station its
+//! resolve the slot from the transmitter count, hand each station its
 //! observation. It is O(active stations) per slot — far too slow for the
 //! paper's `k = 10⁷` sweep, but it
 //!
@@ -16,24 +16,27 @@
 //!
 //! The loop is written once, in `StationCore`, with each slot split in two
 //! phases: *decide* activates the arrivals due, collects every active
-//! station's decision and counts the transmitters; *resolve* runs the
-//! channel, fans the observations out and retires the delivered station.
-//! One visitor builds that core from a kind; [`ExactSimulator::run_schedule`]
-//! drives both phases back to back to the end of the run, and
-//! [`ExactSimulator::stepper`] hands out the same core paused between them
-//! at every single-transmitter slot, where the strategy search chooses the
-//! jam.
+//! station's decision and counts the transmitters; *resolve* settles the
+//! slot (the outcome, the adversary's jam and feedback fault, the tally and
+//! the trace), fans the observations out and retires the delivered
+//! station. The run accounting — counts, slot clock, tally, protocol RNG
+//! and adversary — is the run state every engine core shares
+//! (`crate::run_state`), so the exact engine seeds its streams and builds
+//! its [`RunResult`] as the fast engines do. One visitor builds that core
+//! from a kind; [`ExactSimulator::run_schedule`] drives both phases back
+//! to back to the end of the run, and [`ExactSimulator::stepper`] hands
+//! out the same core paused between them at every single-transmitter slot,
+//! where the strategy search chooses the jam.
 
 use crate::result::{RunOptions, RunResult};
-use mac_adversary::{AdversaryGame, ADVERSARY_STREAM};
-use mac_channel::trace::Trace;
-use mac_channel::{ArrivalSchedule, Channel, ChannelModel, NodeId, SlotResolution};
-use mac_prob::rng::{derive_seed, Xoshiro256pp};
+use crate::run_state::{preallocated, LatencyRecorder, RunState};
+use mac_adversary::{AdversaryGame, SlotClass};
+use mac_channel::trace::{Trace, TraceEntry};
+use mac_channel::{ArrivalSchedule, ChannelModel, NodeId, SlotOutcome};
 use mac_protocols::{
     FairNode, FairProtocol, KindVisitor, ParameterError, Protocol, ProtocolKind, WindowNode,
     WindowSchedule,
 };
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Per-message detail of an exact run.
@@ -244,6 +247,9 @@ impl ExactSimulator {
 /// observable.
 #[derive(Clone)]
 struct StationCore<Pr> {
+    /// The run accounting: counts, slot clock and tally, the protocol RNG
+    /// and the adversary.
+    run: RunState,
     /// The state every station starts from, cloned on activation (building
     /// a station draws no randomness, so a clone is a fresh build).
     prototype: Pr,
@@ -262,13 +268,11 @@ struct StationCore<Pr> {
     /// arrival slot.
     messages: Vec<MessageOutcome>,
     activated: usize,
-    rng: Xoshiro256pp,
-    channel: Channel,
     model: ChannelModel,
-    seed: u64,
-    max_slots: u64,
-    remaining: u64,
-    makespan: u64,
+    trace: Option<Trace>,
+    /// The slot of every delivery, when recorded: beside the run state, as
+    /// in the cohort core, because a dynamic run's latencies are not its
+    /// delivery slots.
     delivery_slots: Option<Vec<u64>>,
 }
 
@@ -276,20 +280,15 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
     /// The loop state at slot 0 of a run of `sim` over `schedule`, before
     /// any station is activated.
     fn new(sim: &ExactSimulator, prototype: Pr, schedule: &ArrivalSchedule, seed: u64) -> Self {
-        let k = schedule.len();
-        // The adversary lives inside the channel and draws from its own
-        // derived stream; with a clean scenario the channel — and the
-        // protocol RNG consumption — is bit-identical to the pre-adversary
-        // simulator.
-        let mut channel = Channel::new(sim.model).with_adversary(
-            sim.options
-                .adversary
-                .state(derive_seed(seed, &[ADVERSARY_STREAM])),
-        );
-        if let Some(capacity) = sim.trace_capacity {
-            channel = channel.with_trace(capacity);
-        }
+        let k = schedule.len() as u64;
+        // The per-message budget is granted on top of the arrival horizon.
+        let max_slots = sim
+            .options
+            .max_slots(k)
+            .saturating_add(schedule.last_arrival().unwrap_or(0));
+        let latencies = LatencyRecorder::new(k, false, None);
         Self {
+            run: RunState::new(k, seed, max_slots, &sim.options.adversary, latencies),
             prototype,
             active: Vec::new(),
             transmitted: Vec::new(),
@@ -307,52 +306,17 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
                 })
                 .collect(),
             activated: 0,
-            // lint:allow(rng-stream-discipline): the protocol stream IS the raw
-            // run seed — the contract every committed BENCH_*.json and
-            // certificate replays against; only the adversary stream above
-            // is derived off it.
-            rng: Xoshiro256pp::seed_from_u64(seed),
-            channel,
             model: sim.model,
-            seed,
-            // The per-message budget is granted on top of the arrival
-            // horizon.
-            max_slots: sim
-                .options
-                .max_slots(k as u64)
-                .saturating_add(schedule.last_arrival().unwrap_or(0)),
-            remaining: k as u64,
-            makespan: 0,
-            delivery_slots: sim.options.record_deliveries.then(|| Vec::with_capacity(k)),
-        }
-    }
-
-    /// True once every message is delivered or the slot cap is reached.
-    fn is_finished(&self) -> bool {
-        self.remaining == 0 || self.channel.current_slot() >= self.max_slots
-    }
-
-    /// Whether every message has been delivered.
-    fn completed(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// The run's makespan: the slot after the last delivery once complete,
-    /// else the slots elapsed so far (the cap, once finished).
-    fn makespan(&self) -> u64 {
-        if self.completed() {
-            self.makespan
-        } else {
-            self.channel.current_slot()
+            trace: sim.trace_capacity.map(Trace::with_capacity),
+            delivery_slots: sim.options.record_deliveries.then(|| preallocated(k)),
         }
     }
 
     /// Activates the stations whose message arrives at or before the
     /// current slot.
     fn activate_arrivals(&mut self) {
-        let slot = self.channel.current_slot();
         while let Some(message) = self.messages.get(self.activated) {
-            if message.arrival_slot > slot {
+            if message.arrival_slot > self.run.slot {
                 break;
             }
             self.active
@@ -377,7 +341,7 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
         // after it: every `decide` borrows the generator, and a borrow of a
         // field of `self` would make the compiler reload the vectors around
         // each call.
-        let mut rng = self.rng.clone();
+        let mut rng = self.run.rng.clone();
         let mut transmitters = 0u64;
         let mut sole_position = usize::MAX;
         for (pos, (idx, station)) in self.active.iter_mut().enumerate() {
@@ -389,7 +353,7 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
                 self.messages[*idx as usize].transmissions += 1;
             }
         }
-        self.rng = rng;
+        self.run.rng = rng;
         self.transmitters = transmitters;
         self.sole_position = if transmitters == 1 {
             sole_position
@@ -399,61 +363,87 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
         transmitters
     }
 
-    /// Phase two: resolves the decided slot on the channel, hands every
-    /// active station its observation and retires the delivered one.
-    /// `jam`, when given, decides whether a single-transmitter slot is
-    /// jammed in place of the channel's adversary.
+    /// Phase two: resolves the decided slot, tallies and traces it, hands
+    /// every active station its observation and retires the delivered one.
+    /// Returns whether a would-be delivery was jammed.
+    ///
+    /// The adversary is offered busy slots only, in slot order: a jam
+    /// signal on an empty slot carries no message and reads as background
+    /// noise. `jam`, when given, decides a single-transmitter slot in its
+    /// place (how the strategy search plays the jammer). Every slot's
+    /// outcome then passes through the adversary's feedback fault.
     #[inline(always)]
-    fn resolve_slot(&mut self, jam: Option<bool>) -> SlotResolution {
-        let sole = self
-            .active
-            .get(self.sole_position)
-            .map(|&(idx, _)| NodeId(u64::from(idx)));
-        let resolution = self
-            .channel
-            .resolve_slot_by_count(self.transmitters, sole, jam);
-        // The acknowledged transmitter sees the true outcome (ACKs are
-        // reliable); everyone else sees the possibly fault-degraded
-        // `perceived` outcome.
-        let delivered_position = if resolution.delivered.is_some() {
+    fn resolve_slot(&mut self, jam: Option<bool>) -> bool {
+        let run = &mut self.run;
+        let slot = run.slot;
+        let count = self.transmitters;
+        let jammed = match (count, jam) {
+            (0, _) => false,
+            (1, Some(jam)) => jam,
+            (1, None) => run.adversary.jams_slot(slot, SlotClass::Single),
+            _ => run.adversary.jams_slot(slot, SlotClass::Contended),
+        };
+        let outcome = match count {
+            0 => SlotOutcome::Silence,
+            1 if !jammed => SlotOutcome::Delivery,
+            _ => SlotOutcome::Collision,
+        };
+        let perceived = run.adversary.perceive(outcome);
+        let jammed_delivery = jammed && count == 1;
+        match outcome {
+            SlotOutcome::Silence => run.silent += 1,
+            SlotOutcome::Delivery => {}
+            SlotOutcome::Collision => run.collisions += 1,
+        }
+        run.jammed_deliveries += u64::from(jammed_delivery);
+        let delivered_position = if outcome == SlotOutcome::Delivery {
             self.sole_position
         } else {
             usize::MAX
         };
+        let delivered = self.active.get(delivered_position).map(|&(idx, _)| idx);
+        if let Some(trace) = &mut self.trace {
+            trace.record(TraceEntry {
+                slot,
+                outcome,
+                transmitters: count,
+                delivered: delivered.map(|idx| NodeId(u64::from(idx))),
+                jammed,
+            });
+        }
+        // The acknowledged transmitter sees the true outcome (ACKs are
+        // reliable); everyone else sees the possibly fault-degraded
+        // `perceived` outcome.
         let (model, transmitted) = (self.model, &self.transmitted);
         for (pos, (_, station)) in self.active.iter_mut().enumerate() {
             let delivered_own = pos == delivered_position;
-            let outcome_seen = if delivered_own {
-                resolution.outcome
-            } else {
-                resolution.perceived
-            };
+            let outcome_seen = if delivered_own { outcome } else { perceived };
             station.observe(model.observe(outcome_seen, transmitted[pos], delivered_own));
         }
-        if delivered_position != usize::MAX {
-            let idx = self.active[delivered_position].0 as usize;
-            self.messages[idx].delivered_slot = Some(resolution.slot);
-            self.remaining -= 1;
-            self.makespan = resolution.slot + 1;
+        if let Some(idx) = delivered {
+            let message = &mut self.messages[idx as usize];
+            message.delivered_slot = Some(slot);
+            self.run.deliver(slot - message.arrival_slot);
             if let Some(slots) = self.delivery_slots.as_mut() {
-                slots.push(resolution.slot);
+                slots.push(slot);
             }
             self.active.swap_remove(delivered_position);
         }
+        self.run.slot += 1;
         self.sole_position = usize::MAX;
-        resolution
+        jammed_delivery
     }
 
     /// Drives both phases to the end of the run. `jam_log`, when provided,
     /// records the slot of every effective jam — a single-transmitter slot
     /// the adversary turned from a delivery into a collision.
     fn run_to_end(&mut self, mut jam_log: Option<&mut Vec<u64>>) {
-        while !self.is_finished() {
+        while !self.run.is_finished() {
             self.decide_slot();
-            let resolution = self.resolve_slot(None);
-            if resolution.jammed && resolution.transmitters == 1 {
+            let slot = self.run.slot;
+            if self.resolve_slot(None) {
                 if let Some(log) = jam_log.as_deref_mut() {
-                    log.push(resolution.slot);
+                    log.push(slot);
                 }
             }
         }
@@ -462,28 +452,17 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
     /// The run's result and per-message detail (capped-run convention
     /// before completion).
     fn into_detailed(self, label: &str) -> DetailedRun {
-        let k = self.messages.len() as u64;
-        let stats = self.channel.stats();
-        let result = RunResult {
-            protocol: label.to_string(),
-            k,
-            seed: self.seed,
-            makespan: self.makespan(),
-            completed: self.completed(),
-            delivered: k - self.remaining,
-            collisions: stats.collisions,
-            silent_slots: stats.silent_slots,
-            jammed_deliveries: stats.jammed_deliveries,
-            // Messages whose arrival slot lies at or beyond the cap never
-            // had their station created: report them instead of letting a
-            // capped dynamic run read as a protocol failure.
-            never_activated: (self.messages.len() - self.activated) as u64,
-            delivery_slots: self.delivery_slots,
-        };
+        // Messages whose arrival slot lies at or beyond the cap never had
+        // their station created: report them instead of letting a capped
+        // dynamic run read as a protocol failure.
+        let never_activated = (self.messages.len() - self.activated) as u64;
+        let slots = self.delivery_slots.as_deref();
         DetailedRun {
-            result,
-            trace: self.channel.trace().cloned(),
+            result: self
+                .run
+                .result(label, self.run.slot, never_activated, slots),
             messages: self.messages,
+            trace: self.trace,
         }
     }
 }
@@ -493,8 +472,8 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
 /// decides the jam in place of an adversary.
 impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr> {
     fn advance_to_single(&mut self) -> Option<u64> {
-        while !self.is_finished() {
-            let slot = self.channel.current_slot();
+        while !self.run.is_finished() {
+            let slot = self.run.slot;
             if self.decide_slot() == 1 {
                 // A would-be delivery: hand the jam/don't-jam decision to
                 // the search.
@@ -515,12 +494,18 @@ impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr> {
         self.resolve_slot(Some(jam));
     }
 
+    /// The slot after the last delivery once complete, else the slots
+    /// elapsed so far (the cap, once finished).
     fn makespan(&self) -> u64 {
-        StationCore::makespan(self)
+        if self.run.remaining == 0 {
+            self.run.makespan
+        } else {
+            self.run.slot
+        }
     }
 
     fn completed(&self) -> bool {
-        StationCore::completed(self)
+        self.run.remaining == 0
     }
 
     /// An exact fingerprint of the run's future: the slot clock, the
@@ -528,12 +513,8 @@ impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr> {
     /// and every active station's [`Protocol::state_signature`] in active
     /// order — or `None` if a station has no exact signature.
     fn state_key(&self) -> Option<Vec<u64>> {
-        let mut key = vec![
-            self.channel.current_slot(),
-            self.remaining,
-            self.sole_position as u64,
-        ];
-        key.extend(self.rng.state_words());
+        let mut key = vec![self.run.slot, self.run.remaining, self.sole_position as u64];
+        key.extend(self.run.rng.state_words());
         for (_, station) in &self.active {
             let signature = station.state_signature()?;
             key.push(signature.len() as u64);
@@ -604,6 +585,7 @@ impl KindVisitor for StationRun<'_> {
 mod tests {
     use super::*;
     use mac_channel::ArrivalModel;
+    use mac_prob::rng::Xoshiro256pp;
     use mac_prob::stats::StreamingStats;
     use rand::SeedableRng;
 

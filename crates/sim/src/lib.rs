@@ -8,8 +8,9 @@
 //!
 //! Four simulators are provided, trading generality for speed. Each engine
 //! is written once — one loop, generic over the protocol state — and every
-//! other entry point runs that same loop; the three fast engines keep
-//! their run accounting in one shared run state with one result builder.
+//! other entry point runs that same loop; all four keep their run
+//! accounting (counts, slot clock, tally, RNG streams) in one shared run
+//! state with one result builder.
 //! `ProtocolKind::visit` (in `mac-protocols`) is the only code that turns a
 //! configured kind into a state, so every fair kind runs on every fair
 //! engine and every window kind on the window engine.

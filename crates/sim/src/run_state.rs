@@ -1,19 +1,21 @@
-//! The run accounting the fast engine cores share.
+//! The run accounting every engine core shares.
 //!
-//! The fair aggregate core (`crate::aggregate`), the window core
-//! (`crate::window`) and the cohort core (`crate::cohort`) each drive a
-//! different model, but they account for a run the same way: the message
-//! count, seed and slot cap, the slot clock and its tally (makespan,
-//! collisions, silence, jammed deliveries), the protocol RNG, the
-//! adversary's dynamic state and the latency record. That state lives in
-//! one [`RunState`], with one constructor, one delivery step, one
-//! [`RunResult`] builder and one set of codec pieces; each core keeps only
-//! its model's state beside it.
+//! The exact station loop (`crate::exact`), the fair aggregate core
+//! (`crate::aggregate`), the window core (`crate::window`) and the cohort
+//! core (`crate::cohort`) each drive a different model, but they account
+//! for a run the same way: the message count, seed and slot cap, the slot
+//! clock and its tally (makespan, collisions, silence, jammed deliveries),
+//! the protocol RNG, the adversary's dynamic state and the latency record.
+//! That state lives in one [`RunState`], with one constructor, one
+//! delivery step, one [`RunResult`] builder and one set of codec pieces;
+//! each core keeps only its model's state beside it, and resolves its
+//! slots itself.
 //!
 //! The codec comes in pieces — identity, tally, streams and the record
 //! ([`LatencyRecorder::encode`]) — because each core's checkpoint
 //! interleaves them with its own words (see `DESIGN.md` §9); a core calls
-//! each piece where its frame has those words.
+//! each piece where its frame has those words. The exact engine has no
+//! checkpoint and calls none of them.
 
 use crate::result::RunResult;
 use mac_adversary::{AdversaryScenario, AdversaryState, ADVERSARY_STREAM};
@@ -37,7 +39,7 @@ pub(crate) fn preallocated(k: u64) -> Vec<u64> {
 /// bounded-memory quantile sketch, both or neither. A batched run's
 /// latency is its delivery slot, so the fair and window cores keep their
 /// recorded delivery slots in the exact half.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct LatencyRecorder {
     pub(crate) exact: Option<Vec<u64>>,
     pub(crate) streaming: Option<StreamingLatencyStats>,
@@ -108,9 +110,8 @@ pub(crate) fn decode_optional_slots(
     }
 }
 
-/// The run accounting of one fast-engine run (see the module
-/// documentation).
-#[derive(Debug)]
+/// The run accounting of one engine run (see the module documentation).
+#[derive(Debug, Clone)]
 pub(crate) struct RunState {
     pub(crate) k: u64,
     pub(crate) seed: u64,

@@ -10,8 +10,8 @@
 //! station loop (`StationCore` in `exact.rs`, built by the same visit as
 //! every exact run): `advance_to_single` runs whole slots until a *decide*
 //! phase finds one transmitter, and `resolve_single` runs that slot's
-//! *resolve* phase with the search's jam decision passed to the channel in
-//! place of an adversary. The game runs on the simulator's channel model.
+//! *resolve* phase with the search's jam decision in place of an
+//! adversary's. The game runs on the simulator's channel model.
 //!
 //! ## Equivalence
 //!

@@ -122,15 +122,18 @@ fn arrival_models_report_expected_message_counts() {
 
 #[test]
 fn channel_trace_shows_contention_then_resolution() {
-    use contention_resolution::channel::{Channel, NodeId};
-
-    // Drive the channel manually to confirm the public trace API works end to
-    // end (the examples print these timelines).
-    let mut channel = Channel::new(ChannelModel::default()).with_trace(16);
-    channel.resolve_slot(&[NodeId(0), NodeId(1)]);
-    channel.resolve_slot(&[]);
-    channel.resolve_slot(&[NodeId(1)]);
-    let trace = channel.trace().unwrap();
-    assert_eq!(trace.ascii_timeline(), "x.*");
-    assert_eq!(trace.delivery_slots(), vec![2]);
+    // Trace a whole exact run to confirm the public trace API works end to
+    // end (the examples print these timelines): the three stations collide
+    // once, then deliver one per slot.
+    let run = ExactSimulator::new(
+        ProtocolKind::KnownKOracle,
+        RunOptions::recording_deliveries(),
+    )
+    .with_trace(16)
+    .run_schedule(&ArrivalSchedule::new(vec![0; 3]), 10)
+    .unwrap();
+    let trace = run.trace.unwrap();
+    assert_eq!(trace.ascii_timeline(), "x***");
+    assert_eq!(trace.delivery_slots(), vec![1, 2, 3]);
+    assert_eq!(Some(trace.delivery_slots()), run.result.delivery_slots);
 }
