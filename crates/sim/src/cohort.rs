@@ -28,15 +28,12 @@
 //!
 //! Two cohorts are merged when they sit at the same
 //! [`mac_protocols::FairProtocol::schedule_phase`] and *both* of their
-//! cached probability tracks agree within the configured merge tolerance.
-//! With the default tolerance of `0.0` a merge requires bit-equal tracks,
-//! which for the paper's fair protocols pins the underlying states exactly
-//! (the track probabilities are injective in the state given the phase), so
-//! the default engine introduces **no approximation** — such merges fire in
-//! practice because estimator floors and delivery-free stretches genuinely
-//! collapse states. A positive tolerance ([`RunOptions::merge_tolerance`])
-//! trades a documented, bounded probability perturbation at merge time for
-//! a smaller cohort count; see `DESIGN.md` §6 for the contract.
+//! cached probability tracks are bit-equal, which for the paper's fair
+//! protocols pins the underlying states exactly (the track probabilities
+//! are injective in the state given the phase), so merging introduces **no
+//! approximation** — such merges fire in practice because estimator floors
+//! and delivery-free stretches genuinely collapse states. See `DESIGN.md`
+//! §6 for the contract.
 //!
 //! In bounded-class mode ([`RunOptions::max_live_cohorts`]) an arrival
 //! that pushes the live count over the cap forces merges of the nearest
@@ -148,13 +145,12 @@ pub struct CohortSimulator {
 }
 
 impl CohortSimulator {
-    /// Creates a cohort simulator for the given fair-protocol kind. The
-    /// cohort knobs are read from `options`: with the default merge
-    /// tolerance of `0.0`, only cohorts with bit-equal probability tracks
-    /// (exactly coinciding states, for the paper's fair protocols) are
-    /// merged, so the engine stays law-identical to the exact per-station
-    /// reference; with the default class cap of `0` the live cohort count
-    /// is unbounded.
+    /// Creates a cohort simulator for the given fair-protocol kind. Only
+    /// cohorts with bit-equal probability tracks (exactly coinciding
+    /// states, for the paper's fair protocols) are merged, so the engine
+    /// stays law-identical to the exact per-station reference; the class
+    /// cap is read from `options`, and with its default of `0` the live
+    /// cohort count is unbounded.
     pub fn new(kind: ProtocolKind, options: RunOptions) -> Self {
         Self { kind, options }
     }
@@ -217,7 +213,6 @@ pub(crate) struct CohortEngineCore<P> {
     /// The state every fresh arrival cohort starts from (building a state
     /// draws no randomness, so a clone is a fresh build).
     prototype: P,
-    merge_tolerance: f64,
     max_live_cohorts: u64,
     cohorts: Vec<Cohort<P>>,
     kernel: CohortKernel,
@@ -237,8 +232,7 @@ pub(crate) struct CohortEngineCore<P> {
 impl<P: FairProtocol + Clone> CohortEngineCore<P> {
     /// Builds the initial loop state over a fresh `feed` whose last arrival
     /// is at `last_arrival`, recording latencies into `latencies`. The
-    /// cohort knobs (merge tolerance, live-class cap) are read from
-    /// `options`.
+    /// live-class cap is read from `options`.
     pub(crate) fn new(
         feed: StreamFeed,
         last_arrival: Option<u64>,
@@ -259,7 +253,6 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             run,
             feed,
             prototype,
-            merge_tolerance: options.merge_tolerance,
             max_live_cohorts: options.max_live_cohorts,
             cohorts: Vec::new(),
             kernel: CohortKernel::new(),
@@ -286,7 +279,8 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             cohort_words.push(words);
         }
         self.run.encode_identity(out);
-        out.put_f64(self.merge_tolerance);
+        // The retired merge tolerance's word: merging is bit-exact.
+        out.put_f64(0.0);
         out.put_u64(self.max_live_cohorts);
         out.put_u64(self.run.remaining);
         self.run.encode_tally(out);
@@ -322,7 +316,9 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
     ) -> Result<Self, WireError> {
         let k = input.take_u64()?;
         let mut run = RunState::decode_identity(input, k, scenario)?;
-        let merge_tolerance = input.take_f64()?;
+        if input.take_f64()?.to_bits() != 0 {
+            return Err(WireError::Malformed("nonzero cohort merge tolerance"));
+        }
         let max_live_cohorts = input.take_u64()?;
         run.remaining = input.take_u64()?;
         run.decode_tally(input)?;
@@ -389,7 +385,6 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             run,
             feed,
             prototype,
-            merge_tolerance,
             max_live_cohorts,
             cohorts,
             kernel,
@@ -540,11 +535,9 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
             if self.slots_to_merge_scan == 0 {
                 self.slots_to_merge_scan = MERGE_SCAN_PERIOD;
                 if self.cohorts.len() > 1 {
-                    self.merges += self.merge_scratch.merge_converged(
-                        &mut self.cohorts,
-                        &mut self.kernel,
-                        self.merge_tolerance,
-                    );
+                    self.merges += self
+                        .merge_scratch
+                        .merge_converged(&mut self.cohorts, &mut self.kernel);
                 }
             }
         }
@@ -635,30 +628,30 @@ impl MergeScratch {
 
     /// One merge scan: cohorts are sorted by `(schedule phase, track
     /// probabilities)` so that every *equality class* — same phase, both
-    /// cached probability tracks within `tolerance` of the class
-    /// representative — forms a contiguous run, and each run collapses into
-    /// its first member in a single walk. O(C log C) per scan, amortised to
-    /// a fraction of the per-slot classification cost by
-    /// [`MERGE_SCAN_PERIOD`]. Returns the number of merges performed.
+    /// cached probability tracks bit-equal — forms a contiguous run, and
+    /// each run collapses into its first member in a single walk.
+    /// O(C log C) per scan, amortised to a fraction of the per-slot
+    /// classification cost by [`MERGE_SCAN_PERIOD`]. Returns the number of
+    /// merges performed.
     fn merge_converged<P: FairProtocol>(
         &mut self,
         cohorts: &mut Vec<Cohort<P>>,
         kernel: &mut CohortKernel,
-        tolerance: f64,
     ) -> u64 {
         self.sort(cohorts, kernel);
-        self.merge_sorted(cohorts, kernel, tolerance)
+        self.merge_sorted(cohorts, kernel, 0.0)
     }
 
     /// The merge walk over the order of the last [`MergeScratch::sort`],
     /// which must describe `cohorts` as they are now.
     ///
-    /// Approximate merges (`tolerance > 0`) use *weighted state adoption*:
-    /// the surviving class keeps whichever of the two states carries the
-    /// larger active membership, so the perturbation applies to the
-    /// minority of the merged stations. At `tolerance = 0` the states are
-    /// pinned bit-equal by the tracks, so the adoption rule is skipped and
-    /// the default engine stays bit-identical to its committed artifacts.
+    /// Approximate merges (`tolerance > 0`, bounded-class enforcement only)
+    /// use *weighted state adoption*: the surviving class keeps whichever
+    /// of the two states carries the larger active membership, so the
+    /// perturbation applies to the minority of the merged stations. At
+    /// `tolerance = 0` (the periodic scan) the states are pinned bit-equal
+    /// by the tracks, so the adoption rule is skipped and the engine stays
+    /// bit-identical to its committed artifacts.
     fn merge_sorted<P: FairProtocol>(
         &mut self,
         cohorts: &mut Vec<Cohort<P>>,
@@ -963,70 +956,6 @@ mod tests {
             run.merges >= 1
         });
         assert!(merged, "identical oracle cohorts must merge");
-    }
-
-    #[test]
-    fn aggressive_merge_tolerance_still_completes_with_sane_statistics() {
-        // A large tolerance forces approximate merges; the run must stay
-        // well-formed (complete, balanced accounting) and land in the same
-        // makespan ballpark as the law-exact engine. The oracle is the fair
-        // protocol that keeps delivering under heavily overlapping arrivals
-        // (One-fail Adaptive's BT track deadlocks there — see DESIGN.md §6).
-        let model = ArrivalModel::Poisson {
-            rate: 2.0,
-            horizon: 200,
-        };
-        let schedule = model.sample(&mut Xoshiro256pp::seed_from_u64(8));
-        let kind = ProtocolKind::KnownKOracle;
-        let mut exact_tol = StreamingStats::new();
-        let mut loose_tol = StreamingStats::new();
-        let mut merged_any = false;
-        for seed in 0..20 {
-            let a = cohort(kind.clone()).run_schedule(&schedule, seed).unwrap();
-            let loose = RunOptions {
-                merge_tolerance: 0.05,
-                ..RunOptions::default()
-            };
-            let b = CohortSimulator::new(kind.clone(), loose)
-                .run_schedule(&schedule, 1_000 + seed)
-                .unwrap();
-            assert!(a.result.completed && b.result.completed);
-            assert_eq!(
-                b.result.makespan,
-                b.result.delivered + b.result.collisions + b.result.silent_slots
-            );
-            merged_any |= b.merges > a.merges;
-            exact_tol.push(a.result.makespan as f64);
-            loose_tol.push(b.result.makespan as f64);
-        }
-        assert!(
-            merged_any,
-            "a 5% tolerance must merge more than bit-equality"
-        );
-        let tolerance = (6.0 * (exact_tol.std_error() + loose_tol.std_error())).max(30.0);
-        assert!(
-            (exact_tol.mean() - loose_tol.mean()).abs() < tolerance,
-            "approximate merging drifted the makespan: {} vs {}",
-            exact_tol.mean(),
-            loose_tol.mean()
-        );
-    }
-
-    #[test]
-    fn invalid_merge_tolerances_are_typed_errors() {
-        let with_tolerance = |merge_tolerance| {
-            let options = RunOptions {
-                merge_tolerance,
-                ..RunOptions::default()
-            };
-            CohortSimulator::new(ofa(), options).run(4, 0)
-        };
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
-            let err = with_tolerance(bad).unwrap_err();
-            assert_eq!(err.parameter(), "merge_tolerance", "{bad}");
-        }
-        // And the happy path still works.
-        assert!(with_tolerance(0.01).is_ok());
     }
 
     #[test]

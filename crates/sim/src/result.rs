@@ -26,15 +26,6 @@ pub struct RunOptions {
     /// a run with no adversary support at all.
     #[serde(default)]
     pub adversary: AdversaryScenario,
-    /// Cohort-engine merge tolerance: the relative gap under which two
-    /// same-phase cohorts' probability tracks count as converged (consumed
-    /// by dynamic runs on the cohort engine; every other simulator ignores
-    /// it). The default `0.0` merges bit-equal tracks only, which is
-    /// law-exact for the paper's fair protocols. A positive tolerance is a
-    /// documented approximation whose drift budget is certified by the
-    /// conformance suite — see `crates/sim/DESIGN.md` §6 and §12.
-    #[serde(default)]
-    pub merge_tolerance: f64,
     /// Bounded-class cohort mode: cap on the number of live cohort classes
     /// (`0` = unbounded, the default). When an arrival burst would push the
     /// live class count past the cap, the cohort engine force-merges the
@@ -53,7 +44,6 @@ impl Default for RunOptions {
             min_slot_cap: 1_000_000,
             record_deliveries: false,
             adversary: AdversaryScenario::clean(),
-            merge_tolerance: 0.0,
             max_live_cohorts: 0,
         }
     }
@@ -88,23 +78,6 @@ impl RunOptions {
         self.adversary
             .validate()
             .map_err(|message| ParameterError::new("adversary", f64::NAN, message))
-    }
-
-    /// Validates the cohort-engine knobs. Every cohort-engine entry point
-    /// calls this before building its core, so a NaN or negative merge
-    /// tolerance surfaces as a typed error instead of a panic mid-run.
-    ///
-    /// # Errors
-    /// Returns a [`ParameterError`] naming the offending knob.
-    pub fn validate_cohort(&self) -> Result<(), ParameterError> {
-        if !self.merge_tolerance.is_finite() || self.merge_tolerance < 0.0 {
-            return Err(ParameterError::new(
-                "merge_tolerance",
-                self.merge_tolerance,
-                "cohort merge tolerance must be finite and non-negative",
-            ));
-        }
-        Ok(())
     }
 
     /// The effective slot cap for an instance with `k` messages.

@@ -587,7 +587,6 @@ impl Session {
         exact_latencies: bool,
     ) -> Result<Option<Self>, ParameterError> {
         options.validate_adversary()?;
-        options.validate_cohort()?;
         let (feed, last_arrival) = StreamFeed::new(source);
         let k = feed.total;
         let sketch = (!exact_latencies)
@@ -921,7 +920,8 @@ fn encode_options(options: &RunOptions, out: &mut Encoder) {
     out.put_str(&options.adversary.jamming.to_string());
     out.put_f64(options.adversary.feedback.confuse_collision_empty);
     out.put_f64(options.adversary.feedback.miss_delivery);
-    out.put_f64(options.merge_tolerance);
+    // The retired merge tolerance's word: merging is bit-exact.
+    out.put_f64(0.0);
     out.put_u64(options.max_live_cohorts);
 }
 
@@ -933,7 +933,9 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
         .map_err(|_| WireError::Malformed("unparseable jamming model config"))?;
     let confuse_collision_empty = input.take_f64()?;
     let miss_delivery = input.take_f64()?;
-    let merge_tolerance = input.take_f64()?;
+    if input.take_f64()?.to_bits() != 0 {
+        return Err(WireError::Malformed("nonzero cohort merge tolerance"));
+    }
     let max_live_cohorts = input.take_u64()?;
     let options = RunOptions {
         slot_cap_per_message,
@@ -946,7 +948,6 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
                 miss_delivery,
             },
         },
-        merge_tolerance,
         max_live_cohorts,
     };
     options
@@ -1171,5 +1172,56 @@ mod tests {
         let mut words = session.checkpoint().unwrap().words;
         words.truncate(words.len() - 1);
         assert!(Session::resume(&Checkpoint { words }).is_err());
+    }
+
+    #[test]
+    fn retired_merge_tolerance_words_must_read_zero() {
+        // The options and the cohort core keep the retired merge
+        // tolerance's word: both write 0.0, and both decoders reject any
+        // other bits, negative zero included.
+        let rejected = [0.05f64.to_bits(), (-0.0f64).to_bits()];
+        let malformed =
+            |result: Result<(), WireError>| matches!(result, Err(WireError::Malformed(_)));
+        let mut out = Encoder::new();
+        encode_options(&RunOptions::default(), &mut out);
+        let mut words = out.finish();
+        // The word sits just before the class cap, which ends the options.
+        let at = words.len() - 2;
+        assert_eq!(words[at], 0);
+        let decode = |words: &[u64]| decode_options(&mut Decoder::new(words)).map(|_| ());
+        assert!(decode(&words).is_ok());
+        for bits in rejected {
+            words[at] = bits;
+            assert!(malformed(decode(&words)));
+        }
+
+        let model = ArrivalModel::batched(4);
+        let feed = || StreamFeed::new(StreamSource::Plain(ArrivalStream::new(&model, 1)));
+        let (fresh, last_arrival) = feed();
+        let options = RunOptions::default();
+        let recorder = LatencyRecorder::new(4, false, None);
+        let oracle = mac_protocols::KnownKOracle::new(4);
+        let core =
+            CohortEngineCore::new(fresh, last_arrival, oracle.clone(), 1, &options, recorder);
+        let mut out = Encoder::new();
+        assert!(core.encode(&mut out));
+        let mut words = out.finish();
+        // The word follows the run state's identity: k, seed and slot cap.
+        assert_eq!(words[3], 0);
+        let decode = |words: &[u64]| {
+            let scenario = AdversaryScenario::clean();
+            CohortEngineCore::decode(
+                &mut Decoder::new(words),
+                feed().0,
+                oracle.clone(),
+                &scenario,
+            )
+            .map(|_| ())
+        };
+        assert!(decode(&words).is_ok());
+        for bits in rejected {
+            words[3] = bits;
+            assert!(malformed(decode(&words)));
+        }
     }
 }
