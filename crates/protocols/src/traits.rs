@@ -48,31 +48,6 @@ pub trait Protocol: Debug {
     /// True once the station's own message has been delivered.
     fn has_delivered(&self) -> bool;
 
-    /// The probability with which the *next* [`Protocol::decide`] call will
-    /// return `true`, when that decision is an independent Bernoulli draw
-    /// determined by public state — the capability that lets an aggregate
-    /// simulator resolve a slot of stations reporting the same value with a
-    /// **single binomial draw** (`T = 0` empty, `T = 1` delivery, `T ≥ 2`
-    /// collision) instead of one coin per station.
-    ///
-    /// Returns `None` when the next decision is *not* an independent
-    /// Bernoulli trial: window protocols commit to exactly one slot per
-    /// window (their per-slot marginals are not independent across slots),
-    /// and arbitrary protocols may randomise in ways this interface cannot
-    /// describe. The default is `None`.
-    ///
-    /// The aggregate fair engines serve exactly the kinds that
-    /// [`ProtocolKind::visit`](crate::ProtocolKind::visit) hands over as a
-    /// [`FairProtocol`] state, and
-    /// those are the kinds whose [`FairNode`] adapters report `Some` (pinned
-    /// by the `slot_probability_capability_matches_the_families` test);
-    /// window kinds report `None` and run on the window engine or
-    /// per-station. The engines dispatch statically on the visited state's
-    /// type, never on this value — see `crates/sim/DESIGN.md` §5.
-    fn slot_probability(&self) -> Option<f64> {
-        None
-    }
-
     /// An *exact* fingerprint of the station's protocol state, if the
     /// protocol can produce one: two stations returning equal signatures
     /// behave identically under identical future inputs (decide draws and
@@ -279,17 +254,6 @@ impl<P: FairProtocol> Protocol for FairNode<P> {
         self.delivered
     }
 
-    fn slot_probability(&self) -> Option<f64> {
-        // A fair node's next decision is exactly Bernoulli(p) on public
-        // state: this is what makes a batch of identical fair nodes
-        // resolvable with one Binomial(m, p) draw.
-        Some(if self.delivered {
-            0.0
-        } else {
-            self.state.transmission_probability()
-        })
-    }
-
     fn state_signature(&self) -> Option<Vec<u64>> {
         // Exact by the `probability_tracks` contract: phase + bit-equal
         // tracks pin the fair state's entire future, and the delivered flag
@@ -431,35 +395,6 @@ mod tests {
         node.observe(Observation::Noise);
         assert_eq!(node.state().steps_elapsed(), 3);
         assert!(!node.has_delivered());
-    }
-
-    #[test]
-    fn slot_probability_capability_matches_the_families() {
-        // Fair nodes expose their Bernoulli probability; window nodes (one
-        // transmission per window, not independent per slot) expose nothing.
-        let mut fair = FairNode::new(TwoThenSilent::default());
-        assert_eq!(fair.slot_probability(), Some(1.0));
-        fair.observe(Observation::DeliveredOwn);
-        assert_eq!(
-            fair.slot_probability(),
-            Some(0.0),
-            "a delivered station never transmits"
-        );
-        let window = WindowNode::new(ConstantThree);
-        assert_eq!(window.slot_probability(), None);
-        let mut kinds = ProtocolKind::paper_lineup();
-        kinds.push(ProtocolKind::RandomizedParityOneFail { delta: 2.72 });
-        for kind in kinds {
-            let node = kind.build_node(64).unwrap();
-            match kind.family() {
-                ProtocolFamily::Fair => assert!(
-                    node.slot_probability().is_some(),
-                    "{} must report a homogeneous schedule",
-                    kind.label()
-                ),
-                ProtocolFamily::Window => assert!(node.slot_probability().is_none()),
-            }
-        }
     }
 
     #[test]

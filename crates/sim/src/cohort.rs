@@ -62,9 +62,8 @@
 //! adversary's dynamic state verbatim.
 //!
 //! Window protocols are *not* servable here (their per-slot decisions are
-//! not independent Bernoulli trials, `Protocol::slot_probability` is
-//! `None`): [`CohortSimulator`] rejects them and `simulate_dynamic` routes
-//! them to the exact per-station engine instead.
+//! not independent Bernoulli trials): [`CohortSimulator`] rejects them and
+//! `simulate_dynamic` routes them to the exact per-station engine instead.
 
 use crate::result::{RunOptions, RunResult};
 use crate::run_state::{
