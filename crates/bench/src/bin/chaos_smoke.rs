@@ -71,7 +71,6 @@ fn main() {
                 corrupt: Some(CorruptionKind::Truncate),
             },
         ],
-        shard_kills: vec![],
     };
     let dir = scratch_dir("chaos-smoke");
     let report = run_batched_chaos(

@@ -1,15 +1,16 @@
-//! Deterministic fault injection: crash points, checkpoint corruption,
-//! shard kills — and the chaos harness that proves recovery is
-//! bit-identical to the unbroken twin run.
+//! Deterministic fault injection: crash points and checkpoint corruption —
+//! and the chaos harness that proves recovery is bit-identical to the
+//! unbroken twin run. Shard kills are armed on the sharded driver itself
+//! ([`crate::ShardedSession::arm_shard_kill`]).
 //!
 //! Every fault a [`FaultPlan`] injects is a pure function of the plan: a
-//! crash fires at a named slot, a corruption draws its byte offset and
+//! crash fires at a named slot, and a corruption draws its byte offset and
 //! bit mask from the plan's own derived RNG stream
 //! (`derive_seed(plan.seed, &[FAULT_STREAM])` — independent of every
-//! simulation stream), and shard kills are `(shard, slot)` pairs. Running
-//! the same plan twice injects byte-for-byte the same faults, so the
-//! chaos suite's central assertion — *recovery is bit-identical to the
-//! unbroken twin* — is a deterministic check, not a flaky one.
+//! simulation stream). Running the same plan twice injects byte-for-byte
+//! the same faults, so the chaos suite's central assertion — *recovery is
+//! bit-identical to the unbroken twin* — is a deterministic check, not a
+//! flaky one.
 //!
 //! The harness drives a real [`Session`] through a real durable
 //! [`CheckpointStore`]: advance in bounded bursts, publish a checkpoint
@@ -65,19 +66,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Slot-indexed crash points (driven in ascending slot order).
     pub crashes: Vec<CrashPoint>,
-    /// Shard-kill schedule for sharded runs: shard `shard`'s thread
-    /// panics when its local slot clock reaches `at_slot` (see
-    /// [`crate::ShardedSession::arm_shard_kill`]).
-    pub shard_kills: Vec<ShardKill>,
-}
-
-/// One scheduled shard-thread kill of a sharded chaos run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardKill {
-    /// The shard whose thread is killed.
-    pub shard: u32,
-    /// The shard-local slot clock value at which the kill fires.
-    pub at_slot: u64,
 }
 
 impl FaultPlan {
@@ -87,7 +75,6 @@ impl FaultPlan {
         Self {
             seed,
             crashes: Vec::new(),
-            shard_kills: Vec::new(),
         }
     }
 }

@@ -94,7 +94,7 @@ pub use cohort::{CohortRun, CohortSimulator};
 pub use exact::ExactSimulator;
 pub use fair::FairSimulator;
 pub use faults::{
-    run_batched_chaos, ChaosError, ChaosReport, CorruptionKind, CrashPoint, FaultPlan, ShardKill,
+    run_batched_chaos, ChaosError, ChaosReport, CorruptionKind, CrashPoint, FaultPlan,
 };
 pub use result::{RunOptions, RunResult};
 pub use runner::{Experiment, ExperimentCell, ExperimentResults};

@@ -224,7 +224,6 @@ fn chaos_recovery_is_bit_identical_to_the_unbroken_twin() {
                 at_slot: 300,
                 corrupt: None,
             }],
-            shard_kills: vec![],
         },
         FaultPlan {
             seed: 2,
@@ -232,7 +231,6 @@ fn chaos_recovery_is_bit_identical_to_the_unbroken_twin() {
                 at_slot: 250,
                 corrupt: Some(CorruptionKind::FlipByte),
             }],
-            shard_kills: vec![],
         },
         FaultPlan {
             seed: 3,
@@ -240,7 +238,6 @@ fn chaos_recovery_is_bit_identical_to_the_unbroken_twin() {
                 at_slot: 500,
                 corrupt: Some(CorruptionKind::Truncate),
             }],
-            shard_kills: vec![],
         },
         FaultPlan {
             seed: 4,
@@ -258,7 +255,6 @@ fn chaos_recovery_is_bit_identical_to_the_unbroken_twin() {
                     corrupt: Some(CorruptionKind::Truncate),
                 },
             ],
-            shard_kills: vec![],
         },
     ];
     for plan in plans {
