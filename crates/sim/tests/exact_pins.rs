@@ -4,9 +4,10 @@
 //! ideal channel with the strategy search choosing the jams. These cases
 //! pin what it leaves open, one case per channel feature: the recorded
 //! delivery slots, stochastic noise on every busy slot, a budgeted
-//! reactive jammer, fault-degraded feedback on Poisson arrivals, a capped
-//! bursty run under a periodic jammer with a ring trace, the
-//! collision-detection model, and the jam log of `run_logging_jams`.
+//! reactive jammer, fault-degraded feedback on Poisson arrivals, noise and
+//! feedback faults together, a capped bursty run under a periodic jammer
+//! with a ring trace, the collision-detection model, and the jam log of
+//! `run_logging_jams`.
 //!
 //! Each case pins the full `RunResult`, every message's
 //! `delivered_slot:transmissions` in station order (`-` for undelivered),
@@ -179,6 +180,37 @@ fn feedback_faults_on_poisson_arrivals_leave_the_tally_true() {
         "219:1 411:1 283:1",
     );
     assert_eq!(messages(&run), expected);
+}
+
+#[test]
+fn noise_and_feedback_faults_share_the_adversary_stream() {
+    // Both draw from one adversary stream, so this case pins their call
+    // order: the jam decision on a busy slot, then the perceived outcome.
+    let scenario = AdversaryScenario {
+        jamming: AdversaryModel::StochasticNoise { p: 0.15 },
+        feedback: FeedbackFault {
+            confuse_collision_empty: 0.3,
+            miss_delivery: 0.3,
+        },
+    };
+    let run = ExactSimulator::new(ofa(), RunOptions::adversarial(scenario))
+        .with_trace(48)
+        .run_schedule(&batch(30), 39)
+        .unwrap();
+    let expected = result("One-fail Adaptive", 30, 39, 218, 30, 123, 65, 6, 0);
+    assert_eq!(run.result, expected);
+    let expected = concat!(
+        "175:46 192:35 184:42 217:36 108:27 90:21 28:14 160:39 150:41 167:35 ",
+        "146:33 176:30 173:37 136:37 109:38 132:30 92:24 187:36 10:6 110:24 ",
+        "182:39 195:41 120:25 191:34 58:20 162:29 181:37 128:32 185:41 199:33",
+    );
+    assert_eq!(messages(&run), expected);
+    let trace = run.trace.unwrap();
+    assert_eq!(
+        trace.ascii_timeline(),
+        ".x.*x**!.x.**x**.*...**..*...*...........!.....*"
+    );
+    assert_eq!(trace.dropped(), 170);
 }
 
 #[test]
