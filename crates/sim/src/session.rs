@@ -1201,8 +1201,7 @@ mod tests {
         let options = RunOptions::default();
         let recorder = LatencyRecorder::new(4, false, None);
         let oracle = mac_protocols::KnownKOracle::new(4);
-        let core =
-            CohortEngineCore::new(fresh, last_arrival, oracle.clone(), 1, &options, recorder);
+        let core = CohortEngineCore::new(fresh, last_arrival, oracle, 1, &options, recorder);
         let mut out = Encoder::new();
         assert!(core.encode(&mut out));
         let mut words = out.finish();
@@ -1210,13 +1209,8 @@ mod tests {
         assert_eq!(words[3], 0);
         let decode = |words: &[u64]| {
             let scenario = AdversaryScenario::clean();
-            CohortEngineCore::decode(
-                &mut Decoder::new(words),
-                feed().0,
-                oracle.clone(),
-                &scenario,
-            )
-            .map(|_| ())
+            CohortEngineCore::decode(&mut Decoder::new(words), feed().0, oracle, &scenario)
+                .map(|_| ())
         };
         assert!(decode(&words).is_ok());
         for bits in rejected {
