@@ -315,8 +315,9 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
     /// Activates the stations whose message arrives at or before the
     /// current slot.
     fn activate_arrivals(&mut self) {
+        let slot = self.run.slot;
         while let Some(message) = self.messages.get(self.activated) {
-            if message.arrival_slot > self.run.slot {
+            if message.arrival_slot > slot {
                 break;
             }
             self.active
