@@ -42,14 +42,28 @@ fn schedule_of(slots: &[u64]) -> AdversaryModel {
     .normalised()
 }
 
+/// The tier-(a) search's cost per robustness line-up entry, in
+/// [`certify::TIER_A_BUDGETS`] order: `(leaves, memo hits)` per budget and
+/// whether the search deduplicated. `CERTIFICATES.md` pins what the search
+/// finds; these pin how much of the game tree it had to walk to find it, so
+/// a state key that splits equal states (or merges distinct ones) fails
+/// here even when the worst cases survive.
+const TIER_A_SEARCH_COST: [([(u64, u64); 2], bool); 4] = [
+    ([(195, 7), (2647, 95)], true),  // One-fail Adaptive
+    ([(210, 0), (3003, 0)], false),  // Exp Back-on/Back-off
+    ([(210, 0), (3003, 0)], false),  // Loglog-iterated Back-off
+    ([(182, 8), (1897, 208)], true), // Known-k oracle
+];
+
 #[test]
 fn every_tier_a_certificate_replays_exactly_on_the_exact_engine() {
     let options = certify::tier_a_options();
     let tier_a = certify::tier_a_certificates(certify::DEFAULT_SEED);
     assert_eq!(tier_a.len(), ProtocolKind::robust_lineup().len() * 2);
     for (pi, kind) in ProtocolKind::robust_lineup().iter().enumerate() {
-        for budget in certify::TIER_A_BUDGETS {
-            let (certificate, _) = tier_a
+        let (costs, deduplicated) = TIER_A_SEARCH_COST[pi];
+        for (budget, (leaves, memo_hits)) in certify::TIER_A_BUDGETS.into_iter().zip(costs) {
+            let (certificate, stats) = tier_a
                 .iter()
                 .find(|(c, _)| c.protocol == kind.label() && c.budget == budget)
                 .unwrap_or_else(|| panic!("missing cell {} B={budget}", kind.label()));
@@ -60,6 +74,12 @@ fn every_tier_a_certificate_replays_exactly_on_the_exact_engine() {
             );
             assert!(certificate.jam_slots.len() as u64 <= budget);
             assert!(certificate.makespan >= certificate.clean_makespan);
+            assert_eq!(
+                (stats.leaves, stats.memo_hits, stats.deduplicated),
+                (leaves, memo_hits, deduplicated),
+                "search cost of {} B={budget}",
+                kind.label()
+            );
 
             let replay = ExactSimulator::new(
                 kind.clone(),
