@@ -149,6 +149,10 @@ impl ExactSimulator {
     /// Records a bounded per-slot trace (the most recent `capacity` slots)
     /// into [`DetailedRun::trace`] — jammed slots are flagged, which is how
     /// the examples make adversary activity visible.
+    ///
+    /// A trace keeps at least one slot: with `capacity` 0 every run and
+    /// [`ExactSimulator::stepper`] return a [`ParameterError`] for the
+    /// parameter `trace_capacity`.
     pub fn with_trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
         self
@@ -226,6 +230,13 @@ impl ExactSimulator {
         schedule: &ArrivalSchedule,
         seed: u64,
     ) -> Result<Box<dyn StationLoop>, ParameterError> {
+        if self.trace_capacity == Some(0) {
+            return Err(ParameterError::new(
+                "trace_capacity",
+                0.0,
+                "a trace keeps at least one slot",
+            ));
+        }
         let run = StationRun {
             sim: self,
             schedule,
@@ -793,6 +804,28 @@ mod tests {
             .with_model(ChannelModel::with_collision_detection());
         let r = sim.run(32, 4).unwrap();
         assert!(r.completed);
+    }
+
+    #[test]
+    fn zero_trace_capacity_is_a_typed_error() {
+        let sim = exact(ProtocolKind::OneFailAdaptive { delta: 2.72 }).with_trace(0);
+        let rejected = |error: ParameterError| assert_eq!(error.parameter(), "trace_capacity");
+        rejected(sim.run(4, 1).unwrap_err());
+        rejected(
+            sim.run_schedule(&ArrivalSchedule::new(vec![0, 3]), 1)
+                .unwrap_err(),
+        );
+        rejected(
+            sim.stepper(4, 1)
+                .err()
+                .expect("the stepper builds the same loop"),
+        );
+        // One slot is the smallest trace.
+        let run = exact(ProtocolKind::KnownKOracle)
+            .with_trace(1)
+            .run_schedule(&ArrivalSchedule::new(vec![0; 4]), 1)
+            .unwrap();
+        assert_eq!(run.trace.unwrap().len(), 1);
     }
 
     #[test]
