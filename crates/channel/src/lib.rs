@@ -10,18 +10,19 @@
 //!   to every station;
 //! * if **two or more** stations transmit, a collision garbles every message;
 //! * if **nobody** transmits, the slot carries only background noise;
-//! * **without collision detection**, stations cannot distinguish background
-//!   noise from collision noise (the paper's model); an optional
-//!   collision-detection variant is provided for comparison experiments;
+//! * there is **no collision detection**: stations cannot distinguish
+//!   background noise from collision noise, so a station that did not
+//!   deliver learns one bit per slot — whether another station's message
+//!   got through;
 //! * a station learns that *its own* message was delivered (acknowledgement,
 //!   e.g. 802.11-style), at which point it becomes *idle* — exactly the
 //!   assumption of the paper (§2).
 //!
 //! The crate is deliberately independent of any particular protocol: it
-//! translates a slot's outcome into what each station can observe
-//! ([`Observation`], [`ChannelModel`]) and records a bounded per-slot trace
-//! ([`trace::Trace`]); the simulators in `mac-sim` resolve the slots and
-//! keep the counters. Which stations are
+//! names a slot's channel-level outcome ([`SlotOutcome`]) and records a
+//! bounded per-slot trace ([`trace::Trace`]); the simulators in `mac-sim`
+//! resolve the slots, hand each station its bit and keep the counters.
+//! Which stations are
 //! *active* in the first place is governed by an arrival model
 //! ([`arrivals`]): the paper's static (batched) arrivals, plus Poisson and
 //! adversarial bursty arrivals for the dynamic extension discussed in the
@@ -31,19 +32,20 @@
 //! about each slot.
 //!
 //! ```
-//! use mac_channel::{ChannelModel, Observation, SlotOutcome};
+//! use mac_channel::ArrivalModel;
+//! use mac_prob::rng::Xoshiro256pp;
+//! use rand::SeedableRng;
 //!
-//! let model = ChannelModel::without_collision_detection();
-//! // Without collision detection a listener cannot tell a collision from
-//! // an empty slot: both read as noise.
-//! assert_eq!(model.observe(SlotOutcome::Collision, true, false), Observation::Noise);
-//! assert_eq!(model.observe(SlotOutcome::Silence, false, false), Observation::Noise);
-//! // A delivery reaches every listener, and its sender is acknowledged.
-//! assert_eq!(
-//!     model.observe(SlotOutcome::Delivery, false, false),
-//!     Observation::ReceivedMessage
-//! );
-//! assert_eq!(model.observe(SlotOutcome::Delivery, true, true), Observation::DeliveredOwn);
+//! // An adversarial schedule: three messages at slot 0, two more at slot 5.
+//! // Bursts may come unsorted; the sampled schedule lists one arrival slot
+//! // per message, in slot order.
+//! let model = ArrivalModel::Bursts { bursts: vec![(5, 2), (0, 3)] };
+//! assert_eq!(model.expected_messages(), 5.0);
+//! let mut rng = Xoshiro256pp::seed_from_u64(7);
+//! let schedule = model.sample(&mut rng);
+//! assert_eq!(schedule.arrival_slots(), &[0, 0, 0, 5, 5]);
+//! // The paper's static setting is one burst of k messages at slot 0.
+//! assert_eq!(ArrivalModel::batched(4).sample(&mut rng).last_arrival(), Some(0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,13 +53,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod arrivals;
-pub mod feedback;
 pub mod node;
 pub mod stream;
 pub mod trace;
 
 pub use arrivals::{ArrivalModel, ArrivalSchedule};
-pub use feedback::{AckMode, ChannelModel, Observation};
 pub use node::NodeId;
 pub use stream::{ArrivalStream, ShardedArrivalStream, StreamSummary};
 

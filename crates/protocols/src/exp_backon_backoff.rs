@@ -112,10 +112,6 @@ impl ExpBackonBackoff {
 }
 
 impl WindowSchedule for ExpBackonBackoff {
-    fn name(&self) -> &'static str {
-        "exp-backon-backoff"
-    }
-
     fn next_window(&mut self) -> u64 {
         if self.w < 1.0 {
             // Inner loop exhausted: start the next phase with w = 2^(i+1).

@@ -34,7 +34,10 @@
 //! Every protocol is *also* usable as a plain per-station [`Protocol`]
 //! (via [`FairNode`] and [`WindowNode`]), which is what the exact,
 //! per-station simulator uses; this redundancy is deliberate — the fast
-//! simulators are validated against the exact one.
+//! simulators are validated against the exact one. A station observes one
+//! bit per slot, whether another station's message got through: all the
+//! paper's channel, which has no collision detection, tells a station that
+//! did not deliver. Protocols are named by [`ProtocolKind::label`].
 //!
 //! The [`kind`] module is the kind table: [`ProtocolKind`] and every fact
 //! that varies per kind — label, family, wire tag and parameters, engine

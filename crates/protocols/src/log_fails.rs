@@ -217,10 +217,6 @@ impl LogFailsAdaptive {
 }
 
 impl FairProtocol for LogFailsAdaptive {
-    fn name(&self) -> &'static str {
-        "log-fails-adaptive"
-    }
-
     fn transmission_probability(&self) -> f64 {
         if self.next_step_is_bt() {
             self.bt_probability

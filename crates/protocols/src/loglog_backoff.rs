@@ -86,10 +86,6 @@ impl RExponentialBackoff {
 }
 
 impl WindowSchedule for RExponentialBackoff {
-    fn name(&self) -> &'static str {
-        "r-exponential-backoff"
-    }
-
     fn next_window(&mut self) -> u64 {
         let window = self.current.floor().clamp(1.0, WINDOW_CAP);
         self.current = (self.current * self.r).min(WINDOW_CAP);
@@ -188,10 +184,6 @@ impl LoglogIteratedBackoff {
 }
 
 impl WindowSchedule for LoglogIteratedBackoff {
-    fn name(&self) -> &'static str {
-        "loglog-iterated-backoff"
-    }
-
     fn next_window(&mut self) -> u64 {
         if self.repeats_left == 0 {
             self.current = (self.current * self.r).min(WINDOW_CAP);

@@ -52,9 +52,6 @@ pub const PAPER_DELTA: f64 = 2.72;
 /// zero-sized type the protocol kind fixes. Everything else — the two
 /// transmission rules, their updates and the checkpoint layout — is shared.
 pub trait BtStepRule: Debug + Clone + PartialEq + Send + 'static {
-    /// The protocol name the state reports ([`FairProtocol::name`]).
-    const NAME: &'static str;
-
     /// The [`ParameterError`] message for a `δ` outside Theorem 1's range.
     const DELTA_ERROR: &'static str;
 
@@ -71,7 +68,6 @@ pub trait BtStepRule: Debug + Clone + PartialEq + Send + 'static {
 pub struct Alternating;
 
 impl BtStepRule for Alternating {
-    const NAME: &'static str = "one-fail-adaptive";
     const DELTA_ERROR: &'static str =
         "One-fail Adaptive requires e < delta <= sum_{j=1..5}(5/6)^j ~= 2.9906";
 
@@ -196,10 +192,6 @@ impl<R: BtStepRule> OneFail<R> {
 }
 
 impl<R: BtStepRule> FairProtocol for OneFail<R> {
-    fn name(&self) -> &'static str {
-        R::NAME
-    }
-
     fn transmission_probability(&self) -> f64 {
         if self.next_step_is_bt() {
             // BT-step: 1/(1 + log2(σ + 1)), precomputed at the last delivery.

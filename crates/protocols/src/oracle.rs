@@ -49,10 +49,6 @@ impl KnownKOracle {
 }
 
 impl FairProtocol for KnownKOracle {
-    fn name(&self) -> &'static str {
-        "known-k-oracle"
-    }
-
     fn transmission_probability(&self) -> f64 {
         if self.remaining == 0 {
             0.0

@@ -62,7 +62,6 @@ pub const PARITY_WORD: u64 = thue_morse_word();
 pub struct ThueMorse;
 
 impl BtStepRule for ThueMorse {
-    const NAME: &'static str = "randomized-parity-one-fail";
     const DELTA_ERROR: &'static str =
         "randomised-parity One-fail requires e < delta <= sum_{j=1..5}(5/6)^j ~= 2.9906";
 

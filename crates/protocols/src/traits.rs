@@ -3,8 +3,9 @@
 //! Three levels of abstraction are provided:
 //!
 //! * [`Protocol`] — the per-station state machine interface: *decide* whether
-//!   to transmit in the next slot, then *observe* the channel feedback for
-//!   that slot. This is what the exact simulator drives, one instance per
+//!   to transmit in the next slot, then *observe* the one bit the channel
+//!   gives a station about that slot: whether another station's message got
+//!   through. This is what the exact simulator drives, one instance per
 //!   station, and it works for any protocol.
 //! * [`FairProtocol`] — protocols in which every active station uses the
 //!   same transmission probability in every slot and reacts only to public
@@ -19,7 +20,6 @@
 //! Which protocol a configuration names, and which of these shapes it
 //! takes, is the kind table's business ([`crate::kind`]).
 
-use mac_channel::Observation;
 use rand::{Rng, RngCore};
 use std::fmt::Debug;
 
@@ -29,29 +29,26 @@ use std::fmt::Debug;
 ///
 /// 1. `transmit = protocol.decide(rng)`;
 /// 2. the channel resolves the slot from all stations' decisions;
-/// 3. `protocol.observe(observation)` with the station's view of the slot.
+/// 3. if the station's own message was delivered, the station is idle from
+///    now on and the simulator drops it; every other station is told
+///    `protocol.observe(heard_delivery)`.
 ///
-/// Once the station's own message has been delivered
-/// ([`Observation::DeliveredOwn`]), [`Protocol::has_delivered`] returns
-/// `true` and the simulator stops driving the station (the model's stations
-/// become idle on delivery).
+/// That bit is everything the paper's channel tells a station that did not
+/// deliver: without collision detection a collision and an empty slot both
+/// read as noise, so what remains is whether some message got through.
 pub trait Protocol: Debug {
-    /// A short human-readable protocol name (e.g. `"one-fail-adaptive"`).
-    fn name(&self) -> &'static str;
-
     /// Decides whether the station transmits in the next slot.
     fn decide(&mut self, rng: &mut dyn RngCore) -> bool;
 
-    /// Observes the station's view of the slot that was just decided.
-    fn observe(&mut self, observation: Observation);
-
-    /// True once the station's own message has been delivered.
-    fn has_delivered(&self) -> bool;
+    /// Observes the slot that was just decided, which did not deliver this
+    /// station's message: `heard_delivery` is true iff another station's
+    /// message was delivered.
+    fn observe(&mut self, heard_delivery: bool);
 
     /// An *exact* fingerprint of the station's protocol state, if the
     /// protocol can produce one: two stations returning equal signatures
     /// behave identically under identical future inputs (decide draws and
-    /// observations), forever.
+    /// heard bits), forever.
     ///
     /// This is the per-station analogue of the cohort engine's
     /// ([`FairProtocol::schedule_phase`], probability tracks) merge key: the
@@ -82,9 +79,6 @@ pub trait Protocol: Debug {
 /// can be driven on the multi-threaded runner (the sharded multi-channel
 /// sessions move each shard's state onto a worker thread).
 pub trait FairProtocol: Debug + Send {
-    /// A short human-readable protocol name.
-    fn name(&self) -> &'static str;
-
     /// The probability with which each active station transmits in the next
     /// slot. Always in `[0, 1]`.
     fn transmission_probability(&self) -> f64;
@@ -176,9 +170,6 @@ pub trait FairProtocol: Debug + Send {
 /// feedback it reacts to is the delivery of its own message, upon which it
 /// stops.
 pub trait WindowSchedule: Debug + Send {
-    /// A short human-readable protocol name.
-    fn name(&self) -> &'static str;
-
     /// Returns the length (≥ 1) of the next window.
     fn next_window(&mut self) -> u64;
 
@@ -203,16 +194,12 @@ pub trait WindowSchedule: Debug + Send {
 #[derive(Debug, Clone)]
 pub struct FairNode<P> {
     state: P,
-    delivered: bool,
 }
 
 impl<P: FairProtocol> FairNode<P> {
     /// Wraps the given fair-protocol state for one station.
     pub fn new(state: P) -> Self {
-        Self {
-            state,
-            delivered: false,
-        }
+        Self { state }
     }
 
     /// Read access to the wrapped state (used by tests).
@@ -222,45 +209,22 @@ impl<P: FairProtocol> FairNode<P> {
 }
 
 impl<P: FairProtocol> Protocol for FairNode<P> {
-    fn name(&self) -> &'static str {
-        self.state.name()
-    }
-
     fn decide(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.delivered {
-            return false;
-        }
         let p = self.state.transmission_probability();
         debug_assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         rng.gen::<f64>() < p
     }
 
-    fn observe(&mut self, observation: Observation) {
-        if self.delivered {
-            return;
-        }
-        match observation {
-            Observation::DeliveredOwn => {
-                self.delivered = true;
-            }
-            Observation::ReceivedMessage => self.state.advance(true),
-            Observation::Noise | Observation::DetectedSilence | Observation::DetectedCollision => {
-                self.state.advance(false)
-            }
-        }
-    }
-
-    fn has_delivered(&self) -> bool {
-        self.delivered
+    fn observe(&mut self, heard_delivery: bool) {
+        self.state.advance(heard_delivery);
     }
 
     fn state_signature(&self) -> Option<Vec<u64>> {
         // Exact by the `probability_tracks` contract: phase + bit-equal
-        // tracks pin the fair state's entire future, and the delivered flag
-        // is the only per-station addition the adapter makes.
+        // tracks pin the fair state's entire future, and the adapter adds
+        // nothing per station.
         let (track_a, track_b) = self.state.probability_tracks();
         Some(vec![
-            u64::from(self.delivered),
             self.state.schedule_phase(),
             track_a.to_bits(),
             track_b.to_bits(),
@@ -275,8 +239,6 @@ pub struct WindowNode<S> {
     window_len: u64,
     position: u64,
     chosen: u64,
-    delivered: bool,
-    started: bool,
 }
 
 impl<S: WindowSchedule> WindowNode<S> {
@@ -287,8 +249,6 @@ impl<S: WindowSchedule> WindowNode<S> {
             window_len: 0,
             position: 0,
             chosen: 0,
-            delivered: false,
-            started: false,
         }
     }
 
@@ -300,35 +260,22 @@ impl<S: WindowSchedule> WindowNode<S> {
 }
 
 impl<S: WindowSchedule> Protocol for WindowNode<S> {
-    fn name(&self) -> &'static str {
-        self.schedule.name()
-    }
-
     fn decide(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.delivered {
-            return false;
-        }
-        if !self.started || self.position >= self.window_len {
+        // `window_len` starts at 0, so the first call opens the first window.
+        if self.position >= self.window_len {
             self.window_len = self.schedule.next_window();
             assert!(self.window_len >= 1, "window length must be at least 1");
             self.position = 0;
             self.chosen = rng.gen_range(0..self.window_len);
-            self.started = true;
         }
         let transmit = self.position == self.chosen;
         self.position += 1;
         transmit
     }
 
-    fn observe(&mut self, observation: Observation) {
-        if observation == Observation::DeliveredOwn {
-            self.delivered = true;
-        }
-    }
-
-    fn has_delivered(&self) -> bool {
-        self.delivered
-    }
+    /// A window station reacts to no feedback but its own delivery, upon
+    /// which the simulator drops it.
+    fn observe(&mut self, _heard_delivery: bool) {}
 }
 
 #[cfg(test)]
@@ -347,9 +294,6 @@ mod tests {
     }
 
     impl FairProtocol for TwoThenSilent {
-        fn name(&self) -> &'static str {
-            "two-then-silent"
-        }
         fn transmission_probability(&self) -> f64 {
             if self.heard < 2 {
                 1.0
@@ -373,9 +317,6 @@ mod tests {
     struct ConstantThree;
 
     impl WindowSchedule for ConstantThree {
-        fn name(&self) -> &'static str {
-            "constant-3"
-        }
         fn next_window(&mut self) -> u64 {
             3
         }
@@ -385,16 +326,15 @@ mod tests {
     fn fair_node_transmits_and_reacts_to_feedback() {
         let mut rng = Xoshiro256pp::seed_from_u64(0);
         let mut node = FairNode::new(TwoThenSilent::default());
-        assert_eq!(node.name(), "two-then-silent");
         assert!(node.decide(&mut rng), "p = 1 must transmit");
-        node.observe(Observation::ReceivedMessage);
+        node.observe(true);
         assert!(node.decide(&mut rng));
-        node.observe(Observation::ReceivedMessage);
+        node.observe(true);
         // Two deliveries heard: probability drops to zero.
         assert!(!node.decide(&mut rng));
-        node.observe(Observation::Noise);
+        node.observe(false);
         assert_eq!(node.state().steps_elapsed(), 3);
-        assert!(!node.has_delivered());
+        assert_eq!(node.state().heard, 2);
     }
 
     #[test]
@@ -437,22 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn fair_node_stops_after_own_delivery() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let mut node = FairNode::new(TwoThenSilent::default());
-        assert!(node.decide(&mut rng));
-        node.observe(Observation::DeliveredOwn);
-        assert!(node.has_delivered());
-        assert!(
-            !node.decide(&mut rng),
-            "a delivered station never transmits"
-        );
-        // Further observations are ignored without panicking.
-        node.observe(Observation::ReceivedMessage);
-        assert_eq!(node.state().steps_elapsed(), 0);
-    }
-
-    #[test]
     fn window_node_transmits_exactly_once_per_window() {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let mut node = WindowNode::new(ConstantThree);
@@ -463,22 +387,10 @@ mod tests {
                 if node.decide(&mut rng) {
                     transmissions += 1;
                 }
-                node.observe(Observation::Noise);
+                node.observe(false);
             }
             assert_eq!(node.current_window(), 3);
             assert_eq!(transmissions, 1, "exactly one transmission per window");
-        }
-    }
-
-    #[test]
-    fn window_node_stops_after_own_delivery() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        let mut node = WindowNode::new(ConstantThree);
-        let _ = node.decide(&mut rng);
-        node.observe(Observation::DeliveredOwn);
-        assert!(node.has_delivered());
-        for _ in 0..10 {
-            assert!(!node.decide(&mut rng));
         }
     }
 
@@ -542,8 +454,12 @@ mod tests {
         for kind in kinds {
             // `family()` and the visit dispatch must agree on every kind.
             assert_eq!(kind.visit(100, Family).unwrap(), kind.family());
+            // Fair nodes pin their state exactly; window nodes cannot.
             let node = kind.build_node(100).unwrap();
-            assert!(!node.has_delivered());
+            assert_eq!(
+                node.state_signature().is_some(),
+                kind.family() == ProtocolFamily::Fair
+            );
         }
     }
 

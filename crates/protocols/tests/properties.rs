@@ -6,7 +6,6 @@
 //! ([`FairNode`], [`WindowNode`]) behave identically to the shared state they
 //! wrap.
 
-use mac_channel::Observation;
 use mac_prob::rng::Xoshiro256pp;
 use mac_protocols::analysis;
 use mac_protocols::{
@@ -152,15 +151,10 @@ proptest! {
         let mut bare = OneFailAdaptive::try_new(delta).unwrap();
         for &delivered in &observations {
             let _ = node.decide(&mut rng);
-            node.observe(if delivered {
-                Observation::ReceivedMessage
-            } else {
-                Observation::Noise
-            });
+            node.observe(delivered);
             bare.advance(delivered);
         }
         prop_assert_eq!(node.state(), &bare);
-        prop_assert!(!node.has_delivered());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The exact simulator materialises every station as its own
 //! [`mac_protocols::Protocol`] instance and drives the slotted channel one
 //! slot at a time: collect every active station's transmission decision,
-//! resolve the slot from the transmitter count, hand each station its
-//! observation. It is O(active stations) per slot — far too slow for the
+//! resolve the slot from the transmitter count, retire the delivered
+//! station and tell every other one whether a message got through. It is
+//! O(active stations) per slot — far too slow for the
 //! paper's `k = 10⁷` sweep, but it
 //!
 //! * runs **every** protocol kind, fair and window, on any arrival schedule
@@ -18,8 +19,8 @@
 //! phases: *decide* activates the arrivals due, collects every active
 //! station's decision and counts the transmitters; *resolve* settles the
 //! slot (the outcome, the adversary's jam and feedback fault, the tally and
-//! the trace), fans the observations out and retires the delivered
-//! station. The run accounting — counts, slot clock, tally, protocol RNG
+//! the trace), retires the delivered station and hands every other one its
+//! bit. The run accounting — counts, slot clock, tally, protocol RNG
 //! and adversary — is the run state every engine core shares
 //! (`crate::run_state`), so the exact engine seeds its streams and builds
 //! its [`RunResult`] as the fast engines do. One visitor builds that core
@@ -32,7 +33,7 @@ use crate::result::{RunOptions, RunResult};
 use crate::run_state::{preallocated, LatencyRecorder, RunState};
 use mac_adversary::{AdversaryGame, SlotClass};
 use mac_channel::trace::{Trace, TraceEntry};
-use mac_channel::{ArrivalSchedule, ChannelModel, NodeId, SlotOutcome};
+use mac_channel::{ArrivalSchedule, NodeId, SlotOutcome};
 use mac_protocols::{
     FairNode, FairProtocol, KindVisitor, ParameterError, Protocol, ProtocolKind, WindowNode,
     WindowSchedule,
@@ -123,27 +124,18 @@ impl DetailedRun {
 pub struct ExactSimulator {
     kind: ProtocolKind,
     pub(crate) options: RunOptions,
-    model: ChannelModel,
     trace_capacity: Option<usize>,
 }
 
 impl ExactSimulator {
-    /// Creates an exact simulator using the paper's channel model (no
-    /// collision detection, immediate acknowledgements).
+    /// Creates an exact simulator on the paper's channel: no collision
+    /// detection, immediate acknowledgements.
     pub fn new(kind: ProtocolKind, options: RunOptions) -> Self {
         Self {
             kind,
             options,
-            model: ChannelModel::without_collision_detection(),
             trace_capacity: None,
         }
-    }
-
-    /// Overrides the channel capability model (e.g. to experiment with
-    /// collision detection).
-    pub fn with_model(mut self, model: ChannelModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Records a bounded per-slot trace (the most recent `capacity` slots)
@@ -265,10 +257,6 @@ struct StationCore<Pr> {
     /// a station draws no randomness, so a clone is a fresh build).
     prototype: Pr,
     active: Vec<(u32, Pr)>,
-    /// The decided slot's transmission flags by active position, written by
-    /// index and never cleared: at k stations per slot, per-push
-    /// bookkeeping here is measurable.
-    transmitted: Vec<bool>,
     /// The decided slot's transmitter count.
     transmitters: u64,
     /// Active position of the decided slot's sole transmitter, or
@@ -279,7 +267,6 @@ struct StationCore<Pr> {
     /// arrival slot.
     messages: Vec<MessageOutcome>,
     activated: usize,
-    model: ChannelModel,
     trace: Option<Trace>,
     /// The slot of every delivery, when recorded: beside the run state, as
     /// in the cohort core, because a dynamic run's latencies are not its
@@ -302,7 +289,6 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
             run: RunState::new(k, seed, max_slots, &sim.options.adversary, latencies),
             prototype,
             active: Vec::new(),
-            transmitted: Vec::new(),
             transmitters: 0,
             sole_position: usize::MAX,
             messages: schedule
@@ -317,7 +303,6 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
                 })
                 .collect(),
             activated: 0,
-            model: sim.model,
             trace: sim.trace_capacity.map(Trace::with_capacity),
             delivery_slots: sim.options.record_deliveries.then(|| preallocated(k)),
         }
@@ -346,9 +331,6 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
     #[inline(always)]
     fn decide_slot(&mut self) -> u64 {
         self.activate_arrivals();
-        if self.transmitted.len() < self.active.len() {
-            self.transmitted.resize(self.active.len(), false);
-        }
         // The loop draws from a local copy of the generator, stored back
         // after it: every `decide` borrows the generator, and a borrow of a
         // field of `self` would make the compiler reload the vectors around
@@ -357,9 +339,7 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
         let mut transmitters = 0u64;
         let mut sole_position = usize::MAX;
         for (pos, (idx, station)) in self.active.iter_mut().enumerate() {
-            let transmit = station.decide(&mut rng);
-            self.transmitted[pos] = transmit;
-            if transmit {
+            if station.decide(&mut rng) {
                 transmitters += 1;
                 sole_position = pos;
                 self.messages[*idx as usize].transmissions += 1;
@@ -375,9 +355,9 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
         transmitters
     }
 
-    /// Phase two: resolves the decided slot, tallies and traces it, hands
-    /// every active station its observation and retires the delivered one.
-    /// Returns whether a would-be delivery was jammed.
+    /// Phase two: resolves the decided slot, tallies and traces it, retires
+    /// the delivered station and tells every other active station whether
+    /// it heard a delivery. Returns whether a would-be delivery was jammed.
     ///
     /// The adversary is offered busy slots only, in slot order: a jam
     /// signal on an empty slot carries no message and reads as background
@@ -423,15 +403,6 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
                 jammed,
             });
         }
-        // The acknowledged transmitter sees the true outcome (ACKs are
-        // reliable); everyone else sees the possibly fault-degraded
-        // `perceived` outcome.
-        let (model, transmitted) = (self.model, &self.transmitted);
-        for (pos, (_, station)) in self.active.iter_mut().enumerate() {
-            let delivered_own = pos == delivered_position;
-            let outcome_seen = if delivered_own { outcome } else { perceived };
-            station.observe(model.observe(outcome_seen, transmitted[pos], delivered_own));
-        }
         if let Some(idx) = delivered {
             let message = &mut self.messages[idx as usize];
             message.delivered_slot = Some(slot);
@@ -439,7 +410,16 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
             if let Some(slots) = self.delivery_slots.as_mut() {
                 slots.push(slot);
             }
+            // The acknowledged transmitter is idle from now on (ACKs are
+            // reliable). Retiring it before the others observe is safe:
+            // `observe` draws nothing and acts on each station alone.
             self.active.swap_remove(delivered_position);
+        }
+        // What a listener learns about the slot: whether a message got
+        // through, as the adversary's feedback fault lets it perceive.
+        let heard_delivery = perceived == SlotOutcome::Delivery;
+        for (_, station) in &mut self.active {
+            station.observe(heard_delivery);
         }
         self.run.slot += 1;
         self.sole_position = usize::MAX;
@@ -794,16 +774,6 @@ mod tests {
             exact_stats.mean(),
             window_stats.mean()
         );
-    }
-
-    #[test]
-    fn collision_detection_model_does_not_break_protocols() {
-        // The paper's protocols ignore the extra information, but the
-        // simulator must accept the richer channel model.
-        let sim = exact(ProtocolKind::OneFailAdaptive { delta: 2.72 })
-            .with_model(ChannelModel::with_collision_detection());
-        let r = sim.run(32, 4).unwrap();
-        assert!(r.completed);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! every exact run): `advance_to_single` runs whole slots until a *decide*
 //! phase finds one transmitter, and `resolve_single` runs that slot's
 //! *resolve* phase with the search's jam decision in place of an
-//! adversary's. The game runs on the simulator's channel model.
+//! adversary's.
 //!
 //! ## Equivalence
 //!
@@ -30,8 +30,8 @@
 //! The snapshot fingerprint ([`mac_adversary::AdversaryGame::state_key`])
 //! concatenates the loop scalars, the raw 256-bit RNG state and every
 //! active station's [`mac_protocols::Protocol::state_signature`]. The fair
-//! line-up provides exact signatures (delivery count, schedule phase, both
-//! probability tracks bit-for-bit), so the exhaustive search deduplicates;
+//! line-up provides exact signatures (schedule phase and both probability
+//! tracks, bit for bit), so the exhaustive search deduplicates;
 //! window protocols return no signature and the search falls back to pure
 //! tree exploration rather than risk unsound merging.
 

@@ -6,7 +6,7 @@
 //! delivery slots, stochastic noise on every busy slot, a budgeted
 //! reactive jammer, fault-degraded feedback on Poisson arrivals, noise and
 //! feedback faults together, a capped bursty run under a periodic jammer
-//! with a ring trace, the collision-detection model, and the jam log of
+//! with a ring trace, a Log-fails Adaptive batch, and the jam log of
 //! `run_logging_jams`.
 //!
 //! Each case pins the full `RunResult`, every message's
@@ -16,7 +16,7 @@
 //! engine's output and its RNG consumption byte-identical.
 
 use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
-use mac_channel::{ArrivalModel, ArrivalSchedule, ChannelModel};
+use mac_channel::{ArrivalModel, ArrivalSchedule};
 use mac_prob::rng::Xoshiro256pp;
 use mac_protocols::ProtocolKind;
 use mac_sim::exact::DetailedRun;
@@ -249,7 +249,7 @@ fn capped_bursts_under_a_periodic_jammer_with_a_ring_trace() {
 }
 
 #[test]
-fn collision_detection_model() {
+fn log_fails_adaptive_batch_on_the_ideal_channel() {
     let run = ExactSimulator::new(
         ProtocolKind::LogFailsAdaptive {
             xi_delta: 0.1,
@@ -258,7 +258,6 @@ fn collision_detection_model() {
         },
         RunOptions::default(),
     )
-    .with_model(ChannelModel::with_collision_detection())
     .run_schedule(&batch(25), 37)
     .unwrap();
     let expected = result(

@@ -16,7 +16,7 @@
 //!   schedules, stochastic noise, budgeted reactive jammers, and degraded
 //!   feedback for robustness experiments;
 //! * [`channel`] (`mac-channel`) — the slotted multiple-access channel model:
-//!   observations, arrival models and streams, traces;
+//!   slot outcomes, arrival models and streams, traces;
 //! * [`protocols`] (`mac-protocols`) — One-fail Adaptive, Exp
 //!   Back-on/Back-off, Log-fails Adaptive, Loglog-iterated Back-off,
 //!   r-exponential back-off, the known-k oracle, and the analytical bounds of
@@ -52,7 +52,7 @@ pub use mac_sim as sim;
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
     pub use crate::adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
-    pub use crate::channel::{ArrivalModel, ArrivalSchedule, ChannelModel, Observation};
+    pub use crate::channel::{ArrivalModel, ArrivalSchedule};
     pub use crate::protocols::{
         analysis, ExpBackonBackoff, FairProtocol, KnownKOracle, LogFailsAdaptive, LogFailsConfig,
         LoglogIteratedBackoff, OneFailAdaptive, Protocol, ProtocolKind, RExponentialBackoff,

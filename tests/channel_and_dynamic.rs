@@ -1,40 +1,8 @@
-//! Integration tests for the channel model options and the dynamic-arrival
-//! extension, exercised through the public API of the facade crate.
+//! Integration tests for the channel's arrival models, traces and the
+//! dynamic-arrival extension, exercised through the public API of the
+//! facade crate.
 
-use contention_resolution::channel::{AckMode, ArrivalModel, ChannelModel};
 use contention_resolution::prelude::*;
-
-#[test]
-fn paper_channel_model_is_the_default() {
-    let model = ChannelModel::default();
-    assert!(!model.collision_detection);
-    assert_eq!(model.ack_mode, AckMode::Immediate);
-}
-
-#[test]
-fn collision_detection_does_not_change_protocol_correctness() {
-    // The paper's protocols never use the extra feedback, so enabling
-    // collision detection must not change whether they terminate.
-    for kind in [
-        ProtocolKind::OneFailAdaptive { delta: 2.72 },
-        ProtocolKind::ExpBackonBackoff { delta: 0.366 },
-    ] {
-        let plain = ExactSimulator::new(kind.clone(), RunOptions::default())
-            .run(64, 3)
-            .unwrap();
-        let with_cd = ExactSimulator::new(kind.clone(), RunOptions::default())
-            .with_model(ChannelModel::with_collision_detection())
-            .run(64, 3)
-            .unwrap();
-        assert!(plain.completed && with_cd.completed);
-        assert_eq!(
-            plain.makespan,
-            with_cd.makespan,
-            "{}: identical seeds and identical protocol behaviour must give identical runs",
-            kind.label()
-        );
-    }
-}
 
 #[test]
 fn dynamic_poisson_load_is_eventually_drained() {
