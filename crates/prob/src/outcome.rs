@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// These are *channel-level* outcomes. A station without collision detection
 /// cannot distinguish [`SlotOutcome::Silence`] from [`SlotOutcome::Collision`];
-/// that restriction is modelled by `mac-channel`, not here.
+/// that restriction lives in the per-station interface of `mac-protocols`,
+/// whose `observe` takes one bit (was a message delivered), not here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SlotOutcome {
     /// No station transmitted (background noise).

@@ -5,8 +5,8 @@
 //! slot at a time: collect every active station's transmission decision,
 //! resolve the slot from the transmitter count, retire the delivered
 //! station and tell every other one whether a message got through. It is
-//! O(active stations) per slot — far too slow for the
-//! paper's `k = 10⁷` sweep, but it
+//! O(active stations) per slot — far too slow for the paper's `k = 10⁷`
+//! sweep, but it
 //!
 //! * runs **every** protocol kind, fair and window, on any arrival schedule
 //!   (batched, Poisson, adversarial bursts), so it is the reference
