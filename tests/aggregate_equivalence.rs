@@ -3,8 +3,9 @@
 //! whole windows); the exact simulator materialises every station. The two
 //! must sample the same distribution — this suite checks it with paired
 //! seed sets across every homogeneous protocol, on clean and jammed
-//! channels, using the mean/percentile tolerances and the two-sample
-//! Kolmogorov–Smirnov test from `mac_prob::stats`.
+//! channels and under missed-delivery feedback, using the mean/percentile
+//! tolerances and the two-sample Kolmogorov–Smirnov test from
+//! `mac_prob::stats`.
 //!
 //! The fast paths are *distribution*-identical, not stream-identical: see
 //! `crates/sim/DESIGN.md` §5 for the contract this suite enforces.
@@ -44,9 +45,10 @@ fn window_kinds() -> Vec<ProtocolKind> {
     ]
 }
 
-/// Channel scenarios the equivalence must hold under: the ideal channel and
+/// Channel scenarios the equivalence must hold under: the ideal channel,
 /// two jamming adversaries (the aggregate paths feed the adversary only the
-/// slot class, which is exactly what busy-slot jamming needs).
+/// slot class, which is exactly what busy-slot jamming needs) and a feedback
+/// fault that hides deliveries from the listeners.
 fn scenarios() -> Vec<(&'static str, AdversaryScenario)> {
     vec![
         ("clean", AdversaryScenario::clean()),
@@ -61,6 +63,13 @@ fn scenarios() -> Vec<(&'static str, AdversaryScenario)> {
         (
             "stochastic-noise",
             AdversaryScenario::jamming(AdversaryModel::StochasticNoise { p: 0.1 }),
+        ),
+        (
+            "missed-deliveries",
+            AdversaryScenario::faulty_feedback(FeedbackFault {
+                confuse_collision_empty: 0.0,
+                miss_delivery: 0.3,
+            }),
         ),
     ]
 }
