@@ -11,11 +11,10 @@
 //! * [`AdversaryModel`] — jamming: stochastic per-slot noise, oblivious
 //!   periodic/scheduled jam patterns, and budgeted reactive jammers that
 //!   target contended or near-success slots;
-//! * [`FeedbackFault`] — degraded feedback: collision↔empty confusion
-//!   (modelling receivers without dependable collision detection) and
-//!   missed-delivery faults on the broadcast feedback path;
 //! * [`AdversaryScenario`] — the unit of configuration the simulators
-//!   accept, combining both;
+//!   accept: a jamming model plus the one feedback fault a station can
+//!   feel, a missed delivery on the broadcast feedback path (without
+//!   collision detection a delivery is all a station hears);
 //! * [`AdversaryState`] — the runtime decision procedure, with its **own
 //!   RNG stream** so that a configured adversary never perturbs the
 //!   protocol randomness of a seeded run (and `AdversaryModel::None` is
@@ -54,7 +53,7 @@ pub mod model;
 pub mod search;
 pub mod state;
 
-pub use model::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
+pub use model::{AdversaryModel, AdversaryScenario, JamTrigger};
 pub use search::{
     budgeted_search, exhaustive_worst_case, AdversaryGame, Certificate, CertificateTier,
     ExhaustiveOutcome, ParamSchedule, ScoredCandidate, SearchOutcome, SearchStats,

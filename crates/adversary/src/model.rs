@@ -1,4 +1,4 @@
-//! Adversary configurations: jamming models and feedback faults.
+//! Adversary configurations: jamming models and the missed-delivery fault.
 //!
 //! A configuration is pure data — serialisable, comparable, and parsable
 //! from a compact config string (see [`AdversaryModel::parse`]) — and is
@@ -36,8 +36,8 @@ impl JamTrigger {
 /// A model of channel jamming.
 ///
 /// Jamming operates on the *channel truth* of a slot: a jammed slot in which
-/// at least one station transmits becomes a [`mac_prob::outcome::SlotOutcome::Collision`]
-/// (the jam signal garbles the transmission), so a jammed would-be delivery
+/// at least one station transmits becomes a collision (the jam signal
+/// garbles the transmission), so a jammed would-be delivery
 /// is destroyed and the transmitting station stays active. Jamming an empty
 /// slot has no observable effect in this model — the jam signal alone
 /// carries no message and is indistinguishable from background noise — so
@@ -300,55 +300,6 @@ impl FromStr for AdversaryModel {
     }
 }
 
-/// A model of degraded channel feedback: the slot is resolved correctly, but
-/// what the *stations* are told about it is corrupted.
-///
-/// Both faults are channel-level (every listening station receives the same
-/// degraded feedback in a slot, modelling a noisy broadcast feedback path),
-/// which is what keeps the common-state invariant of fair protocols — and
-/// with it the O(1)-per-slot fair simulator — intact. Acknowledgements are
-/// reliable: the station whose message was delivered always learns it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct FeedbackFault {
-    /// Probability that a silent slot is reported as a collision and vice
-    /// versa. Models receivers without dependable collision detection: the
-    /// paper's protocols ignore the distinction and are immune, while a
-    /// protocol that reacts to collision detection would not be.
-    pub confuse_collision_empty: f64,
-    /// Probability that a delivered message is received garbled by everyone
-    /// except its (acknowledged) sender, i.e. the delivery is reported to
-    /// the other stations as a collision.
-    pub miss_delivery: f64,
-}
-
-impl FeedbackFault {
-    /// Perfectly reliable feedback.
-    pub fn clean() -> Self {
-        Self::default()
-    }
-
-    /// True if the feedback path is perfectly reliable.
-    pub fn is_clean(&self) -> bool {
-        self.confuse_collision_empty == 0.0 && self.miss_delivery == 0.0
-    }
-
-    /// Validates the fault probabilities.
-    ///
-    /// # Errors
-    /// Returns a human-readable description of the first invalid parameter.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, p) in [
-            ("confuse_collision_empty", self.confuse_collision_empty),
-            ("miss_delivery", self.miss_delivery),
-        ] {
-            if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-                return Err(format!("{name} must be in [0,1], got {p}"));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A complete adversarial scenario: a jamming model plus a feedback fault.
 ///
 /// This is the unit of configuration the simulators accept (via
@@ -359,8 +310,15 @@ impl FeedbackFault {
 pub struct AdversaryScenario {
     /// The jamming model.
     pub jamming: AdversaryModel,
-    /// The feedback-degradation model.
-    pub feedback: FeedbackFault,
+    /// Probability that a delivered message reaches everyone except its
+    /// (acknowledged) sender garbled, so the listeners hear no delivery.
+    ///
+    /// The fault is channel-level: every listener loses the same broadcast,
+    /// which keeps the common-state invariant of fair protocols — and with
+    /// it the O(1)-per-slot fair simulator — intact. It is the only feedback
+    /// fault, because a delivery is the only thing a station hears without
+    /// collision detection.
+    pub miss_delivery: f64,
 }
 
 impl AdversaryScenario {
@@ -373,22 +331,23 @@ impl AdversaryScenario {
     pub fn jamming(model: AdversaryModel) -> Self {
         Self {
             jamming: model,
-            feedback: FeedbackFault::clean(),
+            miss_delivery: 0.0,
         }
     }
 
-    /// A feedback-fault-only scenario on an otherwise ideal channel.
-    pub fn faulty_feedback(fault: FeedbackFault) -> Self {
+    /// A scenario on an otherwise ideal channel whose listeners miss each
+    /// delivery with probability `miss_delivery`.
+    pub fn faulty_feedback(miss_delivery: f64) -> Self {
         Self {
             jamming: AdversaryModel::None,
-            feedback: fault,
+            miss_delivery,
         }
     }
 
     /// True if the scenario is exactly the ideal channel. Simulators use
     /// this to stay on their pristine (pre-adversary) fast paths.
     pub fn is_clean(&self) -> bool {
-        self.jamming.is_none() && self.feedback.is_clean()
+        self.jamming.is_none() && self.miss_delivery == 0.0
     }
 
     /// Validates both components.
@@ -397,7 +356,12 @@ impl AdversaryScenario {
     /// Returns a human-readable description of the first invalid parameter.
     pub fn validate(&self) -> Result<(), String> {
         self.jamming.validate()?;
-        self.feedback.validate()
+        let p = self.miss_delivery;
+        if p.is_finite() && (0.0..=1.0).contains(&p) {
+            Ok(())
+        } else {
+            Err(format!("miss_delivery must be in [0,1], got {p}"))
+        }
     }
 
     /// Instantiates the runtime adversary with its own RNG stream.
@@ -421,7 +385,7 @@ mod tests {
     fn default_is_clean() {
         assert!(AdversaryScenario::default().is_clean());
         assert!(AdversaryModel::default().is_none());
-        assert!(FeedbackFault::default().is_clean());
+        assert!(!AdversaryScenario::faulty_feedback(0.1).is_clean());
     }
 
     #[test]
@@ -446,12 +410,10 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(FeedbackFault {
-            confuse_collision_empty: -0.1,
-            miss_delivery: 0.0
-        }
-        .validate()
-        .is_err());
+        assert!(AdversaryScenario::faulty_feedback(-0.1).validate().is_err());
+        assert!(AdversaryScenario::faulty_feedback(f64::NAN)
+            .validate()
+            .is_err());
         assert!(AdversaryModel::StochasticNoise { p: 0.5 }
             .validate()
             .is_ok());

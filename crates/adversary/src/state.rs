@@ -17,15 +17,15 @@
 //!   equivalent in distribution to calling `jams_slot` on each of them, and
 //!   exists because jamming an already-colliding slot changes nothing but
 //!   the reactive jammer's remaining budget.
-//! * [`AdversaryState::perceive`] / [`AdversaryState::misses_delivery`]
-//!   apply the [`FeedbackFault`] *after* jamming has been resolved.
+//! * [`AdversaryState::misses_delivery`] is called **only for a delivery**,
+//!   after the jam decision left it standing, and decides whether the
+//!   listeners hear it.
 //!
 //! All randomness is drawn from the state's own RNG stream (seeded on a
 //! dedicated path by the simulators), so an adversary — even an inactive
 //! one — never advances the protocol RNG of a run.
 
-use crate::model::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
-use mac_prob::outcome::SlotOutcome;
+use crate::model::{AdversaryModel, AdversaryScenario, JamTrigger};
 use mac_prob::rng::Xoshiro256pp;
 use rand::{Rng, SeedableRng};
 
@@ -46,7 +46,7 @@ pub enum SlotClass {
 #[derive(Debug, Clone)]
 pub struct AdversaryState {
     jamming: AdversaryModel,
-    feedback: FeedbackFault,
+    miss_delivery: f64,
     rng: Xoshiro256pp,
     /// Remaining jams for [`AdversaryModel::BudgetedReactiveJam`].
     budget_left: u64,
@@ -71,7 +71,7 @@ impl AdversaryState {
         };
         Self {
             jamming: scenario.jamming.normalised(),
-            feedback: scenario.feedback,
+            miss_delivery: scenario.miss_delivery,
             // lint:allow(rng-stream-discipline): every simulator hands this
             // constructor derive_seed(run_seed, &[ADVERSARY_STREAM]); deriving
             // again here would shift the stream and break the inert-adversary
@@ -91,7 +91,7 @@ impl AdversaryState {
     /// True if the adversary can affect the run at all. Simulators keep
     /// their pristine pre-adversary code paths when this is `false`.
     pub fn is_active(&self) -> bool {
-        !self.jamming.is_none() || !self.feedback.is_clean()
+        !self.jamming.is_none() || self.miss_delivery > 0.0
     }
 
     /// Remaining budget of a budgeted reactive jammer (0 for other models).
@@ -196,46 +196,11 @@ impl AdversaryState {
         }
     }
 
-    /// Applies the feedback fault to the channel-level outcome of a slot,
-    /// returning what the listening stations are told. Acknowledgements are
-    /// reliable: the station whose message was delivered is *not* routed
-    /// through this (its own view stays [`SlotOutcome::Delivery`]).
-    pub fn perceive(&mut self, outcome: SlotOutcome) -> SlotOutcome {
-        if self.feedback.is_clean() {
-            return outcome;
-        }
-        match outcome {
-            SlotOutcome::Delivery => {
-                if self.rng.gen::<f64>() < self.feedback.miss_delivery {
-                    // The message is received garbled: energy was on the
-                    // channel, so listeners perceive a collision.
-                    SlotOutcome::Collision
-                } else {
-                    SlotOutcome::Delivery
-                }
-            }
-            SlotOutcome::Silence => {
-                if self.rng.gen::<f64>() < self.feedback.confuse_collision_empty {
-                    SlotOutcome::Collision
-                } else {
-                    SlotOutcome::Silence
-                }
-            }
-            SlotOutcome::Collision => {
-                if self.rng.gen::<f64>() < self.feedback.confuse_collision_empty {
-                    SlotOutcome::Silence
-                } else {
-                    SlotOutcome::Collision
-                }
-            }
-        }
-    }
-
     /// Decides whether the feedback fault hides a delivery from the
-    /// non-delivered stations. Shortcut used by the fair fast simulator,
-    /// which only needs the delivered/not-delivered bit of the feedback.
+    /// listening stations. Acknowledgements are reliable, so the delivered
+    /// station retires either way. Draws nothing when the fault is off.
     pub fn misses_delivery(&mut self) -> bool {
-        self.feedback.miss_delivery > 0.0 && self.rng.gen::<f64>() < self.feedback.miss_delivery
+        self.miss_delivery > 0.0 && self.rng.gen::<f64>() < self.miss_delivery
     }
 }
 
@@ -255,7 +220,6 @@ mod tests {
             assert!(!state.jams_slot(slot, SlotClass::Single));
         }
         assert_eq!(state.jam_contended_bulk(50), 0);
-        assert_eq!(state.perceive(SlotOutcome::Delivery), SlotOutcome::Delivery);
         assert!(!state.misses_delivery());
     }
 
@@ -354,31 +318,25 @@ mod tests {
 
     #[test]
     fn feedback_fault_flips_at_its_rates() {
-        let fault = FeedbackFault {
-            confuse_collision_empty: 1.0,
-            miss_delivery: 1.0,
-        };
-        let mut state = AdversaryState::new(AdversaryScenario::faulty_feedback(fault), 3);
+        let mut state = AdversaryState::new(AdversaryScenario::faulty_feedback(1.0), 3);
         assert!(state.is_active());
-        assert_eq!(state.perceive(SlotOutcome::Silence), SlotOutcome::Collision);
-        assert_eq!(state.perceive(SlotOutcome::Collision), SlotOutcome::Silence);
-        assert_eq!(
-            state.perceive(SlotOutcome::Delivery),
-            SlotOutcome::Collision
-        );
-        assert!(state.misses_delivery());
+        assert!((0..10).all(|_| state.misses_delivery()));
+        let mut state = AdversaryState::new(AdversaryScenario::faulty_feedback(0.3), 3);
+        let n = 100_000;
+        let rate = (0..n).filter(|_| state.misses_delivery()).count() as f64 / n as f64;
+        assert!((rate - 0.3).abs() < 0.01, "observed rate {rate}");
     }
 
     #[test]
     fn clean_feedback_never_draws() {
         let mut a = jam_only(AdversaryModel::StochasticNoise { p: 0.5 });
         let mut b = jam_only(AdversaryModel::StochasticNoise { p: 0.5 });
-        // Perceiving through a clean fault must not consume randomness:
-        // interleaving perceive calls leaves the jam stream identical.
+        // Asking a clean fault must not consume randomness: interleaving
+        // misses_delivery calls leaves the jam stream identical.
         let plain: Vec<bool> = (0..50).map(|s| a.jams_slot(s, SlotClass::Single)).collect();
         let interleaved: Vec<bool> = (0..50)
             .map(|s| {
-                let _ = b.perceive(SlotOutcome::Collision);
+                assert!(!b.misses_delivery());
                 b.jams_slot(s, SlotClass::Single)
             })
             .collect();

@@ -28,8 +28,8 @@
 //! adversarial bursty arrivals for the dynamic extension discussed in the
 //! paper's conclusions. The adversarial channel models of `mac-adversary`
 //! are re-exported here ([`adversary`]): jamming models that destroy
-//! deliveries and feedback faults that degrade what the stations are told
-//! about each slot.
+//! deliveries and a feedback fault that hides deliveries from the
+//! listening stations.
 //!
 //! ```
 //! use mac_channel::ArrivalModel;
@@ -64,7 +64,7 @@ pub use stream::{ArrivalStream, ShardedArrivalStream, StreamSummary};
 /// Re-export of the adversarial channel models (`mac-adversary`) so that a
 /// channel and its adversary can be configured from one import path.
 pub use mac_adversary as adversary;
-pub use mac_adversary::{AdversaryModel, AdversaryScenario, AdversaryState, FeedbackFault};
+pub use mac_adversary::{AdversaryModel, AdversaryScenario, AdversaryState};
 
 /// Re-export of the channel-level slot outcome defined in `mac-prob` so that
 /// downstream crates need only one import path.

@@ -159,9 +159,10 @@ pub fn sample_slot_outcome<R: Rng + ?Sized>(m: u64, p: f64, rng: &mut R) -> Slot
 /// Samples the outcome of a slot in which station `i` transmits with its own
 /// probability `ps[i]` (heterogeneous probabilities).
 ///
-/// This is O(len(ps)) and is used by the exact simulator for protocols whose
-/// stations are *not* in lockstep. Returns the outcome together with the index
-/// of the transmitting station when the outcome is a delivery.
+/// This is O(len(ps)): the per-station reference that the cohort kernel's
+/// tests compare its classification against (no engine samples slots this
+/// way). Returns the outcome together with the index of the transmitting
+/// station when the outcome is a delivery.
 pub fn sample_heterogeneous_slot<R: Rng + ?Sized>(
     ps: &[f64],
     rng: &mut R,

@@ -54,8 +54,8 @@
 //!
 //! Adversaries hook in exactly as in the per-slot path: busy-slot jamming
 //! needs only the slot class ([`SlotClass::Single`] / contended), which the
-//! classification provides, and feedback faults consult only the adversary's
-//! own RNG stream.
+//! classification provides, and the missed-delivery fault consults only the
+//! adversary's own RNG stream.
 
 use crate::result::{RunOptions, RunResult};
 use crate::run_state::{LatencyRecorder, RunState};

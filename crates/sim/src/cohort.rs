@@ -202,8 +202,8 @@ impl CohortSimulator {
 /// The slot-driving loop is monomorphic over the concrete protocol so the
 /// per-cohort state queries inline. It mirrors the fair aggregate engine's
 /// adversary contract: jamming is offered busy slots only, in slot order,
-/// with the slot class; feedback faults reduce to the missed-delivery bit
-/// for fair protocols.
+/// with the slot class, and a delivery the jam left standing asks the
+/// missed-delivery fault whether the listeners hear it.
 #[derive(Debug)]
 pub(crate) struct CohortEngineCore<P> {
     /// The run accounting; its latency record holds delivery − arrival.

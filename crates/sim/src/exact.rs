@@ -362,8 +362,9 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
     /// The adversary is offered busy slots only, in slot order: a jam
     /// signal on an empty slot carries no message and reads as background
     /// noise. `jam`, when given, decides a single-transmitter slot in its
-    /// place (how the strategy search plays the jammer). Every slot's
-    /// outcome then passes through the adversary's feedback fault.
+    /// place (how the strategy search plays the jammer). A delivery the jam
+    /// left standing then passes through the adversary's feedback fault,
+    /// which may hide it from the listeners.
     #[inline(always)]
     fn resolve_slot(&mut self, jam: Option<bool>) -> bool {
         let run = &mut self.run;
@@ -380,7 +381,6 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
             1 if !jammed => SlotOutcome::Delivery,
             _ => SlotOutcome::Collision,
         };
-        let perceived = run.adversary.perceive(outcome);
         let jammed_delivery = jammed && count == 1;
         match outcome {
             SlotOutcome::Silence => run.silent += 1,
@@ -416,8 +416,8 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
             self.active.swap_remove(delivered_position);
         }
         // What a listener learns about the slot: whether a message got
-        // through, as the adversary's feedback fault lets it perceive.
-        let heard_delivery = perceived == SlotOutcome::Delivery;
+        // through, unless the adversary's feedback fault hides it.
+        let heard_delivery = delivered.is_some() && !self.run.adversary.misses_delivery();
         for (_, station) in &mut self.active {
             station.observe(heard_delivery);
         }

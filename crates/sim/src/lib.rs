@@ -109,7 +109,7 @@ pub use window::WindowSimulator;
 /// Re-export of the adversarial channel models (`mac-adversary`) so that
 /// simulation options can be configured from this crate alone.
 pub use mac_adversary as adversary;
-pub use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
+pub use mac_adversary::{AdversaryModel, AdversaryScenario, JamTrigger};
 
 use mac_protocols::{ParameterError, ProtocolKind};
 

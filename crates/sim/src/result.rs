@@ -20,7 +20,7 @@ pub struct RunOptions {
     /// If `true`, the slot index of every delivery is recorded in
     /// [`RunResult::delivery_slots`] (costs O(k) memory; off by default).
     pub record_deliveries: bool,
-    /// The adversarial scenario (jamming and feedback faults) the run is
+    /// The adversarial scenario (jamming and missed deliveries) the run is
     /// subjected to. Defaults to the ideal channel, under which every
     /// simulator behaves bit-identically — results *and* RNG streams — to
     /// a run with no adversary support at all.

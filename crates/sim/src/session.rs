@@ -67,7 +67,7 @@ use crate::result::{RunOptions, RunResult};
 use crate::run_state::{LatencyRecorder, RunState};
 use crate::window::WindowEngineCore;
 use frame::{open_frame, seal_frame, verify_frame};
-use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault};
+use mac_adversary::{AdversaryModel, AdversaryScenario};
 use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream};
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
@@ -918,8 +918,10 @@ fn encode_options(options: &RunOptions, out: &mut Encoder) {
     out.put_u64(options.min_slot_cap);
     out.put_bool(options.record_deliveries);
     out.put_str(&options.adversary.jamming.to_string());
-    out.put_f64(options.adversary.feedback.confuse_collision_empty);
-    out.put_f64(options.adversary.feedback.miss_delivery);
+    // The retired collision/empty confusion's word: no station can tell
+    // a collision from silence.
+    out.put_f64(0.0);
+    out.put_f64(options.adversary.miss_delivery);
     // The retired merge tolerance's word: merging is bit-exact.
     out.put_f64(0.0);
     out.put_u64(options.max_live_cohorts);
@@ -931,7 +933,9 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
     let record_deliveries = input.take_bool()?;
     let jamming = AdversaryModel::from_str(&input.take_str()?)
         .map_err(|_| WireError::Malformed("unparseable jamming model config"))?;
-    let confuse_collision_empty = input.take_f64()?;
+    if input.take_f64()?.to_bits() != 0 {
+        return Err(WireError::Malformed("nonzero collision/empty confusion"));
+    }
     let miss_delivery = input.take_f64()?;
     if input.take_f64()?.to_bits() != 0 {
         return Err(WireError::Malformed("nonzero cohort merge tolerance"));
@@ -943,10 +947,7 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
         record_deliveries,
         adversary: AdversaryScenario {
             jamming,
-            feedback: FeedbackFault {
-                confuse_collision_empty,
-                miss_delivery,
-            },
+            miss_delivery,
         },
         max_live_cohorts,
     };
@@ -1177,22 +1178,28 @@ mod tests {
     #[test]
     fn retired_merge_tolerance_words_must_read_zero() {
         // The options and the cohort core keep the retired merge
-        // tolerance's word: both write 0.0, and both decoders reject any
+        // tolerance's word, and the options the retired collision/empty
+        // confusion's: each is written as 0.0, and the decoders reject any
         // other bits, negative zero included.
         let rejected = [0.05f64.to_bits(), (-0.0f64).to_bits()];
         let malformed =
             |result: Result<(), WireError>| matches!(result, Err(WireError::Malformed(_)));
         let mut out = Encoder::new();
-        encode_options(&RunOptions::default(), &mut out);
-        let mut words = out.finish();
-        // The word sits just before the class cap, which ends the options.
-        let at = words.len() - 2;
-        assert_eq!(words[at], 0);
-        let decode = |words: &[u64]| decode_options(&mut Decoder::new(words)).map(|_| ());
-        assert!(decode(&words).is_ok());
-        for bits in rejected {
-            words[at] = bits;
-            assert!(malformed(decode(&words)));
+        let options = RunOptions::adversarial(AdversaryScenario::faulty_feedback(0.25));
+        encode_options(&options, &mut out);
+        let encoded = out.finish();
+        let decode = |words: &[u64]| decode_options(&mut Decoder::new(words));
+        assert_eq!(decode(&encoded), Ok(options));
+        // The options end with confusion, missed delivery, merge tolerance
+        // and the class cap.
+        let (confusion, tolerance) = (encoded.len() - 4, encoded.len() - 2);
+        for at in [confusion, tolerance] {
+            assert_eq!(encoded[at], 0);
+            for bits in rejected {
+                let mut words = encoded.clone();
+                words[at] = bits;
+                assert!(malformed(decode(&words).map(|_| ())));
+            }
         }
 
         let model = ArrivalModel::batched(4);

@@ -22,9 +22,10 @@ const SHARDED_MAGIC: u64 = 0x4D41_4353_4841_5244; // "MACSHARD"
 /// shard-assignment strategy in sharded arrival streams. Engine tag 8
 /// (batched randomised parity) came later within v3 and changes no
 /// existing layout: an older v3 reader rejects it as an unknown engine tag
-/// instead of misdecoding it. The merge-tolerance and shard-strategy
-/// words later lost their knobs but keep their place: writers put `0.0`
-/// and `0`, and readers reject any other value.
+/// instead of misdecoding it. The collision/empty-confusion,
+/// merge-tolerance and shard-strategy words later lost their knobs but keep
+/// their place: writers put `0.0`, `0.0` and `0`, and readers reject any
+/// other value.
 const CHECKPOINT_VERSION: u64 = 3;
 
 /// Words of frame overhead around a checkpoint payload: magic, version,

@@ -4,8 +4,8 @@
 //! ideal channel with the strategy search choosing the jams. These cases
 //! pin what it leaves open, one case per channel feature: the recorded
 //! delivery slots, stochastic noise on every busy slot, a budgeted
-//! reactive jammer, fault-degraded feedback on Poisson arrivals, noise and
-//! feedback faults together, a capped bursty run under a periodic jammer
+//! reactive jammer, missed deliveries on Poisson arrivals, noise and
+//! missed deliveries together, a capped bursty run under a periodic jammer
 //! with a ring trace, a Log-fails Adaptive batch, and the jam log of
 //! `run_logging_jams`.
 //!
@@ -15,7 +15,7 @@
 //! so a refactor of the station loop that leaves them intact has kept the
 //! engine's output and its RNG consumption byte-identical.
 
-use mac_adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
+use mac_adversary::{AdversaryModel, AdversaryScenario, JamTrigger};
 use mac_channel::{ArrivalModel, ArrivalSchedule};
 use mac_prob::rng::Xoshiro256pp;
 use mac_protocols::ProtocolKind;
@@ -161,23 +161,20 @@ fn feedback_faults_on_poisson_arrivals_leave_the_tally_true() {
         horizon: 200,
     }
     .sample(&mut Xoshiro256pp::seed_from_u64(34));
-    let options = RunOptions::adversarial(AdversaryScenario::faulty_feedback(FeedbackFault {
-        confuse_collision_empty: 0.5,
-        miss_delivery: 0.2,
-    }));
+    let options = RunOptions::adversarial(AdversaryScenario::faulty_feedback(0.2));
     let run = ExactSimulator::new(ProtocolKind::KnownKOracle, options)
         .run_schedule(&schedule, 35)
         .unwrap();
-    let expected = result("Known-k oracle", 73, 35, 488, 73, 9, 406, 0, 0);
+    let expected = result("Known-k oracle", 73, 35, 502, 73, 14, 415, 0, 0);
     assert_eq!(run.result, expected);
     let expected = concat!(
-        "127:1 153:2 41:1 85:1 21:1 145:1 151:1 70:1 206:1 87:1 51:1 50:1 71:1 ",
-        "97:1 137:1 152:1 89:2 62:1 94:1 88:1 198:2 174:2 197:2 202:1 124:1 ",
-        "82:1 120:1 207:1 130:2 158:2 201:1 108:1 312:1 144:1 112:1 148:1 103:1 ",
-        "220:3 161:1 150:1 133:1 135:1 195:2 128:1 175:1 168:1 279:2 257:2 ",
-        "326:2 253:2 162:1 385:2 182:1 179:1 268:1 276:1 232:3 187:1 284:2 ",
-        "250:1 340:1 487:1 239:2 259:1 298:1 216:1 223:1 210:1 309:1 287:2 ",
-        "219:1 411:1 283:1",
+        "52:1 138:1 41:1 199:3 21:1 113:1 71:1 163:2 109:1 63:1 51:1 50:1 ",
+        "299:4 72:1 255:2 88:1 121:1 248:3 95:1 86:1 135:1 98:1 131:1 90:1 ",
+        "89:1 220:3 219:1 104:1 263:3 127:1 172:1 125:1 212:2 232:3 268:2 ",
+        "294:1 182:2 372:1 156:1 240:1 134:1 308:1 150:1 128:1 235:2 275:3 ",
+        "191:1 148:1 201:1 152:1 165:2 363:2 224:2 184:1 175:2 368:1 365:1 ",
+        "207:1 189:1 501:1 178:1 202:2 258:1 304:1 200:1 238:1 295:1 291:2 ",
+        "192:1 400:1 279:3 203:1 246:2",
     );
     assert_eq!(messages(&run), expected);
 }
@@ -185,32 +182,30 @@ fn feedback_faults_on_poisson_arrivals_leave_the_tally_true() {
 #[test]
 fn noise_and_feedback_faults_share_the_adversary_stream() {
     // Both draw from one adversary stream, so this case pins their call
-    // order: the jam decision on a busy slot, then the perceived outcome.
+    // order: the jam decision on a busy slot, then, on a delivery the jam
+    // left standing, whether the listeners miss it.
     let scenario = AdversaryScenario {
         jamming: AdversaryModel::StochasticNoise { p: 0.15 },
-        feedback: FeedbackFault {
-            confuse_collision_empty: 0.3,
-            miss_delivery: 0.3,
-        },
+        miss_delivery: 0.3,
     };
     let run = ExactSimulator::new(ofa(), RunOptions::adversarial(scenario))
         .with_trace(48)
         .run_schedule(&batch(30), 39)
         .unwrap();
-    let expected = result("One-fail Adaptive", 30, 39, 218, 30, 123, 65, 6, 0);
+    let expected = result("One-fail Adaptive", 30, 39, 244, 30, 120, 94, 1, 0);
     assert_eq!(run.result, expected);
     let expected = concat!(
-        "175:46 192:35 184:42 217:36 108:27 90:21 28:14 160:39 150:41 167:35 ",
-        "146:33 176:30 173:37 136:37 109:38 132:30 92:24 187:36 10:6 110:24 ",
-        "182:39 195:41 120:25 191:34 58:20 162:29 181:37 128:32 185:41 199:33",
+        "88:37 167:39 243:51 217:52 138:43 163:38 152:40 185:47 165:42 28:16 ",
+        "42:23 32:19 40:24 154:49 142:43 104:34 196:47 146:43 10:6 128:35 ",
+        "219:48 56:24 124:39 162:46 213:56 197:49 139:37 108:33 24:15 70:29",
     );
     assert_eq!(messages(&run), expected);
     let trace = run.trace.unwrap();
     assert_eq!(
         trace.ascii_timeline(),
-        ".x.*x**!.x.**x**.*...**..*...*...........!.....*"
+        "**...x.....x.....*.x.*.*.......................*"
     );
-    assert_eq!(trace.dropped(), 170);
+    assert_eq!(trace.dropped(), 196);
 }
 
 #[test]

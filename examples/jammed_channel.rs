@@ -74,10 +74,7 @@ fn main() {
         seed,
     );
     run(
-        AdversaryScenario::faulty_feedback(FeedbackFault {
-            confuse_collision_empty: 0.5,
-            miss_delivery: 0.2,
-        }),
+        AdversaryScenario::faulty_feedback(0.2),
         "feedback faults: collision/empty confusion + 20% missed deliveries",
         k,
         seed,

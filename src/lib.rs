@@ -51,7 +51,7 @@ pub use mac_sim as sim;
 
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
-    pub use crate::adversary::{AdversaryModel, AdversaryScenario, FeedbackFault, JamTrigger};
+    pub use crate::adversary::{AdversaryModel, AdversaryScenario, JamTrigger};
     pub use crate::channel::{ArrivalModel, ArrivalSchedule};
     pub use crate::protocols::{
         analysis, ExpBackonBackoff, FairProtocol, KnownKOracle, LogFailsAdaptive, LogFailsConfig,

@@ -64,13 +64,7 @@ fn scenarios() -> Vec<(&'static str, AdversaryScenario)> {
             "stochastic-noise",
             AdversaryScenario::jamming(AdversaryModel::StochasticNoise { p: 0.1 }),
         ),
-        (
-            "missed-deliveries",
-            AdversaryScenario::faulty_feedback(FeedbackFault {
-                confuse_collision_empty: 0.0,
-                miss_delivery: 0.3,
-            }),
-        ),
+        ("missed-deliveries", AdversaryScenario::faulty_feedback(0.3)),
     ]
 }
 
