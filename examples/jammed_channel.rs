@@ -9,8 +9,9 @@
 //! channel and then — with the *same protocol randomness* (the adversary
 //! draws from its own RNG stream) — under a periodic jammer, a budgeted
 //! reactive jammer that targets near-success slots, stochastic noise, and a
-//! feedback fault. The bounded per-slot trace makes the adversary's work
-//! visible: `*` delivery, `x` collision, `.` silence, `!` jammed slot.
+//! feedback fault that hides deliveries from the listeners. The bounded
+//! per-slot trace makes the adversary's work visible: `*` delivery, `x`
+//! collision, `.` silence, `!` jammed slot.
 
 use contention_resolution::prelude::*;
 use contention_resolution::sim::ExactSimulator;
@@ -75,15 +76,16 @@ fn main() {
     );
     run(
         AdversaryScenario::faulty_feedback(0.2),
-        "feedback faults: collision/empty confusion + 20% missed deliveries",
+        "missed deliveries: each delivery hidden from the listeners with probability 1/5",
         k,
         seed,
     );
 
     println!(
-        "two things to notice: the feedback-fault run is slot-for-slot identical\n\
-         to the ideal one — One-fail Adaptive never relies on telling collisions\n\
-         from silence — and the jammed runs degrade gracefully: destroyed\n\
+        "two things to notice: the missed-delivery run is slot-for-slot identical\n\
+         to the ideal one — a lost delivery broadcast leaves the survivors'\n\
+         estimate of the contention high, but at this seed that flips no\n\
+         transmission decision — and the jammed runs degrade gracefully: destroyed\n\
          deliveries (`!`) cost extra slots, but the stations keep contending.\n\
          (graceful degradation is not unconditional: a periodic jammer whose\n\
          period aligns with the protocol's AT/BT step parity — period 2, phase 0 —\n\
