@@ -14,10 +14,9 @@
 //! * `cargo run -p mac-bench --release --bin ablation_backoff` — growth-factor
 //!   sweep for the monotone back-off baselines (extension experiment).
 //!
-//! Criterion micro-benchmarks (`cargo bench -p mac-bench`) measure the wall
-//! time of the simulators themselves (`sim_throughput`) and of a full
-//! simulated run per protocol (`protocol_makespan`), which is what bounds how
-//! far the paper sweep can be pushed.
+//! Whole-run wall time of the simulators is measured by the `perf_snapshot`
+//! binary below and by the end-to-end benchmark in `perfbench/`; a speed
+//! number counts only once it lands in a committed `BENCH_*.json`.
 //!
 //! # Perf tracking: the `BENCH_*.json` workflow
 //!
