@@ -664,11 +664,6 @@ impl Session {
     /// Returns [`SessionError::Stalled`] when the watchdog fires under
     /// [`StallPolicy::Abort`].
     pub fn advance(&mut self, max_slots: u64) -> Result<SessionStatus, SessionError> {
-        if self.watchdog.is_none() && self.kill_at_slot.is_none() {
-            // Fast path: hand the engine the whole budget in one call.
-            self.engine.advance(max_slots, None);
-            return Ok(self.status());
-        }
         let start = self.slot();
         loop {
             if self.is_finished() {
