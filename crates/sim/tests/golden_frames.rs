@@ -12,12 +12,19 @@
 //! of an engine loop that leaves these pins intact has kept both the wire
 //! format and the seeded trajectory byte-identical. A deliberate layout
 //! change bumps `CHECKPOINT_VERSION` and re-pins this table.
+//!
+//! The trajectory pins stand apart from the layout: each frame is resumed
+//! and driven to its end (a fleet through its merged result), and the
+//! `RunResult` it reaches is pinned field by field. A layout change leaves
+//! them as they are, so a re-pinned frame table cannot hide an engine change.
 
 use mac_adversary::{AdversaryModel, AdversaryScenario};
 use mac_channel::ArrivalModel;
+use mac_prob::wire::digest_words;
 use mac_protocols::ProtocolKind;
 use mac_sim::{
-    Checkpoint, RunOptions, Session, ShardSupervision, ShardedSession, StallConfig, StallPolicy,
+    Checkpoint, CheckpointKind, RunOptions, RunResult, Session, ShardSupervision, ShardedSession,
+    StallConfig, StallPolicy,
 };
 
 fn ofa() -> ProtocolKind {
@@ -273,4 +280,161 @@ fn checkpoint_frames_match_their_pins() {
         })
         .collect();
     assert_eq!(found, PINNED, "\nfound: {found:#x?}");
+}
+
+/// The `RunResult` a resumed frame reaches at its end: its label, whether
+/// it completed, and `k`, seed, makespan, delivered, collisions, silent
+/// slots, jammed deliveries, never-activated messages and the digest of the
+/// recorded delivery slots (0 when none are recorded).
+type Trajectory = (&'static str, bool, [u64; 9]);
+
+/// The end of every frame of [`frames`], in its order. These pin the
+/// seeded trajectory apart from the layout: a layout change re-pins
+/// [`PINNED`] and leaves this table as it is.
+const TRAJECTORIES: [Trajectory; 17] = [
+    (
+        "One-fail Adaptive",
+        true,
+        [400, 11, 2909, 400, 2267, 242, 0, 0, 0],
+    ),
+    (
+        "Log-fails Adaptive (xi_t=1/2)",
+        true,
+        [300, 12, 2570, 300, 1793, 477, 63, 0, 0],
+    ),
+    (
+        "Known-k oracle",
+        true,
+        [200, 13, 534, 200, 145, 189, 0, 0, 0x29ba_5e97_0931_cf4a],
+    ),
+    (
+        "Exp Back-on/Back-off",
+        true,
+        [500, 14, 2600, 500, 1310, 790, 0, 0, 0],
+    ),
+    (
+        "One-fail Adaptive",
+        true,
+        [125, 0x1fc8_425e_8864_754e, 1029, 125, 604, 300, 0, 0, 0],
+    ),
+    (
+        "Log-fails Adaptive (xi_t=1/2)",
+        true,
+        [282, 0xbc4d_9561_2b27_64fd, 3003, 282, 16, 2705, 0, 0, 0],
+    ),
+    (
+        "Known-k oracle",
+        true,
+        [216, 0x54df_cf0a_b8af_0afc, 3386, 216, 6, 3164, 0, 0, 0],
+    ),
+    (
+        "Randomised-parity One-fail",
+        true,
+        [125, 0x5e04_f473_0d60_d6ce, 1040, 125, 764, 151, 0, 0, 0],
+    ),
+    (
+        "Randomised-parity One-fail",
+        true,
+        [350, 19, 2524, 350, 1982, 192, 0, 0, 0],
+    ),
+    (
+        "One-fail Adaptive",
+        true,
+        [254, 0, 2984, 254, 18, 5679, 0, 0, 0],
+    ),
+    (
+        "One-fail Adaptive",
+        false,
+        [80, 0xef00_bedd_1297_28d9, 1000001, 0, 1000001, 0, 0, 0, 0],
+    ),
+    (
+        "One-fail Adaptive",
+        true,
+        [253, 0, 2978, 253, 36, 5656, 0, 0, 0],
+    ),
+    (
+        "Known-k oracle",
+        true,
+        [
+            4102,
+            0x2b28_7c49_a975_d81d,
+            15592,
+            4102,
+            2172,
+            9318,
+            0,
+            0,
+            0,
+        ],
+    ),
+    (
+        "Randomised-parity One-fail",
+        false,
+        [4102, 0x2b28_7c49_a975_d81d, 4103999, 2, 4103996, 1, 0, 0, 0],
+    ),
+    (
+        "Exp Back-on/Back-off",
+        true,
+        [300, 22, 1352, 300, 789, 263, 0, 0, 0xe6d6_a712_c9a2_8e0a],
+    ),
+    (
+        "Loglog-iterated Back-off",
+        true,
+        [300, 23, 2468, 300, 1125, 1043, 75, 0, 0],
+    ),
+    (
+        "One-fail Adaptive",
+        true,
+        [
+            125,
+            0x2e23_f7ce_aa93_5e3f,
+            1036,
+            125,
+            604,
+            307,
+            0,
+            0,
+            0xcce5_6f2b_0862_3191,
+        ],
+    ),
+];
+
+/// Resumes `frame` — a fleet through its merged result — and drives it to
+/// its end.
+fn run_to_end(frame: &Checkpoint) -> RunResult {
+    if frame.verify() == Ok(CheckpointKind::Sharded) {
+        let mut fleet = ShardedSession::resume(frame).unwrap();
+        fleet.run_to_completion().unwrap();
+        fleet.merged_result()
+    } else {
+        Session::resume(frame).unwrap().run_to_completion().unwrap()
+    }
+}
+
+#[test]
+fn resumed_frames_reach_their_pinned_ends() {
+    let found: Vec<(String, bool, [u64; 9])> = frames()
+        .iter()
+        .map(|(_, frame)| {
+            let r = run_to_end(frame);
+            let slots = r.delivery_slots.as_deref().map_or(0, digest_words);
+            let counts = [
+                r.k,
+                r.seed,
+                r.makespan,
+                r.delivered,
+                r.collisions,
+                r.silent_slots,
+                r.jammed_deliveries,
+                r.never_activated,
+                slots,
+            ];
+            (r.protocol, r.completed, counts)
+        })
+        .collect();
+    let pinned: Vec<(String, bool, [u64; 9])> = TRAJECTORIES
+        .iter()
+        .map(|&(label, completed, counts)| (label.to_string(), completed, counts))
+        .collect();
+    assert_eq!(found, pinned, "\nfound: {found:#x?}");
 }
