@@ -296,6 +296,12 @@ impl ShardedArrivalStream {
         }
     }
 
+    /// The shard this view keeps, the fleet's shard count and the hash
+    /// salt.
+    pub fn placement(&self) -> (u32, u32, u64) {
+        (self.shard, self.shards, self.salt)
+    }
+
     /// Next `(slot, count)` burst containing only this shard's messages
     /// (bursts whose messages all hash elsewhere are skipped).
     pub fn next_burst(&mut self) -> Option<(u64, u64)> {

@@ -553,6 +553,9 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
         let (pending, slots) = (self.feed.pending_messages(), self.delivery_slots.as_deref());
         self.run.result(label, self.run.slot, pending, slots)
     }
+    fn feed(&self) -> Option<&StreamFeed> {
+        Some(&self.feed)
+    }
     fn cohort_run(&self, label: &str) -> Option<CohortRun> {
         Some(CohortRun {
             result: self.result(label),

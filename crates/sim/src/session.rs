@@ -344,6 +344,10 @@ pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn cohort_run(&self, _label: &str) -> Option<CohortRun> {
         None
     }
+    /// The arrival feed, which only the cohort engine has.
+    fn feed(&self) -> Option<&StreamFeed> {
+        None
+    }
     /// Writes the payload that follows the engine tag (`false` if the
     /// protocol exposes no checkpointable state).
     fn encode_payload(&self, out: &mut Encoder) -> bool;

@@ -500,7 +500,9 @@ impl ShardedSession {
     /// Returns a typed [`SessionError::Integrity`] on a truncated,
     /// corrupted, version- or kind-mismatched frame, and a
     /// [`SessionError::Wire`] if the verified payload still fails to
-    /// decode.
+    /// decode or describes a fleet [`ShardedSession::new`] never builds: no
+    /// shard, or a shard whose arrival view names another index, fleet size
+    /// or salt.
     pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Sharded)?;
         let mut input = Decoder::new(payload);
@@ -513,11 +515,34 @@ impl ShardedSession {
             None
         };
         let count = input.take_usize()?;
+        if count == 0 {
+            return Err(WireError::Malformed("a fleet has no shard").into());
+        }
         let mut shards = Vec::with_capacity(count.min(1 << 16));
         let mut health = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
+        let mut fleet_salt = None;
+        for index in 0..count {
             let words = input.take_words()?.to_vec();
-            shards.push(Session::resume(&Checkpoint { words })?);
+            let shard = Session::resume(&Checkpoint { words })?;
+            // Shard `index` of `count` must keep its own share of one salted
+            // hash, as `new` builds it.
+            let placement = match shard.engine.feed().map(|feed| &feed.source) {
+                Some(StreamSource::Sharded(stream)) => Some(stream.placement()),
+                _ => None,
+            };
+            let Some((own, size, salt)) = placement else {
+                return Err(WireError::Malformed("fleet shard without a shard view").into());
+            };
+            if own as usize != index
+                || size as usize != count
+                || *fleet_salt.get_or_insert(salt) != salt
+            {
+                return Err(WireError::Malformed(
+                    "shard view names another index, fleet size or salt",
+                )
+                .into());
+            }
+            shards.push(shard);
             let failures = input.take_u32()?;
             let cooldown = input.take_u64()?;
             if cooldown > 1 << MAX_BACKOFF_DOUBLINGS {

@@ -20,6 +20,7 @@
 //!   burning the slot cap.
 
 use mac_channel::ArrivalModel;
+use mac_prob::wire::WireError;
 use mac_protocols::ProtocolKind;
 use mac_sim::faults::{run_batched_chaos, scratch_dir, CorruptionKind, CrashPoint, FaultPlan};
 use mac_sim::{
@@ -159,6 +160,50 @@ fn digest_valid_mutations_fail_typed_or_run_without_panicking() {
     }
     assert!(failures.is_empty(), "{failures:#?}");
     assert!(rejected > 0 && ran > 0, "rejected {rejected}, ran {ran}");
+}
+
+/// Seals `words`, a frame whose payload was cut or spliced, again: the
+/// length word and the trailing digest are recomputed, as
+/// [`resealed_mutations`] recomputes the digest.
+fn reseal(mut words: Vec<u64>) -> Checkpoint {
+    words.pop();
+    words[2] = words.len() as u64 + 1;
+    words.push(mac_prob::wire::digest_words(&words));
+    Checkpoint::from_bytes(&mac_prob::wire::words_to_bytes(&words)).expect("whole words")
+}
+
+#[test]
+fn fleet_frames_that_new_cannot_write_are_malformed() {
+    // A fleet frame carries its shard count, then each shard's session
+    // frame behind its word count. Re-sealed with no shard at all, or with
+    // shard 0's block in both places, the frame passes its digest but
+    // describes a fleet `ShardedSession::new` never builds.
+    let words = sharded_checkpoint().words().to_vec();
+    let session_magic = session_checkpoint().words()[0];
+    let blocks: Vec<usize> = (3..words.len())
+        .filter(|&i| words[i] == session_magic)
+        .map(|i| i - 1)
+        .collect();
+    let [first, second] = blocks[..] else {
+        panic!("a two-shard frame embeds two session frames: {blocks:?}");
+    };
+    assert_eq!(words[first - 1], 2, "the shard count precedes shard 0");
+    let mut empty = words[..first].to_vec();
+    empty[first - 1] = 0;
+    empty.push(0);
+    let mut doubled = words[..second].to_vec();
+    doubled.extend_from_slice(&words[first..second]);
+    doubled.push(0);
+    for (what, frame) in [
+        ("no shard", reseal(empty)),
+        ("shard 0 twice", reseal(doubled)),
+    ] {
+        match ShardedSession::resume(&frame) {
+            Err(SessionError::Wire(WireError::Malformed(_))) => {}
+            Err(other) => panic!("{what}: unexpected error {other}"),
+            Ok(mut fleet) => panic!("{what}: resumed into {:?}", fleet.merged_result()),
+        }
+    }
 }
 
 #[test]
