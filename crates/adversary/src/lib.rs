@@ -10,7 +10,8 @@
 //!
 //! * [`AdversaryModel`] — jamming: stochastic per-slot noise, oblivious
 //!   periodic/scheduled jam patterns, and budgeted reactive jammers that
-//!   target contended or near-success slots;
+//!   target contended or near-success slots; a checkpoint writes the model
+//!   as a tag and its parameters ([`AdversaryModel::encode`]);
 //! * [`AdversaryScenario`] — the unit of configuration the simulators
 //!   accept: a jamming model plus the one feedback fault a station can
 //!   feel, a missed delivery on the broadcast feedback path (without
@@ -18,7 +19,9 @@
 //! * [`AdversaryState`] — the runtime decision procedure, with its **own
 //!   RNG stream** so that a configured adversary never perturbs the
 //!   protocol randomness of a seeded run (and `AdversaryModel::None` is
-//!   bit-identical to having no adversary at all).
+//!   bit-identical to having no adversary at all); a checkpoint writes its
+//!   dynamic words ([`AdversaryState::encode`]) and rebuilds the rest from
+//!   the scenario.
 //!
 //! ## Jamming semantics
 //!

@@ -1,14 +1,13 @@
 //! Adversary configurations: jamming models and the missed-delivery fault.
 //!
-//! A configuration is pure data — serialisable, comparable, and parsable
-//! from a compact config string (see [`AdversaryModel::parse`]) — and is
-//! turned into a runtime [`crate::AdversaryState`] by
-//! [`AdversaryScenario::state`] with a dedicated RNG stream, so that an
-//! adversary never perturbs the protocol randomness of a seeded run.
+//! A configuration is pure data — comparable, and written into checkpoints
+//! as words ([`AdversaryModel::encode`]) — and is turned into a runtime
+//! [`crate::AdversaryState`] by [`AdversaryScenario::state`] with a
+//! dedicated RNG stream, so that an adversary never perturbs the protocol
+//! randomness of a seeded run.
 
+use mac_prob::wire::{Decoder, Encoder, WireError};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::str::FromStr;
 
 /// What a budgeted reactive jammer reacts to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -146,22 +145,82 @@ impl AdversaryModel {
         }
     }
 
-    /// Parses a model from its compact config-string form (the format
-    /// produced by the [`fmt::Display`] impl):
-    ///
-    /// * `none`
-    /// * `noise:P` — stochastic noise with probability `P`
-    /// * `periodic:PERIOD:BURST:PHASE`
-    /// * `scheduled:S+L,S+L,...` — intervals of `L` slots starting at `S`.
-    ///   Intervals may be given out of order but must not cover any slot
-    ///   twice: a duplicated slot is rejected with an error naming it,
-    ///   since silently merging it would misstate the jam budget.
-    /// * `reactive:BUDGET:near-success` / `reactive:BUDGET:contended`
+    /// Writes the model into a checkpoint: its wire tag, then its
+    /// parameters. The tags never change.
+    pub fn encode(&self, out: &mut Encoder) {
+        match self {
+            AdversaryModel::None => out.put_u32(0),
+            AdversaryModel::StochasticNoise { p } => {
+                out.put_u32(1);
+                out.put_f64(*p);
+            }
+            AdversaryModel::PeriodicJam {
+                period,
+                burst,
+                phase,
+            } => {
+                out.put_u32(2);
+                out.put_u64(*period);
+                out.put_u64(*burst);
+                out.put_u64(*phase);
+            }
+            AdversaryModel::ScheduledJam { bursts } => {
+                out.put_u32(3);
+                out.put_usize(bursts.len());
+                for &(start, len) in bursts {
+                    out.put_u64(start);
+                    out.put_u64(len);
+                }
+            }
+            AdversaryModel::BudgetedReactiveJam { budget, trigger } => {
+                out.put_u32(4);
+                out.put_u64(*budget);
+                out.put_u32(match trigger {
+                    JamTrigger::NearSuccess => 0,
+                    JamTrigger::Contended => 1,
+                });
+            }
+        }
+    }
+
+    /// Reads a model written by [`AdversaryModel::encode`].
     ///
     /// # Errors
-    /// Returns a description of the malformed component.
-    pub fn parse(text: &str) -> Result<AdversaryModel, String> {
-        text.parse()
+    /// Returns a [`WireError`] on truncated input, an unknown tag, or a
+    /// model that fails [`AdversaryModel::validate`].
+    pub fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
+        let model = match input.take_u32()? {
+            0 => AdversaryModel::None,
+            1 => AdversaryModel::StochasticNoise {
+                p: input.take_f64()?,
+            },
+            2 => AdversaryModel::PeriodicJam {
+                period: input.take_u64()?,
+                burst: input.take_u64()?,
+                phase: input.take_u64()?,
+            },
+            3 => {
+                let n = input.take_usize()?;
+                let mut bursts = Vec::with_capacity(n.min(1 << 20));
+                for _ in 0..n {
+                    bursts.push((input.take_u64()?, input.take_u64()?));
+                }
+                AdversaryModel::ScheduledJam { bursts }
+            }
+            4 => AdversaryModel::BudgetedReactiveJam {
+                budget: input.take_u64()?,
+                trigger: match input.take_u32()? {
+                    0 => JamTrigger::NearSuccess,
+                    1 => JamTrigger::Contended,
+                    _ => return Err(WireError::Malformed("unknown jam trigger tag")),
+                },
+            },
+            _ => return Err(WireError::Malformed("unknown jamming model tag")),
+        };
+        model
+            .validate()
+            .map_err(|_| WireError::Malformed("invalid jamming model"))?;
+        Ok(model)
     }
 }
 
@@ -184,120 +243,6 @@ fn normalise_intervals(bursts: &[(u64, u64)]) -> Vec<(u64, u64)> {
         }
     }
     merged
-}
-
-impl fmt::Display for AdversaryModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdversaryModel::None => write!(f, "none"),
-            AdversaryModel::StochasticNoise { p } => write!(f, "noise:{p}"),
-            AdversaryModel::PeriodicJam {
-                period,
-                burst,
-                phase,
-            } => write!(f, "periodic:{period}:{burst}:{phase}"),
-            AdversaryModel::ScheduledJam { bursts } => {
-                write!(f, "scheduled:")?;
-                for (i, (start, len)) in normalise_intervals(bursts).iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{start}+{len}")?;
-                }
-                Ok(())
-            }
-            AdversaryModel::BudgetedReactiveJam { budget, trigger } => {
-                write!(f, "reactive:{budget}:{}", trigger.as_str())
-            }
-        }
-    }
-}
-
-impl FromStr for AdversaryModel {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        let (head, rest) = match text.split_once(':') {
-            Some((head, rest)) => (head, rest),
-            None => (text, ""),
-        };
-        let parse_u64 = |part: &str, what: &str| -> Result<u64, String> {
-            part.parse::<u64>()
-                .map_err(|_| format!("invalid {what} `{part}` in adversary config `{text}`"))
-        };
-        let model = match head {
-            "none" => AdversaryModel::None,
-            "noise" => AdversaryModel::StochasticNoise {
-                p: rest
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid noise probability `{rest}`"))?,
-            },
-            "periodic" => {
-                let mut parts = rest.split(':');
-                let mut next = |what: &str| {
-                    parts
-                        .next()
-                        .ok_or_else(|| format!("periodic jam is missing its {what}"))
-                };
-                let model = AdversaryModel::PeriodicJam {
-                    period: parse_u64(next("period")?, "period")?,
-                    burst: parse_u64(next("burst")?, "burst")?,
-                    phase: parse_u64(next("phase")?, "phase")?,
-                };
-                if parts.next().is_some() {
-                    return Err(format!("trailing components in `{text}`"));
-                }
-                model
-            }
-            "scheduled" => {
-                let mut bursts = Vec::new();
-                for pair in rest.split(',').filter(|p| !p.is_empty()) {
-                    let (start, len) = pair
-                        .split_once('+')
-                        .ok_or_else(|| format!("interval `{pair}` is not of the form S+L"))?;
-                    bursts.push((
-                        parse_u64(start, "interval start")?,
-                        parse_u64(len, "interval length")?,
-                    ));
-                }
-                // A slot covered by two intervals would be jammed "twice":
-                // normalisation merges the duplicates away, so a config
-                // naming a slot twice silently claims less jamming than it
-                // spells out. Reject it, naming the first double-counted
-                // slot, instead of guessing what was meant.
-                let mut occupied: Vec<(u64, u64)> =
-                    bursts.iter().copied().filter(|&(_, len)| len > 0).collect();
-                occupied.sort_unstable();
-                for window in occupied.windows(2) {
-                    let (prev_start, prev_len) = window[0];
-                    let (next_start, _) = window[1];
-                    if next_start < prev_start.saturating_add(prev_len) {
-                        return Err(format!(
-                            "scheduled jam covers slot {next_start} twice in `{text}`"
-                        ));
-                    }
-                }
-                AdversaryModel::ScheduledJam { bursts }
-            }
-            "reactive" => {
-                let (budget, trigger) = rest
-                    .split_once(':')
-                    .ok_or_else(|| format!("reactive jam `{text}` needs BUDGET:TRIGGER"))?;
-                let trigger = match trigger {
-                    "near-success" => JamTrigger::NearSuccess,
-                    "contended" => JamTrigger::Contended,
-                    other => return Err(format!("unknown jam trigger `{other}`")),
-                };
-                AdversaryModel::BudgetedReactiveJam {
-                    budget: parse_u64(budget, "budget")?,
-                    trigger,
-                }
-            }
-            other => return Err(format!("unknown adversary model `{other}`")),
-        };
-        model.validate()?;
-        Ok(model)
-    }
 }
 
 /// A complete adversarial scenario: a jamming model plus a feedback fault.
@@ -420,20 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_scheduled_slots_are_rejected_with_the_offending_slot() {
-        // Exact duplicate interval: slot 5 is covered twice.
-        let err = AdversaryModel::parse("scheduled:5+2,5+2").unwrap_err();
-        assert!(err.contains("slot 5"), "unhelpful error: {err}");
-        // Partial overlap: [0,5) and [3,5) double-cover slot 3.
-        let err = AdversaryModel::parse("scheduled:0+5,3+2").unwrap_err();
-        assert!(err.contains("slot 3"), "unhelpful error: {err}");
-        // Out-of-order but disjoint (and even adjacent) intervals are fine.
-        assert!(AdversaryModel::parse("scheduled:5+5,0+5").is_ok());
-        // Zero-length intervals cover nothing and cannot collide.
-        assert!(AdversaryModel::parse("scheduled:3+0,3+0,3+1").is_ok());
-    }
-
-    #[test]
     fn normalisation_deduplicates_identical_intervals() {
         // The search layer emits unordered, possibly duplicated candidates;
         // the canonical form must collapse them so the budget they spell out
@@ -488,8 +419,16 @@ mod tests {
         );
     }
 
+    /// Decodes `words` as one model and nothing else.
+    fn decode_all(words: &[u64]) -> Result<AdversaryModel, WireError> {
+        let mut input = Decoder::new(words);
+        let model = AdversaryModel::decode(&mut input)?;
+        input.finish()?;
+        Ok(model)
+    }
+
     #[test]
-    fn config_strings_round_trip() {
+    fn model_words_round_trip() {
         let models = [
             AdversaryModel::None,
             AdversaryModel::StochasticNoise { p: 0.125 },
@@ -512,28 +451,32 @@ mod tests {
             },
         ];
         for model in models {
-            let text = model.to_string();
-            let parsed = AdversaryModel::parse(&text).unwrap();
-            assert_eq!(parsed, model.normalised(), "config `{text}`");
+            let mut out = Encoder::new();
+            model.encode(&mut out);
+            assert_eq!(decode_all(&out.finish()), Ok(model.clone()), "{model:?}");
         }
     }
 
     #[test]
     fn malformed_configs_are_rejected() {
-        for bad in [
-            "bogus",
-            "noise:abc",
-            "noise:1.5",
-            "periodic:0:0:0",
-            "periodic:3",
-            "periodic:3:1:0:9",
-            "scheduled:5",
-            "scheduled:a+b",
-            "reactive:10",
-            "reactive:x:contended",
-            "reactive:10:sometimes",
+        // Each row is the word form of a config the old string format
+        // rejected: an unknown tag, an invalid or non-finite parameter, a
+        // missing or surplus word, an unknown trigger.
+        let nan = f64::NAN.to_bits();
+        for (config, words) in [
+            ("bogus", vec![9]),
+            ("noise:abc", vec![1, nan]),
+            ("noise:1.5", vec![1, 1.5f64.to_bits()]),
+            ("periodic:0:0:0", vec![2, 0, 0, 0]),
+            ("periodic:3", vec![2, 3]),
+            ("periodic:3:1:0:9", vec![2, 3, 1, 0, 9]),
+            ("scheduled:5", vec![3, 1, 5]),
+            ("scheduled:a+b", vec![3, 2, 0, 1]),
+            ("reactive:10", vec![4, 10]),
+            ("reactive:x:contended", vec![4]),
+            ("reactive:10:sometimes", vec![4, 10, 2]),
         ] {
-            assert!(AdversaryModel::parse(bad).is_err(), "accepted `{bad}`");
+            assert!(decode_all(&words).is_err(), "accepted `{config}`");
         }
     }
 

@@ -27,6 +27,7 @@
 
 use crate::model::{AdversaryModel, AdversaryScenario, JamTrigger};
 use mac_prob::rng::Xoshiro256pp;
+use mac_prob::wire::{Decoder, Encoder, WireError};
 use rand::{Rng, SeedableRng};
 
 /// Seed-derivation path tag used by every simulator for the adversary
@@ -99,36 +100,36 @@ impl AdversaryState {
         self.budget_left
     }
 
-    /// Captures the mutable run state — four RNG words, remaining budget,
-    /// schedule cursor — for an exact checkpoint. The jamming model and
-    /// feedback fault are configuration, not state: callers record the
-    /// [`AdversaryScenario`] separately (e.g. via its config-string round
-    /// trip) and rebuild the state with [`AdversaryState::new`] before
-    /// calling [`AdversaryState::restore_state_words`].
-    pub fn state_words(&self) -> [u64; 6] {
-        let rng = self.rng.state_words();
-        [
-            rng[0],
-            rng[1],
-            rng[2],
-            rng[3],
-            self.budget_left,
-            self.schedule_cursor as u64,
-        ]
+    /// Writes the mutable run state — four RNG words, the remaining budget
+    /// and the schedule cursor — into a checkpoint. The jamming model and
+    /// the feedback fault are configuration, not state: callers record the
+    /// [`AdversaryScenario`] separately ([`AdversaryModel::encode`]) and
+    /// rebuild the state with [`AdversaryState::new`] before
+    /// [`AdversaryState::decode`].
+    pub fn encode(&self, out: &mut Encoder) {
+        for w in self.rng.state_words() {
+            out.put_u64(w);
+        }
+        out.put_u64(self.budget_left);
+        out.put_usize(self.schedule_cursor);
     }
 
-    /// Restores the mutable run state captured by
-    /// [`AdversaryState::state_words`]; resumption is then bit-identical to
-    /// the uninterrupted run. Returns `false` if the cursor does not fit in
-    /// `usize` on this platform.
-    pub fn restore_state_words(&mut self, words: &[u64; 6]) -> bool {
-        let Ok(cursor) = usize::try_from(words[5]) else {
-            return false;
-        };
-        self.rng = Xoshiro256pp::from_state_words([words[0], words[1], words[2], words[3]]);
-        self.budget_left = words[4];
-        self.schedule_cursor = cursor;
-        true
+    /// Restores the run state written by [`AdversaryState::encode`] onto a
+    /// state built from the run's scenario; the run then continues
+    /// bit-identically to the uninterrupted one.
+    ///
+    /// # Errors
+    /// Returns a [`WireError`] on truncated input or a cursor that does
+    /// not fit in `usize`.
+    pub fn decode(&mut self, input: &mut Decoder<'_>) -> Result<(), WireError> {
+        let mut rng = [0u64; 4];
+        for w in &mut rng {
+            *w = input.take_u64()?;
+        }
+        self.rng = Xoshiro256pp::from_state_words(rng);
+        self.budget_left = input.take_u64()?;
+        self.schedule_cursor = input.take_usize()?;
+        Ok(())
     }
 
     /// Decides whether the adversary jams the given **busy** slot.

@@ -58,8 +58,6 @@ pub struct ArrivalStream {
     cursor: u64,
     /// Lookahead burst already produced but not yet consumed.
     pending: Option<(u64, u64)>,
-    /// Messages handed out so far (drives sharding and summaries).
-    emitted: u64,
 }
 
 impl ArrivalStream {
@@ -77,18 +75,12 @@ impl ArrivalStream {
             rng: Xoshiro256pp::seed_from_u64(seed),
             cursor: 0,
             pending: None,
-            emitted: 0,
         }
     }
 
     /// The (normalised) model this stream expands.
     pub fn model(&self) -> &ArrivalModel {
         &self.model
-    }
-
-    /// Messages emitted by [`ArrivalStream::next_burst`] so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// The next burst without consuming it.
@@ -109,10 +101,7 @@ impl ArrivalStream {
     /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
     pub fn next_burst(&mut self) -> Option<(u64, u64)> {
         let burst = self.peek();
-        if let Some((_, count)) = burst {
-            self.pending = None;
-            self.emitted += count;
-        }
+        self.pending = None;
         burst
     }
 
@@ -153,7 +142,6 @@ impl ArrivalStream {
             }
             None => out.put_bool(false),
         }
-        out.put_u64(self.emitted);
     }
 
     /// Inverse of [`ArrivalStream::encode`].
@@ -172,13 +160,11 @@ impl ArrivalStream {
         } else {
             None
         };
-        let emitted = input.take_u64()?;
         Ok(Self {
             model,
             rng: Xoshiro256pp::from_state_words(s),
             cursor,
             pending,
-            emitted,
         })
     }
 }
@@ -252,11 +238,6 @@ fn shard_of(salt: u64, index: u64, shards: u32) -> u32 {
     (mixed % u64::from(shards)) as u32
 }
 
-/// The word a [`ShardedArrivalStream`] checkpoint carries where its layout
-/// names the message→shard map. Uniform hashing is the only map, so this is
-/// the only word a decoder accepts.
-const UNIFORM_SHARDING: u32 = 0;
-
 /// One shard's view of a master [`ArrivalStream`]: keeps only the messages
 /// whose global index hashes to this shard, so the `n` shards of a sharded
 /// session partition the master sequence exactly.
@@ -324,7 +305,6 @@ impl ShardedArrivalStream {
         out.put_u64(self.salt);
         out.put_u32(self.shard);
         out.put_u32(self.shards);
-        out.put_u32(UNIFORM_SHARDING);
         out.put_u64(self.next_index);
     }
 
@@ -337,9 +317,6 @@ impl ShardedArrivalStream {
         let salt = input.take_u64()?;
         let shard = input.take_u32()?;
         let shards = input.take_u32()?;
-        if input.take_u32()? != UNIFORM_SHARDING {
-            return Err(WireError::Malformed("unknown shard strategy tag"));
-        }
         let next_index = input.take_u64()?;
         if shards == 0 || shard >= shards {
             return Err(WireError::Malformed("invalid shard configuration"));
@@ -384,7 +361,6 @@ mod tests {
         let mut stream = ArrivalStream::new(&ArrivalModel::batched(7), 0);
         assert_eq!(stream.peek(), Some((0, 7)));
         assert_eq!(drain(&mut stream), vec![(0, 7)]);
-        assert_eq!(stream.emitted(), 7);
 
         let mut empty = ArrivalStream::new(&ArrivalModel::batched(0), 0);
         assert_eq!(drain(&mut empty), vec![]);
@@ -410,7 +386,6 @@ mod tests {
             let schedule = model.sample(&mut rng);
             let mut stream = ArrivalStream::new(&model, seed);
             assert_eq!(drain(&mut stream), schedule_bursts(&schedule));
-            assert_eq!(stream.emitted(), schedule.len() as u64);
         }
     }
 
@@ -453,7 +428,6 @@ mod tests {
         dec.finish().unwrap();
         prefix.extend(drain(&mut resumed));
         assert_eq!(prefix, full);
-        assert_eq!(resumed.emitted(), unbroken.emitted());
     }
 
     #[test]
@@ -551,37 +525,6 @@ mod tests {
             let shard = shard_of(99, index, 8);
             assert!(shard < 8);
             assert_eq!(shard, shard_of(99, index, 8));
-        }
-    }
-
-    #[test]
-    fn sharded_codec_writes_the_uniform_tag_and_rejects_others() {
-        // The layout's strategy word is always UNIFORM_SHARDING; any other
-        // word is a checkpoint from a map this build does not have.
-        let model = ArrivalModel::batched(5);
-        let frame = |tag: u32| {
-            let mut enc = Encoder::new();
-            ArrivalStream::new(&model, 1).encode(&mut enc);
-            enc.put_u64(0x5417);
-            enc.put_u32(1);
-            enc.put_u32(3);
-            enc.put_u32(tag);
-            enc.put_u64(0);
-            enc.finish()
-        };
-        let mut enc = Encoder::new();
-        ShardedArrivalStream::new(ArrivalStream::new(&model, 1), 0x5417, 1, 3).encode(&mut enc);
-        let words = enc.finish();
-        assert_eq!(words, frame(UNIFORM_SHARDING));
-        let mut dec = Decoder::new(&words);
-        ShardedArrivalStream::decode(&mut dec).unwrap();
-        dec.finish().unwrap();
-        for tag in [1, 2, u32::MAX] {
-            let words = frame(tag);
-            assert!(matches!(
-                ShardedArrivalStream::decode(&mut Decoder::new(&words)),
-                Err(WireError::Malformed(_))
-            ));
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Rule `wire-version-hygiene`: the serialized layout of every checkpoint
 //! frame — the ordered field list each `checkpoint_words` emits, and the
 //! ordered emission sequence of every codec a frame embeds (each `encode`
-//! or `encode_*` function, method or free, in the [`ENCODE_FILES`]) — is
+//! or `encode_*` function, method or free, in the [`ENCODE_FILES`]) and of
+//! the two frame writers themselves (the session's and the fleet's
+//! `checkpoint`) — is
 //! fingerprinted into a committed ledger (`crates/lint/wire.ledger`).
 //! Changing a layout without bumping `CHECKPOINT_VERSION` fails the lint:
 //! an old checkpoint would otherwise decode into garbage *silently*,
@@ -28,18 +30,20 @@ pub const SESSION_FILE: &str = "crates/sim/src/session/frame.rs";
 
 /// Files whose codec bodies are frame layouts: the session modules (the
 /// frame, the options and arrival feed, the watchdog, the sharded driver),
-/// the kind table (the protocol kind a session frame records), the engine
-/// cores (fair, window, cohort) whose payloads a session frame embeds and
-/// the run state whose codec pieces (identity, tally, streams, latency
-/// record) every core payload calls, the arrival streams and shard views a
-/// dynamic payload carries, and the kernel caches and latency sketches the
-/// cores carry verbatim.
-pub const ENCODE_FILES: [&str; 13] = [
+/// the kind table (the protocol kind a session frame records), the jamming
+/// model and the adversary state (the options' model and the run state's
+/// adversary words), the engine cores (fair, window, cohort) whose words a
+/// session frame carries and the run state every frame writes as one
+/// block, the arrival streams and shard views a dynamic frame carries, and
+/// the kernel caches and latency sketches the cores carry verbatim.
+pub const ENCODE_FILES: [&str; 15] = [
     SESSION_FILE,
     "crates/sim/src/session.rs",
     "crates/sim/src/session/watchdog.rs",
     "crates/sim/src/session/sharded.rs",
     "crates/protocols/src/kind.rs",
+    "crates/adversary/src/model.rs",
+    "crates/adversary/src/state.rs",
     "crates/sim/src/aggregate.rs",
     "crates/sim/src/window.rs",
     "crates/sim/src/cohort.rs",
@@ -50,9 +54,10 @@ pub const ENCODE_FILES: [&str; 13] = [
     "crates/prob/src/sketch.rs",
 ];
 
-/// True for the name of a codec writer: `encode` or `encode_*`.
+/// True for the name of a codec writer: `encode`, `encode_*`, or a frame
+/// writer's `checkpoint`.
 fn is_codec(fn_name: &str) -> bool {
-    fn_name == "encode" || fn_name.starts_with("encode_")
+    fn_name == "encode" || fn_name.starts_with("encode_") || fn_name == "checkpoint"
 }
 
 /// One fingerprinted checkpoint frame.

@@ -295,13 +295,16 @@ fn wire_fixture_engine_core_payloads_are_fingerprinted() {
 
 /// The codecs a frame embeds outside the engine cores are fingerprinted
 /// too — free functions in the session module, the arrival streams' methods,
-/// the kind table's encoder and the run state's codec pieces. Swapping the
-/// first two words of the *real* `encode_options`, moving the *real*
-/// `ArrivalStream::encode`'s cursor word after `emitted`, swapping two
-/// same-typed parameter writes of the *real* `ProtocolKind::encode`
-/// (Log-fails Adaptive's `ξβ` and `ξt`), or swapping the `collisions` and
-/// `silent` writes of the *real* `RunState::encode_tally` must fail against
-/// the committed ledger under the same version.
+/// the kind table's encoder, the run state's codec and the adversary's
+/// model and state codecs. Swapping the first two words of the *real*
+/// `encode_options`, moving the *real* `ArrivalStream::encode`'s cursor word
+/// ahead of its RNG words, swapping two same-typed parameter writes of the
+/// *real* `ProtocolKind::encode` (Log-fails Adaptive's `ξβ` and `ξt`) or of
+/// the *real* `AdversaryModel::encode` (the periodic jammer's period and
+/// burst), swapping the `collisions` and `silent` writes of the *real*
+/// `RunState::encode`, or swapping the budget and cursor words of the
+/// *real* `AdversaryState::encode` must fail against the committed ledger
+/// under the same version.
 #[test]
 fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
     let root = workspace_root();
@@ -323,8 +326,8 @@ fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
             vec![
                 ("        out.put_u64(self.cursor);\n", ""),
                 (
-                    "        out.put_u64(self.emitted);\n",
-                    "        out.put_u64(self.emitted);\n        out.put_u64(self.cursor);\n",
+                    "        encode_model(&self.model, out);\n",
+                    "        encode_model(&self.model, out);\n        out.put_u64(self.cursor);\n",
                 ),
             ],
         ),
@@ -338,10 +341,26 @@ fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
         ),
         (
             "crates/sim/src/run_state.rs",
-            "crates/sim/src/run_state.rs::RunState::encode_tally",
+            "crates/sim/src/run_state.rs::RunState::encode",
             vec![(
                 "        out.put_u64(self.collisions);\n        out.put_u64(self.silent);\n",
                 "        out.put_u64(self.silent);\n        out.put_u64(self.collisions);\n",
+            )],
+        ),
+        (
+            "crates/adversary/src/model.rs",
+            "crates/adversary/src/model.rs::AdversaryModel::encode",
+            vec![(
+                "                out.put_u64(*period);\n                out.put_u64(*burst);\n",
+                "                out.put_u64(*burst);\n                out.put_u64(*period);\n",
+            )],
+        ),
+        (
+            "crates/adversary/src/state.rs",
+            "crates/adversary/src/state.rs::AdversaryState::encode",
+            vec![(
+                "        out.put_u64(self.budget_left);\n        out.put_usize(self.schedule_cursor);\n",
+                "        out.put_usize(self.schedule_cursor);\n        out.put_u64(self.budget_left);\n",
             )],
         ),
     ];

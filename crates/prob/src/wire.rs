@@ -11,8 +11,7 @@
 //!   including signed zeros, subnormals and NaN payloads, which is what the
 //!   bit-identity contract requires (a decimal round trip would not be);
 //! * strings are stored as a length word followed by little-endian packed
-//!   bytes (used for the adversary-model config strings, which already have
-//!   a canonical `Display`/`FromStr` round trip);
+//!   bytes (used for the panic messages a fleet's shard health records);
 //! * the whole word stream converts to/from little-endian bytes for storage.
 //!
 //! Decoding is checked: a truncated or malformed stream yields a

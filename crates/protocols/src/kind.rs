@@ -11,8 +11,6 @@
 //!   kind becomes a protocol state);
 //! * the wire tag and parameters a checkpoint records
 //!   ([`ProtocolKind::encode`] / [`ProtocolKind::decode`]);
-//! * the checkpoint tag of each engine that runs the kind
-//!   ([`ProtocolKind::engine_tag`]);
 //! * Table 1's "Analysis" entry ([`ProtocolKind::analysis_label`]).
 //!
 //! A new variant does not compile until it has its entry in every match
@@ -93,19 +91,6 @@ pub enum ProtocolFamily {
     Fair,
     /// Stations pick one uniform slot per window of a deterministic schedule.
     Window,
-}
-
-/// The engines a session checkpoint can name: `mac-sim`'s fair aggregate
-/// engine, its window engine and its cohort engine. With the protocol kind,
-/// the engine keys the checkpoint's engine tag ([`ProtocolKind::engine_tag`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The fair aggregate engine (batched fair sessions).
-    Fair,
-    /// The window balls-in-bins engine (batched window sessions).
-    Window,
-    /// The cohort engine (dynamic sessions).
-    Cohort,
 }
 
 /// Receives the concrete protocol state a [`ProtocolKind`] describes, from
@@ -252,33 +237,6 @@ impl ProtocolKind {
         self.visit(k, Node)
     }
 
-    /// The checkpoint engine tag of this kind on `engine`: the fair and
-    /// cohort engines carry one tag per fair protocol, the window engine one
-    /// tag for every schedule, and `None` marks an engine that cannot run
-    /// the kind. The values are wire format — a checkpoint must map back to
-    /// the engine that wrote it — so they never change and a new pair takes
-    /// the next free value.
-    pub fn engine_tag(&self, engine: Engine) -> Option<u32> {
-        use ProtocolKind as K;
-        match (engine, self) {
-            (Engine::Fair, K::OneFailAdaptive { .. }) => Some(0),
-            (Engine::Fair, K::LogFailsAdaptive { .. }) => Some(1),
-            (Engine::Fair, K::KnownKOracle) => Some(2),
-            (Engine::Window, _) => Some(3),
-            (Engine::Cohort, K::OneFailAdaptive { .. }) => Some(4),
-            (Engine::Cohort, K::LogFailsAdaptive { .. }) => Some(5),
-            (Engine::Cohort, K::KnownKOracle) => Some(6),
-            (Engine::Cohort, K::RandomizedParityOneFail { .. }) => Some(7),
-            (Engine::Fair, K::RandomizedParityOneFail { .. }) => Some(8),
-            (
-                Engine::Fair | Engine::Cohort,
-                K::ExpBackonBackoff { .. }
-                | K::LoglogIteratedBackoff { .. }
-                | K::RExponentialBackoff { .. },
-            ) => None,
-        }
-    }
-
     /// The "Analysis" column entry of Table 1: the proven slots-per-message
     /// constant, or the asymptotic shape where the paper gives one.
     pub fn analysis_label(&self) -> String {
@@ -315,7 +273,7 @@ impl ProtocolKind {
     }
 
     /// Writes the kind into a checkpoint: its wire tag, then its parameters.
-    /// Like the engine tags, the wire tags never change.
+    /// The wire tags never change.
     pub fn encode(&self, out: &mut Encoder) {
         match self {
             ProtocolKind::OneFailAdaptive { delta } => {
@@ -414,38 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_tags_are_pinned() {
-        // Frozen wire values: a checkpoint resumes only if the reading build
-        // maps its tag back to the engine the writing build used.
-        let lfa = ProtocolKind::LogFailsAdaptive {
-            xi_delta: 0.1,
-            xi_beta: 0.1,
-            xi_t: 0.5,
-        };
-        let ebb = ProtocolKind::ExpBackonBackoff { delta: 0.366 };
-        let oracle = ProtocolKind::KnownKOracle;
-        let table = [
-            (Engine::Fair, &ofa(), Some(0)),
-            (Engine::Fair, &lfa, Some(1)),
-            (Engine::Fair, &oracle, Some(2)),
-            (Engine::Window, &ebb, Some(3)),
-            (Engine::Cohort, &ofa(), Some(4)),
-            (Engine::Cohort, &lfa, Some(5)),
-            (Engine::Cohort, &oracle, Some(6)),
-            (Engine::Cohort, &rp_ofa(), Some(7)),
-            (Engine::Fair, &rp_ofa(), Some(8)),
-            (Engine::Fair, &ebb, None),
-            (Engine::Cohort, &ebb, None),
-        ];
-        for (engine, kind, tag) in table {
-            assert_eq!(kind.engine_tag(engine), tag, "{engine:?} {}", kind.label());
-        }
-    }
-
-    #[test]
     fn kind_wire_tags_are_pinned() {
-        // Frozen wire values, like the engine tags: the variant's position
-        // in `every_kind` is its tag.
+        // Frozen wire values: the variant's position in `every_kind` is its
+        // tag.
         for (tag, kind) in every_kind().iter().enumerate() {
             let mut out = Encoder::new();
             kind.encode(&mut out);

@@ -59,12 +59,11 @@
 
 use crate::result::{RunOptions, RunResult};
 use crate::run_state::{LatencyRecorder, RunState};
-use crate::session::SessionEngine;
-use mac_adversary::{AdversaryScenario, SlotClass};
+use crate::session::{Engine, SessionEngine};
+use mac_adversary::SlotClass;
 use mac_prob::binomial::SlotKernelCache;
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::kind::Engine;
 use mac_protocols::FairProtocol;
 use rand::Rng;
 
@@ -74,6 +73,8 @@ use rand::Rng;
 pub(crate) struct FairEngineCore<P> {
     run: RunState,
     state: P,
+    /// The active count, `run.remaining` as `f64` (kept beside it so the
+    /// slot loop converts nothing; checkpoints write only `remaining`).
     m: f64,
     adversarial: bool,
     cache: SlotKernelCache,
@@ -115,51 +116,25 @@ impl<P: FairProtocol> FairEngineCore<P> {
         }
     }
 
-    /// Serialises the full loop state. Returns `false` (leaving the encoder
-    /// untouched beyond the attempt) if the protocol does not support state
-    /// extraction.
-    pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
-        let Some(protocol_words) = self.state.checkpoint_words() else {
-            return false;
-        };
-        self.run.encode_identity(out);
-        out.put_u64(self.run.remaining);
-        out.put_f64(self.m);
-        self.run.encode_tally(out);
-        out.put_words(&protocol_words);
-        self.run.encode_streams(out);
-        self.cache.encode(out);
-        self.run.latencies.encode(out);
-        true
-    }
-
-    /// Rebuilds a core from [`FairEngineCore::encode`]d words whose leading
-    /// `k` the caller has already read. `state` is a fresh protocol built
-    /// for that `k` (its incremental state is then overwritten verbatim from
-    /// the checkpoint), and `scenario` must be the run's original adversary
-    /// configuration.
+    /// Rebuilds a core from [`SessionEngine::encode`]d words around its
+    /// decoded run state `run`. `state` is a fresh protocol built for the
+    /// run's `k` (its incremental state is then overwritten verbatim from
+    /// the checkpoint). The active count is the remaining count, which a
+    /// batched run never leaves.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
-        k: u64,
+        run: RunState,
         mut state: P,
-        scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
-        let mut run = RunState::decode_identity(input, k, scenario)?;
-        run.remaining = input.take_u64()?;
-        let m = input.take_f64()?;
-        run.decode_tally(input)?;
-        let protocol_words = input.take_words()?;
-        run.decode_streams(input)?;
-        let cache = SlotKernelCache::decode(input)?;
-        run.latencies = LatencyRecorder::decode(input)?;
-        if !state.restore_words(protocol_words) {
+        if !state.restore_words(input.take_words()?) {
             return Err(WireError::Malformed("protocol state words rejected"));
         }
+        let cache = SlotKernelCache::decode(input)?;
         let adversarial = run.adversary.is_active();
         Ok(Self {
+            m: run.remaining as f64,
             run,
             state,
-            m,
             adversarial,
             cache,
         })
@@ -253,7 +228,14 @@ impl<P: FairProtocol + 'static> SessionEngine for FairEngineCore<P> {
         let recorded = self.run.latencies.exact.as_deref();
         self.run.result(label, self.run.max_slots, 0, recorded)
     }
-    fn encode_payload(&self, out: &mut Encoder) -> bool {
-        self.encode(out)
+    /// Writes the protocol state words and both kernel cache lines
+    /// (`false` if the protocol does not support state extraction).
+    fn encode(&self, out: &mut Encoder) -> bool {
+        let Some(protocol_words) = self.state.checkpoint_words() else {
+            return false;
+        };
+        out.put_words(&protocol_words);
+        self.cache.encode(out);
+        true
     }
 }

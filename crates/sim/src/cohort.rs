@@ -69,12 +69,11 @@ use crate::result::{RunOptions, RunResult};
 use crate::run_state::{
     decode_optional_slots, encode_optional_slots, preallocated, LatencyRecorder, RunState,
 };
-use crate::session::{Session, SessionEngine, StreamFeed, StreamSource};
-use mac_adversary::{AdversaryScenario, SlotClass};
+use crate::session::{Engine, Session, SessionEngine, StreamFeed, StreamSource};
+use mac_adversary::SlotClass;
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
 use mac_prob::cohort::{relative_gap, CohortKernel};
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::kind::Engine;
 use mac_protocols::{FairProtocol, ParameterError, ProtocolKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -266,61 +265,17 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
         }
     }
 
-    /// Serialises the full loop state except the feed and the prototype,
-    /// which the session layer reconstructs and restores separately
-    /// (`false` if the protocol does not support state extraction).
-    pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
-        let mut cohort_words: Vec<Vec<u64>> = Vec::with_capacity(self.cohorts.len());
-        for cohort in &self.cohorts {
-            let Some(words) = cohort.state.checkpoint_words() else {
-                return false;
-            };
-            cohort_words.push(words);
-        }
-        self.run.encode_identity(out);
-        // The retired merge tolerance's word: merging is bit-exact.
-        out.put_f64(0.0);
-        out.put_u64(self.max_live_cohorts);
-        out.put_u64(self.run.remaining);
-        self.run.encode_tally(out);
-        out.put_u64(self.merges);
-        out.put_u64(self.peak_cohorts as u64);
-        out.put_u64(self.slots_to_merge_scan);
-        out.put_usize(self.cohorts.len());
-        for (cohort, words) in self.cohorts.iter().zip(&cohort_words) {
-            out.put_words(words);
-            out.put_u64(cohort.m);
-            out.put_usize(cohort.groups.len());
-            for &(arrival, count) in &cohort.groups {
-                out.put_u64(arrival);
-                out.put_u64(count);
-            }
-        }
-        self.kernel.encode(out);
-        self.run.encode_streams(out);
-        encode_optional_slots(self.delivery_slots.as_deref(), out);
-        self.run.latencies.encode(out);
-        true
-    }
-
-    /// Rebuilds a core from [`CohortEngineCore::encode`]d words. `feed` must
-    /// already be restored to its checkpointed position, `prototype` must be
-    /// built from the run's original kind and message count, and `scenario`
-    /// must be the run's original adversary configuration.
+    /// Rebuilds a core from [`SessionEngine::encode`]d words around its
+    /// decoded run state `run`. `prototype` must be built from the run's
+    /// original kind and message count, and `max_live_cohorts` is the run's
+    /// class cap.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
-        feed: StreamFeed,
+        run: RunState,
         prototype: P,
-        scenario: &AdversaryScenario,
+        max_live_cohorts: u64,
     ) -> Result<Self, WireError> {
-        let k = input.take_u64()?;
-        let mut run = RunState::decode_identity(input, k, scenario)?;
-        if input.take_f64()?.to_bits() != 0 {
-            return Err(WireError::Malformed("nonzero cohort merge tolerance"));
-        }
-        let max_live_cohorts = input.take_u64()?;
-        run.remaining = input.take_u64()?;
-        run.decode_tally(input)?;
+        let feed = StreamFeed::decode(input)?;
         let merges = input.take_u64()?;
         let peak_cohorts = usize::try_from(input.take_u64()?)
             .map_err(|_| WireError::Malformed("peak cohort count exceeds usize"))?;
@@ -371,14 +326,12 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             .try_fold(feed.pending_messages(), |sum, cohort| {
                 sum.checked_add(cohort.m)
             });
-        if undelivered != Some(run.remaining) || run.remaining > k {
+        if undelivered != Some(run.remaining) {
             return Err(WireError::Malformed(
                 "remaining count differs from the live and pending messages",
             ));
         }
-        run.decode_streams(input)?;
         let delivery_slots = decode_optional_slots(input)?;
-        run.latencies = LatencyRecorder::decode(input)?;
         let adversarial = run.adversary.is_active();
         Ok(Self {
             run,
@@ -564,13 +517,33 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
             peak_cohorts: self.peak_cohorts,
         })
     }
-    /// The message count leads (the decoder rebuilds the prototype state
-    /// from it before the core decodes), then the arrival feed, then the
-    /// core.
-    fn encode_payload(&self, out: &mut Encoder) -> bool {
-        out.put_u64(self.run.k);
+    /// Writes the arrival feed, the merge diagnostics and clock, every
+    /// cohort (protocol state words, size, arrival groups), the kernel
+    /// caches and the delivery slots (`false`, with the frame left to be
+    /// discarded, if the protocol does not support state extraction). The
+    /// prototype and the class cap are rebuilt from the kind and the
+    /// options.
+    fn encode(&self, out: &mut Encoder) -> bool {
         self.feed.encode(out);
-        self.encode(out)
+        out.put_u64(self.merges);
+        out.put_u64(self.peak_cohorts as u64);
+        out.put_u64(self.slots_to_merge_scan);
+        out.put_usize(self.cohorts.len());
+        for cohort in &self.cohorts {
+            let Some(words) = cohort.state.checkpoint_words() else {
+                return false;
+            };
+            out.put_words(&words);
+            out.put_u64(cohort.m);
+            out.put_usize(cohort.groups.len());
+            for &(arrival, count) in &cohort.groups {
+                out.put_u64(arrival);
+                out.put_u64(count);
+            }
+        }
+        self.kernel.encode(out);
+        encode_optional_slots(self.delivery_slots.as_deref(), out);
+        true
     }
 }
 
@@ -773,7 +746,7 @@ impl MergeScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mac_adversary::AdversaryModel;
+    use mac_adversary::{AdversaryModel, AdversaryScenario};
     use mac_prob::rng::Xoshiro256pp;
     use mac_prob::stats::StreamingStats;
     use rand::SeedableRng;

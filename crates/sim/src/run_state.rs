@@ -7,15 +7,12 @@
 //! clock and its tally (makespan, collisions, silence, jammed deliveries),
 //! the protocol RNG, the adversary's dynamic state and the latency record.
 //! That state lives in one [`RunState`], with one constructor, one
-//! delivery step, one [`RunResult`] builder and one set of codec pieces;
-//! each core keeps only its model's state beside it, and resolves its
-//! slots itself.
+//! delivery step, one [`RunResult`] builder and one codec; each core keeps
+//! only its model's state beside it, and resolves its slots itself.
 //!
-//! The codec comes in pieces — identity, tally, streams and the record
-//! ([`LatencyRecorder::encode`]) — because each core's checkpoint
-//! interleaves them with its own words (see `DESIGN.md` §9); a core calls
-//! each piece where its frame has those words. The exact engine has no
-//! checkpoint and calls none of them.
+//! A session checkpoint writes the run state once, as one block ahead of
+//! the core's own words (see `DESIGN.md` §9). The exact engine has no
+//! checkpoint and never calls the codec.
 
 use crate::result::RunResult;
 use mac_adversary::{AdversaryScenario, AdversaryState, ADVERSARY_STREAM};
@@ -65,7 +62,7 @@ impl LatencyRecorder {
         }
     }
 
-    /// The record piece of a core's checkpoint.
+    /// The latency record's words, the last part of the run state's block.
     pub(crate) fn encode(&self, out: &mut Encoder) {
         encode_optional_slots(self.exact.as_deref(), out);
         match &self.streaming {
@@ -208,72 +205,61 @@ impl RunState {
         }
     }
 
-    /// Identity piece: the message count, the seed and the slot cap.
-    pub(crate) fn encode_identity(&self, out: &mut Encoder) {
+    /// Writes the whole run state: the message count, seed and slot cap,
+    /// the remaining count, the slot clock and its tally (makespan,
+    /// collisions, silent, jammed), the protocol RNG's 4 words, the
+    /// adversary's words and the latency record.
+    pub(crate) fn encode(&self, out: &mut Encoder) {
         out.put_u64(self.k);
         out.put_u64(self.seed);
         out.put_u64(self.max_slots);
-    }
-
-    /// Inverse of [`RunState::encode_identity`] after the leading `k`,
-    /// which the caller has read: the state a fresh run would start from,
-    /// which the later pieces overwrite. `scenario` must be the run's
-    /// original adversary configuration.
-    pub(crate) fn decode_identity(
-        input: &mut Decoder<'_>,
-        k: u64,
-        scenario: &AdversaryScenario,
-    ) -> Result<Self, WireError> {
-        let seed = input.take_u64()?;
-        let max_slots = input.take_u64()?;
-        let record = LatencyRecorder::new(k, false, None);
-        Ok(Self::new(k, seed, max_slots, scenario, record))
-    }
-
-    /// Tally piece: the slot clock, the makespan and the slot counts.
-    pub(crate) fn encode_tally(&self, out: &mut Encoder) {
+        out.put_u64(self.remaining);
         out.put_u64(self.slot);
         out.put_u64(self.makespan);
         out.put_u64(self.collisions);
         out.put_u64(self.silent);
         out.put_u64(self.jammed_deliveries);
-    }
-
-    /// Inverse of [`RunState::encode_tally`].
-    pub(crate) fn decode_tally(&mut self, input: &mut Decoder<'_>) -> Result<(), WireError> {
-        self.slot = input.take_u64()?;
-        self.makespan = input.take_u64()?;
-        self.collisions = input.take_u64()?;
-        self.silent = input.take_u64()?;
-        self.jammed_deliveries = input.take_u64()?;
-        Ok(())
-    }
-
-    /// Streams piece: the protocol RNG's 4 words, then the adversary's 6,
-    /// verbatim.
-    pub(crate) fn encode_streams(&self, out: &mut Encoder) {
         for w in self.rng.state_words() {
             out.put_u64(w);
         }
-        for w in self.adversary.state_words() {
-            out.put_u64(w);
-        }
+        self.adversary.encode(out);
+        self.latencies.encode(out);
     }
 
-    /// Inverse of [`RunState::encode_streams`].
-    pub(crate) fn decode_streams(&mut self, input: &mut Decoder<'_>) -> Result<(), WireError> {
-        let mut rng_words = [0u64; 4];
-        for w in &mut rng_words {
+    /// Inverse of [`RunState::encode`]. `scenario` must be the run's
+    /// original adversary configuration.
+    pub(crate) fn decode(
+        input: &mut Decoder<'_>,
+        scenario: &AdversaryScenario,
+    ) -> Result<Self, WireError> {
+        let k = input.take_u64()?;
+        let seed = input.take_u64()?;
+        let max_slots = input.take_u64()?;
+        let mut run = Self::new(
+            k,
+            seed,
+            max_slots,
+            scenario,
+            LatencyRecorder::new(k, false, None),
+        );
+        run.remaining = input.take_u64()?;
+        if run.remaining > k {
+            return Err(WireError::Malformed(
+                "more messages remain than the run has",
+            ));
+        }
+        run.slot = input.take_u64()?;
+        run.makespan = input.take_u64()?;
+        run.collisions = input.take_u64()?;
+        run.silent = input.take_u64()?;
+        run.jammed_deliveries = input.take_u64()?;
+        let mut rng = [0u64; 4];
+        for w in &mut rng {
             *w = input.take_u64()?;
         }
-        let mut adversary_words = [0u64; 6];
-        for w in &mut adversary_words {
-            *w = input.take_u64()?;
-        }
-        self.rng = Xoshiro256pp::from_state_words(rng_words);
-        if !self.adversary.restore_state_words(&adversary_words) {
-            return Err(WireError::Malformed("adversary state words rejected"));
-        }
-        Ok(())
+        run.rng = Xoshiro256pp::from_state_words(rng);
+        run.adversary.decode(input)?;
+        run.latencies = LatencyRecorder::decode(input)?;
+        Ok(run)
     }
 }

@@ -72,10 +72,8 @@ use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream};
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::kind::Engine;
 use mac_protocols::{FairProtocol, KindVisitor, ParameterError, ProtocolKind, WindowSchedule};
 use std::fmt;
-use std::str::FromStr;
 use watchdog::Watchdog;
 
 /// Seed-derivation path tag for the latency sketch's compaction coin
@@ -169,8 +167,9 @@ impl From<ParameterError> for SessionError {
 #[derive(Debug)]
 pub(crate) struct StreamFeed {
     source: StreamSource,
-    total: u64,
-    activated: u64,
+    /// Messages not yet handed to the engine: the lookahead burst and the
+    /// rest of the stream.
+    upcoming: u64,
     pending: Option<(u64, u64)>,
 }
 
@@ -198,16 +197,15 @@ impl StreamFeed {
     /// arrivals; returns the feed and the slot of the last arrival.
     fn new(source: StreamSource) -> (Self, Option<u64>) {
         let mut counter = source.clone();
-        let mut total = 0u64;
+        let mut upcoming = 0u64;
         let mut last_arrival = None;
         while let Some((slot, count)) = counter.next_burst() {
-            total += count;
+            upcoming += count;
             last_arrival = Some(slot);
         }
         let feed = Self {
             source,
-            total,
-            activated: 0,
+            upcoming,
             pending: None,
         };
         (feed, last_arrival)
@@ -227,7 +225,7 @@ impl StreamFeed {
             match self.pending {
                 Some((burst_slot, burst_count)) if burst_slot <= slot => {
                     count += burst_count;
-                    self.activated += burst_count;
+                    self.upcoming -= burst_count;
                     self.pending = None;
                 }
                 _ => break,
@@ -244,7 +242,7 @@ impl StreamFeed {
 
     /// Messages not yet handed to the engine (for `never_activated`).
     pub(crate) fn pending_messages(&self) -> u64 {
-        self.total - self.activated
+        self.upcoming
     }
 
     pub(crate) fn encode(&self, out: &mut Encoder) {
@@ -258,8 +256,6 @@ impl StreamFeed {
                 s.encode(out);
             }
         }
-        out.put_u64(self.total);
-        out.put_u64(self.activated);
         match self.pending {
             Some((slot, count)) => {
                 out.put_bool(true);
@@ -270,14 +266,15 @@ impl StreamFeed {
         }
     }
 
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
+    /// Inverse of [`StreamFeed::encode`]. The messages still to come are
+    /// recounted from the stream, which costs what the construction
+    /// pre-pass costs for the rest of the stream.
+    pub(crate) fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
         let source = match input.take_u32()? {
             0 => StreamSource::Plain(ArrivalStream::decode(input)?),
             1 => StreamSource::Sharded(ShardedArrivalStream::decode(input)?),
             _ => return Err(WireError::Malformed("unknown arrival source tag")),
         };
-        let total = input.take_u64()?;
-        let activated = input.take_u64()?;
         let pending = if input.take_bool()? {
             let slot = input.take_u64()?;
             let count = input.take_u64()?;
@@ -285,34 +282,36 @@ impl StreamFeed {
         } else {
             None
         };
-        // The messages still to come must be exactly the ones the stream
-        // will emit, or the cohort core's accounting breaks. Recounting
-        // costs what the construction pre-pass costs for the rest of the
-        // stream.
         let mut rest = source.clone();
         let mut upcoming = pending.map_or(0, |(_, count)| count);
         while let Some((_, count)) = rest.next_burst() {
             upcoming = upcoming.saturating_add(count);
         }
-        if total.checked_sub(activated) != Some(upcoming) {
-            return Err(WireError::Malformed(
-                "arrival feed count differs from what its stream will emit",
-            ));
-        }
         Ok(Self {
             source,
-            total,
-            activated,
+            upcoming,
             pending,
         })
     }
+}
+
+/// The engine a session frame names in its engine word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// The fair aggregate engine (batched fair sessions).
+    Fair = 0,
+    /// The window balls-in-bins engine (batched window sessions).
+    Window = 1,
+    /// The cohort engine (dynamic sessions).
+    Cohort = 2,
 }
 
 /// The engine behind a [`Session`]: one of the three generic cores, boxed
 /// so a session pays one virtual call per advance chunk while each core's
 /// slot loop stays monomorphic over its protocol state. Every core keeps
 /// its run accounting in one [`RunState`], which the clock and count
-/// queries read.
+/// queries read and which the session checkpoints ahead of the core's own
+/// words.
 pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn engine(&self) -> Engine;
     fn run_state(&self) -> &RunState;
@@ -348,9 +347,10 @@ pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn feed(&self) -> Option<&StreamFeed> {
         None
     }
-    /// Writes the payload that follows the engine tag (`false` if the
-    /// protocol exposes no checkpointable state).
-    fn encode_payload(&self, out: &mut Encoder) -> bool;
+    /// Writes the core's own words, which follow the run state in a
+    /// checkpoint (`false` if the protocol exposes no checkpointable state;
+    /// the caller then discards the frame).
+    fn encode(&self, out: &mut Encoder) -> bool;
 }
 
 /// The batched visit of [`Session::batched`] and [`crate::simulate`]: the
@@ -407,14 +407,14 @@ impl KindVisitor for DynamicEngine<'_> {
     }
 }
 
-/// [`Session::resume`]'s visit: decodes the tagged engine's payload around
-/// the freshly visited state, whose incremental words the payload then
-/// overwrites verbatim.
+/// [`Session::resume`]'s visit: decodes the named engine's words around
+/// the decoded run state and the freshly visited state, whose incremental
+/// words the checkpoint then overwrites verbatim.
 struct DecodeEngine<'a, 'b> {
     engine: Engine,
-    k: u64,
+    run: RunState,
     input: &'a mut Decoder<'b>,
-    scenario: &'a AdversaryScenario,
+    options: &'a RunOptions,
 }
 
 impl KindVisitor for DecodeEngine<'_, '_> {
@@ -422,24 +422,16 @@ impl KindVisitor for DecodeEngine<'_, '_> {
 
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
         Ok(match self.engine {
-            Engine::Fair => Box::new(FairEngineCore::decode(
+            Engine::Fair => Box::new(FairEngineCore::decode(self.input, self.run, state)?),
+            Engine::Cohort => Box::new(CohortEngineCore::decode(
                 self.input,
-                self.k,
+                self.run,
                 state,
-                self.scenario,
+                self.options.max_live_cohorts,
             )?),
-            Engine::Cohort => {
-                let feed = StreamFeed::decode(self.input)?;
-                Box::new(CohortEngineCore::decode(
-                    self.input,
-                    feed,
-                    state,
-                    self.scenario,
-                )?)
-            }
             Engine::Window => {
                 return Err(WireError::Malformed(
-                    "window engine tag with a fair protocol kind",
+                    "window engine word with a fair protocol kind",
                 ))
             }
         })
@@ -448,10 +440,11 @@ impl KindVisitor for DecodeEngine<'_, '_> {
     fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
         if self.engine != Engine::Window {
             return Err(WireError::Malformed(
-                "fair engine tag with a window protocol kind",
+                "fair engine word with a window protocol kind",
             ));
         }
-        let core = WindowEngineCore::decode(self.input, self.k, schedule, self.scenario)?;
+        let scenario = &self.options.adversary;
+        let core = WindowEngineCore::decode(self.input, self.run, schedule, scenario)?;
         Ok(Box::new(core))
     }
 }
@@ -592,7 +585,7 @@ impl Session {
     ) -> Result<Option<Self>, ParameterError> {
         options.validate_adversary()?;
         let (feed, last_arrival) = StreamFeed::new(source);
-        let k = feed.total;
+        let k = feed.pending_messages();
         let sketch = (!exact_latencies)
             .then(|| StreamingLatencyStats::new(derive_seed(run_seed, &[SKETCH_STREAM])));
         let recorder = LatencyRecorder::new(k, exact_latencies, sketch);
@@ -627,7 +620,6 @@ impl Session {
         self.watchdog = config.map(|c| {
             let mut wd = Watchdog::new(StallConfig::new(c.window, c.policy));
             wd.last_progress_slot = self.slot();
-            wd.last_delivered = self.delivered();
             wd
         });
     }
@@ -690,6 +682,7 @@ impl Session {
                 );
                 chunk = chunk.min(kill.saturating_sub(self.slot()).max(1));
             }
+            let delivered_before = self.delivered();
             self.engine.advance(chunk, None);
             if let Some(kill) = self.kill_at_slot {
                 assert!(
@@ -705,11 +698,10 @@ impl Session {
                 self.is_finished(),
             );
             if let Some(wd) = &mut self.watchdog {
-                if delivered > wd.last_delivered || backlog == 0 {
+                if delivered > delivered_before || backlog == 0 {
                     // Progress: a delivery landed, or the channel is idle
                     // (an empty backlog cannot stall — the run is waiting
                     // for arrivals, not spinning on collisions).
-                    wd.last_delivered = delivered;
                     wd.last_progress_slot = slot;
                 } else if !finished
                     && slot >= wd.last_progress_slot.saturating_add(wd.config.window)
@@ -831,7 +823,6 @@ impl Session {
     /// expose checkpointable state (all built-in protocols do).
     pub fn checkpoint(&self) -> Result<Checkpoint, SessionError> {
         let mut out = open_frame(CheckpointKind::Session);
-        out.put_str(&self.label);
         self.kind.encode(&mut out);
         encode_options(&self.options, &mut out);
         match &self.watchdog {
@@ -841,13 +832,9 @@ impl Session {
             }
             None => out.put_bool(false),
         }
-        let Some(tag) = self.kind.engine_tag(self.engine.engine()) else {
-            return Err(SessionError::Unsupported(
-                "engine has no checkpoint tag for this protocol kind",
-            ));
-        };
-        out.put_u32(tag);
-        if !self.engine.encode_payload(&mut out) {
+        out.put_u32(self.engine.engine() as u32);
+        self.engine.run_state().encode(&mut out);
+        if !self.engine.encode(&mut out) {
             return Err(SessionError::Unsupported(
                 "protocol does not expose checkpointable state",
             ));
@@ -868,7 +855,6 @@ impl Session {
     pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Session)?;
         let mut input = Decoder::new(payload);
-        let label = input.take_str()?;
         let kind = ProtocolKind::decode(&mut input)?;
         let options = decode_options(&mut input)?;
         let watchdog = if input.take_bool()? {
@@ -876,53 +862,39 @@ impl Session {
         } else {
             None
         };
-        let tag = input.take_u32()?;
-        let engine = [Engine::Fair, Engine::Window, Engine::Cohort]
-            .into_iter()
-            .find(|&engine| kind.engine_tag(engine) == Some(tag))
-            .ok_or(WireError::Malformed(
-                "engine tag does not match the protocol kind",
-            ))?;
-        // Every engine payload leads with the message count the state is
+        let engine = match input.take_u32()? {
+            0 => Engine::Fair,
+            1 => Engine::Window,
+            2 => Engine::Cohort,
+            _ => return Err(WireError::Malformed("unknown engine word").into()),
+        };
+        // The run state leads with the message count the protocol state is
         // built for, so the decoder reads it and then visits.
-        let k = input.take_u64()?;
-        let engine = kind.visit(
-            k,
-            DecodeEngine {
-                engine,
-                k,
-                input: &mut input,
-                scenario: &options.adversary,
-            },
-        )??;
-        input.finish()?;
-        Ok(Self {
-            label,
-            kind,
-            options,
+        let run = RunState::decode(&mut input, &options.adversary)?;
+        let k = run.k;
+        let decode = DecodeEngine {
             engine,
-            watchdog,
-            kill_at_slot: None,
-        })
+            run,
+            input: &mut input,
+            options: &options,
+        };
+        let engine = kind.visit(k, decode)??;
+        input.finish()?;
+        let mut session = Self::with_engine(&kind, &options, engine);
+        session.watchdog = watchdog;
+        Ok(session)
     }
 }
 
 /// Run options travel in the checkpoint so a resume needs nothing but the
-/// buffer. The jamming model rides its config-string round trip (the state
-/// words capture the dynamic part; [`mac_adversary::AdversaryState::new`]
-/// normalises the model, and `Display`/`FromStr` round-trip the normalised
-/// form, so the restored cursor semantics match exactly).
+/// buffer. The jamming model is configuration, written as its own words;
+/// the run state carries the adversary's dynamic words.
 fn encode_options(options: &RunOptions, out: &mut Encoder) {
     out.put_u64(options.slot_cap_per_message);
     out.put_u64(options.min_slot_cap);
     out.put_bool(options.record_deliveries);
-    out.put_str(&options.adversary.jamming.to_string());
-    // The retired collision/empty confusion's word: no station can tell
-    // a collision from silence.
-    out.put_f64(0.0);
+    options.adversary.jamming.encode(out);
     out.put_f64(options.adversary.miss_delivery);
-    // The retired merge tolerance's word: merging is bit-exact.
-    out.put_f64(0.0);
     out.put_u64(options.max_live_cohorts);
 }
 
@@ -930,15 +902,8 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
     let slot_cap_per_message = input.take_u64()?;
     let min_slot_cap = input.take_u64()?;
     let record_deliveries = input.take_bool()?;
-    let jamming = AdversaryModel::from_str(&input.take_str()?)
-        .map_err(|_| WireError::Malformed("unparseable jamming model config"))?;
-    if input.take_f64()?.to_bits() != 0 {
-        return Err(WireError::Malformed("nonzero collision/empty confusion"));
-    }
+    let jamming = AdversaryModel::decode(input)?;
     let miss_delivery = input.take_f64()?;
-    if input.take_f64()?.to_bits() != 0 {
-        return Err(WireError::Malformed("nonzero cohort merge tolerance"));
-    }
     let max_live_cohorts = input.take_u64()?;
     let options = RunOptions {
         slot_cap_per_message,
@@ -1172,56 +1137,5 @@ mod tests {
         let mut words = session.checkpoint().unwrap().words;
         words.truncate(words.len() - 1);
         assert!(Session::resume(&Checkpoint { words }).is_err());
-    }
-
-    #[test]
-    fn retired_merge_tolerance_words_must_read_zero() {
-        // The options and the cohort core keep the retired merge
-        // tolerance's word, and the options the retired collision/empty
-        // confusion's: each is written as 0.0, and the decoders reject any
-        // other bits, negative zero included.
-        let rejected = [0.05f64.to_bits(), (-0.0f64).to_bits()];
-        let malformed =
-            |result: Result<(), WireError>| matches!(result, Err(WireError::Malformed(_)));
-        let mut out = Encoder::new();
-        let options = RunOptions::adversarial(AdversaryScenario::faulty_feedback(0.25));
-        encode_options(&options, &mut out);
-        let encoded = out.finish();
-        let decode = |words: &[u64]| decode_options(&mut Decoder::new(words));
-        assert_eq!(decode(&encoded), Ok(options));
-        // The options end with confusion, missed delivery, merge tolerance
-        // and the class cap.
-        let (confusion, tolerance) = (encoded.len() - 4, encoded.len() - 2);
-        for at in [confusion, tolerance] {
-            assert_eq!(encoded[at], 0);
-            for bits in rejected {
-                let mut words = encoded.clone();
-                words[at] = bits;
-                assert!(malformed(decode(&words).map(|_| ())));
-            }
-        }
-
-        let model = ArrivalModel::batched(4);
-        let feed = || StreamFeed::new(StreamSource::Plain(ArrivalStream::new(&model, 1)));
-        let (fresh, last_arrival) = feed();
-        let options = RunOptions::default();
-        let recorder = LatencyRecorder::new(4, false, None);
-        let oracle = mac_protocols::KnownKOracle::new(4);
-        let core = CohortEngineCore::new(fresh, last_arrival, oracle, 1, &options, recorder);
-        let mut out = Encoder::new();
-        assert!(core.encode(&mut out));
-        let mut words = out.finish();
-        // The word follows the run state's identity: k, seed and slot cap.
-        assert_eq!(words[3], 0);
-        let decode = |words: &[u64]| {
-            let scenario = AdversaryScenario::clean();
-            CohortEngineCore::decode(&mut Decoder::new(words), feed().0, oracle, &scenario)
-                .map(|_| ())
-        };
-        assert!(decode(&words).is_ok());
-        for bits in rejected {
-            words[3] = bits;
-            assert!(malformed(decode(&words)));
-        }
     }
 }

@@ -13,20 +13,17 @@ const CHECKPOINT_MAGIC: u64 = 0x4D41_4353_4553_5331; // "MACSESS1"
 /// First word of every serialised sharded-driver checkpoint.
 const SHARDED_MAGIC: u64 = 0x4D41_4353_4841_5244; // "MACSHARD"
 
-/// Checkpoint format version (bumped on any layout change).
+/// Checkpoint format version (bumped on any layout change; a reader
+/// rejects every other version).
 ///
-/// v1: the first session layout, no integrity frame. v2: integrity frame
-/// (length word + trailing digest) and watchdog / shard-health state. v3:
-/// cohort knobs (merge tolerance, live-class cap) in the options and the
-/// engine core, the randomised-parity protocol tag, and the
-/// shard-assignment strategy in sharded arrival streams. Engine tag 8
-/// (batched randomised parity) came later within v3 and changes no
-/// existing layout: an older v3 reader rejects it as an unknown engine tag
-/// instead of misdecoding it. The collision/empty-confusion,
-/// merge-tolerance and shard-strategy words later lost their knobs but keep
-/// their place: writers put `0.0`, `0.0` and `0`, and readers reject any
-/// other value.
-const CHECKPOINT_VERSION: u64 = 3;
+/// v4 writes each fact once, through the codec next to its type: a
+/// session frame holds the protocol kind, the run options (the jamming
+/// model as words), the watchdog, one engine word (fair, window or
+/// cohort), the run state as one block, and then only the engine's own
+/// words; a fleet frame holds the supervision policy, the shard count and
+/// each shard's session frame with its health. `crates/sim/DESIGN.md` §9
+/// lists every word with its owner.
+const CHECKPOINT_VERSION: u64 = 4;
 
 /// Words of frame overhead around a checkpoint payload: magic, version,
 /// total length, and the trailing digest.

@@ -112,7 +112,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ```
 #[derive(Debug)]
 pub struct ShardedSession {
-    label: String,
     shards: Vec<Session>,
     supervision: Option<ShardSupervision>,
     health: Vec<ShardHealth>,
@@ -166,7 +165,6 @@ impl ShardedSession {
         }
         let count = sessions.len();
         Ok(Self {
-            label: kind.label(),
             shards: sessions,
             supervision: None,
             health: vec![ShardHealth::default(); count],
@@ -416,9 +414,9 @@ impl ShardedSession {
     /// finishes when its slowest channel does), `completed` iff every
     /// shard completed.
     pub fn merged_result(&mut self) -> RunResult {
-        let label = self.label.clone();
+        let label = self.shards.first().map(Session::label).unwrap_or_default();
         let mut merged = RunResult {
-            protocol: label,
+            protocol: label.to_string(),
             k: 0,
             seed: 0,
             makespan: 0,
@@ -467,7 +465,6 @@ impl ShardedSession {
     /// Same conditions as [`Session::checkpoint`].
     pub fn checkpoint(&self) -> Result<Checkpoint, SessionError> {
         let mut out = open_frame(CheckpointKind::Sharded);
-        out.put_str(&self.label);
         match &self.supervision {
             Some(s) => {
                 out.put_bool(true);
@@ -506,7 +503,6 @@ impl ShardedSession {
     pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Sharded)?;
         let mut input = Decoder::new(payload);
-        let label = input.take_str()?;
         let supervision = if input.take_bool()? {
             Some(ShardSupervision {
                 max_retries: input.take_u32()?,
@@ -566,7 +562,6 @@ impl ShardedSession {
         input.finish()?;
         let last_good = vec![None; shards.len()];
         Ok(Self {
-            label,
             shards,
             supervision,
             health,

@@ -84,7 +84,6 @@ impl fmt::Display for StallReport {
 pub(super) struct Watchdog {
     pub(super) config: StallConfig,
     pub(super) last_progress_slot: u64,
-    pub(super) last_delivered: u64,
     pub(super) stall: Option<StallReport>,
 }
 
@@ -93,11 +92,12 @@ impl Watchdog {
         Self {
             config,
             last_progress_slot: 0,
-            last_delivered: 0,
             stall: None,
         }
     }
 
+    /// Writes the configuration, the progress clock and the first stall;
+    /// a report's window is the configured one and is not written again.
     pub(super) fn encode(&self, out: &mut Encoder) {
         out.put_u64(self.config.window);
         out.put_u32(match self.config.policy {
@@ -106,13 +106,11 @@ impl Watchdog {
             StallPolicy::Pause => 2,
         });
         out.put_u64(self.last_progress_slot);
-        out.put_u64(self.last_delivered);
         match &self.stall {
             Some(s) => {
                 out.put_bool(true);
                 out.put_u64(s.detected_at_slot);
                 out.put_u64(s.last_progress_slot);
-                out.put_u64(s.window);
                 out.put_u64(s.delivered);
                 out.put_u64(s.backlog);
             }
@@ -129,12 +127,11 @@ impl Watchdog {
             _ => return Err(WireError::Malformed("unknown stall policy tag")),
         };
         let last_progress_slot = input.take_u64()?;
-        let last_delivered = input.take_u64()?;
         let stall = if input.take_bool()? {
             Some(StallReport {
                 detected_at_slot: input.take_u64()?,
                 last_progress_slot: input.take_u64()?,
-                window: input.take_u64()?,
+                window,
                 delivered: input.take_u64()?,
                 backlog: input.take_u64()?,
             })
@@ -144,7 +141,6 @@ impl Watchdog {
         Ok(Self {
             config: StallConfig { window, policy },
             last_progress_slot,
-            last_delivered,
             stall,
         })
     }

@@ -48,12 +48,11 @@
 
 use crate::result::{RunOptions, RunResult};
 use crate::run_state::{LatencyRecorder, RunState};
-use crate::session::SessionEngine;
+use crate::session::{Engine, SessionEngine};
 use mac_adversary::{AdversaryScenario, SlotClass};
 use mac_prob::balls::{walk_window, walk_window_counts, WalkScratch};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
-use mac_protocols::kind::Engine;
 use mac_protocols::{ParameterError, ProtocolFamily, ProtocolKind, WindowSchedule};
 
 /// Fast simulator for window protocols (Exp Back-on/Back-off, Loglog-iterated
@@ -174,39 +173,17 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
         }
     }
 
-    /// Serialises the full loop state (`false` if the schedule does not
-    /// support state extraction).
-    pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
-        let Some(schedule_words) = self.schedule.checkpoint_words() else {
-            return false;
-        };
-        self.run.encode_identity(out);
-        out.put_u64(self.run.remaining);
-        self.run.encode_tally(out);
-        out.put_words(&schedule_words);
-        self.run.encode_streams(out);
-        self.run.latencies.encode(out);
-        true
-    }
-
-    /// Rebuilds a core from [`WindowEngineCore::encode`]d words whose
-    /// leading `k` the caller has already read. `schedule` is a freshly
-    /// constructed schedule of the run's kind (its incremental state is
-    /// overwritten verbatim), and `scenario` must be the run's original
-    /// adversary configuration.
+    /// Rebuilds a core from [`SessionEngine::encode`]d words around its
+    /// decoded run state `run`. `schedule` is a freshly constructed schedule
+    /// of the run's kind (its incremental state is overwritten verbatim),
+    /// and `scenario` must be the run's original adversary configuration.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
-        k: u64,
+        run: RunState,
         mut schedule: S,
         scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
-        let mut run = RunState::decode_identity(input, k, scenario)?;
-        run.remaining = input.take_u64()?;
-        run.decode_tally(input)?;
-        let schedule_words = input.take_words()?;
-        run.decode_streams(input)?;
-        run.latencies = LatencyRecorder::decode(input)?;
-        if !schedule.restore_words(schedule_words) {
+        if !schedule.restore_words(input.take_words()?) {
             return Err(WireError::Malformed("schedule state words rejected"));
         }
         Ok(Self {
@@ -334,8 +311,14 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
         let recorded = self.run.latencies.exact.as_deref();
         self.run.result(label, self.run.max_slots, 0, recorded)
     }
-    fn encode_payload(&self, out: &mut Encoder) -> bool {
-        self.encode(out)
+    /// Writes the schedule's state words (`false` if the schedule does not
+    /// support state extraction).
+    fn encode(&self, out: &mut Encoder) -> bool {
+        let Some(schedule_words) = self.schedule.checkpoint_words() else {
+            return false;
+        };
+        out.put_words(&schedule_words);
+        true
     }
 }
 

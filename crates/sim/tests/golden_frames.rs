@@ -1,4 +1,5 @@
-//! Golden checkpoint frames: one checkpoint per engine tag (0–8), a
+//! Golden checkpoint frames: every fair kind on the fair and the cohort
+//! engine and a window schedule on the window engine, a
 //! dynamic session whose watchdog has recorded a stall, two two-shard
 //! fleet frames (one plain, one supervised with a shard killed and
 //! retried), two saturated bounded-class sessions whose class cap binds
@@ -144,17 +145,14 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
     let mut fleet = ShardedSession::new(&ofa(), &poisson, 31, &clean, 2).unwrap();
     fleet.advance(700).unwrap();
     vec![
-        ("tag 0: fair OFA", batched(&ofa(), 400, 11, &clean, 900)),
+        ("fair OFA", batched(&ofa(), 400, 11, &clean, 900)),
+        ("fair LFA, jammed", batched(&lfa(), 300, 12, &jammed, 700)),
         (
-            "tag 1: fair LFA, jammed",
-            batched(&lfa(), 300, 12, &jammed, 700),
-        ),
-        (
-            "tag 2: fair oracle, recording deliveries",
+            "fair oracle, recording deliveries",
             batched(&ProtocolKind::KnownKOracle, 200, 13, &recording, 250),
         ),
         (
-            "tag 3: window EBB",
+            "window EBB",
             batched(
                 &ProtocolKind::ExpBackonBackoff { delta: 0.366 },
                 500,
@@ -163,26 +161,17 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
                 1_000,
             ),
         ),
+        ("cohort OFA", dynamic(&ofa(), &bursts, 15, &clean, 400)),
+        ("cohort LFA", dynamic(&lfa(), &poisson, 16, &clean, 1_200)),
         (
-            "tag 4: cohort OFA",
-            dynamic(&ofa(), &bursts, 15, &clean, 400),
-        ),
-        (
-            "tag 5: cohort LFA",
-            dynamic(&lfa(), &poisson, 16, &clean, 1_200),
-        ),
-        (
-            "tag 6: cohort oracle, capped",
+            "cohort oracle, capped",
             dynamic(&ProtocolKind::KnownKOracle, &poisson, 17, &capped, 1_500),
         ),
         (
-            "tag 7: cohort RP-OFA",
+            "cohort RP-OFA",
             dynamic(&rp_ofa(), &bursts, 18, &clean, 600),
         ),
-        (
-            "tag 8: fair RP-OFA",
-            batched(&rp_ofa(), 350, 19, &clean, 800),
-        ),
+        ("fair RP-OFA", batched(&rp_ofa(), 350, 19, &clean, 800)),
         ("sharded: 2-shard OFA fleet", fleet.checkpoint().unwrap()),
         ("cohort OFA, watchdog stall recorded", stalled()),
         (
@@ -223,50 +212,50 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
 
 /// `(frame, word count, trailing digest)`.
 const PINNED: [(&str, usize, u64); 17] = [
-    ("tag 0: fair OFA", 144, 0x0b58_28cb_dc43_49a2),
-    ("tag 1: fair LFA, jammed", 138, 0xe7ab_de46_6e3f_e97b),
+    ("fair OFA", 136, 0xc682_1f7a_083c_641c),
+    ("fair LFA, jammed", 131, 0x2ba8_c868_c3b4_3b9f),
     (
-        "tag 2: fair oracle, recording deliveries",
-        241,
-        0x9de4_5b67_caeb_16fa,
+        "fair oracle, recording deliveries",
+        234,
+        0xb141_46e1_c8fc_0b74,
     ),
-    ("tag 3: window EBB", 174, 0x8cbd_a8b0_ec56_5f23),
-    ("tag 4: cohort OFA", 185, 0xf3f3_c555_374f_7a75),
-    ("tag 5: cohort LFA", 216, 0xab14_d6ec_b8f0_d87e),
-    ("tag 6: cohort oracle, capped", 306, 0xa2ef_76db_7136_227a),
-    ("tag 7: cohort RP-OFA", 193, 0x1120_5c1e_0151_1cd9),
-    ("tag 8: fair RP-OFA", 156, 0xe7c4_9c5d_7c7c_af11),
-    ("sharded: 2-shard OFA fleet", 240, 0xcb7e_4aa4_f60e_c0bf),
+    ("window EBB", 167, 0x5de0_6bf0_d85a_8431),
+    ("cohort OFA", 171, 0x6e07_1121_2bd4_03cd),
+    ("cohort LFA", 201, 0x7d53_f929_8c69_ded1),
+    ("cohort oracle, capped", 293, 0x6dcc_8196_38af_85dc),
+    ("cohort RP-OFA", 178, 0xaccb_642a_a4f0_0415),
+    ("fair RP-OFA", 147, 0xd132_a6e3_b77c_f86f),
+    ("sharded: 2-shard OFA fleet", 208, 0x9a8b_c23a_33f3_d45b),
     (
         "cohort OFA, watchdog stall recorded",
-        144,
-        0x2598_37d4_f402_23f1,
+        129,
+        0xc8bc_b3ec_9610_c961,
     ),
     (
         "sharded: supervised fleet, shard 1 killed and retried",
-        256,
-        0x5404_1c22_5636_8b58,
+        224,
+        0x7df9_0124_1683_ca13,
     ),
     (
         "cohort oracle, saturated at cap 16",
-        4479,
-        0xf450_0891_4398_0815,
+        4467,
+        0x8432_7e97_e6d6_ce44,
     ),
     (
         "cohort RP-OFA, saturated at cap 8",
-        5270,
-        0xa6ad_dde6_45cf_fa47,
+        5256,
+        0xb45e_f34c_af7d_b361,
     ),
     (
         "window EBB, recording deliveries",
-        136,
-        0xd142_c25d_1c62_14c9,
+        129,
+        0x4c54_47f1_a6d1_4725,
     ),
-    ("window LLIB, jammed", 124, 0xf4ee_2cca_8b70_f560),
+    ("window LLIB, jammed", 119, 0xcd28_26b2_104e_6e76),
     (
         "cohort OFA, recording deliveries",
-        256,
-        0x454a_fa16_8891_9c5f,
+        242,
+        0x7c9b_c178_0c43_d684,
     ),
 ];
 

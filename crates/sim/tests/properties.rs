@@ -2,6 +2,7 @@
 
 use mac_channel::ArrivalModel;
 use mac_prob::rng::Xoshiro256pp;
+use mac_prob::wire::{Decoder, Encoder};
 use mac_protocols::ProtocolKind;
 use mac_sim::{
     simulate_with_options, AdversaryModel, AdversaryScenario, ExactSimulator, JamTrigger,
@@ -222,7 +223,7 @@ proptest! {
     }
 
     #[test]
-    fn adversary_configs_round_trip_through_their_config_strings(
+    fn adversary_models_round_trip_through_their_words(
         variant in 0usize..5,
         a in 0u64..500,
         b in 0u64..500,
@@ -230,13 +231,17 @@ proptest! {
         raw in prop::collection::vec(0u64..4_000, 0..7),
     ) {
         // The vendored serde is a no-op stub, so the honest round-trip goes
-        // through the config-string format (`Display`/`parse`); the serde
+        // through the checkpoint words (`encode`/`decode`); the serde
         // derives are exercised by compilation against the markers.
         let model = decode_adversary_model(variant, a, b, p, &raw);
-        let text = model.to_string();
-        let parsed = AdversaryModel::parse(&text)
-            .map_err(TestCaseError::fail)?;
-        prop_assert_eq!(parsed, model.normalised(), "config `{}`", text);
+        let mut out = Encoder::new();
+        model.encode(&mut out);
+        let words = out.finish();
+        let mut input = Decoder::new(&words);
+        let decoded = AdversaryModel::decode(&mut input)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert!(input.finish().is_ok(), "{:?} left words behind", model);
+        prop_assert_eq!(decoded, model);
     }
 
     // ------------------------------------------------------------------
