@@ -459,8 +459,8 @@ mod tests {
 
     #[test]
     fn malformed_configs_are_rejected() {
-        // Each row is the word form of a config the old string format
-        // rejected: an unknown tag, an invalid or non-finite parameter, a
+        // Each row: a malformed model in `kind:parameters` shorthand and its
+        // words — an unknown tag, an invalid or non-finite parameter, a
         // missing or surplus word, an unknown trigger.
         let nan = f64::NAN.to_bits();
         for (config, words) in [

@@ -499,7 +499,7 @@ impl ShardedSession {
     /// [`SessionError::Wire`] if the verified payload still fails to
     /// decode or describes a fleet [`ShardedSession::new`] never builds: no
     /// shard, or a shard whose arrival view names another index, fleet size
-    /// or salt.
+    /// or salt, or that runs another kind or options than the first shard.
     pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Sharded)?;
         let mut input = Decoder::new(payload);
@@ -520,8 +520,6 @@ impl ShardedSession {
         for index in 0..count {
             let words = input.take_words()?.to_vec();
             let shard = Session::resume(&Checkpoint { words })?;
-            // Shard `index` of `count` must keep its own share of one salted
-            // hash, as `new` builds it.
             let placement = match shard.engine.feed().map(|feed| &feed.source) {
                 Some(StreamSource::Sharded(stream)) => Some(stream.placement()),
                 _ => None,
@@ -529,12 +527,19 @@ impl ShardedSession {
             let Some((own, size, salt)) = placement else {
                 return Err(WireError::Malformed("fleet shard without a shard view").into());
             };
+            // Shard `index` of `count` keeps its own share of one salted
+            // hash and runs the fleet's one kind under its one set of
+            // options, as `new` builds it (the fleet's label is its first
+            // shard's).
+            let first = shards.first().unwrap_or(&shard);
             if own as usize != index
                 || size as usize != count
                 || *fleet_salt.get_or_insert(salt) != salt
+                || first.kind != shard.kind
+                || first.options != shard.options
             {
                 return Err(WireError::Malformed(
-                    "shard view names another index, fleet size or salt",
+                    "shard names another index, fleet size, salt, kind or options",
                 )
                 .into());
             }
@@ -567,5 +572,38 @@ impl ShardedSession {
             health,
             last_good,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fleet_shards_that_disagree_on_kind_or_options_are_malformed() {
+        // Shard 1 of a fleet spliced from another fleet on the same seed
+        // and arrivals: its view still names index 1 of 2 and the fleet's
+        // salt, but it runs another kind, or under another class cap.
+        let model = ArrivalModel::Bursts {
+            bursts: vec![(0, 20), (100, 20)],
+        };
+        let ofa = ProtocolKind::OneFailAdaptive { delta: 2.72 };
+        let rp_ofa = ProtocolKind::RandomizedParityOneFail { delta: 2.72 };
+        let clean = RunOptions::default();
+        let capped = RunOptions {
+            max_live_cohorts: 4,
+            ..RunOptions::default()
+        };
+        for (kind, options) in [(&rp_ofa, &clean), (&ofa, &capped)] {
+            let mut fleet = ShardedSession::new(&ofa, &model, 5, &clean, 2).unwrap();
+            let other = ShardedSession::new(kind, &model, 5, options, 2).unwrap();
+            fleet.shards.truncate(1);
+            fleet.shards.extend(other.shards.into_iter().skip(1));
+            let frame = fleet.checkpoint().unwrap();
+            assert!(matches!(
+                ShardedSession::resume(&frame),
+                Err(SessionError::Wire(WireError::Malformed(_)))
+            ));
+        }
     }
 }
