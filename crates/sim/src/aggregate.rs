@@ -119,8 +119,8 @@ impl<P: FairProtocol> FairEngineCore<P> {
     /// Rebuilds a core from [`SessionEngine::encode`]d words around its
     /// decoded run state `run`. `state` is a fresh protocol built for the
     /// run's `k` (its incremental state is then overwritten verbatim from
-    /// the checkpoint). The active count is the remaining count, which a
-    /// batched run never leaves.
+    /// the checkpoint). The active count `m` is rebuilt from the remaining
+    /// count, which it always equals.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
         run: RunState,
