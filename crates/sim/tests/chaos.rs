@@ -207,6 +207,52 @@ fn fleet_frames_that_new_cannot_write_are_malformed() {
 }
 
 #[test]
+fn dynamic_frames_whose_feed_owes_another_count_are_malformed() {
+    // A dynamic frame stores no count of the messages its feed still owes:
+    // resume recounts them by walking the rest of the stream, and rejects
+    // a frame whose count disagrees with the run state's. Re-sealed with
+    // one more message in a burst the stream has not emitted yet, or in
+    // the burst the feed holds as its lookahead, the frame passes its
+    // digest but owes a message the run never had.
+    let bursts = vec![(0, 20), (400, 23), (5_000, 29)];
+    let model = ArrivalModel::Bursts {
+        bursts: bursts.clone(),
+    };
+    let mut session = Session::dynamic(&ofa(), &model, 5, &RunOptions::default()).unwrap();
+    session.advance(100).unwrap();
+    let words = session.checkpoint().unwrap().words().to_vec();
+    // The model's words: its tag, the burst count, then each burst's slot
+    // and count in slot order.
+    let mut listed = vec![2, bursts.len() as u64];
+    listed.extend(bursts.iter().flat_map(|&(slot, count)| [slot, count]));
+    let at = (3..words.len())
+        .find(|&i| words[i..].starts_with(&listed))
+        .expect("the frame carries the bursts model");
+    let model_end = at + listed.len();
+    // By slot 100 the feed has taken the first burst and holds the second
+    // as its lookahead; the stream has not emitted the third.
+    let unemitted = at + 2 + 2 * 2 + 1;
+    let lookahead = (model_end..words.len())
+        .find(|&i| words[i..].starts_with(&[400, 23]))
+        .expect("the feed holds the second burst")
+        + 1;
+    assert_eq!((words[unemitted], words[lookahead]), (29, 23));
+    assert!(Session::resume(&reseal(words.clone())).is_ok());
+    for (what, index) in [
+        ("an unemitted burst", unemitted),
+        ("the feed's lookahead", lookahead),
+    ] {
+        let mut raised = words.clone();
+        raised[index] += 1;
+        match Session::resume(&reseal(raised)) {
+            Err(SessionError::Wire(WireError::Malformed(_))) => {}
+            Err(other) => panic!("{what}: unexpected error {other}"),
+            Ok(mut resumed) => panic!("{what}: resumed into {:?}", resumed.result()),
+        }
+    }
+}
+
+#[test]
 fn integrity_errors_carry_actionable_diagnostics() {
     let checkpoint = session_checkpoint();
     let words = checkpoint.words();
