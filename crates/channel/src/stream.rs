@@ -56,8 +56,6 @@ pub struct ArrivalStream {
     rng: Xoshiro256pp,
     /// Next Poisson slot to sample, or next burst index for `Bursts`.
     cursor: u64,
-    /// Lookahead burst already produced but not yet consumed.
-    pending: Option<(u64, u64)>,
 }
 
 impl ArrivalStream {
@@ -74,7 +72,6 @@ impl ArrivalStream {
             // would desynchronise the two.
             rng: Xoshiro256pp::seed_from_u64(seed),
             cursor: 0,
-            pending: None,
         }
     }
 
@@ -83,26 +80,13 @@ impl ArrivalStream {
         &self.model
     }
 
-    /// The next burst without consuming it.
-    ///
-    /// # Panics
-    /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
-    pub fn peek(&mut self) -> Option<(u64, u64)> {
-        if self.pending.is_none() {
-            self.pending = self.model.next_burst(&mut self.cursor, &mut self.rng);
-        }
-        self.pending
-    }
-
     /// The next `(slot, count)` burst with `count > 0`, in strictly
     /// increasing slot order; `None` once the stream is exhausted.
     ///
     /// # Panics
     /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
     pub fn next_burst(&mut self) -> Option<(u64, u64)> {
-        let burst = self.peek();
-        self.pending = None;
-        burst
+        self.model.next_burst(&mut self.cursor, &mut self.rng)
     }
 
     /// Runs a fresh stream over `model` to exhaustion in `O(1)` memory and
@@ -124,9 +108,9 @@ impl ArrivalStream {
         }
     }
 
-    /// Serialises the model and the dynamic state (cursor, pending burst,
-    /// RNG words) so that [`ArrivalStream::decode`] resumes the burst
-    /// sequence bit-identically.
+    /// Serialises the model and the dynamic state (RNG words, cursor) so
+    /// that [`ArrivalStream::decode`] resumes the burst sequence
+    /// bit-identically.
     pub fn encode(&self, out: &mut Encoder) {
         encode_model(&self.model, out);
         let s = self.rng.state_words();
@@ -134,14 +118,6 @@ impl ArrivalStream {
             out.put_u64(w);
         }
         out.put_u64(self.cursor);
-        match self.pending {
-            Some((slot, count)) => {
-                out.put_bool(true);
-                out.put_u64(slot);
-                out.put_u64(count);
-            }
-            None => out.put_bool(false),
-        }
     }
 
     /// Inverse of [`ArrivalStream::encode`].
@@ -155,16 +131,10 @@ impl ArrivalStream {
             *w = input.take_u64()?;
         }
         let cursor = input.take_u64()?;
-        let pending = if input.take_bool()? {
-            Some((input.take_u64()?, input.take_u64()?))
-        } else {
-            None
-        };
         Ok(Self {
             model,
             rng: Xoshiro256pp::from_state_words(s),
             cursor,
-            pending,
         })
     }
 }
@@ -359,7 +329,6 @@ mod tests {
     #[test]
     fn batched_stream_is_single_burst() {
         let mut stream = ArrivalStream::new(&ArrivalModel::batched(7), 0);
-        assert_eq!(stream.peek(), Some((0, 7)));
         assert_eq!(drain(&mut stream), vec![(0, 7)]);
 
         let mut empty = ArrivalStream::new(&ArrivalModel::batched(0), 0);
@@ -418,8 +387,6 @@ mod tests {
         for _ in 0..full.len() / 2 {
             prefix.push(first.next_burst().unwrap());
         }
-        // Peek before the checkpoint so the lookahead state is exercised.
-        let _ = first.peek();
         let mut enc = Encoder::new();
         first.encode(&mut enc);
         let words = enc.finish();

@@ -23,10 +23,9 @@ pub const SHARD_STREAM: u64 = 0x5AAD;
 /// shard is retried from its last good checkpoint before it is
 /// quarantined.
 ///
-/// Retries back off deterministically: after its `n`-th failure a shard
-/// sits out `2^(n-1)` supervision rounds (capped) before it is retried —
-/// a schedule on the driver's round clock, not wall time, so supervised
-/// recovery stays bit-reproducible.
+/// A failed shard is retried in the driver's next round, in parallel with
+/// any other failed shard. Shards are independent, so when a retry runs
+/// cannot change a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSupervision {
     /// Failures tolerated per shard before quarantine: the shard is
@@ -55,9 +54,6 @@ impl Default for ShardSupervision {
 pub struct ShardHealth {
     /// Cumulative thread failures (panics) of this shard.
     pub failures: u32,
-    /// Supervision rounds this shard still sits out before its next retry
-    /// (the deterministic backoff clock).
-    pub cooldown: u64,
     /// True once the shard exhausted its retries and was frozen at its
     /// last good checkpoint; a quarantined shard never runs again and the
     /// merged result is partial (`completed = false`).
@@ -65,10 +61,6 @@ pub struct ShardHealth {
     /// The most recent panic message, when one was captured.
     pub last_panic: Option<String>,
 }
-
-/// A shard's backoff doubles with each failure up to `2^MAX_BACKOFF_DOUBLINGS`
-/// supervision rounds, so no real run holds a longer cooldown.
-const MAX_BACKOFF_DOUBLINGS: u32 = 16;
 
 /// Extracts a human-readable message from a captured panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -93,7 +85,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The driver is fault-tolerant: shard thread panics are captured and
 /// surface as typed [`SessionError::ShardFailed`] errors, or — with
 /// [`ShardedSession::set_supervision`] armed — trigger retry from the
-/// shard's last good checkpoint with deterministic backoff and, after
+/// shard's last good checkpoint in the next round and, after
 /// `max_retries` failures, quarantine (the surviving shards finish and
 /// the merged result is partial). See DESIGN.md §10.
 ///
@@ -179,7 +171,7 @@ impl ShardedSession {
 
     /// Arms supervision (or disarms it with `None`): shard thread panics
     /// are captured and the shard is retried from its last good
-    /// checkpoint with deterministic exponential backoff; after
+    /// checkpoint in the next round; after
     /// [`ShardSupervision::max_retries`] failures the shard is
     /// quarantined and the driver degrades to a partial result.
     ///
@@ -238,8 +230,8 @@ impl ShardedSession {
     /// [`SessionError::ShardFailed`] (the other shards keep the progress
     /// they made). Supervised ([`ShardedSession::set_supervision`]), the
     /// failed shard is rolled back to its last good checkpoint and
-    /// retried after a deterministic backoff of `2^(n-1)` supervision
-    /// rounds; after `max_retries` failures it is quarantined — frozen at
+    /// retried in the next round; after `max_retries` failures it is
+    /// quarantined — frozen at
     /// its last good state — and the call keeps driving the surviving
     /// shards, so a single bad shard degrades the fleet to a partial
     /// result instead of sinking it.
@@ -253,35 +245,16 @@ impl ShardedSession {
         // need no more driving).
         let mut done = vec![false; n];
         loop {
-            // The shortest cooldown among the benched shards.
-            let mut next_retry: Option<u64> = None;
             let eligible: Vec<bool> = done
                 .iter()
                 .zip(&self.health)
                 .zip(&self.shards)
                 .map(|((&served, health), shard)| {
-                    if served || health.quarantined || shard.is_finished() {
-                        return false;
-                    }
-                    if health.cooldown > 0 {
-                        next_retry = Some(next_retry.unwrap_or(u64::MAX).min(health.cooldown));
-                        return false;
-                    }
-                    true
+                    !(served || health.quarantined || shard.is_finished())
                 })
                 .collect();
             if !eligible.contains(&true) {
-                let Some(rounds) = next_retry else {
-                    break;
-                };
-                // Every runnable shard is benched: run the backoff clock
-                // (deterministic — rounds, not wall time) forward to the
-                // round in which the first of them is retried, the state
-                // that ticking it one round at a time reaches.
-                for health in &mut self.health {
-                    health.cooldown = health.cooldown.saturating_sub(rounds);
-                }
-                continue;
+                break;
             }
             if self.supervision.is_some() {
                 // Refresh last-good snapshots so a retry rolls back only
@@ -348,12 +321,11 @@ impl ShardedSession {
                         health.failures += 1;
                         health.last_panic = Some(panic);
                         *shard = Session::resume(last_good)?;
+                        // Within its retries, the restored shard runs
+                        // again in the next round.
                         if health.failures > supervision.max_retries {
                             health.quarantined = true;
                             *served = true;
-                        } else {
-                            health.cooldown =
-                                1u64 << (health.failures - 1).min(MAX_BACKOFF_DOUBLINGS);
                         }
                     }
                 }
@@ -476,7 +448,6 @@ impl ShardedSession {
         for (shard, health) in self.shards.iter().zip(&self.health) {
             out.put_words(&shard.checkpoint()?.words);
             out.put_u32(health.failures);
-            out.put_u64(health.cooldown);
             out.put_bool(health.quarantined);
             match &health.last_panic {
                 Some(panic) => {
@@ -545,12 +516,6 @@ impl ShardedSession {
             }
             shards.push(shard);
             let failures = input.take_u32()?;
-            let cooldown = input.take_u64()?;
-            if cooldown > 1 << MAX_BACKOFF_DOUBLINGS {
-                return Err(
-                    WireError::Malformed("shard cooldown exceeds the longest backoff").into(),
-                );
-            }
             let quarantined = input.take_bool()?;
             let last_panic = if input.take_bool()? {
                 Some(input.take_str()?)
@@ -559,7 +524,6 @@ impl ShardedSession {
             };
             health.push(ShardHealth {
                 failures,
-                cooldown,
                 quarantined,
                 last_panic,
             });

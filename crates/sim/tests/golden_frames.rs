@@ -212,50 +212,50 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
 
 /// `(frame, word count, trailing digest)`.
 const PINNED: [(&str, usize, u64); 17] = [
-    ("fair OFA", 136, 0xc682_1f7a_083c_641c),
-    ("fair LFA, jammed", 131, 0x2ba8_c868_c3b4_3b9f),
+    ("fair OFA", 136, 0x73d2_a364_4e35_eb7b),
+    ("fair LFA, jammed", 131, 0xa434_4559_08b9_a790),
     (
         "fair oracle, recording deliveries",
         234,
-        0xb141_46e1_c8fc_0b74,
+        0xe39c_5172_b580_4d6b,
     ),
-    ("window EBB", 167, 0x5de0_6bf0_d85a_8431),
-    ("cohort OFA", 171, 0x6e07_1121_2bd4_03cd),
-    ("cohort LFA", 201, 0x7d53_f929_8c69_ded1),
-    ("cohort oracle, capped", 293, 0x6dcc_8196_38af_85dc),
-    ("cohort RP-OFA", 178, 0xaccb_642a_a4f0_0415),
-    ("fair RP-OFA", 147, 0xd132_a6e3_b77c_f86f),
-    ("sharded: 2-shard OFA fleet", 208, 0x9a8b_c23a_33f3_d45b),
+    ("window EBB", 167, 0x4d5f_d2e1_cc8e_5cb3),
+    ("cohort OFA", 170, 0xe2ce_1621_181a_fda2),
+    ("cohort LFA", 200, 0x7027_6bc9_f99e_41ec),
+    ("cohort oracle, capped", 292, 0x5170_9aa8_8d61_153c),
+    ("cohort RP-OFA", 177, 0xa963_7c58_5f38_c850),
+    ("fair RP-OFA", 147, 0xbdcf_3fff_db3d_6635),
+    ("sharded: 2-shard OFA fleet", 204, 0xd0e4_f434_fda2_c76a),
     (
         "cohort OFA, watchdog stall recorded",
-        129,
-        0xc8bc_b3ec_9610_c961,
+        128,
+        0x5e90_a591_ca4e_c46e,
     ),
     (
         "sharded: supervised fleet, shard 1 killed and retried",
-        224,
-        0x7df9_0124_1683_ca13,
+        220,
+        0x24b2_ce26_f78d_70a6,
     ),
     (
         "cohort oracle, saturated at cap 16",
-        4467,
-        0x8432_7e97_e6d6_ce44,
+        4466,
+        0xf66b_f61f_70c1_b844,
     ),
     (
         "cohort RP-OFA, saturated at cap 8",
-        5256,
-        0xb45e_f34c_af7d_b361,
+        5255,
+        0xaee6_4e91_7c8c_4aad,
     ),
     (
         "window EBB, recording deliveries",
         129,
-        0x4c54_47f1_a6d1_4725,
+        0xd25d_5e27_f0d6_1284,
     ),
-    ("window LLIB, jammed", 119, 0xcd28_26b2_104e_6e76),
+    ("window LLIB, jammed", 119, 0x3f97_9338_db10_af31),
     (
         "cohort OFA, recording deliveries",
-        242,
-        0x7c9b_c178_0c43_d684,
+        241,
+        0xe34b_e1b3_b46e_df3f,
     ),
 ];
 
