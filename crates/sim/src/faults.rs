@@ -208,9 +208,8 @@ pub fn run_batched_chaos(
     let mut slots_replayed = 0u64;
     store.save(&session.checkpoint()?)?;
     while !session.is_finished() {
-        // One burst. Watchdog policies that hand control back (Pause)
-        // just lead to the next burst; Abort propagates as a session
-        // error by design.
+        // One burst. A stall under the Abort policy propagates as a
+        // session error by design.
         let status = session.advance(checkpoint_every)?;
         // A crash due in this burst fires *before* the burst's state is
         // published: the live progress since the last good generation is

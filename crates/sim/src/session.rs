@@ -93,10 +93,6 @@ pub enum SessionStatus {
     /// The run reached completion (every message delivered) or its slot
     /// cap; further advances are no-ops.
     Finished,
-    /// The livelock watchdog detected a zero-delivery stall and its
-    /// [`StallPolicy::Pause`] asked for control back: the session is intact
-    /// and checkpointable, and diagnostics are in [`Session::stall`].
-    Stalled,
 }
 
 /// Errors surfaced by the session layer.
@@ -716,13 +712,12 @@ impl Session {
                     if wd.stall.is_none() {
                         wd.stall = Some(report.clone());
                     }
-                    // Re-arm so Report/Pause policies flag again only
-                    // after another full zero-delivery window.
+                    // Re-arm so the Report policy flags again only after
+                    // another full zero-delivery window.
                     wd.last_progress_slot = slot;
                     match wd.config.policy {
                         StallPolicy::Report => {}
                         StallPolicy::Abort => return Err(SessionError::Stalled(report)),
-                        StallPolicy::Pause => return Ok(SessionStatus::Stalled),
                     }
                 }
             }

@@ -286,8 +286,9 @@ impl ShardedSession {
             for (i, joined) in outcomes {
                 match joined {
                     Ok(result) => {
-                        // The shard ran its budget (or stalled/paused per
-                        // its own policy); typed errors propagate.
+                        // The shard ran its budget; typed errors, a
+                        // stall under the Abort policy among them,
+                        // propagate.
                         result?;
                         if let Some(served) = done.get_mut(i) {
                             *served = true;

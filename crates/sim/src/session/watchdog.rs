@@ -2,7 +2,7 @@
 //! checkpointed runtime state.
 
 #[cfg(doc)]
-use super::{Session, SessionError, SessionStatus};
+use super::{Session, SessionError};
 use mac_prob::wire::{Decoder, Encoder, WireError};
 use std::fmt;
 
@@ -17,11 +17,6 @@ pub enum StallPolicy {
     /// diagnostics. The session stays intact, so the caller can still
     /// checkpoint it or read partial results.
     Abort,
-    /// Return [`SessionStatus::Stalled`] from `advance`, handing control
-    /// back so the caller can checkpoint and park the run. A later
-    /// `advance` continues (and re-triggers after another full window
-    /// without a delivery).
-    Pause,
 }
 
 /// Configuration of the livelock watchdog: flag a stall when `window`
@@ -103,7 +98,6 @@ impl Watchdog {
         out.put_u32(match self.config.policy {
             StallPolicy::Report => 0,
             StallPolicy::Abort => 1,
-            StallPolicy::Pause => 2,
         });
         out.put_u64(self.last_progress_slot);
         match &self.stall {
@@ -123,7 +117,6 @@ impl Watchdog {
         let policy = match input.take_u32()? {
             0 => StallPolicy::Report,
             1 => StallPolicy::Abort,
-            2 => StallPolicy::Pause,
             _ => return Err(WireError::Malformed("unknown stall policy tag")),
         };
         let last_progress_slot = input.take_u64()?;
