@@ -125,10 +125,10 @@ impl WindowSchedule for ExpBackonBackoff {
         window.min(u64::MAX as f64 / 4.0) as u64
     }
 
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
+    fn checkpoint_words(&self) -> Vec<u64> {
         // `w` is a running product of (1 − δ) factors — captured verbatim,
         // since recomputing it from the phase would round differently.
-        Some(vec![u64::from(self.phase), self.w.to_bits()])
+        vec![u64::from(self.phase), self.w.to_bits()]
     }
 
     fn restore_words(&mut self, words: &[u64]) -> bool {

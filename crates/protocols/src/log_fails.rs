@@ -266,15 +266,15 @@ impl FairProtocol for LogFailsAdaptive {
         (1.0 / self.kappa_estimate, self.bt_probability)
     }
 
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
+    fn checkpoint_words(&self) -> Vec<u64> {
         // `fail_window`, `bt_probability` and `bt_period` are pure functions
         // of the configuration, re-derived at construction; only the three
         // mutable fields travel.
-        Some(vec![
+        vec![
             self.kappa_estimate.to_bits(),
             self.consecutive_failures,
             self.step,
-        ])
+        ]
     }
 
     fn restore_words(&mut self, words: &[u64]) -> bool {
@@ -472,7 +472,7 @@ mod tests {
         for i in 0..101 {
             lfa.advance(i % 7 == 0);
         }
-        let words = lfa.checkpoint_words().unwrap();
+        let words = lfa.checkpoint_words();
         let fresh = || paper_state(0.5, (1u64 << 40) - 1);
         assert!(fresh().restore_words(&words));
         // Words: [κ̃, consecutive failures, step].

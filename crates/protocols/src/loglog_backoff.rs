@@ -92,8 +92,8 @@ impl WindowSchedule for RExponentialBackoff {
         window as u64
     }
 
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        Some(vec![self.current.to_bits()])
+    fn checkpoint_words(&self) -> Vec<u64> {
+        vec![self.current.to_bits()]
     }
 
     fn restore_words(&mut self, words: &[u64]) -> bool {
@@ -193,8 +193,8 @@ impl WindowSchedule for LoglogIteratedBackoff {
         self.current.floor().clamp(1.0, WINDOW_CAP) as u64
     }
 
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        Some(vec![self.current.to_bits(), u64::from(self.repeats_left)])
+    fn checkpoint_words(&self) -> Vec<u64> {
+        vec![self.current.to_bits(), u64::from(self.repeats_left)]
     }
 
     fn restore_words(&mut self, words: &[u64]) -> bool {

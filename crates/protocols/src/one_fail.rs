@@ -245,18 +245,18 @@ impl<R: BtStepRule> FairProtocol for OneFail<R> {
         (1.0 / self.kappa_estimate, self.bt_probability)
     }
 
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
+    fn checkpoint_words(&self) -> Vec<u64> {
         // The cached log₂(σ+1) and BT probability are Taylor-maintained with
         // periodic exact re-anchoring; they are captured verbatim because a
         // recomputation at restore time would re-anchor and then drift
         // differently from the unbroken run.
-        Some(vec![
+        vec![
             self.kappa_estimate.to_bits(),
             self.received,
             self.step,
             self.log2_sigma.to_bits(),
             self.bt_probability.to_bits(),
-        ])
+        ]
     }
 
     fn restore_words(&mut self, words: &[u64]) -> bool {
@@ -455,7 +455,7 @@ mod tests {
         for i in 0..100 {
             ofa.advance(i % 3 == 0);
         }
-        let words = ofa.checkpoint_words().unwrap();
+        let words = ofa.checkpoint_words();
         assert!(OneFailAdaptive::with_default_delta().restore_words(&words));
         // Words: [κ̃, σ, step, log₂(σ+1), BT probability].
         let bits = f64::to_bits;

@@ -68,8 +68,8 @@ impl FairProtocol for KnownKOracle {
         self.steps
     }
 
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        Some(vec![self.remaining, self.steps])
+    fn checkpoint_words(&self) -> Vec<u64> {
+        vec![self.remaining, self.steps]
     }
 
     fn restore_words(&mut self, words: &[u64]) -> bool {

@@ -179,7 +179,7 @@ mod tests {
         for i in 0..10_000u64 {
             rp.advance(i % 3 == 0);
         }
-        let words = rp.checkpoint_words().unwrap();
+        let words = rp.checkpoint_words();
         let mut restored = RandomizedParityOneFail::with_default_delta();
         assert!(restored.restore_words(&words));
         for _ in 0..1_000 {
@@ -200,7 +200,7 @@ mod tests {
         for i in 0..100 {
             rp.advance(i % 5 == 0);
         }
-        let words = rp.checkpoint_words().unwrap();
+        let words = rp.checkpoint_words();
         assert!(RandomizedParityOneFail::with_default_delta().restore_words(&words));
         for (index, word) in [(2, 0), (0, f64::NAN.to_bits())] {
             let mut bad = words.clone();

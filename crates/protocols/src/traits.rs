@@ -133,8 +133,7 @@ pub trait FairProtocol: Debug + Send {
         (p, p)
     }
 
-    /// Serialises the protocol's *mutable* state as raw words, or `None` if
-    /// the protocol does not support checkpointing.
+    /// Serialises the protocol's *mutable* state as raw words.
     ///
     /// The contract is exact resumption: feeding the returned words to
     /// [`FairProtocol::restore_words`] on a freshly constructed instance with
@@ -145,21 +144,13 @@ pub trait FairProtocol: Debug + Send {
     /// Constructor parameters are *not* part of the words; the session layer
     /// records the [`ProtocolKind`](crate::ProtocolKind) separately and
     /// rebuilds from it.
-    ///
-    /// The default is `None` (not checkpointable); every protocol in the
-    /// paper line-up overrides it.
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        None
-    }
+    fn checkpoint_words(&self) -> Vec<u64>;
 
     /// Restores state captured by [`FairProtocol::checkpoint_words`] into
     /// this instance. Returns `false` (leaving the state untouched or
     /// partially default — callers must treat it as unusable) if the words
-    /// are malformed or the protocol does not support checkpointing.
-    fn restore_words(&mut self, words: &[u64]) -> bool {
-        let _ = words;
-        false
-    }
+    /// are malformed.
+    fn restore_words(&mut self, words: &[u64]) -> bool;
 }
 
 /// A window-based protocol, described by its (deterministic, possibly
@@ -173,21 +164,16 @@ pub trait WindowSchedule: Debug + Send {
     /// Returns the length (≥ 1) of the next window.
     fn next_window(&mut self) -> u64;
 
-    /// Serialises the schedule's mutable state as raw words, or `None` if
-    /// the schedule does not support checkpointing. Same exact-resumption
-    /// contract as [`FairProtocol::checkpoint_words`]: restoring the words
-    /// into a freshly constructed schedule with identical parameters must
-    /// reproduce the remaining window sequence bit for bit.
-    fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        None
-    }
+    /// Serialises the schedule's mutable state as raw words. Same
+    /// exact-resumption contract as [`FairProtocol::checkpoint_words`]:
+    /// restoring the words into a freshly constructed schedule with
+    /// identical parameters must reproduce the remaining window sequence
+    /// bit for bit.
+    fn checkpoint_words(&self) -> Vec<u64>;
 
     /// Restores state captured by [`WindowSchedule::checkpoint_words`].
-    /// Returns `false` on malformed words or an unsupported schedule.
-    fn restore_words(&mut self, words: &[u64]) -> bool {
-        let _ = words;
-        false
-    }
+    /// Returns `false` on malformed words.
+    fn restore_words(&mut self, words: &[u64]) -> bool;
 }
 
 /// Adapter that runs a [`FairProtocol`] as a per-station [`Protocol`].
@@ -310,6 +296,16 @@ mod tests {
         fn steps_elapsed(&self) -> u64 {
             self.steps
         }
+        fn checkpoint_words(&self) -> Vec<u64> {
+            vec![self.heard, self.steps]
+        }
+        fn restore_words(&mut self, words: &[u64]) -> bool {
+            let [heard, steps] = words else {
+                return false;
+            };
+            (self.heard, self.steps) = (*heard, *steps);
+            true
+        }
     }
 
     /// A window schedule of constant windows of length 3.
@@ -319,6 +315,12 @@ mod tests {
     impl WindowSchedule for ConstantThree {
         fn next_window(&mut self) -> u64 {
             3
+        }
+        fn checkpoint_words(&self) -> Vec<u64> {
+            Vec::new()
+        }
+        fn restore_words(&mut self, words: &[u64]) -> bool {
+            words.is_empty()
         }
     }
 

@@ -228,14 +228,9 @@ impl<P: FairProtocol + 'static> SessionEngine for FairEngineCore<P> {
         let recorded = self.run.latencies.exact.as_deref();
         self.run.result(label, self.run.max_slots, 0, recorded)
     }
-    /// Writes the protocol state words and both kernel cache lines
-    /// (`false` if the protocol does not support state extraction).
-    fn encode(&self, out: &mut Encoder) -> bool {
-        let Some(protocol_words) = self.state.checkpoint_words() else {
-            return false;
-        };
-        out.put_words(&protocol_words);
+    /// Writes the protocol state words and both kernel cache lines.
+    fn encode(&self, out: &mut Encoder) {
+        out.put_words(&self.state.checkpoint_words());
         self.cache.encode(out);
-        true
     }
 }

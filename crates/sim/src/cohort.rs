@@ -519,21 +519,16 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     }
     /// Writes the arrival feed, the merge diagnostics and clock, every
     /// cohort (protocol state words, size, arrival groups), the kernel
-    /// caches and the delivery slots (`false`, with the frame left to be
-    /// discarded, if the protocol does not support state extraction). The
-    /// prototype and the class cap are rebuilt from the kind and the
-    /// options.
-    fn encode(&self, out: &mut Encoder) -> bool {
+    /// caches and the delivery slots. The prototype and the class cap are
+    /// rebuilt from the kind and the options.
+    fn encode(&self, out: &mut Encoder) {
         self.feed.encode(out);
         out.put_u64(self.merges);
         out.put_u64(self.peak_cohorts as u64);
         out.put_u64(self.slots_to_merge_scan);
         out.put_usize(self.cohorts.len());
         for cohort in &self.cohorts {
-            let Some(words) = cohort.state.checkpoint_words() else {
-                return false;
-            };
-            out.put_words(&words);
+            out.put_words(&cohort.state.checkpoint_words());
             out.put_u64(cohort.m);
             out.put_usize(cohort.groups.len());
             for &(arrival, count) in &cohort.groups {
@@ -543,7 +538,6 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
         }
         self.kernel.encode(out);
         encode_optional_slots(self.delivery_slots.as_deref(), out);
-        true
     }
 }
 

@@ -344,9 +344,8 @@ pub(crate) trait SessionEngine: fmt::Debug + Send {
         None
     }
     /// Writes the core's own words, which follow the run state in a
-    /// checkpoint (`false` if the protocol exposes no checkpointable state;
-    /// the caller then discards the frame).
-    fn encode(&self, out: &mut Encoder) -> bool;
+    /// checkpoint.
+    fn encode(&self, out: &mut Encoder);
 }
 
 /// The batched visit of [`Session::batched`] and [`crate::simulate`]: the
@@ -814,8 +813,9 @@ impl Session {
     /// continues **bit-identically** to the uninterrupted run.
     ///
     /// # Errors
-    /// Returns [`SessionError::Unsupported`] if the protocol does not
-    /// expose checkpointable state (all built-in protocols do).
+    /// Never returns one: every protocol kind is checkpointable by its
+    /// trait's contract. The `Result` stays so that callers need not change
+    /// if a part of the frame ever can fail.
     pub fn checkpoint(&self) -> Result<Checkpoint, SessionError> {
         let mut out = open_frame(CheckpointKind::Session);
         self.kind.encode(&mut out);
@@ -829,11 +829,7 @@ impl Session {
         }
         out.put_u32(self.engine.engine() as u32);
         self.engine.run_state().encode(&mut out);
-        if !self.engine.encode(&mut out) {
-            return Err(SessionError::Unsupported(
-                "protocol does not expose checkpointable state",
-            ));
-        }
+        self.engine.encode(&mut out);
         Ok(seal_frame(out))
     }
 

@@ -311,14 +311,9 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
         let recorded = self.run.latencies.exact.as_deref();
         self.run.result(label, self.run.max_slots, 0, recorded)
     }
-    /// Writes the schedule's state words (`false` if the schedule does not
-    /// support state extraction).
-    fn encode(&self, out: &mut Encoder) -> bool {
-        let Some(schedule_words) = self.schedule.checkpoint_words() else {
-            return false;
-        };
-        out.put_words(&schedule_words);
-        true
+    /// Writes the schedule's state words.
+    fn encode(&self, out: &mut Encoder) {
+        out.put_words(&self.schedule.checkpoint_words());
     }
 }
 
