@@ -302,9 +302,10 @@ fn wire_fixture_engine_core_payloads_are_fingerprinted() {
 /// *real* `ProtocolKind::encode` (Log-fails Adaptive's `ξβ` and `ξt`) or of
 /// the *real* `AdversaryModel::encode` (the periodic jammer's period and
 /// burst), swapping the `collisions` and `silent` writes of the *real*
-/// `RunState::encode`, or swapping the budget and cursor words of the
-/// *real* `AdversaryState::encode` must fail against the committed ledger
-/// under the same version.
+/// `RunState::encode`, swapping the budget and cursor words of the *real*
+/// `AdversaryState::encode`, or swapping a shard's failure count and
+/// quarantine flag in the *real* `ShardedSession::checkpoint` must fail
+/// against the committed ledger under the same version.
 #[test]
 fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
     let root = workspace_root();
@@ -361,6 +362,14 @@ fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
             vec![(
                 "        out.put_u64(self.budget_left);\n        out.put_usize(self.schedule_cursor);\n",
                 "        out.put_usize(self.schedule_cursor);\n        out.put_u64(self.budget_left);\n",
+            )],
+        ),
+        (
+            "crates/sim/src/session/sharded.rs",
+            "crates/sim/src/session/sharded.rs::ShardedSession::checkpoint",
+            vec![(
+                "            out.put_u32(health.failures);\n            out.put_bool(health.quarantined);\n",
+                "            out.put_bool(health.quarantined);\n            out.put_u32(health.failures);\n",
             )],
         ),
     ];
