@@ -172,8 +172,8 @@ impl ShardedSession {
     /// Arms supervision (or disarms it with `None`): shard thread panics
     /// are captured and the shard is retried from its last good
     /// checkpoint in the next round; after
-    /// [`ShardSupervision::max_retries`] failures the shard is
-    /// quarantined and the driver degrades to a partial result.
+    /// [`ShardSupervision::max_retries`] failures the shard is quarantined
+    /// and the driver degrades to a partial result.
     ///
     /// Unsupervised (the default), a shard panic surfaces as a typed
     /// [`SessionError::ShardFailed`] instead of crashing the driver.
@@ -231,10 +231,9 @@ impl ShardedSession {
     /// they made). Supervised ([`ShardedSession::set_supervision`]), the
     /// failed shard is rolled back to its last good checkpoint and
     /// retried in the next round; after `max_retries` failures it is
-    /// quarantined — frozen at
-    /// its last good state — and the call keeps driving the surviving
-    /// shards, so a single bad shard degrades the fleet to a partial
-    /// result instead of sinking it.
+    /// quarantined — frozen at its last good state — and the call keeps
+    /// driving the surviving shards, so a single bad shard degrades the
+    /// fleet to a partial result instead of sinking it.
     ///
     /// # Errors
     /// Propagates the first shard engine error, and shard panics as
