@@ -813,9 +813,8 @@ impl Session {
     /// continues **bit-identically** to the uninterrupted run.
     ///
     /// # Errors
-    /// Never returns one: every protocol kind is checkpointable by its
-    /// trait's contract. The `Result` stays so that callers need not change
-    /// if a part of the frame ever can fail.
+    /// None: every protocol kind is checkpointable by its trait's contract,
+    /// so the `Result`, kept for its callers, is always `Ok`.
     pub fn checkpoint(&self) -> Result<Checkpoint, SessionError> {
         let mut out = open_frame(CheckpointKind::Session);
         self.kind.encode(&mut out);
