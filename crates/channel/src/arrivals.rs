@@ -60,11 +60,16 @@ impl ArrivalModel {
     }
 
     /// True iff the model can be sampled: a Poisson rate must be finite and
-    /// non-negative (the other models have no parameter to get wrong).
+    /// non-negative, and the counts of a burst schedule must sum to a
+    /// message total that fits in a `u64`.
     pub fn is_valid(&self) -> bool {
         match self {
+            ArrivalModel::Batched { .. } => true,
             ArrivalModel::Poisson { rate, .. } => rate.is_finite() && *rate >= 0.0,
-            ArrivalModel::Batched { .. } | ArrivalModel::Bursts { .. } => true,
+            ArrivalModel::Bursts { bursts } => bursts
+                .iter()
+                .try_fold(0u64, |total, &(_, count)| total.checked_add(count))
+                .is_some(),
         }
     }
 
@@ -79,7 +84,6 @@ impl ArrivalModel {
     /// Panics on an invalid model (see [`ArrivalModel::is_valid`]); the
     /// simulators' entry points reject one with a typed error first.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ArrivalSchedule {
-        assert!(self.is_valid(), "rate must be finite and non-negative");
         let model = self.normalised();
         let mut cursor = 0;
         let mut slots = Vec::new();
@@ -92,7 +96,15 @@ impl ArrivalModel {
     /// The model with its bursts sorted by slot, empty bursts dropped and
     /// bursts at one slot merged, so [`ArrivalModel::next_burst`] emits
     /// strictly increasing slots. Other models are returned unchanged.
+    ///
+    /// # Panics
+    /// Panics on an invalid model (see [`ArrivalModel::is_valid`]), so no
+    /// sampler or stream starts on one and no merged count wraps.
     pub(crate) fn normalised(&self) -> ArrivalModel {
+        assert!(
+            self.is_valid(),
+            "arrival model cannot be sampled (see ArrivalModel::is_valid)"
+        );
         match self {
             ArrivalModel::Bursts { bursts } => {
                 let mut sorted: Vec<(u64, u64)> =
@@ -252,6 +264,24 @@ mod tests {
             );
         }
         assert!(ArrivalModel::batched(3).is_valid());
+    }
+
+    #[test]
+    fn burst_totals_must_fit_in_u64() {
+        let bursts = |bursts: Vec<(u64, u64)>| ArrivalModel::Bursts { bursts };
+        assert!(bursts(vec![(0, u64::MAX)]).is_valid());
+        assert!(bursts(vec![(0, u64::MAX - 1), (1, 1)]).is_valid());
+        assert!(!bursts(vec![(0, u64::MAX), (1, 1)]).is_valid());
+        assert!(!bursts(vec![(3, u64::MAX), (3, 1)]).is_valid());
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival model cannot be sampled")]
+    fn sampling_an_overflowing_burst_schedule_panics() {
+        let model = ArrivalModel::Bursts {
+            bursts: vec![(0, u64::MAX), (1, 1)],
+        };
+        model.sample(&mut Xoshiro256pp::seed_from_u64(0));
     }
 
     #[test]

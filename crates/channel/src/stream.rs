@@ -63,6 +63,9 @@ impl ArrivalStream {
     /// `seed` (deterministic models ignore it). Feed the same derived seed
     /// the dynamic driver gives to [`ArrivalModel::sample`] to reproduce its
     /// schedule.
+    ///
+    /// # Panics
+    /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
     pub fn new(model: &ArrivalModel, seed: u64) -> Self {
         Self {
             model: model.normalised(),
@@ -82,9 +85,6 @@ impl ArrivalStream {
 
     /// The next `(slot, count)` burst with `count > 0`, in strictly
     /// increasing slot order; `None` once the stream is exhausted.
-    ///
-    /// # Panics
-    /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
     pub fn next_burst(&mut self) -> Option<(u64, u64)> {
         self.model.next_burst(&mut self.cursor, &mut self.rng)
     }
@@ -94,6 +94,10 @@ impl ArrivalStream {
     /// before the first slot (protocol parameters such as Log-fails
     /// Adaptive's ε depend on it), which a lazy stream cannot know — this is
     /// the counting pre-pass that replaces materialising the schedule.
+    ///
+    /// # Panics
+    /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]): a
+    /// burst schedule's total would not fit in the returned count.
     pub fn summarise(model: &ArrivalModel, seed: u64) -> StreamSummary {
         let mut stream = Self::new(model, seed);
         let mut messages = 0u64;
@@ -189,7 +193,8 @@ pub fn decode_model(input: &mut Decoder<'_>) -> Result<ArrivalModel, WireError> 
     };
     if !model.is_valid() {
         return Err(WireError::Malformed(
-            "arrival rate must be finite and non-negative",
+            "arrival model cannot be sampled: a negative or non-finite rate, \
+             or a burst total that overflows u64",
         ));
     }
     Ok(model)
@@ -430,6 +435,29 @@ mod tests {
                 Err(WireError::Malformed(_))
             ));
         }
+    }
+
+    #[test]
+    fn model_decoder_rejects_overflowing_burst_totals() {
+        let mut enc = Encoder::new();
+        let model = ArrivalModel::Bursts {
+            bursts: vec![(0, u64::MAX), (1, 1)],
+        };
+        encode_model(&model, &mut enc);
+        let words = enc.finish();
+        assert!(matches!(
+            decode_model(&mut Decoder::new(&words)),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival model cannot be sampled")]
+    fn summarising_an_overflowing_burst_schedule_panics() {
+        let model = ArrivalModel::Bursts {
+            bursts: vec![(0, u64::MAX), (1, 1)],
+        };
+        ArrivalStream::summarise(&model, 0);
     }
 
     #[test]

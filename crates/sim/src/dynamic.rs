@@ -39,15 +39,21 @@ pub const ARRIVAL_STREAM: u64 = 0xA11;
 pub const RUN_STREAM: u64 = 0x51A;
 
 /// Rejects an arrival model the samplers cannot draw from: a Poisson rate
-/// that is NaN, negative or infinite.
+/// that is NaN, negative or infinite, or burst counts whose total overflows
+/// `u64` (the `bursts` error carries the total as an `f64`).
 pub(crate) fn validate_model(model: &ArrivalModel) -> Result<(), ParameterError> {
     match model {
-        ArrivalModel::Poisson { rate, .. } if !model.is_valid() => Err(ParameterError::new(
+        _ if model.is_valid() => Ok(()),
+        ArrivalModel::Poisson { rate, .. } => Err(ParameterError::new(
             "rate",
             *rate,
             "Poisson arrival rate must be finite and non-negative",
         )),
-        _ => Ok(()),
+        _ => Err(ParameterError::new(
+            "bursts",
+            model.expected_messages(),
+            "burst counts must sum to at most u64::MAX messages",
+        )),
     }
 }
 
@@ -378,6 +384,20 @@ mod tests {
                 let err = simulate_dynamic(&kind, &model, 1, &RunOptions::default()).unwrap_err();
                 assert_eq!(err.parameter(), "rate", "{rate} {}", kind.label());
             }
+        }
+    }
+
+    #[test]
+    fn overflowing_burst_totals_are_typed_errors() {
+        let model = ArrivalModel::Bursts {
+            bursts: vec![(0, u64::MAX), (1, 1)],
+        };
+        for kind in [
+            ProtocolKind::OneFailAdaptive { delta: 2.72 },
+            ProtocolKind::ExpBackonBackoff { delta: 0.366 },
+        ] {
+            let err = simulate_dynamic(&kind, &model, 1, &RunOptions::default()).unwrap_err();
+            assert_eq!(err.parameter(), "bursts", "{}", kind.label());
         }
     }
 

@@ -985,6 +985,22 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_burst_totals_are_typed_errors() {
+        let options = RunOptions::default();
+        let model = ArrivalModel::Bursts {
+            bursts: vec![(0, u64::MAX), (1, 1)],
+        };
+        assert!(matches!(
+            Session::dynamic(&ofa(), &model, 1, &options),
+            Err(SessionError::Parameter(ref e)) if e.parameter() == "bursts"
+        ));
+        assert!(matches!(
+            ShardedSession::new(&ofa(), &model, 1, &options, 2),
+            Err(SessionError::Parameter(ref e)) if e.parameter() == "bursts"
+        ));
+    }
+
+    #[test]
     fn batched_window_session_matches_monolithic_run() {
         let kind = ProtocolKind::ExpBackonBackoff { delta: 0.366 };
         let mut session = Session::batched(&kind, 400, 5, &RunOptions::default()).unwrap();
