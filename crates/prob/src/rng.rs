@@ -139,35 +139,6 @@ impl Xoshiro256pp {
         Self { s }
     }
 
-    /// Advances the generator 2^128 steps, producing a non-overlapping stream.
-    ///
-    /// Useful to derive parallel streams from a single seeded generator
-    /// without re-seeding.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut s0 = 0u64;
-        let mut s1 = 0u64;
-        let mut s2 = 0u64;
-        let mut s3 = 0u64;
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1u64 << b)) != 0 {
-                    s0 ^= self.s[0];
-                    s1 ^= self.s[1];
-                    s2 ^= self.s[2];
-                    s3 ^= self.s[3];
-                }
-                self.step();
-            }
-        }
-        self.s = [s0, s1, s2, s3];
-    }
-
     /// Returns the raw 256-bit state as four words.
     ///
     /// Two generators with equal state words produce identical streams
@@ -331,21 +302,6 @@ mod tests {
         }
         let mean = sum / N as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean was {mean}");
-    }
-
-    #[test]
-    fn xoshiro_jump_produces_disjoint_stream_prefixes() {
-        let mut a = Xoshiro256pp::seed_from_u64(42);
-        let mut b = a.clone();
-        b.jump();
-        let xs: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
-        // No element of the jumped prefix should appear in the original prefix
-        // (overwhelmingly unlikely unless the jump is broken).
-        for y in ys {
-            assert!(!xs.contains(&y));
-        }
     }
 
     #[test]

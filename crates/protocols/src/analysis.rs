@@ -1,22 +1,20 @@
 //! Closed-form quantities from the paper's analysis.
 //!
-//! This module collects, in one place, every analytical expression the paper
-//! states so that the kind table can quote the "Analysis" column of Table 1
+//! This module collects the analytical expressions of the paper that the
+//! kind table quotes in the "Analysis" column of Table 1
 //! ([`ProtocolKind::analysis_label`](crate::ProtocolKind::analysis_label))
-//! and the tests can check measured behaviour against the proven bounds:
+//! or that the tests check measured behaviour against:
 //!
 //! * Theorem 1 (One-fail Adaptive): makespan `2(δ+1)k + O(log² k)` with
 //!   probability ≥ `1 − 2/(1+k)`, for `e < δ ≤ Σ_{j=1..5}(5/6)^j`;
 //! * Theorem 2 (Exp Back-on/Back-off): makespan `4(1+1/δ)k` with probability
 //!   ≥ `1 − 1/k^c`, for `0 < δ < 1/e` and big enough `k`;
-//! * Lemma 1 (balls in bins): if `m ≥ (2e/(1−eδ)²)(1 + (β+1/2)·ln k)` balls
-//!   are thrown into `w ≥ m` bins, fewer than `δm` singletons occur with
-//!   probability at most `1/k^β`;
 //! * the appendix quantities `τ = 300δ·ln(1+k)` and `M` (Lemma 5/6);
 //! * the linear-regime constants quoted in §5: 7.4 for One-fail Adaptive,
 //!   14.9 for Exp Back-on/Back-off, `(e+1+ξ)` -style constants for Log-fails
-//!   Adaptive, `Θ(loglog k / logloglog k)` for Loglog-iterated Back-off, and
-//!   the fair-protocol optimum `e`.
+//!   Adaptive, and the fair-protocol optimum `e`. The back-off baselines'
+//!   entries are `Θ` shapes with no constant, which the kind table quotes
+//!   as text.
 
 use crate::error::ParameterError;
 use crate::one_fail::DELTA_MAX;
@@ -119,7 +117,7 @@ fn validate_ofa_delta(delta: f64) -> Result<(), ParameterError> {
 }
 
 // ---------------------------------------------------------------------------
-// Exp Back-on/Back-off (Theorem 2 and Lemma 1)
+// Exp Back-on/Back-off (Theorem 2)
 // ---------------------------------------------------------------------------
 
 /// The makespan bound of Theorem 2 expressed as a slots-per-message factor:
@@ -141,30 +139,6 @@ pub fn ebb_makespan_bound(delta: f64, k: u64) -> Result<f64, ParameterError> {
     Ok(ebb_linear_factor(delta)? * k as f64)
 }
 
-/// Lemma 1's minimum batch size: for the "`δ` fraction delivered per round"
-/// guarantee to hold with probability `1 − 1/k^β`, the number of remaining
-/// messages must be at least `(2e/(1−eδ)²)·(1 + (β+1/2)·ln k)`.
-///
-/// # Errors
-/// Returns an error if `δ` is outside `(0, 1/e)` or `β ≤ 0`.
-pub fn ebb_lemma1_min_messages(delta: f64, beta: f64, k: u64) -> Result<f64, ParameterError> {
-    validate_ebb_delta(delta)?;
-    if !beta.is_finite() || beta <= 0.0 {
-        return Err(ParameterError::new(
-            "beta",
-            beta,
-            "Lemma 1 requires beta > 0",
-        ));
-    }
-    let e = std::f64::consts::E;
-    Ok(2.0 * e / (1.0 - e * delta).powi(2) * (1.0 + (beta + 0.5) * (k as f64).ln()))
-}
-
-/// Lemma 1's failure probability bound `1/k^β` for one round.
-pub fn ebb_lemma1_failure_probability(k: u64, beta: f64) -> f64 {
-    (k as f64).powf(-beta)
-}
-
 fn validate_ebb_delta(delta: f64) -> Result<(), ParameterError> {
     if !delta.is_finite() || delta <= 0.0 || delta >= 1.0 / std::f64::consts::E {
         return Err(ParameterError::new(
@@ -177,7 +151,7 @@ fn validate_ebb_delta(delta: f64) -> Result<(), ParameterError> {
 }
 
 // ---------------------------------------------------------------------------
-// Baselines: Log-fails Adaptive, Loglog-iterated Back-off, exponential back-off
+// Baseline: Log-fails Adaptive
 // ---------------------------------------------------------------------------
 
 /// The linear-regime slots-per-message constant of Log-fails Adaptive, as
@@ -188,41 +162,6 @@ fn validate_ebb_delta(delta: f64) -> Result<(), ParameterError> {
 /// ≈ 4.4 for `ξt = 1/10`, matching the table.
 pub fn lfa_analysis_factor(xi_delta: f64, xi_beta: f64, xi_t: f64) -> f64 {
     (std::f64::consts::E + 1.0 + xi_delta + xi_beta) / (1.0 - xi_t)
-}
-
-/// The asymptotic slots-per-message ratio of Loglog-iterated Back-off,
-/// `Θ(log log k / log log log k)`, evaluated with unit constant (the paper
-/// reports the Θ-expression itself in the Analysis column; this function is
-/// used to check the *growth shape* of the measured ratios).
-///
-/// Returns `None` for `k` too small for the iterated logarithms to be
-/// defined (k ≤ 16).
-pub fn llib_ratio_shape(k: u64) -> Option<f64> {
-    if k <= 16 {
-        return None;
-    }
-    let kf = k as f64;
-    let ll = kf.ln().ln();
-    let lll = kf.ln().ln().ln();
-    if lll <= 0.0 {
-        return None;
-    }
-    Some(ll / lll)
-}
-
-/// The asymptotic slots-per-message ratio of r-exponential back-off,
-/// `Θ(log_{log r} log k)`, evaluated with unit constant.
-///
-/// Returns `None` when the expression is undefined (`k ≤ 2` or `log r ≤ 1`,
-/// i.e. `r ≤ e`... the paper's statement is for constant `r > 1`; here the
-/// base of the outer logarithm is `max(log r, 1 + 1e-9)` to keep the shape
-/// defined for the common `r = 2`).
-pub fn exp_backoff_ratio_shape(r: f64, k: u64) -> Option<f64> {
-    if k <= 2 || r <= 1.0 {
-        return None;
-    }
-    let base = (r.ln()).max(1.0 + 1e-9);
-    Some((k as f64).ln().ln() / base.ln().max(1e-9))
 }
 
 #[cfg(test)]
@@ -294,19 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn ebb_lemma1_threshold_grows_with_beta_and_delta() {
-        let base = ebb_lemma1_min_messages(0.2, 1.0, 1000).unwrap();
-        let higher_beta = ebb_lemma1_min_messages(0.2, 2.0, 1000).unwrap();
-        let higher_delta = ebb_lemma1_min_messages(0.3, 1.0, 1000).unwrap();
-        assert!(higher_beta > base);
-        assert!(
-            higher_delta > base,
-            "delta closer to 1/e needs more messages"
-        );
-        assert!(ebb_lemma1_failure_probability(1000, 1.0) == 1e-3);
-    }
-
-    #[test]
     fn analysis_rejects_out_of_range_parameters() {
         assert!(ofa_linear_factor(2.0).is_err());
         assert!(ofa_linear_factor(3.2).is_err());
@@ -315,26 +241,5 @@ mod tests {
         assert!(ebb_linear_factor(0.5).is_err());
         assert!(ebb_linear_factor(0.0).is_err());
         assert!(ebb_makespan_bound(-1.0, 10).is_err());
-        assert!(ebb_lemma1_min_messages(0.2, 0.0, 10).is_err());
-    }
-
-    #[test]
-    fn llib_shape_is_slowly_growing() {
-        // In the asymptotic regime (beyond the small-k dip of the iterated
-        // logarithms) the shape grows, but extremely slowly.
-        let r2 = llib_ratio_shape(1_000_000).unwrap();
-        let r3 = llib_ratio_shape(10_000_000_000).unwrap();
-        assert!(r2 < r3);
-        assert!(r3 < 5.0, "loglog/logloglog grows extremely slowly");
-        assert!(llib_ratio_shape(1_000).unwrap() > 0.0);
-        assert!(llib_ratio_shape(10).is_none());
-    }
-
-    #[test]
-    fn exp_backoff_shape_is_defined_for_r2() {
-        let s = exp_backoff_ratio_shape(2.0, 1_000_000).unwrap();
-        assert!(s > 0.0);
-        assert!(exp_backoff_ratio_shape(2.0, 2).is_none());
-        assert!(exp_backoff_ratio_shape(0.5, 100).is_none());
     }
 }
