@@ -25,8 +25,10 @@
 //!   fast engines: best-found attacks (no optimality claim), summarised by
 //!   jam count, span and stride.
 //!
-//! Everything is derived from the master seed, so `--check` against the
-//! committed `CERTIFICATES.md` is an exact string comparison. The cell
+//! Everything is derived from the master seed, so `--check` compares the
+//! regenerated table with the committed `CERTIFICATES.md` byte for byte
+//! ([`mac_bench::check_committed`], the gate `saturation_map --check` uses
+//! too) and names the first differing line. The cell
 //! generators live in [`mac_bench::certify`] so the integration tests can
 //! replay the committed certificates.
 
@@ -84,18 +86,15 @@ fn main() {
     let rendered = render(seed, &tier_a, &tier_b);
 
     if let Some(path) = check_path {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        if committed == rendered {
-            eprintln!("certify: {path} is up to date");
-        } else {
-            eprintln!("certify: {path} DIFFERS from the regenerated table;");
+        if let Err(mismatch) = mac_bench::check_committed(&path, &rendered) {
+            eprintln!("MISMATCH: {mismatch}");
             eprintln!(
                 "regenerate with: cargo run -p mac-bench --release --bin certify -- --out {path}"
             );
             print!("{rendered}");
             std::process::exit(1);
         }
+        eprintln!("certify: {path} is up to date");
     } else if let Some(path) = out_path {
         std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("certify: wrote {path}");

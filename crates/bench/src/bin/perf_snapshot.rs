@@ -115,38 +115,30 @@ fn measure<F: FnMut(u64) -> u64>(reps: u64, mut run: F) -> (u64, f64) {
     best.expect("measure requires reps >= 1")
 }
 
-/// Extracts one `"key": value` number from a snapshot result line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
+/// Extracts the value of `"key": value` from a snapshot result line,
+/// without the quotes of a string value.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let tag = format!("\"{key}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts one `"key": "value"` string from a snapshot result line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim_matches('"'))
 }
 
 /// Compares measured points against a committed baseline snapshot; returns
 /// the number of rows that regressed by more than `tolerance`.
-fn check_against_baseline(points: &[Point], baseline_path: &str, tolerance: f64) -> usize {
+fn count_regressions(points: &[Point], baseline_path: &str, tolerance: f64) -> usize {
     let baseline = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
     let mut regressions = 0usize;
     let mut compared = 0usize;
     for line in baseline.lines() {
-        let (Some(simulator), Some(k)) = (field_str(line, "simulator"), field_u64(line, "k"))
-        else {
-            continue;
-        };
-        let Some(rate) = field_u64(line, "slots_per_sec") else {
+        let number = |key| field(line, key).and_then(|v| v.parse::<u64>().ok());
+        let (Some(simulator), Some(k), Some(rate)) = (
+            field(line, "simulator"),
+            number("k"),
+            number("slots_per_sec"),
+        ) else {
             continue;
         };
         let Some(point) = points.iter().find(|p| p.simulator == simulator && p.k == k) else {
@@ -528,7 +520,7 @@ fn main() {
     }
 
     if let Some(baseline) = check_path {
-        let regressions = check_against_baseline(&points, &baseline, tolerance);
+        let regressions = count_regressions(&points, &baseline, tolerance);
         if regressions > 0 {
             eprintln!("{regressions} row(s) regressed more than {tolerance}x vs {baseline}");
             std::process::exit(1);
@@ -557,12 +549,7 @@ fn main() {
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
 
-    // Never clobber an existing snapshot: pick the next free number so the
-    // committed history accumulates instead of being overwritten in place.
-    let path = (1..=99)
-        .map(|n| format!("BENCH_{n:02}.json"))
-        .find(|p| !std::path::Path::new(p).exists())
-        .expect("fewer than 99 snapshots");
+    let path = mac_bench::next_snapshot_path();
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("{json}");
     eprintln!("wrote {path}");

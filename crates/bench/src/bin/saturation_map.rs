@@ -7,16 +7,17 @@
 //! # the next free BENCH_NN.json plus PHASE.md; ~10⁶ cumulative arrivals
 //! # at the saturated corner):
 //! cargo run -p mac-bench --release --bin saturation_map
-//! # CI gate: re-run the full map and the reduced smoke grid and compare
-//! # every row *exactly* against the committed snapshot (runs are
-//! # deterministic per seed; writes nothing):
+//! # CI gate: re-run the full map and the reduced smoke grid, render both
+//! # artefacts and compare them byte for byte with the committed snapshot
+//! # and with PHASE.md in the current directory (runs are deterministic
+//! # per seed; writes nothing):
 //! cargo run -p mac-bench --release --bin saturation_map -- --check BENCH_06.json
 //! ```
 
 use mac_bench::saturation::{
-    check_against, full_grid, parse_committed, reduced_grid, render_json, render_phase_md,
-    run_grid, stability_boundary,
+    full_grid, reduced_grid, render_json, render_phase_md, run_grid, stability_boundary,
 };
+use mac_bench::{check_committed, next_snapshot_path};
 
 fn main() {
     let mut check_path: Option<String> = None;
@@ -47,32 +48,29 @@ fn main() {
     // gate has exact expectations to compare against.
     points.extend(run_grid(&reduced_grid()));
 
+    let json = render_json(&points, &config);
+    let phase = render_phase_md(&points, &config);
     if let Some(path) = check_path {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read committed snapshot {path}: {e}"));
-        let mismatches = check_against(&points, &parse_committed(&committed));
-        if mismatches.is_empty() {
-            eprintln!(
-                "all {} points match the committed rows of {path}",
-                points.len()
-            );
-            return;
+        let mismatches: Vec<String> = [(path.as_str(), &json), ("PHASE.md", &phase)]
+            .into_iter()
+            .filter_map(|(path, text)| check_committed(path, text).err())
+            .collect();
+        for mismatch in &mismatches {
+            eprintln!("MISMATCH: {mismatch}");
         }
-        for m in &mismatches {
-            eprintln!("MISMATCH: {m}");
+        if !mismatches.is_empty() {
+            std::process::exit(1);
         }
-        std::process::exit(1);
+        eprintln!(
+            "{path} and PHASE.md match the {} regenerated points byte for byte",
+            points.len()
+        );
+        return;
     }
 
-    let json = render_json(&points, &config);
-    let path = (1..=99)
-        .map(|n| format!("BENCH_{n:02}.json"))
-        .find(|p| !std::path::Path::new(p).exists())
-        .expect("fewer than 99 snapshots");
+    let path = next_snapshot_path();
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("wrote {path}");
-
-    let phase = render_phase_md(&points, &config);
     std::fs::write("PHASE.md", &phase).unwrap_or_else(|e| panic!("write PHASE.md: {e}"));
     eprintln!("wrote PHASE.md");
 }

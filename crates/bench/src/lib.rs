@@ -44,7 +44,9 @@
 //! end-to-end benchmark in `perfbench/` attributes a regression to a layer.
 //!
 //! The library part of the crate contains the small amount of shared plumbing
-//! (command-line parsing, default grids) used by the binaries.
+//! used by the binaries: command-line parsing, default grids, the next free
+//! snapshot name ([`next_snapshot_path`]) and the byte-for-byte gate on
+//! committed artefacts ([`check_committed`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,6 +60,48 @@ use mac_sim::Experiment;
 /// `10^max_exponent` (the paper uses `max_exponent = 7`).
 pub fn paper_ks(max_exponent: u32) -> Vec<u64> {
     (1..=max_exponent).map(|e| 10u64.pow(e)).collect()
+}
+
+/// The next free `BENCH_NN.json` in the current directory: the snapshot
+/// writers (`perf_snapshot`, `saturation_map`) add a file instead of
+/// overwriting a committed one.
+///
+/// # Panics
+/// If `BENCH_01.json` to `BENCH_99.json` all exist.
+pub fn next_snapshot_path() -> String {
+    (1..=99)
+        .map(|n| format!("BENCH_{n:02}.json"))
+        .find(|p| !std::path::Path::new(p).exists())
+        .expect("fewer than 99 snapshots")
+}
+
+/// The `--check` gate of the artefact writers (`certify`,
+/// `saturation_map`): compares a regenerated artefact with the committed
+/// file at `path`, byte for byte. Every artefact is deterministic per seed,
+/// so any difference is drift.
+///
+/// # Errors
+/// A message naming the file and its first differing line, with both
+/// versions of that line, or the error that kept the file from being read.
+pub fn check_committed(path: &str, regenerated: &str) -> Result<(), String> {
+    let committed = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    if committed == regenerated {
+        return Ok(());
+    }
+    let quote = |line: Option<&str>| line.map_or("end of file".to_string(), |l| format!("{l:?}"));
+    let (mut old, mut new) = (
+        committed.split_inclusive('\n'),
+        regenerated.split_inclusive('\n'),
+    );
+    let (line, old, new) = (1..)
+        .map(|line| (line, old.next(), new.next()))
+        .find(|(_, old, new)| old != new)
+        .expect("unequal texts differ on some line");
+    Err(format!(
+        "{path}:{line}: committed {}, regenerated {}",
+        quote(old),
+        quote(new)
+    ))
 }
 
 /// Parses the `--flag <u64>` arguments of a gate binary (program name
@@ -239,5 +283,34 @@ mod tests {
     #[should_panic(expected = "--k requires an integer argument")]
     fn gate_flags_reject_unparseable_values() {
         gate_flags(&["--k", "abc"]);
+    }
+
+    #[test]
+    fn check_committed_names_the_first_differing_line() {
+        let dir = mac_sim::faults::scratch_dir("check-committed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artefact.md");
+        std::fs::write(&path, "a\nb: 1\nc\n").unwrap();
+        let path_str = path.to_str().unwrap();
+        let check = |text: &str| check_committed(path_str, text);
+        assert_eq!(check("a\nb: 1\nc\n"), Ok(()));
+        assert_eq!(
+            check("a\nb: 2\nc\n"),
+            Err(format!(
+                r#"{path_str}:2: committed "b: 1\n", regenerated "b: 2\n""#
+            ))
+        );
+        assert_eq!(
+            check("a\nb: 1\nc\nd\n"),
+            Err(format!(
+                r#"{path_str}:4: committed end of file, regenerated "d\n""#
+            ))
+        );
+        assert_eq!(
+            check("a\nb: 1\nc"),
+            Err(format!(r#"{path_str}:3: committed "c\n", regenerated "c""#))
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(check("a\n").unwrap_err().starts_with(path_str));
     }
 }

@@ -20,13 +20,13 @@
 //! additionally witnesses the resume path (resume is bit-identical, so the
 //! row is unchanged by it).
 //!
-//! The committed artefact (`BENCH_06.json`, schema
-//! `mac-bench/saturation-map/v1`) carries the full-horizon map **plus** a
-//! reduced smoke grid; runs are deterministic per seed, so the
-//! `saturation_map --check` CI gate re-runs both grids and compares every
-//! row *exactly* (message counts, makespans, stall flags, peak classes —
-//! no timing tolerances). `PHASE.md` is the rendered per-protocol phase
-//! table.
+//! The committed artefacts are `BENCH_06.json` (schema
+//! `mac-bench/saturation-map/v1`), which carries the full-horizon map
+//! **plus** a reduced smoke grid, and `PHASE.md`, the per-protocol phase
+//! tables rendered from the same points. Runs are deterministic per seed
+//! and nothing here measures time, so the `saturation_map --check` CI gate
+//! re-runs both grids, renders both files and compares each with its
+//! committed copy byte for byte ([`crate::check_committed`]).
 
 use mac_channel::ArrivalModel;
 use mac_protocols::ProtocolKind;
@@ -267,8 +267,7 @@ fn render_row(p: &SaturationPoint) -> String {
 }
 
 /// Renders the committed snapshot: schema header plus every point of the
-/// full and reduced grids (rows carry their horizon, so the `--check`
-/// gate can select the reduced rows).
+/// full and reduced grids, each row carrying its horizon.
 pub fn render_json(points: &[SaturationPoint], config: &SaturationConfig) -> String {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"schema\": \"mac-bench/saturation-map/v1\",");
@@ -284,117 +283,6 @@ pub fn render_json(points: &[SaturationPoint], config: &SaturationConfig) -> Str
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
     json
-}
-
-/// Extracts one numeric field (integer, float, or bool) from a row line.
-fn field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().to_string())
-}
-
-/// Extracts one string field from a row line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// A committed row, parsed back for the `--check` gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommittedRow {
-    /// Protocol label of the row.
-    pub protocol: String,
-    /// Arrival rate of the row.
-    pub lambda: f64,
-    /// Arrival horizon of the row.
-    pub horizon: u64,
-    /// Committed message count.
-    pub messages: u64,
-    /// Committed delivery count.
-    pub delivered: u64,
-    /// Committed makespan.
-    pub makespan: u64,
-    /// Committed stall flag.
-    pub stalled: bool,
-    /// Committed peak live-class count.
-    pub peak_classes: u64,
-}
-
-impl CommittedRow {
-    /// True if this row charts `point`'s protocol, rate and horizon.
-    fn charts(&self, point: &SaturationPoint) -> bool {
-        self.protocol == point.protocol
-            && self.horizon == point.horizon
-            && (self.lambda - point.lambda).abs() < 1e-12
-    }
-}
-
-/// Parses the `results` rows of a committed saturation snapshot.
-pub fn parse_committed(json: &str) -> Vec<CommittedRow> {
-    json.lines()
-        .filter_map(|line| {
-            Some(CommittedRow {
-                protocol: field_str(line, "protocol")?,
-                lambda: field(line, "lambda")?.parse().ok()?,
-                horizon: field(line, "horizon")?.parse().ok()?,
-                messages: field(line, "messages")?.parse().ok()?,
-                delivered: field(line, "delivered")?.parse().ok()?,
-                makespan: field(line, "makespan")?.parse().ok()?,
-                stalled: field(line, "stalled")?.parse().ok()?,
-                peak_classes: field(line, "peak_classes")?.parse().ok()?,
-            })
-        })
-        .collect()
-}
-
-/// Compares freshly-measured points against committed rows. Runs are
-/// deterministic per seed, so the comparison is exact, and a committed row
-/// that no point measured is a mismatch too; returns the mismatch
-/// descriptions (empty = gate passes).
-pub fn check_against(points: &[SaturationPoint], committed: &[CommittedRow]) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    let mut compared = 0usize;
-    for p in points {
-        let Some(row) = committed.iter().find(|r| r.charts(p)) else {
-            mismatches.push(format!(
-                "{} λ={} horizon={}: no committed row",
-                p.protocol, p.lambda, p.horizon
-            ));
-            continue;
-        };
-        compared += 1;
-        for (name, got, want) in [
-            ("messages", p.messages, row.messages),
-            ("delivered", p.delivered, row.delivered),
-            ("makespan", p.makespan, row.makespan),
-            ("peak_classes", p.peak_classes, row.peak_classes),
-            ("stalled", p.stalled as u64, row.stalled as u64),
-        ] {
-            if got != want {
-                mismatches.push(format!(
-                    "{} λ={} horizon={}: {name} measured {got} vs committed {want}",
-                    p.protocol, p.lambda, p.horizon
-                ));
-            }
-        }
-    }
-    if compared == 0 {
-        mismatches.push("no comparable rows in the committed snapshot".to_string());
-    }
-    for row in committed
-        .iter()
-        .filter(|r| !points.iter().any(|p| r.charts(p)))
-    {
-        mismatches.push(format!(
-            "{} λ={} horizon={}: committed row was not measured",
-            row.protocol, row.lambda, row.horizon
-        ));
-    }
-    mismatches
 }
 
 /// Renders the per-protocol phase tables plus the measured stability
@@ -504,25 +392,6 @@ mod tests {
         assert!(saturated.delivered > 0);
         assert!(saturated.peak_classes <= config.cap);
         assert!(saturated.merges > 0, "the cap never forced a merge");
-    }
-
-    #[test]
-    fn snapshot_rows_round_trip_and_check_cleanly() {
-        let config = tiny_grid();
-        let points = vec![
-            run_point(&ProtocolKind::KnownKOracle, 0.05, &config),
-            run_point(&ProtocolKind::OneFailAdaptive { delta: 2.72 }, 2.0, &config),
-        ];
-        let json = render_json(&points, &config);
-        let committed = parse_committed(&json);
-        assert_eq!(committed.len(), points.len());
-        assert!(check_against(&points, &committed).is_empty());
-        // A committed row that no point measured must be flagged.
-        assert!(!check_against(&points[..1], &committed).is_empty());
-        // A drifted makespan must be flagged.
-        let mut drifted = committed;
-        drifted[0].makespan += 1;
-        assert!(!check_against(&points, &drifted).is_empty());
     }
 
     #[test]
