@@ -135,7 +135,7 @@ pub fn parse_u64_flags<const N: usize>(
 ///
 /// Recognised flags (all optional):
 /// `--max-exp <u32>` (default 5; the paper uses 7),
-/// `--reps <u64>` (default 10, as in the paper),
+/// `--reps <u64>` (default 10, as in the paper; at least 1),
 /// `--seed <u64>` (default 2011),
 /// `--full` (shorthand for `--max-exp 7`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,6 +203,7 @@ impl HarnessOptions {
             (1..=7).contains(&options.max_exp),
             "--max-exp must be between 1 and 7"
         );
+        assert!(options.reps >= 1, "--reps must be at least 1");
         options
     }
 
@@ -259,6 +260,12 @@ mod tests {
     #[should_panic(expected = "unknown argument")]
     fn parse_rejects_unknown_flags() {
         HarnessOptions::parse(["--bogus".to_string()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--reps must be at least 1")]
+    fn parse_rejects_zero_reps() {
+        HarnessOptions::parse(["--reps", "0"].iter().map(|s| s.to_string()));
     }
 
     fn gate_flags(args: &[&str]) -> [u64; 2] {

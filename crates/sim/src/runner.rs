@@ -54,11 +54,20 @@ impl Experiment {
     ///
     /// # Errors
     /// Returns a [`ParameterError`] if any protocol configuration is invalid
-    /// (the error is detected before any simulation starts).
+    /// or `replications` is 0 (the error is detected before any simulation
+    /// starts).
     pub fn run(&self) -> Result<ExperimentResults, ParameterError> {
         // Validate every configuration up front so a sweep cannot fail hours in.
         for kind in &self.protocols {
             kind.build_node(1)?;
+        }
+        if self.replications == 0 {
+            // A cell of no runs would report a 0 mean and `all_completed`.
+            return Err(ParameterError::new(
+                "replications",
+                0.0,
+                "a sweep needs at least one replication per cell",
+            ));
         }
         self.options.validate_adversary()?;
 
@@ -336,6 +345,14 @@ mod tests {
             .protocols
             .push(ProtocolKind::OneFailAdaptive { delta: 1.0 });
         assert!(experiment.run().is_err());
+    }
+
+    #[test]
+    fn zero_replications_fail_before_running() {
+        let mut experiment = small_experiment();
+        experiment.replications = 0;
+        let error = experiment.run().unwrap_err();
+        assert_eq!(error.parameter(), "replications");
     }
 
     #[test]
