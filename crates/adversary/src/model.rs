@@ -289,12 +289,6 @@ impl AdversaryScenario {
         }
     }
 
-    /// True if the scenario is exactly the ideal channel. Simulators use
-    /// this to stay on their pristine (pre-adversary) fast paths.
-    pub fn is_clean(&self) -> bool {
-        self.jamming.is_none() && self.miss_delivery == 0.0
-    }
-
     /// Validates both components.
     ///
     /// # Errors
@@ -328,9 +322,12 @@ mod tests {
 
     #[test]
     fn default_is_clean() {
-        assert!(AdversaryScenario::default().is_clean());
+        assert_eq!(AdversaryScenario::default(), AdversaryScenario::clean());
         assert!(AdversaryModel::default().is_none());
-        assert!(!AdversaryScenario::faulty_feedback(0.1).is_clean());
+        assert_ne!(
+            AdversaryScenario::faulty_feedback(0.1),
+            AdversaryScenario::clean()
+        );
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl AdversaryState {
         }
     }
 
-    /// The inactive adversary (ideal channel): never jams, never degrades
-    /// feedback, never draws from its RNG.
-    pub fn inactive() -> Self {
-        Self::new(AdversaryScenario::clean(), 0)
-    }
-
     /// True if the adversary can affect the run at all. Simulators keep
     /// their pristine pre-adversary code paths when this is `false`.
     pub fn is_active(&self) -> bool {
@@ -215,7 +209,7 @@ mod tests {
 
     #[test]
     fn inactive_adversary_never_jams() {
-        let mut state = AdversaryState::inactive();
+        let mut state = AdversaryState::new(AdversaryScenario::clean(), 0);
         assert!(!state.is_active());
         for slot in 0..100 {
             assert!(!state.jams_slot(slot, SlotClass::Single));

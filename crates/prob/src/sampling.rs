@@ -4,7 +4,6 @@
 //! simulators only need a handful of discrete samplers, all of which are
 //! implemented (and tested) here:
 //!
-//! * [`sample_bernoulli`] — one biased coin flip;
 //! * [`sample_geometric`] — number of failures before the first success, via
 //!   inversion (`⌊ln U / ln(1-p)⌋`), O(1);
 //! * [`sample_binomial`] — exact for any `(n, p)`: waiting-time (geometric
@@ -20,35 +19,6 @@
 //! tests use the binomial sampler to cross-check the fast slot-outcome path.
 
 use rand::Rng;
-
-/// Samples a Bernoulli(`p`) trial; returns `true` with probability `p`.
-///
-/// # Panics
-/// Panics if `p` is not in `[0, 1]`.
-///
-/// # Example
-/// ```
-/// use mac_prob::sampling::sample_bernoulli;
-/// use mac_prob::rng::Xoshiro256pp;
-/// use rand::SeedableRng;
-/// let mut rng = Xoshiro256pp::seed_from_u64(0);
-/// assert!(sample_bernoulli(1.0, &mut rng));
-/// assert!(!sample_bernoulli(0.0, &mut rng));
-/// ```
-#[inline]
-pub fn sample_bernoulli<R: Rng + ?Sized>(p: f64, rng: &mut R) -> bool {
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "Bernoulli parameter must be in [0,1], got {p}"
-    );
-    if p <= 0.0 {
-        return false;
-    }
-    if p >= 1.0 {
-        return true;
-    }
-    rng.gen::<f64>() < p
-}
 
 /// Samples a Geometric(`p`) variable: the number of independent failures
 /// before the first success, each trial succeeding with probability `p`.
@@ -214,32 +184,6 @@ mod tests {
             stats.push(f(&mut rng));
         }
         (stats.mean(), stats.std_dev())
-    }
-
-    #[test]
-    fn bernoulli_edge_cases() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        assert!(sample_bernoulli(1.0, &mut rng));
-        assert!(!sample_bernoulli(0.0, &mut rng));
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches_p() {
-        let (mean, _) = mean_of(2, 100_000, |r| {
-            if sample_bernoulli(0.37, r) {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        assert!((mean - 0.37).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "Bernoulli parameter")]
-    fn bernoulli_rejects_invalid() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        sample_bernoulli(-0.1, &mut rng);
     }
 
     #[test]

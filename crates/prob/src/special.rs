@@ -69,15 +69,6 @@ pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     ln_p.exp()
 }
 
-/// Base-2 logarithm as used by the paper (the paper's `log` is `log₂`).
-///
-/// # Panics
-/// Panics if `x <= 0`.
-pub fn log2(x: f64) -> f64 {
-    assert!(x > 0.0, "log2 of non-positive value {x}");
-    x.log2()
-}
-
 /// Natural logarithm of the gamma function `ln Γ(x)` for `x > 0`, via the
 /// Lanczos approximation (g = 7, 9 coefficients; relative error below
 /// `1e-13` over the positive reals).
@@ -241,17 +232,6 @@ mod tests {
         let pr = slot_outcome_probabilities(m, p);
         assert!((binomial_pmf(m, 0, p) - pr.silence).abs() < 1e-12);
         assert!((binomial_pmf(m, 1, p) - pr.delivery).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_helpers() {
-        assert_eq!(log2(8.0), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "log2 of non-positive")]
-    fn log2_rejects_zero() {
-        let _ = log2(0.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct StreamingStats {
@@ -104,15 +104,6 @@ impl StreamingStats {
             0.0
         } else {
             self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population variance (0 if empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 

@@ -101,14 +101,6 @@ impl ExpBackonBackoff {
     pub fn phase(&self) -> u32 {
         self.phase
     }
-
-    /// Returns the first `n` window lengths of a fresh schedule with the same
-    /// `δ` (a convenience for tests, documentation and the examples; the
-    /// schedule itself is not advanced).
-    pub fn window_preview(&self, n: usize) -> Vec<u64> {
-        let mut copy = Self::try_new(self.delta).expect("delta already validated");
-        (0..n).map(|_| copy.next_window()).collect()
-    }
 }
 
 impl WindowSchedule for ExpBackonBackoff {
@@ -215,16 +207,6 @@ mod tests {
             previous = w;
             assert!(w >= 1);
         }
-    }
-
-    #[test]
-    fn window_preview_matches_fresh_schedule_and_does_not_advance() {
-        let ebb = ExpBackonBackoff::with_default_delta();
-        let preview = ebb.window_preview(6);
-        let mut fresh = ExpBackonBackoff::with_default_delta();
-        let direct: Vec<u64> = (0..6).map(|_| fresh.next_window()).collect();
-        assert_eq!(preview, direct);
-        assert_eq!(ebb.phase(), 1, "preview must not advance the schedule");
     }
 
     #[test]

@@ -254,10 +254,6 @@ impl FairProtocol for LogFailsAdaptive {
         self.step += 1;
     }
 
-    fn steps_elapsed(&self) -> u64 {
-        self.step - 1
-    }
-
     fn schedule_phase(&self) -> u64 {
         // Position in the BT cycle *and* the consecutive-failure count: two
         // states at the same cycle position but with different failure
@@ -470,7 +466,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&p), "step {i}: p = {p}");
             lfa.advance(i % 11 == 0);
         }
-        assert_eq!(lfa.steps_elapsed(), 50_000);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl WindowSchedule for RExponentialBackoff {
 /// # Example
 /// ```
 /// use mac_protocols::{LoglogIteratedBackoff, WindowSchedule};
-/// let mut llib = LoglogIteratedBackoff::with_default_r();
+/// let mut llib = LoglogIteratedBackoff::new(2.0);
 /// // Windows 2 and 4 are each repeated twice, window 8 three times, ...
 /// assert_eq!(llib.next_window(), 2);
 /// assert_eq!(llib.next_window(), 2);
@@ -134,9 +134,6 @@ pub struct LoglogIteratedBackoff {
 }
 
 impl LoglogIteratedBackoff {
-    /// The growth factor used in the paper's simulations.
-    pub const PAPER_R: f64 = 2.0;
-
     /// Creates the schedule with growth factor `r`.
     ///
     /// # Panics
@@ -164,11 +161,6 @@ impl LoglogIteratedBackoff {
             current,
             repeats_left: Self::repeats_for(current),
         })
-    }
-
-    /// Creates the schedule with the paper's `r = 2`.
-    pub fn with_default_r() -> Self {
-        Self::new(Self::PAPER_R)
     }
 
     /// The configured growth factor.
@@ -280,7 +272,7 @@ mod tests {
 
     #[test]
     fn llib_schedule_prefix_matches_repeat_rule() {
-        let mut llib = LoglogIteratedBackoff::with_default_r();
+        let mut llib = LoglogIteratedBackoff::new(2.0);
         let seq: Vec<u64> = (0..14).map(|_| llib.next_window()).collect();
         // 2 (×2), 4 (×2), 8 (×4), 16 (×4 → only first 2 shown)
         assert_eq!(seq, vec![2, 2, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 32, 32]);
@@ -314,7 +306,7 @@ mod tests {
         // After the same number of windows, the loglog-iterated schedule must
         // be at a smaller window size than plain exponential back-off (that
         // is the whole point of iterating).
-        let mut llib = LoglogIteratedBackoff::with_default_r();
+        let mut llib = LoglogIteratedBackoff::new(2.0);
         let mut exp = RExponentialBackoff::new(2.0);
         let mut llib_last = 0;
         let mut exp_last = 0;

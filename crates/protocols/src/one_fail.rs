@@ -230,10 +230,6 @@ impl<R: BtStepRule> FairProtocol for OneFail<R> {
         self.step += 1;
     }
 
-    fn steps_elapsed(&self) -> u64 {
-        self.step - 1
-    }
-
     fn schedule_phase(&self) -> u64 {
         R::phase(self.step)
     }
@@ -329,7 +325,6 @@ mod tests {
         let ofa = OneFailAdaptive::with_default_delta();
         assert_eq!(ofa.kappa_estimate(), PAPER_DELTA + 1.0);
         assert_eq!(ofa.received(), 0);
-        assert_eq!(ofa.steps_elapsed(), 0);
         assert!(!ofa.next_step_is_bt(), "step 1 is an AT-step");
     }
 
@@ -340,7 +335,6 @@ mod tests {
             assert_eq!(ofa.next_step_is_bt(), i % 2 == 1, "step {}", i + 1);
             ofa.advance(false);
         }
-        assert_eq!(ofa.steps_elapsed(), 10);
     }
 
     #[test]

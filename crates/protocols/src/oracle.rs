@@ -64,10 +64,6 @@ impl FairProtocol for KnownKOracle {
         }
     }
 
-    fn steps_elapsed(&self) -> u64 {
-        self.steps
-    }
-
     fn checkpoint_words(&self) -> Vec<u64> {
         vec![self.remaining, self.steps]
     }
@@ -95,7 +91,6 @@ mod tests {
         }
         assert_eq!(oracle.remaining(), 7);
         assert!((oracle.transmission_probability() - 1.0 / 7.0).abs() < 1e-15);
-        assert_eq!(oracle.steps_elapsed(), 4);
     }
 
     #[test]

@@ -88,9 +88,6 @@ pub trait FairProtocol: Debug + Send {
     /// stations that remain active) was delivered in the slot.
     fn advance(&mut self, delivered: bool);
 
-    /// Number of slots already elapsed since activation.
-    fn steps_elapsed(&self) -> u64;
-
     /// The state's position within the protocol's deterministic update
     /// schedule — the *phase-schedule accessor* the cohort aggregate engine
     /// advances and merges cohorts by.
@@ -187,11 +184,6 @@ impl<P: FairProtocol> FairNode<P> {
     pub fn new(state: P) -> Self {
         Self { state }
     }
-
-    /// Read access to the wrapped state (used by tests).
-    pub fn state(&self) -> &P {
-        &self.state
-    }
 }
 
 impl<P: FairProtocol> Protocol for FairNode<P> {
@@ -237,12 +229,6 @@ impl<S: WindowSchedule> WindowNode<S> {
             chosen: 0,
         }
     }
-
-    /// The length of the window the station is currently in (0 before the
-    /// first call to [`Protocol::decide`]).
-    pub fn current_window(&self) -> u64 {
-        self.window_len
-    }
 }
 
 impl<S: WindowSchedule> Protocol for WindowNode<S> {
@@ -276,7 +262,6 @@ mod tests {
     #[derive(Debug, Clone, Default)]
     struct TwoThenSilent {
         heard: u64,
-        steps: u64,
     }
 
     impl FairProtocol for TwoThenSilent {
@@ -288,22 +273,18 @@ mod tests {
             }
         }
         fn advance(&mut self, delivered: bool) {
-            self.steps += 1;
             if delivered {
                 self.heard += 1;
             }
         }
-        fn steps_elapsed(&self) -> u64 {
-            self.steps
-        }
         fn checkpoint_words(&self) -> Vec<u64> {
-            vec![self.heard, self.steps]
+            vec![self.heard]
         }
         fn restore_words(&mut self, words: &[u64]) -> bool {
-            let [heard, steps] = words else {
+            let [heard] = words else {
                 return false;
             };
-            (self.heard, self.steps) = (*heard, *steps);
+            self.heard = *heard;
             true
         }
     }
@@ -335,8 +316,6 @@ mod tests {
         // Two deliveries heard: probability drops to zero.
         assert!(!node.decide(&mut rng));
         node.observe(false);
-        assert_eq!(node.state().steps_elapsed(), 3);
-        assert_eq!(node.state().heard, 2);
     }
 
     #[test]
@@ -382,7 +361,6 @@ mod tests {
     fn window_node_transmits_exactly_once_per_window() {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let mut node = WindowNode::new(ConstantThree);
-        assert_eq!(node.current_window(), 0);
         for _window in 0..50 {
             let mut transmissions = 0;
             for _ in 0..3 {
@@ -391,7 +369,6 @@ mod tests {
                 }
                 node.observe(false);
             }
-            assert_eq!(node.current_window(), 3);
             assert_eq!(transmissions, 1, "exactly one transmission per window");
         }
     }
