@@ -928,6 +928,45 @@ mod tests {
     }
 
     #[test]
+    fn merged_cohort_bookkeeping_survives_odd_budgets_and_resumes() {
+        // The oracle bursts of the merge test above plus a later pair, on a
+        // seed whose slot 0 is silent: the first pair merges at the slot-64
+        // scan into one cohort with two arrival groups, which then runs
+        // alone until slot 2,000, so every pause in between falls inside a
+        // single-cohort stretch. The later pair merges at the slot-2,048
+        // scan while the first cohort is still live (three cohorts at the
+        // peak), and after the first cohort drains the merged pair runs
+        // alone on two arrival groups again. The session is driven in odd
+        // budgets with a checkpoint round trip at every pause.
+        let model = ArrivalModel::Bursts {
+            bursts: vec![(0, 300), (1, 300), (2_000, 200), (2_001, 200)],
+        };
+        let kind = ProtocolKind::KnownKOracle;
+        let schedule = model.sample(&mut Xoshiro256pp::seed_from_u64(0));
+        let unbroken = cohort(kind.clone()).run_schedule(&schedule, 0).unwrap();
+        let source = StreamSource::Plain(ArrivalStream::new(&model, 0));
+        let mut session = Session::dynamic_on(&kind, source, 0, &RunOptions::default(), true)
+            .unwrap()
+            .expect("a fair kind runs on the cohort engine");
+        for budget in [37, 101, 1, 63, 129].into_iter().cycle() {
+            if session.advance(budget).unwrap() == crate::SessionStatus::Finished {
+                break;
+            }
+            session = Session::resume(&session.checkpoint().unwrap()).unwrap();
+        }
+        let run = session.cohort_run().unwrap();
+        assert_eq!(run, unbroken);
+        let r = &run.result;
+        let latencies = mac_prob::wire::digest_words(&run.latencies);
+        assert_eq!((run.merges, run.peak_cohorts), (2, 3));
+        assert_eq!(
+            (r.makespan, r.delivered, r.collisions, r.silent_slots),
+            (7_270, 1_000, 218, 6_052)
+        );
+        assert_eq!(latencies, 0xc73e_135e_98fb_5baa);
+    }
+
+    #[test]
     fn class_cap_holds_under_sustained_poisson_arrivals() {
         // Rate-2 Poisson over a long horizon explodes the unbounded
         // engine's class count (one class per arrival slot while the
