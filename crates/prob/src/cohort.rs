@@ -127,6 +127,15 @@ impl CohortKernel {
         self.caches.swap_remove(i);
     }
 
+    /// The kernel cache of cohort `i`, for a caller that resolves a lone
+    /// cohort's slots itself. With one cohort, [`CohortKernel::classify`]
+    /// returns `t0` and `t0 + (t1 − t0)` of the line this cache selects, and
+    /// [`CohortKernel::delivering_cohort`] gives the whole delivery band to
+    /// that cohort.
+    pub fn cache_mut(&mut self, i: usize) -> &mut SlotKernelCache {
+        &mut self.caches[i]
+    }
+
     /// The two cached probability tracks of cohort `i`, sorted ascending
     /// (see [`SlotKernelCache::track_probabilities`]). The cohort engine
     /// merges two cohorts only when *both* tracks agree within its merge

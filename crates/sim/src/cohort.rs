@@ -72,6 +72,7 @@ use crate::run_state::{
 use crate::session::{Engine, Session, SessionEngine, StreamFeed, StreamSource};
 use mac_adversary::SlotClass;
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
+use mac_prob::binomial::SlotThresholds;
 use mac_prob::cohort::{relative_gap, CohortKernel};
 use mac_prob::wire::{Decoder, Encoder, WireError};
 use mac_protocols::{FairProtocol, ParameterError, ProtocolKind};
@@ -114,6 +115,37 @@ struct Cohort<P> {
     /// after a merge. Members are exchangeable, so a delivery picks a
     /// sub-group with probability proportional to its count.
     groups: Vec<(u64, u64)>,
+}
+
+impl<P> Cohort<P> {
+    /// Delivers one member in the current slot of `run`: `fraction`,
+    /// uniform in `[0, 1)` given the delivery (the leftover of
+    /// [`CohortKernel::delivering_cohort`]), picks the member and with it
+    /// the arrival sub-group its latency is counted from.
+    fn deliver_one(&mut self, run: &mut RunState, fraction: f64, slots: Option<&mut Vec<u64>>) {
+        let mut index = ((fraction * self.m as f64) as u64).min(self.m - 1);
+        let group = self
+            .groups
+            .iter_mut()
+            .find(|(_, count)| {
+                if index < *count {
+                    true
+                } else {
+                    index -= *count;
+                    false
+                }
+            })
+            .expect("group counts sum to the cohort size");
+        run.deliver(run.slot - group.0);
+        group.1 -= 1;
+        if group.1 == 0 && self.groups.len() > 1 {
+            self.groups.retain(|&(_, count)| count > 0);
+        }
+        self.m -= 1;
+        if let Some(slots) = slots {
+            slots.push(run.slot);
+        }
+    }
 }
 
 /// Fast simulator for fair protocols under **arbitrary arrival schedules**.
@@ -350,6 +382,101 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             delivery_slots,
         })
     }
+
+    /// A single-cohort stretch: the slots that run while exactly one cohort
+    /// is live, up to the next arrival, the budget end `cap` or the slot
+    /// cap, or through the cohort's last delivery. It resolves each slot on
+    /// the cohort's own kernel line, with the one-cohort arithmetic of
+    /// [`CohortKernel::classify`] and [`CohortKernel::delivering_cohort`],
+    /// so it consumes the same draws and reaches the same state as the
+    /// per-slot path would (`DESIGN.md` §6).
+    fn run_alone(&mut self, cap: u64, mut jam_log: Option<&mut Vec<u64>>) {
+        let run = &mut self.run;
+        let start = run.slot;
+        let end = self
+            .feed
+            .peek_slot()
+            .map_or(cap, |due| due.min(cap))
+            .min(run.max_slots);
+        let cohort = &mut self.cohorts[0];
+        let cache = self.kernel.cache_mut(0);
+        let mut m = cohort.m as f64;
+        let mut emptied = false;
+        while run.slot < end {
+            let p = cohort.state.transmission_probability();
+            debug_assert!((0.0..=1.0).contains(&p), "invalid probability {p}");
+            let line = cache.select(m, p);
+            let SlotThresholds { t0, t1: line_t1 } = line.thresholds();
+            let band = line_t1 - t0;
+            let t1 = t0 + band;
+            let mut delivery = None;
+            if line.is_dead() || t1 <= 0.0 {
+                // Certain collision at f64 resolution: no draw is consumed.
+                run.collisions += 1;
+                if self.adversarial {
+                    run.adversary.jams_slot(run.slot, SlotClass::Contended);
+                }
+            } else {
+                let u = run.rng.gen::<f64>();
+                let silent = u < t0;
+                let single = !silent & (u < t1);
+                if !self.adversarial {
+                    // Branchless silence/collision split: only the (rarer)
+                    // delivery takes a data-dependent branch.
+                    run.silent += u64::from(silent);
+                    run.collisions += u64::from(!(silent | single));
+                    if single {
+                        delivery = Some(u - t0);
+                    }
+                } else if single {
+                    if run.adversary.jams_slot(run.slot, SlotClass::Single) {
+                        run.collisions += 1;
+                        run.jammed_deliveries += 1;
+                        if let Some(log) = jam_log.as_deref_mut() {
+                            log.push(run.slot);
+                        }
+                    } else {
+                        delivery = Some(u - t0);
+                    }
+                } else if silent {
+                    run.silent += 1;
+                } else {
+                    run.collisions += 1;
+                    run.adversary.jams_slot(run.slot, SlotClass::Contended);
+                }
+            }
+            let mut feedback = false;
+            if let Some(x) = delivery {
+                let fraction = if x < band {
+                    (x / band).clamp(0.0, 1.0 - f64::EPSILON)
+                } else {
+                    0.0
+                };
+                cohort.deliver_one(run, fraction, self.delivery_slots.as_mut());
+                m -= 1.0;
+                feedback = !self.adversarial || !run.adversary.misses_delivery();
+                if cohort.m == 0 {
+                    run.slot += 1;
+                    emptied = true;
+                    break;
+                }
+            }
+            cohort.state.advance(feedback);
+            run.slot += 1;
+        }
+        // The per-slot path counts the merge-scan clock down once per slot;
+        // its scans find nothing to merge while one cohort is live.
+        let elapsed = (run.slot - start) % MERGE_SCAN_PERIOD;
+        self.slots_to_merge_scan = if self.slots_to_merge_scan > elapsed {
+            self.slots_to_merge_scan - elapsed
+        } else {
+            self.slots_to_merge_scan + MERGE_SCAN_PERIOD - elapsed
+        };
+        if emptied {
+            self.cohorts.clear();
+            self.kernel.swap_remove(0);
+        }
+    }
 }
 
 impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
@@ -360,11 +487,12 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
         &self.run
     }
     /// Advances until at least `budget` slots have elapsed or the run
-    /// finishes.
-    fn advance(&mut self, budget: u64, _jam_log: Option<&mut Vec<u64>>) {
-        let run = &mut self.run;
-        let cap = run.slot.saturating_add(budget);
-        while run.remaining > 0 && run.slot < run.max_slots && run.slot < cap {
+    /// finishes. `jam_log`, when provided, records the slot of every
+    /// effective jam (see [`crate::FairSimulator::run_logging_jams`]).
+    fn advance(&mut self, budget: u64, mut jam_log: Option<&mut Vec<u64>>) {
+        let cap = self.run.slot.saturating_add(budget);
+        while !self.run.is_finished() && self.run.slot < cap {
+            let run = &mut self.run;
             // Activate the arrival burst of this slot as one fresh cohort
             // (arrivals are sorted, so all due arrivals share the slot
             // after the fast-forward below).
@@ -407,6 +535,10 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
                 run.slot = next;
                 continue;
             }
+            if self.cohorts.len() == 1 {
+                self.run_alone(cap, jam_log.as_deref_mut());
+                continue;
+            }
 
             self.ms.clear();
             self.ps.clear();
@@ -433,34 +565,15 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
                         // stays active and the slot reads as a collision.
                         run.collisions += 1;
                         run.jammed_deliveries += 1;
+                        if let Some(log) = jam_log.as_deref_mut() {
+                            log.push(run.slot);
+                        }
                     } else {
                         // Which cohort delivered, and — through the leftover
-                        // uniform fraction — which arrival sub-group within
-                        // it (members are exchangeable).
+                        // uniform fraction — which of its members.
                         let (ci, fraction) = self.kernel.delivering_cohort(u - thresholds.t0);
                         let cohort = &mut self.cohorts[ci];
-                        let mut index = ((fraction * cohort.m as f64) as u64).min(cohort.m - 1);
-                        let group = cohort
-                            .groups
-                            .iter_mut()
-                            .find(|(_, count)| {
-                                if index < *count {
-                                    true
-                                } else {
-                                    index -= *count;
-                                    false
-                                }
-                            })
-                            .expect("group counts sum to the cohort size");
-                        run.deliver(run.slot - group.0);
-                        group.1 -= 1;
-                        if group.1 == 0 && cohort.groups.len() > 1 {
-                            cohort.groups.retain(|&(_, count)| count > 0);
-                        }
-                        cohort.m -= 1;
-                        if let Some(slots) = self.delivery_slots.as_mut() {
-                            slots.push(run.slot);
-                        }
+                        cohort.deliver_one(run, fraction, self.delivery_slots.as_mut());
                         // Acknowledgements are reliable; only the broadcast
                         // feedback to the remaining stations can be lost.
                         delivered_feedback = !self.adversarial || !run.adversary.misses_delivery();
