@@ -32,11 +32,11 @@ pub const SESSION_FILE: &str = "crates/sim/src/session/frame.rs";
 /// frame, the options and arrival feed, the watchdog, the sharded driver),
 /// the kind table (the protocol kind a session frame records), the jamming
 /// model and the adversary state (the options' model and the run state's
-/// adversary words), the engine cores (fair, window, cohort) whose words a
+/// adversary words), the engine cores (window, cohort) whose words a
 /// session frame carries and the run state every frame writes as one
-/// block, the arrival streams and shard views a dynamic frame carries, and
+/// block, the arrival streams and shard views a cohort frame carries, and
 /// the kernel caches and latency sketches the cores carry verbatim.
-pub const ENCODE_FILES: [&str; 15] = [
+pub const ENCODE_FILES: [&str; 14] = [
     SESSION_FILE,
     "crates/sim/src/session.rs",
     "crates/sim/src/session/watchdog.rs",
@@ -44,7 +44,6 @@ pub const ENCODE_FILES: [&str; 15] = [
     "crates/protocols/src/kind.rs",
     "crates/adversary/src/model.rs",
     "crates/adversary/src/state.rs",
-    "crates/sim/src/aggregate.rs",
     "crates/sim/src/window.rs",
     "crates/sim/src/cohort.rs",
     "crates/sim/src/run_state.rs",

@@ -251,12 +251,12 @@ fn wire_fixture_layout_change_without_version_bump_fails() {
 /// An engine core whose payload a session frame embeds, declared through a
 /// generic inherent impl as the real cores are.
 const CORE_FIXTURE: &str = "\
-pub(crate) struct FairEngineCore<P> {
+pub(crate) struct CohortEngineCore<P> {
     state: P,
     slot: u64,
     silent: u64,
 }
-impl<P: FairProtocol> FairEngineCore<P> {
+impl<P: FairProtocol> CohortEngineCore<P> {
     pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
         out.put_u64(self.slot);
         out.put_u64(self.silent);
@@ -268,13 +268,10 @@ impl<P: FairProtocol> FairEngineCore<P> {
 
 #[test]
 fn wire_fixture_engine_core_payloads_are_fingerprinted() {
-    let path = "crates/sim/src/aggregate.rs";
+    let path = "crates/sim/src/cohort.rs";
     let frames = wire::frames_of(&analyze(path, CORE_FIXTURE));
     let keys: Vec<&str> = frames.iter().map(|f| f.key.as_str()).collect();
-    assert_eq!(
-        keys,
-        ["crates/sim/src/aggregate.rs::FairEngineCore::encode"]
-    );
+    assert_eq!(keys, ["crates/sim/src/cohort.rs::CohortEngineCore::encode"]);
     let ledger = wire::render_ledger(&frames, 3);
     assert!(wire::check_ledger(&frames, Some(3), Some(&ledger), "L").is_empty());
 

@@ -1,28 +1,43 @@
-//! The cohort aggregate engine: fast simulation of **fair protocols under
-//! dynamic arrivals**.
+//! The cohort engine: fast simulation of **every fair-protocol run**,
+//! batched or under dynamic arrivals.
 //!
-//! The aggregate fair engine (`crate::aggregate`) needs every active station
-//! on one common probability, which batched arrivals guarantee and dynamic
-//! arrivals break — but only at arrival boundaries. Stations that arrive in
-//! the same slot start in identical protocol state and observe identical
-//! public feedback, so they stay in lockstep forever: the population is a
-//! set of *cohorts*, each internally homogeneous, one per arrival burst.
-//! This engine resolves each slot over the cohort decomposition with the
+//! A fair protocol puts every active station on one common probability as
+//! long as they share their protocol state. Stations that arrive in the
+//! same slot start in identical state and observe identical public
+//! feedback, so they stay in lockstep forever: the population is a set of
+//! *cohorts*, each internally homogeneous, one per arrival burst. A
+//! batched instance is the special case of one cohort that arrives at slot
+//! 0 ([`crate::FairSimulator`], [`crate::Session::batched`]). This engine
+//! resolves each slot over the cohort decomposition with the
 //! sum-of-binomials kernel of [`mac_prob::cohort`]:
 //!
 //! * a slot costs **O(active cohorts)** arithmetic and at most one uniform
 //!   draw, instead of the exact simulator's O(active stations) — the
 //!   structural win for bursty and clumped arrivals, where cohorts hold
 //!   many stations each;
+//! * while **exactly one cohort** is live (a whole batched run, and the
+//!   quiet stretches of a dynamic one), a *single-cohort stretch* runs the
+//!   slots up to the next arrival, the budget end or the slot cap on that
+//!   cohort's own kernel line: O(1) per slot, usually a handful of
+//!   arithmetic operations and no transcendental, with the kernel's one-
+//!   cohort arithmetic, so it is stream-identical to the per-slot path
+//!   (`DESIGN.md` §6);
 //! * a single *dead* cohort (`P(T_i ≤ 1) = 0` at `f64` resolution, e.g. a
 //!   large backlogged burst at an AT-scale probability) makes the slot a
-//!   certain collision with **no draw at all**, extending the aggregate
-//!   engine's dead-slot elision across the decomposition;
+//!   certain collision with **no draw at all**: in a `k = 10⁶` One-fail
+//!   Adaptive run, half of all slots (the BT parity) are dead for 98% of
+//!   the run;
 //! * stretches with **no active station** are fast-forwarded to the next
 //!   arrival in O(1) (they are silent by definition, and the adversary is
 //!   only ever consulted about busy slots);
 //! * cohorts whose probability schedules have **converged** are merged (see
 //!   below), bounding the cohort count in long drain phases.
+//!
+//! Adversaries hook in per busy slot: jamming needs only the slot class
+//! ([`SlotClass::Single`] / contended), which the classification provides,
+//! and the missed-delivery fault consults only the adversary's own RNG
+//! stream. The slot of every effective jam can be logged for the strategy
+//! search's certificates ([`crate::FairSimulator::run_logging_jams`]).
 //!
 //! ## Merging
 //!
@@ -44,12 +59,14 @@
 //!
 //! ## Resumable core
 //!
-//! The loop state lives in one core, `CohortEngineCore`, and every run is
-//! a dynamic session over it: arrivals come from the session's lazy
-//! [`mac_channel::ArrivalStream`] feed, latencies go to an exact vector
-//! ([`CohortSimulator`], `simulate_dynamic`) or a bounded-memory
+//! The loop state lives in one core, `CohortEngineCore`, and every fair
+//! run is a session over it: arrivals come from the session's lazy
+//! [`mac_channel::ArrivalStream`] feed (one [`ArrivalModel::Batched`]
+//! burst for a batched run), latencies go to an exact vector
+//! ([`CohortSimulator`], `simulate_dynamic`), a bounded-memory
 //! [`StreamingLatencyStats`](mac_prob::sketch::StreamingLatencyStats)
-//! sketch ([`crate::Session::dynamic`]), and `advance(budget)` is the only
+//! sketch ([`crate::Session::dynamic`], [`crate::Session::batched`]) or
+//! nowhere ([`crate::FairSimulator`]), and `advance(budget)` is the only
 //! loop body — so a checkpointed run is bit-identical to an unbroken one by
 //! construction. The core keeps the cohorts, their kernel and the merge
 //! machinery beside the run accounting every fast core shares (counts,
@@ -214,15 +231,6 @@ impl CohortSimulator {
                 )
             })
     }
-
-    /// Convenience wrapper: a batched (static k-selection) instance — a
-    /// single cohort, equivalent in law to [`crate::FairSimulator`].
-    ///
-    /// # Errors
-    /// Returns a [`ParameterError`] as for [`CohortSimulator::run_schedule`].
-    pub fn run(&self, k: u64, seed: u64) -> Result<CohortRun, ParameterError> {
-        self.run_schedule(&ArrivalSchedule::new(vec![0; k as usize]), seed)
-    }
 }
 
 /// The complete loop state of one cohort-engine run, advanceable in bounded
@@ -231,10 +239,10 @@ impl CohortSimulator {
 /// one at a time, so the executed count never overshoots.
 ///
 /// The slot-driving loop is monomorphic over the concrete protocol so the
-/// per-cohort state queries inline. It mirrors the fair aggregate engine's
-/// adversary contract: jamming is offered busy slots only, in slot order,
-/// with the slot class, and a delivery the jam left standing asks the
-/// missed-delivery fault whether the listeners hear it.
+/// per-cohort state queries inline. Its adversary contract: jamming is
+/// offered busy slots only, in slot order, with the slot class, and a
+/// delivery the jam left standing asks the missed-delivery fault whether
+/// the listeners hear it.
 #[derive(Debug)]
 pub(crate) struct CohortEngineCore<P> {
     /// The run accounting; its latency record holds delivery − arrival.
@@ -254,8 +262,7 @@ pub(crate) struct CohortEngineCore<P> {
     slots_to_merge_scan: u64,
     adversarial: bool,
     /// The slot of every delivery, when recorded ([`RunOptions`]'s
-    /// `record_deliveries`): unlike a batched run's, these are not the
-    /// latencies.
+    /// `record_deliveries`): only a batched run's latencies equal them.
     delivery_slots: Option<Vec<u64>>,
 }
 
@@ -855,7 +862,6 @@ mod tests {
     use super::*;
     use mac_adversary::{AdversaryModel, AdversaryScenario};
     use mac_prob::rng::Xoshiro256pp;
-    use mac_prob::stats::StreamingStats;
     use rand::SeedableRng;
 
     fn cohort(kind: ProtocolKind) -> CohortSimulator {
@@ -868,7 +874,9 @@ mod tests {
 
     #[test]
     fn empty_instance_completes_immediately() {
-        let run = cohort(ofa()).run(0, 1).unwrap();
+        let run = cohort(ofa())
+            .run_schedule(&ArrivalSchedule::new(Vec::new()), 1)
+            .unwrap();
         assert!(run.result.completed);
         assert_eq!(run.result.makespan, 0);
         assert!(run.latencies.is_empty());
@@ -886,7 +894,9 @@ mod tests {
             },
             ProtocolKind::KnownKOracle,
         ] {
-            let run = cohort(kind.clone()).run(500, 11).unwrap();
+            let run = cohort(kind.clone())
+                .run_schedule(&ArrivalSchedule::new(vec![0; 500]), 11)
+                .unwrap();
             assert!(run.result.completed, "{}", kind.label());
             assert_eq!(run.result.delivered, 500);
             assert_eq!(run.peak_cohorts, 1, "batched arrivals form one cohort");
@@ -902,7 +912,9 @@ mod tests {
     #[test]
     fn rejects_window_protocols() {
         let sim = cohort(ProtocolKind::ExpBackonBackoff { delta: 0.366 });
-        assert!(sim.run(10, 0).is_err());
+        assert!(sim
+            .run_schedule(&ArrivalSchedule::new(vec![0; 10]), 0)
+            .is_err());
     }
 
     #[test]
@@ -992,7 +1004,9 @@ mod tests {
             }),
             ..RunOptions::default()
         };
-        let run = CohortSimulator::new(ofa(), options).run(8, 3).unwrap();
+        let run = CohortSimulator::new(ofa(), options)
+            .run_schedule(&ArrivalSchedule::new(vec![0; 8]), 3)
+            .unwrap();
         assert!(!run.result.completed);
         assert_eq!(run.result.delivered, 0);
         assert!(run.latencies.is_empty());
@@ -1204,31 +1218,6 @@ mod tests {
             randomized.result.completed,
             "randomised parity must break the deadlock (delivered {} of 80)",
             randomized.result.delivered
-        );
-    }
-
-    #[test]
-    fn batched_cohort_and_fair_simulators_agree_statistically() {
-        // On batched arrivals the cohort engine *is* the aggregate fair
-        // engine (one cohort): their makespan distributions must agree.
-        let kind = ofa();
-        let mut cohort_stats = StreamingStats::new();
-        let mut fair_stats = StreamingStats::new();
-        for seed in 0..40 {
-            cohort_stats.push(cohort(kind.clone()).run(64, seed).unwrap().result.makespan as f64);
-            fair_stats.push(
-                crate::FairSimulator::new(kind.clone(), RunOptions::default())
-                    .run(64, 10_000 + seed)
-                    .unwrap()
-                    .makespan as f64,
-            );
-        }
-        let tolerance = (4.0 * (cohort_stats.std_error() + fair_stats.std_error())).max(10.0);
-        assert!(
-            (cohort_stats.mean() - fair_stats.mean()).abs() < tolerance,
-            "cohort {} vs fair {}",
-            cohort_stats.mean(),
-            fair_stats.mean()
         );
     }
 }

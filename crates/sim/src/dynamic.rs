@@ -8,7 +8,7 @@
 //! [`mac_channel::ArrivalModel`] and reports latency and throughput metrics
 //! instead of just the makespan.
 //!
-//! Fair protocols are served by the **cohort aggregate engine**: a dynamic
+//! Fair protocols are served by the **cohort engine**: a dynamic
 //! [`crate::Session`] run to its end with every latency recorded,
 //! O(active cohorts) per slot instead of the exact simulator's O(active
 //! stations), which is what makes Poisson/burst experiments at `k = 10⁵`
@@ -175,7 +175,7 @@ impl DynamicReport {
 /// protocols evaluated with the same `seed` see the *same* arrival pattern —
 /// which is what a comparison experiment wants.
 ///
-/// Fair protocols run on the cohort aggregate engine — the
+/// Fair protocols run on the cohort engine — the
 /// [`Session::dynamic`] session driven to its end, with exact latencies;
 /// window protocols run per-station on the exact engine over the sampled
 /// schedule. Both paths produce the same report fields, and the cohort path

@@ -11,13 +11,15 @@
 //! Consequently the slot outcome depends only on the number `m` of active
 //! stations: the number of transmitters is `T ~ Binomial(m, p_t)`, and the
 //! slot is a delivery iff `T = 1` (the delivered station being a uniformly
-//! random active one), silent iff `T = 0`, and a collision otherwise. The
-//! simulator resolves each slot from a single binomial classification draw
-//! through the aggregate engine (`crate::aggregate`): O(1) work per slot
-//! regardless of `m`, with cached incrementally-maintained thresholds so
-//! that a typical slot costs a handful of arithmetic operations and certain
-//! collisions cost no randomness at all. This is what makes the paper's
-//! `k = 10⁷` data points affordable.
+//! random active one), silent iff `T = 0`, and a collision otherwise. A
+//! batched instance is thus one *cohort* that arrives at slot 0, and the
+//! simulator runs it on the cohort engine (`crate::cohort`), whose
+//! single-cohort stretch resolves each slot from one binomial
+//! classification draw: O(1) work per slot regardless of `m`, with cached
+//! incrementally-maintained thresholds so that a typical slot costs a
+//! handful of arithmetic operations and certain collisions cost no
+//! randomness at all. This is what makes the paper's `k = 10⁷` data points
+//! affordable.
 //!
 //! The equivalence with the per-station simulator is exact in distribution
 //! (same stochastic process, marginalised over station identities — see
@@ -60,7 +62,7 @@ impl FairSimulator {
     /// Runs one batched instance with `k` messages.
     ///
     /// The protocol kind is visited into a monomorphic instantiation of the
-    /// aggregate engine, so the per-slot protocol calls inline into the hot
+    /// cohort engine, so the per-slot protocol calls inline into the hot
     /// loop.
     ///
     /// # Errors
@@ -78,7 +80,8 @@ impl FairSimulator {
     /// reproduces this run bit-identically: deterministic jam models consume
     /// no randomness from either stream, and jamming already-contended slots
     /// is observably inert. The strategy search uses this to turn a searched
-    /// incumbent into a replayable certificate.
+    /// incumbent into a replayable certificate. The logging itself consumes
+    /// no randomness, so a logged run is bit-identical to an unlogged one.
     ///
     /// # Errors
     /// Same conditions as [`FairSimulator::run`].

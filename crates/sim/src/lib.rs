@@ -6,11 +6,13 @@
 //! batch of `k` messages has been fully delivered, averaged over replicated
 //! runs.
 //!
-//! Four simulators are provided, trading generality for speed. Each engine
-//! is written once — one loop, generic over the protocol state — and every
-//! other entry point runs that same loop; all four keep their run
-//! accounting (counts, slot clock, tally, RNG streams) in one shared run
-//! state with one result builder.
+//! Four simulators are provided, trading generality for speed, on three
+//! engines: the exact per-station loop, the cohort engine for every fair
+//! run (a batched run is one cohort that arrives at slot 0) and the window
+//! engine. Each engine is written once — one loop, generic over the
+//! protocol state — and every other entry point runs that same loop; all
+//! three keep their run accounting (counts, slot clock, tally, RNG streams)
+//! in one shared run state with one result builder.
 //! `ProtocolKind::visit` (in `mac-protocols`) is the only code that turns a
 //! configured kind into a state, so every fair kind runs on every fair
 //! engine and every window kind on the window engine.
@@ -18,14 +20,15 @@
 //! | Simulator | Applies to | Cost | Used for |
 //! |-----------|-----------|------|----------|
 //! | [`exact::ExactSimulator`] | every kind; any arrival schedule | O(k) per slot | correctness reference, traces, window-protocol dynamic arrivals; paused at single-transmitter slots ([`ExactSimulator::stepper`]), the game of the strategy search |
-//! | [`fair::FairSimulator`] | every fair kind ([`mac_protocols::ProtocolFamily::Fair`]), batched arrivals | O(1) per slot (one binomial classification draw, cached thresholds) | the paper's sweep up to k = 10⁷ |
-//! | [`cohort::CohortSimulator`] | every fair kind, **any arrival schedule** | O(active cohorts) per slot, one draw | dynamic-arrival (Poisson/bursts) experiments at paper scale; a dynamic [`Session`] driven to its end, as is [`dynamic::simulate_dynamic`]'s fair path |
+//! | [`fair::FairSimulator`] | every fair kind ([`mac_protocols::ProtocolFamily::Fair`]), batched arrivals | O(1) per slot (the cohort engine's single-cohort stretch: one binomial classification draw, cached thresholds) | the paper's sweep up to k = 10⁷; a batched [`Session`] driven to its end |
+//! | [`cohort::CohortSimulator`] | every fair kind, **any arrival schedule** | O(active cohorts) per slot, one draw; O(1) while one cohort is live | dynamic-arrival (Poisson/bursts) experiments at paper scale; a dynamic [`Session`] driven to its end, as is [`dynamic::simulate_dynamic`]'s fair path |
 //! | [`window::WindowSimulator`] | every window kind ([`mac_protocols::ProtocolFamily::Window`]), batched arrivals | O(min(m, w)) per window, O(1) when collisions are certain | the paper's sweep up to k = 10⁷ |
 //!
-//! The fair and window simulators are *exact in distribution*: they sample
-//! the same random process as the per-station simulator, just without
-//! materialising the stations (see the crate-level DESIGN.md for the
-//! argument, and the integration tests for the statistical cross-check).
+//! The fair, cohort and window simulators are *exact in distribution*: they
+//! sample the same random process as the per-station simulator, just
+//! without materialising the stations (see the crate-level DESIGN.md for
+//! the argument, and the integration tests for the statistical
+//! cross-check).
 //!
 //! On top of the simulators sit:
 //!
@@ -74,7 +77,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub(crate) mod aggregate;
 pub mod cohort;
 pub mod dynamic;
 pub mod exact;
@@ -147,11 +149,11 @@ pub fn simulate_with_options(
     run_fast(kind, k, seed, options, None)
 }
 
-/// Runs one batched instance of `kind` on its fast engine — the aggregate
-/// engine for a fair state, the window engine for a window schedule, built
-/// by the batched session's visit without a latency sketch — and, with
-/// `jam_log`, records the adversary's effective jams (see
-/// [`FairSimulator::run_logging_jams`]).
+/// Runs one batched instance of `kind` on its fast engine — the cohort
+/// engine on one slot-0 cohort for a fair state, the window engine for a
+/// window schedule, built by the batched session's visit without a latency
+/// sketch — and, with `jam_log`, records the adversary's effective jams
+/// (see [`FairSimulator::run_logging_jams`]).
 pub(crate) fn run_fast(
     kind: &ProtocolKind,
     k: u64,

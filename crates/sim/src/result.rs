@@ -115,9 +115,11 @@ pub struct RunResult {
     /// Number of messages whose arrival slot was never reached before the
     /// run's slot cap: their stations were **never activated**, so counting
     /// them as plain non-deliveries would misread a capped dynamic run as a
-    /// protocol failure. Always zero for batched instances and completed
-    /// runs; `delivered + never_activated ≤ k`, with the gap being stations
-    /// that were activated but still undelivered at the cap.
+    /// protocol failure. Always zero for completed runs and batched window
+    /// runs; a batched fair run with a zero slot cap never reaches slot 0,
+    /// so it reports all `k` messages never activated.
+    /// `delivered + never_activated ≤ k`, with the gap being stations that
+    /// were activated but still undelivered at the cap.
     #[serde(default)]
     pub never_activated: u64,
     /// Slot index (0-based) of every delivery, in delivery order; only

@@ -1,9 +1,9 @@
 //! The run accounting every engine core shares.
 //!
-//! The exact station loop (`crate::exact`), the fair aggregate core
-//! (`crate::aggregate`), the window core (`crate::window`) and the cohort
-//! core (`crate::cohort`) each drive a different model, but they account
-//! for a run the same way: the message count, seed and slot cap, the slot
+//! The exact station loop (`crate::exact`), the window core
+//! (`crate::window`) and the cohort core (`crate::cohort`, every fair run,
+//! batched or dynamic) each drive a different model, but they account for
+//! a run the same way: the message count, seed and slot cap, the slot
 //! clock and its tally (makespan, collisions, silence, jammed deliveries),
 //! the protocol RNG, the adversary's dynamic state and the latency record.
 //! That state lives in one [`RunState`], with one constructor, one
@@ -34,8 +34,9 @@ pub(crate) fn preallocated(k: u64) -> Vec<u64> {
 
 /// Where per-delivery latencies go: an exact in-order vector, a
 /// bounded-memory quantile sketch, both or neither. A batched run's
-/// latency is its delivery slot, so the fair and window cores keep their
-/// recorded delivery slots in the exact half.
+/// latency is its delivery slot, so the window core keeps its recorded
+/// delivery slots in the exact half; the cohort core keeps them apart,
+/// because a dynamic run's latencies are not its delivery slots.
 #[derive(Debug, Clone)]
 pub(crate) struct LatencyRecorder {
     pub(crate) exact: Option<Vec<u64>>,

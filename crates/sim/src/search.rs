@@ -8,8 +8,9 @@
 //!   search over [`ExactSimulator::stepper`] and pairs the certified worst
 //!   case with the clean-channel makespan of the same `(kind, k, seed)` run.
 //! * [`worst_case_search`] — tier (b): runs the deterministic beam search
-//!   with the fast aggregate engines as the evaluator (the fair or window
-//!   engine, picked by the kind's visit), then replays the incumbent with
+//!   with the fast engines as the evaluator (the cohort engine on one
+//!   slot-0 cohort for a fair kind, the window engine for a window kind,
+//!   picked by the kind's visit), then replays the incumbent with
 //!   jam logging so the certificate carries the *effective* jam slots — an
 //!   explicit [`mac_adversary::AdversaryModel::ScheduledJam`] that
 //!   reproduces the searched makespan bit-identically on the same engine.

@@ -1,15 +1,17 @@
 //! Streaming simulation sessions: resumable engines, bounded-memory live
 //! statistics, and a sharded multi-channel driver.
 //!
-//! The monolithic runners (`FairSimulator`, `WindowSimulator`,
-//! `CohortSimulator`) drive their engine cores from slot 0 to completion in
-//! one call. A [`Session`] wraps the *same* cores — the fair aggregate
-//! engine, the window balls-in-bins engine, and the cohort engine under
-//! dynamic arrivals — behind an incremental interface:
+//! Every fast run is a session over one of two engine cores: the cohort
+//! engine serves every fair run (a batched run is one cohort that arrives
+//! at slot 0) and the window balls-in-bins engine every batched window
+//! run. The one-shot entry points (`FairSimulator`, `WindowSimulator`,
+//! `CohortSimulator`, `simulate_dynamic`) drive a core from slot 0 to its
+//! end in one `advance`; a [`Session`] drives the *same* core behind an
+//! incremental interface:
 //!
 //! * [`Session::advance`] runs a bounded number of slots and returns
 //!   [`SessionStatus::Paused`] or [`SessionStatus::Finished`]; because the
-//!   session drives the identical loop body the monolithic runner uses, the
+//!   session drives the identical loop body the one-shot call uses, the
 //!   finished run is **bit-identical** to the one-shot run — results *and*
 //!   RNG streams (enforced by `tests/session_identity.rs`).
 //! * [`Session::checkpoint`] serialises the full engine state — every RNG
@@ -17,8 +19,8 @@
 //!   dynamic state, the arrival stream's cursor, the latency sketch — into
 //!   a portable word buffer ([`Checkpoint`]); [`Session::resume`] rebuilds
 //!   a session that continues bit-identically to the uninterrupted run.
-//!   Incrementally-maintained quantities (the fair engine's Taylor-rebased
-//!   slot kernel, One-fail Adaptive's κ/σ trackers, Exp Back-on/Back-off's
+//!   Incrementally-maintained quantities (the cohort engine's Taylor-rebased
+//!   slot kernels, One-fail Adaptive's κ/σ trackers, Exp Back-on/Back-off's
 //!   running `w` product) are captured **verbatim**: recomputing them from
 //!   their defining parameters would re-anchor the maintenance recurrences
 //!   and diverge bitwise. See `DESIGN.md` §9.
@@ -60,7 +62,6 @@ pub use frame::{Checkpoint, CheckpointKind, IntegrityError};
 pub use sharded::{ShardHealth, ShardSupervision, ShardedSession, SHARD_STREAM};
 pub use watchdog::{StallConfig, StallPolicy, StallReport};
 
-use crate::aggregate::FairEngineCore;
 use crate::cohort::{CohortEngineCore, CohortRun};
 use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM, RUN_STREAM};
 use crate::result::{RunOptions, RunResult};
@@ -294,15 +295,13 @@ impl StreamFeed {
 /// The engine a session frame names in its engine word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Engine {
-    /// The fair aggregate engine (batched fair sessions).
-    Fair = 0,
     /// The window balls-in-bins engine (batched window sessions).
     Window = 1,
-    /// The cohort engine (dynamic sessions).
+    /// The cohort engine (fair sessions, batched or dynamic).
     Cohort = 2,
 }
 
-/// The engine behind a [`Session`]: one of the three generic cores, boxed
+/// The engine behind a [`Session`]: one of the two generic cores, boxed
 /// so a session pays one virtual call per advance chunk while each core's
 /// slot loop stays monomorphic over its protocol state. Every core keeps
 /// its run accounting in one [`RunState`], which the clock and count
@@ -312,9 +311,8 @@ pub(crate) trait SessionEngine: fmt::Debug + Send {
     fn engine(&self) -> Engine;
     fn run_state(&self) -> &RunState;
     /// Runs at least `max_slots` slots (see [`Session::advance`]). With
-    /// `jam_log`, the batched cores record the slot of every effective jam
-    /// (see [`crate::FairSimulator::run_logging_jams`]); the cohort core,
-    /// whose runs no certificate replays, records none.
+    /// `jam_log`, the core records the slot of every effective jam (see
+    /// [`crate::FairSimulator::run_logging_jams`]).
     fn advance(&mut self, max_slots: u64, jam_log: Option<&mut Vec<u64>>);
     fn slot(&self) -> u64 {
         self.run_state().slot
@@ -349,7 +347,8 @@ pub(crate) trait SessionEngine: fmt::Debug + Send {
 }
 
 /// The batched visit of [`Session::batched`] and [`crate::simulate`]: the
-/// fair aggregate engine for a fair state, the window engine for a
+/// cohort engine for a fair state, fed one slot-0 burst of `k` messages
+/// (an [`ArrivalModel::Batched`] stream), the window engine for a
 /// schedule, with the latency sketch `stats` attached when given.
 pub(crate) struct BatchedEngine<'a> {
     pub(crate) k: u64,
@@ -362,8 +361,17 @@ impl KindVisitor for BatchedEngine<'_> {
     type Output = Box<dyn SessionEngine>;
 
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        let core = FairEngineCore::new(state, self.k, self.seed, self.options, self.stats);
-        Box::new(core)
+        let batch = ArrivalStream::new(&ArrivalModel::Batched { k: self.k }, 0);
+        let (feed, last_arrival) = StreamFeed::new(StreamSource::Plain(batch));
+        let latencies = LatencyRecorder::new(self.k, false, self.stats);
+        Box::new(CohortEngineCore::new(
+            feed,
+            last_arrival,
+            state,
+            self.seed,
+            self.options,
+            latencies,
+        ))
     }
 
     fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
@@ -416,26 +424,20 @@ impl KindVisitor for DecodeEngine<'_, '_> {
     type Output = Result<Box<dyn SessionEngine>, WireError>;
 
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        Ok(match self.engine {
-            Engine::Fair => Box::new(FairEngineCore::decode(self.input, self.run, state)?),
-            Engine::Cohort => Box::new(CohortEngineCore::decode(
-                self.input,
-                self.run,
-                state,
-                self.options.max_live_cohorts,
-            )?),
-            Engine::Window => {
-                return Err(WireError::Malformed(
-                    "window engine word with a fair protocol kind",
-                ))
-            }
-        })
+        if self.engine != Engine::Cohort {
+            return Err(WireError::Malformed(
+                "window engine word with a fair protocol kind",
+            ));
+        }
+        let cap = self.options.max_live_cohorts;
+        let core = CohortEngineCore::decode(self.input, self.run, state, cap)?;
+        Ok(Box::new(core))
     }
 
     fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
         if self.engine != Engine::Window {
             return Err(WireError::Malformed(
-                "fair engine word with a window protocol kind",
+                "cohort engine word with a window protocol kind",
             ));
         }
         let scenario = &self.options.adversary;
@@ -461,7 +463,7 @@ impl KindVisitor for DecodeEngine<'_, '_> {
 /// }
 /// let result = session.result();
 /// assert!(result.completed);
-/// // Bit-identical to the uninterrupted monolithic run.
+/// // Bit-identical to the uninterrupted one-shot run.
 /// assert_eq!(result, mac_sim::simulate(&kind, 500, 7).unwrap());
 /// ```
 #[derive(Debug)]
@@ -479,9 +481,10 @@ pub struct Session {
 
 impl Session {
     /// Creates a resumable batched (static k-selection) session: fair
-    /// protocols on the aggregate engine, window protocols on the
-    /// balls-in-bins engine — the same cores [`crate::simulate`] uses, so a
-    /// session run is bit-identical to the monolithic one.
+    /// protocols on the cohort engine as one cohort that arrives at slot 0,
+    /// window protocols on the balls-in-bins engine — the same cores
+    /// [`crate::simulate`] uses, so a session run is bit-identical to the
+    /// one-shot one.
     ///
     /// # Errors
     /// Returns a [`SessionError::Parameter`] if the protocol or adversary
@@ -596,8 +599,7 @@ impl Session {
     }
 
     /// Drives the run to its end (ignoring any watchdog) and returns its
-    /// full detail — the monolithic cohort run; `None` for a batched
-    /// session.
+    /// full detail — the one-shot cohort run; `None` for a window session.
     pub(crate) fn into_cohort_run(mut self) -> Option<CohortRun> {
         self.engine.advance(u64::MAX, None);
         self.engine.cohort_run(&self.label)
@@ -725,9 +727,10 @@ impl Session {
     }
 
     /// Activated-but-undelivered messages currently contending for the
-    /// channel — the backlog the livelock watchdog monitors. For batched
-    /// sessions this equals [`Session::remaining`]; for dynamic sessions
-    /// it excludes messages that have not arrived yet.
+    /// channel — the backlog the livelock watchdog monitors. It excludes
+    /// messages that have not arrived yet: a batched fair session reads 0
+    /// until slot 0 has run and [`Session::remaining`] after that, and a
+    /// batched window session always reads [`Session::remaining`].
     pub fn backlog(&self) -> u64 {
         self.engine.backlog()
     }
@@ -783,13 +786,14 @@ impl Session {
         self.engine.streaming_stats()
     }
 
-    /// Snapshot of the aggregate result at the current slot (capped-run
-    /// convention while unfinished).
+    /// Snapshot of the aggregate result at the current slot. While the run
+    /// is unfinished, a fair session's makespan reads the slot clock and a
+    /// window session's reads its slot cap.
     pub fn result(&mut self) -> RunResult {
         self.engine.result(&self.label)
     }
 
-    /// Snapshot of the full cohort run detail (dynamic sessions only).
+    /// Snapshot of the full cohort run detail (fair sessions only).
     pub fn cohort_run(&mut self) -> Option<CohortRun> {
         self.engine.cohort_run(&self.label)
     }
@@ -853,7 +857,6 @@ impl Session {
             None
         };
         let engine = match input.take_u32()? {
-            0 => Engine::Fair,
             1 => Engine::Window,
             2 => Engine::Cohort,
             _ => return Err(WireError::Malformed("unknown engine word").into()),

@@ -1,6 +1,6 @@
-//! Golden checkpoint frames: every fair kind on the fair and the cohort
-//! engine and a window schedule on the window engine, a
-//! dynamic session whose watchdog has recorded a stall, two two-shard
+//! Golden checkpoint frames: every fair kind on the cohort engine, batched
+//! (one slot-0 cohort) and dynamic, a window schedule on the window engine,
+//! a dynamic session whose watchdog has recorded a stall, two two-shard
 //! fleet frames (one plain, one supervised with a shard killed and
 //! retried), two saturated bounded-class sessions whose class cap binds
 //! on nearly every slot, two window runs that carry per-run lists (one
@@ -223,50 +223,50 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
 
 /// `(frame, word count, trailing digest)`.
 const PINNED: [(&str, usize, u64); 17] = [
-    ("fair OFA", 136, 0x73d2_a364_4e35_eb7b),
-    ("fair LFA, jammed", 131, 0xa434_4559_08b9_a790),
+    ("fair OFA", 155, 0x6e3d_4f7c_0f61_a4f6),
+    ("fair LFA, jammed", 150, 0xcf03_6f32_47bb_9502),
     (
         "fair oracle, recording deliveries",
-        234,
-        0xe39c_5172_b580_4d6b,
+        253,
+        0x8397_ec29_bcb1_1b08,
     ),
-    ("window EBB", 167, 0x4d5f_d2e1_cc8e_5cb3),
-    ("cohort OFA", 170, 0xe2ce_1621_181a_fda2),
-    ("cohort LFA", 200, 0x7027_6bc9_f99e_41ec),
-    ("cohort oracle, capped", 292, 0x5170_9aa8_8d61_153c),
-    ("cohort RP-OFA", 177, 0xa963_7c58_5f38_c850),
-    ("fair RP-OFA", 147, 0xbdcf_3fff_db3d_6635),
-    ("sharded: 2-shard OFA fleet", 204, 0xd0e4_f434_fda2_c76a),
+    ("window EBB", 167, 0x47bc_9d35_345f_edb7),
+    ("cohort OFA", 170, 0xc27a_2248_a4df_2e11),
+    ("cohort LFA", 200, 0xdca6_5962_32cc_ad60),
+    ("cohort oracle, capped", 292, 0x18c9_40de_c70a_0273),
+    ("cohort RP-OFA", 177, 0xe4ae_1101_0730_cf1d),
+    ("fair RP-OFA", 166, 0x8e2e_e7a1_e4c9_7761),
+    ("sharded: 2-shard OFA fleet", 204, 0xf78d_b9c2_2ff0_a0c9),
     (
         "cohort OFA, watchdog stall recorded",
         128,
-        0x5e90_a591_ca4e_c46e,
+        0xbce5_bd99_27df_b5bb,
     ),
     (
         "sharded: supervised fleet, shard 1 killed and retried",
         220,
-        0x24b2_ce26_f78d_70a6,
+        0x2f78_416e_d092_93c0,
     ),
     (
         "cohort oracle, saturated at cap 16",
         4466,
-        0xf66b_f61f_70c1_b844,
+        0x15c8_317a_5bc6_ff49,
     ),
     (
         "cohort RP-OFA, saturated at cap 8",
         5255,
-        0x660f_fc49_eb6e_d2d9,
+        0xc554_7d87_3b84_d3a8,
     ),
     (
         "window EBB, recording deliveries",
         129,
-        0xd25d_5e27_f0d6_1284,
+        0x9f7a_673b_6d52_e507,
     ),
-    ("window LLIB, jammed", 119, 0x3f97_9338_db10_af31),
+    ("window LLIB, jammed", 119, 0xac65_6ab9_46f3_0676),
     (
         "cohort OFA, recording deliveries",
         241,
-        0xe34b_e1b3_b46e_df3f,
+        0x948d_9a83_39d9_2454,
     ),
 ];
 
