@@ -19,7 +19,7 @@
 //!   beam/local search over parameterised jam schedules
 //!   ([`ParamSchedule`]: period, burst, phase — plus the reactive
 //!   triggers), scoring candidates through a caller-supplied evaluator
-//!   (the aggregate engines, thousands of candidate schedules per second
+//!   (the fast engines, thousands of candidate schedules per second
 //!   at k = 10⁴…10⁶). The incumbent is *best-found*, not proven optimal,
 //!   and is re-emitted as a replayable [`AdversaryModel::ScheduledJam`]
 //!   certificate.

@@ -417,8 +417,8 @@ impl SlotKernel {
 /// BT probability is `~1/log σ`), and an absolute metric would park one line
 /// and thrash the other across the scales.
 ///
-/// This is the cache the aggregate fair engine ran inline since PR 3; it is
-/// a named type here so the cohort engine can keep one per cohort.
+/// The cohort engine keeps one per cohort; while a single cohort is live it
+/// resolves that cohort's slots directly on this cache.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotKernelCache {
     line_a: SlotKernel,

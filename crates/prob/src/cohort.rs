@@ -1,7 +1,7 @@
 //! Sum-of-binomials slot classification over station *cohorts*.
 //!
-//! Dynamic arrivals break the homogeneity the aggregate fair engine relies
-//! on — but only at arrival boundaries: stations that arrive together start
+//! Dynamic arrivals break the homogeneity of a batched fair run — but only
+//! at arrival boundaries: stations that arrive together start
 //! in identical protocol state, observe identical channel feedback, and
 //! therefore stay in lockstep forever. The active population is a small set
 //! of *cohorts*, each internally homogeneous: cohort `i` holds `m_i`
@@ -21,14 +21,12 @@
 //!
 //! [`CohortKernel`] maintains this classification along drifting
 //! `(m_i, p_i)` schedules: each cohort owns a [`SlotKernelCache`] (two
-//! incrementally-maintained threshold lines, the same machinery the
-//! homogeneous aggregate engine uses), and the products are assembled per
-//! slot with a prefix/suffix pass — O(C) arithmetic for C cohorts, no
-//! divisions, no transcendentals on the hot path, and exactly one uniform
-//! draw per live slot for the caller. A single *dead* cohort
+//! incrementally-maintained threshold lines), and the products are
+//! assembled per slot with a prefix/suffix pass — O(C) arithmetic for C
+//! cohorts, no divisions, no transcendentals on the hot path, and exactly
+//! one uniform draw per live slot for the caller. A single *dead* cohort
 //! (`P(T_i ≤ 1) = 0` at `f64` resolution) makes the whole slot a certain
-//! collision, extending the aggregate engine's dead-slot elision across the
-//! cohort decomposition.
+//! collision, so dead-slot elision extends across the cohort decomposition.
 
 use crate::binomial::{SlotKernelCache, SlotThresholds};
 use crate::wire::{Decoder, Encoder, WireError};

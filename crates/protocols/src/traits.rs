@@ -89,8 +89,8 @@ pub trait FairProtocol: Debug + Send {
     fn advance(&mut self, delivered: bool);
 
     /// The state's position within the protocol's deterministic update
-    /// schedule — the *phase-schedule accessor* the cohort aggregate engine
-    /// advances and merges cohorts by.
+    /// schedule — the *phase-schedule accessor* the cohort engine advances
+    /// and merges cohorts by.
     ///
     /// Two copies of a protocol state may evolve in lockstep from now on
     /// only if they sit at the same schedule position: One-fail Adaptive's
