@@ -16,7 +16,7 @@
 //! A model is *sampled* into an [`ArrivalSchedule`] — the concrete list of
 //! arrival slots, one per message — which is what the simulators consume.
 
-use mac_prob::sampling::sample_poisson;
+use mac_prob::sampling::{PoissonSampler, MAX_POISSON_RATE};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -59,13 +59,14 @@ impl ArrivalModel {
         }
     }
 
-    /// True iff the model can be sampled: a Poisson rate must be finite and
-    /// non-negative, and the counts of a burst schedule must sum to a
-    /// message total that fits in a `u64`.
+    /// True iff the model can be sampled: a Poisson rate must lie in
+    /// `[0, MAX_POISSON_RATE]` (2¹⁶; a larger rate's draw is too slow or
+    /// never ends, see [`MAX_POISSON_RATE`]), and the counts of a burst
+    /// schedule must sum to a message total that fits in a `u64`.
     pub fn is_valid(&self) -> bool {
         match self {
             ArrivalModel::Batched { .. } => true,
-            ArrivalModel::Poisson { rate, .. } => rate.is_finite() && *rate >= 0.0,
+            ArrivalModel::Poisson { rate, .. } => (0.0..=MAX_POISSON_RATE).contains(rate),
             ArrivalModel::Bursts { bursts } => bursts
                 .iter()
                 .try_fold(0u64, |total, &(_, count)| total.checked_add(count))
@@ -85,9 +86,10 @@ impl ArrivalModel {
     /// simulators' entry points reject one with a typed error first.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ArrivalSchedule {
         let model = self.normalised();
+        let poisson = model.poisson_sampler();
         let mut cursor = 0;
         let mut slots = Vec::new();
-        while let Some((slot, count)) = model.next_burst(&mut cursor, rng) {
+        while let Some((slot, count)) = model.next_burst(&poisson, &mut cursor, rng) {
             slots.extend(std::iter::repeat_n(slot, count as usize));
         }
         ArrivalSchedule::new(slots)
@@ -123,14 +125,27 @@ impl ArrivalModel {
         }
     }
 
+    /// The sampler of a valid Poisson model's rate, which
+    /// [`ArrivalModel::next_burst`] draws from; a rate-0 sampler, which
+    /// draws nothing, for the other models.
+    pub(crate) fn poisson_sampler(&self) -> PoissonSampler {
+        match self {
+            ArrivalModel::Poisson { rate, .. } => PoissonSampler::new(*rate),
+            _ => PoissonSampler::new(0.0),
+        }
+    }
+
     /// The burst generator behind both [`ArrivalModel::sample`] and
     /// [`crate::ArrivalStream`]: the next `(slot, count)` burst with
     /// `count > 0` of a [normalised](ArrivalModel::normalised) model, with
     /// `cursor` (starting at 0) the generator's position — the next Poisson
     /// slot to draw, or the next burst index. Poisson draws one
-    /// [`sample_poisson`] per slot of `0..horizon`, in slot order.
+    /// [`mac_prob::sampling::sample_poisson`] per slot of `0..horizon`, in
+    /// slot order, through `poisson`, the model's
+    /// [`ArrivalModel::poisson_sampler`].
     pub(crate) fn next_burst<R: Rng + ?Sized>(
         &self,
+        poisson: &PoissonSampler,
         cursor: &mut u64,
         rng: &mut R,
     ) -> Option<(u64, u64)> {
@@ -140,10 +155,10 @@ impl ArrivalModel {
                 *cursor = 1;
                 first.then_some((0, *k))
             }
-            ArrivalModel::Poisson { rate, horizon } => {
+            ArrivalModel::Poisson { horizon, .. } => {
                 while *cursor < *horizon {
                     let slot = *cursor;
-                    let count = sample_poisson(*rate, rng);
+                    let count = poisson.sample(rng);
                     *cursor += 1;
                     if count > 0 {
                         return Some((slot, count));
@@ -264,6 +279,16 @@ mod tests {
             );
         }
         assert!(ArrivalModel::batched(3).is_valid());
+    }
+
+    #[test]
+    fn poisson_rates_above_the_bound_are_invalid() {
+        // At 1e18 and above, `rate − 30 == rate`: a draw would never end.
+        let valid = |rate| ArrivalModel::Poisson { rate, horizon: 10 }.is_valid();
+        assert!(valid(MAX_POISSON_RATE));
+        for rate in [MAX_POISSON_RATE + 1.0, 1e18, f64::MAX] {
+            assert!(!valid(rate), "{rate}");
+        }
     }
 
     #[test]

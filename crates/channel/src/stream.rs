@@ -33,12 +33,13 @@
 
 use crate::arrivals::ArrivalModel;
 use mac_prob::rng::{SplitMix64, Xoshiro256pp};
+use mac_prob::sampling::PoissonSampler;
 use mac_prob::wire::{Decoder, Encoder, WireError};
 use rand::SeedableRng;
 
 /// Exact totals gathered by a counting pre-pass over a stream
 /// (see [`ArrivalStream::summarise`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamSummary {
     /// Total number of messages the stream will emit.
     pub messages: u64,
@@ -49,9 +50,12 @@ pub struct StreamSummary {
 /// Incremental, checkpointable producer of `(slot, count)` arrival bursts,
 /// stream-identical to expanding [`ArrivalModel::sample`] (see the module
 /// documentation for the identity statement).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalStream {
     model: ArrivalModel,
+    /// Knuth's limits for a Poisson model's rate: derived from `model` in
+    /// [`ArrivalStream::new`] and [`ArrivalStream::decode`], never encoded.
+    poisson: PoissonSampler,
     /// Poisson generator; deterministic models never draw from it.
     rng: Xoshiro256pp,
     /// Next Poisson slot to sample, or next burst index for `Bursts`.
@@ -67,8 +71,10 @@ impl ArrivalStream {
     /// # Panics
     /// Panics if the model is invalid (see [`ArrivalModel::is_valid`]).
     pub fn new(model: &ArrivalModel, seed: u64) -> Self {
+        let model = model.normalised();
         Self {
-            model: model.normalised(),
+            poisson: model.poisson_sampler(),
+            model,
             // lint:allow(rng-stream-discipline): the dynamic driver passes
             // derive_seed(run_seed, &[ARRIVAL_STREAM]) so the stream replays
             // ArrivalModel::sample bit-for-bit; a second derivation here
@@ -86,7 +92,8 @@ impl ArrivalStream {
     /// The next `(slot, count)` burst with `count > 0`, in strictly
     /// increasing slot order; `None` once the stream is exhausted.
     pub fn next_burst(&mut self) -> Option<(u64, u64)> {
-        self.model.next_burst(&mut self.cursor, &mut self.rng)
+        self.model
+            .next_burst(&self.poisson, &mut self.cursor, &mut self.rng)
     }
 
     /// Runs a fresh stream over `model` to exhaustion in `O(1)` memory and
@@ -136,6 +143,7 @@ impl ArrivalStream {
         }
         let cursor = input.take_u64()?;
         Ok(Self {
+            poisson: model.poisson_sampler(),
             model,
             rng: Xoshiro256pp::from_state_words(s),
             cursor,
@@ -193,8 +201,8 @@ pub fn decode_model(input: &mut Decoder<'_>) -> Result<ArrivalModel, WireError> 
     };
     if !model.is_valid() {
         return Err(WireError::Malformed(
-            "arrival model cannot be sampled: a negative or non-finite rate, \
-             or a burst total that overflows u64",
+            "arrival model cannot be sampled: a Poisson rate outside \
+             [0, MAX_POISSON_RATE = 2^16], or a burst total that overflows u64",
         ));
     }
     Ok(model)
@@ -217,11 +225,13 @@ fn shard_of(salt: u64, index: u64, shards: u32) -> u32 {
 /// whose global index hashes to this shard, so the `n` shards of a sharded
 /// session partition the master sequence exactly.
 ///
-/// Every shard walks the full master stream (each with its own copy), which
-/// keeps shards independent — no cross-thread coordination — at the cost of
-/// re-drawing the shared Poisson samples per shard. Sharding is by message,
-/// not by burst: a burst of `c` messages at slot `s` contributes its own
-/// subset of indices to each shard.
+/// A running shard walks the full master stream (each with its own copy),
+/// which keeps shards independent — no cross-thread coordination — at the
+/// cost of re-drawing the shared Poisson samples per shard. A fleet's build
+/// and resume walk the master once for all shards instead
+/// ([`ShardedArrivalStream::fleet`], [`ShardedArrivalStream::recount_fleet`]).
+/// Sharding is by message, not by burst: a burst of `c` messages at slot `s`
+/// contributes its own subset of indices to each shard.
 #[derive(Debug, Clone)]
 pub struct ShardedArrivalStream {
     master: ArrivalStream,
@@ -252,10 +262,100 @@ impl ShardedArrivalStream {
         }
     }
 
-    /// The shard this view keeps, the fleet's shard count and the hash
-    /// salt.
-    pub fn placement(&self) -> (u32, u32, u64) {
-        (self.shard, self.shards, self.salt)
+    /// The `shards` views of a fresh `master` stream, each with the totals
+    /// it will emit, from one walk of the master that hashes every message
+    /// once. Shard `i`'s view and totals are at index `i`; the walk keeps
+    /// one [`StreamSummary`] per shard and nothing per message.
+    ///
+    /// # Panics
+    /// Panics unless `shards > 0`.
+    pub fn fleet(master: ArrivalStream, salt: u64, shards: u32) -> Vec<(Self, StreamSummary)> {
+        assert!(shards > 0, "need at least one shard");
+        let mut totals = vec![StreamSummary::default(); shards as usize];
+        let mut walk = master.clone();
+        let mut index = 0u64;
+        while let Some((slot, count)) = walk.next_burst() {
+            for i in index..index + count {
+                let total = &mut totals[shard_of(salt, i, shards) as usize];
+                total.messages += 1;
+                total.last_arrival = Some(slot);
+            }
+            index += count;
+        }
+        totals
+            .into_iter()
+            .zip(0..)
+            .map(|(total, shard)| (Self::new(master.clone(), salt, shard, shards), total))
+            .collect()
+    }
+
+    /// The messages each view of one fleet has still to emit, counted in one
+    /// walk of the master stream that starts from the earliest view's state
+    /// and hashes every message once; view `i`'s count is at index `i`.
+    ///
+    /// View `i` must be shard `i` of `views.len()`, all on one salt, and the
+    /// state of every view — its master's model, RNG words and cursor, and
+    /// its next master index — must be a state of that walk, as it is in a
+    /// fleet [`ShardedArrivalStream::fleet`] builds, however far each shard
+    /// has run.
+    ///
+    /// # Errors
+    /// Returns [`WireError::Malformed`] if the views are not the shards of
+    /// one fleet, or a view's state is not on the walk.
+    pub fn recount_fleet(views: &[&Self]) -> Result<Vec<u64>, WireError> {
+        let mut waiting = views.to_vec();
+        waiting.sort_by_key(|view| view.master.cursor);
+        let Some(start) = waiting.first() else {
+            return Ok(Vec::new());
+        };
+        let (salt, shards) = (start.salt, start.shards);
+        let one_fleet = views.len() == shards as usize
+            && views
+                .iter()
+                .zip(0..)
+                .all(|(view, i)| view.shard == i && view.shards == shards && view.salt == salt);
+        if !one_fleet {
+            return Err(WireError::Malformed(
+                "arrival views are not the shards of one fleet",
+            ));
+        }
+        let mut walk = start.master.clone();
+        let mut index = start.next_index;
+        // A shard's count starts (`Some`) once the walk reaches its view.
+        let mut rest: Vec<Option<u64>> = vec![None; views.len()];
+        let mut waiting = waiting.into_iter().peekable();
+        let mut ended = false;
+        loop {
+            while let Some(view) = waiting.next_if(|view| view.master.cursor <= walk.cursor) {
+                if view.master != walk || view.next_index != index {
+                    return Err(WireError::Malformed(
+                        "a shard's arrival view is not on its fleet's master walk",
+                    ));
+                }
+                rest[view.shard as usize] = Some(0);
+            }
+            if ended {
+                break;
+            }
+            match walk.next_burst() {
+                Some((_, count)) => {
+                    for i in index..index + count {
+                        if let Some(owed) = &mut rest[shard_of(salt, i, shards) as usize] {
+                            *owed += 1;
+                        }
+                    }
+                    index += count;
+                }
+                None => ended = true,
+            }
+        }
+        if waiting.next().is_some() {
+            return Err(WireError::Malformed(
+                "a shard's arrival view is past its fleet's master walk",
+            ));
+        }
+        // Every view joined the walk, one per shard, so every count started.
+        Ok(rest.into_iter().flatten().collect())
     }
 
     /// Next `(slot, count)` burst containing only this shard's messages
@@ -426,7 +526,7 @@ mod tests {
 
     #[test]
     fn model_decoder_rejects_unsampleable_rates() {
-        for rate in [f64::NAN, -1.0, f64::INFINITY] {
+        for rate in [f64::NAN, -1.0, f64::INFINITY, 65_537.0, 1e18, f64::MAX] {
             let mut enc = Encoder::new();
             encode_model(&ArrivalModel::Poisson { rate, horizon: 5 }, &mut enc);
             let words = enc.finish();
@@ -512,6 +612,140 @@ mod tests {
             prefix.push(b);
         }
         assert_eq!(prefix, full);
+    }
+
+    /// One model of each kind, two Poisson rates among them.
+    fn fleet_models() -> [ArrivalModel; 4] {
+        [
+            ArrivalModel::Poisson {
+                rate: 0.05,
+                horizon: 20_000,
+            },
+            ArrivalModel::Poisson {
+                rate: 2.0,
+                horizon: 2_000,
+            },
+            ArrivalModel::Bursts {
+                bursts: vec![(10, 3), (2, 1), (10, 2), (500, 40), (700, 9)],
+            },
+            ArrivalModel::batched(25),
+        ]
+    }
+
+    /// What `view` still emits, walked on its own copy.
+    fn own_walk(view: &ShardedArrivalStream) -> StreamSummary {
+        let mut view = view.clone();
+        let mut summary = StreamSummary::default();
+        while let Some((slot, count)) = view.next_burst() {
+            summary.messages += count;
+            summary.last_arrival = Some(slot);
+        }
+        summary
+    }
+
+    #[test]
+    fn one_fleet_walk_gives_every_shard_its_own_views_totals() {
+        for model in fleet_models() {
+            let total = ArrivalStream::summarise(&model, 8).messages;
+            for shards in [1u32, 2, 3, 7] {
+                let fleet =
+                    ShardedArrivalStream::fleet(ArrivalStream::new(&model, 8), 0x5A17, shards);
+                assert_eq!(fleet.len(), shards as usize);
+                let mut messages = 0;
+                for (shard, (view, summary)) in (0..).zip(&fleet) {
+                    assert_eq!(
+                        (view.shard, view.shards, view.salt),
+                        (shard, shards, 0x5A17)
+                    );
+                    assert_eq!(
+                        *summary,
+                        own_walk(view),
+                        "{model:?}, shard {shard} of {shards}"
+                    );
+                    messages += summary.messages;
+                }
+                assert_eq!(messages, total, "{model:?}, {shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn one_fleet_recount_gives_every_shard_what_its_own_view_still_owes() {
+        for model in fleet_models() {
+            for shards in [1u32, 2, 3, 7] {
+                let mut views: Vec<ShardedArrivalStream> =
+                    ShardedArrivalStream::fleet(ArrivalStream::new(&model, 8), 0x5A17, shards)
+                        .into_iter()
+                        .map(|(view, _)| view)
+                        .collect();
+                // Shards at different points: fresh, a burst or a few in,
+                // and run to the end.
+                for (view, taken) in views
+                    .iter_mut()
+                    .zip([3, 0, 1, usize::MAX].into_iter().cycle())
+                {
+                    for _ in 0..taken {
+                        if view.next_burst().is_none() {
+                            break;
+                        }
+                    }
+                }
+                let refs: Vec<&ShardedArrivalStream> = views.iter().collect();
+                let owed = ShardedArrivalStream::recount_fleet(&refs).unwrap();
+                let walked: Vec<u64> = views.iter().map(|view| own_walk(view).messages).collect();
+                assert_eq!(owed, walked, "{model:?}, {shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn fleet_views_off_the_master_walk_are_malformed() {
+        let model = ArrivalModel::Poisson {
+            rate: 0.3,
+            horizon: 2_000,
+        };
+        let mut views: Vec<ShardedArrivalStream> =
+            ShardedArrivalStream::fleet(ArrivalStream::new(&model, 4), 0x5A17, 3)
+                .into_iter()
+                .map(|(view, _)| view)
+                .collect();
+        for _ in 0..5 {
+            views[1].next_burst();
+        }
+        let recount = |views: &[ShardedArrivalStream]| {
+            ShardedArrivalStream::recount_fleet(&views.iter().collect::<Vec<_>>())
+        };
+        assert!(recount(&views).is_ok());
+        let moved = |change: fn(&mut ShardedArrivalStream)| {
+            let mut moved = views.clone();
+            change(&mut moved[1]);
+            moved
+        };
+        let mut swapped = views.clone();
+        swapped.swap(0, 2);
+        for (what, fleet) in [
+            ("next index", moved(|view| view.next_index += 1)),
+            ("cursor", moved(|view| view.master.cursor += 1)),
+            (
+                "cursor past the end",
+                moved(|view| view.master.cursor = 5_000),
+            ),
+            (
+                "RNG words",
+                moved(|view| view.master.rng = Xoshiro256pp::seed_from_u64(9)),
+            ),
+            (
+                "model",
+                moved(|view| view.master.model = ArrivalModel::batched(3)),
+            ),
+            ("salt", moved(|view| view.salt ^= 1)),
+            ("shard order", swapped),
+        ] {
+            assert!(
+                matches!(recount(&fleet), Err(WireError::Malformed(_))),
+                "{what}"
+            );
+        }
     }
 
     #[test]

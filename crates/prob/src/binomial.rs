@@ -256,8 +256,11 @@ impl SlotKernel {
     /// Moves the kernel to `(m, p)`, incrementally when the move is small.
     ///
     /// `m` is passed as `f64` because callers track it that way in their hot
-    /// loops; it must be a non-negative integer value.
-    #[inline]
+    /// loops; it must be a non-negative integer value. Always inlined: the
+    /// cohort core's single-cohort stretch calls it on every slot whose
+    /// probability moved, and a plain `#[inline]` left it an out-of-line
+    /// call there.
+    #[inline(always)]
     pub fn update(&mut self, m: f64, p: f64) {
         if m == self.m && p == self.p {
             return;

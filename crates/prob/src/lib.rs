@@ -76,7 +76,9 @@ pub use outcome::{
     sample_slot_outcome, slot_outcome_probabilities, SlotOutcome, SlotOutcomeProbabilities,
 };
 pub use rng::{derive_seed, SplitMix64, Xoshiro256pp};
-pub use sampling::{sample_binomial, sample_geometric, sample_poisson};
+pub use sampling::{
+    sample_binomial, sample_geometric, sample_poisson, PoissonSampler, MAX_POISSON_RATE,
+};
 pub use sketch::{QuantileSketch, StreamingLatencyStats};
 pub use stats::{ConfidenceInterval, StreamingStats, Summary};
 pub use wire::{Decoder, Encoder, WireError};

@@ -13,7 +13,9 @@
 //!   exact at the cost of O(n·p) expected work. The simulators never need
 //!   large `n·p` draws, so exactness is preferred over constant-time;
 //! * [`sample_poisson`] — Knuth multiplication method for small λ, normal
-//!   rejection-free sum-of-exponentials splitting for large λ.
+//!   rejection-free sum-of-exponentials splitting for large λ, up to
+//!   [`MAX_POISSON_RATE`]; [`PoissonSampler`] draws the same at one rate
+//!   with Knuth's limits computed once.
 //!
 //! Arrival processes (`mac-channel`) use the Poisson and geometric samplers;
 //! tests use the binomial sampler to cross-check the fast slot-outcome path.
@@ -119,16 +121,25 @@ pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     successes
 }
 
+/// The largest Poisson rate the samplers accept, 2¹⁶: over 3000 times the
+/// largest rate the repository runs (20). A draw costs O(λ) uniform draws,
+/// and at rates of 2⁵⁸ and above the 30-chunk split below never ends
+/// (`λ − 30 == λ` in `f64`), so the bound keeps every draw finite and
+/// cheap.
+pub const MAX_POISSON_RATE: f64 = 65_536.0;
+
 /// Samples a Poisson(λ) variable.
 ///
 /// For `λ ≤ 30` the Knuth multiplication method is used (exact, O(λ)).
 /// For larger λ the variable is split as the sum of independent Poisson
 /// variables with parameter ≤ 30 (exact, O(λ/30) recursion depth is folded
 /// into a loop), which keeps the sampler exact without requiring a rejection
-/// method.
+/// method. A caller that draws many times at one rate should build a
+/// [`PoissonSampler`] once: this function builds one per call.
 ///
 /// # Panics
-/// Panics if `λ` is negative or not finite.
+/// Panics unless `0 ≤ λ ≤` [`MAX_POISSON_RATE`] (so also on a non-finite
+/// λ).
 ///
 /// # Example
 /// ```
@@ -141,26 +152,79 @@ pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 /// assert!(x < 100);
 /// ```
 pub fn sample_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
-    assert!(
-        lambda.is_finite() && lambda >= 0.0,
-        "Poisson parameter must be finite and non-negative, got {lambda}"
-    );
-    if lambda == 0.0 {
-        return 0;
-    }
-    let mut total = 0u64;
-    let mut remaining = lambda;
-    // Split into chunks of at most 30 to keep exp(-chunk) well away from the
-    // subnormal range used by the multiplication method.
-    while remaining > 30.0 {
-        total += knuth_poisson(30.0, rng);
-        remaining -= 30.0;
-    }
-    total + knuth_poisson(remaining, rng)
+    PoissonSampler::new(lambda).sample(rng)
 }
 
-fn knuth_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
-    let limit = (-lambda).exp();
+/// [`sample_poisson`] at one fixed rate, with Knuth's limits computed once:
+/// the same 30-chunk split, the same draws and the same counts, without an
+/// `exp` per draw.
+///
+/// # Example
+/// ```
+/// use mac_prob::sampling::{sample_poisson, PoissonSampler};
+/// use mac_prob::rng::Xoshiro256pp;
+/// use rand::SeedableRng;
+/// let sampler = PoissonSampler::new(0.4);
+/// let (mut a, mut b) = (Xoshiro256pp::seed_from_u64(3), Xoshiro256pp::seed_from_u64(3));
+/// for _ in 0..100 {
+///     assert_eq!(sampler.sample(&mut a), sample_poisson(0.4, &mut b));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PoissonSampler {
+    /// Full chunks of rate 30 drawn before the tail.
+    chunks: u32,
+    /// `exp(−30)`, the limit of a full chunk.
+    chunk_limit: f64,
+    /// `exp(−tail)` for the rate left after the full chunks; `None` at rate
+    /// 0, which draws nothing.
+    tail_limit: Option<f64>,
+}
+
+impl PoissonSampler {
+    /// Precomputes the limits of rate `lambda`.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ λ ≤` [`MAX_POISSON_RATE`] (so also on a
+    /// non-finite λ).
+    pub fn new(lambda: f64) -> Self {
+        assert!(
+            (0.0..=MAX_POISSON_RATE).contains(&lambda),
+            "Poisson parameter must be in [0, {MAX_POISSON_RATE}], got {lambda}"
+        );
+        // Split into chunks of at most 30 to keep exp(-chunk) well away from
+        // the subnormal range used by the multiplication method.
+        let mut chunks = 0;
+        let mut remaining = lambda;
+        while remaining > 30.0 {
+            chunks += 1;
+            remaining -= 30.0;
+        }
+        Self {
+            chunks,
+            chunk_limit: (-30.0f64).exp(),
+            tail_limit: (lambda > 0.0).then(|| (-remaining).exp()),
+        }
+    }
+
+    /// Draws one Poisson variable at the sampler's rate.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let Some(tail_limit) = self.tail_limit else {
+            return 0;
+        };
+        let mut total = 0u64;
+        for _ in 0..self.chunks {
+            total += knuth_poisson(self.chunk_limit, rng);
+        }
+        total + knuth_poisson(tail_limit, rng)
+    }
+}
+
+/// Knuth's multiplication method: the number of uniforms whose running
+/// product stays above `limit = exp(−λ)`, less one.
+#[inline]
+fn knuth_poisson<R: Rng + ?Sized>(limit: f64, rng: &mut R) -> u64 {
     let mut count = 0u64;
     let mut product: f64 = rng.gen();
     while product > limit {
@@ -256,6 +320,75 @@ mod tests {
     fn poisson_zero_lambda() {
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         assert_eq!(sample_poisson(0.0, &mut rng), 0);
+    }
+
+    /// The per-call Knuth form `sample_poisson` had before
+    /// [`PoissonSampler`]: `exp(−λ)` recomputed on every chunk of every
+    /// draw.
+    fn per_call_poisson(lambda: f64, rng: &mut Xoshiro256pp) -> u64 {
+        let knuth = |lambda: f64, rng: &mut Xoshiro256pp| {
+            let limit = (-lambda).exp();
+            let mut count = 0u64;
+            let mut product: f64 = rng.gen();
+            while product > limit {
+                count += 1;
+                product *= rng.gen::<f64>();
+            }
+            count
+        };
+        if lambda == 0.0 {
+            return 0;
+        }
+        let mut total = 0u64;
+        let mut remaining = lambda;
+        while remaining > 30.0 {
+            total += knuth(30.0, rng);
+            remaining -= 30.0;
+        }
+        total + knuth(remaining, rng)
+    }
+
+    #[test]
+    fn poisson_sampler_replays_the_per_call_knuth_form() {
+        for lambda in [
+            0.0, 1e-12, 0.05, 0.15, 2.0, 20.0, 30.0, 30.5, 61.0, 95.5, 200.0,
+        ] {
+            let sampler = PoissonSampler::new(lambda);
+            let mut ours = Xoshiro256pp::seed_from_u64(10);
+            let mut theirs = Xoshiro256pp::seed_from_u64(10);
+            let mut total = 0u64;
+            for draw in 0..10_000 {
+                let count = sampler.sample(&mut ours);
+                assert_eq!(
+                    count,
+                    per_call_poisson(lambda, &mut theirs),
+                    "λ={lambda} draw {draw}"
+                );
+                total += count;
+            }
+            assert_eq!(ours.state_words(), theirs.state_words(), "λ={lambda}");
+            // Every rate from 0.05 up draws arrivals, so the counts compared
+            // are not all zero.
+            assert_eq!(total == 0, lambda < 1e-3, "λ={lambda}: {total} arrivals");
+        }
+    }
+
+    #[test]
+    fn poisson_rates_above_the_bound_are_rejected() {
+        for lambda in [
+            MAX_POISSON_RATE + 1.0,
+            1e18,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -1.0,
+        ] {
+            let caught = std::panic::catch_unwind(|| PoissonSampler::new(lambda));
+            assert!(caught.is_err(), "λ={lambda}");
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        let count = PoissonSampler::new(MAX_POISSON_RATE).sample(&mut rng);
+        assert!(count.abs_diff(65_536) < 2_000, "{count}");
     }
 
     #[test]

@@ -86,7 +86,7 @@ use crate::result::{RunOptions, RunResult};
 use crate::run_state::{
     decode_optional_slots, encode_optional_slots, preallocated, LatencyRecorder, RunState,
 };
-use crate::session::{Engine, Session, SessionEngine, StreamFeed, StreamSource};
+use crate::session::{Engine, FeedCheck, Session, SessionEngine, StreamFeed, StreamSource};
 use mac_adversary::SlotClass;
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
 use mac_prob::binomial::SlotThresholds;
@@ -306,15 +306,16 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
 
     /// Rebuilds a core from [`SessionEngine::encode`]d words around its
     /// decoded run state `run`. `prototype` must be built from the run's
-    /// original kind and message count, and `max_live_cohorts` is the run's
-    /// class cap.
+    /// original kind and message count, `max_live_cohorts` is the run's
+    /// class cap, and `check` says how the feed's count is checked.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
         run: RunState,
         prototype: P,
         max_live_cohorts: u64,
+        check: FeedCheck,
     ) -> Result<Self, WireError> {
-        let feed = StreamFeed::decode(input)?;
+        let (source, pending) = StreamFeed::decode(input)?;
         let merges = input.take_u64()?;
         let peak_cohorts = usize::try_from(input.take_u64()?)
             .map_err(|_| WireError::Malformed("peak cohort count exceeds usize"))?;
@@ -360,16 +361,11 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
         }
         // Every undelivered message is either in a live cohort or still in
         // the feed; the empty-channel fast-forward relies on it.
-        let undelivered = cohorts
+        let owed = cohorts
             .iter()
-            .try_fold(feed.pending_messages(), |sum, cohort| {
-                sum.checked_add(cohort.m)
-            });
-        if undelivered != Some(run.remaining) {
-            return Err(WireError::Malformed(
-                "remaining count differs from the live and pending messages",
-            ));
-        }
+            .try_fold(0u64, |sum, cohort| sum.checked_add(cohort.m))
+            .and_then(|live| run.remaining.checked_sub(live));
+        let feed = StreamFeed::resumed(source, pending, owed, check)?;
         let delivery_slots = decode_optional_slots(input)?;
         let adversarial = run.adversary.is_active();
         Ok(Self {

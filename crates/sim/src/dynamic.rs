@@ -39,15 +39,17 @@ pub const ARRIVAL_STREAM: u64 = 0xA11;
 pub const RUN_STREAM: u64 = 0x51A;
 
 /// Rejects an arrival model the samplers cannot draw from: a Poisson rate
-/// that is NaN, negative or infinite, or burst counts whose total overflows
-/// `u64` (the `bursts` error carries the total as an `f64`).
+/// outside `[0, MAX_POISSON_RATE]` (NaN, negative, infinite, or above 2¹⁶,
+/// where a draw is too slow or never ends; see
+/// [`mac_prob::sampling::MAX_POISSON_RATE`]), or burst counts whose total
+/// overflows `u64` (the `bursts` error carries the total as an `f64`).
 pub(crate) fn validate_model(model: &ArrivalModel) -> Result<(), ParameterError> {
     match model {
         _ if model.is_valid() => Ok(()),
         ArrivalModel::Poisson { rate, .. } => Err(ParameterError::new(
             "rate",
             *rate,
-            "Poisson arrival rate must be finite and non-negative",
+            "Poisson arrival rate must lie in [0, MAX_POISSON_RATE = 2^16]",
         )),
         _ => Err(ParameterError::new(
             "bursts",

@@ -69,7 +69,7 @@ use crate::run_state::{LatencyRecorder, RunState};
 use crate::window::WindowEngineCore;
 use frame::{open_frame, seal_frame, verify_frame};
 use mac_adversary::{AdversaryModel, AdversaryScenario};
-use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream};
+use mac_channel::{ArrivalModel, ArrivalStream, ShardedArrivalStream, StreamSummary};
 use mac_prob::rng::derive_seed;
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
@@ -184,28 +184,43 @@ impl StreamSource {
             StreamSource::Sharded(s) => s.next_burst(),
         }
     }
+
+    /// The counting pre-pass: runs a copy of the source to exhaustion
+    /// without materialising the arrivals and returns its totals.
+    fn summarise(&self) -> StreamSummary {
+        let mut counter = self.clone();
+        let mut summary = StreamSummary::default();
+        while let Some((slot, count)) = counter.next_burst() {
+            summary.messages += count;
+            summary.last_arrival = Some(slot);
+        }
+        summary
+    }
+}
+
+/// How a resume checks that a dynamic frame's stream owes exactly the
+/// messages its run still has to deliver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FeedCheck {
+    /// Walk the rest of the stream and count ([`Session::resume`]).
+    Walk,
+    /// Leave the count to the caller: [`ShardedSession::resume`] recounts
+    /// every shard in one walk of the master stream.
+    Fleet,
 }
 
 impl StreamFeed {
-    /// A feed over a fresh `source`, after the counting pre-pass the cohort
-    /// engine needs up front — protocol parameters and the slot cap depend
-    /// on the message count, which a lazy stream cannot know. The pre-pass
-    /// runs a copy of the source to exhaustion without materialising the
-    /// arrivals; returns the feed and the slot of the last arrival.
-    fn new(source: StreamSource) -> (Self, Option<u64>) {
-        let mut counter = source.clone();
-        let mut upcoming = 0u64;
-        let mut last_arrival = None;
-        while let Some((slot, count)) = counter.next_burst() {
-            upcoming += count;
-            last_arrival = Some(slot);
-        }
-        let feed = Self {
+    /// A feed over a fresh `source` that will emit `messages` messages, the
+    /// count of its counting pre-pass ([`StreamSource::summarise`], or one
+    /// walk for a whole fleet). The cohort engine needs it up front:
+    /// protocol parameters and the slot cap depend on it, and a lazy stream
+    /// cannot know it.
+    fn new(source: StreamSource, messages: u64) -> Self {
+        Self {
             source,
-            upcoming,
+            upcoming: messages,
             pending: None,
-        };
-        (feed, last_arrival)
+        }
     }
 
     fn fill(&mut self) {
@@ -242,6 +257,11 @@ impl StreamFeed {
         self.upcoming
     }
 
+    /// Messages the stream itself still owes, past the lookahead burst.
+    pub(crate) fn stream_owes(&self) -> u64 {
+        self.upcoming - self.pending.map_or(0, |(_, count)| count)
+    }
+
     pub(crate) fn encode(&self, out: &mut Encoder) {
         match &self.source {
             StreamSource::Plain(s) => {
@@ -263,10 +283,12 @@ impl StreamFeed {
         }
     }
 
-    /// Inverse of [`StreamFeed::encode`]. The messages still to come are
-    /// recounted from the stream, which costs what the construction
-    /// pre-pass costs for the rest of the stream.
-    pub(crate) fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
+    /// Inverse of [`StreamFeed::encode`]: the source and the lookahead
+    /// burst. A frame stores no count of the messages still to come;
+    /// [`StreamFeed::resumed`] derives it from the run.
+    pub(crate) fn decode(
+        input: &mut Decoder<'_>,
+    ) -> Result<(StreamSource, Option<(u64, u64)>), WireError> {
         let source = match input.take_u32()? {
             0 => StreamSource::Plain(ArrivalStream::decode(input)?),
             1 => StreamSource::Sharded(ShardedArrivalStream::decode(input)?),
@@ -279,10 +301,32 @@ impl StreamFeed {
         } else {
             None
         };
-        let mut rest = source.clone();
-        let mut upcoming = pending.map_or(0, |(_, count)| count);
-        while let Some((_, count)) = rest.next_burst() {
-            upcoming = upcoming.saturating_add(count);
+        Ok((source, pending))
+    }
+
+    /// The decoded feed of a run that still owes `owed` messages — its
+    /// undelivered messages less those in live cohorts, `None` if that
+    /// does not compute. Every undelivered message is either live or still
+    /// in the feed, so the feed must owe exactly these: the lookahead burst
+    /// and the rest of the stream. With [`FeedCheck::Walk`] the rest is
+    /// recounted here, which costs what the build's pre-pass costs for the
+    /// rest of the stream; with [`FeedCheck::Fleet`] the caller compares
+    /// [`StreamFeed::stream_owes`] with its own count.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] if the feed owes another count.
+    pub(crate) fn resumed(
+        source: StreamSource,
+        pending: Option<(u64, u64)>,
+        owed: Option<u64>,
+        check: FeedCheck,
+    ) -> Result<Self, WireError> {
+        let lookahead = pending.map_or(0, |(_, count)| count);
+        let Some(upcoming) = owed.filter(|&owed| owed >= lookahead) else {
+            return Err(OWES_ANOTHER_COUNT);
+        };
+        if check == FeedCheck::Walk && source.summarise().messages != upcoming - lookahead {
+            return Err(OWES_ANOTHER_COUNT);
         }
         Ok(Self {
             source,
@@ -291,6 +335,11 @@ impl StreamFeed {
         })
     }
 }
+
+/// Why a dynamic frame whose feed owes another count than its run is
+/// rejected.
+pub(crate) const OWES_ANOTHER_COUNT: WireError =
+    WireError::Malformed("remaining count differs from the live and pending messages");
 
 /// The engine a session frame names in its engine word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,12 +410,14 @@ impl KindVisitor for BatchedEngine<'_> {
     type Output = Box<dyn SessionEngine>;
 
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        let batch = ArrivalStream::new(&ArrivalModel::Batched { k: self.k }, 0);
-        let (feed, last_arrival) = StreamFeed::new(StreamSource::Plain(batch));
+        let batch =
+            StreamSource::Plain(ArrivalStream::new(&ArrivalModel::Batched { k: self.k }, 0));
+        let summary = batch.summarise();
+        let feed = StreamFeed::new(batch, summary.messages);
         let latencies = LatencyRecorder::new(self.k, false, self.stats);
         Box::new(CohortEngineCore::new(
             feed,
-            last_arrival,
+            summary.last_arrival,
             state,
             self.seed,
             self.options,
@@ -418,6 +469,7 @@ struct DecodeEngine<'a, 'b> {
     run: RunState,
     input: &'a mut Decoder<'b>,
     options: &'a RunOptions,
+    check: FeedCheck,
 }
 
 impl KindVisitor for DecodeEngine<'_, '_> {
@@ -430,7 +482,7 @@ impl KindVisitor for DecodeEngine<'_, '_> {
             ));
         }
         let cap = self.options.max_live_cohorts;
-        let core = CohortEngineCore::decode(self.input, self.run, state, cap)?;
+        let core = CohortEngineCore::decode(self.input, self.run, state, cap, self.check)?;
         Ok(Box::new(core))
     }
 
@@ -570,10 +622,11 @@ impl Session {
         )
     }
 
-    /// The constructor every dynamic run shares ([`Session::dynamic`],
-    /// [`ShardedSession`], `simulate_dynamic`, [`crate::CohortSimulator`]):
-    /// the cohort engine over a fresh arrival `source`, after its counting
-    /// pre-pass, seeded with `run_seed`; `None` for a window kind.
+    /// The constructor every unsharded dynamic run shares
+    /// ([`Session::dynamic`], `simulate_dynamic`,
+    /// [`crate::CohortSimulator`]): the cohort engine over a fresh arrival
+    /// `source`, after its counting pre-pass, seeded with `run_seed`; `None`
+    /// for a window kind.
     pub(crate) fn dynamic_on(
         kind: &ProtocolKind,
         source: StreamSource,
@@ -581,15 +634,29 @@ impl Session {
         options: &RunOptions,
         exact_latencies: bool,
     ) -> Result<Option<Self>, ParameterError> {
+        let summary = source.summarise();
+        Self::dynamic_counted(kind, source, summary, run_seed, options, exact_latencies)
+    }
+
+    /// [`Session::dynamic_on`] over a source whose totals are already
+    /// counted: a [`ShardedSession`] counts all its shards in one walk.
+    pub(crate) fn dynamic_counted(
+        kind: &ProtocolKind,
+        source: StreamSource,
+        summary: StreamSummary,
+        run_seed: u64,
+        options: &RunOptions,
+        exact_latencies: bool,
+    ) -> Result<Option<Self>, ParameterError> {
         options.validate_adversary()?;
-        let (feed, last_arrival) = StreamFeed::new(source);
-        let k = feed.pending_messages();
+        let feed = StreamFeed::new(source, summary.messages);
+        let k = summary.messages;
         let sketch = (!exact_latencies)
             .then(|| StreamingLatencyStats::new(derive_seed(run_seed, &[SKETCH_STREAM])));
         let recorder = LatencyRecorder::new(k, exact_latencies, sketch);
         let engine = DynamicEngine {
             feed,
-            last_arrival,
+            last_arrival: summary.last_arrival,
             run_seed,
             options,
             recorder,
@@ -847,6 +914,15 @@ impl Session {
     /// [`SessionError::Wire`] if the verified payload still fails to
     /// decode (possible only across incompatible builds).
     pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
+        Self::resume_checked(checkpoint, FeedCheck::Walk)
+    }
+
+    /// [`Session::resume`], checking a dynamic frame's feed as `check`
+    /// says.
+    pub(crate) fn resume_checked(
+        checkpoint: &Checkpoint,
+        check: FeedCheck,
+    ) -> Result<Self, SessionError> {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Session)?;
         let mut input = Decoder::new(payload);
         let kind = ProtocolKind::decode(&mut input)?;
@@ -870,6 +946,7 @@ impl Session {
             run,
             input: &mut input,
             options: &options,
+            check,
         };
         let engine = kind.visit(k, decode)??;
         input.finish()?;
@@ -985,6 +1062,46 @@ mod tests {
                 "{rate}"
             );
         }
+    }
+
+    #[test]
+    fn poisson_rates_above_the_bound_are_typed_errors() {
+        // Above the bound a Poisson draw is slow, and from 2⁵⁸ on it never
+        // ends (`rate − 30 == rate`), so every entry point refuses the rate
+        // before sampling.
+        let options = RunOptions::default();
+        for rate in [65_537.0, 1e18, f64::MAX] {
+            let model = ArrivalModel::Poisson { rate, horizon: 100 };
+            let parameter = |e: SessionError| match e {
+                SessionError::Parameter(e) => Some(e.parameter()),
+                _ => None,
+            };
+            let dynamic = Session::dynamic(&ofa(), &model, 1, &options);
+            assert_eq!(dynamic.err().and_then(parameter), Some("rate"), "{rate}");
+            let fleet = ShardedSession::new(&ofa(), &model, 1, &options, 2);
+            assert_eq!(fleet.err().and_then(parameter), Some("rate"), "{rate}");
+            let eager = simulate_dynamic(&ofa(), &model, 1, &options);
+            assert_eq!(eager.err().map(|e| e.parameter()), Some("rate"), "{rate}");
+        }
+        // A frame re-sealed over such a rate is malformed, not a hang.
+        let model = ArrivalModel::Poisson {
+            rate: 0.25,
+            horizon: 100,
+        };
+        let mut session = Session::dynamic(&ofa(), &model, 1, &options).unwrap();
+        session.advance(10).unwrap();
+        let mut words = session.checkpoint().unwrap().words;
+        let listed = [1, 0.25f64.to_bits(), 100];
+        let at = (0..words.len())
+            .find(|&i| words[i..].starts_with(&listed))
+            .expect("the frame carries the Poisson model");
+        words[at + 1] = 1e18f64.to_bits();
+        let last = words.len() - 1;
+        words[last] = mac_prob::wire::digest_words(&words[..last]);
+        assert!(matches!(
+            Session::resume(&Checkpoint { words }),
+            Err(SessionError::Wire(WireError::Malformed(_)))
+        ));
     }
 
     #[test]

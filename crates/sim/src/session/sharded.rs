@@ -3,8 +3,8 @@
 
 use super::frame::{open_frame, seal_frame, verify_frame};
 use super::{
-    Checkpoint, CheckpointKind, Session, SessionError, SessionStatus, StallConfig, StreamSource,
-    WINDOW_DYNAMIC,
+    Checkpoint, CheckpointKind, FeedCheck, Session, SessionError, SessionStatus, StallConfig,
+    StreamSource, OWES_ANOTHER_COUNT, WINDOW_DYNAMIC,
 };
 use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM};
 use crate::result::{RunOptions, RunResult};
@@ -120,8 +120,10 @@ impl ShardedSession {
     /// (`derive_seed(seed, &[ARRIVAL_STREAM])`) and keeps the messages
     /// whose global index hashes to it (a uniform salted hash, see
     /// [`mac_channel::ShardedArrivalStream`]), so the union over shards is
-    /// exactly the single-channel arrival sequence. Shard `i`'s protocol
-    /// run is seeded `derive_seed(seed, &[SHARD_STREAM, i])`.
+    /// exactly the single-channel arrival sequence. One walk of the master
+    /// stream counts every shard's messages and finds its last arrival.
+    /// Shard `i`'s protocol run is seeded `derive_seed(seed, &[SHARD_STREAM,
+    /// i])`.
     ///
     /// # Errors
     /// Returns [`SessionError::Unsupported`] for a zero shard count or a
@@ -140,14 +142,15 @@ impl ShardedSession {
         validate_model(model)?;
         let arrival_seed = derive_seed(seed, &[ARRIVAL_STREAM]);
         let salt = derive_seed(seed, &[SHARD_STREAM]);
+        let master = ArrivalStream::new(model, arrival_seed);
         let mut sessions = Vec::with_capacity(shards as usize);
-        for shard in 0..shards {
-            let master = ArrivalStream::new(model, arrival_seed);
-            let stream = ShardedArrivalStream::new(master, salt, shard, shards);
-            let run_seed = derive_seed(seed, &[SHARD_STREAM, u64::from(shard)]);
-            let session = Session::dynamic_on(
+        for (shard, (view, summary)) in (0..).zip(ShardedArrivalStream::fleet(master, salt, shards))
+        {
+            let run_seed = derive_seed(seed, &[SHARD_STREAM, shard]);
+            let session = Session::dynamic_counted(
                 kind,
-                StreamSource::Sharded(stream),
+                StreamSource::Sharded(view),
+                summary,
                 run_seed,
                 options,
                 false,
@@ -462,15 +465,20 @@ impl ShardedSession {
 
     /// Rebuilds a sharded driver from a [`ShardedSession::checkpoint`].
     /// The frame's integrity is verified before any shard state is
-    /// reconstructed.
+    /// reconstructed. One walk of the master stream, from the earliest
+    /// shard's position, recounts what every shard's stream still owes
+    /// ([`ShardedArrivalStream::recount_fleet`]).
     ///
     /// # Errors
     /// Returns a typed [`SessionError::Integrity`] on a truncated,
     /// corrupted, version- or kind-mismatched frame, and a
     /// [`SessionError::Wire`] if the verified payload still fails to
     /// decode or describes a fleet [`ShardedSession::new`] never builds: no
-    /// shard, or a shard whose arrival view names another index, fleet size
-    /// or salt, or that runs another kind or options than the first shard.
+    /// shard, a shard whose arrival view names another index, fleet size
+    /// or salt, or that runs another kind or options than the first shard,
+    /// a shard whose arrival state is not on the walk of the fleet's master
+    /// stream, or a shard whose stream owes another count than its run has
+    /// left to deliver.
     pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Sharded)?;
         let mut input = Decoder::new(payload);
@@ -487,32 +495,15 @@ impl ShardedSession {
         }
         let mut shards = Vec::with_capacity(count.min(1 << 16));
         let mut health = Vec::with_capacity(count.min(1 << 16));
-        let mut fleet_salt = None;
-        for index in 0..count {
+        for _ in 0..count {
             let words = input.take_words()?.to_vec();
-            let shard = Session::resume(&Checkpoint { words })?;
-            let placement = match shard.engine.feed().map(|feed| &feed.source) {
-                Some(StreamSource::Sharded(stream)) => Some(stream.placement()),
-                _ => None,
-            };
-            let Some((own, size, salt)) = placement else {
-                return Err(WireError::Malformed("fleet shard without a shard view").into());
-            };
-            // Shard `index` of `count` keeps its own share of one salted
-            // hash and runs the fleet's one kind under its one set of
+            let shard = Session::resume_checked(&Checkpoint { words }, FeedCheck::Fleet)?;
+            // Every shard runs the fleet's one kind under its one set of
             // options, as `new` builds it (the fleet's label is its first
             // shard's).
             let first = shards.first().unwrap_or(&shard);
-            if own as usize != index
-                || size as usize != count
-                || *fleet_salt.get_or_insert(salt) != salt
-                || first.kind != shard.kind
-                || first.options != shard.options
-            {
-                return Err(WireError::Malformed(
-                    "shard names another index, fleet size, salt, kind or options",
-                )
-                .into());
+            if first.kind != shard.kind || first.options != shard.options {
+                return Err(WireError::Malformed("shard runs another kind or options").into());
             }
             shards.push(shard);
             let failures = input.take_u32()?;
@@ -529,6 +520,25 @@ impl ShardedSession {
             });
         }
         input.finish()?;
+        // Shard `i` keeps shard `i`'s share of one salted hash of one master
+        // stream, and its stream owes what its run has left to deliver past
+        // the feed's lookahead burst.
+        let (owes, views): (Vec<u64>, Vec<&ShardedArrivalStream>) = shards
+            .iter()
+            .filter_map(|shard| {
+                let feed = shard.engine.feed()?;
+                match &feed.source {
+                    StreamSource::Sharded(view) => Some((feed.stream_owes(), view)),
+                    StreamSource::Plain(_) => None,
+                }
+            })
+            .unzip();
+        if views.len() != shards.len() {
+            return Err(WireError::Malformed("fleet shard without a shard view").into());
+        }
+        if ShardedArrivalStream::recount_fleet(&views)? != owes {
+            return Err(OWES_ANOTHER_COUNT.into());
+        }
         let last_good = vec![None; shards.len()];
         Ok(Self {
             shards,
@@ -542,6 +552,56 @@ impl ShardedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Recomputes the trailing digest of a frame whose payload was edited.
+    fn reseal(words: &mut [u64]) {
+        if let Some((digest, payload)) = words.split_last_mut() {
+            *digest = mac_prob::wire::digest_words(payload);
+        }
+    }
+
+    #[test]
+    fn fleet_frames_with_a_shard_off_the_master_walk_are_malformed() {
+        // A fleet resumes every shard's feed in one walk of the master
+        // stream from the earliest shard's state, so a shard whose view sits
+        // anywhere else on the master is not one `new` built and `advance`
+        // moved. Re-sealed with shard 1's cursor or next master index moved
+        // by one, both frames pass their digests.
+        let model = ArrivalModel::Poisson {
+            rate: 0.3,
+            horizon: 3_000,
+        };
+        let ofa = ProtocolKind::OneFailAdaptive { delta: 2.72 };
+        let mut fleet = ShardedSession::new(&ofa, &model, 5, &RunOptions::default(), 2).unwrap();
+        fleet.advance(700).unwrap();
+        let words = fleet.checkpoint().unwrap().words;
+        assert!(ShardedSession::resume(&Checkpoint {
+            words: words.clone()
+        })
+        .is_ok());
+        let shard = fleet.shards[1].checkpoint().unwrap().words;
+        let start = (0..words.len())
+            .find(|&i| words[i..].starts_with(&shard))
+            .expect("the fleet frame embeds shard 1's frame");
+        // The view's words: the master stream's (model, RNG, cursor), then
+        // the salt, the shard index, the shard count and the next index.
+        let salt = derive_seed(5, &[SHARD_STREAM]);
+        let view = (0..shard.len())
+            .find(|&i| shard[i..].starts_with(&[salt, 1, 2]))
+            .expect("shard 1's frame holds its view");
+        for (what, at) in [("cursor", view - 1), ("next index", view + 3)] {
+            let mut moved = shard.clone();
+            moved[at] += 1;
+            reseal(&mut moved);
+            let mut frame = words.clone();
+            frame[start..start + shard.len()].copy_from_slice(&moved);
+            reseal(&mut frame);
+            match ShardedSession::resume(&Checkpoint { words: frame }) {
+                Err(SessionError::Wire(WireError::Malformed(_))) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn fleet_shards_that_disagree_on_kind_or_options_are_malformed() {
