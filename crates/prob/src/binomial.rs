@@ -258,8 +258,7 @@ impl SlotKernel {
     /// `m` is passed as `f64` because callers track it that way in their hot
     /// loops; it must be a non-negative integer value. Always inlined: the
     /// cohort core's single-cohort stretch calls it on every slot whose
-    /// probability moved, and a plain `#[inline]` left it an out-of-line
-    /// call there.
+    /// probability moves.
     #[inline(always)]
     pub fn update(&mut self, m: f64, p: f64) {
         if m == self.m && p == self.p {
