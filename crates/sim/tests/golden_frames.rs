@@ -18,6 +18,8 @@
 //! and driven to its end (a fleet through its merged result), and the
 //! `RunResult` it reaches is pinned field by field. A layout change leaves
 //! them as they are, so a re-pinned frame table cannot hide an engine change.
+//! Each frame, resumed and checkpointed again at once, must also give back
+//! its own words: decoding inverts encoding for every layout.
 
 use mac_adversary::{AdversaryModel, AdversaryScenario};
 use mac_channel::ArrivalModel;
@@ -408,6 +410,26 @@ fn run_to_end(frame: &Checkpoint) -> RunResult {
         fleet.merged_result()
     } else {
         Session::resume(frame).unwrap().run_to_completion().unwrap()
+    }
+}
+
+/// Resumes `frame` — a fleet through `ShardedSession::resume` — and
+/// checkpoints it again at once.
+fn re_encode(frame: &Checkpoint) -> Checkpoint {
+    if frame.verify() == Ok(CheckpointKind::Sharded) {
+        ShardedSession::resume(frame).unwrap().checkpoint().unwrap()
+    } else {
+        Session::resume(frame).unwrap().checkpoint().unwrap()
+    }
+}
+
+#[test]
+fn resumed_frames_re_encode_to_themselves() {
+    // Decoding inverts encoding: every word a frame holds is read back
+    // into the state that writes it, and no word is derived differently on
+    // the way back.
+    for (name, frame) in frames() {
+        assert_eq!(re_encode(&frame).words(), frame.words(), "{name}");
     }
 }
 
