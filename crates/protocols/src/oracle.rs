@@ -30,16 +30,12 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KnownKOracle {
     remaining: u64,
-    steps: u64,
 }
 
 impl KnownKOracle {
     /// Creates the oracle for an instance with `k` messages.
     pub fn new(k: u64) -> Self {
-        Self {
-            remaining: k,
-            steps: 0,
-        }
+        Self { remaining: k }
     }
 
     /// Number of messages the oracle believes are still undelivered.
@@ -58,22 +54,20 @@ impl FairProtocol for KnownKOracle {
     }
 
     fn advance(&mut self, delivered: bool) {
-        self.steps += 1;
         if delivered {
             self.remaining = self.remaining.saturating_sub(1);
         }
     }
 
     fn checkpoint_words(&self) -> Vec<u64> {
-        vec![self.remaining, self.steps]
+        vec![self.remaining]
     }
 
     fn restore_words(&mut self, words: &[u64]) -> bool {
-        let [remaining, steps] = words else {
+        let [remaining] = words else {
             return false;
         };
         self.remaining = *remaining;
-        self.steps = *steps;
         true
     }
 }

@@ -70,9 +70,8 @@
 //! loop body — so a checkpointed run is bit-identical to an unbroken one by
 //! construction. The core keeps the cohorts, their kernel and the merge
 //! machinery beside the run accounting every fast core shares (counts,
-//! clock, RNG, adversary, latency record, and the one `RunResult` builder);
-//! it keeps its delivery slots apart from the latency record, because a
-//! dynamic run's latencies are not its delivery slots. [`CohortSimulator`]
+//! clock, RNG, adversary, latency record, delivery slots, and the one
+//! `RunResult` builder). [`CohortSimulator`]
 //! feeds its schedule as per-slot bursts (an [`ArrivalModel::Bursts`]
 //! stream) and drives the session to its end. A checkpoint captures every
 //! cohort's protocol state words, the kernel caches, the RNG and the
@@ -83,10 +82,8 @@
 //! `simulate_dynamic` routes them to the exact per-station engine instead.
 
 use crate::result::{RunOptions, RunResult};
-use crate::run_state::{
-    decode_optional_slots, encode_optional_slots, preallocated, LatencyRecorder, RunState,
-};
-use crate::session::{Engine, FeedCheck, Session, SessionEngine, StreamFeed, StreamSource};
+use crate::run_state::{LatencyRecorder, RunState};
+use crate::session::{Session, SessionEngine, StreamFeed, StreamSource};
 use mac_adversary::SlotClass;
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
 use mac_prob::binomial::SlotThresholds;
@@ -139,7 +136,7 @@ impl<P> Cohort<P> {
     /// uniform in `[0, 1)` given the delivery (the leftover of
     /// [`CohortKernel::delivering_cohort`]), picks the member and with it
     /// the arrival sub-group its latency is counted from.
-    fn deliver_one(&mut self, run: &mut RunState, fraction: f64, slots: Option<&mut Vec<u64>>) {
+    fn deliver_one(&mut self, run: &mut RunState, fraction: f64) {
         let mut index = ((fraction * self.m as f64) as u64).min(self.m - 1);
         let group = self
             .groups
@@ -159,9 +156,6 @@ impl<P> Cohort<P> {
             self.groups.retain(|&(_, count)| count > 0);
         }
         self.m -= 1;
-        if let Some(slots) = slots {
-            slots.push(run.slot);
-        }
     }
 }
 
@@ -261,9 +255,6 @@ pub(crate) struct CohortEngineCore<P> {
     peak_cohorts: usize,
     slots_to_merge_scan: u64,
     adversarial: bool,
-    /// The slot of every delivery, when recorded ([`RunOptions`]'s
-    /// `record_deliveries`): only a batched run's latencies equal them.
-    delivery_slots: Option<Vec<u64>>,
 }
 
 impl<P: FairProtocol + Clone> CohortEngineCore<P> {
@@ -284,7 +275,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
         let max_slots = options
             .max_slots(k)
             .saturating_add(last_arrival.unwrap_or(0));
-        let run = RunState::new(k, seed, max_slots, &options.adversary, latencies);
+        let run = RunState::new(k, seed, max_slots, options, latencies);
         let adversarial = run.adversary.is_active();
         Self {
             run,
@@ -300,20 +291,19 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             peak_cohorts: 0,
             slots_to_merge_scan: MERGE_SCAN_PERIOD,
             adversarial,
-            delivery_slots: options.record_deliveries.then(|| preallocated(k)),
         }
     }
 
     /// Rebuilds a core from [`SessionEngine::encode`]d words around its
     /// decoded run state `run`. `prototype` must be built from the run's
-    /// original kind and message count, `max_live_cohorts` is the run's
-    /// class cap, and `check` says how the feed's count is checked.
+    /// original kind and message count, and `max_live_cohorts` is the run's
+    /// class cap. The feed's stream is not walked here: the resume that
+    /// called the decode recounts it.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
         run: RunState,
         prototype: P,
         max_live_cohorts: u64,
-        check: FeedCheck,
     ) -> Result<Self, WireError> {
         let (source, pending) = StreamFeed::decode(input)?;
         let merges = input.take_u64()?;
@@ -365,8 +355,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             .iter()
             .try_fold(0u64, |sum, cohort| sum.checked_add(cohort.m))
             .and_then(|live| run.remaining.checked_sub(live));
-        let feed = StreamFeed::resumed(source, pending, owed, check)?;
-        let delivery_slots = decode_optional_slots(input)?;
+        let feed = StreamFeed::resumed(source, pending, owed)?;
         let adversarial = run.adversary.is_active();
         Ok(Self {
             run,
@@ -382,7 +371,6 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
             peak_cohorts,
             slots_to_merge_scan,
             adversarial,
-            delivery_slots,
         })
     }
 
@@ -455,7 +443,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                 } else {
                     0.0
                 };
-                cohort.deliver_one(run, fraction, self.delivery_slots.as_mut());
+                cohort.deliver_one(run, fraction);
                 m -= 1.0;
                 feedback = !self.adversarial || !run.adversary.misses_delivery();
                 if cohort.m == 0 {
@@ -483,9 +471,6 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
 }
 
 impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
-    fn engine(&self) -> Engine {
-        Engine::Cohort
-    }
     fn run_state(&self) -> &RunState {
         &self.run
     }
@@ -576,7 +561,7 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
                         // uniform fraction — which of its members.
                         let (ci, fraction) = self.kernel.delivering_cohort(u - thresholds.t0);
                         let cohort = &mut self.cohorts[ci];
-                        cohort.deliver_one(run, fraction, self.delivery_slots.as_mut());
+                        cohort.deliver_one(run, fraction);
                         // Acknowledgements are reliable; only the broadcast
                         // feedback to the remaining stations can be lost.
                         delivered_feedback = !self.adversarial || !run.adversary.misses_delivery();
@@ -619,8 +604,8 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
     /// The run's aggregate result (capped-run convention before
     /// completion: the makespan reads the current slot).
     fn result(&self, label: &str) -> RunResult {
-        let (pending, slots) = (self.feed.pending_messages(), self.delivery_slots.as_deref());
-        self.run.result(label, self.run.slot, pending, slots)
+        self.run
+            .result(label, self.run.slot, self.feed.pending_messages())
     }
     fn feed(&self) -> Option<&StreamFeed> {
         Some(&self.feed)
@@ -634,9 +619,9 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
         })
     }
     /// Writes the arrival feed, the merge diagnostics and clock, every
-    /// cohort (protocol state words, size, arrival groups), the kernel
-    /// caches and the delivery slots. The prototype and the class cap are
-    /// rebuilt from the kind and the options.
+    /// cohort (protocol state words, size, arrival groups) and the kernel
+    /// caches. The prototype and the class cap are rebuilt from the kind
+    /// and the options.
     fn encode(&self, out: &mut Encoder) {
         self.feed.encode(out);
         out.put_u64(self.merges);
@@ -653,7 +638,6 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
             }
         }
         self.kernel.encode(out);
-        encode_optional_slots(self.delivery_slots.as_deref(), out);
     }
 }
 

@@ -20,8 +20,8 @@
 //! station's decision and counts the transmitters; *resolve* settles the
 //! slot (the outcome, the adversary's jam and feedback fault, the tally and
 //! the trace), retires the delivered station and hands every other one its
-//! bit. The run accounting — counts, slot clock, tally, protocol RNG
-//! and adversary — is the run state every engine core shares
+//! bit. The run accounting — counts, slot clock, tally, protocol RNG,
+//! adversary and delivery slots — is the run state every engine core shares
 //! (`crate::run_state`), so the exact engine seeds its streams and builds
 //! its [`RunResult`] as the fast engines do. One visitor builds that core
 //! from a kind; [`ExactSimulator::run_schedule`] drives both phases back
@@ -30,7 +30,7 @@
 //! where the strategy search chooses the jam.
 
 use crate::result::{RunOptions, RunResult};
-use crate::run_state::{preallocated, LatencyRecorder, RunState};
+use crate::run_state::{LatencyRecorder, RunState};
 use mac_adversary::{AdversaryGame, SlotClass};
 use mac_channel::trace::{Trace, TraceEntry};
 use mac_channel::{ArrivalSchedule, NodeId, SlotOutcome};
@@ -250,8 +250,8 @@ impl ExactSimulator {
 /// observable.
 #[derive(Clone)]
 struct StationCore<Pr> {
-    /// The run accounting: counts, slot clock and tally, the protocol RNG
-    /// and the adversary.
+    /// The run accounting: counts, slot clock and tally, the protocol RNG,
+    /// the adversary and the delivery slots.
     run: RunState,
     /// The state every station starts from, cloned on activation (building
     /// a station draws no randomness, so a clone is a fresh build).
@@ -268,10 +268,6 @@ struct StationCore<Pr> {
     messages: Vec<MessageOutcome>,
     activated: usize,
     trace: Option<Trace>,
-    /// The slot of every delivery, when recorded: beside the run state, as
-    /// in the cohort core, because a dynamic run's latencies are not its
-    /// delivery slots.
-    delivery_slots: Option<Vec<u64>>,
 }
 
 impl<Pr: Protocol + Clone> StationCore<Pr> {
@@ -286,7 +282,7 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
             .saturating_add(schedule.last_arrival().unwrap_or(0));
         let latencies = LatencyRecorder::new(k, false, None);
         Self {
-            run: RunState::new(k, seed, max_slots, &sim.options.adversary, latencies),
+            run: RunState::new(k, seed, max_slots, &sim.options, latencies),
             prototype,
             active: Vec::new(),
             transmitters: 0,
@@ -304,7 +300,6 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
                 .collect(),
             activated: 0,
             trace: sim.trace_capacity.map(Trace::with_capacity),
-            delivery_slots: sim.options.record_deliveries.then(|| preallocated(k)),
         }
     }
 
@@ -407,9 +402,6 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
             let message = &mut self.messages[idx as usize];
             message.delivered_slot = Some(slot);
             self.run.deliver(slot - message.arrival_slot);
-            if let Some(slots) = self.delivery_slots.as_mut() {
-                slots.push(slot);
-            }
             // The acknowledged transmitter is idle from now on (ACKs are
             // reliable). Retiring it before the others observe is safe:
             // `observe` draws nothing and acts on each station alone.
@@ -448,11 +440,8 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
         // their station created: report them instead of letting a capped
         // dynamic run read as a protocol failure.
         let never_activated = (self.messages.len() - self.activated) as u64;
-        let slots = self.delivery_slots.as_deref();
         DetailedRun {
-            result: self
-                .run
-                .result(label, self.run.slot, never_activated, slots),
+            result: self.run.result(label, self.run.slot, never_activated),
             messages: self.messages,
             trace: self.trace,
         }

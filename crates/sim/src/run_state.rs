@@ -5,17 +5,20 @@
 //! batched or dynamic) each drive a different model, but they account for
 //! a run the same way: the message count, seed and slot cap, the slot
 //! clock and its tally (makespan, collisions, silence, jammed deliveries),
-//! the protocol RNG, the adversary's dynamic state and the latency record.
-//! That state lives in one [`RunState`], with one constructor, one
-//! delivery step, one [`RunResult`] builder and one codec; each core keeps
-//! only its model's state beside it, and resolves its slots itself.
+//! the protocol RNG, the adversary's dynamic state, the latency record and
+//! the delivery slots. That state lives in one [`RunState`], with one
+//! constructor, one delivery step, one [`RunResult`] builder and one codec;
+//! each core keeps only its model's state beside it, and resolves its slots
+//! itself. The run state is the one owner of the delivery slots, which it
+//! records when the options ask for them; they stand beside the latency
+//! record, because a dynamic run's latencies are not its delivery slots.
 //!
 //! A session checkpoint writes the run state once, as one block ahead of
 //! the core's own words (see `DESIGN.md` §9). The exact engine has no
 //! checkpoint and never calls the codec.
 
-use crate::result::RunResult;
-use mac_adversary::{AdversaryScenario, AdversaryState, ADVERSARY_STREAM};
+use crate::result::{RunOptions, RunResult};
+use mac_adversary::{AdversaryState, ADVERSARY_STREAM};
 use mac_prob::rng::{derive_seed, Xoshiro256pp};
 use mac_prob::sketch::StreamingLatencyStats;
 use mac_prob::wire::{Decoder, Encoder, WireError};
@@ -28,15 +31,12 @@ const MAX_PREALLOC_ENTRIES: u64 = 1 << 24;
 
 /// An empty per-delivery list with room for the `k` deliveries of a run
 /// (up to [`MAX_PREALLOC_ENTRIES`]).
-pub(crate) fn preallocated(k: u64) -> Vec<u64> {
+fn preallocated(k: u64) -> Vec<u64> {
     Vec::with_capacity(k.min(MAX_PREALLOC_ENTRIES) as usize)
 }
 
 /// Where per-delivery latencies go: an exact in-order vector, a
-/// bounded-memory quantile sketch, both or neither. A batched run's
-/// latency is its delivery slot, so the window core keeps its recorded
-/// delivery slots in the exact half; the cohort core keeps them apart,
-/// because a dynamic run's latencies are not its delivery slots.
+/// bounded-memory quantile sketch, both or neither.
 #[derive(Debug, Clone)]
 pub(crate) struct LatencyRecorder {
     pub(crate) exact: Option<Vec<u64>>,
@@ -63,9 +63,16 @@ impl LatencyRecorder {
         }
     }
 
-    /// The latency record's words, the last part of the run state's block.
+    /// The latency record's words: the exact list present (+ list), the
+    /// sketch present (+ sketch).
     pub(crate) fn encode(&self, out: &mut Encoder) {
-        encode_optional_slots(self.exact.as_deref(), out);
+        match &self.exact {
+            Some(exact) => {
+                out.put_bool(true);
+                out.put_words(exact);
+            }
+            None => out.put_bool(false),
+        }
         match &self.streaming {
             Some(stats) => {
                 out.put_bool(true);
@@ -76,35 +83,17 @@ impl LatencyRecorder {
     }
 
     pub(crate) fn decode(input: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let exact = decode_optional_slots(input)?;
+        let exact = if input.take_bool()? {
+            Some(input.take_words()?.to_vec())
+        } else {
+            None
+        };
         let streaming = if input.take_bool()? {
             Some(StreamingLatencyStats::decode(input)?)
         } else {
             None
         };
         Ok(Self { exact, streaming })
-    }
-}
-
-/// Shared codec for an optional per-delivery slot list.
-pub(crate) fn encode_optional_slots(slots: Option<&[u64]>, out: &mut Encoder) {
-    match slots {
-        Some(slots) => {
-            out.put_bool(true);
-            out.put_words(slots);
-        }
-        None => out.put_bool(false),
-    }
-}
-
-/// Inverse of [`encode_optional_slots`].
-pub(crate) fn decode_optional_slots(
-    input: &mut Decoder<'_>,
-) -> Result<Option<Vec<u64>>, WireError> {
-    if input.take_bool()? {
-        Ok(Some(input.take_words()?.to_vec()))
-    } else {
-        Ok(None)
     }
 }
 
@@ -124,15 +113,20 @@ pub(crate) struct RunState {
     pub(crate) rng: Xoshiro256pp,
     pub(crate) adversary: AdversaryState,
     pub(crate) latencies: LatencyRecorder,
+    /// The slot of every delivery, in delivery order, exactly when the
+    /// options record deliveries.
+    pub(crate) delivery_slots: Option<Vec<u64>>,
 }
 
 impl RunState {
-    /// The state at slot 0 of a `k`-message run capped at `max_slots`.
+    /// The state at slot 0 of a `k`-message run capped at `max_slots`,
+    /// under the adversary of `options`, recording delivery slots when
+    /// `options` asks for them.
     pub(crate) fn new(
         k: u64,
         seed: u64,
         max_slots: u64,
-        scenario: &AdversaryScenario,
+        options: &RunOptions,
         latencies: LatencyRecorder,
     ) -> Self {
         Self {
@@ -153,8 +147,11 @@ impl RunState {
             // The adversary draws from its own derived stream, so the
             // protocol RNG is consumed identically whether or not an
             // adversary is configured.
-            adversary: scenario.state(derive_seed(seed, &[ADVERSARY_STREAM])),
+            adversary: options
+                .adversary
+                .state(derive_seed(seed, &[ADVERSARY_STREAM])),
             latencies,
+            delivery_slots: options.record_deliveries.then(|| preallocated(k)),
         }
     }
 
@@ -173,6 +170,18 @@ impl RunState {
     pub(crate) fn deliver(&mut self, latency: u64) {
         self.remaining -= 1;
         self.makespan = self.slot + 1;
+        self.record(self.slot, latency);
+    }
+
+    /// Records one delivery in `slot`, `latency` slots after its message
+    /// arrived, in the delivery slots and the latency record. The window
+    /// core, which settles a window's counts in one step, records each of
+    /// its deliveries here.
+    #[inline]
+    pub(crate) fn record(&mut self, slot: u64, latency: u64) {
+        if let Some(slots) = self.delivery_slots.as_mut() {
+            slots.push(slot);
+        }
         self.latencies.push(latency);
     }
 
@@ -184,7 +193,6 @@ impl RunState {
         label: &str,
         unfinished_makespan: u64,
         never_activated: u64,
-        delivery_slots: Option<&[u64]>,
     ) -> RunResult {
         let completed = self.remaining == 0;
         RunResult {
@@ -202,14 +210,15 @@ impl RunState {
             silent_slots: self.silent,
             jammed_deliveries: self.jammed_deliveries,
             never_activated,
-            delivery_slots: delivery_slots.map(<[u64]>::to_vec),
+            delivery_slots: self.delivery_slots.clone(),
         }
     }
 
     /// Writes the whole run state: the message count, seed and slot cap,
     /// the remaining count, the slot clock and its tally (makespan,
     /// collisions, silent, jammed), the protocol RNG's 4 words, the
-    /// adversary's words and the latency record.
+    /// adversary's words, the latency record and, when the options record
+    /// deliveries, the delivery slots.
     pub(crate) fn encode(&self, out: &mut Encoder) {
         out.put_u64(self.k);
         out.put_u64(self.seed);
@@ -225,14 +234,14 @@ impl RunState {
         }
         self.adversary.encode(out);
         self.latencies.encode(out);
+        if let Some(slots) = &self.delivery_slots {
+            out.put_words(slots);
+        }
     }
 
-    /// Inverse of [`RunState::encode`]. `scenario` must be the run's
-    /// original adversary configuration.
-    pub(crate) fn decode(
-        input: &mut Decoder<'_>,
-        scenario: &AdversaryScenario,
-    ) -> Result<Self, WireError> {
+    /// Inverse of [`RunState::encode`]. `options` must be the run's
+    /// original options.
+    pub(crate) fn decode(input: &mut Decoder<'_>, options: &RunOptions) -> Result<Self, WireError> {
         let k = input.take_u64()?;
         let seed = input.take_u64()?;
         let max_slots = input.take_u64()?;
@@ -240,7 +249,7 @@ impl RunState {
             k,
             seed,
             max_slots,
-            scenario,
+            options,
             LatencyRecorder::new(k, false, None),
         );
         run.remaining = input.take_u64()?;
@@ -261,6 +270,9 @@ impl RunState {
         run.rng = Xoshiro256pp::from_state_words(rng);
         run.adversary.decode(input)?;
         run.latencies = LatencyRecorder::decode(input)?;
+        if let Some(slots) = run.delivery_slots.as_mut() {
+            slots.extend_from_slice(input.take_words()?);
+        }
         Ok(run)
     }
 }

@@ -198,17 +198,6 @@ impl StreamSource {
     }
 }
 
-/// How a resume checks that a dynamic frame's stream owes exactly the
-/// messages its run still has to deliver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FeedCheck {
-    /// Walk the rest of the stream and count ([`Session::resume`]).
-    Walk,
-    /// Leave the count to the caller: [`ShardedSession::resume`] recounts
-    /// every shard in one walk of the master stream.
-    Fleet,
-}
-
 impl StreamFeed {
     /// A feed over a fresh `source` that will emit `messages` messages, the
     /// count of its counting pre-pass ([`StreamSource::summarise`], or one
@@ -308,26 +297,21 @@ impl StreamFeed {
     /// undelivered messages less those in live cohorts, `None` if that
     /// does not compute. Every undelivered message is either live or still
     /// in the feed, so the feed must owe exactly these: the lookahead burst
-    /// and the rest of the stream. With [`FeedCheck::Walk`] the rest is
-    /// recounted here, which costs what the build's pre-pass costs for the
-    /// rest of the stream; with [`FeedCheck::Fleet`] the caller compares
-    /// [`StreamFeed::stream_owes`] with its own count.
+    /// and the rest of the stream. The rest is not walked here: the resume
+    /// recounts it and compares [`StreamFeed::stream_owes`] with its count.
     ///
     /// # Errors
-    /// [`WireError::Malformed`] if the feed owes another count.
+    /// [`WireError::Malformed`] if the run owes fewer messages than the
+    /// lookahead burst holds.
     pub(crate) fn resumed(
         source: StreamSource,
         pending: Option<(u64, u64)>,
         owed: Option<u64>,
-        check: FeedCheck,
     ) -> Result<Self, WireError> {
         let lookahead = pending.map_or(0, |(_, count)| count);
         let Some(upcoming) = owed.filter(|&owed| owed >= lookahead) else {
             return Err(OWES_ANOTHER_COUNT);
         };
-        if check == FeedCheck::Walk && source.summarise().messages != upcoming - lookahead {
-            return Err(OWES_ANOTHER_COUNT);
-        }
         Ok(Self {
             source,
             upcoming,
@@ -341,45 +325,21 @@ impl StreamFeed {
 pub(crate) const OWES_ANOTHER_COUNT: WireError =
     WireError::Malformed("remaining count differs from the live and pending messages");
 
-/// The engine a session frame names in its engine word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Engine {
-    /// The window balls-in-bins engine (batched window sessions).
-    Window = 1,
-    /// The cohort engine (fair sessions, batched or dynamic).
-    Cohort = 2,
-}
-
 /// The engine behind a [`Session`]: one of the two generic cores, boxed
 /// so a session pays one virtual call per advance chunk while each core's
-/// slot loop stays monomorphic over its protocol state. Every core keeps
-/// its run accounting in one [`RunState`], which the clock and count
-/// queries read and which the session checkpoints ahead of the core's own
-/// words.
+/// slot loop stays monomorphic over its protocol state. The kind decides
+/// the core ([`ProtocolKind::visit`]), so a frame does not name it. Every
+/// core keeps its run accounting in one [`RunState`], which the session's
+/// clock and count queries read and which it checkpoints ahead of the
+/// core's own words.
 pub(crate) trait SessionEngine: fmt::Debug + Send {
-    fn engine(&self) -> Engine;
     fn run_state(&self) -> &RunState;
     /// Runs at least `max_slots` slots (see [`Session::advance`]). With
     /// `jam_log`, the core records the slot of every effective jam (see
     /// [`crate::FairSimulator::run_logging_jams`]).
     fn advance(&mut self, max_slots: u64, jam_log: Option<&mut Vec<u64>>);
-    fn slot(&self) -> u64 {
-        self.run_state().slot
-    }
-    fn delivered(&self) -> u64 {
-        self.run_state().delivered()
-    }
-    fn remaining(&self) -> u64 {
-        self.run_state().remaining
-    }
     /// Activated, undelivered messages — the watchdog's progress signal.
     fn backlog(&self) -> u64;
-    fn is_finished(&self) -> bool {
-        self.run_state().is_finished()
-    }
-    fn streaming_stats(&self) -> Option<&StreamingLatencyStats> {
-        self.run_state().latencies.streaming.as_ref()
-    }
     /// The aggregate result so far (capped-run convention while running).
     fn result(&self, label: &str) -> RunResult;
     /// The full run detail, which only the cohort engine keeps.
@@ -461,37 +421,25 @@ impl KindVisitor for DynamicEngine<'_> {
     }
 }
 
-/// [`Session::resume`]'s visit: decodes the named engine's words around
+/// [`Session::decode`]'s visit: decodes the engine's own words around
 /// the decoded run state and the freshly visited state, whose incremental
 /// words the checkpoint then overwrites verbatim.
 struct DecodeEngine<'a, 'b> {
-    engine: Engine,
     run: RunState,
     input: &'a mut Decoder<'b>,
     options: &'a RunOptions,
-    check: FeedCheck,
 }
 
 impl KindVisitor for DecodeEngine<'_, '_> {
     type Output = Result<Box<dyn SessionEngine>, WireError>;
 
     fn fair<P: FairProtocol + Clone + 'static>(self, state: P) -> Self::Output {
-        if self.engine != Engine::Cohort {
-            return Err(WireError::Malformed(
-                "window engine word with a fair protocol kind",
-            ));
-        }
         let cap = self.options.max_live_cohorts;
-        let core = CohortEngineCore::decode(self.input, self.run, state, cap, self.check)?;
+        let core = CohortEngineCore::decode(self.input, self.run, state, cap)?;
         Ok(Box::new(core))
     }
 
     fn window<S: WindowSchedule + Clone + 'static>(self, schedule: S) -> Self::Output {
-        if self.engine != Engine::Window {
-            return Err(WireError::Malformed(
-                "cohort engine word with a window protocol kind",
-            ));
-        }
         let scenario = &self.options.adversary;
         let core = WindowEngineCore::decode(self.input, self.run, schedule, scenario)?;
         Ok(Box::new(core))
@@ -822,22 +770,22 @@ impl Session {
 
     /// True once the run completed or hit its slot cap.
     pub fn is_finished(&self) -> bool {
-        self.engine.is_finished()
+        self.engine.run_state().is_finished()
     }
 
     /// The current slot clock.
     pub fn slot(&self) -> u64 {
-        self.engine.slot()
+        self.engine.run_state().slot
     }
 
     /// Messages delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.engine.delivered()
+        self.engine.run_state().delivered()
     }
 
     /// Activated-but-undelivered messages.
     pub fn remaining(&self) -> u64 {
-        self.engine.remaining()
+        self.engine.run_state().remaining
     }
 
     /// The protocol configuration label.
@@ -850,7 +798,7 @@ impl Session {
     /// the delivery slot (equal to the latency for slot-0 arrivals);
     /// dynamic sessions push delivery − arrival.
     pub fn live_stats(&self) -> Option<&StreamingLatencyStats> {
-        self.engine.streaming_stats()
+        self.engine.run_state().latencies.streaming.as_ref()
     }
 
     /// Snapshot of the aggregate result at the current slot. While the run
@@ -897,7 +845,6 @@ impl Session {
             }
             None => out.put_bool(false),
         }
-        out.put_u32(self.engine.engine() as u32);
         self.engine.run_state().encode(&mut out);
         self.engine.encode(&mut out);
         Ok(seal_frame(out))
@@ -912,17 +859,25 @@ impl Session {
     /// Returns a typed [`SessionError::Integrity`] on a truncated,
     /// corrupted, version- or kind-mismatched frame, and a
     /// [`SessionError::Wire`] if the verified payload still fails to
-    /// decode (possible only across incompatible builds).
+    /// decode or describes a state no run reaches, such as a stream that
+    /// owes another count than its run has left to deliver.
     pub fn resume(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
-        Self::resume_checked(checkpoint, FeedCheck::Walk)
+        let session = Self::decode(checkpoint)?;
+        // The one walk a resume makes: the rest of the stream, recounted
+        // at the cost of the build's pre-pass over it.
+        if let Some(feed) = session.engine.feed() {
+            if feed.source.summarise().messages != feed.stream_owes() {
+                return Err(OWES_ANOTHER_COUNT.into());
+            }
+        }
+        Ok(session)
     }
 
-    /// [`Session::resume`], checking a dynamic frame's feed as `check`
-    /// says.
-    pub(crate) fn resume_checked(
-        checkpoint: &Checkpoint,
-        check: FeedCheck,
-    ) -> Result<Self, SessionError> {
+    /// Rebuilds a session from its frame without walking its arrival
+    /// stream: [`Session::resume`] recounts the one stream, and
+    /// [`ShardedSession::resume`] every shard's in one walk of the master
+    /// stream.
+    pub(crate) fn decode(checkpoint: &Checkpoint) -> Result<Self, SessionError> {
         let payload = verify_frame(&checkpoint.words, CheckpointKind::Session)?;
         let mut input = Decoder::new(payload);
         let kind = ProtocolKind::decode(&mut input)?;
@@ -932,21 +887,14 @@ impl Session {
         } else {
             None
         };
-        let engine = match input.take_u32()? {
-            1 => Engine::Window,
-            2 => Engine::Cohort,
-            _ => return Err(WireError::Malformed("unknown engine word").into()),
-        };
         // The run state leads with the message count the protocol state is
         // built for, so the decoder reads it and then visits.
-        let run = RunState::decode(&mut input, &options.adversary)?;
+        let run = RunState::decode(&mut input, &options)?;
         let k = run.k;
         let decode = DecodeEngine {
-            engine,
             run,
             input: &mut input,
             options: &options,
-            check,
         };
         let engine = kind.visit(k, decode)??;
         input.finish()?;

@@ -16,16 +16,18 @@ const SHARDED_MAGIC: u64 = 0x4D41_4353_4841_5244; // "MACSHARD"
 /// Checkpoint format version (bumped on any layout change; a reader
 /// rejects every other version).
 ///
-/// v6 writes each fact once, through the codec next to its type, and only
-/// state that decides a result: a session frame holds the protocol kind,
-/// the run options (the jamming model as words), the watchdog, one engine
-/// word (window or cohort: a batched fair session is a cohort session fed
-/// one slot-0 burst), the run state as one block, and then only the
+/// v7 writes each fact once, through the codec next to its type, and only
+/// state that decides a result and that neither the kind nor the options
+/// decide: a session frame holds the protocol kind, the run options (the
+/// jamming model as words), the watchdog, the run state as one block (its
+/// delivery slots in it when the options record them), and then only the
 /// engine's own words, where an arrival stream is its model, RNG and
-/// cursor; a fleet frame holds the supervision policy, the shard count and
-/// each shard's session frame with its health (failures, quarantine, last
+/// cursor. The kind picks the engine (window or cohort: a batched fair
+/// session is a cohort session fed one slot-0 burst), so no word names it.
+/// A fleet frame holds the supervision policy, the shard count and each
+/// shard's session frame with its health (failures, quarantine, last
 /// panic). `crates/sim/DESIGN.md` §9 lists every word with its owner.
-const CHECKPOINT_VERSION: u64 = 6;
+const CHECKPOINT_VERSION: u64 = 7;
 
 /// Words of frame overhead around a checkpoint payload: magic, version,
 /// total length, and the trailing digest.

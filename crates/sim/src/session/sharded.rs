@@ -3,8 +3,8 @@
 
 use super::frame::{open_frame, seal_frame, verify_frame};
 use super::{
-    Checkpoint, CheckpointKind, FeedCheck, Session, SessionError, SessionStatus, StallConfig,
-    StreamSource, OWES_ANOTHER_COUNT, WINDOW_DYNAMIC,
+    Checkpoint, CheckpointKind, Session, SessionError, SessionStatus, StallConfig, StreamSource,
+    OWES_ANOTHER_COUNT, WINDOW_DYNAMIC,
 };
 use crate::dynamic::{validate_model, DynamicReport, ARRIVAL_STREAM};
 use crate::result::{RunOptions, RunResult};
@@ -497,7 +497,7 @@ impl ShardedSession {
         let mut health = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
             let words = input.take_words()?.to_vec();
-            let shard = Session::resume_checked(&Checkpoint { words }, FeedCheck::Fleet)?;
+            let shard = Session::decode(&Checkpoint { words })?;
             // Every shard runs the fleet's one kind under its one set of
             // options, as `new` builds it (the fleet's label is its first
             // shard's).

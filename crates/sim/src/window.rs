@@ -33,7 +33,8 @@
 //!
 //! The loop state lives in one core, `WindowEngineCore`: the schedule and
 //! the walk scratch, beside the run accounting every fast core shares
-//! (counts, clock, RNG, adversary, latency record). The monolithic runner
+//! (counts, clock, RNG, adversary, latency record, delivery slots). The
+//! monolithic runner
 //! drives it to completion in one call and the streaming session layer
 //! (`crate::session`) drives it window by window with checkpoints in
 //! between — one loop body, so checkpointed runs are bit-identical to
@@ -48,7 +49,7 @@
 
 use crate::result::{RunOptions, RunResult};
 use crate::run_state::{LatencyRecorder, RunState};
-use crate::session::{Engine, SessionEngine};
+use crate::session::SessionEngine;
 use mac_adversary::{AdversaryScenario, SlotClass};
 use mac_prob::balls::{walk_window, walk_window_counts, WalkScratch};
 use mac_prob::sketch::StreamingLatencyStats;
@@ -147,7 +148,8 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
     /// Builds the initial loop state — bit-identical to the state the
     /// monolithic runner entered its loop with. `stats`, when given,
     /// receives every delivery's slot index (= latency for batched
-    /// arrivals).
+    /// arrivals); the run state records the delivery slots when `options`
+    /// asks for them.
     pub(crate) fn new(
         schedule: S,
         k: u64,
@@ -155,9 +157,9 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
         options: &RunOptions,
         stats: Option<StreamingLatencyStats>,
     ) -> Self {
-        let latencies = LatencyRecorder::new(k, options.record_deliveries, stats);
+        let latencies = LatencyRecorder::new(k, false, stats);
         Self {
-            run: RunState::new(k, seed, options.max_slots(k), &options.adversary, latencies),
+            run: RunState::new(k, seed, options.max_slots(k), options, latencies),
             schedule,
             // Only *jamming* can touch a window protocol: stations react to
             // nothing but their own (reliable) acknowledgement, so feedback
@@ -196,9 +198,6 @@ impl<S: WindowSchedule> WindowEngineCore<S> {
 }
 
 impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
-    fn engine(&self) -> Engine {
-        Engine::Window
-    }
     fn run_state(&self) -> &RunState {
         &self.run
     }
@@ -224,7 +223,7 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
             // counts-only walk, so recording/jamming does not perturb a
             // seeded trajectory either.
             let detailed = self.adversarial
-                || run.latencies.exact.is_some()
+                || run.delivery_slots.is_some()
                 || run.latencies.streaming.is_some();
             let (delivered_in_window, last_delivered, empty_bins, colliding_bins, max_occupied) =
                 if detailed {
@@ -247,7 +246,9 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
                         } else {
                             delivered += 1;
                             last = Some(bin);
-                            run.latencies.push(run.slot + bin);
+                            // A batched message's latency is its delivery
+                            // slot.
+                            run.record(run.slot + bin, run.slot + bin);
                         }
                     }
                     if self.adversarial {
@@ -308,8 +309,7 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
     /// completion), with the delivery slots in slot order: windows are
     /// walked in order and each one's singleton bins ascend.
     fn result(&self, label: &str) -> RunResult {
-        let recorded = self.run.latencies.exact.as_deref();
-        self.run.result(label, self.run.max_slots, 0, recorded)
+        self.run.result(label, self.run.max_slots, 0)
     }
     /// Writes the schedule's state words.
     fn encode(&self, out: &mut Encoder) {
@@ -445,7 +445,7 @@ mod tests {
         let single = run(kind.clone(), 800, 21);
         let schedule = mac_protocols::ExpBackonBackoff::try_new(0.366).unwrap();
         let mut core = WindowEngineCore::new(schedule, 800, 21, &options, None);
-        while !core.is_finished() {
+        while !core.run.is_finished() {
             core.advance(64, None);
         }
         assert_eq!(core.result(&kind.label()), single);

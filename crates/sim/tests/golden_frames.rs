@@ -225,50 +225,50 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
 
 /// `(frame, word count, trailing digest)`.
 const PINNED: [(&str, usize, u64); 17] = [
-    ("fair OFA", 155, 0x6e3d_4f7c_0f61_a4f6),
-    ("fair LFA, jammed", 150, 0xcf03_6f32_47bb_9502),
+    ("fair OFA", 153, 0xd90f_9a96_4f9b_f20d),
+    ("fair LFA, jammed", 148, 0x98f6_970e_c0be_e7ed),
     (
         "fair oracle, recording deliveries",
-        253,
-        0x8397_ec29_bcb1_1b08,
+        250,
+        0xacaa_ae8f_8d46_f57e,
     ),
-    ("window EBB", 167, 0x47bc_9d35_345f_edb7),
-    ("cohort OFA", 170, 0xc27a_2248_a4df_2e11),
-    ("cohort LFA", 200, 0xdca6_5962_32cc_ad60),
-    ("cohort oracle, capped", 292, 0x18c9_40de_c70a_0273),
-    ("cohort RP-OFA", 177, 0xe4ae_1101_0730_cf1d),
-    ("fair RP-OFA", 166, 0x8e2e_e7a1_e4c9_7761),
-    ("sharded: 2-shard OFA fleet", 204, 0xf78d_b9c2_2ff0_a0c9),
+    ("window EBB", 166, 0x7b84_7f06_f9a0_7893),
+    ("cohort OFA", 168, 0xf0cf_a412_3ed6_1132),
+    ("cohort LFA", 198, 0x8c38_2b3f_e80a_446c),
+    ("cohort oracle, capped", 286, 0x5af1_2e27_1fc6_aea7),
+    ("cohort RP-OFA", 175, 0xe728_2b21_3a4c_6725),
+    ("fair RP-OFA", 164, 0x2dfe_ec70_5afd_4026),
+    ("sharded: 2-shard OFA fleet", 200, 0xf449_3c3c_3ea7_776a),
     (
         "cohort OFA, watchdog stall recorded",
-        128,
-        0xbce5_bd99_27df_b5bb,
+        126,
+        0xe5c0_6b37_1567_e2d4,
     ),
     (
         "sharded: supervised fleet, shard 1 killed and retried",
-        220,
-        0x2f78_416e_d092_93c0,
+        216,
+        0x6d35_f816_9d77_7924,
     ),
     (
         "cohort oracle, saturated at cap 16",
-        4466,
-        0x15c8_317a_5bc6_ff49,
+        4448,
+        0xf51a_18a6_8372_637b,
     ),
     (
         "cohort RP-OFA, saturated at cap 8",
-        5255,
-        0xc554_7d87_3b84_d3a8,
+        5253,
+        0xabb3_a410_b795_5f0f,
     ),
     (
         "window EBB, recording deliveries",
-        129,
-        0x9f7a_673b_6d52_e507,
+        128,
+        0x9189_1285_3c5a_fdc2,
     ),
-    ("window LLIB, jammed", 119, 0xac65_6ab9_46f3_0676),
+    ("window LLIB, jammed", 118, 0xb7c2_35c4_5819_73e7),
     (
         "cohort OFA, recording deliveries",
-        241,
-        0x948d_9a83_39d9_2454,
+        239,
+        0x998e_0e08_8298_966b,
     ),
 ];
 
