@@ -127,11 +127,16 @@ impl WindowSchedule for ExpBackonBackoff {
         let [phase, w] = words else {
             return false;
         };
-        let Ok(phase) = u32::try_from(*phase) else {
-            return false;
+        let w = f64::from_bits(*w);
+        // Phases count up from 1, and `w` is a positive running product:
+        // a phase of 0, a non-finite `w` or one at or below 0 comes from no
+        // run (a NaN `w` would run one-slot windows up to the cap).
+        let phase = match u32::try_from(*phase) {
+            Ok(phase) if phase >= 1 && w.is_finite() && w > 0.0 => phase,
+            _ => return false,
         };
         self.phase = phase;
-        self.w = f64::from_bits(*w);
+        self.w = w;
         true
     }
 }
@@ -206,6 +211,33 @@ mod tests {
             }
             previous = w;
             assert!(w >= 1);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_states_no_run_reaches() {
+        let mut ebb = ExpBackonBackoff::with_default_delta();
+        for _ in 0..20 {
+            ebb.next_window();
+        }
+        let words = ebb.checkpoint_words();
+        assert!(ExpBackonBackoff::with_default_delta().restore_words(&words));
+        // Words: [phase, w].
+        let bits = f64::to_bits;
+        let unreachable = [
+            (0, 0),
+            (0, u64::MAX),
+            (1, bits(f64::NAN)),
+            (1, bits(f64::INFINITY)),
+            (1, bits(0.0)),
+            (1, bits(-1.0)),
+        ];
+        for (index, word) in unreachable {
+            let mut bad = words.clone();
+            bad[index] = word;
+            let mut fresh = ExpBackonBackoff::with_default_delta();
+            assert!(!fresh.restore_words(&bad), "word {index} = {word:#x}");
+            assert_eq!(fresh, ExpBackonBackoff::with_default_delta());
         }
     }
 

@@ -38,6 +38,14 @@ use serde::{Deserialize, Serialize};
 /// comfortably inside `u64` even in adversarial parameter sweeps.
 const WINDOW_CAP: f64 = 1.0e15;
 
+/// Whether `current` is a window size a schedule with growth factor `r`
+/// reaches: it starts at `r` and only grows by the factor `r`, clamped to
+/// [`WINDOW_CAP`]. A size outside that range comes from no run; a NaN or a
+/// size below one slot would throw a window's balls into no bin.
+fn reachable_size(current: f64, r: f64) -> bool {
+    current.is_finite() && current >= r.min(WINDOW_CAP) && current <= r.max(WINDOW_CAP)
+}
+
 /// Window schedule of plain r-exponential back-off: windows `r, r², r³, …`.
 ///
 /// # Example
@@ -102,7 +110,11 @@ impl WindowSchedule for RExponentialBackoff {
         let [current] = words else {
             return false;
         };
-        self.current = f64::from_bits(*current);
+        let current = f64::from_bits(*current);
+        if !reachable_size(current, self.r) {
+            return false;
+        }
+        self.current = current;
         true
     }
 }
@@ -195,10 +207,15 @@ impl WindowSchedule for LoglogIteratedBackoff {
         let [current, repeats] = words else {
             return false;
         };
-        let Ok(repeats_left) = u32::try_from(*repeats) else {
-            return false;
+        let current = f64::from_bits(*current);
+        // A size is repeated at most `repeats_for` times, counting down.
+        let repeats_left = match u32::try_from(*repeats) {
+            Ok(left) if reachable_size(current, self.r) && left <= Self::repeats_for(current) => {
+                left
+            }
+            _ => return false,
         };
-        self.current = f64::from_bits(*current);
+        self.current = current;
         self.repeats_left = repeats_left;
         true
     }
@@ -298,6 +315,48 @@ mod tests {
             let w = e.next_window();
             assert!(w > prev);
             prev = w;
+        }
+    }
+
+    #[test]
+    fn restore_rejects_states_no_run_reaches() {
+        let bits = f64::to_bits;
+        let mut exp = RExponentialBackoff::new(2.0);
+        let mut llib = LoglogIteratedBackoff::new(2.0);
+        for _ in 0..9 {
+            exp.next_window();
+            llib.next_window();
+        }
+        // RExponentialBackoff words: [current].
+        let words = exp.checkpoint_words();
+        assert!(RExponentialBackoff::new(2.0).restore_words(&words));
+        assert!(RExponentialBackoff::new(2.0).restore_words(&[bits(WINDOW_CAP)]));
+        for size in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1.5, 2.0 * WINDOW_CAP] {
+            let mut fresh = RExponentialBackoff::new(2.0);
+            assert!(!fresh.restore_words(&[bits(size)]), "current = {size}");
+            assert_eq!(fresh, RExponentialBackoff::new(2.0));
+        }
+        // A growth factor past the cap starts above it and then sits on it.
+        assert!(RExponentialBackoff::new(1e16).restore_words(&[bits(WINDOW_CAP)]));
+        // LoglogIteratedBackoff words: [current, repeats left].
+        let words = llib.checkpoint_words();
+        assert!(LoglogIteratedBackoff::new(2.0).restore_words(&words));
+        let full = u64::from(LoglogIteratedBackoff::repeats_for(f64::from_bits(words[0])));
+        assert!(LoglogIteratedBackoff::new(2.0).restore_words(&[words[0], full]));
+        let unreachable = [
+            (0, bits(f64::NAN)),
+            (0, bits(f64::INFINITY)),
+            (0, bits(0.0)),
+            (0, bits(-1.0)),
+            (1, full + 1),
+            (1, u64::MAX),
+        ];
+        for (index, word) in unreachable {
+            let mut bad = words.clone();
+            bad[index] = word;
+            let mut fresh = LoglogIteratedBackoff::new(2.0);
+            assert!(!fresh.restore_words(&bad), "word {index} = {word:#x}");
+            assert_eq!(fresh, LoglogIteratedBackoff::new(2.0));
         }
     }
 

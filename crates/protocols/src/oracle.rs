@@ -63,10 +63,15 @@ impl FairProtocol for KnownKOracle {
         vec![self.remaining]
     }
 
+    /// Restores into a state built for the run's `k`: the count only ever
+    /// falls from `k`, so a larger one comes from no run.
     fn restore_words(&mut self, words: &[u64]) -> bool {
         let [remaining] = words else {
             return false;
         };
+        if *remaining > self.remaining {
+            return false;
+        }
         self.remaining = *remaining;
         true
     }
@@ -102,6 +107,19 @@ mod tests {
     fn single_station_transmits_immediately() {
         let oracle = KnownKOracle::new(1);
         assert_eq!(oracle.transmission_probability(), 1.0);
+    }
+
+    #[test]
+    fn restore_rejects_more_messages_than_the_run_has() {
+        let mut oracle = KnownKOracle::new(10);
+        oracle.advance(true);
+        assert_eq!(oracle.checkpoint_words(), vec![9]);
+        let mut fresh = KnownKOracle::new(10);
+        assert!(fresh.restore_words(&[9]));
+        assert_eq!(fresh, oracle);
+        assert!(KnownKOracle::new(10).restore_words(&[10]));
+        assert!(!KnownKOracle::new(10).restore_words(&[11]));
+        assert!(!KnownKOracle::new(10).restore_words(&[9, 0]));
     }
 
     #[test]

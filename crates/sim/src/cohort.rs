@@ -337,6 +337,13 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                     "cohort arrival groups do not partition its members",
                 ));
             }
+            // A delivery counts its latency from its sub-group's arrival
+            // slot, which the slot clock has reached.
+            if groups.iter().any(|&(arrival, _)| arrival > run.slot) {
+                return Err(WireError::Malformed(
+                    "cohort arrival group after the slot clock",
+                ));
+            }
             let mut state = prototype.clone();
             if !state.restore_words(&words) {
                 return Err(WireError::Malformed("protocol state words rejected"));

@@ -241,6 +241,13 @@ impl RunState {
 
     /// Inverse of [`RunState::encode`]. `options` must be the run's
     /// original options.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] for a state no run reaches: more messages
+    /// remaining than the run has, a tally (silent slots, collisions and
+    /// deliveries) that does not add up to the slot clock, more jammed
+    /// deliveries than collisions, a makespan past the slot clock, or a
+    /// delivery record that holds another count than the deliveries.
     pub(crate) fn decode(input: &mut Decoder<'_>, options: &RunOptions) -> Result<Self, WireError> {
         let k = input.take_u64()?;
         let seed = input.take_u64()?;
@@ -273,6 +280,51 @@ impl RunState {
         if let Some(slots) = run.delivery_slots.as_mut() {
             slots.extend_from_slice(input.take_words()?);
         }
+        run.check_tally()?;
         Ok(run)
+    }
+
+    /// The tally every run keeps at every pause: each elapsed slot is
+    /// silent, a collision (a jammed delivery among them) or a delivery,
+    /// the last delivery lies within the elapsed slots, and every delivery
+    /// record holds one entry per delivery. The engines count up from
+    /// these, so a state outside them could overflow a count mid-run.
+    fn check_tally(&self) -> Result<(), WireError> {
+        let delivered = self.delivered();
+        let tallied = self
+            .silent
+            .checked_add(self.collisions)
+            .and_then(|busy| busy.checked_add(delivered));
+        if tallied != Some(self.slot) {
+            return Err(WireError::Malformed(
+                "silent slots, collisions and deliveries do not add up to the slot clock",
+            ));
+        }
+        if self.jammed_deliveries > self.collisions {
+            return Err(WireError::Malformed(
+                "more jammed deliveries than collisions",
+            ));
+        }
+        if self.makespan > self.slot {
+            return Err(WireError::Malformed("makespan past the slot clock"));
+        }
+        let recorded = [
+            self.latencies.exact.as_ref().map(|list| list.len() as u64),
+            self.latencies
+                .streaming
+                .as_ref()
+                .map(StreamingLatencyStats::count),
+            self.delivery_slots.as_ref().map(|list| list.len() as u64),
+        ];
+        if recorded
+            .into_iter()
+            .flatten()
+            .any(|count| count != delivered)
+        {
+            return Err(WireError::Malformed(
+                "a delivery record holds another count than the deliveries",
+            ));
+        }
+        Ok(())
     }
 }

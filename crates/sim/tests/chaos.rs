@@ -19,6 +19,7 @@
 //!   must surface as a detected stall within a bounded window instead of
 //!   burning the slot cap.
 
+use mac_adversary::{AdversaryModel, AdversaryScenario};
 use mac_channel::ArrivalModel;
 use mac_prob::wire::WireError;
 use mac_protocols::ProtocolKind;
@@ -115,6 +116,44 @@ fn resealed_mutations(checkpoint: &Checkpoint) -> Vec<(String, Checkpoint)> {
         .collect()
 }
 
+/// Paused batched sessions whose zero tallies, delivery records and
+/// arrival group sit where a ±1 change reaches a state no run has: One-fail
+/// Adaptive and Loglog-iterated Back-off recording their delivery slots,
+/// Log-fails Adaptive, Randomised-parity One-fail, and Exp Back-on/Back-off
+/// under a periodic jammer.
+fn batched_frames() -> Vec<Checkpoint> {
+    let clean = RunOptions::default();
+    let recording = RunOptions::recording_deliveries();
+    let jammed = RunOptions::adversarial(AdversaryScenario::jamming(AdversaryModel::PeriodicJam {
+        period: 5,
+        burst: 1,
+        phase: 2,
+    }));
+    let lfa = ProtocolKind::LogFailsAdaptive {
+        xi_delta: 0.1,
+        xi_beta: 0.1,
+        xi_t: 0.5,
+    };
+    [
+        (ofa(), &recording),
+        (ProtocolKind::LoglogIteratedBackoff { r: 2.0 }, &recording),
+        (lfa, &clean),
+        (
+            ProtocolKind::RandomizedParityOneFail { delta: 2.72 },
+            &clean,
+        ),
+        (ProtocolKind::ExpBackonBackoff { delta: 0.366 }, &jammed),
+    ]
+    .into_iter()
+    .map(|(kind, options)| {
+        let mut session = Session::batched(&kind, 40, 9, options).unwrap();
+        session.advance(30).unwrap();
+        assert_eq!(session.status(), SessionStatus::Paused, "{}", kind.label());
+        session.checkpoint().unwrap()
+    })
+    .collect()
+}
+
 /// Resumes `frame` as a session, or as a fleet if `sharded`, and advances
 /// it 5,000 slots.
 fn resume_and_advance(frame: &Checkpoint, sharded: bool) -> Result<(), SessionError> {
@@ -142,11 +181,14 @@ fn digest_valid_mutations_fail_typed_or_run_without_panicking() {
     let mut session = Session::dynamic(&ProtocolKind::KnownKOracle, &model, 5, &capped).unwrap();
     session.advance(300).unwrap();
     let (mut rejected, mut ran, mut failures) = (0, 0, Vec::new());
-    for (frame, sharded) in [
+    let mut frames = vec![
         (session.checkpoint().unwrap(), false),
         (sharded_checkpoint(), true),
-    ] {
+    ];
+    frames.extend(batched_frames().into_iter().map(|frame| (frame, false)));
+    for (n, (frame, sharded)) in frames.into_iter().enumerate() {
         for (what, mutated) in resealed_mutations(&frame) {
+            let what = format!("frame {n}, {what}");
             match std::panic::catch_unwind(|| resume_and_advance(&mutated, sharded)) {
                 Ok(Ok(())) => ran += 1,
                 // A fleet captures shard panics and reports them typed.
@@ -170,6 +212,47 @@ fn reseal(mut words: Vec<u64>) -> Checkpoint {
     words[2] = words.len() as u64 + 1;
     words.push(mac_prob::wire::digest_words(&words));
     Checkpoint::from_bytes(&mac_prob::wire::words_to_bytes(&words)).expect("whole words")
+}
+
+#[test]
+fn window_frames_with_unreachable_schedule_words_are_malformed() {
+    // A batched window frame ends with its schedule's state words, just
+    // before the digest. Re-sealed with a NaN, zero, negative or infinite
+    // window size, it passes its digest but holds a schedule no run
+    // reaches: a NaN size throws the window's balls into no bin, and a
+    // size below one window slot spins the run to its slot cap.
+    let window_sizes = [
+        // Words [current, repeats left]: the size is the third word from
+        // the end.
+        (ProtocolKind::LoglogIteratedBackoff { r: 2.0 }, 3),
+        // Words [current].
+        (ProtocolKind::RExponentialBackoff { r: 2.0 }, 2),
+        // Words [phase, w].
+        (ProtocolKind::ExpBackonBackoff { delta: 0.366 }, 2),
+    ];
+    for (kind, from_end) in window_sizes {
+        let mut session = Session::batched(&kind, 200, 3, &RunOptions::default()).unwrap();
+        session.advance(100).unwrap();
+        let words = session.checkpoint().unwrap().words().to_vec();
+        let at = words.len() - from_end;
+        let size = f64::from_bits(words[at]);
+        assert!(size.is_finite() && size >= 1.0, "{}: {size}", kind.label());
+        for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let mut frame = words.clone();
+            frame[at] = bad.to_bits();
+            match Session::resume(&reseal(frame)) {
+                Err(SessionError::Wire(WireError::Malformed(_))) => {}
+                Err(other) => panic!("{} at {bad}: unexpected error {other}", kind.label()),
+                Ok(mut resumed) => {
+                    panic!(
+                        "{} at {bad}: resumed into {:?}",
+                        kind.label(),
+                        resumed.result()
+                    )
+                }
+            }
+        }
+    }
 }
 
 #[test]
