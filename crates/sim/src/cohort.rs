@@ -71,11 +71,11 @@
 //! construction. The core keeps the cohorts, their kernel and the merge
 //! machinery beside the run accounting every fast core shares (counts,
 //! clock, RNG, adversary, latency record, delivery slots, and the one
-//! `RunResult` builder). [`CohortSimulator`]
-//! feeds its schedule as per-slot bursts (an [`ArrivalModel::Bursts`]
-//! stream) and drives the session to its end. A checkpoint captures every
-//! cohort's protocol state words, the kernel caches, the RNG and the
-//! adversary's dynamic state verbatim.
+//! `RunResult` builder). [`CohortSimulator`] feeds its schedule as
+//! per-slot bursts (an [`ArrivalModel::Bursts`] stream) and drives the
+//! session to its end. A checkpoint captures every cohort's protocol state
+//! words, the kernel caches, the RNG and the adversary's dynamic state
+//! verbatim.
 //!
 //! Window protocols are *not* servable here (their per-slot decisions are
 //! not independent Bernoulli trials): [`CohortSimulator`] rejects them and

@@ -244,10 +244,7 @@ impl RunState {
     ///
     /// # Errors
     /// [`WireError::Malformed`] for a state no run reaches: more messages
-    /// remaining than the run has, a tally (silent slots, collisions and
-    /// deliveries) that does not add up to the slot clock, more jammed
-    /// deliveries than collisions, a makespan past the slot clock, or a
-    /// delivery record that holds another count than the deliveries.
+    /// remaining than the run has, or a tally that `check_tally` rejects.
     pub(crate) fn decode(input: &mut Decoder<'_>, options: &RunOptions) -> Result<Self, WireError> {
         let k = input.take_u64()?;
         let seed = input.take_u64()?;

@@ -34,14 +34,13 @@
 //! The loop state lives in one core, `WindowEngineCore`: the schedule and
 //! the walk scratch, beside the run accounting every fast core shares
 //! (counts, clock, RNG, adversary, latency record, delivery slots). The
-//! monolithic runner
-//! drives it to completion in one call and the streaming session layer
-//! (`crate::session`) drives it window by window with checkpoints in
-//! between — one loop body, so checkpointed runs are bit-identical to
-//! unbroken ones by construction. A session checkpoint captures the
-//! schedule's state words, the RNG and the adversary's dynamic state
-//! verbatim; the walk scratch is pure buffers and is rebuilt empty on
-//! resume.
+//! monolithic runner drives it to completion in one call and the
+//! streaming session layer (`crate::session`) drives it window by window
+//! with checkpoints in between — one loop body, so checkpointed runs are
+//! bit-identical to unbroken ones by construction. A session checkpoint
+//! captures the schedule's state words, the RNG and the adversary's
+//! dynamic state verbatim; the walk scratch is pure buffers and is rebuilt
+//! empty on resume.
 //!
 //! See `crates/sim/DESIGN.md` for the scratch-buffer contract, the
 //! exactness-in-distribution argument (§2, §5 for what the walk changes),
