@@ -804,19 +804,19 @@ impl Session {
     /// Snapshot of the aggregate result at the current slot. While the run
     /// is unfinished, a fair session's makespan reads the slot clock and a
     /// window session's reads its slot cap.
-    pub fn result(&mut self) -> RunResult {
+    pub fn result(&self) -> RunResult {
         self.engine.result(&self.label)
     }
 
     /// Snapshot of the full cohort run detail (fair sessions only).
-    pub fn cohort_run(&mut self) -> Option<CohortRun> {
+    pub fn cohort_run(&self) -> Option<CohortRun> {
         self.engine.cohort_run(&self.label)
     }
 
     /// Latency/throughput report from the streaming statistics: exact
     /// mean/max, sketched p50/p95 (deterministic rank-error bound via
     /// [`StreamingLatencyStats::rank_error_bound`]).
-    pub fn live_report(&mut self) -> DynamicReport {
+    pub fn live_report(&self) -> DynamicReport {
         let result = self.result();
         let mut report = match self.live_stats() {
             Some(stats) => DynamicReport::from_streaming(&result, stats),

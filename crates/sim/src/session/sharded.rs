@@ -388,7 +388,7 @@ impl ShardedSession {
     /// summed over shards, the makespan the maximum over shards (the fleet
     /// finishes when its slowest channel does), `completed` iff every
     /// shard completed.
-    pub fn merged_result(&mut self) -> RunResult {
+    pub fn merged_result(&self) -> RunResult {
         let label = self.shards.first().map(Session::label).unwrap_or_default();
         let mut merged = RunResult {
             protocol: label.to_string(),
@@ -403,7 +403,7 @@ impl ShardedSession {
             never_activated: 0,
             delivery_slots: None,
         };
-        for shard in &mut self.shards {
+        for shard in &self.shards {
             let result = shard.result();
             merged.k += result.k;
             merged.makespan = merged.makespan.max(result.makespan);
@@ -420,7 +420,7 @@ impl ShardedSession {
     /// Fleet-level latency/throughput report from the merged statistics.
     /// `throughput` is deliveries per fleet-makespan slot — per-channel
     /// throughput times the effective channel parallelism.
-    pub fn merged_report(&mut self) -> DynamicReport {
+    pub fn merged_report(&self) -> DynamicReport {
         let result = self.merged_result();
         let stats = self.merged_stats();
         let mut report = DynamicReport::from_streaming(&result, &stats);

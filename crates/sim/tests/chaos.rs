@@ -243,7 +243,7 @@ fn window_frames_with_unreachable_schedule_words_are_malformed() {
             match Session::resume(&reseal(frame)) {
                 Err(SessionError::Wire(WireError::Malformed(_))) => {}
                 Err(other) => panic!("{} at {bad}: unexpected error {other}", kind.label()),
-                Ok(mut resumed) => {
+                Ok(resumed) => {
                     panic!(
                         "{} at {bad}: resumed into {:?}",
                         kind.label(),
@@ -284,7 +284,7 @@ fn fleet_frames_that_new_cannot_write_are_malformed() {
         match ShardedSession::resume(&frame) {
             Err(SessionError::Wire(WireError::Malformed(_))) => {}
             Err(other) => panic!("{what}: unexpected error {other}"),
-            Ok(mut fleet) => panic!("{what}: resumed into {:?}", fleet.merged_result()),
+            Ok(fleet) => panic!("{what}: resumed into {:?}", fleet.merged_result()),
         }
     }
 }
@@ -330,7 +330,7 @@ fn dynamic_frames_whose_feed_owes_another_count_are_malformed() {
         match Session::resume(&reseal(raised)) {
             Err(SessionError::Wire(WireError::Malformed(_))) => {}
             Err(other) => panic!("{what}: unexpected error {other}"),
-            Ok(mut resumed) => panic!("{what}: resumed into {:?}", resumed.result()),
+            Ok(resumed) => panic!("{what}: resumed into {:?}", resumed.result()),
         }
     }
 }

@@ -91,7 +91,7 @@ proptest! {
         // Identity 2: checkpoint/resume at every `burst` boundary changes
         // nothing — results and live statistics alike.
         let interrupted = Session::batched(&kind, k, seed, &options).unwrap();
-        let mut interrupted = run_with_interruptions(interrupted, burst);
+        let interrupted = run_with_interruptions(interrupted, burst);
         prop_assert_eq!(&interrupted.result(), &monolithic);
         let a = unbroken.live_stats().unwrap();
         let b = interrupted.live_stats().unwrap();
@@ -120,7 +120,7 @@ proptest! {
         unbroken.run_to_completion().unwrap();
 
         let interrupted = Session::dynamic(&kind, &model, seed, &options).unwrap();
-        let mut interrupted = run_with_interruptions(interrupted, burst);
+        let interrupted = run_with_interruptions(interrupted, burst);
         prop_assert_eq!(&interrupted.result(), &unbroken.result());
         let a = unbroken.live_stats().unwrap();
         let b = interrupted.live_stats().unwrap();
@@ -177,7 +177,7 @@ proptest! {
 
         let mut interrupted = Session::batched(&kind, 200, seed, &options).unwrap();
         interrupted.set_watchdog(Some(StallConfig::new(window, StallPolicy::Report)));
-        let mut interrupted = run_with_interruptions(interrupted, burst);
+        let interrupted = run_with_interruptions(interrupted, burst);
         prop_assert_eq!(&interrupted.result(), &monolithic);
         let a = watched.live_stats().unwrap();
         let b = interrupted.live_stats().unwrap();
