@@ -19,7 +19,9 @@
 //! `RunResult` it reaches is pinned field by field. A layout change leaves
 //! them as they are, so a re-pinned frame table cannot hide an engine change.
 //! Each frame, resumed and checkpointed again at once, must also give back
-//! its own words: decoding inverts encoding for every layout.
+//! its own words: decoding inverts encoding for every layout. And every
+//! session of a resumed frame, each shard of a fleet, keeps the slot tally
+//! right after the resume and at its end.
 
 use mac_adversary::{AdversaryModel, AdversaryScenario};
 use mac_channel::ArrivalModel;
@@ -459,4 +461,41 @@ fn resumed_frames_reach_their_pinned_ends() {
         .map(|&(label, completed, counts)| (label.to_string(), completed, counts))
         .collect();
     assert_eq!(found, pinned, "\nfound: {found:#x?}");
+}
+
+/// Every elapsed slot of each session in `sessions` is silent, a collision
+/// or a delivery, and a completed run's makespan is its slot clock.
+fn assert_slot_tally(sessions: &[Session], what: &str) {
+    for (i, session) in sessions.iter().enumerate() {
+        let r = session.result();
+        let slot = session.slot();
+        assert_eq!(
+            r.silent_slots + r.collisions + r.delivered,
+            slot,
+            "{what}, session {i}"
+        );
+        if r.completed {
+            assert_eq!(r.makespan, slot, "{what}, session {i}");
+        }
+    }
+}
+
+#[test]
+fn paused_frames_keep_the_slot_tally() {
+    for (name, frame) in frames() {
+        if frame.verify() == Ok(CheckpointKind::Sharded) {
+            let mut fleet = ShardedSession::resume(&frame).unwrap();
+            assert_slot_tally(fleet.shards(), &format!("{name}, resumed"));
+            fleet.run_to_completion().unwrap();
+            assert_slot_tally(fleet.shards(), &format!("{name}, at its end"));
+        } else {
+            let mut session = Session::resume(&frame).unwrap();
+            assert_slot_tally(std::slice::from_ref(&session), &format!("{name}, resumed"));
+            session.run_to_completion().unwrap();
+            assert_slot_tally(
+                std::slice::from_ref(&session),
+                &format!("{name}, at its end"),
+            );
+        }
+    }
 }
