@@ -36,7 +36,7 @@ pub const SESSION_FILE: &str = "crates/sim/src/session/frame.rs";
 /// session frame carries and the run state every frame writes as one
 /// block, the arrival streams and shard views a cohort frame carries, and
 /// the kernel caches and latency sketches the cores carry verbatim.
-pub const ENCODE_FILES: [&str; 14] = [
+pub const ENCODE_FILES: [&str; 13] = [
     SESSION_FILE,
     "crates/sim/src/session.rs",
     "crates/sim/src/session/watchdog.rs",
@@ -49,7 +49,6 @@ pub const ENCODE_FILES: [&str; 14] = [
     "crates/sim/src/run_state.rs",
     "crates/channel/src/stream.rs",
     "crates/prob/src/binomial.rs",
-    "crates/prob/src/cohort.rs",
     "crates/prob/src/sketch.rs",
 ];
 

@@ -298,9 +298,9 @@ fn wire_fixture_engine_core_payloads_are_fingerprinted() {
 /// ahead of its RNG words, swapping two same-typed parameter writes of the
 /// *real* `ProtocolKind::encode` (Log-fails Adaptive's `ξβ` and `ξt`) or of
 /// the *real* `AdversaryModel::encode` (the periodic jammer's period and
-/// burst), swapping the `collisions` and `silent` writes of the *real*
-/// `RunState::encode`, swapping the budget and cursor words of the *real*
-/// `AdversaryState::encode`, or swapping a shard's failure count and
+/// burst), swapping the `collisions` and `jammed_deliveries` writes of the
+/// *real* `RunState::encode`, swapping the budget and cursor words of the
+/// *real* `AdversaryState::encode`, or swapping a shard's failure count and
 /// quarantine flag in the *real* `ShardedSession::checkpoint` must fail
 /// against the committed ledger under the same version.
 #[test]
@@ -341,8 +341,8 @@ fn wire_rule_catches_reordered_embedded_codecs_in_real_sources() {
             "crates/sim/src/run_state.rs",
             "crates/sim/src/run_state.rs::RunState::encode",
             vec![(
-                "        out.put_u64(self.collisions);\n        out.put_u64(self.silent);\n",
-                "        out.put_u64(self.silent);\n        out.put_u64(self.collisions);\n",
+                "        out.put_u64(self.collisions);\n        out.put_u64(self.jammed_deliveries);\n",
+                "        out.put_u64(self.jammed_deliveries);\n        out.put_u64(self.collisions);\n",
             )],
         ),
         (

@@ -29,7 +29,6 @@
 //! collision, so dead-slot elision extends across the cohort decomposition.
 
 use crate::binomial::{SlotKernelCache, SlotThresholds};
-use crate::wire::{Decoder, Encoder, WireError};
 
 /// Relative gap `|a − b| / max(a, b)` between two non-negative probabilities
 /// (0 when both are 0). This is the metric of the cohort engine's merge
@@ -115,7 +114,13 @@ impl CohortKernel {
     /// Registers a new cohort of `m` stations at probability `p`, appended
     /// at index [`CohortKernel::len`]` - 1`.
     pub fn push(&mut self, m: u64, p: f64) {
-        self.caches.push(SlotKernelCache::new(m, p));
+        self.push_cache(SlotKernelCache::new(m, p));
+    }
+
+    /// Registers a new cohort whose kernel cache is `cache` (one restored
+    /// from a checkpoint), appended at index [`CohortKernel::len`]` - 1`.
+    pub fn push_cache(&mut self, cache: SlotKernelCache) {
+        self.caches.push(cache);
     }
 
     /// Removes cohort `i`, moving the last cohort into its slot (the same
@@ -132,6 +137,14 @@ impl CohortKernel {
     /// that cohort.
     pub fn cache_mut(&mut self, i: usize) -> &mut SlotKernelCache {
         &mut self.caches[i]
+    }
+
+    /// The kernel cache of cohort `i`: the only kernel state that must
+    /// survive a checkpoint, which writes it with the cohort. The other
+    /// buffers are scratch that every [`CohortKernel::classify`] call
+    /// refreshes.
+    pub fn cache(&self, i: usize) -> &SlotKernelCache {
+        &self.caches[i]
     }
 
     /// The two cached probability tracks of cohort `i`, sorted ascending
@@ -236,37 +249,6 @@ impl CohortKernel {
         // f64 rounding pushed x past the accumulated sum: attribute the
         // delivery to the last cohort with positive weight.
         (fallback, 0.0)
-    }
-
-    /// Serialises the per-cohort kernel caches.
-    ///
-    /// Only the caches carry state that must survive a checkpoint — the
-    /// `t0`/`d1`/`weights`/`delivery` buffers are scratch refreshed from
-    /// scratch by every [`CohortKernel::classify`] call.
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_usize(self.caches.len());
-        for cache in &self.caches {
-            cache.encode(enc);
-        }
-    }
-
-    /// Restores a kernel serialised by [`CohortKernel::encode`].
-    ///
-    /// # Errors
-    /// [`WireError`] on a truncated or malformed stream.
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let n = dec.take_usize()?;
-        let mut caches = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            caches.push(SlotKernelCache::decode(dec)?);
-        }
-        Ok(Self {
-            caches,
-            t0: Vec::new(),
-            d1: Vec::new(),
-            weights: Vec::new(),
-            delivery: 0.0,
-        })
     }
 }
 

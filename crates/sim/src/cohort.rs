@@ -74,8 +74,10 @@
 //! `RunResult` builder). [`CohortSimulator`] feeds its schedule as
 //! per-slot bursts (an [`ArrivalModel::Bursts`] stream) and drives the
 //! session to its end. A checkpoint captures every cohort's protocol state
-//! words, the kernel caches, the RNG and the adversary's dynamic state
-//! verbatim.
+//! words, arrival groups and kernel cache, the RNG and the adversary's
+//! dynamic state verbatim; a cohort's size is the sum of its groups, and
+//! the silent slots are what the clock holds beyond the collisions and
+//! deliveries, so neither is written.
 //!
 //! Window protocols are *not* servable here (their per-slot decisions are
 //! not independent Bernoulli trials): [`CohortSimulator`] rejects them and
@@ -86,7 +88,7 @@ use crate::run_state::{LatencyRecorder, RunState};
 use crate::session::{Session, SessionEngine, StreamFeed, StreamSource};
 use mac_adversary::SlotClass;
 use mac_channel::{ArrivalModel, ArrivalSchedule, ArrivalStream};
-use mac_prob::binomial::SlotThresholds;
+use mac_prob::binomial::{SlotKernelCache, SlotThresholds};
 use mac_prob::cohort::{relative_gap, CohortKernel};
 use mac_prob::wire::{Decoder, Encoder, WireError};
 use mac_protocols::{FairProtocol, ParameterError, ProtocolKind};
@@ -312,9 +314,9 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
         let slots_to_merge_scan = input.take_u64()?;
         let cohort_count = input.take_usize()?;
         let mut cohorts = Vec::with_capacity(cohort_count.min(1 << 20));
+        let mut kernel = CohortKernel::new();
         for _ in 0..cohort_count {
             let words = input.take_words()?.to_vec();
-            let m = input.take_u64()?;
             let group_count = input.take_usize()?;
             let mut groups = Vec::with_capacity(group_count.min(1 << 20));
             for _ in 0..group_count {
@@ -322,9 +324,9 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                 let count = input.take_u64()?;
                 groups.push((arrival, count));
             }
-            // A live cohort has members, and every arrival sub-group holds
-            // some of them: the delivery path picks a member's sub-group by
-            // walking these counts.
+            // A live cohort's size is the sum of its arrival sub-groups,
+            // each of which holds some of its members: the delivery path
+            // picks a member's sub-group by walking these counts.
             let members = groups.iter().try_fold(0u64, |sum, &(_, count)| {
                 if count == 0 {
                     None
@@ -332,11 +334,11 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                     sum.checked_add(count)
                 }
             });
-            if m == 0 || members != Some(m) {
+            let Some(m) = members.filter(|&m| m > 0) else {
                 return Err(WireError::Malformed(
-                    "cohort arrival groups do not partition its members",
+                    "cohort without members or with an empty arrival group",
                 ));
-            }
+            };
             // A delivery counts its latency from its sub-group's arrival
             // slot, which the slot clock has reached.
             if groups.iter().any(|&(arrival, _)| arrival > run.slot) {
@@ -349,12 +351,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                 return Err(WireError::Malformed("protocol state words rejected"));
             }
             cohorts.push(Cohort { state, m, groups });
-        }
-        let kernel = CohortKernel::decode(input)?;
-        if kernel.len() != cohorts.len() {
-            return Err(WireError::Malformed(
-                "kernel cache count differs from the cohort count",
-            ));
+            kernel.push_cache(SlotKernelCache::decode(input)?);
         }
         // Every undelivered message is either in a live cohort or still in
         // the feed; the empty-channel fast-forward relies on it.
@@ -419,9 +416,8 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                 let silent = u < t0;
                 let single = !silent & (u < t1);
                 if !self.adversarial {
-                    // Branchless silence/collision split: only the (rarer)
-                    // delivery takes a data-dependent branch.
-                    run.silent += u64::from(silent);
+                    // Branchless collision count: only the (rarer) delivery
+                    // takes a data-dependent branch.
                     run.collisions += u64::from(!(silent | single));
                     if single {
                         delivery = Some(u - t0);
@@ -436,9 +432,7 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
                     } else {
                         delivery = Some(u - t0);
                     }
-                } else if silent {
-                    run.silent += 1;
-                } else {
+                } else if !silent {
                     run.collisions += 1;
                     run.adversary.jams_slot(run.slot, SlotClass::Contended);
                 }
@@ -525,9 +519,7 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
                     .feed
                     .peek_slot()
                     .expect("remaining > 0 with no active cohorts implies pending arrivals");
-                let next = due.min(run.max_slots).min(cap);
-                run.silent += next - run.slot;
-                run.slot = next;
+                run.slot = due.min(run.max_slots).min(cap);
                 continue;
             }
             if self.cohorts.len() == 1 {
@@ -553,7 +545,7 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
             } else {
                 let u = run.rng.gen::<f64>();
                 if u < thresholds.t0 {
-                    run.silent += 1;
+                    // Silence: the slot clock alone counts it.
                 } else if u < thresholds.t1 {
                     if self.adversarial && run.adversary.jams_slot(run.slot, SlotClass::Single) {
                         // The jam destroys the delivery: the transmitter
@@ -625,26 +617,25 @@ impl<P: FairProtocol + Clone + 'static> SessionEngine for CohortEngineCore<P> {
             peak_cohorts: self.peak_cohorts,
         })
     }
-    /// Writes the arrival feed, the merge diagnostics and clock, every
-    /// cohort (protocol state words, size, arrival groups) and the kernel
-    /// caches. The prototype and the class cap are rebuilt from the kind
-    /// and the options.
+    /// Writes the arrival feed, the merge diagnostics and clock, and every
+    /// cohort: its protocol state words, its arrival groups (whose counts
+    /// sum to its size) and its kernel cache. The prototype and the class
+    /// cap are rebuilt from the kind and the options.
     fn encode(&self, out: &mut Encoder) {
         self.feed.encode(out);
         out.put_u64(self.merges);
         out.put_u64(self.peak_cohorts as u64);
         out.put_u64(self.slots_to_merge_scan);
         out.put_usize(self.cohorts.len());
-        for cohort in &self.cohorts {
+        for (i, cohort) in self.cohorts.iter().enumerate() {
             out.put_words(&cohort.state.checkpoint_words());
-            out.put_u64(cohort.m);
             out.put_usize(cohort.groups.len());
             for &(arrival, count) in &cohort.groups {
                 out.put_u64(arrival);
                 out.put_u64(count);
             }
+            self.kernel.cache(i).encode(out);
         }
-        self.kernel.encode(out);
     }
 }
 

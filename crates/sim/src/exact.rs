@@ -377,11 +377,7 @@ impl<Pr: Protocol + Clone> StationCore<Pr> {
             _ => SlotOutcome::Collision,
         };
         let jammed_delivery = jammed && count == 1;
-        match outcome {
-            SlotOutcome::Silence => run.silent += 1,
-            SlotOutcome::Delivery => {}
-            SlotOutcome::Collision => run.collisions += 1,
-        }
+        run.collisions += u64::from(outcome == SlotOutcome::Collision);
         run.jammed_deliveries += u64::from(jammed_delivery);
         let delivered_position = if outcome == SlotOutcome::Delivery {
             self.sole_position
@@ -475,14 +471,10 @@ impl<Pr: Protocol + Clone + 'static> AdversaryGame for StationCore<Pr> {
         self.resolve_slot(Some(jam));
     }
 
-    /// The slot after the last delivery once complete, else the slots
-    /// elapsed so far (the cap, once finished).
+    /// The slots elapsed so far: the slot after the last delivery once
+    /// complete, the cap once finished without completing.
     fn makespan(&self) -> u64 {
-        if self.run.remaining == 0 {
-            self.run.makespan
-        } else {
-            self.run.slot
-        }
+        self.run.slot
     }
 
     fn completed(&self) -> bool {

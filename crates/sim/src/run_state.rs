@@ -4,14 +4,18 @@
 //! (`crate::window`) and the cohort core (`crate::cohort`, every fair run,
 //! batched or dynamic) each drive a different model, but they account for
 //! a run the same way: the message count, seed and slot cap, the slot
-//! clock and its tally (makespan, collisions, silence, jammed deliveries),
-//! the protocol RNG, the adversary's dynamic state, the latency record and
-//! the delivery slots. That state lives in one [`RunState`], with one
-//! constructor, one delivery step, one [`RunResult`] builder and one codec;
-//! each core keeps only its model's state beside it, and resolves its slots
-//! itself. The run state is the one owner of the delivery slots, which it
-//! records when the options ask for them; they stand beside the latency
-//! record, because a dynamic run's latencies are not its delivery slots.
+//! clock and its tally (collisions, jammed deliveries), the protocol RNG,
+//! the adversary's dynamic state, the latency record and the delivery
+//! slots. That state lives in one [`RunState`], with one constructor, one
+//! delivery step, one [`RunResult`] builder and one codec; each core keeps
+//! only its model's state beside it, and resolves its slots itself. Every
+//! slot is silent, a collision or a delivery, so the run state stores no
+//! silent-slot count: its result reads silence off the clock, and a
+//! completed run's makespan is the clock itself, which stops after the
+//! last delivery. The run state is the one owner of the delivery slots,
+//! which it records when the options ask for them; they stand beside the
+//! latency record, because a dynamic run's latencies are not its delivery
+//! slots.
 //!
 //! A session checkpoint writes the run state once, as one block ahead of
 //! the core's own words (see `DESIGN.md` §9). The exact engine has no
@@ -106,9 +110,7 @@ pub(crate) struct RunState {
     pub(crate) remaining: u64,
     /// The slot clock: slots elapsed since the run began.
     pub(crate) slot: u64,
-    pub(crate) makespan: u64,
     pub(crate) collisions: u64,
-    pub(crate) silent: u64,
     pub(crate) jammed_deliveries: u64,
     pub(crate) rng: Xoshiro256pp,
     pub(crate) adversary: AdversaryState,
@@ -135,9 +137,7 @@ impl RunState {
             max_slots,
             remaining: k,
             slot: 0,
-            makespan: 0,
             collisions: 0,
-            silent: 0,
             jammed_deliveries: 0,
             // lint:allow(rng-stream-discipline): the protocol stream IS the
             // raw run seed — the contract every committed BENCH_*.json and
@@ -169,7 +169,6 @@ impl RunState {
     #[inline]
     pub(crate) fn deliver(&mut self, latency: u64) {
         self.remaining -= 1;
-        self.makespan = self.slot + 1;
         self.record(self.slot, latency);
     }
 
@@ -185,9 +184,10 @@ impl RunState {
         self.latencies.push(latency);
     }
 
-    /// The run's aggregate result. Valid at any point: before the run
-    /// completes, the makespan reads `unfinished_makespan` (the capped-run
-    /// convention of the engine).
+    /// The run's aggregate result. Valid at any point: the slots neither a
+    /// collision nor a delivery were silent, and a completed run's makespan
+    /// is the slot clock; before the run completes, the makespan reads
+    /// `unfinished_makespan` (the capped-run convention of the engine).
     pub(crate) fn result(
         &self,
         label: &str,
@@ -195,19 +195,20 @@ impl RunState {
         never_activated: u64,
     ) -> RunResult {
         let completed = self.remaining == 0;
+        let delivered = self.delivered();
         RunResult {
             protocol: label.to_string(),
             k: self.k,
             seed: self.seed,
             makespan: if completed {
-                self.makespan
+                self.slot
             } else {
                 unfinished_makespan
             },
             completed,
-            delivered: self.delivered(),
+            delivered,
             collisions: self.collisions,
-            silent_slots: self.silent,
+            silent_slots: self.slot - self.collisions - delivered,
             jammed_deliveries: self.jammed_deliveries,
             never_activated,
             delivery_slots: self.delivery_slots.clone(),
@@ -215,19 +216,17 @@ impl RunState {
     }
 
     /// Writes the whole run state: the message count, seed and slot cap,
-    /// the remaining count, the slot clock and its tally (makespan,
-    /// collisions, silent, jammed), the protocol RNG's 4 words, the
-    /// adversary's words, the latency record and, when the options record
-    /// deliveries, the delivery slots.
+    /// the remaining count, the slot clock and its tally (collisions,
+    /// jammed), the protocol RNG's 4 words, the adversary's words, the
+    /// latency record and, when the options record deliveries, the delivery
+    /// slots.
     pub(crate) fn encode(&self, out: &mut Encoder) {
         out.put_u64(self.k);
         out.put_u64(self.seed);
         out.put_u64(self.max_slots);
         out.put_u64(self.remaining);
         out.put_u64(self.slot);
-        out.put_u64(self.makespan);
         out.put_u64(self.collisions);
-        out.put_u64(self.silent);
         out.put_u64(self.jammed_deliveries);
         for w in self.rng.state_words() {
             out.put_u64(w);
@@ -263,9 +262,7 @@ impl RunState {
             ));
         }
         run.slot = input.take_u64()?;
-        run.makespan = input.take_u64()?;
         run.collisions = input.take_u64()?;
-        run.silent = input.take_u64()?;
         run.jammed_deliveries = input.take_u64()?;
         let mut rng = [0u64; 4];
         for w in &mut rng {
@@ -281,29 +278,26 @@ impl RunState {
         Ok(run)
     }
 
-    /// The tally every run keeps at every pause: each elapsed slot is
-    /// silent, a collision (a jammed delivery among them) or a delivery,
-    /// the last delivery lies within the elapsed slots, and every delivery
-    /// record holds one entry per delivery. The engines count up from
-    /// these, so a state outside them could overflow a count mid-run.
+    /// The tally every run keeps at every pause: the collisions (a jammed
+    /// delivery among them) and the deliveries fit in the elapsed slots,
+    /// the rest of which were silent, and every delivery record holds one
+    /// entry per delivery. The engines count up from these, so a state
+    /// outside them could overflow a count mid-run.
     fn check_tally(&self) -> Result<(), WireError> {
         let delivered = self.delivered();
-        let tallied = self
-            .silent
-            .checked_add(self.collisions)
-            .and_then(|busy| busy.checked_add(delivered));
-        if tallied != Some(self.slot) {
+        if self
+            .collisions
+            .checked_add(delivered)
+            .is_none_or(|busy| busy > self.slot)
+        {
             return Err(WireError::Malformed(
-                "silent slots, collisions and deliveries do not add up to the slot clock",
+                "collisions and deliveries exceed the slot clock",
             ));
         }
         if self.jammed_deliveries > self.collisions {
             return Err(WireError::Malformed(
                 "more jammed deliveries than collisions",
             ));
-        }
-        if self.makespan > self.slot {
-            return Err(WireError::Malformed("makespan past the slot clock"));
         }
         let recorded = [
             self.latencies.exact.as_ref().map(|list| list.len() as u64),

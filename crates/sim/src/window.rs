@@ -9,9 +9,10 @@
 //! nobody else are delivered (Lemma 1 of the paper analyses this process).
 //!
 //! The simulator therefore advances window by window, removing the
-//! singletons and adding `w` slots to the clock. Within the final window
-//! the makespan is the position of the last singleton actually needed,
-//! exactly as a per-station simulation would report it.
+//! singletons and adding `w` slots to the clock. The final window only
+//! advances the clock through its last singleton, so the makespan, read
+//! off the clock, is the slot after the last delivery, exactly as a
+//! per-station simulation would report it.
 //!
 //! Every window runs through the aggregate slot walk
 //! ([`mac_prob::balls::walk_window`]), whose internal dispatch — the
@@ -224,61 +225,56 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
             let detailed = self.adversarial
                 || run.delivery_slots.is_some()
                 || run.latencies.streaming.is_some();
-            let (delivered_in_window, last_delivered, empty_bins, colliding_bins, max_occupied) =
-                if detailed {
-                    let occupancy =
-                        walk_window(run.remaining, w, &mut run.rng, &mut self.walk_scratch);
-                    let mut delivered: u64 = 0;
-                    let mut last: Option<u64> = None;
-                    let mut jammed_singletons: u64 = 0;
-                    // Singleton bins are ascending, satisfying the
-                    // adversary's slot-order contract — and keeping the
-                    // recorded delivery slots in slot order.
-                    for &bin in self.walk_scratch.singleton_bins() {
-                        if self.adversarial
-                            && run.adversary.jams_slot(run.slot + bin, SlotClass::Single)
-                        {
-                            jammed_singletons += 1;
-                            if let Some(log) = jam_log.as_deref_mut() {
-                                log.push(run.slot + bin);
-                            }
-                        } else {
-                            delivered += 1;
-                            last = Some(bin);
-                            // A batched message's latency is its delivery
-                            // slot.
-                            run.record(run.slot + bin, run.slot + bin);
+            let (delivered_in_window, last_delivered, colliding_bins, max_occupied) = if detailed {
+                let occupancy = walk_window(run.remaining, w, &mut run.rng, &mut self.walk_scratch);
+                let mut delivered: u64 = 0;
+                let mut last: Option<u64> = None;
+                let mut jammed_singletons: u64 = 0;
+                // Singleton bins are ascending, satisfying the
+                // adversary's slot-order contract — and keeping the
+                // recorded delivery slots in slot order.
+                for &bin in self.walk_scratch.singleton_bins() {
+                    if self.adversarial
+                        && run.adversary.jams_slot(run.slot + bin, SlotClass::Single)
+                    {
+                        jammed_singletons += 1;
+                        if let Some(log) = jam_log.as_deref_mut() {
+                            log.push(run.slot + bin);
                         }
+                    } else {
+                        delivered += 1;
+                        last = Some(bin);
+                        // A batched message's latency is its delivery
+                        // slot.
+                        run.record(run.slot + bin, run.slot + bin);
                     }
-                    if self.adversarial {
-                        // Already-contended slots: only a reactive jammer's
-                        // budget can change, never the outcome.
-                        run.adversary.jam_contended_bulk(occupancy.colliding_bins);
-                    }
-                    run.collisions += jammed_singletons;
-                    run.jammed_deliveries += jammed_singletons;
-                    (
-                        delivered,
-                        last,
-                        occupancy.empty_bins,
-                        occupancy.colliding_bins,
-                        occupancy.max_occupied_bin,
-                    )
-                } else {
-                    let occupancy =
-                        walk_window_counts(run.remaining, w, &mut run.rng, &mut self.walk_scratch);
-                    (
-                        occupancy.singletons,
-                        occupancy.max_occupied_bin,
-                        occupancy.empty_bins,
-                        occupancy.colliding_bins,
-                        occupancy.max_occupied_bin,
-                    )
-                };
+                }
+                if self.adversarial {
+                    // Already-contended slots: only a reactive jammer's
+                    // budget can change, never the outcome.
+                    run.adversary.jam_contended_bulk(occupancy.colliding_bins);
+                }
+                run.collisions += jammed_singletons;
+                run.jammed_deliveries += jammed_singletons;
+                (
+                    delivered,
+                    last,
+                    occupancy.colliding_bins,
+                    occupancy.max_occupied_bin,
+                )
+            } else {
+                let occupancy =
+                    walk_window_counts(run.remaining, w, &mut run.rng, &mut self.walk_scratch);
+                (
+                    occupancy.singletons,
+                    occupancy.max_occupied_bin,
+                    occupancy.colliding_bins,
+                    occupancy.max_occupied_bin,
+                )
+            };
             run.collisions += colliding_bins;
-            // Empty bins of a *fully used* window count as silent slots; for
-            // the final window only the prefix up to the last needed
-            // delivery counts.
+            // The empty bins are silent slots, which the clock counts; the
+            // final window ends at its last needed delivery.
             run.remaining -= delivered_in_window;
             if run.remaining == 0 {
                 // Every ball of this window landed alone and unjammed (a
@@ -289,13 +285,9 @@ impl<S: WindowSchedule + 'static> SessionEngine for WindowEngineCore<S> {
                     last_delivered.expect("remaining hit zero, so this window delivered something");
                 debug_assert_eq!(colliding_bins, 0);
                 debug_assert_eq!(max_occupied, Some(last));
-                run.makespan = run.slot + last + 1;
-                run.silent += (last + 1) - delivered_in_window;
-                run.slot = run.makespan;
+                run.slot += last + 1;
             } else {
-                run.silent += empty_bins;
                 run.slot += w;
-                run.makespan = run.slot.min(run.max_slots);
             }
         }
     }

@@ -227,50 +227,50 @@ fn frames() -> Vec<(&'static str, Checkpoint)> {
 
 /// `(frame, word count, trailing digest)`.
 const PINNED: [(&str, usize, u64); 17] = [
-    ("fair OFA", 153, 0xd90f_9a96_4f9b_f20d),
-    ("fair LFA, jammed", 148, 0x98f6_970e_c0be_e7ed),
+    ("fair OFA", 149, 0x1c16_b724_2f10_32d4),
+    ("fair LFA, jammed", 144, 0xdb4f_a426_2a5b_ee6c),
     (
         "fair oracle, recording deliveries",
-        250,
-        0xacaa_ae8f_8d46_f57e,
+        246,
+        0xf515_59de_d6b8_eba2,
     ),
-    ("window EBB", 166, 0x7b84_7f06_f9a0_7893),
-    ("cohort OFA", 168, 0xf0cf_a412_3ed6_1132),
-    ("cohort LFA", 198, 0x8c38_2b3f_e80a_446c),
-    ("cohort oracle, capped", 286, 0x5af1_2e27_1fc6_aea7),
-    ("cohort RP-OFA", 175, 0xe728_2b21_3a4c_6725),
-    ("fair RP-OFA", 164, 0x2dfe_ec70_5afd_4026),
-    ("sharded: 2-shard OFA fleet", 200, 0xf449_3c3c_3ea7_776a),
+    ("window EBB", 164, 0xf8cd_649c_d3a4_a5f2),
+    ("cohort OFA", 163, 0x4b92_342d_2a8e_e309),
+    ("cohort LFA", 194, 0xf6c4_7993_45cf_ada5),
+    ("cohort oracle, capped", 279, 0xf92c_af13_6056_33f0),
+    ("cohort RP-OFA", 170, 0xad91_d6cb_f93f_3694),
+    ("fair RP-OFA", 160, 0xeb96_cfce_e8da_6c8a),
+    ("sharded: 2-shard OFA fleet", 194, 0xf8a4_1d94_5c24_10df),
     (
         "cohort OFA, watchdog stall recorded",
-        126,
-        0xe5c0_6b37_1567_e2d4,
+        121,
+        0xee87_2052_8cdd_bf82,
     ),
     (
         "sharded: supervised fleet, shard 1 killed and retried",
-        216,
-        0x6d35_f816_9d77_7924,
+        210,
+        0x3c93_32f9_6e21_0303,
     ),
     (
         "cohort oracle, saturated at cap 16",
-        4448,
-        0xf51a_18a6_8372_637b,
+        4429,
+        0x3666_79d7_a34d_c8e4,
     ),
     (
         "cohort RP-OFA, saturated at cap 8",
-        5253,
-        0xabb3_a410_b795_5f0f,
+        5186,
+        0x34f4_cf0a_5564_2b19,
     ),
     (
         "window EBB, recording deliveries",
-        128,
-        0x9189_1285_3c5a_fdc2,
+        126,
+        0xd3a9_0d38_438d_31e0,
     ),
-    ("window LLIB, jammed", 118, 0xb7c2_35c4_5819_73e7),
+    ("window LLIB, jammed", 116, 0xd915_fd1d_a7d0_3140),
     (
         "cohort OFA, recording deliveries",
-        239,
-        0x998e_0e08_8298_966b,
+        234,
+        0xd3ad_2dfa_ec59_417a,
     ),
 ];
 
