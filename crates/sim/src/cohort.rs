@@ -312,6 +312,13 @@ impl<P: FairProtocol + Clone> CohortEngineCore<P> {
         let peak_cohorts = usize::try_from(input.take_u64()?)
             .map_err(|_| WireError::Malformed("peak cohort count exceeds usize"))?;
         let slots_to_merge_scan = input.take_u64()?;
+        // The merge-scan clock counts down from the period and restarts on
+        // reaching zero, so every pause finds it inside the period.
+        if !(1..=MERGE_SCAN_PERIOD).contains(&slots_to_merge_scan) {
+            return Err(WireError::Malformed(
+                "merge-scan clock outside the scan period",
+            ));
+        }
         let cohort_count = input.take_usize()?;
         let mut cohorts = Vec::with_capacity(cohort_count.min(1 << 20));
         let mut kernel = CohortKernel::new();

@@ -335,6 +335,46 @@ fn dynamic_frames_whose_feed_owes_another_count_are_malformed() {
     }
 }
 
+/// Resuming `frame` must fail as malformed: it passes its digest but holds
+/// a state no run reaches.
+fn assert_malformed(frame: &Checkpoint, what: &str) {
+    match Session::resume(frame) {
+        Err(SessionError::Wire(WireError::Malformed(_))) => {}
+        Err(other) => panic!("{what}: unexpected error {other}"),
+        Ok(resumed) => panic!("{what}: resumed into {:?}", resumed.result()),
+    }
+}
+
+#[test]
+fn cohort_frames_with_a_merge_scan_clock_outside_its_period_are_malformed() {
+    // The cohort core's merge-scan clock counts down from 64 and restarts
+    // on reaching zero, so a paused run holds it in 1..=64. Four live
+    // cohorts at slot 20 put the run on the per-slot path, whose next step
+    // would count a clock of 0 below zero; at 65 the next scan would come
+    // a slot late.
+    let model = ArrivalModel::Bursts {
+        bursts: vec![(0, 40), (3, 40), (7, 40), (11, 40)],
+    };
+    let mut session = Session::dynamic(&ofa(), &model, 3, &RunOptions::default()).unwrap();
+    session.advance(20).unwrap();
+    let run = session.cohort_run().unwrap();
+    assert_eq!((session.slot(), run.peak_cohorts), (20, 4));
+    let words = session.checkpoint().unwrap().words().to_vec();
+    // The merge count and the peak class count, the clock (64 − 20) and
+    // the live cohort count.
+    let listed = [run.merges, 4, 44, 4];
+    let clock = (3..words.len())
+        .find(|&i| words[i..].starts_with(&listed))
+        .expect("the frame carries the merge-scan clock")
+        + 2;
+    assert!(Session::resume(&reseal(words.clone())).is_ok());
+    for value in [0, 65] {
+        let mut frame = words.clone();
+        frame[clock] = value;
+        assert_malformed(&reseal(frame), &format!("merge-scan clock {value}"));
+    }
+}
+
 #[test]
 fn integrity_errors_carry_actionable_diagnostics() {
     let checkpoint = session_checkpoint();
