@@ -370,9 +370,11 @@ impl SlotKernel {
     /// Restores a kernel serialised by [`SlotKernel::encode`].
     ///
     /// # Errors
-    /// [`WireError`] on a truncated or malformed stream.
+    /// [`WireError`] on a truncated or malformed stream, and
+    /// [`WireError::Malformed`] for words no kernel holds (see
+    /// `SlotKernel::holds_reachable_words`).
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(Self {
+        let kernel = Self {
             m: dec.take_f64()?,
             p: dec.take_f64()?,
             lnq: dec.take_f64()?,
@@ -384,7 +386,34 @@ impl SlotKernel {
             },
             dead: dec.take_bool()?,
             updates_since_rebase: dec.take_u32()?,
-        })
+        };
+        if kernel.holds_reachable_words() {
+            Ok(kernel)
+        } else {
+            Err(WireError::Malformed("slot kernel words no kernel holds"))
+        }
+    }
+
+    /// True for words some kernel holds: a whole `m ≥ 0`, a `p` in
+    /// `[0, 1]`, finite non-negative thresholds and a finite anchor, no
+    /// NaN (`ln(1 − p)` and the anchor's exponent are −∞ at `p = 1`), no
+    /// more updates than a re-anchor allows, and the dead flag only on a
+    /// line whose delivery threshold is zero. (The hot path leaves a line
+    /// live at `t1 = 0` after a dead anchor, so that pair decodes.)
+    fn holds_reachable_words(&self) -> bool {
+        let SlotThresholds { t0, t1 } = self.thresholds;
+        [self.m, self.p, t0, t1, self.t0_base]
+            .iter()
+            .all(|x| x.is_finite())
+            && !self.lnq.is_nan()
+            && !self.ell_base.is_nan()
+            && self.m >= 0.0
+            && self.m.fract() == 0.0
+            && (0.0..=1.0).contains(&self.p)
+            && t0 >= 0.0
+            && t1 >= 0.0
+            && !(self.dead && t1 > 0.0)
+            && self.updates_since_rebase <= REBASE_PERIOD
     }
 
     /// Exact re-anchoring at `(m, p)`.

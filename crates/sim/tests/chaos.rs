@@ -376,6 +376,68 @@ fn cohort_frames_with_a_merge_scan_clock_outside_its_period_are_malformed() {
 }
 
 #[test]
+fn kernel_lines_no_kernel_holds_are_malformed() {
+    // A batched fair frame ends with its one cohort's kernel cache: two
+    // lines of nine words each (m, p, ln(1 − p), the anchor's exponent and
+    // its exp, t0, t1, the dead flag and the updates since the anchor).
+    let line_words = |words: &[u64]| [words.len() - 19, words.len() - 10];
+    // Before its first delivery a One-fail Adaptive run holds a BT line at
+    // p = 1, where ln(1 − p) and the anchor's exponent are −∞: a reachable
+    // line, which decodes.
+    let mut session = Session::batched(&ofa(), 200, 4, &RunOptions::default()).unwrap();
+    session.advance(4).unwrap();
+    assert_eq!(session.delivered(), 0);
+    let words = session.checkpoint().unwrap().words().to_vec();
+    assert!(line_words(&words).iter().any(|&at| {
+        f64::from_bits(words[at + 1]) == 1.0 && f64::from_bits(words[at + 2]) == f64::NEG_INFINITY
+    }));
+    assert!(Session::resume(&reseal(words)).is_ok());
+
+    let mut session =
+        Session::batched(&ProtocolKind::KnownKOracle, 200, 4, &RunOptions::default()).unwrap();
+    session.advance(50).unwrap();
+    let words = session.checkpoint().unwrap().words().to_vec();
+    let lines = line_words(&words);
+    for at in lines {
+        let (m, p, t1) = (
+            f64::from_bits(words[at]),
+            f64::from_bits(words[at + 1]),
+            f64::from_bits(words[at + 6]),
+        );
+        assert!(m >= 1.0 && m.fract() == 0.0, "m {m}");
+        assert!(p > 0.0 && p < 1.0 && t1 > 0.0, "p {p}, t1 {t1}");
+        assert_eq!(words[at + 7], 0, "a live line is not dead");
+    }
+    assert!(Session::resume(&reseal(words.clone())).is_ok());
+    let (nan, inf) = (f64::NAN.to_bits(), f64::INFINITY.to_bits());
+    let bad = [
+        ("dead with t1 > 0", 7, 1),
+        ("m NaN", 0, nan),
+        ("m +inf", 0, inf),
+        ("m 1.5", 0, 1.5f64.to_bits()),
+        ("m -1", 0, (-1.0f64).to_bits()),
+        ("p NaN", 1, nan),
+        ("p -0.5", 1, (-0.5f64).to_bits()),
+        ("p 1.5", 1, 1.5f64.to_bits()),
+        ("ln(1 - p) NaN", 2, nan),
+        ("anchor exponent NaN", 3, nan),
+        ("anchor +inf", 4, inf),
+        ("t0 NaN", 5, nan),
+        ("t0 -0.25", 5, (-0.25f64).to_bits()),
+        ("t1 +inf", 6, inf),
+        ("t1 -0.25", 6, (-0.25f64).to_bits()),
+        ("updates past the rebase period", 8, 4_097),
+    ];
+    for (what, offset, value) in bad {
+        let mut frame = words.clone();
+        for at in lines {
+            frame[at + offset] = value;
+        }
+        assert_malformed(&reseal(frame), what);
+    }
+}
+
+#[test]
 fn integrity_errors_carry_actionable_diagnostics() {
     let checkpoint = session_checkpoint();
     let words = checkpoint.words();
