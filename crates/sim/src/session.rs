@@ -890,6 +890,9 @@ impl Session {
         // The run state leads with the message count the protocol state is
         // built for, so the decoder reads it and then visits.
         let run = RunState::decode(&mut input, &options)?;
+        if let Some(watchdog) = &watchdog {
+            watchdog.check_against(run.slot)?;
+        }
         let k = run.k;
         let decode = DecodeEngine {
             run,

@@ -137,4 +137,32 @@ impl Watchdog {
             stall,
         })
     }
+
+    /// Rejects a decoded watchdog that no session at slot clock `slot`
+    /// holds: [`StallConfig::new`] clamps the window to at least one slot,
+    /// progress is only ever marked at the clock, and a stall is detected
+    /// at the clock after the progress it reports.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] for a zero window, a progress slot past
+    /// `slot`, or a stall detected past `slot` or before its own progress
+    /// slot.
+    pub(super) fn check_against(&self, slot: u64) -> Result<(), WireError> {
+        if self.config.window == 0 {
+            return Err(WireError::Malformed("zero watchdog window"));
+        }
+        if self.last_progress_slot > slot {
+            return Err(WireError::Malformed(
+                "watchdog progress slot past the slot clock",
+            ));
+        }
+        if let Some(stall) = &self.stall {
+            if stall.detected_at_slot > slot || stall.last_progress_slot > stall.detected_at_slot {
+                return Err(WireError::Malformed(
+                    "stall report outside the slots the run has reached",
+                ));
+            }
+        }
+        Ok(())
+    }
 }

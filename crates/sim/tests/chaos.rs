@@ -438,6 +438,41 @@ fn kernel_lines_no_kernel_holds_are_malformed() {
 }
 
 #[test]
+fn watchdog_words_no_session_writes_are_malformed() {
+    // A watchdog's window is at least one slot, its progress slot never
+    // passes the slot clock, and it detects a stall at the clock, after
+    // the progress the stall reports. The §6 deadlock under a 200-slot
+    // Report watchdog, paused at slot 1,000, holds a stall detected at
+    // slot 200 with no progress since slot 0, and a watchdog re-armed at
+    // slot 1,000.
+    let deadlock = ArrivalModel::Bursts {
+        bursts: vec![(0, 40), (1, 40)],
+    };
+    let mut session = Session::dynamic(&ofa(), &deadlock, 1, &RunOptions::default()).unwrap();
+    session.set_watchdog(Some(StallConfig::new(200, StallPolicy::Report)));
+    session.advance(1_000).unwrap();
+    assert_eq!(session.slot(), 1_000);
+    let words = session.checkpoint().unwrap().words().to_vec();
+    // Armed, window, policy (Report), progress slot; a stall: present,
+    // detection slot, its progress slot, delivered, backlog.
+    let listed = [1, 200, 0, 1_000, 1, 200, 0, 0, 80];
+    let at = (3..words.len())
+        .find(|&i| words[i..].starts_with(&listed))
+        .expect("the frame carries the watchdog");
+    assert!(Session::resume(&reseal(words.clone())).is_ok());
+    for (what, offset, value) in [
+        ("a zero window", 1, 0),
+        ("a progress slot past the clock", 3, 1_001),
+        ("a stall detected past the clock", 5, 1_001),
+        ("a stall detected before its progress slot", 6, 201),
+    ] {
+        let mut frame = words.clone();
+        frame[at + offset] = value;
+        assert_malformed(&reseal(frame), what);
+    }
+}
+
+#[test]
 fn integrity_errors_carry_actionable_diagnostics() {
     let checkpoint = session_checkpoint();
     let words = checkpoint.words();
