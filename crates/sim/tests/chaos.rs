@@ -214,6 +214,16 @@ fn reseal(mut words: Vec<u64>) -> Checkpoint {
     Checkpoint::from_bytes(&mac_prob::wire::words_to_bytes(&words)).expect("whole words")
 }
 
+/// Resuming `frame` must fail as malformed: it passes its digest but holds
+/// a state no run reaches.
+fn assert_malformed(frame: &Checkpoint, what: &str) {
+    match Session::resume(frame) {
+        Err(SessionError::Wire(WireError::Malformed(_))) => {}
+        Err(other) => panic!("{what}: unexpected error {other}"),
+        Ok(resumed) => panic!("{what}: resumed into {:?}", resumed.result()),
+    }
+}
+
 #[test]
 fn window_frames_with_unreachable_schedule_words_are_malformed() {
     // A batched window frame ends with its schedule's state words, just
@@ -240,17 +250,7 @@ fn window_frames_with_unreachable_schedule_words_are_malformed() {
         for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
             let mut frame = words.clone();
             frame[at] = bad.to_bits();
-            match Session::resume(&reseal(frame)) {
-                Err(SessionError::Wire(WireError::Malformed(_))) => {}
-                Err(other) => panic!("{} at {bad}: unexpected error {other}", kind.label()),
-                Ok(resumed) => {
-                    panic!(
-                        "{} at {bad}: resumed into {:?}",
-                        kind.label(),
-                        resumed.result()
-                    )
-                }
-            }
+            assert_malformed(&reseal(frame), &format!("{} at {bad}", kind.label()));
         }
     }
 }
@@ -327,21 +327,7 @@ fn dynamic_frames_whose_feed_owes_another_count_are_malformed() {
     ] {
         let mut raised = words.clone();
         raised[index] += 1;
-        match Session::resume(&reseal(raised)) {
-            Err(SessionError::Wire(WireError::Malformed(_))) => {}
-            Err(other) => panic!("{what}: unexpected error {other}"),
-            Ok(resumed) => panic!("{what}: resumed into {:?}", resumed.result()),
-        }
-    }
-}
-
-/// Resuming `frame` must fail as malformed: it passes its digest but holds
-/// a state no run reaches.
-fn assert_malformed(frame: &Checkpoint, what: &str) {
-    match Session::resume(frame) {
-        Err(SessionError::Wire(WireError::Malformed(_))) => {}
-        Err(other) => panic!("{what}: unexpected error {other}"),
-        Ok(resumed) => panic!("{what}: resumed into {:?}", resumed.result()),
+        assert_malformed(&reseal(raised), what);
     }
 }
 
