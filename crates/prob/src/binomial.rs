@@ -371,8 +371,8 @@ impl SlotKernel {
     ///
     /// # Errors
     /// [`WireError`] on a truncated or malformed stream, and
-    /// [`WireError::Malformed`] for words no kernel holds (see
-    /// `SlotKernel::holds_reachable_words`).
+    /// [`WireError::Malformed`] for words no kernel holds, such as a dead
+    /// line with a positive delivery threshold or a NaN.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let kernel = Self {
             m: dec.take_f64()?,
