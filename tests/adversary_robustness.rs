@@ -101,6 +101,43 @@ fn near_success_jamming_hurts_more_than_contended_jamming() {
 }
 
 #[test]
+fn period_two_jamming_blocks_one_fail_adaptive_at_its_step_parity() {
+    // A period-2 jammer on phase 0 resonates with One-fail Adaptive's AT/BT
+    // step parity: it destroys every delivery the protocol can make, so the
+    // run stops at the slot cap with nothing delivered. The other protocols
+    // only lose the jammed share of their slots, and on phase 1 the same
+    // jammer lets One-fail Adaptive complete too.
+    let jam = |phase| RunOptions {
+        slot_cap_per_message: 100,
+        min_slot_cap: 0,
+        ..RunOptions::adversarial(AdversaryScenario::jamming(AdversaryModel::PeriodicJam {
+            period: 2,
+            burst: 1,
+            phase,
+        }))
+    };
+    let on_phase_zero = jam(0);
+    for kind in ProtocolKind::robust_lineup() {
+        let blocked = matches!(kind, ProtocolKind::OneFailAdaptive { .. });
+        for &seed in &SEEDS {
+            let result = simulate_with_options(&kind, K, seed, &on_phase_zero).unwrap();
+            if blocked {
+                assert!(!result.completed, "{} seed {seed} completed", kind.label());
+                assert_eq!(result.delivered, 0, "{} seed {seed}", kind.label());
+                assert_eq!(result.makespan, on_phase_zero.max_slots(K));
+            } else {
+                assert!(result.completed, "{} seed {seed} hit the cap", kind.label());
+            }
+        }
+    }
+    let ofa = ProtocolKind::OneFailAdaptive { delta: 2.72 };
+    for &seed in &SEEDS {
+        let result = simulate_with_options(&ofa, K, seed, &jam(1)).unwrap();
+        assert!(result.completed, "seed {seed} hit the cap on phase 1");
+    }
+}
+
+#[test]
 fn jammed_deliveries_are_reported_and_bounded_by_budget() {
     let kind = ProtocolKind::OneFailAdaptive { delta: 2.72 };
     let budget = 40;
