@@ -41,7 +41,8 @@ fn dense_limit(balls: u64) -> u64 {
 ///
 /// There is no per-bin load beyond the 0/1/≥2 trichotomy: the per-slot
 /// regimes never sample it, and the certain-collision shortcut samples
-/// nothing at all.
+/// nothing at all. The empty bins are not counted: there are
+/// `bins − singletons − colliding_bins` of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlotOccupancy {
     /// Number of bins (slots) in the window.
@@ -50,8 +51,6 @@ pub struct SlotOccupancy {
     pub balls: u64,
     /// Bins holding exactly one ball.
     pub singletons: u64,
-    /// Bins holding no ball.
-    pub empty_bins: u64,
     /// Bins holding two or more balls.
     pub colliding_bins: u64,
     /// Largest occupied bin index (`None` when `balls == 0`).
@@ -81,7 +80,9 @@ pub struct SlotOccupancy {
 /// let mut scratch = WalkScratch::new();
 /// for _ in 0..4 {
 ///     let occ = walk_window_counts(10, 100, &mut rng, &mut scratch);
-///     assert_eq!(occ.singletons + occ.colliding_bins + occ.empty_bins, 100);
+///     // At most 10 of the 100 bins hold a ball; the rest are empty.
+///     let empty_bins = occ.bins - occ.singletons - occ.colliding_bins;
+///     assert!(empty_bins >= 90);
 /// }
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -240,7 +241,8 @@ const ALL_COLLIDE_LOG_BOUND: f64 = -100.0;
 /// let mut scratch = WalkScratch::new();
 /// let occ = walk_window(10, 100, &mut rng, &mut scratch);
 /// assert_eq!(occ.balls, 10);
-/// assert_eq!(occ.singletons + occ.colliding_bins + occ.empty_bins, 100);
+/// let empty_bins = occ.bins - occ.singletons - occ.colliding_bins;
+/// assert!(empty_bins >= 90);
 /// assert_eq!(scratch.singleton_bins().len() as u64, occ.singletons);
 /// ```
 ///
@@ -282,7 +284,6 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
             bins: w,
             balls: 0,
             singletons: 0,
-            empty_bins: w,
             colliding_bins: 0,
             max_occupied_bin: None,
         };
@@ -297,7 +298,6 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
             bins: w,
             balls: 1,
             singletons: 1,
-            empty_bins: w - 1,
             colliding_bins: 0,
             max_occupied_bin: Some(bin),
         };
@@ -311,7 +311,6 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
             bins: w,
             balls: m,
             singletons: 0,
-            empty_bins: 0,
             colliding_bins: w,
             max_occupied_bin: Some(w - 1),
         };
@@ -319,7 +318,6 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
 
     let mut m_left = m;
     let mut singletons = 0u64;
-    let mut empty = 0u64;
     let mut colliding = 0u64;
     let mut max_occupied: Option<u64> = None;
     let mut i = 0u64;
@@ -359,12 +357,9 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
             if n_b > 0 {
                 let blk = resolve_per_ball::<COLLECT, R>(n_b, b, i, rng, scratch);
                 singletons += blk.singletons;
-                empty += blk.empty_bins;
                 colliding += blk.colliding_bins;
                 max_occupied = blk.max_occupied_bin.map(|bin| i + bin);
                 m_left -= n_b;
-            } else {
-                empty += b;
             }
             i += b;
             continue 'outer;
@@ -389,10 +384,7 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
                     let thresholds = kernel.thresholds();
                     let u = rng.gen::<f64>();
                     match thresholds.classify(u) {
-                        SlotOutcome::Silence => {
-                            empty += 1;
-                            0
-                        }
+                        SlotOutcome::Silence => 0,
                         SlotOutcome::Delivery => {
                             singletons += 1;
                             if COLLECT {
@@ -469,7 +461,6 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
                 let t1 = (t0 + t0 * (nn * s)).min(1.0);
                 let u = rng.gen::<f64>();
                 if u < t0 {
-                    empty += 1;
                     0
                 } else if u < t1 {
                     singletons += 1;
@@ -555,15 +546,11 @@ fn walk_window_impl<const COLLECT: bool, R: Rng + ?Sized>(
         }
     }
 
-    // Bins past the last resolved one are empty (the balls ran out early).
-    empty += w - i;
-
     debug_assert_eq!(m_left, 0, "every ball lands in some bin");
     SlotOccupancy {
         bins: w,
         balls: m,
         singletons,
-        empty_bins: empty,
         colliding_bins: colliding,
         max_occupied_bin: max_occupied,
     }
@@ -590,7 +577,7 @@ fn resolve_per_ball<const COLLECT: bool, R: Rng + ?Sized>(
 ) -> SlotOccupancy {
     debug_assert!(m > 0 && w > 0);
     let mut singletons = 0u64;
-    let mut empty = 0u64;
+    let mut colliding = 0u64;
     let mut last = 0u64;
     if w <= dense_limit(m) {
         if scratch.counts.len() < w as usize {
@@ -601,8 +588,8 @@ fn resolve_per_ball<const COLLECT: bool, R: Rng + ?Sized>(
             counts[rng.gen_range(0..w) as usize] += 1;
         }
         for (bin, &count) in counts.iter().enumerate() {
-            empty += u64::from(count == 0);
             singletons += u64::from(count == 1);
+            colliding += u64::from(count > 1);
             if COLLECT && count == 1 {
                 scratch.singles.push(offset + bin as u64);
             }
@@ -615,14 +602,14 @@ fn resolve_per_ball<const COLLECT: bool, R: Rng + ?Sized>(
         scratch.draws.clear();
         scratch.draws.extend((0..m).map(|_| rng.gen_range(0..w)));
         scratch.draws.sort_unstable();
-        empty = w;
         for run in scratch.draws.chunk_by(|a, b| a == b) {
-            empty -= 1;
             if run.len() == 1 {
                 singletons += 1;
                 if COLLECT {
                     scratch.singles.push(offset + run[0]);
                 }
+            } else {
+                colliding += 1;
             }
             last = run[0];
         }
@@ -631,8 +618,7 @@ fn resolve_per_ball<const COLLECT: bool, R: Rng + ?Sized>(
         bins: w,
         balls: m,
         singletons,
-        empty_bins: empty,
-        colliding_bins: w - empty - singletons,
+        colliding_bins: colliding,
         max_occupied_bin: Some(last),
     }
 }
@@ -668,7 +654,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(0);
         let occ = walk_window(0, 5, &mut rng, &mut WalkScratch::new());
         assert_eq!(occ.balls, 0);
-        assert_eq!(occ.empty_bins, 5);
+        assert_eq!(occ.bins, 5);
         assert_eq!(occ.singletons, 0);
         assert_eq!(occ.colliding_bins, 0);
         assert_eq!(occ.max_occupied_bin, None);
@@ -756,10 +742,9 @@ mod tests {
                 let occ = walk_window(m, w, &mut rng, &mut scratch);
                 assert_eq!(occ.balls, m, "m={m} w={w}");
                 assert_eq!(occ.bins, w);
-                assert_eq!(
-                    occ.singletons + occ.empty_bins + occ.colliding_bins,
-                    w,
-                    "m={m} w={w}: categories must partition the bins"
+                assert!(
+                    occ.singletons + 2 * occ.colliding_bins <= m,
+                    "m={m} w={w}: a colliding bin holds at least two balls"
                 );
                 assert_eq!(scratch.singleton_bins().len() as u64, occ.singletons);
                 assert!(
@@ -789,7 +774,6 @@ mod tests {
         let occ = walk_window(1_000_000, 4, &mut rng_a, &mut scratch);
         assert_eq!(occ.colliding_bins, 4);
         assert_eq!(occ.singletons, 0);
-        assert_eq!(occ.empty_bins, 0);
         assert_eq!(occ.max_occupied_bin, Some(3));
         assert_eq!(rng_a, rng_b, "shortcut must not consume the RNG");
     }
@@ -816,7 +800,7 @@ mod tests {
         let _ = walk_window(32, 32, &mut rng, &mut scratch);
         assert!(!scratch.singleton_bins().is_empty());
         let occ = walk_window(0, 17, &mut rng, &mut scratch);
-        assert_eq!(occ.empty_bins, 17);
+        assert_eq!(occ.bins - occ.singletons - occ.colliding_bins, 17);
         assert!(scratch.singleton_bins().is_empty());
     }
 }

@@ -231,7 +231,7 @@ fn walk_class_totals_match_the_exact_moments() {
         for _ in 0..windows {
             let occ = walk_window_counts(m, w, &mut rng, &mut scratch);
             totals[0] += occ.singletons;
-            totals[1] += occ.empty_bins;
+            totals[1] += occ.bins - occ.singletons - occ.colliding_bins;
             totals[2] += occ.colliding_bins;
         }
         let n = windows as f64;
