@@ -192,7 +192,8 @@ impl<'a> Decoder<'a> {
     /// Reads a string written by [`Encoder::put_str`].
     ///
     /// # Errors
-    /// Truncated stream, an implausible length, or invalid UTF-8.
+    /// Truncated stream, an implausible length, a nonzero padding byte
+    /// after the string's last byte, or invalid UTF-8.
     pub fn take_str(&mut self) -> Result<String, WireError> {
         let len = self.take_usize()?;
         let n_words = len.div_ceil(8);
@@ -202,6 +203,9 @@ impl<'a> Decoder<'a> {
         let mut bytes = Vec::with_capacity(len);
         for _ in 0..n_words {
             bytes.extend_from_slice(&self.take_u64()?.to_le_bytes());
+        }
+        if bytes.iter().skip(len).any(|&b| b != 0) {
+            return Err(WireError::Malformed("string padding not zero"));
         }
         bytes.truncate(len);
         String::from_utf8(bytes).map_err(|_| WireError::Malformed("string not UTF-8"))
@@ -349,6 +353,13 @@ mod tests {
         enc.put_u64(2);
         enc.put_u64(u64::from_le_bytes([0xFF, 0xFE, 0, 0, 0, 0, 0, 0]));
         let words = enc.finish();
+        assert!(matches!(
+            Decoder::new(&words).take_str(),
+            Err(WireError::Malformed(_))
+        ));
+        // Nonzero padding after a string's last byte: `put_str` pads with
+        // zeros, so these words would re-encode to other words.
+        let words = [3, u64::from_le_bytes(*b"abc\0\0\0\0!")];
         assert!(matches!(
             Decoder::new(&words).take_str(),
             Err(WireError::Malformed(_))
