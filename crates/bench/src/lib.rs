@@ -1,18 +1,20 @@
 //! # mac-bench — evaluation harness for the paper's figures and tables
 //!
-//! This crate hosts the binaries that regenerate the evaluation artefacts of
-//! the paper (run them with `--release`; the full paper-scale sweep to
-//! `k = 10⁷` is opt-in because it takes minutes):
+//! This crate hosts six binaries (run them with `--release`). Each one feeds
+//! a committed artefact or a CI gate:
 //!
-//! * `cargo run -p mac-bench --release --bin figure1` — Figure 1: average
-//!   number of slots to solve static k-selection vs. `k`, one series per
-//!   protocol (gnuplot-ready blocks + CSV);
-//! * `cargo run -p mac-bench --release --bin table1` — Table 1: the ratio
-//!   slots/k per protocol and `k`, with the paper's "Analysis" column;
-//! * `cargo run -p mac-bench --release --bin ablation_delta` — sensitivity of
-//!   both new protocols to their δ parameter (extension experiment);
-//! * `cargo run -p mac-bench --release --bin ablation_backoff` — growth-factor
-//!   sweep for the monotone back-off baselines (extension experiment).
+//! * `table1` — Table 1: the ratio slots/k per protocol and `k`, with the
+//!   paper's "Analysis" column, then the per-cell CSV, whose `mean_makespan`
+//!   column holds the points of Figure 1. `--full` (k up to 10⁷) writes
+//!   `TABLE1.md`, which CI diffs;
+//! * `certify` — the worst-case jamming certificates of `CERTIFICATES.md`
+//!   (`--check` is a CI gate);
+//! * `saturation_map` — the saturation snapshot (`BENCH_06.json`) and
+//!   `PHASE.md` (`--check` is a CI gate);
+//! * `perf_snapshot` — the slots-per-second snapshots `BENCH_01.json` to
+//!   `BENCH_05.json` and `BENCH_07.json` (`--check` is a CI gate; see below);
+//! * `session_smoke` — CI's checkpoint/resume bit-identity and memory gate;
+//! * `chaos_smoke` — CI's crash, corruption and shard-kill recovery gate.
 //!
 //! Whole-run wall time of the simulators is measured by the `perf_snapshot`
 //! binary below and by the end-to-end benchmark in `perfbench/`; a speed

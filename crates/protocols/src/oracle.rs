@@ -10,7 +10,8 @@
 //!
 //! This oracle is not part of the paper's evaluated line-up (it requires
 //! information the paper's model does not provide); it is included as the
-//! natural lower-bound reference for the ablation benchmarks and examples.
+//! natural lower-bound reference for the robustness line-up, the saturation
+//! map and the `protocol_comparison` example.
 
 use crate::traits::FairProtocol;
 use serde::{Deserialize, Serialize};

@@ -1,13 +1,10 @@
-//! Rendering of sweep results: CSV, markdown tables and gnuplot-ready series.
+//! Rendering of sweep results: CSV and markdown tables.
 //!
-//! Three renderers cover the paper's two evaluation artefacts plus raw data
-//! export:
+//! Two renderers cover the paper's two evaluation artefacts:
 //!
 //! * [`to_csv`] — one row per (protocol, k) cell with makespan and ratio
-//!   statistics; the raw data behind both the figure and the table;
-//! * [`figure1_series`] — the series of Figure 1 (average slots vs. k, one
-//!   block per protocol) in a format gnuplot or any plotting tool ingests
-//!   directly;
+//!   statistics; its `mean_makespan` column holds the points of Figure 1
+//!   (average slots vs. k, one series per protocol);
 //! * [`table1_markdown`] — Table 1 (ratio slots/k per protocol and k,
 //!   plus the "Analysis" column) as a markdown table whose shape matches the
 //!   paper's.
@@ -41,24 +38,6 @@ pub fn to_csv(results: &ExperimentResults) -> String {
             cell.all_completed
         )
         .expect("writing to a String cannot fail");
-    }
-    out
-}
-
-/// Renders the series of Figure 1: for each protocol a block of
-/// `k  mean_steps` lines, separated by blank lines (gnuplot `index` format).
-pub fn figure1_series(results: &ExperimentResults) -> String {
-    let mut out = String::new();
-    for protocol in results.protocols() {
-        writeln!(out, "# {protocol}").expect("writing to a String cannot fail");
-        writeln!(out, "# k  mean_steps").expect("writing to a String cannot fail");
-        for k in results.ks() {
-            if let Some(cell) = results.cell(&protocol, k) {
-                writeln!(out, "{k} {:.3}", cell.makespan.mean)
-                    .expect("writing to a String cannot fail");
-            }
-        }
-        out.push('\n');
     }
     out
 }
@@ -135,23 +114,6 @@ mod tests {
         assert_eq!(lines.len(), 1 + results.cells.len());
         assert!(lines[0].starts_with("protocol,k,replications"));
         assert!(lines[1].starts_with("One-fail Adaptive,10,3,"));
-    }
-
-    #[test]
-    fn figure1_series_has_one_block_per_protocol() {
-        let results = tiny_results();
-        let series = figure1_series(&results);
-        assert_eq!(series.matches("# k  mean_steps").count(), 2);
-        assert!(series.contains("# One-fail Adaptive"));
-        assert!(series.contains("# Loglog-iterated Back-off"));
-        // Each block has one data line per k.
-        assert_eq!(
-            series
-                .lines()
-                .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-                .count(),
-            4
-        );
     }
 
     #[test]

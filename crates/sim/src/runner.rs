@@ -5,8 +5,8 @@
 //! replications (the paper uses 10 runs per point). The runner executes every
 //! cell with deterministic per-run seeds derived from a single master seed,
 //! distributes the runs over OS threads, and aggregates the makespans into
-//! [`ExperimentCell`]s that the reporting module renders as Figure 1 and
-//! Table 1.
+//! [`ExperimentCell`]s that the reporting module renders as Table 1 and as
+//! the per-cell CSV that holds Figure 1's points.
 
 use crate::result::{RunOptions, RunResult};
 use crate::simulate_with_options;
@@ -243,18 +243,13 @@ impl ExperimentResults {
     /// Looks up the cell for a protocol label and instance size.
     ///
     /// When a sweep contains several configurations of the *same* protocol
-    /// (e.g. a δ ablation), their labels coincide; use
-    /// [`ExperimentResults::cell_for`] to disambiguate by full configuration.
+    /// (e.g. a δ sweep), their labels coincide and this returns the first;
+    /// search [`ExperimentResults::cells`] by [`ExperimentCell::kind`] to
+    /// tell them apart.
     pub fn cell(&self, protocol: &str, k: u64) -> Option<&ExperimentCell> {
         self.cells
             .iter()
             .find(|c| c.protocol == protocol && c.k == k)
-    }
-
-    /// Looks up the cell for an exact protocol configuration and instance
-    /// size.
-    pub fn cell_for(&self, kind: &ProtocolKind, k: u64) -> Option<&ExperimentCell> {
-        self.cells.iter().find(|c| &c.kind == kind && c.k == k)
     }
 
     /// The distinct protocol labels, in sweep order.

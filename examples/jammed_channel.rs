@@ -89,7 +89,7 @@ fn main() {
          deliveries (`!`) cost extra slots, but the stations keep contending.\n\
          (graceful degradation is not unconditional: a periodic jammer whose\n\
          period aligns with the protocol's AT/BT step parity — period 2, phase 0 —\n\
-         blocks One-fail Adaptive outright; robustness_sweep quantifies all of\n\
-         this at scale.)"
+         blocks One-fail Adaptive outright, as tests/adversary_robustness.rs\n\
+         asserts.)"
     );
 }

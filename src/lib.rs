@@ -59,7 +59,7 @@ pub mod prelude {
         RandomizedParityOneFail, WindowSchedule,
     };
     pub use crate::sim::dynamic::{simulate_dynamic, DynamicReport};
-    pub use crate::sim::report::{figure1_series, table1_markdown, to_csv};
+    pub use crate::sim::report::{table1_markdown, to_csv};
     pub use crate::sim::{
         simulate, simulate_with_options, Checkpoint, CheckpointStore, CohortRun, CohortSimulator,
         ExactSimulator, Experiment, FairSimulator, FaultPlan, IntegrityError, RunOptions,

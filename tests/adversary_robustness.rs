@@ -1,6 +1,8 @@
 //! Integration tests for the adversarial-channel subsystem: qualitative
-//! robustness orderings that the `robustness_sweep` benchmark renders as a
-//! table.
+//! robustness orderings of the robustness line-up under scripted
+//! adversaries, and the one resonance that blocks a protocol outright.
+//! `CERTIFICATES.md` holds the worst cases a search finds under a jam
+//! budget.
 //!
 //! The comparisons are *paired*: every adversary faces the same seeds, so
 //! the clean-channel runs are the exact baseline trajectories the jammed

@@ -250,7 +250,4 @@ fn reports_render_consistently_from_a_real_sweep() {
             && table.contains("7.8")
             && table.contains("4.4")
     );
-
-    let series = figure1_series(&results);
-    assert_eq!(series.matches("# k  mean_steps").count(), 5);
 }
