@@ -5,8 +5,8 @@
 //!
 //! * `table1` — Table 1: the ratio slots/k per protocol and `k`, with the
 //!   paper's "Analysis" column, then the per-cell CSV, whose `mean_makespan`
-//!   column holds the points of Figure 1. `--full` (k up to 10⁷) writes
-//!   `TABLE1.md`, which CI diffs;
+//!   column holds the points of Figure 1. Its stdout at `--full` (k up to
+//!   10⁷) is `TABLE1.md`, which CI diffs;
 //! * `certify` — the worst-case jamming certificates of `CERTIFICATES.md`
 //!   (`--check` is a CI gate);
 //! * `saturation_map` — the saturation snapshot (`BENCH_06.json`) and
